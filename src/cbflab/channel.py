@@ -11,6 +11,21 @@ where e(t) is a fresh draw from the slot-marginal distribution: either a
 path-loss-scaled complex Gaussian or a sum of uniform-rectangular-array rays
 with random angles and gains.  Users advance along straight tracks with
 specular reflection at the cell edge.
+
+Random stream.  A ``ChannelProcess`` draws from one ``numpy`` Generator
+seeded with ``rng_seed``.  Each slot visits the links in C order of
+(bs, cell, user) and draws, per link:
+
+* geometric-ura: R uniforms in [-1, 1) for the azimuth offsets, R uniforms in
+  [-0.5, 0.5) for the elevations, then R standard normals for the real and R
+  for the imaginary parts of the ray gains;
+* gauss-markov and iid-rayleigh: M standard normals for the real and M for
+  the imaginary parts of the coefficients.
+
+Everything computed from the draws is vectorized over links and rays with
+the same floating-point operations, in the same order, as a per-link loop.
+So traces, checkpoints and ``config_fingerprint`` are unchanged from the
+first (``TRACE_MAGIC`` version 1) generator, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -155,13 +171,17 @@ def ura_steering(azimuth, elevation, array_rows, array_cols):
 
     Element (m1, m2) of an array_rows x array_cols grid contributes phase
     pi * (m1*sin(el) + m2*cos(el)*sin(az)); entries are scaled by 1/sqrt(M)
-    so the response has unit Euclidean norm.
+    so the response has unit Euclidean norm.  ``azimuth`` and ``elevation``
+    broadcast against each other; the result has their shape plus a trailing
+    axis of M = array_rows * array_cols elements in row-major order.
     """
+    az = np.asarray(azimuth, dtype=float)[..., None, None]
+    el = np.asarray(elevation, dtype=float)[..., None, None]
     m1 = np.arange(array_rows)[:, None]
     m2 = np.arange(array_cols)[None, :]
-    phase = np.pi * (m1 * np.sin(elevation) + m2 * np.cos(elevation) * np.sin(azimuth))
+    phase = np.pi * (m1 * np.sin(el) + m2 * np.cos(el) * np.sin(az))
     m = array_rows * array_cols
-    return (np.exp(1j * phase) / np.sqrt(m)).reshape(m)
+    return (np.exp(1j * phase) / np.sqrt(m)).reshape(phase.shape[:-2] + (m,))
 
 
 def path_loss_db(distance, cfg: ChannelModelConfig):
@@ -182,40 +202,48 @@ def _marginal_draw(topology, model_cfg, net_cfg, rng):
     """One fresh draw of the full (N, N, K, M) channel tensor.
 
     Per-coefficient-vector power is M * pathloss, i.e. unit average power per
-    antenna element before path loss.
+    antenna element before path loss.  Only the random draws run link by
+    link, in the stream order of the module docstring; the rest is computed
+    over all (N, N, K) links and R rays at once.
     """
     n, k = net_cfg.num_cells, net_cfg.users_per_cell
     m1, m2 = net_cfg.array_rows, net_cfg.array_cols
     m = m1 * m2
+    # offset[bs, cell, user] is the BS -> UE vector.  vecdot (numpy >= 2.0)
+    # reproduces the per-vector norm bit for bit; norm(axis=-1), einsum and
+    # hypot do not.
+    offset = topology.ue_positions[None] - topology.bs_positions[:, None, None]
+    d = np.sqrt(np.vecdot(offset, offset))
+    # Scalar (libm) pow per link: numpy's SIMD power can differ in the last ulp.
+    exponent = (-path_loss_db(d, model_cfg) / 10.0).ravel().tolist()
+    pl_lin = np.array([10.0**x for x in exponent]).reshape(n, n, k)
+    if model_cfg.model_kind != "geometric-ura":
+        z = rng.standard_normal((n, n, k, 2, m))
+        vec = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
+        return np.sqrt(pl_lin)[..., None] * vec
+    rays = model_cfg.num_rays
     spread = np.deg2rad(model_cfg.angular_spread_deg)
-    h = np.empty((n, n, k, m), dtype=np.complex128)
-    for bs in range(n):
-        for cell in range(n):
-            for user in range(k):
-                offset = topology.ue_positions[cell, user] - topology.bs_positions[bs]
-                d = np.linalg.norm(offset)
-                pl_lin = 10.0 ** (-path_loss_db(d, model_cfg) / 10.0)
-                if model_cfg.model_kind == "geometric-ura":
-                    # Rays cluster around the geometric BS -> UE direction
-                    # (all arrays face +x), mimicking the narrow per-link
-                    # angular spread of a macro-cell BS.
-                    rays = model_cfg.num_rays
-                    az_los = np.arctan2(offset[1], offset[0])
-                    az = az_los + spread * rng.uniform(-1.0, 1.0, rays)
-                    el = spread * rng.uniform(-0.5, 0.5, rays)
-                    gains = (
-                        rng.standard_normal(rays) + 1j * rng.standard_normal(rays)
-                    ) / np.sqrt(2.0)
-                    vec = np.zeros(m, dtype=np.complex128)
-                    for ray in range(rays):
-                        vec += gains[ray] * ura_steering(az[ray], el[ray], m1, m2)
-                    h[bs, cell, user] = np.sqrt(pl_lin * m / rays) * vec
-                else:
-                    vec = (
-                        rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                    ) / np.sqrt(2.0)
-                    h[bs, cell, user] = np.sqrt(pl_lin) * vec
-    return h
+    # Per link: 2R uniforms (azimuth, elevation), then 2R normals (real and
+    # imaginary gain parts).  Ziggurat normals consume a variable number of
+    # raw draws, so the links cannot be merged into one call.
+    draws = np.empty((n, n, k, 4, rays))
+    for row in draws.reshape(n * n * k, 4 * rays):
+        rng.random(out=row[: 2 * rays])
+        rng.standard_normal(out=row[2 * rays :])
+    u_az, u_el, g_re, g_im = np.moveaxis(draws, -2, 0)
+    # Rays cluster around the geometric BS -> UE direction (all arrays face
+    # +x), mimicking the narrow per-link angular spread of a macro-cell BS.
+    az_los = np.arctan2(offset[..., 1], offset[..., 0])
+    # rng.uniform(lo, hi) computes lo + (hi - lo) * random().
+    az = az_los[..., None] + spread * (-1.0 + 2.0 * u_az)
+    el = spread * (-0.5 + 1.0 * u_el)
+    gains = (g_re + 1j * g_im) / np.sqrt(2.0)
+    weighted = gains[..., None] * ura_steering(az, el, m1, m2)
+    # Ray by ray, in order: a pairwise sum(axis=...) would round differently.
+    vec = np.zeros((n, n, k, m), dtype=np.complex128)
+    for ray in range(rays):
+        vec += weighted[..., ray, :]
+    return np.sqrt(pl_lin * m / rays)[..., None] * vec
 
 
 def _advance_positions(topology, net_cfg):
@@ -369,11 +397,17 @@ class TraceStream:
         self.cursor = int(state["cursor"])
 
 
-def generate_trace(net_cfg, model_cfg, num_slots, topology_seed=None):
-    """Generate ``num_slots`` correlated slots as an in-memory trace."""
+def generate_trace(net_cfg, model_cfg, num_slots, topology_seed=None, offset=0):
+    """Slots [offset, offset + num_slots) of a fresh process, in memory.
+
+    The ``offset`` slots before the window are generated and dropped, so the
+    window is bit-identical to the same slots of a trace that starts at 0.
+    """
     proc = ChannelProcess(net_cfg, model_cfg, topology_seed=topology_seed)
     n, k, m = net_cfg.num_cells, net_cfg.users_per_cell, net_cfg.num_antennas
     h = np.empty((num_slots, n, n, k, m), dtype=np.complex128)
+    for _ in range(offset):
+        proc.next_slot()
     for t in range(num_slots):
         h[t] = proc.next_slot().h
     return ChannelTrace(
@@ -403,35 +437,41 @@ def save_trace(trace, path):
 
 
 def load_trace(path):
-    """Read a trace file back, verifying magic, dimensions and checksum."""
+    """Read a trace file back, verifying magic, dimensions and checksum.
+
+    The payload is read once, straight into the returned array, and the
+    checksum runs over that same buffer.
+    """
+    prefix_len = len(TRACE_MAGIC) + _HEADER.size
     with open(path, "rb") as fh:
-        blob = fh.read()
-    min_len = len(TRACE_MAGIC) + _HEADER.size + 4
-    if len(blob) < min_len:
-        raise TraceFormatError("trace file truncated: shorter than header")
-    if blob[: len(TRACE_MAGIC)] != TRACE_MAGIC:
-        raise TraceFormatError("bad magic: not a channel trace file")
-    n, k, m, num_slots, cfg_hash = _HEADER.unpack_from(blob, len(TRACE_MAGIC))
-    payload_len = num_slots * n * n * k * m * 16
-    expected = len(TRACE_MAGIC) + _HEADER.size + payload_len + 4
-    if len(blob) != expected:
-        raise TraceFormatError(
-            f"dimension mismatch: header implies {expected} bytes, file has {len(blob)}"
-        )
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+        size = os.fstat(fh.fileno()).st_size
+        if size < prefix_len + 4:
+            raise TraceFormatError("trace file truncated: shorter than header")
+        prefix = fh.read(prefix_len)
+        if prefix[: len(TRACE_MAGIC)] != TRACE_MAGIC:
+            raise TraceFormatError("bad magic: not a channel trace file")
+        n, k, m, num_slots, cfg_hash = _HEADER.unpack_from(prefix, len(TRACE_MAGIC))
+        payload_len = num_slots * n * n * k * m * 16
+        expected = prefix_len + payload_len + 4
+        if size != expected:
+            raise TraceFormatError(
+                f"dimension mismatch: header implies {expected} bytes, file has {size}"
+            )
+        h = np.empty((num_slots, n, n, k, m), dtype="<c16")
+        payload = h.reshape(-1).view(np.uint8)
+        got = fh.readinto(payload)
+        footer = fh.read(4)
+    if got != payload_len or len(footer) != 4:
+        # The file shrank after its size was checked.
+        raise TraceFormatError("trace file truncated while reading")
+    stored_crc = struct.unpack("<I", footer)[0]
+    actual_crc = zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise TraceFormatError("checksum mismatch: trace file corrupted")
-    start = len(TRACE_MAGIC) + _HEADER.size
-    h = (
-        np.frombuffer(blob[start : start + payload_len], dtype="<c16")
-        .reshape(num_slots, n, n, k, m)
-        .astype(np.complex128)
-    )
     return ChannelTrace(
         num_cells=int(n),
         users_per_cell=int(k),
         num_antennas=int(m),
         cfg_hash=int(cfg_hash),
-        h=h,
+        h=h.astype(np.complex128, copy=False),
     )

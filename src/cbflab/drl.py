@@ -10,10 +10,33 @@ parameters, matching decentralized per-BS training.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
 _CHECKPOINT_VERSION = 1
+
+
+def savez_atomic(path, arrays):
+    """``np.savez(path, **arrays)`` that never leaves ``path`` half written.
+
+    The archive goes to a temporary file in the same directory, which then
+    replaces ``path`` in one rename; if writing fails, the temporary file is
+    removed and an earlier file at ``path`` is left as it was.  As with
+    ``np.savez``, ``.npz`` is appended to a path without it.
+    """
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _relu(x):
@@ -504,7 +527,7 @@ class DdpgAgent:
         self.rng.bit_generator.state = meta["rng_state"]
 
     def save(self, path):
-        np.savez(path, **self.state_dict())
+        savez_atomic(path, self.state_dict())
 
     @classmethod
     def load(cls, path, **overrides):

@@ -29,7 +29,7 @@ from .channel import (
     load_trace,
     save_trace,
 )
-from .drl import DdpgAgent
+from .drl import DdpgAgent, savez_atomic
 from .env import BeamformingEnv, decode_action
 from .network import NetworkConfig, compute_metrics, dbm_to_watt, sum_rate
 from .solvers import mrt_beamformer, mslnr_beamformer, structured_beamformer, wmmse, wmmse_multi_init
@@ -425,7 +425,7 @@ def save_checkpoint(path, slot, states, env, agents, sink_rows):
         for key, value in agent.state_dict().items():
             arrays[f"agent{n}_{key}"] = value
     arrays["harness_meta"] = np.array(json.dumps(meta))
-    np.savez(path, **arrays)
+    savez_atomic(path, arrays)
 
 
 def load_checkpoint(path, env, agents):
@@ -514,9 +514,11 @@ def run_train(cfg: RunConfig, resume_from=None, basename=None):
 
     warmup = cfg.batch_size
     sum_rates = []
+    # Each checkpoint event's wall_s covers the slots since the previous
+    # checkpoint (or the run or resume start), including its own write.
+    since = time.perf_counter()
     try:
         for slot in range(start_slot, cfg.num_slots):
-            tic = time.perf_counter()
             if slot < warmup:
                 actions = np.stack([agent.random_action() for agent in agents])
             else:
@@ -539,13 +541,15 @@ def run_train(cfg: RunConfig, resume_from=None, basename=None):
             if (slot + 1) % cfg.checkpoint_every == 0 or slot + 1 == cfg.num_slots:
                 path = os.path.join(ckpt_dir, f"{basename}_{slot + 1:08d}.npz")
                 save_checkpoint(path, slot + 1, states, env, agents, sink.rows_written)
+                now = time.perf_counter()
                 sink.event(
                     "checkpoint",
                     path=path,
                     slot=slot + 1,
-                    wall_s=time.perf_counter() - tic,
+                    wall_s=now - since,
                     mean_loss=float(np.mean(losses)) if losses else None,
                 )
+                since = now
     except ArithmeticError as exc:
         dump = os.path.join(cfg.out_dir, f"{basename}_abort.json")
         with open(dump, "w") as fh:
@@ -592,23 +596,7 @@ def _collect_window(cfg: RunConfig, offset, count):
             cfg_hash=trace.cfg_hash,
             h=trace.h[offset : offset + count],
         )
-    proc = ChannelProcess(cfg.network, cfg.channel)
-    for _ in range(offset):
-        proc.next_slot()
-    net = cfg.network
-    h = np.empty(
-        (count, net.num_cells, net.num_cells, net.users_per_cell, net.num_antennas),
-        dtype=np.complex128,
-    )
-    for t in range(count):
-        h[t] = proc.next_slot().h
-    return ChannelTrace(
-        num_cells=net.num_cells,
-        users_per_cell=net.users_per_cell,
-        num_antennas=net.num_antennas,
-        cfg_hash=config_fingerprint(cfg.channel, cfg.network),
-        h=h,
-    )
+    return generate_trace(cfg.network, cfg.channel, count, offset=offset)
 
 
 def _slot_seed(seed, slot):

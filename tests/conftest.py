@@ -4,3 +4,30 @@ import os
 # both faster for this package's small matrices and reduction-order stable.
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
+
+import pytest  # noqa: E402
+
+
+@pytest.fixture
+def break_savez(monkeypatch):
+    """Return a switch that makes ``np.savez`` fail part-way, like a full disk.
+
+    After the switch, the next ``np.savez`` writes its first array and then
+    raises ``OSError``; any array written after that raises too.
+    """
+    import numpy as np
+
+    write_array = np.lib.format.write_array
+
+    def switch():
+        written = []
+
+        def write_one_then_fail(*args, **kwargs):
+            if written:
+                raise OSError("disk full")
+            written.append(True)
+            return write_array(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", write_one_then_fail)
+
+    return switch

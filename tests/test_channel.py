@@ -1,8 +1,12 @@
+import types
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cbflab import channel
 from cbflab.channel import (
+    MODEL_KINDS,
     ChannelModelConfig,
     ChannelProcess,
     TraceFormatError,
@@ -23,6 +27,87 @@ def make_net(n=1, k=1, m1=1, m2=2, **kw):
     return NetworkConfig(
         num_cells=n, users_per_cell=k, array_rows=m1, array_cols=m2, **kw
     )
+
+
+# -- reference generator ------------------------------------------------------
+# The original per-link, per-ray loops.  The vectorized generator must
+# reproduce them bit for bit, so that stored traces stay valid.
+
+
+def _reference_ura_steering(azimuth, elevation, array_rows, array_cols):
+    m1 = np.arange(array_rows)[:, None]
+    m2 = np.arange(array_cols)[None, :]
+    phase = np.pi * (m1 * np.sin(elevation) + m2 * np.cos(elevation) * np.sin(azimuth))
+    m = array_rows * array_cols
+    return (np.exp(1j * phase) / np.sqrt(m)).reshape(m)
+
+
+def _reference_marginal_draw(topology, model_cfg, net_cfg, rng):
+    n, k = net_cfg.num_cells, net_cfg.users_per_cell
+    m1, m2 = net_cfg.array_rows, net_cfg.array_cols
+    m = m1 * m2
+    spread = np.deg2rad(model_cfg.angular_spread_deg)
+    h = np.empty((n, n, k, m), dtype=np.complex128)
+    for bs in range(n):
+        for cell in range(n):
+            for user in range(k):
+                offset = topology.ue_positions[cell, user] - topology.bs_positions[bs]
+                d = np.linalg.norm(offset)
+                pl_lin = 10.0 ** (-path_loss_db(d, model_cfg) / 10.0)
+                if model_cfg.model_kind == "geometric-ura":
+                    rays = model_cfg.num_rays
+                    az_los = np.arctan2(offset[1], offset[0])
+                    az = az_los + spread * rng.uniform(-1.0, 1.0, rays)
+                    el = spread * rng.uniform(-0.5, 0.5, rays)
+                    gains = (
+                        rng.standard_normal(rays) + 1j * rng.standard_normal(rays)
+                    ) / np.sqrt(2.0)
+                    vec = np.zeros(m, dtype=np.complex128)
+                    for ray in range(rays):
+                        vec += gains[ray] * _reference_ura_steering(az[ray], el[ray], m1, m2)
+                    h[bs, cell, user] = np.sqrt(pl_lin * m / rays) * vec
+                else:
+                    vec = (
+                        rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                    ) / np.sqrt(2.0)
+                    h[bs, cell, user] = np.sqrt(pl_lin) * vec
+    return h
+
+
+# (cells, users, rows, cols, ue_speed m/s, slot_duration s): ref7 at walking
+# speed, a small layout whose 50 m steps reflect users at the cell edge, and
+# one antenna, where a summed ray axis would be reduced pairwise.
+ORACLE_SHAPES = {
+    "ref7": (7, 4, 4, 8, 3.0 / 3.6, 0.02),
+    "fast-3x2": (3, 2, 2, 3, 100.0, 0.5),
+    "one-antenna": (2, 3, 1, 1, 3.0 / 3.6, 0.02),
+}
+ORACLE_SLOTS = 20
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("shape", sorted(ORACLE_SHAPES))
+def test_vectorized_draw_matches_reference_bitwise(kind, shape, monkeypatch):
+    n, k, m1, m2, speed, dt = ORACLE_SHAPES[shape]
+    net = make_net(n=n, k=k, m1=m1, m2=m2, ue_speed=speed, slot_duration=dt)
+    cfg = ChannelModelConfig(model_kind=kind, rng_seed=17)
+    fast = generate_trace(net, cfg, ORACLE_SLOTS)
+    with monkeypatch.context() as patch:
+        patch.setattr(channel, "_marginal_draw", _reference_marginal_draw)
+        ref = generate_trace(net, cfg, ORACLE_SLOTS)
+    assert fast.h.tobytes() == ref.h.tobytes()
+    assert fast.cfg_hash == ref.cfg_hash
+
+
+def test_oracle_fast_shape_reflects_users():
+    n, k, m1, m2, speed, dt = ORACLE_SHAPES["fast-3x2"]
+    net = make_net(n=n, k=k, m1=m1, m2=m2, ue_speed=speed, slot_duration=dt)
+    proc = ChannelProcess(net, ChannelModelConfig(rng_seed=17))
+    headings = proc.topology.ue_headings.copy()
+    for _ in range(ORACLE_SLOTS):
+        proc.next_slot()
+    # A heading changes only by reflection at the cell edge.
+    assert np.any(proc.topology.ue_headings != headings)
 
 
 # -- topology ---------------------------------------------------------------
@@ -87,6 +172,25 @@ def test_steering_unit_norm():
         assert np.linalg.norm(ura_steering(az, el, 2, 4)) == pytest.approx(
             1.0, abs=1e-12
         )
+
+
+def test_steering_broadcast_matches_scalar_calls_bitwise():
+    rng = np.random.default_rng(3)
+    az = rng.uniform(-np.pi, np.pi, (3, 5))
+    el = rng.uniform(-0.3, 0.3, (3, 5))
+    got = ura_steering(az, el, 3, 4)
+    assert got.shape == (3, 5, 12)
+    ref = np.stack(
+        [
+            np.stack([_reference_ura_steering(a, e, 3, 4) for a, e in zip(ra, re)])
+            for ra, re in zip(az, el)
+        ]
+    )
+    assert got.tobytes() == ref.tobytes()
+    # Elevation broadcasts against a row of azimuths.
+    row = ura_steering(az[0], 0.1, 3, 4)
+    ref_row = np.stack([_reference_ura_steering(a, 0.1, 3, 4) for a in az[0]])
+    assert row.tobytes() == ref_row.tobytes()
 
 
 def test_steering_hand_expanded_phases():
@@ -242,6 +346,8 @@ def test_trace_round_trip(tmp_path):
     save_trace(trace, path)
     back = load_trace(path)
     npt.assert_array_equal(back.h, trace.h)
+    assert back.h.dtype == np.complex128
+    assert back.h.flags.writeable and back.h.flags.owndata
     assert back.cfg_hash == trace.cfg_hash
     assert back.num_slots == 10
 
@@ -281,6 +387,43 @@ def test_trace_header_payload_mismatch(tmp_path):
     struct.pack_into("<Q", blob, 16 + 16, 64)
     path.write_bytes(bytes(blob))
     with pytest.raises(TraceFormatError, match="dimension"):
+        load_trace(path)
+
+
+def test_trace_empty_round_trip(tmp_path):
+    trace = generate_trace(make_net(), ChannelModelConfig(rng_seed=5), 0)
+    path = tmp_path / "trace.bin"
+    save_trace(trace, path)
+    assert load_trace(path).h.shape == (0, 1, 1, 1, 2)
+
+
+def test_trace_short_file_detected(tmp_path):
+    path = tmp_path / "trace.bin"
+    path.write_bytes(b"CBFLAB")
+    with pytest.raises(TraceFormatError, match="shorter than header"):
+        load_trace(path)
+
+
+def test_trace_shrinking_while_read_detected(tmp_path, monkeypatch):
+    trace = generate_trace(make_net(), ChannelModelConfig(rng_seed=5), 4)
+    path = tmp_path / "trace.bin"
+    save_trace(trace, path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-20])
+    # The size check sees the file as it was before it shrank.
+    monkeypatch.setattr(channel.os, "fstat", lambda fd: types.SimpleNamespace(st_size=full))
+    with pytest.raises(TraceFormatError, match="truncated while reading"):
+        load_trace(path)
+
+
+def test_trace_bad_magic_detected(tmp_path):
+    trace = generate_trace(make_net(), ChannelModelConfig(rng_seed=5), 2)
+    path = tmp_path / "trace.bin"
+    save_trace(trace, path)
+    blob = bytearray(path.read_bytes())
+    blob[0] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(TraceFormatError, match="bad magic"):
         load_trace(path)
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -382,4 +384,26 @@ def test_checkpoint_bit_exact_continuation(tmp_path):
     act_b = b.act(np.ones(6), explore=True)
     npt.assert_array_equal(act_a, act_b)
     for p1, p2 in zip(a.actor.parameters(), b.actor.parameters()):
+        npt.assert_array_equal(p1, p2)
+
+
+def test_save_appends_npz_suffix(tmp_path):
+    agent = small_agent()
+    agent.save(tmp_path / "agent")
+    assert os.listdir(tmp_path) == ["agent.npz"]
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, break_savez):
+    agent = small_agent(seed=21)
+    fill_memory(agent, 20, seed=2)
+    path = tmp_path / "agent.npz"
+    agent.save(path)
+    before = [p.copy() for p in agent.actor.parameters()]
+    agent.train_step()
+    break_savez()
+    with pytest.raises(OSError, match="disk full"):
+        agent.save(path)
+    assert os.listdir(tmp_path) == ["agent.npz"]
+    back = DdpgAgent.load(path)
+    for p1, p2 in zip(before, back.actor.parameters()):
         npt.assert_array_equal(p1, p2)

@@ -1,22 +1,32 @@
 import json
 import os
+import time
+import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cbflab import harness
+from cbflab.channel import generate_trace
+from cbflab.env import BeamformingEnv
 from cbflab.harness import (
     ConfigError,
     MetricSink,
+    _build_agents,
+    _build_env,
+    _collect_window,
     build_config,
     config_defaults,
     generate_trace_file,
+    load_checkpoint,
     moving_average,
     parse_config,
     read_bench,
     run_benchmark,
     run_timing,
     run_train,
+    save_checkpoint,
 )
 
 SMALL = {
@@ -174,6 +184,55 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     assert resumed["final_moving_average"] == summary["final_moving_average"]
 
 
+def _checkpoint_walls(events_path):
+    """(slot, wall_s) of each checkpoint event, in log order."""
+    with open(events_path) as fh:
+        events = [json.loads(line) for line in fh]
+    return [(e["slot"], e["wall_s"]) for e in events if e["kind"] == "checkpoint"]
+
+
+def test_checkpoint_wall_s_covers_the_interval(tmp_path, monkeypatch):
+    # A fake clock on which every environment step takes one second.
+    clock = [0.0]
+    step = BeamformingEnv.step
+
+    def one_second_step(self, actions):
+        clock[0] += 1.0
+        return step(self, actions)
+
+    monkeypatch.setattr(BeamformingEnv, "step", one_second_step)
+    monkeypatch.setattr(
+        harness, "time", types.SimpleNamespace(time=time.time, perf_counter=lambda: clock[0])
+    )
+    cfg = parse_config(write_config(tmp_path, checkpoint_every=5))
+    summary = run_train(cfg)
+    assert _checkpoint_walls(summary["events"]) == [(5, 5.0), (10, 5.0), (14, 4.0)]
+
+    # The resumed run appends its checkpoints, timed from the resume.
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000005.npz"
+    resumed = run_train(cfg, resume_from=str(ckpt))
+    assert _checkpoint_walls(resumed["events"])[3:] == [(10, 5.0), (14, 4.0)]
+
+
+def test_failed_checkpoint_write_keeps_previous(tmp_path, break_savez):
+    cfg = parse_config(write_config(tmp_path))
+    env = _build_env(cfg)
+    agents = _build_agents(cfg, env)
+    states = env.reset()
+    ckpt_dir = tmp_path / "ckpt"
+    ckpt_dir.mkdir()
+    path = ckpt_dir / "train.npz"
+    save_checkpoint(path, 0, states, env, agents, 0)
+    states, _, _ = env.step(np.stack([agent.random_action() for agent in agents]))
+    break_savez()
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, 1, states, env, agents, 1)
+    assert os.listdir(ckpt_dir) == ["train.npz"]
+    fresh_env = _build_env(cfg)
+    slot, _, sink_rows = load_checkpoint(path, fresh_env, _build_agents(cfg, fresh_env))
+    assert (slot, sink_rows) == (0, 0)
+
+
 def test_metrics_round_trip_lossless(tmp_path):
     cfg = parse_config(write_config(tmp_path, num_slots=6))
     summary = run_train(cfg)
@@ -200,6 +259,14 @@ def test_benchmark_same_trace_and_determinism(tmp_path):
     first = open(out1["bench_csv"]).read()
     out2 = run_benchmark(cfg, schemes=("mslnr-ep",))
     assert open(out2["bench_csv"]).read() == first
+
+
+def test_live_bench_window_matches_generated_trace(tmp_path):
+    cfg = parse_config(write_config(tmp_path))
+    window = _collect_window(cfg, 5, 4)
+    full = generate_trace(cfg.network, cfg.channel, 9)
+    assert window.h.tobytes() == full.h[5:].tobytes()
+    assert window.cfg_hash == full.cfg_hash
 
 
 def test_benchmark_multi_init_dominates(tmp_path):
