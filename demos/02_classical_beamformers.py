@@ -26,11 +26,11 @@ for n in range(net.num_cells):
         w[n, j] = np.sqrt(net.max_power / k) * cb.mrt_beamformer(channel.h[n, n, j])
 mrt_rate = cb.sum_rate(cb.compute_metrics(channel, cb.BeamformerSet(w=w), net))
 
-# Max-SLNR with equal power: local CSI only.
+# Max-SLNR with equal power: local CSI only.  It is the structure below with
+# every leakage weight at one and mu at the noise power.
+params_slnr = cb.mslnr_params(net.num_cells, k, net.noise_power)
 for n in range(net.num_cells):
-    w[n] = cb.mslnr_beamformer(
-        channel.h[n], n, net.noise_power, net.max_power, np.full(k, 1.0 / k)
-    )
+    w[n] = cb.structured_beamformer(channel.h[n], n, params_slnr, net.max_power)
 slnr_rate = cb.sum_rate(cb.compute_metrics(channel, cb.BeamformerSet(w=w), net))
 
 # Weighted MMSE: centralized, iterative, needs global CSI.
@@ -54,7 +54,7 @@ for n in range(net.num_cells):
             worst = min(worst, overlap)
 print(f"worst |<structured, wmmse>| over active users: {worst:.12f}")
 
-# The same structure reaches MRT and max-SLNR as special cases.
+# The same structure reaches MRT as the alpha = 0 special case.
 params_mrt = cb.StructuredParams(
     alpha=np.zeros((net.num_cells, k)), mu=1.0, q=np.full(k, 1.0 / k), q_total=1.0
 )

@@ -37,7 +37,7 @@ action = np.full(env.action_dim, 0.5)
 action[k] = 1.0
 action[k + 1 : k + 1 + net.num_cells * k] = 1.0
 
-params = cb.decode_action(action, net.num_cells, k, net.max_power, net.noise_power)
+params = cb.decode_action(action, net.num_cells, k, net.noise_power)
 print(f"decoded: q={params.q}, q_total={params.q_total}, mu/noise="
       f"{params.mu / net.noise_power:.3f}")
 

@@ -73,7 +73,7 @@ from .solvers import (
     WmmseState,
     bisect_mu,
     mrt_beamformer,
-    mslnr_beamformer,
+    mslnr_params,
     rayleigh_quotient,
     structured_beamformer,
     structured_directions,

@@ -530,16 +530,10 @@ class DdpgAgent:
         savez_atomic(path, self.state_dict())
 
     @classmethod
-    def load(cls, path, **overrides):
-        """Rebuild an agent from a checkpoint file.
-
-        Hyper-parameters are taken from the checkpoint metadata; keyword
-        overrides are applied before the state is restored.
-        """
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files}
+    def from_state_dict(cls, arrays):
+        """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays."""
         meta = json.loads(str(arrays["meta"]))
-        kwargs = dict(
+        agent = cls(
             state_dim=meta["state_dim"],
             action_dim=meta["action_dim"],
             hidden_sizes=tuple(meta["hidden_sizes"]),
@@ -553,7 +547,11 @@ class DdpgAgent:
             memory_capacity=meta["memory_capacity"],
             batch_size=meta["batch_size"],
         )
-        kwargs.update(overrides)
-        agent = cls(**kwargs)
         agent.load_state_dict(arrays)
         return agent
+
+    @classmethod
+    def load(cls, path):
+        """Rebuild an agent from a checkpoint file written by ``save``."""
+        with np.load(path, allow_pickle=False) as data:
+            return cls.from_state_dict({k: data[k] for k in data.files})

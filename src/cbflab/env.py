@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import compute_metrics
-from .solvers import StructuredParams, structured_beamformer
+from .network import BeamformerSet, ChannelState, SlotMetrics, compute_metrics
+from .solvers import StructuredParams, mslnr_params, structured_beamformer
 
 # Additive floor on raw power ratios before normalization: keeps every
 # decoded ratio strictly positive for any input in the unit box.
@@ -262,46 +262,49 @@ def action_dim(num_cells, users_per_cell, mode="structured"):
     raise ValueError(f"unknown action mode {mode!r}")
 
 
-def decode_action(action, num_cells, users_per_cell, p_max, noise_power):
-    """Map a raw [0, 1]^A action onto structured beamforming parameters.
+def _decode_power_split(action, num_cells, users_per_cell, mode):
+    """Validate a raw action and decode its leading [q_1..q_K, q_total].
 
-    Layout: [q_1..q_K, q_total, alpha_{1,1}..alpha_{N,K}, mu].  Ratios are
-    floored and renormalized to sum to one; leakage weights pass through
-    unchanged (the structure is invariant to jointly scaling alpha and mu, so
-    [0, 1] weights lose no generality); mu maps log-uniformly onto
-    [1e-3, 1e3] times the noise power.
+    Ratios are floored and renormalized to sum to one; the spent fraction is
+    floored at the same epsilon.  Returns (action, q, q_total).
     """
     action = np.asarray(action, dtype=float)
-    k, n = users_per_cell, num_cells
-    expected = action_dim(n, k, "structured")
+    expected = action_dim(num_cells, users_per_cell, mode)
     if action.shape != (expected,):
         raise ValueError(f"action must have shape ({expected},)")
     if np.any(action < 0) or np.any(action > 1):
         raise ValueError("action entries must lie in [0, 1]")
+    k = users_per_cell
     raw_q = action[:k] + POWER_RATIO_EPS
-    q = raw_q / raw_q.sum()
     q_total = max(float(action[k]), POWER_RATIO_EPS)
+    return action, raw_q / raw_q.sum(), q_total
+
+
+def decode_action(action, num_cells, users_per_cell, noise_power):
+    """Map a raw [0, 1]^A action onto structured beamforming parameters.
+
+    Layout: [q_1..q_K, q_total, alpha_{1,1}..alpha_{N,K}, mu].  Leakage
+    weights pass through unchanged (the structure is invariant to jointly
+    scaling alpha and mu, so [0, 1] weights lose no generality); mu maps
+    log-uniformly onto [1e-3, 1e3] times the noise power.
+    """
+    k, n = users_per_cell, num_cells
+    action, q, q_total = _decode_power_split(action, n, k, "structured")
     alpha = action[k + 1 : k + 1 + n * k].reshape(n, k)
     mu = noise_power * 10.0 ** (6.0 * (float(action[-1]) - 0.5))
     return StructuredParams(alpha=alpha, mu=mu, q=q, q_total=q_total)
 
 
-def decode_power_action(action, users_per_cell, noise_power):
-    """Power-only decode: max-SLNR directions with learned power split.
+def decode_power_action(action, num_cells, users_per_cell, noise_power):
+    """Power-only decode: max-SLNR directions with a learned power split.
 
     Layout [q_1..q_K, q_total]; leakage weights are pinned to one and mu to
     the noise power, which reproduces the max-SLNR directions.
     """
-    action = np.asarray(action, dtype=float)
-    k = users_per_cell
-    if action.shape != (k + 1,):
-        raise ValueError(f"action must have shape ({k + 1},)")
-    if np.any(action < 0) or np.any(action > 1):
-        raise ValueError("action entries must lie in [0, 1]")
-    raw_q = action[:k] + POWER_RATIO_EPS
-    q = raw_q / raw_q.sum()
-    q_total = max(float(action[k]), POWER_RATIO_EPS)
-    return q, q_total
+    _, q, q_total = _decode_power_split(
+        action, num_cells, users_per_cell, "mslnr-power"
+    )
+    return mslnr_params(num_cells, users_per_cell, noise_power, q, q_total)
 
 
 @dataclass(frozen=True)
@@ -416,37 +419,21 @@ class BeamformingEnv:
         return self._states()
 
     def _beamformers(self, actions):
-        from .network import BeamformerSet
-        from .solvers import mslnr_beamformer
-
         cfg = self.net_cfg
+        # Looked up per call rather than stored at construction, so a decoder
+        # patched on the module (as perfbench's tracer does) takes effect.
+        decode = (
+            decode_action if self.action_mode == "structured" else decode_power_action
+        )
         w = np.empty(
             (cfg.num_cells, cfg.users_per_cell, cfg.num_antennas),
             dtype=np.complex128,
         )
         for n in range(cfg.num_cells):
-            if self.action_mode == "structured":
-                params = decode_action(
-                    actions[n],
-                    cfg.num_cells,
-                    cfg.users_per_cell,
-                    cfg.max_power,
-                    cfg.noise_power,
-                )
-                w[n] = structured_beamformer(
-                    self.channel.h[n], n, params, cfg.max_power
-                )
-            else:
-                q, q_total = decode_power_action(
-                    actions[n], cfg.users_per_cell, cfg.noise_power
-                )
-                w[n] = mslnr_beamformer(
-                    self.channel.h[n],
-                    n,
-                    cfg.noise_power,
-                    cfg.max_power,
-                    q_total * q,
-                )
+            params = decode(
+                actions[n], cfg.num_cells, cfg.users_per_cell, cfg.noise_power
+            )
+            w[n] = structured_beamformer(self.channel.h[n], n, params, cfg.max_power)
         return BeamformerSet(w=w)
 
     def step(self, actions):
@@ -506,8 +493,6 @@ class BeamformingEnv:
         return out
 
     def load_state_dict(self, state):
-        from .network import ChannelState, SlotMetrics
-
         self.stream.load_state_dict(state["stream"])
         slot = int(state["slot"])
         self.channel = (

@@ -29,10 +29,16 @@ from .channel import (
     load_trace,
     save_trace,
 )
-from .drl import DdpgAgent, savez_atomic
-from .env import BeamformingEnv, decode_action
-from .network import NetworkConfig, compute_metrics, dbm_to_watt, sum_rate
-from .solvers import mrt_beamformer, mslnr_beamformer, structured_beamformer, wmmse, wmmse_multi_init
+from .drl import DdpgAgent, Mlp, savez_atomic
+from .env import ACTION_MODES, BeamformingEnv, action_dim, decode_action, state_layout
+from .network import BeamformerSet, NetworkConfig, compute_metrics, dbm_to_watt
+from .solvers import (
+    mrt_beamformer,
+    mslnr_params,
+    structured_beamformer,
+    wmmse,
+    wmmse_multi_init,
+)
 
 METRICS_VERSION = "cbflab-metrics-v1"
 BENCH_VERSION = "cbflab-bench-v1"
@@ -194,8 +200,8 @@ def build_config(values):
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme '{scheme}' (choices: {SCHEMES})")
-    if resolved["action_mode"] not in ("structured", "mslnr-power"):
-        raise ConfigError("action_mode must be 'structured' or 'mslnr-power'")
+    if resolved["action_mode"] not in ACTION_MODES:
+        raise ConfigError(f"action_mode must be one of {ACTION_MODES}")
 
     out_dir = os.environ.get(OUT_DIR_ENV_VAR, "").strip() or resolved["out_dir"]
     kwargs = {
@@ -257,24 +263,45 @@ class MetricSink:
     The CSV is append-only and flushed per slot; floats are written with
     ``repr`` so values round-trip losslessly.  Timestamps and wall-clock
     figures go to the event log only, keeping the CSV bit-reproducible.
+
+    With ``resume_rows`` set, the sink reopens an existing run instead: the
+    CSV is cut back to its first ``resume_rows`` slot rows (those a
+    checkpoint covers) and both files are appended to.  Use the sink as a
+    context manager so both files close on every exit.
     """
 
-    def __init__(self, out_dir, num_cells, basename="train"):
+    def __init__(self, out_dir, num_cells, basename="train", resume_rows=None):
         os.makedirs(out_dir, exist_ok=True)
         self.num_cells = num_cells
         self.csv_path = os.path.join(out_dir, f"{basename}.csv")
         self.events_path = os.path.join(out_dir, f"{basename}_events.jsonl")
-        self.rows_written = 0
         columns = ["slot", "scheme", "sum_rate"]
         columns += [f"cell_rate_{n}" for n in range(num_cells)]
         columns += [f"reward_{n}" for n in range(num_cells)]
         columns += ["sigma_a"]
         self.columns = columns
+        if resume_rows is None:
+            lines = [f"# {METRICS_VERSION}\n", ",".join(columns) + "\n"]
+        else:
+            with open(self.csv_path) as fh:
+                lines = fh.readlines()
+            if len(lines) < 2 + resume_rows:
+                raise ConfigError(
+                    f"{self.csv_path} holds {len(lines) - 2} rows, "
+                    f"the checkpoint covers {resume_rows}"
+                )
+            lines = lines[: 2 + resume_rows]
+        self.rows_written = len(lines) - 2
         self._csv = open(self.csv_path, "w")
-        self._csv.write(f"# {METRICS_VERSION}\n")
-        self._csv.write(",".join(columns) + "\n")
+        self._csv.writelines(lines)
         self._csv.flush()
-        self._events = open(self.events_path, "w")
+        self._events = open(self.events_path, "w" if resume_rows is None else "a")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def write_slot(self, slot, scheme, cell_rates, rewards, sigma_a):
         parts = [str(slot), scheme, repr(float(np.sum(cell_rates)))]
@@ -289,17 +316,6 @@ class MetricSink:
         record = {"kind": kind, "time": time.time(), **payload}
         self._events.write(json.dumps(record) + "\n")
         self._events.flush()
-
-    def truncate_to(self, rows):
-        """Drop rows beyond ``rows`` (used when resuming mid-run)."""
-        self._csv.close()
-        with open(self.csv_path) as fh:
-            lines = fh.readlines()
-        keep = lines[: 2 + rows]
-        with open(self.csv_path, "w") as fh:
-            fh.writelines(keep)
-        self._csv = open(self.csv_path, "a")
-        self.rows_written = rows
 
     def close(self):
         self._csv.close()
@@ -326,21 +342,6 @@ class MetricSink:
                         row[col] = float(part)
                 rows.append(row)
         return rows
-
-
-class MetricSinkAppend(MetricSink):
-    """MetricSink variant that reopens an existing CSV for appending."""
-
-    def __init__(self, out_dir, num_cells, basename="train"):  # noqa: no super
-        self.num_cells = num_cells
-        self.csv_path = os.path.join(out_dir, f"{basename}.csv")
-        self.events_path = os.path.join(out_dir, f"{basename}_events.jsonl")
-        with open(self.csv_path) as fh:
-            lines = fh.readlines()
-        self.columns = lines[1].strip().split(",")
-        self.rows_written = len(lines) - 2
-        self._csv = open(self.csv_path, "a")
-        self._events = open(self.events_path, "a")
 
 
 def _channel_stream(cfg: RunConfig):
@@ -428,6 +429,12 @@ def save_checkpoint(path, slot, states, env, agents, sink_rows):
     savez_atomic(path, arrays)
 
 
+def _agent_arrays(arrays, n):
+    """Agent ``n``'s ``state_dict`` arrays inside a run checkpoint."""
+    prefix = f"agent{n}_"
+    return {k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)}
+
+
 def load_checkpoint(path, env, agents):
     """Restore env + agents in place; returns (slot, states, sink_rows)."""
     with np.load(path, allow_pickle=False) as data:
@@ -471,10 +478,7 @@ def load_checkpoint(path, env, agents):
         }
     )
     for n, agent in enumerate(agents):
-        prefix = f"agent{n}_"
-        agent.load_state_dict(
-            {k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)}
-        )
+        agent.load_state_dict(_agent_arrays(arrays, n))
     return meta["slot"], arrays["states"], meta["sink_rows"]
 
 
@@ -496,90 +500,93 @@ def run_train(cfg: RunConfig, resume_from=None, basename=None):
     os.makedirs(ckpt_dir, exist_ok=True)
 
     if resume_from:
-        sink = MetricSinkAppend(cfg.out_dir, cfg.network.num_cells, basename)
         start_slot, states, sink_rows = load_checkpoint(resume_from, env, agents)
-        sink.truncate_to(sink_rows)
-        sink.event("resume", checkpoint=resume_from, slot=start_slot)
     else:
-        sink = MetricSink(cfg.out_dir, cfg.network.num_cells, basename)
         states = env.reset()
-        start_slot = 0
-        sink.event(
-            "run-start",
-            num_slots=cfg.num_slots,
-            action_mode=cfg.action_mode,
-            seed=cfg.seed,
-            channel_fingerprint=config_fingerprint(cfg.channel, cfg.network),
-        )
+        start_slot, sink_rows = 0, None
 
-    warmup = cfg.batch_size
-    sum_rates = []
-    # Each checkpoint event's wall_s covers the slots since the previous
-    # checkpoint (or the run or resume start), including its own write.
-    since = time.perf_counter()
-    try:
-        for slot in range(start_slot, cfg.num_slots):
-            if slot < warmup:
-                actions = np.stack([agent.random_action() for agent in agents])
-            else:
-                actions = np.stack(
-                    [agent.act(states[n], explore=True) for n, agent in enumerate(agents)]
-                )
-            next_states, rewards, metrics = env.step(actions)
-            for n, agent in enumerate(agents):
-                agent.remember(states[n], actions[n], rewards[n], next_states[n])
-            losses = []
-            for agent in agents:
-                if agent.ready():
-                    loss, _ = agent.train_step()
-                    agent.soft_update()
-                    losses.append(loss)
-            states = next_states
-            cell_rates = metrics.rate.sum(axis=1)
-            sum_rates.append(float(cell_rates.sum()))
-            sink.write_slot(slot, "train", cell_rates, rewards, agents[0].noise_sigma)
-            if (slot + 1) % cfg.checkpoint_every == 0 or slot + 1 == cfg.num_slots:
-                path = os.path.join(ckpt_dir, f"{basename}_{slot + 1:08d}.npz")
-                save_checkpoint(path, slot + 1, states, env, agents, sink.rows_written)
-                now = time.perf_counter()
-                sink.event(
-                    "checkpoint",
-                    path=path,
-                    slot=slot + 1,
-                    wall_s=now - since,
-                    mean_loss=float(np.mean(losses)) if losses else None,
-                )
-                since = now
-    except ArithmeticError as exc:
-        dump = os.path.join(cfg.out_dir, f"{basename}_abort.json")
-        with open(dump, "w") as fh:
-            json.dump(
-                {
-                    "error": str(exc),
-                    "slot": slot,
-                    "noise_sigma": agents[0].noise_sigma,
-                    "recent_sum_rates": sum_rates[-20:],
-                },
-                fh,
-                indent=2,
+    with MetricSink(cfg.out_dir, cfg.network.num_cells, basename, sink_rows) as sink:
+        if resume_from:
+            sink.event("resume", checkpoint=resume_from, slot=start_slot)
+        else:
+            sink.event(
+                "run-start",
+                num_slots=cfg.num_slots,
+                action_mode=cfg.action_mode,
+                seed=cfg.seed,
+                channel_fingerprint=config_fingerprint(cfg.channel, cfg.network),
             )
-        sink.event("abort", error=str(exc), dump=dump)
-        sink.close()
-        raise
-    final_ckpt = os.path.join(ckpt_dir, f"{basename}_{cfg.num_slots:08d}.npz")
+        warmup = cfg.batch_size
+        sum_rates = []
+        # Each checkpoint event's wall_s covers the slots since the previous
+        # checkpoint (or the run or resume start), including its own write.
+        since = time.perf_counter()
+        try:
+            for slot in range(start_slot, cfg.num_slots):
+                if slot < warmup:
+                    actions = np.stack([agent.random_action() for agent in agents])
+                else:
+                    actions = np.stack(
+                        [
+                            agent.act(states[n], explore=True)
+                            for n, agent in enumerate(agents)
+                        ]
+                    )
+                next_states, rewards, metrics = env.step(actions)
+                for n, agent in enumerate(agents):
+                    agent.remember(states[n], actions[n], rewards[n], next_states[n])
+                losses = []
+                for agent in agents:
+                    if agent.ready():
+                        loss, _ = agent.train_step()
+                        agent.soft_update()
+                        losses.append(loss)
+                states = next_states
+                cell_rates = metrics.rate.sum(axis=1)
+                sum_rates.append(float(cell_rates.sum()))
+                sink.write_slot(slot, "train", cell_rates, rewards, agents[0].noise_sigma)
+                if (slot + 1) % cfg.checkpoint_every == 0 or slot + 1 == cfg.num_slots:
+                    path = os.path.join(ckpt_dir, f"{basename}_{slot + 1:08d}.npz")
+                    save_checkpoint(
+                        path, slot + 1, states, env, agents, sink.rows_written
+                    )
+                    now = time.perf_counter()
+                    sink.event(
+                        "checkpoint",
+                        path=path,
+                        slot=slot + 1,
+                        wall_s=now - since,
+                        mean_loss=float(np.mean(losses)) if losses else None,
+                    )
+                    since = now
+        except ArithmeticError as exc:
+            dump = os.path.join(cfg.out_dir, f"{basename}_abort.json")
+            with open(dump, "w") as fh:
+                json.dump(
+                    {
+                        "error": str(exc),
+                        "slot": slot,
+                        "noise_sigma": agents[0].noise_sigma,
+                        "recent_sum_rates": sum_rates[-20:],
+                    },
+                    fh,
+                    indent=2,
+                )
+            sink.event("abort", error=str(exc), dump=dump)
+            raise
+        final_ckpt = os.path.join(ckpt_dir, f"{basename}_{cfg.num_slots:08d}.npz")
 
-    rows = MetricSink.read(sink.csv_path)
-    series = [r["sum_rate"] for r in rows if r["scheme"] == "train"]
-    ma = moving_average(series, cfg.eval_window)
-    summary = {
-        "metrics_csv": sink.csv_path,
-        "events": sink.events_path,
-        "checkpoint": final_ckpt,
-        "final_moving_average": float(ma[-1]),
-        "slots": len(series),
-    }
-    sink.event("run-end", **{k: v for k, v in summary.items() if k != "events"})
-    sink.close()
+        rows = MetricSink.read(sink.csv_path)
+        series = [r["sum_rate"] for r in rows if r["scheme"] == "train"]
+        ma = moving_average(series, cfg.eval_window)
+        summary = {
+            "metrics_csv": sink.csv_path,
+            "events": sink.events_path,
+            "checkpoint": final_ckpt,
+            "final_moving_average": float(ma[-1]),
+            "slots": len(series),
+        }
+        sink.event("run-end", **{k: v for k, v in summary.items() if k != "events"})
     return summary
 
 
@@ -605,19 +612,13 @@ def _slot_seed(seed, slot):
 
 
 def _mslnr_ep_beams(channel, net):
-    import numpy as _np
-
-    from .network import BeamformerSet
-
-    k = net.users_per_cell
-    w = _np.empty(
-        (net.num_cells, k, net.num_antennas), dtype=_np.complex128
-    )
-    for n in range(net.num_cells):
-        w[n] = mslnr_beamformer(
-            channel.h[n], n, net.noise_power, net.max_power, _np.full(k, 1.0 / k)
-        )
-    return BeamformerSet(w=w)
+    """Max-SLNR beamformers, every BS at full power split equally."""
+    params = mslnr_params(net.num_cells, net.users_per_cell, net.noise_power)
+    w = [
+        structured_beamformer(channel.h[n], n, params, net.max_power)
+        for n in range(net.num_cells)
+    ]
+    return BeamformerSet(w=np.stack(w))
 
 
 def load_agents_from_checkpoint(path, num_agents):
@@ -626,27 +627,10 @@ def load_agents_from_checkpoint(path, num_agents):
         arrays = {k: data[k] for k in data.files}
     agents = []
     for n in range(num_agents):
-        prefix = f"agent{n}_"
-        blob = {k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)}
+        blob = _agent_arrays(arrays, n)
         if "meta" not in blob:
             raise ConfigError(f"checkpoint {path} holds no agent {n}")
-        meta = json.loads(str(blob["meta"]))
-        agent = DdpgAgent(
-            state_dim=meta["state_dim"],
-            action_dim=meta["action_dim"],
-            hidden_sizes=tuple(meta["hidden_sizes"]),
-            actor_lr=meta["actor_lr"],
-            critic_lr=meta["critic_lr"],
-            discount=meta["discount"],
-            soft_update_rate=meta["soft_update_rate"],
-            noise_sigma=meta["noise_sigma"],
-            noise_decay=meta["noise_decay"],
-            noise_sigma_min=meta["noise_sigma_min"],
-            memory_capacity=meta["memory_capacity"],
-            batch_size=meta["batch_size"],
-        )
-        agent.load_state_dict(blob)
-        agents.append(agent)
+        agents.append(DdpgAgent.from_state_dict(blob))
     return agents
 
 
@@ -795,9 +779,6 @@ def run_timing(cfg: RunConfig, repeats=30):
     weighted-MMSE run on the same instance (plus max-SLNR and MRT for
     ordering sanity).  Reports medians and interquartile ranges.
     """
-    from .env import action_dim as _action_dim
-    from .env import state_layout
-
     net = cfg.network
     rng = np.random.default_rng(cfg.seed)
     proc = ChannelProcess(net, cfg.channel)
@@ -805,9 +786,7 @@ def run_timing(cfg: RunConfig, repeats=30):
     layout = state_layout(
         net.num_cells, net.users_per_cell, cfg.csi_keep, cfg.num_interferers
     )
-    adim = _action_dim(net.num_cells, net.users_per_cell, "structured")
-    from .drl import Mlp
-
+    adim = action_dim(net.num_cells, net.users_per_cell, "structured")
     actor = Mlp.create(
         [layout["total"], *cfg.hidden_sizes, adim], "sigmoid", rng
     )
@@ -816,9 +795,7 @@ def run_timing(cfg: RunConfig, repeats=30):
 
     def decision(_):
         action = actor.forward(state)
-        params = decode_action(
-            action, net.num_cells, net.users_per_cell, net.max_power, net.noise_power
-        )
+        params = decode_action(action, net.num_cells, net.users_per_cell, net.noise_power)
         return structured_beamformer(local, 0, params, net.max_power)
 
     def mslnr_run(_):

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .network import (
-    POWER_SLACK,
-    BeamformerSet,
-    compute_metrics,
-    sum_rate,
-)
+from .network import BeamformerSet, compute_metrics, sum_rate
 
 # Rank cutoff, relative to the largest eigenvalue, below which a leakage
 # matrix eigenmode counts as null space in the pseudo-inverse branch.
@@ -210,33 +205,19 @@ def structured_beamformer(local_h, own_cell, params, p_max):
     return np.sqrt(powers)[:, None] * directions
 
 
-def mslnr_beamformer(local_h, own_cell, noise_power, p_max, power_ratios):
-    """Per-user max-SLNR beamformers for one BS.
+def mslnr_params(num_cells, users_per_cell, noise_power, q=None, q_total=1.0):
+    """Structured parameters of the max-SLNR beamformer.
 
-    Maximizes, over unit-norm vectors, the ratio of desired signal power to
-    the leakage inflicted on every other user in the network plus noise.
-    Computed from scratch per user (explicit leakage sum excluding the served
-    user) rather than through the structured path, so the two implementations
-    can cross-check each other.
+    Every leakage weight is one and mu is the noise power.  Including the
+    served user's own term in the leakage matrix only rescales its solve
+    (Sherman-Morrison), so the directions are the per-user max-SLNR ones.
+    The power split defaults to equal shares of the full budget.
     """
-    if not noise_power > 0:
-        raise ValueError("noise_power must be positive")
-    power_ratios = np.asarray(power_ratios, dtype=float)
-    n, k, m = local_h.shape
-    if power_ratios.sum() > 1.0 + POWER_SLACK:
-        raise ValueError("power ratios exceed the power budget")
-    flat = local_h.reshape(n * k, m)
-    beams = np.empty((k, m), dtype=np.complex128)
-    for user in range(k):
-        own_flat = own_cell * k + user
-        a = noise_power * np.eye(m, dtype=np.complex128)
-        for x in range(n * k):
-            if x != own_flat:
-                a += np.outer(flat[x], flat[x].conj())
-        direction = np.linalg.solve(a, local_h[own_cell, user])
-        direction = direction / np.linalg.norm(direction)
-        beams[user] = np.sqrt(p_max * power_ratios[user]) * direction
-    return beams
+    if q is None:
+        q = np.full(users_per_cell, 1.0 / users_per_cell)
+    return StructuredParams(
+        alpha=np.ones((num_cells, users_per_cell)), mu=noise_power, q=q, q_total=q_total
+    )
 
 
 def mrt_beamformer(h):
@@ -310,7 +291,8 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
         # Weight refresh for the current beamformers.
         cross = np.einsum("mnka,mja->mnkj", h.conj(), w)
         denom = (np.abs(cross) ** 2).sum(axis=(0, 3)) + noise  # (N, K)
-        assert np.all(denom > 0), "receive denominator must stay positive"
+        if not np.all(denom > 0):
+            raise ArithmeticError("receive denominator must stay positive")
         signal = cross[idx, idx][:, np.arange(users), np.arange(users)]
         u = signal / denom
         v = denom / (denom - np.abs(signal) ** 2)

@@ -289,14 +289,14 @@ def test_delay_semantics_cross_cell_blocks():
 
 def test_decode_equal_ratios():
     a = np.full(2 + 1 + 6 + 1, 0.5)
-    params = decode_action(a, 3, 2, p_max=1.0, noise_power=0.1)
+    params = decode_action(a, 3, 2, noise_power=0.1)
     npt.assert_allclose(params.q, 0.5)
     assert params.q.sum() == pytest.approx(1.0)
 
 
 def test_decode_mu_midpoint_is_noise_power():
     a = np.full(10, 0.5)
-    params = decode_action(a, 3, 2, p_max=1.0, noise_power=0.37)
+    params = decode_action(a, 3, 2, noise_power=0.37)
     assert params.mu == pytest.approx(0.37, rel=1e-12)
 
 
@@ -306,8 +306,8 @@ def test_decode_mu_log_range():
     high = np.full(10, 0.5)
     high[-1] = 1.0
     noise = 2.0
-    p_lo = decode_action(low, 3, 2, 1.0, noise)
-    p_hi = decode_action(high, 3, 2, 1.0, noise)
+    p_lo = decode_action(low, 3, 2, noise)
+    p_hi = decode_action(high, 3, 2, noise)
     assert p_lo.mu == pytest.approx(noise * 1e-3, rel=1e-9)
     assert p_hi.mu == pytest.approx(noise * 1e3, rel=1e-9)
 
@@ -318,7 +318,7 @@ def test_decode_equal_power_mapping():
     a = np.zeros(k + 1 + n * k + 1)
     a[:k] = 0.7  # any equal value
     a[k] = 1.0
-    params = decode_action(a, n, k, p_max=6.3095734448, noise_power=1e-3)
+    params = decode_action(a, n, k, noise_power=1e-3)
     powers = 6.3095734448 * params.q_total * params.q
     npt.assert_allclose(powers, 6.3095734448 / 4.0, rtol=1e-12)
 
@@ -327,7 +327,7 @@ def test_decode_box_soundness_random():
     rng = np.random.default_rng(4)
     for _ in range(200):
         a = rng.uniform(0, 1, 10)
-        params = decode_action(a, 3, 2, 1.0, 0.1)
+        params = decode_action(a, 3, 2, 0.1)
         assert params.mu > 0
         assert np.all(params.alpha >= 0) and np.all(params.alpha <= 1)
         assert params.q.sum() == pytest.approx(1.0)
@@ -339,14 +339,14 @@ def test_decode_rejects_out_of_box():
     a = np.full(10, 0.5)
     a[0] = 1.2
     with pytest.raises(ValueError):
-        decode_action(a, 3, 2, 1.0, 0.1)
+        decode_action(a, 3, 2, 0.1)
     with pytest.raises(ValueError):
-        decode_power_action(np.array([0.5, -0.1, 0.5]), 2, 0.1)
+        decode_power_action(np.array([0.5, -0.1, 0.5]), 3, 2, 0.1)
 
 
 def test_decode_wrong_length():
     with pytest.raises(ValueError):
-        decode_action(np.full(9, 0.5), 3, 2, 1.0, 0.1)
+        decode_action(np.full(9, 0.5), 3, 2, 0.1)
 
 
 # -- rewards -----------------------------------------------------------------------
@@ -422,6 +422,16 @@ def test_step_mslnr_equivalent_action_matches_benchmark():
     action[-1] = 0.5  # mu = noise power
     actions = np.tile(action, (3, 1))
     _, _, metrics = env.step(actions)
+    ep = compute_metrics(channel, _mslnr_ep_beams(channel, net), net)
+    assert sum_rate(metrics) == pytest.approx(sum_rate(ep), rel=1e-8)
+
+
+def test_step_mslnr_power_equal_full_split_matches_benchmark():
+    net, env = make_env(seed=9, action_mode="mslnr-power")
+    env.reset()
+    channel = env.channel
+    action = np.array([0.5, 0.5, 1.0])  # equal ratios, full power
+    _, _, metrics = env.step(np.tile(action, (3, 1)))
     ep = compute_metrics(channel, _mslnr_ep_beams(channel, net), net)
     assert sum_rate(metrics) == pytest.approx(sum_rate(ep), rel=1e-8)
 

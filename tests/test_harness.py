@@ -233,6 +233,34 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, break_savez):
     assert (slot, sink_rows) == (0, 0)
 
 
+def test_checkpoint_failure_closes_metric_files(tmp_path, monkeypatch, break_savez):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    cfg = parse_config(write_config(tmp_path))
+    monkeypatch.setattr(harness, "open", tracking_open, raising=False)
+    break_savez()
+    with pytest.raises(OSError, match="disk full"):
+        run_train(cfg)
+    closed = {os.path.basename(fh.name): fh.closed for fh in opened}
+    assert closed == {"train.csv": True, "train_events.jsonl": True}
+
+
+def test_resume_rejects_metrics_shorter_than_checkpoint(tmp_path):
+    cfg = parse_config(write_config(tmp_path))
+    run_train(cfg)
+    csv = tmp_path / "out" / "train.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    csv.write_text("".join(lines[: 2 + 3]))
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
+    with pytest.raises(ConfigError, match="holds 3 rows, the checkpoint covers 7"):
+        run_train(cfg, resume_from=str(ckpt))
+
+
 def test_metrics_round_trip_lossless(tmp_path):
     cfg = parse_config(write_config(tmp_path, num_slots=6))
     summary = run_train(cfg)
@@ -299,6 +327,20 @@ def test_benchmark_policy_rollout_from_checkpoint(tmp_path):
     cdf = open(out["cdf_csv"]).read().splitlines()
     assert cdf[1] == "scheme,sum_rate,cum_prob"
     assert len(cdf) == 2 + 2 * 3
+
+
+def test_mslnr_ddpg_train_then_bench(tmp_path):
+    cfg = parse_config(
+        write_config(tmp_path, action_mode="mslnr-power", num_slots=12, bench_slots=3)
+    )
+    summary = run_train(cfg)
+    assert os.path.basename(summary["metrics_csv"]) == "train_mslnr.csv"
+    out = run_benchmark(
+        cfg, schemes=("mslnr-ddpg",), mslnr_checkpoint=summary["checkpoint"]
+    )
+    stats = out["results"]["mslnr-ddpg"]
+    assert stats["slots"] == 3
+    assert np.isfinite(stats["mean"]) and stats["mean"] > 0
 
 
 def test_trace_file_pipeline(tmp_path):

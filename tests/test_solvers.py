@@ -1,13 +1,26 @@
+import types
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cbflab.network import BeamformerSet, ChannelState, NetworkConfig, compute_metrics, sum_rate
+from cbflab.channel import ChannelModelConfig, path_loss_db
+from cbflab.network import (
+    POWER_SLACK,
+    BeamformerSet,
+    ChannelState,
+    NetworkConfig,
+    compute_metrics,
+    dbm_to_watt,
+    sum_rate,
+)
 from cbflab.solvers import (
     StructuredParams,
     bisect_mu,
     mrt_beamformer,
-    mslnr_beamformer,
+    mslnr_params,
     rayleigh_quotient,
     solve_leakage_system,
     structured_beamformer,
@@ -37,6 +50,38 @@ def rayleigh_channel(n, k, m, seed):
 def unit_probe(rng, m):
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return v / np.linalg.norm(v)
+
+
+# Fixed examples and no example database, so every run checks the same cases.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def mslnr_beamformer(local_h, own_cell, noise_power, p_max, power_ratios):
+    """Reference per-user max-SLNR beamformers for one BS.
+
+    Maximizes, over unit-norm vectors, the ratio of desired signal power to
+    the leakage inflicted on every other user in the network plus noise.
+    Computed from scratch per user (explicit leakage sum excluding the served
+    user), independently of the structured path it checks.
+    """
+    if not noise_power > 0:
+        raise ValueError("noise_power must be positive")
+    power_ratios = np.asarray(power_ratios, dtype=float)
+    n, k, m = local_h.shape
+    if power_ratios.sum() > 1.0 + POWER_SLACK:
+        raise ValueError("power ratios exceed the power budget")
+    flat = local_h.reshape(n * k, m)
+    beams = np.empty((k, m), dtype=np.complex128)
+    for user in range(k):
+        own_flat = own_cell * k + user
+        a = noise_power * np.eye(m, dtype=np.complex128)
+        for x in range(n * k):
+            if x != own_flat:
+                a += np.outer(flat[x], flat[x].conj())
+        direction = np.linalg.solve(a, local_h[own_cell, user])
+        direction = direction / np.linalg.norm(direction)
+        beams[user] = np.sqrt(p_max * power_ratios[user]) * direction
+    return beams
 
 
 # -- wmmse ------------------------------------------------------------------
@@ -321,7 +366,7 @@ def test_mslnr_beats_random_probes_on_slnr():
     rng = np.random.default_rng(12)
     noise = 0.6
     h = local_csi(77)
-    w = mslnr_beamformer(h, 0, noise, p_max=1.0, power_ratios=[0.5, 0.5])
+    w = structured_beamformer(h, 0, mslnr_params(2, 2, noise), p_max=1.0)
     flat = h.reshape(4, -1)
     for k in range(2):
         exclude = 0 * 2 + k
@@ -414,3 +459,68 @@ def test_structured_params_validation():
         StructuredParams(
             alpha=-np.ones((1, 1)), mu=1.0, q=np.array([1.0]), q_total=1.0
         )
+
+
+def test_wmmse_raises_on_non_positive_denominator():
+    ch = rayleigh_channel(2, 2, 3, seed=0)
+    net = types.SimpleNamespace(max_power=1.0, noise_power=-1e6)
+    with pytest.raises(ArithmeticError, match="denominator"):
+        wmmse(ch, net)
+
+
+# -- properties -----------------------------------------------------------------
+
+
+def path_loss_csi(n, k, m, seed):
+    """One BS's Rayleigh CSI with log-distance path loss at cell-scale distances.
+
+    Gains span the magnitudes of the 7-cell reference network (users 10 m to
+    750 m away), where the -101 dBm noise power is tiny next to the leakage.
+    """
+    rng = np.random.default_rng(seed)
+    distance = rng.uniform(10.0, 750.0, (n, k))
+    gain = 10.0 ** (-path_loss_db(distance, ChannelModelConfig()) / 10.0)
+    h = rng.standard_normal((n, k, m)) + 1j * rng.standard_normal((n, k, m))
+    return h * np.sqrt(gain / 2.0)[..., None]
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    mu=st.floats(1e-2, 1e2),
+    scale=st.floats(1e-6, 1e6),
+)
+def test_joint_alpha_mu_scaling_keeps_directions(n, k, m, seed, mu, scale):
+    h = local_csi(seed, n, k, m)
+    alpha = np.random.default_rng(seed).uniform(0.0, 1.0, (n, k))
+    own = seed % n
+    base = structured_directions(h, own, alpha, mu)
+    scaled = structured_directions(h, own, scale * alpha, scale * mu)
+    npt.assert_allclose(np.einsum("km,km->k", base.conj(), scaled), 1.0, atol=1e-9)
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 7),
+    k=st.integers(1, 4),
+    m=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=7, k=4, m=32, seed=1)
+def test_loop_mslnr_equals_structured_at_unit_alpha(n, k, m, seed):
+    h = path_loss_csi(n, k, m, seed)
+    own = seed % n
+    noise = dbm_to_watt(-101.0)
+    p_max = dbm_to_watt(38.0)
+    oracle = mslnr_beamformer(h, own, noise, p_max, np.full(k, 1.0 / k))
+    w = structured_beamformer(h, own, mslnr_params(n, k, noise), p_max)
+    npt.assert_allclose(
+        np.linalg.norm(w, axis=1), np.linalg.norm(oracle, axis=1), rtol=1e-12
+    )
+    unit = w / np.linalg.norm(w, axis=1, keepdims=True)
+    unit_oracle = oracle / np.linalg.norm(oracle, axis=1, keepdims=True)
+    align = np.abs(np.einsum("km,km->k", unit.conj(), unit_oracle))
+    npt.assert_allclose(align, 1.0, atol=1e-9)
