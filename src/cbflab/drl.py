@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def savez_atomic(path, arrays):
@@ -39,6 +39,18 @@ def savez_atomic(path, arrays):
         raise
 
 
+# Element-wise updates of a whole net run over slices of this many values
+# (256 KiB of float64), so that their temporaries stay in the core's cache
+# instead of streaming each net-sized intermediate through memory.
+_CHUNK = 1 << 15
+
+
+def _chunks(*arrays):
+    """Aligned slices of equally long arrays, ``_CHUNK`` leading entries each."""
+    for start in range(0, len(arrays[0]), _CHUNK):
+        yield tuple(a[start : start + _CHUNK] for a in arrays)
+
+
 def _relu(x):
     return np.maximum(x, 0.0)
 
@@ -57,21 +69,40 @@ class Mlp:
     """Fully connected net: rectifier hidden layers, identity or logistic output.
 
     Weights W have shape (fan_out, fan_in); forward maps (B, in) -> (B, out)
-    and accepts single vectors as well.
+    and accepts single vectors as well.  All parameters live in one float64
+    vector ``flat``, laid out as the concatenation of ``parameters()``;
+    ``weights``, ``biases`` and ``parameters()`` are reshaped views into it,
+    so in-place edits of either form update the net.
     """
 
     def __init__(self, weights, biases, output_activation="identity"):
         if output_activation not in ("identity", "sigmoid"):
             raise ValueError("output_activation must be 'identity' or 'sigmoid'")
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        for w, b in zip(self.weights, self.biases):
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        for w, b in zip(weights, biases):
             if w.shape[0] != b.shape[0]:
                 raise ValueError("weight/bias shapes disagree")
-        for prev, nxt in zip(self.weights[:-1], self.weights[1:]):
+        for prev, nxt in zip(weights[:-1], weights[1:]):
             if nxt.shape[1] != prev.shape[0]:
                 raise ValueError("consecutive layer dimensions are incompatible")
+        params = [p for pair in zip(weights, biases) for p in pair]
+        self._shapes = [p.shape for p in params]
+        self.flat = np.concatenate([p.ravel() for p in params])
+        self._params = self.blocks(self.flat)
+        self.weights = self._params[0::2]
+        self.biases = self._params[1::2]
         self.output_activation = output_activation
+
+    @classmethod
+    def zeros(cls, layer_sizes, output_activation="identity"):
+        """All-zero net with the given layer widths [in, hidden..., out]."""
+        pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        return cls(
+            [np.zeros((fan_out, fan_in)) for fan_in, fan_out in pairs],
+            [np.zeros(fan_out) for _, fan_out in pairs],
+            output_activation,
+        )
 
     @classmethod
     def create(cls, layer_sizes, output_activation="identity", rng=None):
@@ -94,18 +125,19 @@ class Mlp:
 
     def parameters(self):
         """Interleaved [W0, b0, W1, b1, ...]; mutating entries updates the net."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
+        return list(self._params)
+
+    def blocks(self, vector):
+        """Views of a vector laid out like ``flat``, shaped like ``parameters()``."""
+        out, start = [], 0
+        for shape in self._shapes:
+            size = int(np.prod(shape))
+            out.append(vector[start : start + size].reshape(shape))
+            start += size
         return out
 
     def copy(self):
-        return Mlp(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.output_activation,
-        )
+        return Mlp(self.weights, self.biases, self.output_activation)
 
     def _forward_impl(self, x, keep_cache):
         squeeze = x.ndim == 1
@@ -137,12 +169,14 @@ class Mlp:
         y, cache, squeeze = self._forward_impl(x, keep_cache=True)
         return (y[0] if squeeze else y), (cache, squeeze)
 
-    def backward(self, ctx, upstream):
+    def backward(self, ctx, upstream, param_grads=True, input_grad=True):
         """Reverse-mode gradients of sum(upstream * output) w.r.t. params and input.
 
         ``upstream`` must match the forward output shape; gradients are summed
-        over the batch.  Returns (grads, grad_input) with grads interleaved
-        like parameters().
+        over the batch.  Returns (grad, grad_input): grad is one vector laid
+        out like ``flat`` (``blocks`` splits it like ``parameters()``).  A
+        term not asked for is not computed and comes back as None; the terms
+        that are computed are bit-identical either way.
         """
         cache, squeeze = ctx
         delta = np.atleast_2d(np.asarray(upstream, dtype=float))
@@ -151,15 +185,19 @@ class Mlp:
             raise ValueError("upstream gradient shape does not match output")
         if self.output_activation == "sigmoid":
             delta = delta * y * (1.0 - y)
-        grads = [None] * (2 * len(self.weights))
+        grad = np.empty_like(self.flat) if param_grads else None
+        grads = self.blocks(grad) if param_grads else None
         for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = cache[i]
-            grads[2 * i] = delta.T @ a_prev
-            grads[2 * i + 1] = delta.sum(axis=0)
-            delta = delta @ self.weights[i]
+            if param_grads:
+                np.matmul(delta.T, cache[i], out=grads[2 * i])
+                np.sum(delta, axis=0, out=grads[2 * i + 1])
+            if i > 0 or input_grad:
+                delta = delta @ self.weights[i]
             if i > 0:
                 delta = delta * (cache[i] > 0)
-        return grads, (delta[0] if squeeze else delta)
+        if not input_grad:
+            return grad, None
+        return grad, (delta[0] if squeeze else delta)
 
     def gradients(self, x, upstream):
         """Convenience wrapper: forward then backward in one call."""
@@ -168,7 +206,7 @@ class Mlp:
 
 
 class Adam:
-    """Bias-corrected Adam over a flat list of parameter arrays."""
+    """Bias-corrected Adam over a list of parameter arrays (often one flat vector)."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -189,25 +227,12 @@ class Adam:
         self.step_count += 1
         b1c = 1.0 - self.beta1**self.step_count
         b2c = 1.0 - self.beta2**self.step_count
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        for block in zip(params, grads, self.m, self.v):
+            for p, g, m, v in _chunks(*block):
+                m += (1.0 - self.beta1) * (g - m)
+                v += (1.0 - self.beta2) * (g * g - v)
+                p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
         return params
-
-    def state_dict(self):
-        return {
-            "m": [a.copy() for a in self.m],
-            "v": [a.copy() for a in self.v],
-            "step_count": self.step_count,
-        }
-
-    def load_state_dict(self, state):
-        for dst, src in zip(self.m, state["m"]):
-            dst[...] = src
-        for dst, src in zip(self.v, state["v"]):
-            dst[...] = src
-        self.step_count = int(state["step_count"])
 
 
 class ReplayMemory:
@@ -277,13 +302,14 @@ class ReplayMemory:
         )
 
     def dump(self):
+        """The stored items as views of the ring buffers (None when empty)."""
         if self._size == 0:
             return None
         return {
-            "states": self._states[: self._size].copy(),
-            "actions": self._actions[: self._size].copy(),
-            "rewards": self._rewards[: self._size].copy(),
-            "next_states": self._next_states[: self._size].copy(),
+            "states": self._states[: self._size],
+            "actions": self._actions[: self._size],
+            "rewards": self._rewards[: self._size],
+            "next_states": self._next_states[: self._size],
             "cursor": self._cursor,
         }
 
@@ -353,8 +379,8 @@ class DdpgAgent:
         )
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
-        self.adam_actor = Adam(self.actor.parameters(), actor_lr)
-        self.adam_critic = Adam(self.critic.parameters(), critic_lr)
+        self.adam_actor = Adam([self.actor.flat], actor_lr)
+        self.adam_critic = Adam([self.critic.flat], critic_lr)
         self.memory = ReplayMemory(memory_capacity)
 
     def act(self, state, explore=True):
@@ -412,20 +438,22 @@ class DdpgAgent:
         critic_loss = float(np.mean(err**2))
         mean_q = float(np.mean(q))
         upstream = (-2.0 / b) * err[:, None]
-        critic_grads, _ = self.critic.backward(ctx, upstream)
-        self.adam_critic.step(self.critic.parameters(), critic_grads)
+        critic_grad, _ = self.critic.backward(ctx, upstream, input_grad=False)
+        self.adam_critic.step([self.critic.flat], [critic_grad])
 
         policy_actions, actor_ctx = self.actor.forward_cached(states)
         _, critic_ctx = self.critic.forward_cached(
             np.hstack([states, policy_actions])
         )
-        # d(-mean Q)/dQ = -1/b; push it back to the action inputs.
+        # d(-mean Q)/dQ = -1/b; push it back to the action inputs.  Slicing
+        # the full input gradient keeps it bit-identical to the unsliced
+        # product, which a GEMM on the action columns of W0 alone is not.
         _, input_grad = self.critic.backward(
-            critic_ctx, np.full((b, 1), -1.0 / b)
+            critic_ctx, np.full((b, 1), -1.0 / b), param_grads=False
         )
         action_grad = input_grad[:, self.state_dim :]
-        actor_grads, _ = self.actor.backward(actor_ctx, action_grad)
-        self.adam_actor.step(self.actor.parameters(), actor_grads)
+        actor_grad, _ = self.actor.backward(actor_ctx, action_grad, input_grad=False)
+        self.adam_actor.step([self.actor.flat], [actor_grad])
         return critic_loss, mean_q
 
     def soft_update(self, rate=None):
@@ -437,28 +465,36 @@ class DdpgAgent:
             (self.target_actor, self.actor),
             (self.target_critic, self.critic),
         ):
-            for t, o in zip(target.parameters(), online.parameters()):
+            for t, o in _chunks(target.flat, online.flat):
                 t *= 1.0 - rho
                 t += rho * o
 
     # -- checkpointing ----------------------------------------------------
 
-    def state_dict(self):
-        arrays = {}
-        for tag, net in (
+    def _networks(self):
+        return (
             ("actor", self.actor),
             ("critic", self.critic),
             ("target_actor", self.target_actor),
             ("target_critic", self.target_critic),
-        ):
-            for i, p in enumerate(net.parameters()):
-                arrays[f"{tag}_p{i}"] = p.copy()
-        for tag, adam in (("adam_actor", self.adam_actor), ("adam_critic", self.adam_critic)):
-            st = adam.state_dict()
-            for i, a in enumerate(st["m"]):
-                arrays[f"{tag}_m{i}"] = a
-            for i, a in enumerate(st["v"]):
-                arrays[f"{tag}_v{i}"] = a
+        )
+
+    def _optimizers(self):
+        return (
+            ("adam_actor", self.adam_actor, self.actor),
+            ("adam_critic", self.adam_critic, self.critic),
+        )
+
+    def state_dict(self):
+        """Checkpoint arrays: one flat vector per net and per Adam moment.
+
+        The arrays alias the live agent (no copies), so write them out before
+        the agent trains or acts again.
+        """
+        arrays = {tag: net.flat for tag, net in self._networks()}
+        for tag, adam, _ in self._optimizers():
+            arrays[f"{tag}_m"] = adam.m[0]
+            arrays[f"{tag}_v"] = adam.v[0]
         replay = self.memory.dump()
         if replay is not None:
             for key in ("states", "actions", "rewards", "next_states"):
@@ -487,30 +523,19 @@ class DdpgAgent:
         return arrays
 
     def load_state_dict(self, arrays):
-        meta = json.loads(str(arrays["meta"]))
-        if meta["version"] != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        """Restore from ``state_dict`` arrays of this version or version 1."""
+        meta = _read_meta(arrays)
         if meta["state_dim"] != self.state_dim or meta["action_dim"] != self.action_dim:
             raise ValueError("checkpoint dimensions do not match this agent")
-        for tag, net in (
-            ("actor", self.actor),
-            ("critic", self.critic),
-            ("target_actor", self.target_actor),
-            ("target_critic", self.target_critic),
-        ):
-            for i, p in enumerate(net.parameters()):
-                p[...] = arrays[f"{tag}_p{i}"]
-        for tag, adam, step_key in (
-            ("adam_actor", self.adam_actor, "adam_actor_step"),
-            ("adam_critic", self.adam_critic, "adam_critic_step"),
-        ):
-            adam.load_state_dict(
-                {
-                    "m": [arrays[f"{tag}_m{i}"] for i in range(len(adam.m))],
-                    "v": [arrays[f"{tag}_v{i}"] for i in range(len(adam.v))],
-                    "step_count": meta[step_key],
-                }
-            )
+        version = meta["version"]
+        for tag, net in self._networks():
+            blocks = len(net.parameters())
+            net.flat[...] = _flat_entry(arrays, version, tag, f"{tag}_p", blocks)
+        for tag, adam, net in self._optimizers():
+            blocks = len(net.parameters())
+            adam.m[0][...] = _flat_entry(arrays, version, f"{tag}_m", f"{tag}_m", blocks)
+            adam.v[0][...] = _flat_entry(arrays, version, f"{tag}_v", f"{tag}_v", blocks)
+            adam.step_count = int(meta[f"{tag}_step"])
         if meta["replay_len"] > 0:
             self.memory.restore(
                 {
@@ -532,7 +557,7 @@ class DdpgAgent:
     @classmethod
     def from_state_dict(cls, arrays):
         """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays."""
-        meta = json.loads(str(arrays["meta"]))
+        meta = _read_meta(arrays)
         agent = cls(
             state_dim=meta["state_dim"],
             action_dim=meta["action_dim"],
@@ -550,8 +575,44 @@ class DdpgAgent:
         agent.load_state_dict(arrays)
         return agent
 
+    @staticmethod
+    def actor_from_state_dict(arrays):
+        """The policy net alone, from ``state_dict`` arrays of either version.
+
+        Reads only ``meta`` and the actor's entries, so with a lazily read
+        archive (``np.load`` of an ``.npz``) nothing else is loaded.
+        """
+        meta = _read_meta(arrays)
+        actor = Mlp.zeros(
+            [meta["state_dim"], *meta["hidden_sizes"], meta["action_dim"]], "sigmoid"
+        )
+        blocks = len(actor.parameters())
+        actor.flat[...] = _flat_entry(arrays, meta["version"], "actor", "actor_p", blocks)
+        return actor
+
     @classmethod
     def load(cls, path):
         """Rebuild an agent from a checkpoint file written by ``save``."""
         with np.load(path, allow_pickle=False) as data:
-            return cls.from_state_dict({k: data[k] for k in data.files})
+            return cls.from_state_dict(data)
+
+
+def _read_meta(arrays):
+    meta = json.loads(str(arrays["meta"]))
+    if meta["version"] not in (1, _CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {meta['version']}")
+    return meta
+
+
+def _flat_entry(arrays, version, key, v1_prefix, blocks):
+    """One net's flat vector from ``state_dict`` arrays of either version.
+
+    Version 2 stores it under ``key``; version 1 stored one array per
+    parameter block, ``{v1_prefix}0`` .. ``{v1_prefix}{blocks - 1}``, which
+    concatenate in index order to the same vector.
+    """
+    if version == 1:
+        return np.concatenate(
+            [np.ravel(arrays[f"{v1_prefix}{i}"]) for i in range(blocks)]
+        )
+    return arrays[key]

@@ -42,7 +42,7 @@ from .solvers import (
 
 METRICS_VERSION = "cbflab-metrics-v1"
 BENCH_VERSION = "cbflab-bench-v1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 OUT_DIR_ENV_VAR = "CBFLAB_OUT_DIR"
 
 SCHEMES = ("ddcbf", "mslnr-ddpg", "mslnr-ep", "wmmse", "wmmse-nri")
@@ -429,57 +429,75 @@ def save_checkpoint(path, slot, states, env, agents, sink_rows):
     savez_atomic(path, arrays)
 
 
-def _agent_arrays(arrays, n):
-    """Agent ``n``'s ``state_dict`` arrays inside a run checkpoint."""
-    prefix = f"agent{n}_"
-    return {k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)}
+class _AgentArrays:
+    """Agent ``n``'s ``state_dict`` arrays inside a run checkpoint.
+
+    Entries are looked up in the archive on access, so reading one agent's
+    actor from ``np.load`` of the checkpoint loads nothing else.
+    """
+
+    def __init__(self, archive, n):
+        self._archive = archive
+        self._prefix = f"agent{n}_"
+
+    def __getitem__(self, key):
+        return self._archive[self._prefix + key]
+
+    def __contains__(self, key):
+        return self._prefix + key in self._archive
+
+
+def _checkpoint_meta(data, path):
+    """Parsed ``harness_meta`` of an open run checkpoint of any known version."""
+    meta = json.loads(str(data["harness_meta"]))
+    if meta["version"] not in (1, CHECKPOINT_VERSION):
+        raise ConfigError(f"unsupported checkpoint version {meta['version']} in {path}")
+    return meta
 
 
 def load_checkpoint(path, env, agents):
     """Restore env + agents in place; returns (slot, states, sink_rows)."""
     with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(str(arrays["harness_meta"]))
-    if meta["version"] != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {meta['version']}")
-    if meta["num_agents"] != len(agents):
-        raise ConfigError("checkpoint agent count does not match config")
-    stream_meta = meta["stream"]
-    if stream_meta["kind"] == "trace":
-        stream_state = {"cursor": stream_meta["cursor"]}
-    else:
-        stream_state = {
-            "slot": stream_meta["slot"],
-            "rng_state": stream_meta["rng_state"],
-            "h": arrays["proc_h"],
-            "ue_positions": arrays["proc_ue_positions"],
-            "ue_headings": arrays["proc_ue_headings"],
-        }
-    prev = None
-    if meta["has_prev"]:
-        prev = {
-            key: arrays[f"prev_{key}"]
-            for key in (
-                "sinr",
-                "rate",
-                "received_power",
-                "interference",
-                "total_ipn",
-                "powers",
-                "own_channels",
-            )
-        }
-    env.load_state_dict(
-        {
-            "slot": meta["env_slot"],
-            "channel_h": arrays["env_channel_h"],
-            "stream": stream_state,
-            "prev": prev,
-        }
-    )
-    for n, agent in enumerate(agents):
-        agent.load_state_dict(_agent_arrays(arrays, n))
-    return meta["slot"], arrays["states"], meta["sink_rows"]
+        meta = _checkpoint_meta(data, path)
+        if meta["num_agents"] != len(agents):
+            raise ConfigError("checkpoint agent count does not match config")
+        stream_meta = meta["stream"]
+        if stream_meta["kind"] == "trace":
+            stream_state = {"cursor": stream_meta["cursor"]}
+        else:
+            stream_state = {
+                "slot": stream_meta["slot"],
+                "rng_state": stream_meta["rng_state"],
+                "h": data["proc_h"],
+                "ue_positions": data["proc_ue_positions"],
+                "ue_headings": data["proc_ue_headings"],
+            }
+        prev = None
+        if meta["has_prev"]:
+            prev = {
+                key: data[f"prev_{key}"]
+                for key in (
+                    "sinr",
+                    "rate",
+                    "received_power",
+                    "interference",
+                    "total_ipn",
+                    "powers",
+                    "own_channels",
+                )
+            }
+        env.load_state_dict(
+            {
+                "slot": meta["env_slot"],
+                "channel_h": data["env_channel_h"],
+                "stream": stream_state,
+                "prev": prev,
+            }
+        )
+        for n, agent in enumerate(agents):
+            agent.load_state_dict(_AgentArrays(data, n))
+        states = data["states"]
+    return meta["slot"], states, meta["sink_rows"]
 
 
 def run_train(cfg: RunConfig, resume_from=None, basename=None):
@@ -621,31 +639,40 @@ def _mslnr_ep_beams(channel, net):
     return BeamformerSet(w=np.stack(w))
 
 
+def _checkpoint_agents(path, num_agents, build):
+    """``build(arrays)`` for each per-BS agent stored inside a run checkpoint."""
+    with np.load(path, allow_pickle=False) as data:
+        _checkpoint_meta(data, path)
+        out = []
+        for n in range(num_agents):
+            arrays = _AgentArrays(data, n)
+            if "meta" not in arrays:
+                raise ConfigError(f"checkpoint {path} holds no agent {n}")
+            out.append(build(arrays))
+    return out
+
+
 def load_agents_from_checkpoint(path, num_agents):
     """Rebuild every per-BS agent stored inside a run checkpoint."""
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files}
-    agents = []
-    for n in range(num_agents):
-        blob = _agent_arrays(arrays, n)
-        if "meta" not in blob:
-            raise ConfigError(f"checkpoint {path} holds no agent {n}")
-        agents.append(DdpgAgent.from_state_dict(blob))
-    return agents
+    return _checkpoint_agents(path, num_agents, DdpgAgent.from_state_dict)
 
 
 def _rollout_policy(cfg, trace, checkpoint, action_mode):
-    """Greedy rollout of a trained policy over a channel window."""
+    """Greedy rollout of a trained policy over a channel window.
+
+    Only the actors are read from the checkpoint: a greedy action is the
+    actor's output, so replay memories, critics and Adam moments stay on disk.
+    """
     if not os.path.exists(checkpoint):
         raise ConfigError(f"checkpoint not found: {checkpoint}")
     env = _build_env(cfg, stream=TraceStream(trace), action_mode=action_mode)
-    agents = load_agents_from_checkpoint(checkpoint, cfg.network.num_cells)
+    actors = _checkpoint_agents(
+        checkpoint, cfg.network.num_cells, DdpgAgent.actor_from_state_dict
+    )
     states = env.reset()
     rows = []
     for _ in range(trace.num_slots - 1):
-        actions = np.stack(
-            [agent.act(states[n], explore=False) for n, agent in enumerate(agents)]
-        )
+        actions = np.stack([actor.forward(states[n]) for n, actor in enumerate(actors)])
         states, rewards, metrics = env.step(actions)
         rows.append((metrics.rate.sum(axis=1), rewards))
     return rows
@@ -777,7 +804,10 @@ def run_timing(cfg: RunConfig, repeats=30):
     The decision path is one actor forward pass, an action decode and the
     structured solve at the acting BS; it is timed against one full
     weighted-MMSE run on the same instance (plus max-SLNR and MRT for
-    ordering sanity).  Reports medians and interquartile ranges.
+    ordering sanity).  Reports medians and interquartile ranges.  The
+    decision path runs at BS 0 on the process's first slot with a randomly
+    initialized actor, which the report's ``decision_path`` entry records:
+    its cost depends on the net's shape, not on training.
     """
     net = cfg.network
     rng = np.random.default_rng(cfg.seed)
@@ -833,6 +863,11 @@ def run_timing(cfg: RunConfig, repeats=30):
             "iqr_s": float(q75 - q25),
             "repeats": int(arr.size),
         }
+    report["decision_path"] = {
+        "bs": 0,
+        "slots": 1,
+        "actor": "untrained (random initialization)",
+    }
     report["speedup_wmmse_over_decision"] = (
         report["wmmse"]["median_s"] / report["ddcbf-decision"]["median_s"]
     )

@@ -1,8 +1,11 @@
+import json
 import os
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbflab.drl import Adam, DdpgAgent, Mlp, ReplayMemory
 
@@ -71,7 +74,8 @@ def test_linear_layer_gradient_is_outer_product():
     net = Mlp.create([3, 2], rng=rng)
     x = rng.standard_normal(3)
     up = rng.standard_normal(2)
-    grads, gin = net.gradients(x, up)
+    grad, gin = net.gradients(x, up)
+    grads = net.blocks(grad)
     npt.assert_allclose(grads[0], np.outer(up, x), rtol=1e-12)
     npt.assert_allclose(grads[1], up, rtol=1e-12)
     npt.assert_allclose(gin, net.weights[0].T @ up, rtol=1e-12)
@@ -95,8 +99,8 @@ def test_gradients_match_finite_differences(activation):
     def loss():
         return float(np.sum(net.forward(x) * up))
 
-    grads, gin = net.gradients(x, up)
-    for i, g in enumerate(grads):
+    grad, gin = net.gradients(x, up)
+    for i, g in enumerate(net.blocks(grad)):
         fd = finite_difference(loss, net.parameters()[i])
         assert rel_err(g, fd) < 1e-4, f"param block {i}"
     fd_in = finite_difference(loss, x)
@@ -407,3 +411,313 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, break_savez):
     back = DdpgAgent.load(path)
     for p1, p2 in zip(before, back.actor.parameters()):
         npt.assert_array_equal(p1, p2)
+
+
+# -- flat parameters against the per-block oracle ---------------------------------
+#
+# The per-block implementation that the flat buffers replaced: one array per
+# weight and bias, one Adam moment per block, full backward passes whose
+# unused terms were thrown away.  Training on the flat buffers must match it
+# bit for bit.
+
+
+class OracleMlp:
+    def __init__(self, weights, biases, output_activation="identity"):
+        self.weights = [np.asarray(w, dtype=float) for w in weights]
+        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        self.output_activation = output_activation
+
+    @classmethod
+    def create(cls, layer_sizes, output_activation="identity", rng=None):
+        rng = np.random.default_rng(rng)
+        weights, biases = [], []
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            weights.append(rng.uniform(-bound, bound, (fan_out, fan_in)))
+            biases.append(rng.uniform(-bound, bound, fan_out))
+        return cls(weights, biases, output_activation)
+
+    def parameters(self):
+        out = []
+        for w, b in zip(self.weights, self.biases):
+            out.append(w)
+            out.append(b)
+        return out
+
+    def copy(self):
+        return OracleMlp(
+            [w.copy() for w in self.weights],
+            [b.copy() for b in self.biases],
+            self.output_activation,
+        )
+
+    def _forward_impl(self, x, keep_cache):
+        squeeze = x.ndim == 1
+        a = np.atleast_2d(np.asarray(x, dtype=float))
+        cache = [a] if keep_cache else None
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w.T + b
+            if i < last:
+                a = np.maximum(z, 0.0)
+            elif self.output_activation == "sigmoid":
+                a = np.empty_like(z)
+                pos = z >= 0
+                a[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+                ex = np.exp(z[~pos])
+                a[~pos] = ex / (1.0 + ex)
+            else:
+                a = z
+            if keep_cache:
+                cache.append(a)
+        return (a, cache, squeeze)
+
+    def forward(self, x):
+        y, _, squeeze = self._forward_impl(x, keep_cache=False)
+        return y[0] if squeeze else y
+
+    def forward_cached(self, x):
+        y, cache, squeeze = self._forward_impl(x, keep_cache=True)
+        return (y[0] if squeeze else y), (cache, squeeze)
+
+    def backward(self, ctx, upstream):
+        cache, squeeze = ctx
+        delta = np.atleast_2d(np.asarray(upstream, dtype=float))
+        y = cache[-1]
+        if self.output_activation == "sigmoid":
+            delta = delta * y * (1.0 - y)
+        grads = [None] * (2 * len(self.weights))
+        for i in range(len(self.weights) - 1, -1, -1):
+            a_prev = cache[i]
+            grads[2 * i] = delta.T @ a_prev
+            grads[2 * i + 1] = delta.sum(axis=0)
+            delta = delta @ self.weights[i]
+            if i > 0:
+                delta = delta * (cache[i] > 0)
+        return grads, (delta[0] if squeeze else delta)
+
+
+class OracleAdam:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        self.step_count += 1
+        b1c = 1.0 - self.beta1**self.step_count
+        b2c = 1.0 - self.beta2**self.step_count
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+class OracleAgent:
+    """The per-block DDPG update, with the production agent's defaults."""
+
+    def __init__(self, state_dim, action_dim, hidden_sizes, actor_lr, critic_lr,
+                 memory_capacity, batch_size, seed, discount=0.5, soft_update_rate=0.01):
+        self.state_dim = state_dim
+        self.discount = discount
+        self.soft_update_rate = soft_update_rate
+        self.batch_size = batch_size
+        self.rng = np.random.default_rng(seed)
+        sizes = [state_dim, *hidden_sizes]
+        self.actor = OracleMlp.create([*sizes, action_dim], "sigmoid", self.rng)
+        self.critic = OracleMlp.create(
+            [state_dim + action_dim, *hidden_sizes, 1], "identity", self.rng
+        )
+        self.target_actor = self.actor.copy()
+        self.target_critic = self.critic.copy()
+        self.adam_actor = OracleAdam(self.actor.parameters(), actor_lr)
+        self.adam_critic = OracleAdam(self.critic.parameters(), critic_lr)
+        self.memory = ReplayMemory(memory_capacity)
+
+    def train_step(self):
+        states, actions, rewards, next_states = self.memory.sample(
+            self.batch_size, self.rng
+        )
+        b = states.shape[0]
+        next_actions = self.target_actor.forward(next_states)
+        next_q = self.target_critic.forward(np.hstack([next_states, next_actions]))[:, 0]
+        targets = rewards + self.discount * next_q
+        q, ctx = self.critic.forward_cached(np.hstack([states, actions]))
+        q = q[:, 0]
+        err = targets - q
+        critic_loss = float(np.mean(err**2))
+        mean_q = float(np.mean(q))
+        critic_grads, _ = self.critic.backward(ctx, (-2.0 / b) * err[:, None])
+        self.adam_critic.step(self.critic.parameters(), critic_grads)
+        policy_actions, actor_ctx = self.actor.forward_cached(states)
+        _, critic_ctx = self.critic.forward_cached(np.hstack([states, policy_actions]))
+        _, input_grad = self.critic.backward(critic_ctx, np.full((b, 1), -1.0 / b))
+        actor_grads, _ = self.actor.backward(actor_ctx, input_grad[:, self.state_dim :])
+        self.adam_actor.step(self.actor.parameters(), actor_grads)
+        return critic_loss, mean_q
+
+    def soft_update(self):
+        rho = self.soft_update_rate
+        for target, online in (
+            (self.target_actor, self.actor),
+            (self.target_critic, self.critic),
+        ):
+            for t, o in zip(target.parameters(), online.parameters()):
+                t *= 1.0 - rho
+                t += rho * o
+
+
+def concat(blocks):
+    return np.concatenate([np.ravel(b) for b in blocks])
+
+
+def assert_agents_bit_equal(agent, oracle):
+    for name in ("actor", "critic", "target_actor", "target_critic"):
+        flat = getattr(agent, name).flat
+        assert flat.tobytes() == concat(getattr(oracle, name).parameters()).tobytes(), name
+    for name in ("adam_actor", "adam_critic"):
+        ours, theirs = getattr(agent, name), getattr(oracle, name)
+        assert ours.step_count == theirs.step_count
+        assert ours.m[0].tobytes() == concat(theirs.m).tobytes(), f"{name} m"
+        assert ours.v[0].tobytes() == concat(theirs.v).tobytes(), f"{name} v"
+    assert agent.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        # (state_dim, action_dim, hidden_sizes, batch_size): the SMALL harness
+        # shape (3 cells, 2 users, 4 antennas) and ref7 (7 cells, 4 users, 4x8 URA).
+        pytest.param((134, 10, (16, 12), 8), id="small"),
+        pytest.param((436, 34, (256, 128, 64), 64), id="ref7"),
+    ],
+)
+def test_flat_training_matches_per_block_oracle(dims):
+    state_dim, action_dim, hidden, batch = dims
+    kw = dict(
+        state_dim=state_dim,
+        action_dim=action_dim,
+        hidden_sizes=hidden,
+        actor_lr=1e-4,
+        critic_lr=1e-3,
+        memory_capacity=4 * batch,
+        batch_size=batch,
+        seed=[5, 2],
+    )
+    agent, oracle = DdpgAgent(**kw), OracleAgent(**kw)
+    assert_agents_bit_equal(agent, oracle)
+    rng = np.random.default_rng(8)
+    for _ in range(2 * batch):
+        item = (
+            rng.standard_normal(state_dim),
+            rng.uniform(0, 1, action_dim),
+            float(rng.standard_normal()),
+            rng.standard_normal(state_dim),
+        )
+        agent.remember(*item)
+        oracle.memory.push(*item)
+    for _ in range(12):
+        assert agent.train_step() == oracle.train_step()
+        agent.soft_update()
+        oracle.soft_update()
+        assert_agents_bit_equal(agent, oracle)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+    batch=st.integers(1, 6),
+    activation=st.sampled_from(["identity", "sigmoid"]),
+    seed=st.integers(0, 2**16),
+)
+def test_backward_skipping_terms_keeps_the_rest(sizes, batch, activation, seed):
+    rng = np.random.default_rng(seed)
+    net = Mlp.create(sizes, activation, rng)
+    oracle = OracleMlp(
+        [w.copy() for w in net.weights], [b.copy() for b in net.biases], activation
+    )
+    x = rng.standard_normal((batch, sizes[0]))
+    up = rng.standard_normal((batch, sizes[-1]))
+    _, ctx = net.forward_cached(x)
+    _, oracle_ctx = oracle.forward_cached(x)
+    oracle_grads, oracle_input = oracle.backward(oracle_ctx, up)
+    full, full_input = net.backward(ctx, up)
+    grad_only, no_input = net.backward(ctx, up, input_grad=False)
+    no_grad, input_only = net.backward(ctx, up, param_grads=False)
+    assert no_input is None and no_grad is None
+    assert full.tobytes() == grad_only.tobytes() == concat(oracle_grads).tobytes()
+    assert full_input.tobytes() == input_only.tobytes() == oracle_input.tobytes()
+
+
+# -- checkpoint layout ------------------------------------------------------------
+
+
+def test_state_dict_holds_one_flat_array_per_net_and_moment():
+    agent = small_agent(seed=21)
+    fill_memory(agent, 6, seed=2)
+    arrays = agent.state_dict()
+    nets = {"actor", "critic", "target_actor", "target_critic"}
+    moments = {f"adam_{n}_{m}" for n in ("actor", "critic") for m in ("m", "v")}
+    replay = {f"replay_{k}" for k in ("states", "actions", "rewards", "next_states")}
+    assert set(arrays) == nets | moments | replay | {"meta"}
+    for tag in nets:
+        assert arrays[tag].ndim == 1
+    assert arrays["critic"].size == agent.critic.flat.size == arrays["adam_critic_v"].size
+
+
+def test_version1_agent_checkpoint_continues_bit_exactly(tmp_path, v1_layout):
+    a = small_agent(seed=21)
+    fill_memory(a, 20, seed=2)
+    for _ in range(3):
+        a.train_step()
+        a.soft_update()
+        a.act(np.zeros(6), explore=True)
+    path = tmp_path / "agent_v1.npz"
+    np.savez(path, **v1_layout.agent(a.state_dict()))
+    b = DdpgAgent.load(path)
+    for _ in range(3):
+        assert a.train_step() == b.train_step()
+        a.soft_update()
+        b.soft_update()
+    for name in ("actor", "critic", "target_actor", "target_critic"):
+        assert getattr(a, name).flat.tobytes() == getattr(b, name).flat.tobytes()
+    npt.assert_array_equal(a.act(np.ones(6), explore=True), b.act(np.ones(6), explore=True))
+
+
+class RecordingArrays(dict):
+    """A dict that remembers which keys were read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_actor_from_state_dict_reads_only_meta_and_actor(version, v1_layout):
+    agent = small_agent(seed=4)
+    fill_memory(agent, 8, seed=3)
+    agent.train_step()
+    arrays = agent.state_dict()
+    if version == 1:
+        arrays = v1_layout.agent(arrays)
+    arrays = RecordingArrays(arrays)
+    actor = DdpgAgent.actor_from_state_dict(arrays)
+    assert actor.flat.tobytes() == agent.actor.flat.tobytes()
+    assert actor.output_activation == "sigmoid"
+    actor_keys = {"actor"} if version == 2 else {f"actor_p{i}" for i in range(6)}
+    assert arrays.read == {"meta"} | actor_keys
+
+
+def test_unknown_checkpoint_version_rejected():
+    agent = small_agent()
+    arrays = agent.state_dict()
+    meta = json.loads(str(arrays["meta"]))
+    meta["version"] = 3
+    arrays["meta"] = np.array(json.dumps(meta))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+        DdpgAgent.from_state_dict(arrays)

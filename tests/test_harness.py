@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 import types
 
@@ -184,6 +185,24 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     assert resumed["final_moving_average"] == summary["final_moving_average"]
 
 
+def test_train_resume_from_version1_checkpoint(tmp_path, v1_layout):
+    # Checkpoints written before the flat layout (one array per parameter and
+    # moment block) still resume bit-exactly.
+    full_cfg = parse_config(write_config(tmp_path, out_dir=tmp_path / "full"))
+    run_train(full_cfg)
+    full_csv = (tmp_path / "full" / "train.csv").read_bytes()
+
+    part_cfg = parse_config(write_config(tmp_path, out_dir=tmp_path / "part"))
+    run_train(part_cfg)
+    ckpt = tmp_path / "part" / "checkpoints" / "train_00000007.npz"
+    old = tmp_path / "v1.npz"
+    v1_layout.run(ckpt, old)
+    with np.load(old) as data:
+        assert "agent0_actor_p0" in data.files and "agent0_actor" not in data.files
+        assert json.loads(str(data["harness_meta"]))["version"] == 1
+    run_train(part_cfg, resume_from=str(old))
+    assert (tmp_path / "part" / "train.csv").read_bytes() == full_csv
+
 def _checkpoint_walls(events_path):
     """(slot, wall_s) of each checkpoint event, in log order."""
     with open(events_path) as fh:
@@ -266,7 +285,8 @@ def test_metrics_round_trip_lossless(tmp_path):
     summary = run_train(cfg)
     rows = MetricSink.read(summary["metrics_csv"])
     # regenerate the CSV from parsed rows and compare byte-for-byte
-    src = open(summary["metrics_csv"]).read().splitlines()
+    with open(summary["metrics_csv"]) as fh:
+        src = fh.read().splitlines()
     header, cols = src[0], src[1].split(",")
     rebuilt = [src[0], src[1]]
     for row in rows:
@@ -284,9 +304,11 @@ def test_metrics_round_trip_lossless(tmp_path):
 def test_benchmark_same_trace_and_determinism(tmp_path):
     cfg = parse_config(write_config(tmp_path))
     out1 = run_benchmark(cfg, schemes=("mslnr-ep",))
-    first = open(out1["bench_csv"]).read()
+    with open(out1["bench_csv"]) as fh:
+        first = fh.read()
     out2 = run_benchmark(cfg, schemes=("mslnr-ep",))
-    assert open(out2["bench_csv"]).read() == first
+    with open(out2["bench_csv"]) as fh:
+        assert fh.read() == first
 
 
 def test_live_bench_window_matches_generated_trace(tmp_path):
@@ -324,10 +346,36 @@ def test_benchmark_policy_rollout_from_checkpoint(tmp_path):
     for stats in out["results"].values():
         assert stats["slots"] == 3
         assert np.isfinite(stats["mean"])
-    cdf = open(out["cdf_csv"]).read().splitlines()
+    with open(out["cdf_csv"]) as fh:
+        cdf = fh.read().splitlines()
     assert cdf[1] == "scheme,sum_rate,cum_prob"
     assert len(cdf) == 2 + 2 * 3
 
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_policy_rollout_reads_only_the_actors(tmp_path, version, v1_layout):
+    cfg = parse_config(write_config(tmp_path, num_slots=12, bench_slots=3))
+    ckpt = run_train(cfg)["checkpoint"]
+    full = ckpt
+    if version == 1:
+        full = str(tmp_path / "v1.npz")
+        v1_layout.run(ckpt, full)
+    # A checkpoint stripped of everything but the actors rolls out the same.
+    with np.load(full) as data:
+        keep = {
+            k: data[k]
+            for k in data.files
+            if k == "harness_meta" or re.fullmatch(r"agent\d+_(meta|actor|actor_p\d+)", k)
+        }
+        assert len(keep) < len(data.files)
+    stripped = tmp_path / "actors_only.npz"
+    np.savez(stripped, **keep)
+    rows = {}
+    for name, path in (("full", full), ("stripped", stripped)):
+        out = run_benchmark(cfg, schemes=("ddcbf",), checkpoint=str(path))
+        with open(out["bench_csv"]) as fh:
+            rows[name] = fh.read()
+    assert rows["stripped"] == rows["full"]
 
 def test_mslnr_ddpg_train_then_bench(tmp_path):
     cfg = parse_config(
@@ -374,5 +422,11 @@ def test_timing_sanity_ordering(tmp_path):
     assert report["mrt"]["median_s"] <= report["wmmse"]["median_s"]
     assert report["ddcbf-decision"]["median_s"] < report["wmmse"]["median_s"]
     assert os.path.exists(report["path"])
-    saved = json.load(open(report["path"]))
+    with open(report["path"]) as fh:
+        saved = json.load(fh)
     assert saved["wmmse"]["repeats"] == 5
+    assert saved["decision_path"] == {
+        "bs": 0,
+        "slots": 1,
+        "actor": "untrained (random initialization)",
+    }
