@@ -62,7 +62,6 @@ from .network import (
     PowerConstraintError,
     SlotMetrics,
     compute_metrics,
-    compute_sinr,
     dbm_to_watt,
     recompose_beamformer,
     sum_rate,

@@ -684,7 +684,10 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     Every scheme sees the identical channel realizations.  Classical solvers
     run genie-aided on each slot's current CSI; trained policies are rolled
     out greedily through the environment.  Emits per-slot rows, an empirical
-    CDF and a summary table under the run's output directory.
+    CDF and a summary table under the run's output directory.  For ``wmmse``
+    and ``wmmse-nri`` the summary also holds the kept runs' mean iteration
+    count (``iterations_mean``) and the fraction that hit the iteration cap
+    (``truncated_frac``).
     """
     schemes = tuple(schemes) if schemes else cfg.schemes
     checkpoint = checkpoint or cfg.checkpoint
@@ -723,20 +726,22 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
                     parts += [repr(float(x)) for x in cell_rates]
                     fh.write(",".join(parts) + "\n")
             else:
+                states = []
                 for t in range(cfg.bench_slots):
                     channel = window.slot(t)
                     if scheme == "mslnr-ep":
                         beams = _mslnr_ep_beams(channel, net)
                     elif scheme == "wmmse":
-                        beams, _ = wmmse(
+                        beams, state = wmmse(
                             channel,
                             net,
                             cfg.wmmse_stop_eps,
                             cfg.wmmse_max_iter,
                             init_seed=_slot_seed(cfg.seed, offset + t),
                         )
+                        states.append(state)
                     elif scheme == "wmmse-nri":
-                        beams = wmmse_multi_init(
+                        beams, state = wmmse_multi_init(
                             channel,
                             net,
                             cfg.wmmse_stop_eps,
@@ -744,6 +749,7 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
                             num_inits=cfg.wmmse_num_inits,
                             seed=_slot_seed(cfg.seed, offset + t),
                         )
+                        states.append(state)
                     metrics = compute_metrics(channel, beams, net)
                     cell_rates = metrics.rate.sum(axis=1)
                     rates.append(float(cell_rates.sum()))
@@ -758,6 +764,14 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
                 "p95": float(np.percentile(rates, 95)),
                 "slots": int(rates.size),
             }
+            if scheme in ("wmmse", "wmmse-nri"):
+                # Solver diagnostics of the kept runs (one per slot).
+                results[scheme]["iterations_mean"] = float(
+                    np.mean([st.iterations for st in states])
+                )
+                results[scheme]["truncated_frac"] = float(
+                    np.mean([st.truncated for st in states])
+                )
 
     cdf_path = os.path.join(cfg.out_dir, "bench_cdf.csv")
     with open(cdf_path, "w") as fh:

@@ -206,34 +206,6 @@ def recompose_beamformer(p, direction):
     return np.sqrt(p) * direction
 
 
-def compute_sinr(channel, beams, cfg, n, k):
-    """SINR of user k in cell n, evaluated term by term with scalar loops.
-
-    Kept deliberately loop-based and independent from the vectorized
-    compute_metrics path so the two can cross-check each other.
-    """
-    h = channel.h
-    w = beams.w
-    num_cells, _, users, _ = h.shape
-    if not (0 <= n < num_cells and 0 <= k < users):
-        raise IndexError(f"cell/user index ({n}, {k}) out of range")
-    if not np.all(np.isfinite(w.view(np.float64))):
-        raise ValueError("beamformers contain non-finite entries")
-
-    signal = abs(np.vdot(h[n, n, k], w[n, k])) ** 2
-    intra = 0.0
-    for j in range(users):
-        if j != k:
-            intra += abs(np.vdot(h[n, n, k], w[n, j])) ** 2
-    inter = 0.0
-    for l in range(num_cells):
-        if l == n:
-            continue
-        for j in range(users):
-            inter += abs(np.vdot(h[l, n, k], w[l, j])) ** 2
-    return signal / (intra + inter + cfg.noise_power)
-
-
 def compute_metrics(channel, beams, cfg):
     """Evaluate SINR, rate and interference bookkeeping for one slot.
 

@@ -26,6 +26,10 @@ from .network import BeamformerSet, compute_metrics, sum_rate
 # matrix eigenmode counts as null space in the pseudo-inverse branch.
 _RANK_RCOND = 1e-12
 
+# Default bisection settings: relative power tolerance and step cap.
+_POWER_TOL = 1e-8
+_BISECT_ITER = 200
+
 
 @dataclass(frozen=True)
 class StructuredParams:
@@ -95,6 +99,40 @@ def _leakage_matrix(local_h, alpha):
     return np.einsum("x,xi,xl->il", flat_a, flat_h, flat_h.conj())
 
 
+def _null_cutoff(lam):
+    """Rank cutoff per matrix: eigenvalues at or below it count as null space."""
+    return _RANK_RCOND * np.maximum(lam.max(axis=-1), 0.0)
+
+
+def _eigen_projections(b0, targets):
+    """Eigendecomposition of each leakage matrix and the targets in its basis.
+
+    Stacked over leading axes: b0 (..., M, M) and targets (..., K, M) give
+    ascending eigenvalues (..., M), eigenvectors (..., M, M) and
+    projections Q^H c_k as (..., M, K).
+    """
+    lam, q = np.linalg.eigh(b0)
+    proj = q.conj().swapaxes(-1, -2) @ targets.swapaxes(-1, -2)
+    return lam, q, proj
+
+
+def _eigen_solve(lam, q, proj, mu):
+    """Eigenbasis solve x_k = Q diag(1 / (lam + mu)) Q^H c_k, stacked.
+
+    Takes the output of ``_eigen_projections`` and mu (...,).  Where mu == 0
+    this is the pseudo-inverse: modes at or below the rank cutoff are null
+    space and drop out.  Returns (..., K, M).
+    """
+    mu = np.asarray(mu, dtype=float)[..., None]
+    keep = (mu > 0) | (lam > _null_cutoff(lam)[..., None])
+    if not np.all(keep.any(axis=-1)):
+        raise ArithmeticError("leakage matrix is singular; use mu > 0 to regularize")
+    scaled = np.divide(
+        proj, (lam + mu)[..., None], out=np.zeros_like(proj), where=keep[..., None]
+    )
+    return (q @ scaled).swapaxes(-1, -2)
+
+
 def solve_leakage_system(b0, targets, mu):
     """Solve (b0 + mu*I) x_k = c_k for each target row.
 
@@ -109,68 +147,89 @@ def solve_leakage_system(b0, targets, mu):
         factor = scipy.linalg.cho_factor(shifted, check_finite=False)
         return scipy.linalg.cho_solve(factor, targets.T, check_finite=False).T
     except scipy.linalg.LinAlgError:
-        lam, q = np.linalg.eigh(shifted)
-        cutoff = _RANK_RCOND * max(lam.max(), 0.0)
-        keep = lam > cutoff
-        if not np.any(keep):
-            raise ArithmeticError(
-                "leakage matrix is singular; use mu > 0 to regularize"
-            ) from None
-        proj = q.conj().T @ targets.T  # (M, K)
-        proj[~keep] = 0.0
-        proj[keep] /= lam[keep, None]
-        return (q @ proj).T
+        return _eigen_solve(*_eigen_projections(shifted, targets), 0.0)
 
 
-def bisect_mu(b0, targets, p_max, power_tol=1e-8, max_iter=200):
+def _power(energy, lam, mu):
+    """Transmit power sum_i energy_i / (lam_i + mu)^2 of each row."""
+    return (energy / (lam + mu[:, None]) ** 2).sum(axis=1)
+
+
+def _bisect_eigen(lam, proj, p_max, power_tol=_POWER_TOL, max_iter=_BISECT_ITER):
+    """Power multiplier per matrix from its eigenbasis, stacked over S rows.
+
+    Takes (S, M) eigenvalues clipped at zero and (S, M, K) target
+    projections.  Every row runs the same bracket-and-bisect sequence it
+    would run alone: the rows still searching advance in lock step, and a row
+    leaves the stack once its own stop test passes.
+    """
+    energy = (np.abs(proj) ** 2).sum(axis=-1)  # per-mode
+    mu = np.zeros(lam.shape[0])
+    total = energy.sum(axis=1)
+    null = lam <= _null_cutoff(lam)[:, None]
+    range_only = np.where(null, energy, 0.0).sum(axis=1) <= 1e-20 * total
+    # Targets in the range space: the pseudo-inverse solution is the mu -> 0
+    # limit, so mu = 0 applies when it is feasible.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power0 = np.where(null, 0.0, energy / lam**2).sum(axis=1)
+    rows = np.flatnonzero((total != 0.0) & ~(range_only & (power0 <= p_max)))
+    lam, energy = lam[rows], energy[rows]
+
+    hi = np.ones(rows.size)
+    p_hi = _power(energy, lam, hi)
+    for _ in range(199):
+        opening = ~(p_hi <= p_max)
+        if not opening.any():
+            break
+        hi[opening] *= 2.0
+        p_hi = _power(energy, lam, hi)
+    else:
+        if not np.all(p_hi <= p_max):
+            raise ArithmeticError("bisection bracket did not close")
+    lo = np.where(hi == 1.0, 0.0, hi / 2.0)
+    for _ in range(max_iter):
+        done = p_max - p_hi <= power_tol * p_max
+        if done.any():
+            mu[rows[done]] = hi[done]
+            left = ~done
+            rows, lam, energy = rows[left], lam[left], energy[left]
+            lo, hi, p_hi = lo[left], hi[left], p_hi[left]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo + hi)
+        p_mid = _power(energy, lam, mid)
+        over = p_mid > p_max
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+        p_hi = np.where(over, p_hi, p_mid)
+    mu[rows] = hi
+    return mu
+
+
+def bisect_mu(b0, targets, p_max, power_tol=_POWER_TOL, max_iter=_BISECT_ITER):
     """Power-constraint multiplier for the shifted leakage system.
 
     Finds mu >= 0 such that sum_k ||(b0 + mu*I)^{-1} c_k||^2 meets the power
     budget: returns 0 when the unconstrained (pseudo-inverse) solution is
     already feasible, otherwise bisects on the strictly decreasing power
     profile until it lands within ``power_tol * p_max`` below the budget.
+
+    ``b0`` is one (M, M) Hermitian matrix with (K, M) ``targets``, giving a
+    float, or a stack (S, M, M) with (S, K, M) targets, giving an (S,) array.
+    The stack runs every matrix's bracket and bisection in lock step, so each
+    entry equals the per-matrix result bit for bit.  Raises ``ValueError`` if
+    any matrix is not Hermitian.
     """
     b0 = np.asarray(b0)
-    if not np.allclose(b0, b0.conj().T, atol=1e-10 * max(1.0, np.abs(b0).max())):
+    single = b0.ndim == 2
+    stack = b0[None] if single else b0
+    atol = 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    if not np.isclose(stack, stack.conj().swapaxes(1, 2), atol=atol[:, None, None]).all():
         raise ValueError("leakage matrix must be Hermitian")
-    targets = np.atleast_2d(targets)
-    lam, q = np.linalg.eigh(b0)
-    lam = np.clip(lam, 0.0, None)
-    energy = (np.abs(q.conj().T @ targets.T) ** 2).sum(axis=1)  # per-mode
-
-    if energy.sum() == 0.0:
-        return 0.0
-
-    cutoff = _RANK_RCOND * lam.max() if lam.max() > 0 else 0.0
-    null = lam <= cutoff
-    null_energy = energy[null].sum()
-    if null_energy <= 1e-20 * energy.sum():
-        # Targets live in the range space: the pseudo-inverse solution is the
-        # mu -> 0 limit, so mu = 0 applies when it is feasible.
-        power0 = float((energy[~null] / lam[~null] ** 2).sum()) if np.any(~null) else 0.0
-        if power0 <= p_max:
-            return 0.0
-
-    def power(mu):
-        return float((energy / (lam + mu) ** 2).sum())
-
-    hi = 1.0
-    for _ in range(200):
-        if power(hi) <= p_max:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("bisection bracket did not close")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    for _ in range(max_iter):
-        if p_max - power(hi) <= power_tol * p_max:
-            break
-        mid = 0.5 * (lo + hi)
-        if power(mid) > p_max:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    targets = np.atleast_2d(targets)[None] if single else np.asarray(targets)
+    lam, _, proj = _eigen_projections(stack, targets)
+    mu = _bisect_eigen(np.clip(lam, 0.0, None), proj, p_max, power_tol, max_iter)
+    return float(mu[0]) if single else mu
 
 
 def structured_directions(local_h, own_cell, alpha, mu):
@@ -258,6 +317,23 @@ def _full_power_init(num_cells, users, antennas, p_max, rng):
     return np.sqrt(p_max / users) * g
 
 
+def _wmmse_beamformers(flat_h, own_h, alpha, scale, p_max):
+    """One WMMSE beamformer update for every BS at once.
+
+    Each BS n solves the structured system at leakage weights ``alpha`` for
+    targets ``own_h[n] * scale[n]``, with the multiplier that meets its power
+    budget.  ``flat_h`` is (N, N*K, M) (BS n's channels to every user),
+    ``own_h`` (N, K, M), ``alpha`` and ``scale`` (N, K).  Returns the (N, K, M)
+    beamformers and the (N,) multipliers.
+    """
+    weighted = alpha.reshape(-1, 1) * flat_h.conj()
+    b0 = flat_h.swapaxes(1, 2) @ weighted  # (N, M, M) leakage matrices
+    lam, q, proj = _eigen_projections(b0, own_h * scale[..., None])
+    lam = np.clip(lam, 0.0, None)
+    mu = _bisect_eigen(lam, proj, p_max)
+    return np.ascontiguousarray(_eigen_solve(lam, q, proj, mu)), mu
+
+
 def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
     """Iterative weighted-MMSE solver for the sum-rate problem.
 
@@ -266,6 +342,12 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
     own per-BS multiplier found by bisection) until the weight sum changes by
     less than ``stop_eps``.  Needs global CSI: this is the centralized
     genie-aided baseline.
+
+    The beamformer update treats all N BSs as one stack: the (N, M, M)
+    leakage matrices come from one batched product of the (N, N*K, M)
+    channels, one stacked eigendecomposition serves the N multiplier
+    bisections (run in lock step, see ``bisect_mu``) and the solve
+    w[n] = Q diag(1 / (lam + mu[n])) Q^H c, with (N, K, M) targets c.
 
     Returns:
         (BeamformerSet, WmmseState).  If the iteration cap is hit first, the
@@ -287,6 +369,8 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
     truncated = False
 
     idx = np.arange(num_cells)
+    flat_h = h.reshape(num_cells, num_cells * users, antennas)
+    own_h = h[idx, idx]
     while True:
         # Weight refresh for the current beamformers.
         cross = np.einsum("mnka,mja->mnkj", h.conj(), w)
@@ -304,14 +388,8 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
             truncated = True
             break
 
-        # Beamformer update: per-BS structured solve at alpha = v|u|^2.
-        alpha = v * np.abs(u) ** 2
-        scale = u * v
-        for bs in range(num_cells):
-            b0 = _leakage_matrix(h[bs], alpha)
-            targets = h[bs, bs] * scale[bs][:, None]
-            mu[bs] = bisect_mu(b0, targets, p_max)
-            w[bs] = solve_leakage_system(b0, targets, mu[bs])
+        # Beamformer update: structured solve at alpha = v|u|^2, all BSs at once.
+        w, mu = _wmmse_beamformers(flat_h, own_h, v * np.abs(u) ** 2, u * v, p_max)
         u_gen, v_gen = u, v
         iterations += 1
 
@@ -337,15 +415,18 @@ def wmmse_multi_init(channel, net_cfg, stop_eps=1e-4, max_iter=500, num_inits=1,
 
     Initialization ``i`` uses seed ``seed + i``, so the single-init run with
     the same seed is always part of the pool.
+
+    Returns:
+        (BeamformerSet, WmmseState) of the kept initialization, as ``wmmse``.
     """
     if num_inits < 1:
         raise ValueError("num_inits must be >= 1")
-    best_beams = None
+    best = None
     best_rate = -np.inf
     for i in range(num_inits):
-        beams, _ = wmmse(channel, net_cfg, stop_eps, max_iter, init_seed=seed + i)
+        beams, state = wmmse(channel, net_cfg, stop_eps, max_iter, init_seed=seed + i)
         rate = sum_rate(compute_metrics(channel, beams, net_cfg))
         if rate > best_rate:
             best_rate = rate
-            best_beams = beams
-    return best_beams
+            best = beams, state
+    return best

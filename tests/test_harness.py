@@ -330,6 +330,36 @@ def test_benchmark_multi_init_dominates(tmp_path):
         assert many[slot] >= rate - 1e-9
 
 
+def test_benchmark_summary_records_wmmse_diagnostics(tmp_path):
+    cfg = parse_config(write_config(tmp_path, wmmse_num_inits=2, bench_slots=3))
+    out = run_benchmark(cfg, schemes=("mslnr-ep", "wmmse", "wmmse-nri"))
+    with open(out["summary"]) as fh:
+        assert json.load(fh)["results"] == out["results"]
+    assert "iterations_mean" not in out["results"]["mslnr-ep"]
+    window = _collect_window(cfg, 0, 3)
+    states = [
+        harness.wmmse(
+            window.slot(t),
+            cfg.network,
+            cfg.wmmse_stop_eps,
+            cfg.wmmse_max_iter,
+            init_seed=harness._slot_seed(cfg.seed, t),
+        )[1]
+        for t in range(3)
+    ]
+    stats = out["results"]["wmmse"]
+    assert stats["iterations_mean"] == np.mean([st.iterations for st in states])
+    assert stats["truncated_frac"] == np.mean([st.truncated for st in states])
+
+    capped = parse_config(
+        write_config(tmp_path, bench_slots=2, wmmse_max_iter=3, wmmse_stop_eps=1e-300)
+    )
+    out = run_benchmark(capped, schemes=("wmmse", "wmmse-nri"))
+    for scheme in ("wmmse", "wmmse-nri"):
+        assert out["results"][scheme]["iterations_mean"] == 3.0
+        assert out["results"][scheme]["truncated_frac"] == 1.0
+
+
 def test_benchmark_requires_checkpoint_for_policies(tmp_path):
     cfg = parse_config(write_config(tmp_path))
     with pytest.raises(ConfigError, match="checkpoint"):

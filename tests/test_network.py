@@ -8,7 +8,6 @@ from cbflab.network import (
     NetworkConfig,
     PowerConstraintError,
     compute_metrics,
-    compute_sinr,
     dbm_to_watt,
     recompose_beamformer,
     sum_rate,
@@ -37,18 +36,30 @@ def random_instance(n, k, m, seed, p_max=1.0):
     return ChannelState(slot_index=0, h=h), BeamformerSet(w=w)
 
 
-def sinr_scalar_oracle(h, w, noise, n, k):
-    """Term-by-term SINR evaluation, independent of the library paths."""
-    num = abs(np.conj(h[n, n, k]) @ w[n, k]) ** 2
-    den = noise
-    for j in range(w.shape[1]):
+def compute_sinr(channel, beams, cfg, n, k):
+    """SINR of user k in cell n, evaluated term by term with scalar loops.
+
+    Kept deliberately loop-based and independent from the vectorized
+    compute_metrics path so the two can cross-check each other.
+    """
+    h = channel.h
+    w = beams.w
+    num_cells, _, users, _ = h.shape
+    if not (0 <= n < num_cells and 0 <= k < users):
+        raise IndexError(f"cell/user index ({n}, {k}) out of range")
+
+    signal = abs(np.vdot(h[n, n, k], w[n, k])) ** 2
+    intra = 0.0
+    for j in range(users):
         if j != k:
-            den += abs(np.conj(h[n, n, k]) @ w[n, j]) ** 2
-    for l in range(w.shape[0]):
-        if l != n:
-            for j in range(w.shape[1]):
-                den += abs(np.conj(h[l, n, k]) @ w[l, j]) ** 2
-    return num / den
+            intra += abs(np.vdot(h[n, n, k], w[n, j])) ** 2
+    inter = 0.0
+    for l in range(num_cells):
+        if l == n:
+            continue
+        for j in range(users):
+            inter += abs(np.vdot(h[l, n, k], w[l, j])) ** 2
+    return signal / (intra + inter + cfg.noise_power)
 
 
 def test_single_link_unit_quantities():
@@ -56,6 +67,7 @@ def test_single_link_unit_quantities():
     ch = ChannelState(slot_index=0, h=np.ones((1, 1, 1, 1), dtype=complex))
     beams = BeamformerSet(w=np.ones((1, 1, 1), dtype=complex))
     assert compute_sinr(ch, beams, cfg, 0, 0) == pytest.approx(1.0)
+    assert compute_metrics(ch, beams, cfg).sinr[0, 0] == pytest.approx(1.0)
 
 
 def test_zero_beamformer_gives_zero_sinr():
@@ -63,17 +75,16 @@ def test_zero_beamformer_gives_zero_sinr():
     ch = ChannelState(slot_index=0, h=np.ones((1, 1, 1, 2), dtype=complex))
     beams = BeamformerSet(w=np.zeros((1, 1, 2), dtype=complex))
     assert compute_sinr(ch, beams, cfg, 0, 0) == 0.0
+    assert compute_metrics(ch, beams, cfg).sinr[0, 0] == 0.0
 
 
 def test_sinr_matches_scalar_oracle():
     cfg = make_net(n=2, k=2, m1=1, m2=2)
     ch, beams = random_instance(2, 2, 2, seed=42)
+    sinr = compute_metrics(ch, beams, cfg).sinr
     for n in range(2):
         for k in range(2):
-            expected = sinr_scalar_oracle(ch.h, beams.w, cfg.noise_power, n, k)
-            assert compute_sinr(ch, beams, cfg, n, k) == pytest.approx(
-                expected, rel=1e-12
-            )
+            assert sinr[n, k] == pytest.approx(compute_sinr(ch, beams, cfg, n, k), rel=1e-12)
 
 
 def test_sinr_invalid_index_raises():
@@ -180,7 +191,7 @@ def test_sum_rate_matches_scalar_reevaluation():
     ch, beams = random_instance(3, 2, 2, seed=11)
     metrics = compute_metrics(ch, beams, cfg)
     expected = sum(
-        np.log2(1.0 + sinr_scalar_oracle(ch.h, beams.w, cfg.noise_power, n, k))
+        np.log2(1.0 + compute_sinr(ch, beams, cfg, n, k))
         for n in range(3)
         for k in range(2)
     )

@@ -18,6 +18,10 @@ from cbflab.network import (
 )
 from cbflab.solvers import (
     StructuredParams,
+    WmmseState,
+    _full_power_init,
+    _leakage_matrix,
+    _wmmse_beamformers,
     bisect_mu,
     mrt_beamformer,
     mslnr_params,
@@ -82,6 +86,115 @@ def mslnr_beamformer(local_h, own_cell, noise_power, p_max, power_ratios):
         direction = direction / np.linalg.norm(direction)
         beams[user] = np.sqrt(p_max * power_ratios[user]) * direction
     return beams
+
+
+def bisect_mu_loop(b0, targets, p_max, power_tol=1e-8, max_iter=200):
+    """Reference multiplier for one matrix: scalar bracket and bisection."""
+    b0 = np.asarray(b0)
+    if not np.allclose(b0, b0.conj().T, atol=1e-10 * max(1.0, np.abs(b0).max())):
+        raise ValueError("leakage matrix must be Hermitian")
+    targets = np.atleast_2d(targets)
+    lam, q = np.linalg.eigh(b0)
+    lam = np.clip(lam, 0.0, None)
+    energy = (np.abs(q.conj().T @ targets.T) ** 2).sum(axis=1)  # per-mode
+
+    if energy.sum() == 0.0:
+        return 0.0
+
+    cutoff = 1e-12 * lam.max() if lam.max() > 0 else 0.0
+    null = lam <= cutoff
+    null_energy = energy[null].sum()
+    if null_energy <= 1e-20 * energy.sum():
+        power0 = float((energy[~null] / lam[~null] ** 2).sum()) if np.any(~null) else 0.0
+        if power0 <= p_max:
+            return 0.0
+
+    def power(mu):
+        return float((energy / (lam + mu) ** 2).sum())
+
+    hi = 1.0
+    for _ in range(200):
+        if power(hi) <= p_max:
+            break
+        hi *= 2.0
+    else:
+        raise ArithmeticError("bisection bracket did not close")
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    for _ in range(max_iter):
+        if p_max - power(hi) <= power_tol * p_max:
+            break
+        mid = 0.5 * (lo + hi)
+        if power(mid) > p_max:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
+    """Reference weighted MMSE with the beamformer update as a per-BS loop.
+
+    Each BS builds its own leakage matrix, bisects its multiplier with the
+    scalar ``bisect_mu_loop`` and solves by Cholesky (``solve_leakage_system``),
+    independently of the stacked update it checks.
+    """
+    h = channel.h
+    num_cells, _, users, antennas = h.shape
+    p_max = net_cfg.max_power
+    noise = net_cfg.noise_power
+    rng = np.random.default_rng(init_seed)
+
+    w = _full_power_init(num_cells, users, antennas, p_max, rng)
+    mu = np.zeros(num_cells)
+    u_gen = None
+    v_gen = None
+    history = []
+    rate_history = []
+    iterations = 0
+    truncated = False
+
+    idx = np.arange(num_cells)
+    while True:
+        cross = np.einsum("mnka,mja->mnkj", h.conj(), w)
+        denom = (np.abs(cross) ** 2).sum(axis=(0, 3)) + noise  # (N, K)
+        if not np.all(denom > 0):
+            raise ArithmeticError("receive denominator must stay positive")
+        signal = cross[idx, idx][:, np.arange(users), np.arange(users)]
+        u = signal / denom
+        v = denom / (denom - np.abs(signal) ** 2)
+        history.append(float(v.sum()))
+        rate_history.append(float(np.log2(v).sum()))
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < stop_eps:
+            break
+        if iterations >= max_iter:
+            truncated = True
+            break
+
+        alpha = v * np.abs(u) ** 2
+        scale = u * v
+        for bs in range(num_cells):
+            b0 = _leakage_matrix(h[bs], alpha)
+            targets = h[bs, bs] * scale[bs][:, None]
+            mu[bs] = bisect_mu_loop(b0, targets, p_max)
+            w[bs] = solve_leakage_system(b0, targets, mu[bs])
+        u_gen, v_gen = u, v
+        iterations += 1
+
+    if u_gen is None:
+        u_gen, v_gen = u, v
+    beams = BeamformerSet(w=w)
+    state = WmmseState(
+        beams=beams,
+        u=u_gen,
+        v=v_gen,
+        final_v=v,
+        mu=mu.copy(),
+        iterations=iterations,
+        objective_history=np.asarray(history),
+        rate_history=np.asarray(rate_history),
+        truncated=truncated,
+    )
+    return beams, state
 
 
 # -- wmmse ------------------------------------------------------------------
@@ -169,9 +282,11 @@ def test_wmmse_orthogonal_two_user_grid_oracle():
 def test_multi_init_single_matches_wmmse():
     net = make_net(2, 2, 3)
     ch = rayleigh_channel(2, 2, 3, seed=9)
-    solo, _ = wmmse(ch, net, init_seed=17)
-    multi = wmmse_multi_init(ch, net, num_inits=1, seed=17)
+    solo, solo_state = wmmse(ch, net, init_seed=17)
+    multi, multi_state = wmmse_multi_init(ch, net, num_inits=1, seed=17)
     npt.assert_array_equal(solo.w, multi.w)
+    assert multi_state.iterations == solo_state.iterations
+    npt.assert_array_equal(multi_state.rate_history, solo_state.rate_history)
 
 
 def test_multi_init_never_worse():
@@ -179,12 +294,12 @@ def test_multi_init_never_worse():
     gains = []
     for seed in range(20):
         ch = rayleigh_channel(2, 2, 3, seed=seed)
-        one = sum_rate(
-            compute_metrics(ch, wmmse_multi_init(ch, net, num_inits=1, seed=5), net)
-        )
-        ten = sum_rate(
-            compute_metrics(ch, wmmse_multi_init(ch, net, num_inits=10, seed=5), net)
-        )
+        one_beams, _ = wmmse_multi_init(ch, net, num_inits=1, seed=5)
+        ten_beams, ten_state = wmmse_multi_init(ch, net, num_inits=10, seed=5)
+        one = sum_rate(compute_metrics(ch, one_beams, net))
+        ten = sum_rate(compute_metrics(ch, ten_beams, net))
+        # the state belongs to the kept init: its final weights give its rate
+        assert np.log2(ten_state.final_v).sum() == pytest.approx(ten, abs=1e-9)
         assert ten >= one - 1e-12
         gains.append(ten - one)
     assert np.mean(gains) > 0.0
@@ -524,3 +639,120 @@ def test_loop_mslnr_equals_structured_at_unit_alpha(n, k, m, seed):
     unit_oracle = oracle / np.linalg.norm(oracle, axis=1, keepdims=True)
     align = np.abs(np.einsum("km,km->k", unit.conj(), unit_oracle))
     npt.assert_allclose(align, 1.0, atol=1e-9)
+
+
+@PROPERTY
+@given(
+    s=st.integers(1, 6),
+    m=st.integers(1, 8),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    gain=st.floats(1e-12, 1e3),
+    p_max=st.floats(1e-3, 1e3),
+)
+def test_stacked_bisect_equals_per_matrix_calls(s, m, k, seed, gain, p_max):
+    # Random ranks, and half the rows with targets in the range space, so
+    # the stack mixes mu == 0 rows, bisected rows and all-zero rows.
+    rng = np.random.default_rng(seed)
+    b0 = np.empty((s, m, m), dtype=complex)
+    targets = np.empty((s, k, m), dtype=complex)
+    for i in range(s):
+        rank = rng.integers(0, m + 1)
+        g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        b0[i] = gain * (g @ g.conj().T)
+        if i % 2:
+            coef = rng.standard_normal((rank, k)) + 1j * rng.standard_normal((rank, k))
+            targets[i] = np.sqrt(gain) * (g @ coef).T
+        else:
+            targets[i] = np.sqrt(gain) * (
+                rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+            )
+    stacked = bisect_mu(b0, targets, p_max)
+    assert stacked.shape == (s,)
+    for i in range(s):
+        single = bisect_mu(b0[i], targets[i], p_max)
+        assert isinstance(single, float)
+        assert stacked[i] == single
+        assert single == bisect_mu_loop(b0[i], targets[i], p_max)
+
+
+def test_bisect_stack_rejects_one_non_hermitian():
+    b0 = np.stack([np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.eye(2)]).astype(complex)
+    with pytest.raises(ValueError, match="Hermitian"):
+        bisect_mu(b0, np.ones((3, 1, 2), dtype=complex), p_max=1.0)
+
+
+def test_wmmse_step_zero_mu_on_rank_deficient_leakage_matches_fallback():
+    # Both BSs leave their third antenna unused: every leakage matrix is
+    # singular, the targets lie in its range space and the budget is loose,
+    # so mu == 0 and the step is the pseudo-inverse solve.
+    h = np.zeros((2, 2, 1, 3), dtype=complex)
+    h[0, 0, 0] = [1.0, 0.0, 0.0]
+    h[0, 1, 0] = [0.0, 2.0, 0.0]
+    h[1, 0, 0] = [0.0, 1.0j, 0.0]
+    h[1, 1, 0] = [0.5, 0.25, 0.0]
+    alpha = np.array([[1.0], [0.5]])
+    scale = np.array([[1.0 + 0.5j], [0.3]])
+    w, mu = _wmmse_beamformers(h.reshape(2, 2, 3), h[[0, 1], [0, 1]], alpha, scale, 100.0)
+    for bs in range(2):
+        b0 = _leakage_matrix(h[bs], alpha)
+        targets = h[bs, bs] * scale[bs][:, None]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(b0)
+        assert mu[bs] == bisect_mu(b0, targets, 100.0) == 0.0
+        npt.assert_array_equal(w[bs], solve_leakage_system(b0, targets, 0.0))
+
+
+# -- stacked wmmse against the loop oracle ---------------------------------------
+
+
+def path_loss_channel(n, k, m, seed):
+    """Network CSI (N, N, K, M), each BS's slice drawn by ``path_loss_csi``."""
+    h = np.stack([path_loss_csi(n, k, m, n * seed + bs) for bs in range(n)])
+    return ChannelState(slot_index=0, h=h)
+
+
+# (channel(seed), network, iteration cap).  At -101 dBm the iteration
+# amplifies rounding: a one-ulp change of the channel moves the loop's own
+# rate_history by up to 2e-8 relative within a few hundred iterations, and the
+# stacked update, whose rounding differs, drifts from the loop the same way.
+# So the 7x4x32 comparison at 1e-9 stops after 10 iterations.
+ORACLE_CASES = {
+    "rayleigh-1x3x3": (lambda s: rayleigh_channel(1, 3, 3, s), make_net(1, 3, 3, noise=0.01), 500),
+    "rayleigh-3x2x4": (lambda s: rayleigh_channel(3, 2, 4, s), make_net(3, 2, 4), 500),
+    "rayleigh-4x3x6": (
+        lambda s: rayleigh_channel(4, 3, 6, s),
+        make_net(4, 3, 6, p_max=2.0, noise=0.1),
+        500,
+    ),
+    "pathloss-7x4x32": (
+        lambda s: path_loss_channel(7, 4, 32, s),
+        make_net(7, 4, 32, p_max=dbm_to_watt(38.0), noise=dbm_to_watt(-101.0)),
+        10,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_stacked_wmmse_matches_loop_oracle(case, seed):
+    make_channel, net, max_iter = ORACLE_CASES[case]
+    ch = make_channel(seed)
+    ref_beams, ref = wmmse_loop(ch, net, max_iter=max_iter, init_seed=seed)
+    beams, state = wmmse(ch, net, max_iter=max_iter, init_seed=seed)
+    assert state.iterations == ref.iterations
+    assert state.truncated == ref.truncated
+    npt.assert_allclose(state.mu, ref.mu, rtol=1e-8, atol=0.0)
+    npt.assert_allclose(state.rate_history, ref.rate_history, rtol=1e-9, atol=0.0)
+    rate = sum_rate(compute_metrics(ch, beams, net))
+    ref_rate = sum_rate(compute_metrics(ch, ref_beams, net))
+    assert rate == pytest.approx(ref_rate, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_stacked_wmmse_power_feasible_each_cap(case):
+    make_channel, net, _ = ORACLE_CASES[case]
+    ch = make_channel(5)
+    for cap in range(1, 6):
+        beams, _ = wmmse(ch, net, max_iter=cap, init_seed=7)
+        assert np.all(beams.powers.sum(axis=1) <= net.max_power * (1.0 + 1e-9))
