@@ -22,8 +22,9 @@ env = cb.BeamformingEnv(
 )
 agent = cb.DdpgAgent(
     env.state_dim, env.action_dim, hidden_sizes=(64, 32),
-    actor_lr=1e-4, critic_lr=1e-3, batch_size=128, memory_capacity=1000,
-    seed=4,
+    actor_lr=1e-4, critic_lr=1e-3, discount=0.5, soft_update_rate=0.01,
+    noise_sigma_init=0.6, noise_decay=1e-3, noise_sigma_min=0.01,
+    batch_size=128, memory_capacity=1000, seed=4,
 )
 
 states = env.reset()

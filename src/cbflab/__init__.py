@@ -63,7 +63,6 @@ from .network import (
     SlotMetrics,
     compute_metrics,
     dbm_to_watt,
-    recompose_beamformer,
     sum_rate,
     watt_to_dbm,
 )
@@ -73,7 +72,6 @@ from .solvers import (
     bisect_mu,
     mrt_beamformer,
     mslnr_params,
-    rayleigh_quotient,
     structured_beamformer,
     structured_directions,
     wmmse,

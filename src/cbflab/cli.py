@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: trace-gen, train, bench, timing, eval.  Exit codes: 0 success,
+Subcommands: trace-gen, train, bench, timing; ``bench --schemes ddcbf
+--checkpoint PATH`` evaluates a trained checkpoint.  Exit codes: 0 success,
 2 configuration error, 3 I/O error, 4 numeric failure, 1 anything else.
 The environment variable CBFLAB_OUT_DIR overrides the configured output
 directory.
@@ -47,10 +48,6 @@ def build_parser():
     p = subs.add_parser("timing", help="time the decision path against solvers")
     _add_config_arg(p)
     p.add_argument("--repeats", type=int, default=30)
-
-    p = subs.add_parser("eval", help="evaluate a trained checkpoint")
-    _add_config_arg(p)
-    p.add_argument("--checkpoint", required=True)
     return parser
 
 
@@ -78,9 +75,6 @@ def run(args):
     elif args.command == "timing":
         report = harness.run_timing(cfg, repeats=args.repeats)
         print(json.dumps(report, indent=2))
-    elif args.command == "eval":
-        out = harness.run_benchmark(cfg, schemes=("ddcbf",), checkpoint=args.checkpoint)
-        print(json.dumps(out["results"], indent=2))
     return 0
 
 

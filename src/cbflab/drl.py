@@ -289,18 +289,6 @@ class ReplayMemory:
             self._next_states[picks],
         )
 
-    def oldest(self):
-        """The item next in line for eviction (for tests and inspection)."""
-        if self._size == 0:
-            raise IndexError("memory is empty")
-        pos = self._cursor if self._size == self.capacity else 0
-        return (
-            self._states[pos],
-            self._actions[pos],
-            self._rewards[pos],
-            self._next_states[pos],
-        )
-
     def dump(self):
         """The stored items as views of the ring buffers (None when empty)."""
         if self._size == 0:
@@ -314,11 +302,7 @@ class ReplayMemory:
         }
 
     def restore(self, blob):
-        self._states = None
-        self._size = 0
-        self._cursor = 0
-        if blob is None:
-            return
+        """Fill this empty memory from ``dump`` output."""
         states = blob["states"]
         self._allocate(states[0], blob["actions"][0])
         n = states.shape[0]
@@ -330,31 +314,68 @@ class ReplayMemory:
         self._cursor = int(blob["cursor"])
 
 
+# Construction values of an agent besides its dimensions and seed, in the
+# order its checkpoint ``meta`` lists them.  The harness config has a field of
+# each name.  ``meta`` stores the running ``noise_sigma`` in place of
+# ``noise_sigma_init``, so a restored agent continues the noise schedule.
+HYPERPARAMETERS = (
+    "hidden_sizes",
+    "noise_sigma_init",
+    "noise_decay",
+    "noise_sigma_min",
+    "discount",
+    "soft_update_rate",
+    "batch_size",
+    "memory_capacity",
+    "actor_lr",
+    "critic_lr",
+)
+
+
+# The replay arrays of a checkpoint, stored as ``replay_{key}``.
+_REPLAY_KEYS = ("states", "actions", "rewards", "next_states")
+
+
+def _meta_key(name):
+    """The checkpoint ``meta`` key that stores hyperparameter ``name``."""
+    return "noise_sigma" if name == "noise_sigma_init" else name
+
+
 class DdpgAgent:
     """One BS's actor-critic learner with target networks and replay.
 
     The actor ends in a logistic layer so raw actions live in [0, 1]; the
     critic takes the state-action concatenation and ends linear.  Exploration
-    adds clipped Gaussian noise whose scale shrinks by 1/(1 + noise_decay)
-    after every exploring action, floored at ``noise_sigma_min``.
+    adds clipped Gaussian noise whose scale starts at ``noise_sigma_init`` and
+    shrinks by 1/(1 + noise_decay) after every exploring action, floored at
+    ``noise_sigma_min``.  Every name in ``HYPERPARAMETERS`` is a required
+    keyword argument; there are no defaults here (the harness config holds
+    them).
     """
 
-    def __init__(
+    def __init__(self, state_dim, action_dim, *, seed, **hyperparameters):
+        rng = np.random.default_rng(seed)
+        self._build(state_dim, action_dim, rng, draw=True, **hyperparameters)
+
+    def _build(
         self,
         state_dim,
         action_dim,
-        hidden_sizes=(256, 128, 64),
-        actor_lr=5e-6,
-        critic_lr=5e-5,
-        discount=0.5,
-        soft_update_rate=0.01,
-        noise_sigma=0.6,
-        noise_decay=1e-3,
-        noise_sigma_min=0.01,
-        memory_capacity=2000,
-        batch_size=256,
-        seed=0,
+        rng,
+        draw,
+        *,
+        hidden_sizes,
+        noise_sigma_init,
+        noise_decay,
+        noise_sigma_min,
+        discount,
+        soft_update_rate,
+        batch_size,
+        memory_capacity,
+        actor_lr,
+        critic_lr,
     ):
+        """Set up the agent; ``draw`` picks fresh initial weights over zeros."""
         if not 0 <= discount < 1:
             raise ValueError("discount must lie in [0, 1)")
         if not 0 < soft_update_rate <= 1:
@@ -366,22 +387,36 @@ class DdpgAgent:
         self.hidden_sizes = tuple(hidden_sizes)
         self.discount = discount
         self.soft_update_rate = soft_update_rate
-        self.noise_sigma = noise_sigma
+        self.noise_sigma = noise_sigma_init
         self.noise_decay = noise_decay
         self.noise_sigma_min = noise_sigma_min
         self.batch_size = batch_size
-        self.rng = np.random.default_rng(seed)
+        self.rng = rng
 
-        sizes = [state_dim, *hidden_sizes]
-        self.actor = Mlp.create([*sizes, action_dim], "sigmoid", self.rng)
-        self.critic = Mlp.create(
-            [state_dim + action_dim, *hidden_sizes, 1], "identity", self.rng
-        )
+        def net(sizes, activation):
+            if draw:
+                return Mlp.create(sizes, activation, rng)
+            return Mlp.zeros(sizes, activation)
+
+        self.actor = net([state_dim, *hidden_sizes, action_dim], "sigmoid")
+        self.critic = net([state_dim + action_dim, *hidden_sizes, 1], "identity")
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
         self.adam_actor = Adam([self.actor.flat], actor_lr)
         self.adam_critic = Adam([self.critic.flat], critic_lr)
         self.memory = ReplayMemory(memory_capacity)
+
+    @property
+    def memory_capacity(self):
+        return self.memory.capacity
+
+    @property
+    def actor_lr(self):
+        return self.adam_actor.lr
+
+    @property
+    def critic_lr(self):
+        return self.adam_critic.lr
 
     def act(self, state, explore=True):
         """Policy action, optionally with clipped exploration noise.
@@ -497,82 +532,58 @@ class DdpgAgent:
             arrays[f"{tag}_v"] = adam.v[0]
         replay = self.memory.dump()
         if replay is not None:
-            for key in ("states", "actions", "rewards", "next_states"):
+            for key in _REPLAY_KEYS:
                 arrays[f"replay_{key}"] = replay[key]
         meta = {
             "version": _CHECKPOINT_VERSION,
             "state_dim": self.state_dim,
             "action_dim": self.action_dim,
-            "hidden_sizes": list(self.hidden_sizes),
-            "noise_sigma": self.noise_sigma,
-            "noise_decay": self.noise_decay,
-            "noise_sigma_min": self.noise_sigma_min,
-            "discount": self.discount,
-            "soft_update_rate": self.soft_update_rate,
-            "batch_size": self.batch_size,
-            "memory_capacity": self.memory.capacity,
-            "actor_lr": self.adam_actor.lr,
-            "critic_lr": self.adam_critic.lr,
-            "adam_actor_step": self.adam_actor.step_count,
-            "adam_critic_step": self.adam_critic.step_count,
-            "replay_cursor": 0 if replay is None else replay["cursor"],
-            "replay_len": len(self.memory),
-            "rng_state": self.rng.bit_generator.state,
         }
+        for name in HYPERPARAMETERS:
+            meta[_meta_key(name)] = getattr(self, _meta_key(name))
+        meta.update(
+            adam_actor_step=self.adam_actor.step_count,
+            adam_critic_step=self.adam_critic.step_count,
+            replay_cursor=0 if replay is None else replay["cursor"],
+            replay_len=len(self.memory),
+            rng_state=self.rng.bit_generator.state,
+        )
         arrays["meta"] = np.array(json.dumps(meta))
         return arrays
-
-    def load_state_dict(self, arrays):
-        """Restore from ``state_dict`` arrays of this version or version 1."""
-        meta = _read_meta(arrays)
-        if meta["state_dim"] != self.state_dim or meta["action_dim"] != self.action_dim:
-            raise ValueError("checkpoint dimensions do not match this agent")
-        version = meta["version"]
-        for tag, net in self._networks():
-            blocks = len(net.parameters())
-            net.flat[...] = _flat_entry(arrays, version, tag, f"{tag}_p", blocks)
-        for tag, adam, net in self._optimizers():
-            blocks = len(net.parameters())
-            adam.m[0][...] = _flat_entry(arrays, version, f"{tag}_m", f"{tag}_m", blocks)
-            adam.v[0][...] = _flat_entry(arrays, version, f"{tag}_v", f"{tag}_v", blocks)
-            adam.step_count = int(meta[f"{tag}_step"])
-        if meta["replay_len"] > 0:
-            self.memory.restore(
-                {
-                    "states": arrays["replay_states"],
-                    "actions": arrays["replay_actions"],
-                    "rewards": arrays["replay_rewards"],
-                    "next_states": arrays["replay_next_states"],
-                    "cursor": meta["replay_cursor"],
-                }
-            )
-        else:
-            self.memory.restore(None)
-        self.noise_sigma = float(meta["noise_sigma"])
-        self.rng.bit_generator.state = meta["rng_state"]
 
     def save(self, path):
         savez_atomic(path, self.state_dict())
 
     @classmethod
     def from_state_dict(cls, arrays):
-        """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays."""
+        """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays.
+
+        Reads arrays of this version or version 1 into zero-initialized nets;
+        no initial weights are drawn.
+        """
         meta = _read_meta(arrays)
-        agent = cls(
-            state_dim=meta["state_dim"],
-            action_dim=meta["action_dim"],
-            hidden_sizes=tuple(meta["hidden_sizes"]),
-            actor_lr=meta["actor_lr"],
-            critic_lr=meta["critic_lr"],
-            discount=meta["discount"],
-            soft_update_rate=meta["soft_update_rate"],
-            noise_sigma=meta["noise_sigma"],
-            noise_decay=meta["noise_decay"],
-            noise_sigma_min=meta["noise_sigma_min"],
-            memory_capacity=meta["memory_capacity"],
-            batch_size=meta["batch_size"],
+        hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
+        agent = cls.__new__(cls)
+        agent._build(
+            meta["state_dim"],
+            meta["action_dim"],
+            np.random.default_rng(),
+            draw=False,
+            **hyperparameters,
         )
-        agent.load_state_dict(arrays)
+        agent.rng.bit_generator.state = meta["rng_state"]
+        version = meta["version"]
+        for tag, net in agent._networks():
+            blocks = len(net.parameters())
+            net.flat[...] = _flat_entry(arrays, version, tag, f"{tag}_p", blocks)
+        for tag, adam, net in agent._optimizers():
+            blocks = len(net.parameters())
+            adam.m[0][...] = _flat_entry(arrays, version, f"{tag}_m", f"{tag}_m", blocks)
+            adam.v[0][...] = _flat_entry(arrays, version, f"{tag}_v", f"{tag}_v", blocks)
+            adam.step_count = int(meta[f"{tag}_step"])
+        if meta["replay_len"] > 0:
+            replay = {key: arrays[f"replay_{key}"] for key in _REPLAY_KEYS}
+            agent.memory.restore({**replay, "cursor": meta["replay_cursor"]})
         return agent
 
     @staticmethod

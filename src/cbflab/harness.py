@@ -1,8 +1,11 @@
 """Experiment harness: configuration, training runs, benchmarks and timing.
 
-Configs are flat ``key = value`` text files ('#' starts a comment).  Unknown
-keys are rejected, every omitted key falls back to a documented default, and
-dB/dBm values are converted to linear watts right here at the boundary.
+Configs are flat ``key = value`` text files ('#' starts a comment).  The
+keys and their defaults are the fields of ``RunConfig``, the one table of run
+settings: unknown keys are rejected, every omitted key falls back to its
+field's default, and dB/dBm values are converted to linear watts right here
+at the boundary.  Agents are built from the fields named in
+``drl.HYPERPARAMETERS``.
 
 Metric output is a versioned CSV (deterministic: two single-threaded runs
 with the same config and seeds produce bit-identical files) plus a JSON-lines
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .channel import (
     load_trace,
     save_trace,
 )
-from .drl import DdpgAgent, Mlp, savez_atomic
+from .drl import HYPERPARAMETERS, DdpgAgent, Mlp, savez_atomic
 from .env import ACTION_MODES, BeamformingEnv, action_dim, decode_action, state_layout
 from .network import BeamformerSet, NetworkConfig, compute_metrics, dbm_to_watt
 from .solvers import (
@@ -52,164 +55,159 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values or violated config constraints."""
 
 
+def _parse_list(text):
+    return tuple(part.strip() for part in str(text).split(",") if part.strip())
+
+
 def _parse_hidden(text):
-    return tuple(int(part) for part in str(text).split(",") if part.strip())
+    return tuple(int(part) for part in _parse_list(text))
 
 
-# key -> (parser, default); None default means the key is mandatory.
-_CONFIG_SPEC = {
-    # network
-    "num_cells": (int, None),
-    "users_per_cell": (int, None),
-    "array_rows": (int, None),
-    "array_cols": (int, None),
-    "p_max_dbm": (float, 38.0),
-    "noise_dbm": (float, -101.0),
-    "carrier_freq_ghz": (float, 2.6),
-    "cell_radius_m": (float, 250.0),
-    "slot_duration_ms": (float, 20.0),
-    "ue_speed_kmh": (float, 3.0),
-    # channel model
-    "channel_model": (str, "geometric-ura"),
-    "temporal_corr": (str, "auto"),
-    "pathloss_exponent": (float, 3.0),
-    "pathloss_ref_db": (float, 36.0),
-    "pathloss_ref_dist_m": (float, 1.0),
-    "num_rays": (int, 8),
-    "angular_spread_deg": (float, 10.0),
-    "trace_file": (str, ""),
-    # agent
-    "hidden_sizes": (_parse_hidden, (128, 64, 32)),
-    "memory_capacity": (int, 2000),
-    "batch_size": (int, 256),
-    "actor_lr": (float, 1e-4),
-    "critic_lr": (float, 1e-3),
-    "discount": (float, 0.5),
-    "soft_update_rate": (float, 0.01),
-    "noise_sigma_init": (float, 0.6),
-    "noise_decay": (float, 1e-3),
-    "noise_sigma_min": (float, 0.01),
-    "codebook_size": (int, 128),
-    "csi_keep": (int, 3),
-    "num_interferers": (int, 2),
-    "action_mode": (str, "structured"),
-    # run control
-    "num_slots": (int, 20000),
-    "eval_window": (int, 200),
-    "bench_slots": (int, 200),
-    "bench_offset": (int, -1),
-    "episode_length": (int, 0),
-    "seed": (int, None),
-    "out_dir": (str, None),
-    "checkpoint_every": (int, 5000),
-    "schemes": (str, "ddcbf,mslnr-ep,wmmse"),
-    "checkpoint": (str, ""),
-    "mslnr_checkpoint": (str, ""),
-    # wmmse baseline
-    "wmmse_stop_eps": (float, 1e-4),
-    "wmmse_max_iter": (int, 500),
-    "wmmse_num_inits": (int, 10),
-}
+def _parse_corr(text):
+    return None if str(text).strip() == "auto" else float(text)
 
 
-@dataclass
+# Parsers of the plain annotations (strings under ``from __future__ import
+# annotations``).
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
+@dataclass(kw_only=True)
 class RunConfig:
-    """Fully resolved experiment configuration."""
+    """The table of run settings: one field per config-file key.
 
-    network: NetworkConfig
-    channel: ChannelModelConfig
-    hidden_sizes: tuple
-    memory_capacity: int
-    batch_size: int
-    actor_lr: float
-    critic_lr: float
-    discount: float
-    soft_update_rate: float
-    noise_sigma_init: float
-    noise_decay: float
-    noise_sigma_min: float
-    codebook_size: int
-    csi_keep: int
-    num_interferers: int
-    action_mode: str
-    num_slots: int
-    eval_window: int
-    bench_slots: int
-    bench_offset: int
-    episode_length: int
+    A field's default is the key's documented default; a field without one
+    is a mandatory key.  String values are parsed on construction, by the
+    field's ``parse`` metadata or else by its annotated type, so a config
+    built from raw text and one built with ``dataclasses.replace`` come out
+    alike.  ``network`` and ``channel`` are derived from the fields, and the
+    cross-key constraints checked, in ``__post_init__`` (``replace`` reruns
+    both).
+    """
+
+    # network
+    num_cells: int
+    users_per_cell: int
+    array_rows: int
+    array_cols: int
+    p_max_dbm: float = 38.0
+    noise_dbm: float = -101.0
+    carrier_freq_ghz: float = 2.6
+    cell_radius_m: float = 250.0
+    slot_duration_ms: float = 20.0
+    ue_speed_kmh: float = 3.0
+    # channel model ("auto" temporal correlation follows from the mobility)
+    channel_model: str = "geometric-ura"
+    temporal_corr: float | None = field(default="auto", metadata={"parse": _parse_corr})
+    pathloss_exponent: float = 3.0
+    pathloss_ref_db: float = 36.0
+    pathloss_ref_dist_m: float = 1.0
+    num_rays: int = 8
+    angular_spread_deg: float = 10.0
+    trace_file: str = ""
+    # agent
+    hidden_sizes: tuple = field(default=(128, 64, 32), metadata={"parse": _parse_hidden})
+    memory_capacity: int = 2000
+    batch_size: int = 256
+    actor_lr: float = 1e-4
+    critic_lr: float = 1e-3
+    discount: float = 0.5
+    soft_update_rate: float = 0.01
+    noise_sigma_init: float = 0.6
+    noise_decay: float = 1e-3
+    noise_sigma_min: float = 0.01
+    codebook_size: int = 128
+    csi_keep: int = 3
+    num_interferers: int = 2
+    action_mode: str = "structured"
+    # run control
+    num_slots: int = 20000
+    eval_window: int = 200
+    bench_slots: int = 200
+    bench_offset: int = -1
     seed: int
     out_dir: str
-    checkpoint_every: int
-    schemes: tuple
-    checkpoint: str
-    mslnr_checkpoint: str
-    trace_file: str
-    wmmse_stop_eps: float
-    wmmse_max_iter: int
-    wmmse_num_inits: int
+    checkpoint_every: int = 5000
+    schemes: tuple = field(default="ddcbf,mslnr-ep,wmmse", metadata={"parse": _parse_list})
+    checkpoint: str = ""
+    mslnr_checkpoint: str = ""
+    # wmmse baseline
+    wmmse_stop_eps: float = 1e-4
+    wmmse_max_iter: int = 500
+    wmmse_num_inits: int = 10
+    # derived
+    network: NetworkConfig = field(init=False)
+    channel: ChannelModelConfig = field(init=False)
+
+    def __post_init__(self):
+        for f in _config_keys():
+            value = getattr(self, f.name)
+            if not isinstance(value, str):
+                continue
+            parse = f.metadata.get("parse") or _PARSERS[f.type]
+            try:
+                setattr(self, f.name, parse(value))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"key '{f.name}': cannot parse {value!r}") from exc
+
+        self.network = NetworkConfig(
+            num_cells=self.num_cells,
+            users_per_cell=self.users_per_cell,
+            array_rows=self.array_rows,
+            array_cols=self.array_cols,
+            max_power=dbm_to_watt(self.p_max_dbm),
+            noise_power=dbm_to_watt(self.noise_dbm),
+            carrier_freq=self.carrier_freq_ghz * 1e9,
+            cell_radius=self.cell_radius_m,
+            slot_duration=self.slot_duration_ms / 1e3,
+            ue_speed=self.ue_speed_kmh / 3.6,
+        )
+        self.channel = ChannelModelConfig(
+            model_kind=self.channel_model,
+            temporal_corr=self.temporal_corr,
+            pathloss_exponent=self.pathloss_exponent,
+            pathloss_ref_db=self.pathloss_ref_db,
+            pathloss_ref_dist=self.pathloss_ref_dist_m,
+            num_rays=self.num_rays,
+            angular_spread_deg=self.angular_spread_deg,
+            rng_seed=self.seed,
+        )
+
+        if self.num_interferers > self.num_cells - 1:
+            raise ConfigError(
+                "num_interferers must be <= num_cells - 1 "
+                f"({self.num_interferers} > {self.num_cells - 1})"
+            )
+        if self.batch_size > self.memory_capacity:
+            raise ConfigError("batch_size must be <= memory_capacity")
+        for scheme in self.schemes:
+            if scheme not in SCHEMES:
+                raise ConfigError(f"unknown scheme '{scheme}' (choices: {SCHEMES})")
+        if self.action_mode not in ACTION_MODES:
+            raise ConfigError(f"action_mode must be one of {ACTION_MODES}")
+
+
+def _config_keys():
+    return [f for f in fields(RunConfig) if f.init]
 
 
 def build_config(values):
-    """Assemble a RunConfig from a flat key -> raw-value mapping."""
-    resolved = {}
-    for key, (parser, default) in _CONFIG_SPEC.items():
-        if key in values:
-            raw = values[key]
-            try:
-                resolved[key] = parser(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"key '{key}': cannot parse {raw!r}") from exc
-        elif default is None:
-            raise ConfigError(f"missing mandatory key '{key}'")
-        else:
-            resolved[key] = default
+    """Assemble a RunConfig from a flat key -> raw-value mapping.
 
-    network = NetworkConfig(
-        num_cells=resolved["num_cells"],
-        users_per_cell=resolved["users_per_cell"],
-        array_rows=resolved["array_rows"],
-        array_cols=resolved["array_cols"],
-        max_power=dbm_to_watt(resolved["p_max_dbm"]),
-        noise_power=dbm_to_watt(resolved["noise_dbm"]),
-        carrier_freq=resolved["carrier_freq_ghz"] * 1e9,
-        cell_radius=resolved["cell_radius_m"],
-        slot_duration=resolved["slot_duration_ms"] / 1e3,
-        ue_speed=resolved["ue_speed_kmh"] / 3.6,
-    )
-    corr_raw = resolved["temporal_corr"]
-    temporal_corr = None if str(corr_raw).strip() == "auto" else float(corr_raw)
-    channel = ChannelModelConfig(
-        model_kind=resolved["channel_model"],
-        temporal_corr=temporal_corr,
-        pathloss_exponent=resolved["pathloss_exponent"],
-        pathloss_ref_db=resolved["pathloss_ref_db"],
-        pathloss_ref_dist=resolved["pathloss_ref_dist_m"],
-        num_rays=resolved["num_rays"],
-        angular_spread_deg=resolved["angular_spread_deg"],
-        rng_seed=resolved["seed"],
-    )
-
-    if resolved["num_interferers"] > network.num_cells - 1:
-        raise ConfigError(
-            "num_interferers must be <= num_cells - 1 "
-            f"({resolved['num_interferers']} > {network.num_cells - 1})"
-        )
-    if resolved["batch_size"] > resolved["memory_capacity"]:
-        raise ConfigError("batch_size must be <= memory_capacity")
-    schemes = tuple(s.strip() for s in resolved["schemes"].split(",") if s.strip())
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme '{scheme}' (choices: {SCHEMES})")
-    if resolved["action_mode"] not in ACTION_MODES:
-        raise ConfigError(f"action_mode must be one of {ACTION_MODES}")
-
-    out_dir = os.environ.get(OUT_DIR_ENV_VAR, "").strip() or resolved["out_dir"]
-    kwargs = {
-        f.name: resolved[f.name]
-        for f in fields(RunConfig)
-        if f.name in resolved and f.name not in ("out_dir", "schemes")
-    }
-    return RunConfig(network=network, channel=channel, out_dir=out_dir, schemes=schemes, **kwargs)
+    A non-empty ``CBFLAB_OUT_DIR`` environment variable overrides ``out_dir``.
+    """
+    keys = _config_keys()
+    names = {f.name for f in keys}
+    for key in values:
+        if key not in names:
+            raise ConfigError(f"unknown key '{key}'")
+    for f in keys:
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"missing mandatory key '{f.name}'")
+    out_dir = os.environ.get(OUT_DIR_ENV_VAR, "").strip()
+    if out_dir:
+        values = {**values, "out_dir": out_dir}
+    return RunConfig(**values)
 
 
 def parse_config(path):
@@ -220,6 +218,7 @@ def parse_config(path):
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    keys = {f.name for f in _config_keys()}
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -230,7 +229,7 @@ def parse_config(path):
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = text.partition("=")
             key = key.strip()
-            if key not in _CONFIG_SPEC:
+            if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
@@ -243,7 +242,7 @@ def parse_config(path):
 
 def config_defaults():
     """Documented defaults for every optional key."""
-    return {k: v for k, (_, v) in _CONFIG_SPEC.items() if v is not None}
+    return {f.name: f.default for f in _config_keys() if f.default is not MISSING}
 
 
 def moving_average(series, window):
@@ -371,26 +370,31 @@ def _build_env(cfg: RunConfig, stream=None, action_mode=None):
 
 
 def _build_agents(cfg: RunConfig, env):
-    agents = []
-    for n in range(cfg.network.num_cells):
-        agents.append(
-            DdpgAgent(
-                state_dim=env.state_dim,
-                action_dim=env.action_dim,
-                hidden_sizes=cfg.hidden_sizes,
-                actor_lr=cfg.actor_lr,
-                critic_lr=cfg.critic_lr,
-                discount=cfg.discount,
-                soft_update_rate=cfg.soft_update_rate,
-                noise_sigma=cfg.noise_sigma_init,
-                noise_decay=cfg.noise_decay,
-                noise_sigma_min=cfg.noise_sigma_min,
-                memory_capacity=cfg.memory_capacity,
-                batch_size=cfg.batch_size,
-                seed=[cfg.seed, n],
-            )
-        )
-    return agents
+    hyperparameters = {name: getattr(cfg, name) for name in HYPERPARAMETERS}
+    return [
+        DdpgAgent(env.state_dim, env.action_dim, seed=[cfg.seed, n], **hyperparameters)
+        for n in range(cfg.network.num_cells)
+    ]
+
+
+def _check_resumed_agents(cfg: RunConfig, env, agents, path):
+    """Raise ConfigError naming the first key where ``agents`` and the config differ.
+
+    ``noise_sigma_init`` is not compared: the checkpoint keeps the running
+    sigma in its place, so the agents continue their noise schedule.
+    """
+    expected = {"state_dim": env.state_dim, "action_dim": env.action_dim}
+    for name in HYPERPARAMETERS:
+        if name != "noise_sigma_init":
+            expected[name] = getattr(cfg, name)
+    for n, agent in enumerate(agents):
+        for key, value in expected.items():
+            stored = getattr(agent, key)
+            if stored != value:
+                raise ConfigError(
+                    f"{key} = {value!r} does not match the value {stored!r} "
+                    f"that agent {n} in checkpoint {path} was built with"
+                )
 
 
 def save_checkpoint(path, slot, states, env, agents, sink_rows):
@@ -455,11 +459,15 @@ def _checkpoint_meta(data, path):
     return meta
 
 
-def load_checkpoint(path, env, agents):
-    """Restore env + agents in place; returns (slot, states, sink_rows)."""
+def load_checkpoint(path, env):
+    """Restore the env and its channel stream in place.
+
+    Returns (slot, states, sink_rows); ``load_agents_from_checkpoint`` restores
+    the agents.
+    """
     with np.load(path, allow_pickle=False) as data:
         meta = _checkpoint_meta(data, path)
-        if meta["num_agents"] != len(agents):
+        if meta["num_agents"] != env.net_cfg.num_cells:
             raise ConfigError("checkpoint agent count does not match config")
         stream_meta = meta["stream"]
         if stream_meta["kind"] == "trace":
@@ -494,8 +502,6 @@ def load_checkpoint(path, env, agents):
                 "prev": prev,
             }
         )
-        for n, agent in enumerate(agents):
-            agent.load_state_dict(_AgentArrays(data, n))
         states = data["states"]
     return meta["slot"], states, meta["sink_rows"]
 
@@ -513,13 +519,15 @@ def run_train(cfg: RunConfig, resume_from=None, basename=None):
     if basename is None:
         basename = "train" if cfg.action_mode == "structured" else "train_mslnr"
     env = _build_env(cfg)
-    agents = _build_agents(cfg, env)
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
 
     if resume_from:
-        start_slot, states, sink_rows = load_checkpoint(resume_from, env, agents)
+        start_slot, states, sink_rows = load_checkpoint(resume_from, env)
+        agents = load_agents_from_checkpoint(resume_from, cfg.network.num_cells)
+        _check_resumed_agents(cfg, env, agents, resume_from)
     else:
+        agents = _build_agents(cfg, env)
         states = env.reset()
         start_slot, sink_rows = 0, None
 

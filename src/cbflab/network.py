@@ -187,25 +187,6 @@ class SlotMetrics:
     total_ipn: np.ndarray
 
 
-def recompose_beamformer(p, direction):
-    """Rebuild a beamformer from its power and unit-norm direction.
-
-    Args:
-        p: allocated power in watts, >= 0.
-        direction: complex vector with unit Euclidean norm (within 1e-9).
-
-    Returns:
-        sqrt(p) * direction.
-    """
-    if p < 0:
-        raise ValueError("power must be nonnegative")
-    direction = np.asarray(direction)
-    norm = np.linalg.norm(direction)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"direction norm {norm!r} is not 1 within 1e-9")
-    return np.sqrt(p) * direction
-
-
 def compute_metrics(channel, beams, cfg):
     """Evaluate SINR, rate and interference bookkeeping for one slot.
 

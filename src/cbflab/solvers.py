@@ -288,26 +288,6 @@ def mrt_beamformer(h):
     return h / norm
 
 
-def rayleigh_quotient(w, signal_h, alpha, mu, leakage_channels):
-    """Generalized signal-to-weighted-leakage-plus-noise quotient.
-
-    Evaluates |signal_h^H w|^2 / (sum_x alpha[x] |h_x^H w|^2 + mu ||w||^2)
-    over the given leakage channels (rows of ``leakage_channels``).
-    """
-    w = np.asarray(w)
-    if np.linalg.norm(w) == 0:
-        raise ValueError("w must be nonzero")
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    leakage = np.asarray(leakage_channels).reshape(alpha.size, -1)
-    num = abs(np.vdot(signal_h, w)) ** 2
-    den = float(alpha @ (np.abs(leakage.conj() @ w) ** 2)) + mu * float(
-        np.linalg.norm(w) ** 2
-    )
-    if den == 0.0:
-        raise ArithmeticError("quotient denominator is zero (all alpha = 0, mu = 0)")
-    return num / den
-
-
 def _full_power_init(num_cells, users, antennas, p_max, rng):
     """Random directions, each BS transmitting the full budget split equally."""
     g = rng.standard_normal((num_cells, users, antennas)) + 1j * rng.standard_normal(

@@ -164,7 +164,10 @@ def test_replay_fifo_eviction():
     assert len(mem) == 3
     s, _, r, _ = mem.sample(3, np.random.default_rng(0))
     assert sorted(r.tolist()) == [1.0, 2.0, 3.0]
-    assert int(mem.oldest()[0][0]) == 1
+    # Item 3 overwrote item 0; the cursor points at item 1, next to go.
+    dump = mem.dump()
+    assert dump["states"][:, 0].tolist() == [3.0, 1.0, 2.0]
+    assert int(dump["states"][dump["cursor"], 0]) == 1
 
 
 def test_replay_full_sample_is_permutation():
@@ -202,6 +205,10 @@ def test_replay_sampling_uniformity():
 # -- agent ------------------------------------------------------------------------
 
 
+# Exploration settings for agents whose test does not pick its own.
+NOISE = dict(noise_sigma_init=0.6, noise_decay=1e-3, noise_sigma_min=0.01)
+
+
 def small_agent(**kw):
     defaults = dict(
         state_dim=6,
@@ -209,9 +216,12 @@ def small_agent(**kw):
         hidden_sizes=(8, 6),
         actor_lr=1e-3,
         critic_lr=1e-3,
+        discount=0.5,
+        soft_update_rate=0.01,
         memory_capacity=64,
         batch_size=4,
         seed=0,
+        **NOISE,
     )
     defaults.update(kw)
     return DdpgAgent(**defaults)
@@ -227,20 +237,20 @@ def test_act_deterministic_in_box():
 
 
 def test_act_clipping_with_huge_noise():
-    agent = small_agent(noise_sigma=1e6)
+    agent = small_agent(noise_sigma_init=1e6)
     s = np.zeros(6)
     a = agent.act(s, explore=True)
     assert np.all(a >= 0.0) and np.all(a <= 1.0)
 
 
 def test_noise_schedule_single_step():
-    agent = small_agent(noise_sigma=0.6, noise_decay=0.001)
+    agent = small_agent(noise_sigma_init=0.6, noise_decay=0.001)
     agent.act(np.zeros(6), explore=True)
     assert agent.noise_sigma == pytest.approx(0.6 / 1.001, rel=1e-12)
 
 
 def test_noise_schedule_floor_and_monotone():
-    agent = small_agent(noise_sigma=0.02, noise_decay=0.5, noise_sigma_min=0.01)
+    agent = small_agent(noise_sigma_init=0.02, noise_decay=0.5, noise_sigma_min=0.01)
     sigmas = []
     for _ in range(10):
         agent.act(np.zeros(6), explore=True)
@@ -250,7 +260,7 @@ def test_noise_schedule_floor_and_monotone():
 
 
 def test_greedy_act_does_not_decay():
-    agent = small_agent(noise_sigma=0.6)
+    agent = small_agent(noise_sigma_init=0.6)
     agent.act(np.zeros(6), explore=False)
     assert agent.noise_sigma == 0.6
 
@@ -515,10 +525,10 @@ class OracleAdam:
 
 
 class OracleAgent:
-    """The per-block DDPG update, with the production agent's defaults."""
+    """The per-block DDPG update."""
 
     def __init__(self, state_dim, action_dim, hidden_sizes, actor_lr, critic_lr,
-                 memory_capacity, batch_size, seed, discount=0.5, soft_update_rate=0.01):
+                 memory_capacity, batch_size, seed, discount, soft_update_rate):
         self.state_dim = state_dim
         self.discount = discount
         self.soft_update_rate = soft_update_rate
@@ -601,11 +611,13 @@ def test_flat_training_matches_per_block_oracle(dims):
         hidden_sizes=hidden,
         actor_lr=1e-4,
         critic_lr=1e-3,
+        discount=0.5,
+        soft_update_rate=0.01,
         memory_capacity=4 * batch,
         batch_size=batch,
         seed=[5, 2],
     )
-    agent, oracle = DdpgAgent(**kw), OracleAgent(**kw)
+    agent, oracle = DdpgAgent(**kw, **NOISE), OracleAgent(**kw)
     assert_agents_bit_equal(agent, oracle)
     rng = np.random.default_rng(8)
     for _ in range(2 * batch):

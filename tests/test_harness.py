@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from cbflab import harness
 from cbflab.channel import generate_trace
+from cbflab.drl import Mlp
 from cbflab.env import BeamformingEnv
 from cbflab.harness import (
     ConfigError,
@@ -20,6 +22,7 @@ from cbflab.harness import (
     build_config,
     config_defaults,
     generate_trace_file,
+    load_agents_from_checkpoint,
     load_checkpoint,
     moving_average,
     parse_config,
@@ -29,6 +32,7 @@ from cbflab.harness import (
     run_train,
     save_checkpoint,
 )
+from cbflab.network import dbm_to_watt
 
 SMALL = {
     "num_cells": "3",
@@ -129,14 +133,80 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
 
 
 def test_defaults_documented():
-    defaults = config_defaults()
-    assert defaults["batch_size"] == 256
-    assert defaults["memory_capacity"] == 2000
-    assert defaults["discount"] == 0.5
-    assert defaults["soft_update_rate"] == 0.01
-    assert defaults["noise_sigma_init"] == 0.6
-    assert defaults["noise_decay"] == 1e-3
-    assert defaults["noise_sigma_min"] == 0.01
+    # The whole table: changing a default must change this test.
+    assert config_defaults() == {
+        "p_max_dbm": 38.0,
+        "noise_dbm": -101.0,
+        "carrier_freq_ghz": 2.6,
+        "cell_radius_m": 250.0,
+        "slot_duration_ms": 20.0,
+        "ue_speed_kmh": 3.0,
+        "channel_model": "geometric-ura",
+        "temporal_corr": "auto",
+        "pathloss_exponent": 3.0,
+        "pathloss_ref_db": 36.0,
+        "pathloss_ref_dist_m": 1.0,
+        "num_rays": 8,
+        "angular_spread_deg": 10.0,
+        "trace_file": "",
+        "hidden_sizes": (128, 64, 32),
+        "memory_capacity": 2000,
+        "batch_size": 256,
+        "actor_lr": 1e-4,
+        "critic_lr": 1e-3,
+        "discount": 0.5,
+        "soft_update_rate": 0.01,
+        "noise_sigma_init": 0.6,
+        "noise_decay": 1e-3,
+        "noise_sigma_min": 0.01,
+        "codebook_size": 128,
+        "csi_keep": 3,
+        "num_interferers": 2,
+        "action_mode": "structured",
+        "num_slots": 20000,
+        "eval_window": 200,
+        "bench_slots": 200,
+        "bench_offset": -1,
+        "checkpoint_every": 5000,
+        "schemes": "ddcbf,mslnr-ep,wmmse",
+        "checkpoint": "",
+        "mslnr_checkpoint": "",
+        "wmmse_stop_eps": 1e-4,
+        "wmmse_max_iter": 500,
+        "wmmse_num_inits": 10,
+    }
+
+
+def test_defaults_fill_omitted_keys(tmp_path):
+    path = tmp_path / "min.cfg"
+    path.write_text(
+        "num_cells = 3\nusers_per_cell = 2\narray_rows = 1\narray_cols = 4\n"
+        f"seed = 1\nout_dir = {tmp_path}\n"
+    )
+    cfg = parse_config(path)
+    assert cfg.hidden_sizes == (128, 64, 32)
+    assert cfg.schemes == ("ddcbf", "mslnr-ep", "wmmse")
+    assert cfg.channel.temporal_corr is None
+    assert cfg.network.max_power == dbm_to_watt(38.0)
+
+
+def test_removed_episode_length_key_rejected(tmp_path):
+    path = write_config(tmp_path, episode_length=0)
+    with pytest.raises(ConfigError, match="unknown key 'episode_length'"):
+        parse_config(path)
+
+
+def test_replace_rebuilds_and_revalidates(tmp_path):
+    cfg = parse_config(write_config(tmp_path))
+    wider = dataclasses.replace(cfg, array_cols=8, seed=9, noise_dbm=-70.0)
+    assert wider.network.num_antennas == 8
+    assert wider.channel.rng_seed == 9
+    assert wider.network.noise_power == dbm_to_watt(-70.0)
+    assert cfg.network.num_antennas == 4
+    with pytest.raises(ConfigError, match="batch_size"):
+        dataclasses.replace(cfg, batch_size=128)
+    with pytest.raises(ConfigError, match="num_interferers"):
+        dataclasses.replace(cfg, num_cells=2)
 
 
 def test_moving_average_window():
@@ -203,6 +273,59 @@ def test_train_resume_from_version1_checkpoint(tmp_path, v1_layout):
     run_train(part_cfg, resume_from=str(old))
     assert (tmp_path / "part" / "train.csv").read_bytes() == full_csv
 
+
+def _finished_run_and_checkpoint(tmp_path):
+    """train.csv of an uninterrupted run, plus a second run's config and slot-7 checkpoint."""
+    run_train(parse_config(write_config(tmp_path, out_dir=tmp_path / "full")))
+    part_cfg = parse_config(write_config(tmp_path, out_dir=tmp_path / "part"))
+    run_train(part_cfg)
+    ckpt = tmp_path / "part" / "checkpoints" / "train_00000007.npz"
+    return (tmp_path / "full" / "train.csv").read_bytes(), part_cfg, str(ckpt)
+
+
+def test_resume_draws_no_initial_weights(tmp_path, monkeypatch):
+    full_csv, part_cfg, ckpt = _finished_run_and_checkpoint(tmp_path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("resume drew initial weights")
+
+    monkeypatch.setattr(Mlp, "create", no_draws)
+    run_train(part_cfg, resume_from=ckpt)
+    assert (tmp_path / "part" / "train.csv").read_bytes() == full_csv
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("hidden_sizes", "16,10"),
+        ("memory_capacity", 32),
+        ("batch_size", 4),
+        ("actor_lr", 0.5),
+        ("critic_lr", 0.5),
+        ("discount", 0.9),
+        ("soft_update_rate", 0.1),
+        ("noise_decay", 0.1),
+        ("noise_sigma_min", 0.1),
+        ("csi_keep", 2),  # changes the state width
+    ],
+)
+def test_resume_rejects_config_that_differs_from_checkpoint(tmp_path, key, value):
+    cfg = parse_config(write_config(tmp_path))
+    ckpt = run_train(cfg)["checkpoint"]
+    other = parse_config(write_config(tmp_path, name="other.cfg", **{key: value}))
+    name = "state_dim" if key == "csi_keep" else key
+    with pytest.raises(ConfigError, match=rf"^{name} = .* does not match"):
+        run_train(other, resume_from=ckpt)
+
+
+def test_resume_keeps_the_checkpoints_noise_sigma(tmp_path):
+    # The checkpoint holds the running sigma, not its start: a different
+    # noise_sigma_init resumes to the same metrics.
+    full_csv, part_cfg, ckpt = _finished_run_and_checkpoint(tmp_path)
+    run_train(dataclasses.replace(part_cfg, noise_sigma_init=0.1), resume_from=ckpt)
+    assert (tmp_path / "part" / "train.csv").read_bytes() == full_csv
+
+
 def _checkpoint_walls(events_path):
     """(slot, wall_s) of each checkpoint event, in log order."""
     with open(events_path) as fh:
@@ -248,8 +371,9 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, break_savez):
         save_checkpoint(path, 1, states, env, agents, 1)
     assert os.listdir(ckpt_dir) == ["train.npz"]
     fresh_env = _build_env(cfg)
-    slot, _, sink_rows = load_checkpoint(path, fresh_env, _build_agents(cfg, fresh_env))
+    slot, _, sink_rows = load_checkpoint(path, fresh_env)
     assert (slot, sink_rows) == (0, 0)
+    assert len(load_agents_from_checkpoint(path, cfg.network.num_cells)) == 3
 
 
 def test_checkpoint_failure_closes_metric_files(tmp_path, monkeypatch, break_savez):

@@ -9,7 +9,6 @@ from cbflab.network import (
     PowerConstraintError,
     compute_metrics,
     dbm_to_watt,
-    recompose_beamformer,
     sum_rate,
     watt_to_dbm,
 )
@@ -196,36 +195,6 @@ def test_sum_rate_matches_scalar_reevaluation():
         for k in range(2)
     )
     assert sum_rate(metrics) == pytest.approx(expected, rel=1e-12)
-
-
-def test_recompose_cases():
-    npt.assert_array_equal(
-        recompose_beamformer(0.0, np.array([1.0, 0.0])), np.zeros(2)
-    )
-    npt.assert_allclose(
-        recompose_beamformer(4.0, np.array([1.0, 0.0])), np.array([2.0, 0.0])
-    )
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        p = float(rng.uniform(0.1, 9.0))
-        w = recompose_beamformer(p, v)
-        assert np.linalg.norm(w) ** 2 == pytest.approx(p, rel=1e-12)
-
-
-def test_recompose_rejects_non_unit_direction():
-    with pytest.raises(ValueError):
-        recompose_beamformer(1.0, np.array([2.0, 0.0]))
-
-
-def test_decomposition_round_trip():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        p = np.linalg.norm(w) ** 2
-        back = recompose_beamformer(p, w / np.linalg.norm(w))
-        npt.assert_allclose(back, w, rtol=1e-12)
 
 
 def test_dbm_conversions():

@@ -25,7 +25,6 @@ from cbflab.solvers import (
     bisect_mu,
     mrt_beamformer,
     mslnr_params,
-    rayleigh_quotient,
     solve_leakage_system,
     structured_beamformer,
     structured_directions,
@@ -54,6 +53,26 @@ def rayleigh_channel(n, k, m, seed):
 def unit_probe(rng, m):
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return v / np.linalg.norm(v)
+
+
+def rayleigh_quotient(w, signal_h, alpha, mu, leakage_channels):
+    """Generalized signal-to-weighted-leakage-plus-noise quotient (test oracle).
+
+    Evaluates |signal_h^H w|^2 / (sum_x alpha[x] |h_x^H w|^2 + mu ||w||^2)
+    over the given leakage channels (rows of ``leakage_channels``).
+    """
+    w = np.asarray(w)
+    if np.linalg.norm(w) == 0:
+        raise ValueError("w must be nonzero")
+    alpha = np.asarray(alpha, dtype=float).reshape(-1)
+    leakage = np.asarray(leakage_channels).reshape(alpha.size, -1)
+    num = abs(np.vdot(signal_h, w)) ** 2
+    den = float(alpha @ (np.abs(leakage.conj() @ w) ** 2)) + mu * float(
+        np.linalg.norm(w) ** 2
+    )
+    if den == 0.0:
+        raise ArithmeticError("quotient denominator is zero (all alpha = 0, mu = 0)")
+    return num / den
 
 
 # Fixed examples and no example database, so every run checks the same cases.
