@@ -111,13 +111,6 @@ class Topology:
     ue_positions: np.ndarray  # (N, K, 2)
     ue_headings: np.ndarray  # (N, K) radians
 
-    def copy(self):
-        return Topology(
-            self.bs_positions.copy(),
-            self.ue_positions.copy(),
-            self.ue_headings.copy(),
-        )
-
 
 def hex_grid(num_sites, spacing):
     """First ``num_sites`` positions of a hexagonal grid, ring by ring.
@@ -343,11 +336,12 @@ class ChannelTrace:
 class ChannelProcess:
     """Stateful slot-by-slot channel generator with checkpoint support."""
 
-    def __init__(self, net_cfg, model_cfg, topology_seed=None):
+    kind = "process"
+
+    def __init__(self, net_cfg, model_cfg):
         self.net_cfg = net_cfg
         self.model_cfg = model_cfg
-        seed = model_cfg.rng_seed if topology_seed is None else topology_seed
-        self.topology = init_topology(net_cfg, seed)
+        self.topology = init_topology(net_cfg, model_cfg.rng_seed)
         self.rng = np.random.default_rng(model_cfg.rng_seed)
         self.current = None
 
@@ -358,30 +352,39 @@ class ChannelProcess:
         return self.current
 
     def state_dict(self):
-        return {
-            "slot": -1 if self.current is None else self.current.slot_index,
-            "h": None if self.current is None else self.current.h.copy(),
-            "ue_positions": self.topology.ue_positions.copy(),
-            "ue_headings": self.topology.ue_headings.copy(),
+        """Run-checkpoint entries after the first slot, as a pair (arrays, meta).
+
+        ``harness.save_checkpoint`` lays them out.  The arrays are copies.
+        """
+        arrays = {
+            "proc_h": self.current.h.copy(),
+            "proc_ue_positions": self.topology.ue_positions.copy(),
+            "proc_ue_headings": self.topology.ue_headings.copy(),
+        }
+        meta = {
+            "kind": self.kind,
+            "slot": self.current.slot_index,
             "rng_state": json.dumps(self.rng.bit_generator.state),
         }
+        return arrays, meta
 
     def load_state_dict(self, state):
-        slot = int(state["slot"])
-        self.current = (
-            None if slot < 0 else ChannelState(slot_index=slot, h=state["h"])
-        )
-        self.topology.ue_positions[...] = state["ue_positions"]
-        self.topology.ue_headings[...] = state["ue_headings"]
-        self.rng.bit_generator.state = json.loads(state["rng_state"])
+        """Restore a ``state_dict`` pair, taking ownership of its arrays."""
+        arrays, meta = state
+        self.current = ChannelState(slot_index=int(meta["slot"]), h=arrays["proc_h"])
+        self.topology.ue_positions = arrays["proc_ue_positions"]
+        self.topology.ue_headings = arrays["proc_ue_headings"]
+        self.rng.bit_generator.state = json.loads(meta["rng_state"])
 
 
 class TraceStream:
-    """Reads a stored trace slot by slot, starting at ``offset``."""
+    """Reads a stored trace slot by slot from its first slot."""
 
-    def __init__(self, trace, offset=0):
+    kind = "trace"
+
+    def __init__(self, trace):
         self.trace = trace
-        self.cursor = offset
+        self.cursor = 0
 
     def next_slot(self):
         if self.cursor >= self.trace.num_slots:
@@ -391,19 +394,21 @@ class TraceStream:
         return state
 
     def state_dict(self):
-        return {"cursor": self.cursor}
+        """Run-checkpoint entries as a pair (arrays, meta); there are no arrays."""
+        return {}, {"kind": self.kind, "cursor": self.cursor}
 
     def load_state_dict(self, state):
-        self.cursor = int(state["cursor"])
+        _, meta = state
+        self.cursor = int(meta["cursor"])
 
 
-def generate_trace(net_cfg, model_cfg, num_slots, topology_seed=None, offset=0):
+def generate_trace(net_cfg, model_cfg, num_slots, offset=0):
     """Slots [offset, offset + num_slots) of a fresh process, in memory.
 
     The ``offset`` slots before the window are generated and dropped, so the
     window is bit-identical to the same slots of a trace that starts at 0.
     """
-    proc = ChannelProcess(net_cfg, model_cfg, topology_seed=topology_seed)
+    proc = ChannelProcess(net_cfg, model_cfg)
     n, k, m = net_cfg.num_cells, net_cfg.users_per_cell, net_cfg.num_antennas
     h = np.empty((num_slots, n, n, k, m), dtype=np.complex128)
     for _ in range(offset):

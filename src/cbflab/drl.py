@@ -14,7 +14,16 @@ import os
 
 import numpy as np
 
-_CHECKPOINT_VERSION = 2
+# Version of the run checkpoint layout, laid out in ``harness.save_checkpoint``.
+CHECKPOINT_VERSION = 2
+
+
+def read_meta(entry):
+    """Parse a checkpoint's JSON ``meta`` entry; ValueError for an unknown version."""
+    meta = json.loads(str(entry))
+    if meta["version"] not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {meta['version']}")
+    return meta
 
 
 def savez_atomic(path, arrays):
@@ -68,52 +77,42 @@ def _sigmoid(x):
 class Mlp:
     """Fully connected net: rectifier hidden layers, identity or logistic output.
 
-    Weights W have shape (fan_out, fan_in); forward maps (B, in) -> (B, out)
-    and accepts single vectors as well.  All parameters live in one float64
-    vector ``flat``, laid out as the concatenation of ``parameters()``;
-    ``weights``, ``biases`` and ``parameters()`` are reshaped views into it,
-    so in-place edits of either form update the net.
+    ``layer_sizes`` are the widths [in, hidden..., out].  All parameters live
+    in the one float64 vector ``flat``, laid out as [W0, b0, W1, b1, ...]
+    with weights W of shape (fan_out, fan_in); ``weights``, ``biases`` and
+    ``parameters()`` are reshaped views into it, so in-place edits of either
+    form update the net.  The net takes ownership of the ``flat`` it is
+    given: it is neither copied nor converted.  Forward maps (B, in) ->
+    (B, out) and accepts single vectors as well.
     """
 
-    def __init__(self, weights, biases, output_activation="identity"):
+    def __init__(self, layer_sizes, flat, output_activation="identity"):
         if output_activation not in ("identity", "sigmoid"):
             raise ValueError("output_activation must be 'identity' or 'sigmoid'")
-        weights = [np.asarray(w, dtype=float) for w in weights]
-        biases = [np.asarray(b, dtype=float) for b in biases]
-        for w, b in zip(weights, biases):
-            if w.shape[0] != b.shape[0]:
-                raise ValueError("weight/bias shapes disagree")
-        for prev, nxt in zip(weights[:-1], weights[1:]):
-            if nxt.shape[1] != prev.shape[0]:
-                raise ValueError("consecutive layer dimensions are incompatible")
-        params = [p for pair in zip(weights, biases) for p in pair]
-        self._shapes = [p.shape for p in params]
-        self.flat = np.concatenate([p.ravel() for p in params])
-        self._params = self.blocks(self.flat)
+        pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        if flat.shape != (sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs),):
+            raise ValueError(
+                f"flat vector of shape {flat.shape} does not fit layers {layer_sizes}"
+            )
+        self._shapes = [
+            shape for fan_in, fan_out in pairs for shape in ((fan_out, fan_in), (fan_out,))
+        ]
+        self.flat = flat
+        self._params = self.blocks(flat)
         self.weights = self._params[0::2]
         self.biases = self._params[1::2]
         self.output_activation = output_activation
 
     @classmethod
-    def zeros(cls, layer_sizes, output_activation="identity"):
-        """All-zero net with the given layer widths [in, hidden..., out]."""
-        pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
-        return cls(
-            [np.zeros((fan_out, fan_in)) for fan_in, fan_out in pairs],
-            [np.zeros(fan_out) for _, fan_out in pairs],
-            output_activation,
-        )
-
-    @classmethod
     def create(cls, layer_sizes, output_activation="identity", rng=None):
         """Scaled-uniform fan-in initialization: U(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
         rng = np.random.default_rng(rng)
-        weights, biases = [], []
+        blocks = []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, (fan_out, fan_in)))
-            biases.append(rng.uniform(-bound, bound, fan_out))
-        return cls(weights, biases, output_activation)
+            blocks.append(rng.uniform(-bound, bound, (fan_out, fan_in)).ravel())
+            blocks.append(rng.uniform(-bound, bound, fan_out))
+        return cls(layer_sizes, np.concatenate(blocks), output_activation)
 
     @property
     def input_dim(self):
@@ -135,9 +134,6 @@ class Mlp:
             out.append(vector[start : start + size].reshape(shape))
             start += size
         return out
-
-    def copy(self):
-        return Mlp(self.weights, self.biases, self.output_activation)
 
     def _forward_impl(self, x, keep_cache):
         squeeze = x.ndim == 1
@@ -206,33 +202,33 @@ class Mlp:
 
 
 class Adam:
-    """Bias-corrected Adam over a list of parameter arrays (often one flat vector)."""
+    """Bias-corrected Adam over one flat parameter vector.
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    ``m`` and ``v`` are the first and second moments, laid out like the
+    parameters (zeros for a fresh optimizer); Adam takes ownership of them.
+    """
+
+    def __init__(self, m, v, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = m
+        self.v = v
 
-    def step(self, params, grads):
-        """Apply one update in place; returns the updated parameter list."""
-        for i, g in enumerate(grads):
-            if not np.all(np.isfinite(g)):
-                raise ArithmeticError(
-                    f"non-finite gradient in parameter block {i}; training halted"
-                )
+    def step(self, param, grad):
+        """Apply one update to ``param`` in place and return it."""
+        if not np.all(np.isfinite(grad)):
+            raise ArithmeticError("non-finite gradient; training halted")
         self.step_count += 1
         b1c = 1.0 - self.beta1**self.step_count
         b2c = 1.0 - self.beta2**self.step_count
-        for block in zip(params, grads, self.m, self.v):
-            for p, g, m, v in _chunks(*block):
-                m += (1.0 - self.beta1) * (g - m)
-                v += (1.0 - self.beta2) * (g * g - v)
-                p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-        return params
+        for p, g, m, v in _chunks(param, grad, self.m, self.v):
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        return param
 
 
 class ReplayMemory:
@@ -335,10 +331,31 @@ HYPERPARAMETERS = (
 # The replay arrays of a checkpoint, stored as ``replay_{key}``.
 _REPLAY_KEYS = ("states", "actions", "rewards", "next_states")
 
+# The flat vectors of an agent's checkpoint: the parameters of each net and
+# the Adam moments of the two online nets.
+_FLAT_KEYS = (
+    "actor",
+    "critic",
+    "target_actor",
+    "target_critic",
+    "adam_actor_m",
+    "adam_actor_v",
+    "adam_critic_m",
+    "adam_critic_v",
+)
+
 
 def _meta_key(name):
     """The checkpoint ``meta`` key that stores hyperparameter ``name``."""
     return "noise_sigma" if name == "noise_sigma_init" else name
+
+
+def _layer_sizes(state_dim, action_dim, hidden_sizes):
+    """Layer widths of the actor and of the critic (which also takes the action)."""
+    return {
+        "actor": [state_dim, *hidden_sizes, action_dim],
+        "critic": [state_dim + action_dim, *hidden_sizes, 1],
+    }
 
 
 class DdpgAgent:
@@ -353,16 +370,26 @@ class DdpgAgent:
     them).
     """
 
-    def __init__(self, state_dim, action_dim, *, seed, **hyperparameters):
+    def __init__(self, state_dim, action_dim, *, seed, hidden_sizes, **hyperparameters):
         rng = np.random.default_rng(seed)
-        self._build(state_dim, action_dim, rng, draw=True, **hyperparameters)
+        sizes = _layer_sizes(state_dim, action_dim, hidden_sizes)
+        flats = {}
+        for net, activation in (("actor", "sigmoid"), ("critic", "identity")):
+            flat = Mlp.create(sizes[net], activation, rng).flat
+            flats[net] = flat
+            flats[f"target_{net}"] = flat.copy()
+            flats[f"adam_{net}_m"] = np.zeros_like(flat)
+            flats[f"adam_{net}_v"] = np.zeros_like(flat)
+        self._build(
+            state_dim, action_dim, rng, flats, hidden_sizes=hidden_sizes, **hyperparameters
+        )
 
     def _build(
         self,
         state_dim,
         action_dim,
         rng,
-        draw,
+        flats,
         *,
         hidden_sizes,
         noise_sigma_init,
@@ -375,7 +402,10 @@ class DdpgAgent:
         actor_lr,
         critic_lr,
     ):
-        """Set up the agent; ``draw`` picks fresh initial weights over zeros."""
+        """Set up the agent around ``flats``, its vectors by ``_FLAT_KEYS`` key.
+
+        The nets and optimizers take ownership of those vectors.
+        """
         if not 0 <= discount < 1:
             raise ValueError("discount must lie in [0, 1)")
         if not 0 < soft_update_rate <= 1:
@@ -392,18 +422,13 @@ class DdpgAgent:
         self.noise_sigma_min = noise_sigma_min
         self.batch_size = batch_size
         self.rng = rng
-
-        def net(sizes, activation):
-            if draw:
-                return Mlp.create(sizes, activation, rng)
-            return Mlp.zeros(sizes, activation)
-
-        self.actor = net([state_dim, *hidden_sizes, action_dim], "sigmoid")
-        self.critic = net([state_dim + action_dim, *hidden_sizes, 1], "identity")
-        self.target_actor = self.actor.copy()
-        self.target_critic = self.critic.copy()
-        self.adam_actor = Adam([self.actor.flat], actor_lr)
-        self.adam_critic = Adam([self.critic.flat], critic_lr)
+        sizes = _layer_sizes(state_dim, action_dim, hidden_sizes)
+        self.actor = Mlp(sizes["actor"], flats["actor"], "sigmoid")
+        self.critic = Mlp(sizes["critic"], flats["critic"], "identity")
+        self.target_actor = Mlp(sizes["actor"], flats["target_actor"], "sigmoid")
+        self.target_critic = Mlp(sizes["critic"], flats["target_critic"], "identity")
+        self.adam_actor = Adam(flats["adam_actor_m"], flats["adam_actor_v"], actor_lr)
+        self.adam_critic = Adam(flats["adam_critic_m"], flats["adam_critic_v"], critic_lr)
         self.memory = ReplayMemory(memory_capacity)
 
     @property
@@ -474,7 +499,7 @@ class DdpgAgent:
         mean_q = float(np.mean(q))
         upstream = (-2.0 / b) * err[:, None]
         critic_grad, _ = self.critic.backward(ctx, upstream, input_grad=False)
-        self.adam_critic.step([self.critic.flat], [critic_grad])
+        self.adam_critic.step(self.critic.flat, critic_grad)
 
         policy_actions, actor_ctx = self.actor.forward_cached(states)
         _, critic_ctx = self.critic.forward_cached(
@@ -488,7 +513,7 @@ class DdpgAgent:
         )
         action_grad = input_grad[:, self.state_dim :]
         actor_grad, _ = self.actor.backward(actor_ctx, action_grad, input_grad=False)
-        self.adam_actor.step([self.actor.flat], [actor_grad])
+        self.adam_actor.step(self.actor.flat, actor_grad)
         return critic_loss, mean_q
 
     def soft_update(self, rate=None):
@@ -506,36 +531,28 @@ class DdpgAgent:
 
     # -- checkpointing ----------------------------------------------------
 
-    def _networks(self):
-        return (
-            ("actor", self.actor),
-            ("critic", self.critic),
-            ("target_actor", self.target_actor),
-            ("target_critic", self.target_critic),
-        )
-
-    def _optimizers(self):
-        return (
-            ("adam_actor", self.adam_actor, self.actor),
-            ("adam_critic", self.adam_critic, self.critic),
-        )
-
     def state_dict(self):
         """Checkpoint arrays: one flat vector per net and per Adam moment.
 
         The arrays alias the live agent (no copies), so write them out before
         the agent trains or acts again.
         """
-        arrays = {tag: net.flat for tag, net in self._networks()}
-        for tag, adam, _ in self._optimizers():
-            arrays[f"{tag}_m"] = adam.m[0]
-            arrays[f"{tag}_v"] = adam.v[0]
+        arrays = {
+            "actor": self.actor.flat,
+            "critic": self.critic.flat,
+            "target_actor": self.target_actor.flat,
+            "target_critic": self.target_critic.flat,
+            "adam_actor_m": self.adam_actor.m,
+            "adam_actor_v": self.adam_actor.v,
+            "adam_critic_m": self.adam_critic.m,
+            "adam_critic_v": self.adam_critic.v,
+        }
         replay = self.memory.dump()
         if replay is not None:
             for key in _REPLAY_KEYS:
                 arrays[f"replay_{key}"] = replay[key]
         meta = {
-            "version": _CHECKPOINT_VERSION,
+            "version": CHECKPOINT_VERSION,
             "state_dim": self.state_dim,
             "action_dim": self.action_dim,
         }
@@ -551,36 +568,29 @@ class DdpgAgent:
         arrays["meta"] = np.array(json.dumps(meta))
         return arrays
 
-    def save(self, path):
-        savez_atomic(path, self.state_dict())
-
     @classmethod
     def from_state_dict(cls, arrays):
         """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays.
 
-        Reads arrays of this version or version 1 into zero-initialized nets;
-        no initial weights are drawn.
+        Reads arrays of this version or version 1 and draws no initial
+        weights.  The agent takes ownership of what it reads: its nets and
+        Adam moments are the arrays that ``arrays`` returns (for version 1,
+        the concatenation of their blocks), not copies.
         """
-        meta = _read_meta(arrays)
+        meta = read_meta(arrays["meta"])
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
+        flats = {key: _flat_entry(arrays, meta, key) for key in _FLAT_KEYS}
         agent = cls.__new__(cls)
         agent._build(
             meta["state_dim"],
             meta["action_dim"],
             np.random.default_rng(),
-            draw=False,
+            flats,
             **hyperparameters,
         )
         agent.rng.bit_generator.state = meta["rng_state"]
-        version = meta["version"]
-        for tag, net in agent._networks():
-            blocks = len(net.parameters())
-            net.flat[...] = _flat_entry(arrays, version, tag, f"{tag}_p", blocks)
-        for tag, adam, net in agent._optimizers():
-            blocks = len(net.parameters())
-            adam.m[0][...] = _flat_entry(arrays, version, f"{tag}_m", f"{tag}_m", blocks)
-            adam.v[0][...] = _flat_entry(arrays, version, f"{tag}_v", f"{tag}_v", blocks)
-            adam.step_count = int(meta[f"{tag}_step"])
+        agent.adam_actor.step_count = int(meta["adam_actor_step"])
+        agent.adam_critic.step_count = int(meta["adam_critic_step"])
         if meta["replay_len"] > 0:
             replay = {key: arrays[f"replay_{key}"] for key in _REPLAY_KEYS}
             agent.memory.restore({**replay, "cursor": meta["replay_cursor"]})
@@ -591,39 +601,23 @@ class DdpgAgent:
         """The policy net alone, from ``state_dict`` arrays of either version.
 
         Reads only ``meta`` and the actor's entries, so with a lazily read
-        archive (``np.load`` of an ``.npz``) nothing else is loaded.
+        archive (``np.load`` of an ``.npz``) nothing else is loaded.  Like
+        ``from_state_dict``, the net takes ownership of the vector it reads.
         """
-        meta = _read_meta(arrays)
-        actor = Mlp.zeros(
-            [meta["state_dim"], *meta["hidden_sizes"], meta["action_dim"]], "sigmoid"
-        )
-        blocks = len(actor.parameters())
-        actor.flat[...] = _flat_entry(arrays, meta["version"], "actor", "actor_p", blocks)
-        return actor
-
-    @classmethod
-    def load(cls, path):
-        """Rebuild an agent from a checkpoint file written by ``save``."""
-        with np.load(path, allow_pickle=False) as data:
-            return cls.from_state_dict(data)
+        meta = read_meta(arrays["meta"])
+        sizes = _layer_sizes(meta["state_dim"], meta["action_dim"], meta["hidden_sizes"])
+        return Mlp(sizes["actor"], _flat_entry(arrays, meta, "actor"), "sigmoid")
 
 
-def _read_meta(arrays):
-    meta = json.loads(str(arrays["meta"]))
-    if meta["version"] not in (1, _CHECKPOINT_VERSION):
-        raise ValueError(f"unsupported checkpoint version {meta['version']}")
-    return meta
+def _flat_entry(arrays, meta, key):
+    """The flat vector stored under ``key`` in ``state_dict`` arrays of either version.
 
-
-def _flat_entry(arrays, version, key, v1_prefix, blocks):
-    """One net's flat vector from ``state_dict`` arrays of either version.
-
-    Version 2 stores it under ``key``; version 1 stored one array per
-    parameter block, ``{v1_prefix}0`` .. ``{v1_prefix}{blocks - 1}``, which
-    concatenate in index order to the same vector.
+    Version 2 stores it under ``key``.  Version 1 stored one array per
+    parameter block, ``{key}_p{i}`` for a net and ``{key}{i}`` for an Adam
+    moment, which concatenate in index order to the same vector.
     """
-    if version == 1:
-        return np.concatenate(
-            [np.ravel(arrays[f"{v1_prefix}{i}"]) for i in range(blocks)]
-        )
+    if meta["version"] == 1:
+        prefix = key if key.startswith("adam_") else f"{key}_p"
+        blocks = 2 * (len(meta["hidden_sizes"]) + 1)
+        return np.concatenate([np.ravel(arrays[f"{prefix}{i}"]) for i in range(blocks)])
     return arrays[key]

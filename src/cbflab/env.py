@@ -23,7 +23,7 @@ maximum; compressed-CSI parts by the channel norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -194,12 +194,14 @@ class PrevSlotInfo:
     own_channels: np.ndarray  # (N, K, M) serving channels (checkpointing)
 
 
-def build_state(n, channel, prev, codebook, csi_keep, num_interferers):
+def build_state(n, channel, prev, own_csi, csi_keep, num_interferers):
     """Assemble agent ``n``'s observation for the current slot.
 
     ``channel`` is the current slot's ChannelState (only its own-cell part is
-    consulted); every cross-cell quantity comes from ``prev``.  With
-    ``prev=None`` (first slot) all previous-slot blocks are zero-filled.
+    consulted) and ``own_csi[n][k]`` the CompressedCsi of its serving channel
+    ``channel.h[n, n, k]``, kept to ``csi_keep`` entries; every cross-cell
+    quantity comes from ``prev``.  With ``prev=None`` (first slot) all
+    previous-slot blocks are zero-filled.
     """
     num_cells = channel.num_cells
     users = channel.users_per_cell
@@ -211,9 +213,7 @@ def build_state(n, channel, prev, codebook, csi_keep, num_interferers):
     local[pos : pos + users * users] = orthogonal_measure(own).reshape(-1)
     pos += users * users
     for k in range(users):
-        local[pos : pos + 3 * csi_keep] = _csi_features(
-            compress_csi(own[k], codebook, csi_keep)
-        )
+        local[pos : pos + 3 * csi_keep] = _csi_features(own_csi[n][k])
         pos += 3 * csi_keep
     if prev is not None:
         m = prev.metrics
@@ -339,21 +339,24 @@ class BeamformingEnv:
     One ``step`` call decodes every agent's action into beamformers, scores
     the slot, computes distributed rewards, advances the fading process and
     returns next states carrying the one-slot-delayed cross-cell blocks.
+    ``codebook_size``, ``csi_keep`` and ``num_interferers`` are required
+    keyword arguments; there are no defaults here (the harness config holds
+    them).  ``own_csi[n][k]`` is the CompressedCsi of the current slot's
+    serving channel of user (n, k), computed once per slot.
     """
 
     def __init__(
         self,
         net_cfg,
         stream,
-        codebook_size=128,
-        csi_keep=3,
-        num_interferers=None,
+        *,
+        codebook_size,
+        csi_keep,
+        num_interferers,
         action_mode="structured",
     ):
         if action_mode not in ACTION_MODES:
             raise ValueError(f"action_mode must be one of {ACTION_MODES}")
-        if num_interferers is None:
-            num_interferers = min(4, net_cfg.num_cells - 1)
         if num_interferers > net_cfg.num_cells - 1:
             raise ValueError(
                 f"num_interferers={num_interferers} needs at least "
@@ -368,6 +371,7 @@ class BeamformingEnv:
         self.num_interferers = num_interferers
         self.action_mode = action_mode
         self.channel = None
+        self.own_csi = None
         self.prev = None
         self.last_records = None
 
@@ -393,7 +397,7 @@ class BeamformingEnv:
                     n,
                     self.channel,
                     self.prev,
-                    self.codebook,
+                    self.own_csi,
                     self.csi_keep,
                     self.num_interferers,
                 )
@@ -401,7 +405,7 @@ class BeamformingEnv:
             ]
         )
 
-    def _own_csi(self, serving):
+    def _compress(self, serving):
         """Compress a (N, K, M) serving-channel block, cell by cell."""
         return [
             [
@@ -411,9 +415,15 @@ class BeamformingEnv:
             for n in range(self.net_cfg.num_cells)
         ]
 
+    def _enter(self, channel):
+        """Make ``channel`` the current slot and compress its serving channels."""
+        idx = np.arange(self.net_cfg.num_cells)
+        self.channel = channel
+        self.own_csi = self._compress(channel.h[idx, idx])
+
     def reset(self):
         """Start (or restart) the episode at the stream's next slot."""
-        self.channel = self.stream.next_slot()
+        self._enter(self.stream.next_slot())
         self.prev = None
         self.last_records = None
         return self._states()
@@ -459,62 +469,61 @@ class BeamformingEnv:
         rewards = np.array([r.reward for r in records])
 
         idx = np.arange(cfg.num_cells)
-        serving = self.channel.h[idx, idx].copy()
         self.prev = PrevSlotInfo(
             metrics=metrics,
             powers=beams.powers,
-            own_csi=self._own_csi(serving),
-            own_channels=serving,
+            own_csi=self.own_csi,
+            own_channels=self.channel.h[idx, idx],
         )
-        self.channel = self.stream.next_slot()
+        self._enter(self.stream.next_slot())
         return self._states(), rewards, metrics
 
     # -- checkpointing ----------------------------------------------------
 
     def state_dict(self):
-        out = {
-            "slot": self.channel.slot_index if self.channel is not None else -1,
-            "channel_h": None if self.channel is None else self.channel.h.copy(),
-            "stream": self.stream.state_dict(),
-        }
+        """This env's run-checkpoint entries as a pair (arrays, meta).
+
+        The stream's entries are included; ``harness.save_checkpoint`` lays
+        them out.  The arrays are copies.
+        """
+        if self.channel is None:
+            raise RuntimeError("call reset() before state_dict()")
+        stream_arrays, stream_meta = self.stream.state_dict()
+        arrays = {"env_channel_h": self.channel.h.copy(), **stream_arrays}
         if self.prev is not None:
             m = self.prev.metrics
-            out["prev"] = {
-                "sinr": m.sinr.copy(),
-                "rate": m.rate.copy(),
-                "received_power": m.received_power.copy(),
-                "interference": m.interference.copy(),
-                "total_ipn": m.total_ipn.copy(),
-                "powers": self.prev.powers.copy(),
-                "own_channels": self.prev.own_channels.copy(),
-            }
-        else:
-            out["prev"] = None
-        return out
+            prev = {f.name: getattr(m, f.name) for f in fields(SlotMetrics)}
+            prev.update(powers=self.prev.powers, own_channels=self.prev.own_channels)
+            for name, value in prev.items():
+                arrays[f"prev_{name}"] = value.copy()
+        meta = {
+            "env_slot": self.channel.slot_index,
+            "stream": stream_meta,
+            "has_prev": self.prev is not None,
+        }
+        return arrays, meta
 
     def load_state_dict(self, state):
-        self.stream.load_state_dict(state["stream"])
-        slot = int(state["slot"])
-        self.channel = (
-            None
-            if slot < 0
-            else ChannelState(slot_index=slot, h=state["channel_h"])
+        """Restore a ``state_dict`` pair; ``arrays`` may be a whole checkpoint.
+
+        Only this env's and its stream's keys are read, and the env takes
+        ownership of what it reads.
+        """
+        arrays, meta = state
+        self.stream.load_state_dict((arrays, meta["stream"]))
+        self._enter(
+            ChannelState(slot_index=int(meta["env_slot"]), h=arrays["env_channel_h"])
         )
-        if state["prev"] is None:
-            self.prev = None
-        else:
-            p = state["prev"]
+        self.prev = None
+        if meta["has_prev"]:
             metrics = SlotMetrics(
-                sinr=p["sinr"],
-                rate=p["rate"],
-                received_power=p["received_power"],
-                interference=p["interference"],
-                total_ipn=p["total_ipn"],
+                **{f.name: arrays[f"prev_{f.name}"] for f in fields(SlotMetrics)}
             )
+            own_channels = arrays["prev_own_channels"]
             self.prev = PrevSlotInfo(
                 metrics=metrics,
-                powers=p["powers"],
-                own_csi=self._own_csi(p["own_channels"]),
-                own_channels=p["own_channels"],
+                powers=arrays["prev_powers"],
+                own_csi=self._compress(own_channels),
+                own_channels=own_channels,
             )
         self.last_records = None

@@ -32,7 +32,14 @@ from .channel import (
     load_trace,
     save_trace,
 )
-from .drl import HYPERPARAMETERS, DdpgAgent, Mlp, savez_atomic
+from .drl import (
+    CHECKPOINT_VERSION,
+    HYPERPARAMETERS,
+    DdpgAgent,
+    Mlp,
+    read_meta,
+    savez_atomic,
+)
 from .env import ACTION_MODES, BeamformingEnv, action_dim, decode_action, state_layout
 from .network import BeamformerSet, NetworkConfig, compute_metrics, dbm_to_watt
 from .solvers import (
@@ -45,7 +52,6 @@ from .solvers import (
 
 METRICS_VERSION = "cbflab-metrics-v1"
 BENCH_VERSION = "cbflab-bench-v1"
-CHECKPOINT_VERSION = 2
 OUT_DIR_ENV_VAR = "CBFLAB_OUT_DIR"
 
 SCHEMES = ("ddcbf", "mslnr-ddpg", "mslnr-ep", "wmmse", "wmmse-nri")
@@ -398,34 +404,46 @@ def _check_resumed_agents(cfg: RunConfig, env, agents, path):
 
 
 def save_checkpoint(path, slot, states, env, agents, sink_rows):
-    arrays = {}
+    """Write a run checkpoint: one ``.npz`` archive, written atomically.
+
+    Top-level arrays, each written by the module named:
+
+    * ``states`` (harness): the (N, state_dim) observations that the agents
+      act on at ``slot``;
+    * ``env_channel_h`` and ``prev_{name}`` (``env.BeamformingEnv``): the
+      current slot's channel and, once a slot has been stepped, the previous
+      slot's ``sinr``, ``rate``, ``received_power``, ``interference``,
+      ``total_ipn``, ``powers`` and ``own_channels``;
+    * ``proc_h``, ``proc_ue_positions`` and ``proc_ue_headings``
+      (``channel.ChannelProcess``, live channels only): the process's last
+      slot and its users' positions and headings;
+    * ``agent{n}_{key}`` (``drl.DdpgAgent.state_dict``): agent ``n``'s
+      entries, its own JSON ``meta`` among them;
+    * ``harness_meta``: one JSON string.
+
+    ``harness_meta`` holds ``version``, ``slot``, ``num_agents`` and
+    ``sink_rows`` (the metrics rows written so far), then the env's
+    ``env_slot``, ``stream`` and ``has_prev``.  ``stream`` is the stream's
+    own JSON: ``{"kind": "trace", "cursor"}`` or ``{"kind": "process",
+    "slot", "rng_state"}``.
+
+    ``drl.CHECKPOINT_VERSION`` is the version of the whole archive, and each
+    agent ``meta`` repeats it.  Versions 1 and 2 differ only in the agent
+    entries: version 2 stores each net (``actor``, ``critic``,
+    ``target_actor``, ``target_critic``) and each Adam moment
+    (``adam_{net}_m``, ``adam_{net}_v``) as one flat vector, version 1 as
+    one array per parameter block (``{net}_p{i}``, ``adam_{net}_m{i}``).
+    Both load.
+    """
+    env_arrays, env_meta = env.state_dict()
     meta = {
         "version": CHECKPOINT_VERSION,
         "slot": slot,
         "num_agents": len(agents),
         "sink_rows": sink_rows,
+        **env_meta,
     }
-    arrays["states"] = np.asarray(states)
-    env_state = env.state_dict()
-    arrays["env_channel_h"] = env_state["channel_h"]
-    meta["env_slot"] = env_state["slot"]
-    stream_state = env_state["stream"]
-    if "cursor" in stream_state:
-        meta["stream"] = {"kind": "trace", "cursor": stream_state["cursor"]}
-    else:
-        meta["stream"] = {
-            "kind": "process",
-            "slot": stream_state["slot"],
-            "rng_state": stream_state["rng_state"],
-        }
-        arrays["proc_h"] = stream_state["h"]
-        arrays["proc_ue_positions"] = stream_state["ue_positions"]
-        arrays["proc_ue_headings"] = stream_state["ue_headings"]
-    prev = env_state["prev"]
-    meta["has_prev"] = prev is not None
-    if prev is not None:
-        for key, value in prev.items():
-            arrays[f"prev_{key}"] = value
+    arrays = {"states": np.asarray(states), **env_arrays}
     for n, agent in enumerate(agents):
         for key, value in agent.state_dict().items():
             arrays[f"agent{n}_{key}"] = value
@@ -452,11 +470,11 @@ class _AgentArrays:
 
 
 def _checkpoint_meta(data, path):
-    """Parsed ``harness_meta`` of an open run checkpoint of any known version."""
-    meta = json.loads(str(data["harness_meta"]))
-    if meta["version"] not in (1, CHECKPOINT_VERSION):
-        raise ConfigError(f"unsupported checkpoint version {meta['version']} in {path}")
-    return meta
+    """Parsed ``harness_meta`` of an open run checkpoint; ConfigError if unreadable."""
+    try:
+        return read_meta(data["harness_meta"])
+    except ValueError as exc:
+        raise ConfigError(f"{exc} in {path}") from None
 
 
 def load_checkpoint(path, env):
@@ -469,39 +487,14 @@ def load_checkpoint(path, env):
         meta = _checkpoint_meta(data, path)
         if meta["num_agents"] != env.net_cfg.num_cells:
             raise ConfigError("checkpoint agent count does not match config")
-        stream_meta = meta["stream"]
-        if stream_meta["kind"] == "trace":
-            stream_state = {"cursor": stream_meta["cursor"]}
-        else:
-            stream_state = {
-                "slot": stream_meta["slot"],
-                "rng_state": stream_meta["rng_state"],
-                "h": data["proc_h"],
-                "ue_positions": data["proc_ue_positions"],
-                "ue_headings": data["proc_ue_headings"],
-            }
-        prev = None
-        if meta["has_prev"]:
-            prev = {
-                key: data[f"prev_{key}"]
-                for key in (
-                    "sinr",
-                    "rate",
-                    "received_power",
-                    "interference",
-                    "total_ipn",
-                    "powers",
-                    "own_channels",
-                )
-            }
-        env.load_state_dict(
-            {
-                "slot": meta["env_slot"],
-                "channel_h": data["env_channel_h"],
-                "stream": stream_state,
-                "prev": prev,
-            }
-        )
+        stored = meta["stream"]["kind"]
+        if stored != env.stream.kind:
+            raise ConfigError(
+                f"checkpoint {path} was written from a {stored!r} channel source, "
+                f"this config reads a {env.stream.kind!r} one "
+                "(a 'trace' source needs trace_file, a 'process' source none)"
+            )
+        env.load_state_dict((data, meta))
         states = data["states"]
     return meta["slot"], states, meta["sink_rows"]
 

@@ -119,10 +119,6 @@ class ChannelState:
     def num_antennas(self):
         return self.h.shape[3]
 
-    def local_csi(self, m):
-        """Channels available to BS ``m`` via reciprocity: h[m, :, :] (N, K, M)."""
-        return self.h[m]
-
 
 @dataclass(frozen=True)
 class BeamformerSet:
@@ -158,12 +154,6 @@ class BeamformerSet:
             raise PowerConstraintError(
                 f"BS {n} transmits {per_bs[n]:.6e} W, budget {max_power:.6e} W"
             )
-
-    @classmethod
-    def from_power_and_directions(cls, p, directions):
-        """Recompose w[n, k] = sqrt(p[n, k]) * w_bar[n, k]."""
-        p = np.asarray(p, dtype=float)
-        return cls(np.sqrt(p)[..., None] * np.asarray(directions))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cbflab.cli import build_parser, main
@@ -50,3 +51,44 @@ def test_eval_is_not_a_subcommand(tmp_path, capsys):
         main(["eval", str(write_config(tmp_path)), "--checkpoint", "x.npz"])
     assert exc.value.code == 2
     assert "invalid choice: 'eval'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first", ["trace", "process"])
+def test_resume_across_channel_sources_exits_two(tmp_path, capsys, first):
+    trace = tmp_path / "chan.trace"
+    configs = {
+        "process": str(write_config(tmp_path, name="live.cfg")),
+        "trace": str(write_config(tmp_path, name="trace.cfg", trace_file=trace)),
+    }
+    assert main(["trace-gen", configs["process"], str(trace), "--slots", "20"]) == 0
+    assert main(["train", configs[first]]) == 0
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
+    csv = tmp_path / "out" / "train.csv"
+    written = csv.read_bytes()
+    second = "process" if first == "trace" else "trace"
+    capsys.readouterr()
+    assert main(["train", configs[second], "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"written from a '{first}' channel source" in err
+    assert f"this config reads a '{second}' one" in err
+    assert csv.read_bytes() == written
+
+
+def test_unknown_run_checkpoint_version_exits_two(tmp_path, capsys):
+    config = str(write_config(tmp_path))
+    assert main(["train", config]) == 0
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000014.npz"
+    with np.load(ckpt) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["harness_meta"]))
+    meta["version"] = 3
+    arrays["harness_meta"] = np.array(json.dumps(meta))
+    future = tmp_path / "v3.npz"
+    np.savez(future, **arrays)
+    capsys.readouterr()
+    for argv in (
+        ["train", config, "--resume", str(future)],
+        ["bench", config, "--schemes", "ddcbf", "--checkpoint", str(future)],
+    ):
+        assert main(argv) == 2
+        assert "unsupported checkpoint version 3 in" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbflab.drl import Adam, DdpgAgent, Mlp, ReplayMemory
+from cbflab.drl import Adam, DdpgAgent, Mlp, ReplayMemory, savez_atomic
 
 
 def finite_difference(fn, arr, step=1e-5):
@@ -36,18 +36,18 @@ def rel_err(a, b):
 
 
 def test_forward_zero_net():
-    net = Mlp([np.zeros((3, 2)), np.zeros((2, 3))], [np.zeros(3), np.zeros(2)])
+    net = Mlp([2, 3, 2], np.zeros(3 * 2 + 3 + 2 * 3 + 2))
     npt.assert_array_equal(net.forward(np.ones(2)), np.zeros(2))
 
 
 def test_forward_identity_layer():
-    net = Mlp([np.eye(3)], [np.zeros(3)])
+    net = Mlp([3, 3], np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
     x = np.array([0.3, -1.2, 4.0])
     npt.assert_array_equal(net.forward(x), x)
 
 
 def test_forward_sigmoid_at_zero():
-    net = Mlp([np.zeros((4, 3))], [np.zeros(4)], output_activation="sigmoid")
+    net = Mlp([3, 4], np.zeros(4 * 3 + 4), output_activation="sigmoid")
     npt.assert_allclose(net.forward(np.ones(3)), 0.5)
 
 
@@ -124,34 +124,39 @@ def test_input_gradient_through_critic_chain():
 # -- adam ----------------------------------------------------------------------
 
 
+def fresh_adam(p, lr):
+    return Adam(np.zeros_like(p), np.zeros_like(p), lr=lr)
+
+
 def test_adam_first_step_hand_computed():
-    p = [np.array([0.0])]
-    adam = Adam(p, lr=0.1)
-    adam.step(p, [np.array([1.0])])
+    p = np.array([0.0])
+    adam = fresh_adam(p, lr=0.1)
+    adam.step(p, np.array([1.0]))
     # m_hat = 1, v_hat = 1 -> delta = -0.1 / (1 + 1e-8)
     expected = -0.1 / (1.0 + 1e-8)
-    assert p[0][0] == pytest.approx(expected, rel=1e-12)
+    assert p[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_adam_zero_gradient_no_move():
-    p = [np.array([1.5])]
-    adam = Adam(p, lr=0.1)
-    adam.step(p, [np.array([0.0])])
-    assert p[0][0] == 1.5
+    p = np.array([1.5])
+    adam = fresh_adam(p, lr=0.1)
+    adam.step(p, np.array([0.0]))
+    assert p[0] == 1.5
 
 
 def test_adam_identical_params_identical_updates():
-    p = [np.array([0.3]), np.array([0.3])]
-    adam = Adam(p, lr=0.05)
-    adam.step(p, [np.array([0.7]), np.array([0.7])])
-    assert p[0][0] == p[1][0]
+    p = np.array([0.3, 0.3])
+    adam = fresh_adam(p, lr=0.05)
+    adam.step(p, np.array([0.7, 0.7]))
+    assert p[0] == p[1]
 
 
 def test_adam_rejects_non_finite():
-    p = [np.array([0.0])]
-    adam = Adam(p, lr=0.1)
+    p = np.array([0.0])
+    adam = fresh_adam(p, lr=0.1)
     with pytest.raises(ArithmeticError):
-        adam.step(p, [np.array([np.nan])])
+        adam.step(p, np.array([np.nan]))
+    assert adam.step_count == 0 and p[0] == 0.0
 
 
 # -- replay ---------------------------------------------------------------------
@@ -225,6 +230,12 @@ def small_agent(**kw):
     )
     defaults.update(kw)
     return DdpgAgent(**defaults)
+
+
+def load_agent(path):
+    """The agent stored in an ``.npz`` of its ``state_dict`` arrays."""
+    with np.load(path, allow_pickle=False) as data:
+        return DdpgAgent.from_state_dict(data)
 
 
 def test_act_deterministic_in_box():
@@ -384,8 +395,8 @@ def test_checkpoint_bit_exact_continuation(tmp_path):
         a.soft_update()
         a.act(np.zeros(6), explore=True)
     path = tmp_path / "agent.npz"
-    a.save(path)
-    b = DdpgAgent.load(path)
+    savez_atomic(path, a.state_dict())
+    b = load_agent(path)
 
     # identical continuation: same samples, same updates, same noise draws
     for _ in range(3):
@@ -403,7 +414,7 @@ def test_checkpoint_bit_exact_continuation(tmp_path):
 
 def test_save_appends_npz_suffix(tmp_path):
     agent = small_agent()
-    agent.save(tmp_path / "agent")
+    savez_atomic(tmp_path / "agent", agent.state_dict())
     assert os.listdir(tmp_path) == ["agent.npz"]
 
 
@@ -411,14 +422,14 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, break_savez):
     agent = small_agent(seed=21)
     fill_memory(agent, 20, seed=2)
     path = tmp_path / "agent.npz"
-    agent.save(path)
+    savez_atomic(path, agent.state_dict())
     before = [p.copy() for p in agent.actor.parameters()]
     agent.train_step()
     break_savez()
     with pytest.raises(OSError, match="disk full"):
-        agent.save(path)
+        savez_atomic(path, agent.state_dict())
     assert os.listdir(tmp_path) == ["agent.npz"]
-    back = DdpgAgent.load(path)
+    back = load_agent(path)
     for p1, p2 in zip(before, back.actor.parameters()):
         npt.assert_array_equal(p1, p2)
 
@@ -589,8 +600,8 @@ def assert_agents_bit_equal(agent, oracle):
     for name in ("adam_actor", "adam_critic"):
         ours, theirs = getattr(agent, name), getattr(oracle, name)
         assert ours.step_count == theirs.step_count
-        assert ours.m[0].tobytes() == concat(theirs.m).tobytes(), f"{name} m"
-        assert ours.v[0].tobytes() == concat(theirs.v).tobytes(), f"{name} v"
+        assert ours.m.tobytes() == concat(theirs.m).tobytes(), f"{name} m"
+        assert ours.v.tobytes() == concat(theirs.v).tobytes(), f"{name} v"
     assert agent.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
@@ -687,7 +698,7 @@ def test_version1_agent_checkpoint_continues_bit_exactly(tmp_path, v1_layout):
         a.act(np.zeros(6), explore=True)
     path = tmp_path / "agent_v1.npz"
     np.savez(path, **v1_layout.agent(a.state_dict()))
-    b = DdpgAgent.load(path)
+    b = load_agent(path)
     for _ in range(3):
         assert a.train_step() == b.train_step()
         a.soft_update()

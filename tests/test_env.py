@@ -251,9 +251,9 @@ def test_delay_semantics_cross_cell_blocks():
     layout = state_layout(3, 2, 3, 2)
     prev = env.prev
     channel = env.channel
-    codebook = env.codebook
+    own_csi = env.own_csi
 
-    base = build_state(0, channel, prev, codebook, 3, 2)
+    base = build_state(0, channel, prev, own_csi, 3, 2)
 
     # Perturbing current-slot cross-cell channels leaves s_in/s_out unchanged.
     h_mut = channel.h.copy()
@@ -261,7 +261,7 @@ def test_delay_semantics_cross_cell_blocks():
     from cbflab.network import ChannelState
 
     mutated = build_state(
-        0, ChannelState(channel.slot_index, h_mut), prev, codebook, 3, 2
+        0, ChannelState(channel.slot_index, h_mut), prev, own_csi, 3, 2
     )
     npt.assert_array_equal(
         base[layout["local"] :], mutated[layout["local"] :]
@@ -280,7 +280,7 @@ def test_delay_semantics_cross_cell_blocks():
         metrics=bumped, powers=prev.powers, own_csi=prev.own_csi,
         own_channels=prev.own_channels,
     )
-    changed = build_state(0, channel, prev_mut, codebook, 3, 2)
+    changed = build_state(0, channel, prev_mut, own_csi, 3, 2)
     assert np.any(changed[layout["local"] :] != base[layout["local"] :])
 
 
@@ -472,7 +472,9 @@ def test_env_interferer_count_validation():
     model = ChannelModelConfig(rng_seed=0)
     trace = generate_trace(net, model, 3)
     with pytest.raises(ValueError):
-        BeamformingEnv(net, TraceStream(trace), num_interferers=3)
+        BeamformingEnv(
+            net, TraceStream(trace), codebook_size=16, csi_keep=3, num_interferers=3
+        )
 
 
 def test_env_checkpoint_round_trip():

@@ -376,6 +376,52 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, break_savez):
     assert len(load_agents_from_checkpoint(path, cfg.network.num_cells)) == 3
 
 
+def _checkpoint_arrays(path):
+    with np.load(path, allow_pickle=False) as data:
+        return {key: data[key] for key in data.files}
+
+
+@pytest.mark.parametrize("source", ["process", "trace"])
+def test_checkpoint_round_trip_is_a_fixed_point(tmp_path, source):
+    overrides = {}
+    if source == "trace":
+        overrides["trace_file"] = tmp_path / "chan.trace"
+        generate_trace_file(
+            parse_config(write_config(tmp_path)), overrides["trace_file"], num_slots=20
+        )
+    cfg = parse_config(write_config(tmp_path, **overrides))
+    run_train(cfg)
+    env = _build_env(cfg)
+    agents = _build_agents(cfg, env)
+    first = tmp_path / "slot0.npz"
+    save_checkpoint(first, 0, env.reset(), env, agents, 0)
+    later = tmp_path / "out" / "checkpoints" / "train_00000014.npz"
+    for path in (first, later):
+        env = _build_env(cfg)
+        slot, states, sink_rows = load_checkpoint(path, env)
+        agents = load_agents_from_checkpoint(path, cfg.network.num_cells)
+        again = tmp_path / "again.npz"
+        save_checkpoint(again, slot, states, env, agents, sink_rows)
+        stored, rewritten = _checkpoint_arrays(path), _checkpoint_arrays(again)
+        assert list(rewritten) == list(stored)
+        for key, array in stored.items():
+            assert rewritten[key].dtype == array.dtype, key
+            assert rewritten[key].shape == array.shape, key
+            assert rewritten[key].tobytes() == array.tobytes(), key
+        buffers = [
+            buffer
+            for a in agents
+            for net, target, adam in (
+                (a.actor, a.target_actor, a.adam_actor),
+                (a.critic, a.target_critic, a.adam_critic),
+            )
+            for buffer in (net.flat, target.flat, adam.m, adam.v)
+        ]
+        for i, buffer in enumerate(buffers):
+            for other in buffers[i + 1 :]:
+                assert not np.shares_memory(buffer, other)
+
+
 def test_checkpoint_failure_closes_metric_files(tmp_path, monkeypatch, break_savez):
     opened = []
 
