@@ -71,6 +71,7 @@ from .solvers import (
     WmmseState,
     bisect_mu,
     mrt_beamformer,
+    mslnr_beams,
     mslnr_params,
     structured_beamformer,
     structured_directions,

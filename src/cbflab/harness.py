@@ -41,10 +41,10 @@ from .drl import (
     savez_atomic,
 )
 from .env import ACTION_MODES, BeamformingEnv, action_dim, decode_action, state_layout
-from .network import BeamformerSet, NetworkConfig, compute_metrics, dbm_to_watt
+from .network import NetworkConfig, compute_metrics, dbm_to_watt
 from .solvers import (
     mrt_beamformer,
-    mslnr_params,
+    mslnr_beams,
     structured_beamformer,
     wmmse,
     wmmse_multi_init,
@@ -137,7 +137,8 @@ class RunConfig:
     schemes: tuple = field(default="ddcbf,mslnr-ep,wmmse", metadata={"parse": _parse_list})
     checkpoint: str = ""
     mslnr_checkpoint: str = ""
-    # wmmse baseline
+    # wmmse baseline: stop once the sum rate changes by less than
+    # wmmse_stop_eps relative to its current value
     wmmse_stop_eps: float = 1e-4
     wmmse_max_iter: int = 500
     wmmse_num_inits: int = 10
@@ -626,18 +627,8 @@ def _collect_window(cfg: RunConfig, offset, count):
 
 
 def _slot_seed(seed, slot):
-    """Deterministic per-slot stream for solver initializations."""
+    """Deterministic per-slot stream for the random starts of ``wmmse-nri``."""
     return int(np.random.SeedSequence([seed, slot]).generate_state(1)[0])
-
-
-def _mslnr_ep_beams(channel, net):
-    """Max-SLNR beamformers, every BS at full power split equally."""
-    params = mslnr_params(net.num_cells, net.users_per_cell, net.noise_power)
-    w = [
-        structured_beamformer(channel.h[n], n, params, net.max_power)
-        for n in range(net.num_cells)
-    ]
-    return BeamformerSet(w=np.stack(w))
 
 
 def _checkpoint_agents(path, num_agents, build):
@@ -685,8 +676,14 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     Every scheme sees the identical channel realizations.  Classical solvers
     run genie-aided on each slot's current CSI; trained policies are rolled
     out greedily through the environment.  Emits per-slot rows, an empirical
-    CDF and a summary table under the run's output directory.  For ``wmmse``
-    and ``wmmse-nri`` the summary also holds the kept runs' mean iteration
+    CDF and a summary table under the run's output directory.
+
+    ``wmmse`` starts from the slot's max-SLNR beams (the ``mslnr-ep`` ones)
+    and stops once the sum rate changes by less than ``wmmse_stop_eps``
+    relative to its value, so it never ends below ``mslnr-ep``.
+    ``wmmse-nri`` adds ``wmmse_num_inits - 1`` random full-power starts,
+    seeded per slot from ``seed``, and keeps the best, so it never ends below
+    ``wmmse``.  For both the summary also holds the kept runs' mean iteration
     count (``iterations_mean``) and the fraction that hit the iteration cap
     (``truncated_frac``).
     """
@@ -731,14 +728,10 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
                 for t in range(cfg.bench_slots):
                     channel = window.slot(t)
                     if scheme == "mslnr-ep":
-                        beams = _mslnr_ep_beams(channel, net)
+                        beams = mslnr_beams(channel, net)
                     elif scheme == "wmmse":
                         beams, state = wmmse(
-                            channel,
-                            net,
-                            cfg.wmmse_stop_eps,
-                            cfg.wmmse_max_iter,
-                            init_seed=_slot_seed(cfg.seed, offset + t),
+                            channel, net, cfg.wmmse_stop_eps, cfg.wmmse_max_iter
                         )
                         states.append(state)
                     elif scheme == "wmmse-nri":
@@ -819,10 +812,12 @@ def run_timing(cfg: RunConfig, repeats=30):
     The decision path is one actor forward pass, an action decode and the
     structured solve at the acting BS; it is timed against one full
     weighted-MMSE run on the same instance (plus max-SLNR and MRT for
-    ordering sanity).  Reports medians and interquartile ranges.  The
-    decision path runs at BS 0 on the process's first slot with a randomly
-    initialized actor, which the report's ``decision_path`` entry records:
-    its cost depends on the net's shape, not on training.
+    ordering sanity).  Reports medians and interquartile ranges, and the
+    WMMSE run's iteration count (``wmmse.iterations``), the base of
+    ``speedup_wmmse_over_decision``.  The decision path runs at BS 0 on the
+    process's first slot with a randomly initialized actor, which the
+    report's ``decision_path`` entry records: its cost depends on the net's
+    shape, not on training.
     """
     net = cfg.network
     rng = np.random.default_rng(cfg.seed)
@@ -838,32 +833,30 @@ def run_timing(cfg: RunConfig, repeats=30):
     state = rng.uniform(-1.0, 1.0, layout["total"])
     local = channel.h[0]
 
-    def decision(_):
+    def decision():
         action = actor.forward(state)
         params = decode_action(action, net.num_cells, net.users_per_cell, net.noise_power)
         return structured_beamformer(local, 0, params, net.max_power)
 
-    def mslnr_run(_):
-        return _mslnr_ep_beams(channel, net)
+    def mslnr_run():
+        return mslnr_beams(channel, net)
 
-    def mrt_run(_):
+    def mrt_run():
         k = net.users_per_cell
         return [mrt_beamformer(channel.h[0, 0, j]) for j in range(k)]
 
-    def wmmse_run(i):
-        return wmmse(
-            channel, net, cfg.wmmse_stop_eps, cfg.wmmse_max_iter, init_seed=i
-        )
+    def wmmse_run():
+        return wmmse(channel, net, cfg.wmmse_stop_eps, cfg.wmmse_max_iter)
 
     def time_many(fn, n):
         out = []
-        for i in range(n):
+        for _ in range(n):
             tic = time.perf_counter()
-            fn(i)
+            result = fn()
             out.append(time.perf_counter() - tic)
-        return np.asarray(out)
+        return np.asarray(out), result
 
-    decision(0)  # warm the caches before timing
+    decision()  # warm the caches before timing
     timings = {
         "ddcbf-decision": time_many(decision, repeats),
         "mslnr": time_many(mslnr_run, repeats),
@@ -871,13 +864,16 @@ def run_timing(cfg: RunConfig, repeats=30):
         "wmmse": time_many(wmmse_run, repeats),
     }
     report = {}
-    for name, arr in timings.items():
+    for name, (arr, _) in timings.items():
         q25, q50, q75 = np.percentile(arr, [25, 50, 75])
         report[name] = {
             "median_s": float(q50),
             "iqr_s": float(q75 - q25),
             "repeats": int(arr.size),
         }
+    # Every repeat runs the same deterministic solve: one iteration count.
+    _, wmmse_state = timings["wmmse"][1]
+    report["wmmse"]["iterations"] = wmmse_state.iterations
     report["decision_path"] = {
         "bs": 0,
         "slots": 1,

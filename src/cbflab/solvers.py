@@ -74,11 +74,10 @@ class WmmseState:
     structured form.  ``final_v`` re-evaluates the per-user weights at the
     returned beamformers; its log2-sum equals the achieved sum rate.
 
-    ``objective_history`` records sum(v) after every weight refresh (the
-    quantity the stop rule watches).  ``rate_history`` records sum(log2 v),
-    the weighted sum rate: this is the quantity the block-coordinate updates
-    provably never decrease (up to the bisection tolerance), whereas sum(v)
-    itself can dip while the rate still climbs.
+    ``rate_history`` records sum(log2 v), the sum rate, after every weight
+    refresh; its first entry is the rate of the start.  The block-coordinate
+    updates provably never decrease it (up to the bisection tolerance), and
+    the stop rule watches its relative change.
     """
 
     beams: BeamformerSet
@@ -87,7 +86,6 @@ class WmmseState:
     final_v: np.ndarray
     mu: np.ndarray
     iterations: int
-    objective_history: np.ndarray
     rate_history: np.ndarray
     truncated: bool
 
@@ -279,6 +277,16 @@ def mslnr_params(num_cells, users_per_cell, noise_power, q=None, q_total=1.0):
     )
 
 
+def mslnr_beams(channel, net_cfg):
+    """Max-SLNR beamformers of every BS, each at full power split equally."""
+    params = mslnr_params(net_cfg.num_cells, net_cfg.users_per_cell, net_cfg.noise_power)
+    w = [
+        structured_beamformer(channel.h[n], n, params, net_cfg.max_power)
+        for n in range(net_cfg.num_cells)
+    ]
+    return BeamformerSet(w=np.stack(w))
+
+
 def mrt_beamformer(h):
     """Maximum ratio transmission direction h / ||h||."""
     h = np.asarray(h)
@@ -314,20 +322,25 @@ def _wmmse_beamformers(flat_h, own_h, alpha, scale, p_max):
     return np.ascontiguousarray(_eigen_solve(lam, q, proj, mu)), mu
 
 
-def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
+def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     """Iterative weighted-MMSE solver for the sum-rate problem.
 
     Alternates closed-form updates of per-user receive scalars ``u``, MSE
     weights ``v`` and transmit beamformers (the structured solve, with its
-    own per-BS multiplier found by bisection) until the weight sum changes by
-    less than ``stop_eps``.  Needs global CSI: this is the centralized
-    genie-aided baseline.
+    own per-BS multiplier found by bisection).  It starts from the (N, K, M)
+    beamformers ``w0``, by default the max-SLNR ones at full power split
+    equally (``mslnr_beams``), and stops once the sum rate changes by less
+    than ``stop_eps`` relative to its current value.  Since no update lowers
+    the sum rate, the result is never below its start.  Needs global CSI:
+    this is the centralized genie-aided baseline.
 
     The beamformer update treats all N BSs as one stack: the (N, M, M)
     leakage matrices come from one batched product of the (N, N*K, M)
     channels, one stacked eigendecomposition serves the N multiplier
     bisections (run in lock step, see ``bisect_mu``) and the solve
-    w[n] = Q diag(1 / (lam + mu[n])) Q^H c, with (N, K, M) targets c.
+    w[n] = Q diag(1 / (lam + mu[n])) Q^H c, with (N, K, M) targets c.  The
+    weight refresh forms the (N, N, K, K) cross gains h^H w with one batched
+    product too.
 
     Returns:
         (BeamformerSet, WmmseState).  If the iteration cap is hit first, the
@@ -337,32 +350,38 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
     num_cells, _, users, antennas = h.shape
     p_max = net_cfg.max_power
     noise = net_cfg.noise_power
-    rng = np.random.default_rng(init_seed)
 
-    w = _full_power_init(num_cells, users, antennas, p_max, rng)
+    if w0 is None:
+        w = mslnr_beams(channel, net_cfg).w
+    else:
+        w = np.array(w0, dtype=complex)
+        if w.shape != (num_cells, users, antennas):
+            raise ValueError(f"w0 has shape {w.shape}, expected {num_cells, users, antennas}")
     mu = np.zeros(num_cells)
     u_gen = None
     v_gen = None
-    history = []
     rate_history = []
     iterations = 0
     truncated = False
 
     idx = np.arange(num_cells)
     flat_h = h.reshape(num_cells, num_cells * users, antennas)
+    flat_hc = flat_h.conj()
     own_h = h[idx, idx]
     while True:
         # Weight refresh for the current beamformers.
-        cross = np.einsum("mnka,mja->mnkj", h.conj(), w)
+        cross = (flat_hc @ w.swapaxes(1, 2)).reshape(num_cells, num_cells, users, users)
         denom = (np.abs(cross) ** 2).sum(axis=(0, 3)) + noise  # (N, K)
         if not np.all(denom > 0):
             raise ArithmeticError("receive denominator must stay positive")
         signal = cross[idx, idx][:, np.arange(users), np.arange(users)]
         u = signal / denom
         v = denom / (denom - np.abs(signal) ** 2)
-        history.append(float(v.sum()))
         rate_history.append(float(np.log2(v).sum()))
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < stop_eps:
+        if (
+            len(rate_history) >= 2
+            and abs(rate_history[-1] - rate_history[-2]) < stop_eps * abs(rate_history[-1])
+        ):
             break
         if iterations >= max_iter:
             truncated = True
@@ -383,7 +402,6 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
         final_v=v,
         mu=mu.copy(),
         iterations=iterations,
-        objective_history=np.asarray(history),
         rate_history=np.asarray(rate_history),
         truncated=truncated,
     )
@@ -391,20 +409,26 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
 
 
 def wmmse_multi_init(channel, net_cfg, stop_eps=1e-4, max_iter=500, num_inits=1, seed=0):
-    """Best-of-R weighted-MMSE: keep the highest sum rate over R random inits.
+    """Best-of-R weighted-MMSE: keep the highest sum rate over R starts.
 
-    Initialization ``i`` uses seed ``seed + i``, so the single-init run with
-    the same seed is always part of the pool.
+    The pool is the max-SLNR start of ``wmmse`` plus R - 1 random full-power
+    starts, start ``i`` drawn with seed ``seed + i``.  So the single-start run
+    is always part of the pool, and the result is never below it.
 
     Returns:
-        (BeamformerSet, WmmseState) of the kept initialization, as ``wmmse``.
+        (BeamformerSet, WmmseState) of the kept start, as ``wmmse``.
     """
     if num_inits < 1:
         raise ValueError("num_inits must be >= 1")
+    num_cells, _, users, antennas = channel.h.shape
     best = None
     best_rate = -np.inf
     for i in range(num_inits):
-        beams, state = wmmse(channel, net_cfg, stop_eps, max_iter, init_seed=seed + i)
+        w0 = None
+        if i:
+            rng = np.random.default_rng(seed + i)
+            w0 = _full_power_init(num_cells, users, antennas, net_cfg.max_power, rng)
+        beams, state = wmmse(channel, net_cfg, stop_eps, max_iter, w0=w0)
         rate = sum_rate(compute_metrics(channel, beams, net_cfg))
         if rate > best_rate:
             best_rate = rate

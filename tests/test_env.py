@@ -18,8 +18,8 @@ from cbflab.env import (
     select_interferers,
     state_layout,
 )
-from cbflab.harness import _mslnr_ep_beams
 from cbflab.network import NetworkConfig, SlotMetrics, compute_metrics, sum_rate
+from cbflab.solvers import mslnr_beams
 
 
 def make_net(n=3, k=2, m1=1, m2=4, **kw):
@@ -422,7 +422,7 @@ def test_step_mslnr_equivalent_action_matches_benchmark():
     action[-1] = 0.5  # mu = noise power
     actions = np.tile(action, (3, 1))
     _, _, metrics = env.step(actions)
-    ep = compute_metrics(channel, _mslnr_ep_beams(channel, net), net)
+    ep = compute_metrics(channel, mslnr_beams(channel, net), net)
     assert sum_rate(metrics) == pytest.approx(sum_rate(ep), rel=1e-8)
 
 
@@ -432,7 +432,7 @@ def test_step_mslnr_power_equal_full_split_matches_benchmark():
     channel = env.channel
     action = np.array([0.5, 0.5, 1.0])  # equal ratios, full power
     _, _, metrics = env.step(np.tile(action, (3, 1)))
-    ep = compute_metrics(channel, _mslnr_ep_beams(channel, net), net)
+    ep = compute_metrics(channel, mslnr_beams(channel, net), net)
     assert sum_rate(metrics) == pytest.approx(sum_rate(ep), rel=1e-8)
 
 

@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from cbflab import harness
-from cbflab.channel import generate_trace
+from cbflab.channel import ChannelProcess, generate_trace
 from cbflab.drl import Mlp
 from cbflab.env import BeamformingEnv
 from cbflab.harness import (
@@ -508,13 +508,7 @@ def test_benchmark_summary_records_wmmse_diagnostics(tmp_path):
     assert "iterations_mean" not in out["results"]["mslnr-ep"]
     window = _collect_window(cfg, 0, 3)
     states = [
-        harness.wmmse(
-            window.slot(t),
-            cfg.network,
-            cfg.wmmse_stop_eps,
-            cfg.wmmse_max_iter,
-            init_seed=harness._slot_seed(cfg.seed, t),
-        )[1]
+        harness.wmmse(window.slot(t), cfg.network, cfg.wmmse_stop_eps, cfg.wmmse_max_iter)[1]
         for t in range(3)
     ]
     stats = out["results"]["wmmse"]
@@ -625,6 +619,9 @@ def test_timing_sanity_ordering(tmp_path):
     with open(report["path"]) as fh:
         saved = json.load(fh)
     assert saved["wmmse"]["repeats"] == 5
+    channel = ChannelProcess(cfg.network, cfg.channel).next_slot()
+    _, state = harness.wmmse(channel, cfg.network, cfg.wmmse_stop_eps, cfg.wmmse_max_iter)
+    assert saved["wmmse"]["iterations"] == state.iterations
     assert saved["decision_path"] == {
         "bs": 0,
         "slots": 1,

@@ -24,6 +24,7 @@ from cbflab.solvers import (
     _wmmse_beamformers,
     bisect_mu,
     mrt_beamformer,
+    mslnr_beams,
     mslnr_params,
     solve_leakage_system,
     structured_beamformer,
@@ -150,24 +151,27 @@ def bisect_mu_loop(b0, targets, p_max, power_tol=1e-8, max_iter=200):
     return hi
 
 
-def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
+def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     """Reference weighted MMSE with the beamformer update as a per-BS loop.
 
-    Each BS builds its own leakage matrix, bisects its multiplier with the
-    scalar ``bisect_mu_loop`` and solves by Cholesky (``solve_leakage_system``),
-    independently of the stacked update it checks.
+    Starts from ``w0``, by default each BS's ``mslnr_beamformer`` at equal
+    power, and stops on the relative change of the sum rate, as ``wmmse``
+    does.  Each BS builds its own leakage matrix, bisects its multiplier with
+    the scalar ``bisect_mu_loop`` and solves by Cholesky
+    (``solve_leakage_system``), independently of the stacked update it checks.
     """
     h = channel.h
     num_cells, _, users, antennas = h.shape
     p_max = net_cfg.max_power
     noise = net_cfg.noise_power
-    rng = np.random.default_rng(init_seed)
 
-    w = _full_power_init(num_cells, users, antennas, p_max, rng)
+    if w0 is None:
+        ratios = np.full(users, 1.0 / users)
+        w0 = [mslnr_beamformer(h[bs], bs, noise, p_max, ratios) for bs in range(num_cells)]
+    w = np.array(w0, dtype=complex)
     mu = np.zeros(num_cells)
     u_gen = None
     v_gen = None
-    history = []
     rate_history = []
     iterations = 0
     truncated = False
@@ -181,9 +185,11 @@ def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
         signal = cross[idx, idx][:, np.arange(users), np.arange(users)]
         u = signal / denom
         v = denom / (denom - np.abs(signal) ** 2)
-        history.append(float(v.sum()))
         rate_history.append(float(np.log2(v).sum()))
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < stop_eps:
+        if (
+            len(rate_history) >= 2
+            and abs(rate_history[-1] - rate_history[-2]) < stop_eps * abs(rate_history[-1])
+        ):
             break
         if iterations >= max_iter:
             truncated = True
@@ -209,7 +215,6 @@ def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
         final_v=v,
         mu=mu.copy(),
         iterations=iterations,
-        objective_history=np.asarray(history),
         rate_history=np.asarray(rate_history),
         truncated=truncated,
     )
@@ -219,12 +224,20 @@ def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, init_seed=0):
 # -- wmmse ------------------------------------------------------------------
 
 
+def random_start(net, seed):
+    """Random directions at full power split equally, as ``wmmse_multi_init`` draws."""
+    rng = np.random.default_rng(seed)
+    return _full_power_init(
+        net.num_cells, net.users_per_cell, net.num_antennas, net.max_power, rng
+    )
+
+
 def test_wmmse_single_user_reaches_capacity():
     net = make_net(1, 1, 2)
     h = np.zeros((1, 1, 1, 2), dtype=complex)
     h[0, 0, 0] = np.array([1.0, 1.0]) / np.sqrt(2.0)
     ch = ChannelState(slot_index=0, h=h)
-    beams, state = wmmse(ch, net, init_seed=3)
+    beams, state = wmmse(ch, net, w0=random_start(net, 3))
     rate = sum_rate(compute_metrics(ch, beams, net))
     assert rate == pytest.approx(1.0, abs=1e-6)  # log2(1 + P*|h|^2/noise) = 1
     # converged to full-power MRT
@@ -241,7 +254,7 @@ def test_wmmse_weighted_rate_ascends(seed):
     # 1e-8 relative bisection power tolerance.
     net = make_net(3, 2, 4)
     ch = rayleigh_channel(3, 2, 4, seed)
-    _, state = wmmse(ch, net, init_seed=seed + 1000)
+    _, state = wmmse(ch, net, w0=random_start(net, seed + 1000))
     increments = np.diff(state.rate_history)
     assert increments.min() >= -2e-8
 
@@ -250,7 +263,7 @@ def test_wmmse_power_feasible_each_iteration():
     net = make_net(3, 2, 4)
     ch = rayleigh_channel(3, 2, 4, seed=5)
     for cap in range(1, 6):
-        beams, _ = wmmse(ch, net, max_iter=cap, init_seed=7)
+        beams, _ = wmmse(ch, net, max_iter=cap, w0=random_start(net, 7))
         per_bs = beams.powers.sum(axis=1)
         assert np.all(per_bs <= net.max_power * (1.0 + 1e-9))
 
@@ -258,7 +271,7 @@ def test_wmmse_power_feasible_each_iteration():
 def test_wmmse_final_weights_match_achieved_rates():
     net = make_net(3, 2, 4)
     ch = rayleigh_channel(3, 2, 4, seed=8)
-    beams, state = wmmse(ch, net, init_seed=2)
+    beams, state = wmmse(ch, net)
     achieved = sum_rate(compute_metrics(ch, beams, net))
     assert np.log2(state.final_v).sum() == pytest.approx(achieved, abs=1e-9)
 
@@ -266,7 +279,7 @@ def test_wmmse_final_weights_match_achieved_rates():
 def test_wmmse_truncation_flag():
     net = make_net(3, 2, 4)
     ch = rayleigh_channel(3, 2, 4, seed=1)
-    _, state = wmmse(ch, net, stop_eps=1e-12, max_iter=3, init_seed=0)
+    _, state = wmmse(ch, net, stop_eps=1e-12, max_iter=3)
     assert state.truncated
     assert state.iterations == 3
 
@@ -280,7 +293,7 @@ def test_wmmse_orthogonal_two_user_grid_oracle():
     h[0, 0, 0] = [g1, 0.0]
     h[0, 0, 1] = [0.0, g2]
     ch = ChannelState(slot_index=0, h=h)
-    beams, _ = wmmse(ch, net, stop_eps=1e-9, max_iter=2000, init_seed=4)
+    beams, _ = wmmse(ch, net, stop_eps=1e-9, max_iter=2000)
 
     grid = np.linspace(0.0, 2.0, 20001)
     rates = np.log2(1.0 + grid * g1**2) + np.log2(1.0 + (2.0 - grid) * g2**2)
@@ -301,7 +314,7 @@ def test_wmmse_orthogonal_two_user_grid_oracle():
 def test_multi_init_single_matches_wmmse():
     net = make_net(2, 2, 3)
     ch = rayleigh_channel(2, 2, 3, seed=9)
-    solo, solo_state = wmmse(ch, net, init_seed=17)
+    solo, solo_state = wmmse(ch, net)
     multi, multi_state = wmmse_multi_init(ch, net, num_inits=1, seed=17)
     npt.assert_array_equal(solo.w, multi.w)
     assert multi_state.iterations == solo_state.iterations
@@ -520,7 +533,7 @@ def test_structure_recovery_from_converged_state():
     net = make_net(3, 2, 4)
     for seed in range(5):
         ch = rayleigh_channel(3, 2, 4, seed=seed + 300)
-        beams, state = wmmse(ch, net, init_seed=seed)
+        beams, state = wmmse(ch, net, w0=random_start(net, seed))
         alpha = state.v * np.abs(state.u) ** 2
         for bs in range(3):
             dirs = structured_directions(ch.h[bs], bs, alpha, state.mu[bs])
@@ -598,8 +611,11 @@ def test_structured_params_validation():
 def test_wmmse_raises_on_non_positive_denominator():
     ch = rayleigh_channel(2, 2, 3, seed=0)
     net = types.SimpleNamespace(max_power=1.0, noise_power=-1e6)
+    # An explicit start: the max-SLNR default would reject the negative noise
+    # power (as its mu) before the first weight refresh.
+    w0 = _full_power_init(2, 2, 3, net.max_power, np.random.default_rng(0))
     with pytest.raises(ArithmeticError, match="denominator"):
-        wmmse(ch, net)
+        wmmse(ch, net, w0=w0)
 
 
 # -- properties -----------------------------------------------------------------
@@ -731,23 +747,22 @@ def path_loss_channel(n, k, m, seed):
     return ChannelState(slot_index=0, h=h)
 
 
-# (channel(seed), network, iteration cap).  At -101 dBm the iteration
-# amplifies rounding: a one-ulp change of the channel moves the loop's own
-# rate_history by up to 2e-8 relative within a few hundred iterations, and the
+# (channel(seed), network).  At -101 dBm the iteration amplifies rounding: a
+# one-ulp change of the channel moves the loop's own rate_history by up to
+# 2e-8 relative within a few hundred iterations from a random start, and the
 # stacked update, whose rounding differs, drifts from the loop the same way.
-# So the 7x4x32 comparison at 1e-9 stops after 10 iterations.
+# From the max-SLNR start the 7x4x32 runs stop after 3 or 4 iterations, so
+# the comparison at 1e-9 runs to the stop rule there too.
 ORACLE_CASES = {
-    "rayleigh-1x3x3": (lambda s: rayleigh_channel(1, 3, 3, s), make_net(1, 3, 3, noise=0.01), 500),
-    "rayleigh-3x2x4": (lambda s: rayleigh_channel(3, 2, 4, s), make_net(3, 2, 4), 500),
+    "rayleigh-1x3x3": (lambda s: rayleigh_channel(1, 3, 3, s), make_net(1, 3, 3, noise=0.01)),
+    "rayleigh-3x2x4": (lambda s: rayleigh_channel(3, 2, 4, s), make_net(3, 2, 4)),
     "rayleigh-4x3x6": (
         lambda s: rayleigh_channel(4, 3, 6, s),
         make_net(4, 3, 6, p_max=2.0, noise=0.1),
-        500,
     ),
     "pathloss-7x4x32": (
         lambda s: path_loss_channel(7, 4, 32, s),
         make_net(7, 4, 32, p_max=dbm_to_watt(38.0), noise=dbm_to_watt(-101.0)),
-        10,
     ),
 }
 
@@ -755,12 +770,12 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_stacked_wmmse_matches_loop_oracle(case, seed):
-    make_channel, net, max_iter = ORACLE_CASES[case]
+    make_channel, net = ORACLE_CASES[case]
     ch = make_channel(seed)
-    ref_beams, ref = wmmse_loop(ch, net, max_iter=max_iter, init_seed=seed)
-    beams, state = wmmse(ch, net, max_iter=max_iter, init_seed=seed)
+    ref_beams, ref = wmmse_loop(ch, net)
+    beams, state = wmmse(ch, net)
     assert state.iterations == ref.iterations
-    assert state.truncated == ref.truncated
+    assert not state.truncated and not ref.truncated
     npt.assert_allclose(state.mu, ref.mu, rtol=1e-8, atol=0.0)
     npt.assert_allclose(state.rate_history, ref.rate_history, rtol=1e-9, atol=0.0)
     rate = sum_rate(compute_metrics(ch, beams, net))
@@ -770,8 +785,53 @@ def test_stacked_wmmse_matches_loop_oracle(case, seed):
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_stacked_wmmse_power_feasible_each_cap(case):
-    make_channel, net, _ = ORACLE_CASES[case]
+    make_channel, net = ORACLE_CASES[case]
     ch = make_channel(5)
     for cap in range(1, 6):
-        beams, _ = wmmse(ch, net, max_iter=cap, init_seed=7)
+        beams, _ = wmmse(ch, net, max_iter=cap, w0=random_start(net, 7))
         assert np.all(beams.powers.sum(axis=1) <= net.max_power * (1.0 + 1e-9))
+
+
+# -- max-SLNR start and relative stop rule ----------------------------------------
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 3),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    path_loss=st.booleans(),
+)
+@example(n=7, k=4, m=32, seed=1, path_loss=True)
+def test_wmmse_never_below_mslnr(n, k, m, seed, path_loss):
+    # The default start is the max-SLNR beams and no update lowers the sum
+    # rate, so WMMSE ends at or above max-SLNR; slack as in the ascent test.
+    if path_loss:
+        ch = path_loss_channel(n, k, m, seed)
+        net = make_net(n, k, m, p_max=dbm_to_watt(38.0), noise=dbm_to_watt(-101.0))
+    else:
+        ch = rayleigh_channel(n, k, m, seed)
+        net = make_net(n, k, m)
+    beams, state = wmmse(ch, net)
+    start = sum_rate(compute_metrics(ch, mslnr_beams(ch, net), net))
+    assert state.rate_history[0] == pytest.approx(start, rel=1e-12)
+    assert np.diff(state.rate_history).min(initial=0.0) >= -2e-8
+    assert sum_rate(compute_metrics(ch, beams, net)) >= start - 2e-8
+
+
+def test_wmmse_default_stop_near_long_run():
+    make_channel, net = ORACLE_CASES["pathloss-7x4x32"]
+    ch = make_channel(0)
+    _, state = wmmse(ch, net)
+    _, long = wmmse(ch, net, stop_eps=0.0, max_iter=1000)
+    assert not state.truncated
+    assert long.iterations == 1000
+    assert state.rate_history[-1] >= (1.0 - 0.03) * long.rate_history[-1]
+
+
+def test_wmmse_rejects_start_of_wrong_shape():
+    net = make_net(2, 2, 3)
+    ch = rayleigh_channel(2, 2, 3, seed=0)
+    with pytest.raises(ValueError, match="w0"):
+        wmmse(ch, net, w0=random_start(make_net(2, 2, 4), 0))
