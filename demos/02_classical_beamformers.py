@@ -27,10 +27,11 @@ for n in range(net.num_cells):
 mrt_rate = cb.sum_rate(cb.compute_metrics(channel, cb.BeamformerSet(w=w), net))
 
 # Max-SLNR with equal power: local CSI only.  It is the structure below with
-# every leakage weight at one and mu at the noise power.
+# every leakage weight at one and mu at the noise power.  BS n solves from its
+# own slice channel.h[n]; all BSs are solved as one stack.
+cells = np.arange(net.num_cells)
 params_slnr = cb.mslnr_params(net.num_cells, k, net.noise_power)
-for n in range(net.num_cells):
-    w[n] = cb.structured_beamformer(channel.h[n], n, params_slnr, net.max_power)
+w = cb.structured_beamformer(channel.h, cells, params_slnr, net.max_power)
 slnr_rate = cb.sum_rate(cb.compute_metrics(channel, cb.BeamformerSet(w=w), net))
 
 # Weighted MMSE: centralized, iterative, needs global CSI.  It starts from the
@@ -46,21 +47,19 @@ print(f"weighted MMSE:        {wmmse_rate:7.2f} bits/s/Hz "
 
 # Structure recovery: alpha = v |u|^2 and the converged mu reproduce every
 # (non switched-off) WMMSE direction from local CSI alone.
-alpha = state.v * np.abs(state.u) ** 2
-worst = 1.0
-for n in range(net.num_cells):
-    directions = cb.structured_directions(channel.h[n], n, alpha, state.mu[n])
-    for j in range(k):
-        if beams.powers[n, j] > 1e-9 * net.max_power:
-            overlap = abs(np.vdot(directions[j], beams.directions[n, j]))
-            worst = min(worst, overlap)
+# Every BS uses the same weights alpha and its own mu.
+alpha = np.broadcast_to(state.v * np.abs(state.u) ** 2, (net.num_cells, net.num_cells, k))
+directions = cb.structured_directions(channel.h, cells, alpha, state.mu)
+overlap = np.abs(np.einsum("nkm,nkm->nk", directions.conj(), beams.directions))
+worst = overlap[beams.powers > 1e-9 * net.max_power].min(initial=1.0)
 print(f"worst |<structured, wmmse>| over active users: {worst:.12f}")
 
-# The same structure reaches MRT as the alpha = 0 special case.
+# The same structure reaches MRT as the alpha = 0 special case, here for BS 0
+# alone (a one-BS stack).
 params_mrt = cb.StructuredParams(
-    alpha=np.zeros((net.num_cells, k)), mu=1.0, q=np.full(k, 1.0 / k), q_total=1.0
+    alpha=np.zeros((1, net.num_cells, k)), mu=[1.0], q=np.full((1, k), 1.0 / k), q_total=[1.0]
 )
-w_mrt = cb.structured_beamformer(channel.h[0], 0, params_mrt, net.max_power)
+w_mrt = cb.structured_beamformer(channel.h[:1], [0], params_mrt, net.max_power)[0]
 align = abs(np.vdot(
     w_mrt[0] / np.linalg.norm(w_mrt[0]), cb.mrt_beamformer(channel.h[0, 0, 0])
 ))

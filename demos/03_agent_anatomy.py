@@ -37,16 +37,17 @@ action = np.full(env.action_dim, 0.5)
 action[k] = 1.0
 action[k + 1 : k + 1 + net.num_cells * k] = 1.0
 
-params = cb.decode_action(action, net.num_cells, k, net.noise_power)
-print(f"decoded: q={params.q}, q_total={params.q_total}, mu/noise="
-      f"{params.mu / net.noise_power:.3f}")
+# decode_action takes one row per BS; this is a stack of one.
+params = cb.decode_action(action[None], net.num_cells, k, net.noise_power)
+print(f"decoded: q={params.q[0]}, q_total={params.q_total[0]}, mu/noise="
+      f"{params.mu[0] / net.noise_power:.3f}")
 
 for slot in range(3):
     states, rewards, metrics = env.step(np.tile(action, (net.num_cells, 1)))
-    rec = env.last_records[0]
+    rec = env.last_reward  # (N,) arrays, one entry per agent
     print(f"slot {slot}: sum rate {cb.sum_rate(metrics):6.2f}, "
-          f"agent-0 reward {rec.reward:6.2f} "
-          f"(own {rec.own_sum_rate:.2f} - caused-rate-loss {rec.penalty:.2f})")
+          f"agent-0 reward {rec.reward[0]:6.2f} "
+          f"(own {rec.own_sum_rate[0]:.2f} - caused-rate-loss {rec.penalty[0]:.2f})")
 
 # After a step the delayed blocks are populated and finite.
 print("delayed blocks populated:",

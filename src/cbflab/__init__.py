@@ -32,7 +32,6 @@ from .channel import (
 from .drl import Adam, DdpgAgent, Mlp, ReplayMemory
 from .env import (
     BeamformingEnv,
-    CompressedCsi,
     DftCodebook,
     RewardRecord,
     build_codebook,

@@ -31,7 +31,9 @@ def build_parser():
     p = subs.add_parser("trace-gen", help="generate a channel trace file")
     _add_config_arg(p)
     p.add_argument("out", help="output trace path")
-    p.add_argument("--slots", type=int, default=None, help="override num_slots")
+    p.add_argument(
+        "--slots", type=int, default=None, help="slots to write (default: num_slots + 1)"
+    )
 
     p = subs.add_parser("train", help="run the multi-agent training loop")
     _add_config_arg(p)

@@ -1,4 +1,4 @@
-"""Multi-agent environment: per-BS states, action decoding and rewards.
+"""Multi-agent environment: the states, action decoding and rewards of all BSs.
 
 Each BS observes three blocks, concatenated into one fixed-layout vector:
 
@@ -11,6 +11,14 @@ Each BS observes three blocks, concatenated into one fixed-layout vector:
 * interfered block -- records about the out-of-cell users this BS disturbed
   most in the previous slot (index, rate, caused interference, fractional
   share of the victim's total interference-plus-noise).
+
+A slot runs each stage once for all N BSs, on stacked arrays: one pass
+compresses the (N, K, M) serving channels, one builds the (N, state_dim)
+states, one decodes the (N, A) actions into a stack of structured parameters
+that one stacked solve turns into beamformers, and one scores the N rewards.
+The interfered users are selected once per slot, from that slot's
+interference; the rewards and the next slot's interfered blocks both read
+that selection.
 
 Inter-cell information always lags one slot: cross-cell quantities of slot t
 reach the other BSs at the start of slot t+1, so slot-t decisions use slot
@@ -68,89 +76,82 @@ def build_codebook(num_antennas, size):
     return DftCodebook(matrix=matrix)
 
 
-@dataclass(frozen=True)
-class CompressedCsi:
-    """Top projections of a channel onto the codebook, strongest first.
-
-    ``index_norm`` holds c/C for each kept column; ``values`` the raw complex
-    projections (magnitudes non-increasing); ``channel_norm`` the Euclidean
-    norm of the compressed channel, kept for feature scaling.
-    """
-
-    index_norm: np.ndarray
-    values: np.ndarray
-    channel_norm: float
-
-
 def compress_csi(h, codebook, keep):
-    """Project onto the codebook and keep the ``keep`` strongest entries.
+    """Project (..., M) channels onto the codebook; keep the ``keep`` strongest entries.
 
-    Ties in magnitude break toward the lower column index.
+    Returns (index, values, norm): the kept columns (..., keep), strongest
+    first, ties toward the lower column; their complex projections; and the
+    norm (...) of each channel, kept for feature scaling.
     """
     h = np.asarray(h)
-    norm = np.linalg.norm(h)
-    if norm == 0:
+    # The dot products of the real and imaginary parts: what
+    # np.linalg.norm computes for one channel, here for all of them.
+    norm = np.sqrt(np.vecdot(h.real, h.real) + np.vecdot(h.imag, h.imag))
+    if np.any(norm == 0):
         raise ValueError("cannot compress a zero channel")
-    d = codebook.matrix.conj().T @ h
-    order = np.lexsort((np.arange(d.size), -np.abs(d)))[:keep]
-    return CompressedCsi(
-        index_norm=order / codebook.size,
-        values=d[order],
-        channel_norm=float(norm),
-    )
+    d = np.matmul(codebook.matrix.conj().T, h[..., None])[..., 0]
+    index = np.argsort(-np.abs(d), axis=-1, kind="stable")[..., :keep]
+    return index, np.take_along_axis(d, index, axis=-1), norm
 
 
-def reconstruct_csi(comp, codebook):
-    """Inverse map F @ d; exact when the compression kept every column."""
-    idx = np.rint(comp.index_norm * codebook.size).astype(int)
-    return codebook.matrix[:, idx] @ comp.values
+def csi_features(h, codebook, keep):
+    """Compressed-CSI features (..., 3 * keep) of (..., M) channels.
+
+    Interleaved (index, re, im) triples: the column index over the codebook
+    size and the projection's parts over the channel norm.
+    """
+    index, values, norm = compress_csi(h, codebook, keep)
+    out = np.empty((*values.shape[:-1], 3 * keep))
+    out[..., 0::3] = index / codebook.size
+    out[..., 1::3] = values.real / norm[..., None]
+    out[..., 2::3] = values.imag / norm[..., None]
+    return out
 
 
 def orthogonal_measure(channels):
     """Pairwise squared normalized inner products of a cell's user channels.
 
-    Entry (j, k) is (|<h_j, h_k>| / (||h_j|| ||h_k||))^2: symmetric, in
-    [0, 1], with unit diagonal.
+    Stacked over the leading axes of (..., K, M) channels.  Entry (j, k) is
+    (|<h_j, h_k>| / (||h_j|| ||h_k||))^2: symmetric, in [0, 1], with unit
+    diagonal.
     """
     channels = np.asarray(channels)
-    norms = np.linalg.norm(channels, axis=1)
+    norms = np.linalg.norm(channels, axis=-1)
     if np.any(norms == 0):
         raise ValueError("orthogonal measure undefined for zero channels")
-    unit = channels / norms[:, None]
-    return np.abs(unit.conj() @ unit.T) ** 2
+    unit = channels / norms[..., None]
+    return np.abs(unit.conj() @ unit.swapaxes(-1, -2)) ** 2
 
 
-def select_interferers(interference, n, k, count):
-    """The ``count`` BSs other than ``n`` hitting user (n, k) hardest.
+def select_interferers(interference, count):
+    """For every user (n, k), the ``count`` BSs other than n hitting it hardest.
 
-    Ranked by previous-slot interference power, descending; ties break toward
-    the lower BS index.
+    Returns (N, K, count) BS indices, ranked by previous-slot interference
+    power, descending; ties break toward the lower BS index.
     """
     num_cells = interference.shape[0]
     if count > num_cells - 1:
         raise ValueError("cannot select more interferers than other cells")
-    others = np.array([m for m in range(num_cells) if m != n])
-    beta = interference[others, n, k]
-    order = np.lexsort((others, -beta))
-    return others[order[:count]]
+    key = -interference.transpose(1, 2, 0)  # key[n, k, m] = -beta[m, n, k]
+    idx = np.arange(num_cells)
+    key[idx, :, idx] = np.inf
+    return np.argsort(key, axis=-1, kind="stable")[..., :count]
 
 
-def select_interfered(interference, n, count):
-    """The ``count`` out-of-cell users that BS ``n`` disturbed hardest.
+def select_interfered(interference, count):
+    """For every BS n, the ``count`` out-of-cell users it disturbed hardest.
 
-    Returns (count, 2) rows (cell, user), ranked by the interference this BS
-    caused, descending, ties toward the lower flat index.
+    Returns (N, count) flat user indices m * K + j, ranked by the
+    interference BS n caused, descending, ties toward the lower flat index.
     """
     num_cells, _, users = interference.shape
     if count > (num_cells - 1) * users:
         raise ValueError("cannot select more interfered users than exist")
-    pairs = np.array(
-        [(m, j) for m in range(num_cells) if m != n for j in range(users)]
-    )
-    beta = interference[n, pairs[:, 0], pairs[:, 1]]
-    flat = pairs[:, 0] * users + pairs[:, 1]
-    order = np.lexsort((flat, -beta))
-    return pairs[order[:count]]
+    key = -interference  # key[n, m, j] = -beta[n, m, j]
+    idx = np.arange(num_cells)
+    key[idx, idx] = np.inf
+    key = key.reshape(num_cells, num_cells * users)
+    return np.argsort(key, axis=-1, kind="stable")[:, :count]
 
 
 def state_layout(num_cells, users_per_cell, csi_keep, num_interferers):
@@ -175,83 +176,69 @@ def _power_feature(watts):
     return (dbm - POWER_FLOOR_DBM) / (POWER_CEIL_DBM - POWER_FLOOR_DBM) * 2.0 - 1.0
 
 
-def _csi_features(comp):
-    """Interleaved (index, re, im) triples, parts scaled by the channel norm."""
-    out = np.empty(3 * comp.values.size)
-    out[0::3] = comp.index_norm
-    out[1::3] = comp.values.real / comp.channel_norm
-    out[2::3] = comp.values.imag / comp.channel_norm
-    return out
-
-
 @dataclass
 class PrevSlotInfo:
-    """Everything about slot t-1 an agent may consult at slot t."""
+    """Everything about slot t-1 the agents may consult at slot t."""
 
     metrics: object  # SlotMetrics
     powers: np.ndarray  # (N, K) allocated powers
-    own_csi: list  # own_csi[n][k]: CompressedCsi of cell n's serving channels
+    csi: np.ndarray  # (N, K, 3 * csi_keep) csi_features of the serving channels
     own_channels: np.ndarray  # (N, K, M) serving channels (checkpointing)
+    interfered: np.ndarray  # (N, K * num_interferers) select_interfered of metrics
 
 
-def build_state(n, channel, prev, own_csi, csi_keep, num_interferers):
-    """Assemble agent ``n``'s observation for the current slot.
+def build_state(serving, csi, prev, num_interferers):
+    """Assemble the observations of all N BSs for the current slot.
 
-    ``channel`` is the current slot's ChannelState (only its own-cell part is
-    consulted) and ``own_csi[n][k]`` the CompressedCsi of its serving channel
-    ``channel.h[n, n, k]``, kept to ``csi_keep`` entries; every cross-cell
-    quantity comes from ``prev``.  With ``prev=None`` (first slot) all
-    previous-slot blocks are zero-filled.
+    ``serving`` holds the current slot's (N, K, M) serving channels and
+    ``csi`` their ``csi_features``; every cross-cell quantity comes from
+    ``prev``.  With ``prev=None`` (first slot) all previous-slot blocks are
+    zero-filled.  Returns (N, state_dim); row n is BS n's state.
     """
-    num_cells = channel.num_cells
-    users = channel.users_per_cell
-    layout = state_layout(num_cells, users, csi_keep, num_interferers)
-    own = channel.h[n, n]  # (K, M)
+    num_cells, users, _ = serving.shape
+    layout = state_layout(num_cells, users, csi.shape[-1] // 3, num_interferers)
 
-    local = np.zeros(layout["local"])
-    pos = 0
-    local[pos : pos + users * users] = orthogonal_measure(own).reshape(-1)
-    pos += users * users
-    for k in range(users):
-        local[pos : pos + 3 * csi_keep] = _csi_features(own_csi[n][k])
-        pos += 3 * csi_keep
-    if prev is not None:
-        m = prev.metrics
-        local[pos : pos + users] = _power_feature(prev.powers[n])
-        local[pos + users : pos + 2 * users] = m.rate[n] / RATE_SCALE
-        local[pos + 2 * users : pos + 3 * users] = _power_feature(
-            m.received_power[n]
-        )
-        local[pos + 3 * users : pos + 4 * users] = _power_feature(m.total_ipn[n])
+    def per_bs(*parts):  # each (N, ...) part flattened per BS, side by side
+        return np.concatenate([p.reshape(num_cells, -1) for p in parts], axis=1)
 
-    in_block = np.zeros(layout["interferers"])
-    out_block = np.zeros(layout["interfered"])
-    if prev is not None and num_interferers > 0:
-        beta = prev.metrics.interference
-        width = 1 + 3 * csi_keep * users + users + 1
-        pos = 0
-        for k in range(users):
-            for i in select_interferers(beta, n, k, num_interferers):
-                rec = in_block[pos : pos + width]
-                rec[0] = i / num_cells
-                at = 1
-                for j in range(users):
-                    rec[at : at + 3 * csi_keep] = _csi_features(prev.own_csi[i][j])
-                    at += 3 * csi_keep
-                rec[at : at + users] = _power_feature(prev.powers[i])
-                rec[at + users] = _power_feature(beta[i, n, k])
-                pos += width
-        pairs = select_interfered(beta, n, users * num_interferers)
-        pos = 0
-        for m_cell, j in pairs:
-            rec = out_block[pos : pos + 4]
-            rec[0] = (m_cell * users + j) / (num_cells * users)
-            rec[1] = prev.metrics.rate[m_cell, j] / RATE_SCALE
-            rec[2] = _power_feature(beta[n, m_cell, j])
-            rec[3] = beta[n, m_cell, j] / prev.metrics.total_ipn[m_cell, j]
-            pos += 4
+    states = np.zeros((num_cells, layout["total"]))
+    own = per_bs(orthogonal_measure(serving), csi)
+    states[:, : own.shape[1]] = own
+    if prev is None:
+        return states
+    m = prev.metrics
+    states[:, own.shape[1] : layout["local"]] = per_bs(
+        _power_feature(prev.powers),
+        m.rate / RATE_SCALE,
+        _power_feature(m.received_power),
+        _power_feature(m.total_ipn),
+    )
+    if num_interferers == 0:
+        return states
 
-    return np.concatenate([local, in_block, out_block])
+    beta = m.interference
+    # Interferer records: for every own user (n, k) and each of its strongest
+    # interferers i, [i / N, i's CSI, i's powers, beta[i, n, k]].
+    top = select_interferers(beta, num_interferers)  # (N, K, U)
+    n_idx, k_idx = np.ogrid[:num_cells, :users]
+    inflicted = _power_feature(beta)[top, n_idx[..., None], k_idx[..., None]]
+    cells = per_bs(prev.csi, _power_feature(prev.powers))  # row i: BS i's CSI, powers
+    records = [(top / num_cells)[..., None], cells[top], inflicted[..., None]]
+    start, stop = layout["local"], layout["local"] + layout["interferers"]
+    states[:, start:stop] = np.concatenate(records, axis=-1).reshape(num_cells, -1)
+    # Interfered records: for each user (m, j) that BS n disturbed most,
+    # [flat index / (N K), its rate, the caused interference, that
+    # interference over the user's total interference-plus-noise].
+    flat = prev.interfered  # (N, K * U)
+    caused = beta.reshape(num_cells, -1)[np.arange(num_cells)[:, None], flat]
+    records = [
+        flat / (num_cells * users),
+        m.rate.reshape(-1)[flat] / RATE_SCALE,
+        _power_feature(caused),
+        caused / m.total_ipn.reshape(-1)[flat],
+    ]
+    states[:, stop:] = np.stack(records, axis=-1).reshape(num_cells, -1)
+    return states
 
 
 def action_dim(num_cells, users_per_cell, mode="structured"):
@@ -262,87 +249,98 @@ def action_dim(num_cells, users_per_cell, mode="structured"):
     raise ValueError(f"unknown action mode {mode!r}")
 
 
-def _decode_power_split(action, num_cells, users_per_cell, mode):
-    """Validate a raw action and decode its leading [q_1..q_K, q_total].
+def _decode_power_split(actions, num_cells, users_per_cell, mode):
+    """Validate raw actions, one row per BS, and decode their [q_1..q_K, q_total].
 
     Ratios are floored and renormalized to sum to one; the spent fraction is
-    floored at the same epsilon.  Returns (action, q, q_total).
+    floored at the same epsilon.  Returns (actions, q, q_total) with q of
+    shape (S, K) and q_total (S,).
     """
-    action = np.asarray(action, dtype=float)
+    actions = np.asarray(actions, dtype=float)
     expected = action_dim(num_cells, users_per_cell, mode)
-    if action.shape != (expected,):
-        raise ValueError(f"action must have shape ({expected},)")
-    if np.any(action < 0) or np.any(action > 1):
-        raise ValueError("action entries must lie in [0, 1]")
+    if actions.ndim != 2 or actions.shape[1] != expected:
+        raise ValueError(f"actions must have shape (S, {expected}), one row per BS")
+    outside = np.flatnonzero(np.any((actions < 0) | (actions > 1), axis=1))
+    if outside.size:
+        raise ValueError(f"BS {outside[0]}: action entries must lie in [0, 1]")
     k = users_per_cell
-    raw_q = action[:k] + POWER_RATIO_EPS
-    q_total = max(float(action[k]), POWER_RATIO_EPS)
-    return action, raw_q / raw_q.sum(), q_total
+    raw_q = actions[:, :k] + POWER_RATIO_EPS
+    q_total = np.maximum(actions[:, k], POWER_RATIO_EPS)
+    return actions, raw_q / raw_q.sum(axis=1, keepdims=True), q_total
 
 
-def decode_action(action, num_cells, users_per_cell, noise_power):
-    """Map a raw [0, 1]^A action onto structured beamforming parameters.
+def decode_action(actions, num_cells, users_per_cell, noise_power):
+    """Map raw [0, 1]^A actions, one row per BS, onto structured parameters.
 
-    Layout: [q_1..q_K, q_total, alpha_{1,1}..alpha_{N,K}, mu].  Leakage
+    Row layout: [q_1..q_K, q_total, alpha_{1,1}..alpha_{N,K}, mu].  Leakage
     weights pass through unchanged (the structure is invariant to jointly
     scaling alpha and mu, so [0, 1] weights lose no generality); mu maps
-    log-uniformly onto [1e-3, 1e3] times the noise power.
+    log-uniformly onto [1e-3, 1e3] times the noise power.  Row s becomes
+    stack entry s of the returned StructuredParams.
     """
     k, n = users_per_cell, num_cells
-    action, q, q_total = _decode_power_split(action, n, k, "structured")
-    alpha = action[k + 1 : k + 1 + n * k].reshape(n, k)
-    mu = noise_power * 10.0 ** (6.0 * (float(action[-1]) - 0.5))
+    actions, q, q_total = _decode_power_split(actions, n, k, "structured")
+    alpha = actions[:, k + 1 : k + 1 + n * k].reshape(-1, n, k)
+    mu = noise_power * 10.0 ** (6.0 * (actions[:, -1] - 0.5))
     return StructuredParams(alpha=alpha, mu=mu, q=q, q_total=q_total)
 
 
-def decode_power_action(action, num_cells, users_per_cell, noise_power):
+def decode_power_action(actions, num_cells, users_per_cell, noise_power):
     """Power-only decode: max-SLNR directions with a learned power split.
 
-    Layout [q_1..q_K, q_total]; leakage weights are pinned to one and mu to
-    the noise power, which reproduces the max-SLNR directions.
+    Row layout [q_1..q_K, q_total]; leakage weights are pinned to one and mu
+    to the noise power, which reproduces the max-SLNR directions.
     """
     _, q, q_total = _decode_power_split(
-        action, num_cells, users_per_cell, "mslnr-power"
+        actions, num_cells, users_per_cell, "mslnr-power"
     )
     return mslnr_params(num_cells, users_per_cell, noise_power, q, q_total)
 
 
 @dataclass(frozen=True)
 class RewardRecord:
-    """reward = own_sum_rate - penalty, by construction."""
+    """Per-BS (N,) arrays: reward = own_sum_rate - penalty, by construction."""
 
-    reward: float
-    own_sum_rate: float
-    penalty: float
+    reward: np.ndarray
+    own_sum_rate: np.ndarray
+    penalty: np.ndarray
 
 
-def compute_reward(n, metrics, interfered):
-    """Distributed reward: own-cell sum rate minus the caused rate loss.
+def compute_reward(metrics, interfered):
+    """Distributed rewards of all BSs: own-cell sum rate minus the caused rate loss.
 
-    Each penalty term is the rate user (m, j) would have had without this
-    BS's interference, minus its actual rate, summed over the selected
-    interfered users.  Denominators stay above the noise power, so the terms
-    are finite and nonnegative.
+    ``interfered`` holds each BS's selected users as (N, C) flat indices
+    m * K + j (``select_interfered``).  Each penalty term is the rate user
+    (m, j) would have had without this BS's interference, minus its actual
+    rate; a BS adds its terms in selection order.  Denominators stay above
+    the noise power, so the terms are finite and nonnegative.
     """
-    own = float(metrics.rate[n].sum())
-    penalty = 0.0
-    for m, j in interfered:
-        remainder = metrics.total_ipn[m, j] - metrics.interference[n, m, j]
-        clean_rate = np.log2(1.0 + metrics.received_power[m, j] / remainder)
-        penalty += float(clean_rate - metrics.rate[m, j])
+    num_cells = metrics.rate.shape[0]
+    caused = metrics.interference.reshape(num_cells, -1)[
+        np.arange(num_cells)[:, None], interfered
+    ]
+    remainder = metrics.total_ipn.reshape(-1)[interfered] - caused
+    clean_rate = np.log2(1.0 + metrics.received_power.reshape(-1)[interfered] / remainder)
+    terms = clean_rate - metrics.rate.reshape(-1)[interfered]
+    penalty = np.zeros(num_cells)
+    for term in terms.T:
+        penalty += term
+    own = metrics.rate.sum(axis=1)
     return RewardRecord(reward=own - penalty, own_sum_rate=own, penalty=penalty)
 
 
 class BeamformingEnv:
-    """Stepped multi-cell environment driven by per-BS actions.
+    """Stepped multi-cell environment driven by one action per BS.
 
-    One ``step`` call decodes every agent's action into beamformers, scores
-    the slot, computes distributed rewards, advances the fading process and
-    returns next states carrying the one-slot-delayed cross-cell blocks.
-    ``codebook_size``, ``csi_keep`` and ``num_interferers`` are required
-    keyword arguments; there are no defaults here (the harness config holds
-    them).  ``own_csi[n][k]`` is the CompressedCsi of the current slot's
-    serving channel of user (n, k), computed once per slot.
+    ``step`` runs each stage once for all N BSs: one decode and one stacked
+    solve of the (N, A) actions, the slot's metrics, one selection of the
+    interfered users that the N rewards and the next states both read, and
+    the (N, state_dim) next states with the one-slot-delayed cross-cell
+    blocks.  ``codebook_size``, ``csi_keep`` and ``num_interferers`` are
+    required keyword arguments; there are no defaults here (the harness
+    config holds them).  ``serving`` holds the current slot's (N, K, M)
+    serving channels, ``csi`` their ``csi_features`` and ``last_reward`` the
+    last step's RewardRecord.
     """
 
     def __init__(
@@ -371,9 +369,10 @@ class BeamformingEnv:
         self.num_interferers = num_interferers
         self.action_mode = action_mode
         self.channel = None
-        self.own_csi = None
+        self.serving = None
+        self.csi = None
         self.prev = None
-        self.last_records = None
+        self.last_reward = None
 
     @property
     def state_dim(self):
@@ -391,41 +390,24 @@ class BeamformingEnv:
         )
 
     def _states(self):
-        return np.stack(
-            [
-                build_state(
-                    n,
-                    self.channel,
-                    self.prev,
-                    self.own_csi,
-                    self.csi_keep,
-                    self.num_interferers,
-                )
-                for n in range(self.net_cfg.num_cells)
-            ]
-        )
+        return build_state(self.serving, self.csi, self.prev, self.num_interferers)
 
-    def _compress(self, serving):
-        """Compress a (N, K, M) serving-channel block, cell by cell."""
-        return [
-            [
-                compress_csi(serving[n, k], self.codebook, self.csi_keep)
-                for k in range(self.net_cfg.users_per_cell)
-            ]
-            for n in range(self.net_cfg.num_cells)
-        ]
+    def _select_interfered(self, metrics):
+        count = self.net_cfg.users_per_cell * self.num_interferers
+        return select_interfered(metrics.interference, count)
 
     def _enter(self, channel):
         """Make ``channel`` the current slot and compress its serving channels."""
         idx = np.arange(self.net_cfg.num_cells)
         self.channel = channel
-        self.own_csi = self._compress(channel.h[idx, idx])
+        self.serving = channel.h[idx, idx]
+        self.csi = csi_features(self.serving, self.codebook, self.csi_keep)
 
     def reset(self):
         """Start (or restart) the episode at the stream's next slot."""
         self._enter(self.stream.next_slot())
         self.prev = None
-        self.last_records = None
+        self.last_reward = None
         return self._states()
 
     def _beamformers(self, actions):
@@ -435,48 +417,30 @@ class BeamformingEnv:
         decode = (
             decode_action if self.action_mode == "structured" else decode_power_action
         )
-        w = np.empty(
-            (cfg.num_cells, cfg.users_per_cell, cfg.num_antennas),
-            dtype=np.complex128,
-        )
-        for n in range(cfg.num_cells):
-            params = decode(
-                actions[n], cfg.num_cells, cfg.users_per_cell, cfg.noise_power
-            )
-            w[n] = structured_beamformer(self.channel.h[n], n, params, cfg.max_power)
+        params = decode(actions, cfg.num_cells, cfg.users_per_cell, cfg.noise_power)
+        cells = np.arange(cfg.num_cells)
+        w = structured_beamformer(self.channel.h, cells, params, cfg.max_power)
         return BeamformerSet(w=w)
 
     def step(self, actions):
         """Apply one action per BS; returns (next_states, rewards, metrics)."""
         if self.channel is None:
             raise RuntimeError("call reset() before step()")
-        cfg = self.net_cfg
-        if len(actions) != cfg.num_cells:
+        if len(actions) != self.net_cfg.num_cells:
             raise ValueError("need exactly one action per BS")
         beams = self._beamformers(actions)
-        metrics = compute_metrics(self.channel, beams, cfg)
-
-        records = []
-        out_count = cfg.users_per_cell * self.num_interferers
-        for n in range(cfg.num_cells):
-            interfered = (
-                select_interfered(metrics.interference, n, out_count)
-                if out_count > 0
-                else []
-            )
-            records.append(compute_reward(n, metrics, interfered))
-        self.last_records = records
-        rewards = np.array([r.reward for r in records])
-
-        idx = np.arange(cfg.num_cells)
+        metrics = compute_metrics(self.channel, beams, self.net_cfg)
+        interfered = self._select_interfered(metrics)
+        self.last_reward = compute_reward(metrics, interfered)
         self.prev = PrevSlotInfo(
             metrics=metrics,
             powers=beams.powers,
-            own_csi=self.own_csi,
-            own_channels=self.channel.h[idx, idx],
+            csi=self.csi,
+            own_channels=self.serving,
+            interfered=interfered,
         )
         self._enter(self.stream.next_slot())
-        return self._states(), rewards, metrics
+        return self._states(), self.last_reward.reward, metrics
 
     # -- checkpointing ----------------------------------------------------
 
@@ -523,7 +487,8 @@ class BeamformingEnv:
             self.prev = PrevSlotInfo(
                 metrics=metrics,
                 powers=arrays["prev_powers"],
-                own_csi=self._compress(own_channels),
+                csi=csi_features(own_channels, self.codebook, self.csi_keep),
                 own_channels=own_channels,
+                interfered=self._select_interfered(metrics),
             )
-        self.last_records = None
+        self.last_reward = None

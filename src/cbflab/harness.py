@@ -361,6 +361,11 @@ def _channel_stream(cfg: RunConfig):
             or trace.num_antennas != net.num_antennas
         ):
             raise ConfigError("trace dimensions do not match the network config")
+        if trace.num_slots < cfg.num_slots + 1:  # reset reads one slot, each step one
+            raise ConfigError(
+                f"trace {cfg.trace_file} holds {trace.num_slots} slots, a run of "
+                f"num_slots = {cfg.num_slots} reads {cfg.num_slots + 1}"
+            )
         return TraceStream(trace)
     return ChannelProcess(cfg.network, cfg.channel)
 
@@ -831,12 +836,12 @@ def run_timing(cfg: RunConfig, repeats=30):
         [layout["total"], *cfg.hidden_sizes, adim], "sigmoid", rng
     )
     state = rng.uniform(-1.0, 1.0, layout["total"])
-    local = channel.h[0]
+    local = channel.h[:1]  # BS 0 alone, as a one-BS stack
 
     def decision():
-        action = actor.forward(state)
+        action = actor.forward(state)[None]
         params = decode_action(action, net.num_cells, net.users_per_cell, net.noise_power)
-        return structured_beamformer(local, 0, params, net.max_power)
+        return structured_beamformer(local, [0], params, net.max_power)
 
     def mslnr_run():
         return mslnr_beams(channel, net)
@@ -891,9 +896,13 @@ def run_timing(cfg: RunConfig, repeats=30):
 
 
 def generate_trace_file(cfg: RunConfig, out_path, num_slots=None):
-    """Materialize the configured channel source into a trace file."""
+    """Write ``num_slots`` slots of the configured channel source to a trace file.
+
+    The default, ``cfg.num_slots + 1``, is what a run of ``cfg.num_slots`` steps
+    and the default benchmark window read (``reset`` takes the first slot).
+    """
     trace = generate_trace(
-        cfg.network, cfg.channel, num_slots if num_slots else cfg.num_slots
+        cfg.network, cfg.channel, num_slots if num_slots else cfg.num_slots + 1
     )
     save_trace(trace, out_path)
     return out_path

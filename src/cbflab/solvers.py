@@ -10,7 +10,9 @@ which every BS can evaluate from local CSI alone once the leakage weights
 a power split are known.  The iterative weighted-MMSE solver produces exactly
 this shape at every step with alpha[m, j] = v[m, j] * |u[m, j]|^2, and the
 classic max-SLNR and MRT beamformers are the special cases alpha == 1 with
-mu equal to the noise power, and alpha == 0, respectively.
+mu equal to the noise power, and alpha == 0, respectively.  Every solve here
+treats its BSs as one stack: one batched product forms their leakage
+matrices, and their shifted systems are solved together.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .network import BeamformerSet, compute_metrics, sum_rate
 
@@ -33,36 +34,45 @@ _BISECT_ITER = 200
 
 @dataclass(frozen=True)
 class StructuredParams:
-    """Parameters that pin down one BS's beamformers through the structure.
+    """Parameters that pin down the beamformers of a stack of S BSs.
+
+    Entry s of every attribute belongs to stack entry s, which
+    ``structured_beamformer`` pairs with the channels of BS s.
 
     Attributes:
-        alpha: (N, K) nonnegative leakage weights, one per user anywhere in
-            the network.
-        mu: positive noise-control regularizer.
-        q: (K,) per-user power ratios in (0, 1], summing to 1.
-        q_total: fraction of the power budget actually spent, in (0, 1].
+        alpha: (S, N, K) nonnegative leakage weights, one per user anywhere
+            in the network.
+        mu: (S,) positive noise-control regularizers.
+        q: (S, K) per-user power ratios in (0, 1], each row summing to 1.
+        q_total: (S,) fractions of the power budget actually spent, in (0, 1].
+
+    A violated check raises ``ValueError`` naming the first offending BS.
     """
 
     alpha: np.ndarray
-    mu: float
+    mu: np.ndarray
     q: np.ndarray
-    q_total: float
+    q_total: np.ndarray
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "q", q)
-        if np.any(alpha < 0):
-            raise ValueError("leakage weights must be nonnegative")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if np.any(q <= 0) or np.any(q > 1):
-            raise ValueError("power ratios must lie in (0, 1]")
-        if abs(q.sum() - 1.0) > 1e-9:
-            raise ValueError(f"power ratios sum to {q.sum()!r}, expected 1")
-        if not 0 < self.q_total <= 1:
-            raise ValueError("q_total must lie in (0, 1]")
+        for name in ("alpha", "mu", "q", "q_total"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        alpha, mu, q, q_total = self.alpha, self.mu, self.q, self.q_total
+        stack = (len(alpha),) if alpha.ndim == 3 else None
+        if not (mu.shape == q_total.shape == q.shape[:1] == stack and q.ndim == 2):
+            raise ValueError("need alpha (S, N, K), mu (S,), q (S, K) and q_total (S,)")
+        sums = q.sum(axis=1)
+        checks = (
+            (np.any(alpha < 0, axis=(1, 2)), "leakage weights must be nonnegative"),
+            (~(mu > 0), "mu must be positive"),
+            (np.any((q <= 0) | (q > 1), axis=1), "power ratios must lie in (0, 1]"),
+            (np.abs(sums - 1.0) > 1e-9, "power ratios sum to {sum!r}, expected 1"),
+            (~((0 < q_total) & (q_total <= 1)), "q_total must lie in (0, 1]"),
+        )
+        for bad, message in checks:
+            if bad.any():
+                s = int(np.argmax(bad))
+                raise ValueError(f"BS {s}: " + message.format(sum=float(sums[s])))
 
 
 @dataclass(frozen=True)
@@ -90,11 +100,14 @@ class WmmseState:
     truncated: bool
 
 
-def _leakage_matrix(local_h, alpha):
-    """sum_{m,j} alpha[m, j] * h[m, j] h[m, j]^H for one BS's local CSI."""
-    flat_h = local_h.reshape(-1, local_h.shape[-1])
-    flat_a = np.asarray(alpha, dtype=float).reshape(-1)
-    return np.einsum("x,xi,xl->il", flat_a, flat_h, flat_h.conj())
+def _leakage_matrices(flat_h, alpha):
+    """Leakage matrices sum_x alpha[x] h_x h_x^H of a stack of BSs, one GEMM.
+
+    ``flat_h`` is (S, X, M), BS s's channels to all X = N*K users, and
+    ``alpha`` is (S, X), or (X,) for weights shared by every BS.  Returns
+    (S, M, M).
+    """
+    return flat_h.swapaxes(-1, -2) @ (alpha[..., None] * flat_h.conj())
 
 
 def _null_cutoff(lam):
@@ -132,20 +145,20 @@ def _eigen_solve(lam, q, proj, mu):
 
 
 def solve_leakage_system(b0, targets, mu):
-    """Solve (b0 + mu*I) x_k = c_k for each target row.
+    """Solve (b0[s] + mu[s] I) x = c for every target row c of targets[s].
 
-    Uses a Cholesky factorization of the Hermitian positive definite shifted
-    system, falling back to an eigenvalue pseudo-inverse when the matrix is
-    singular (only possible at mu == 0).
+    Stacked: b0 (S, M, M) Hermitian positive semidefinite, targets (S, K, M)
+    and mu (S,) give (S, K, M).  When every mu is positive the shifted
+    matrices are positive definite, and one stacked LU solve serves them
+    all.  Otherwise (mu == 0 is allowed where b0 is invertible) the stack
+    takes the eigenvalue pseudo-inverse of its shifted matrices, which
+    raises ArithmeticError for a matrix without range.
     """
-    m = b0.shape[0]
-    shifted = b0 + mu * np.eye(m)
-    targets = np.atleast_2d(targets)
-    try:
-        factor = scipy.linalg.cho_factor(shifted, check_finite=False)
-        return scipy.linalg.cho_solve(factor, targets.T, check_finite=False).T
-    except scipy.linalg.LinAlgError:
-        return _eigen_solve(*_eigen_projections(shifted, targets), 0.0)
+    mu = np.asarray(mu, dtype=float)
+    shifted = b0 + mu[:, None, None] * np.eye(b0.shape[-1])
+    if np.all(mu > 0):
+        return np.linalg.solve(shifted, targets.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return _eigen_solve(*_eigen_projections(shifted, targets), 0.0)
 
 
 def _power(energy, lam, mu):
@@ -230,61 +243,72 @@ def bisect_mu(b0, targets, p_max, power_tol=_POWER_TOL, max_iter=_BISECT_ITER):
     return float(mu[0]) if single else mu
 
 
-def structured_directions(local_h, own_cell, alpha, mu):
-    """Unit-norm structured directions for one BS.
+def structured_directions(local_h, own_cells, alpha, mu):
+    """Unit-norm structured directions of a stack of S BSs.
+
+    The S leakage matrices come from one batched product, and the S shifted
+    systems are solved as one stack (``solve_leakage_system``).
 
     Args:
-        local_h: (N, K, M) channels from this BS to every user.
-        own_cell: index of the cell this BS serves.
-        alpha: (N, K) nonnegative leakage weights.
-        mu: noise-control regularizer (>= 0; 0 only if the leakage matrix is
-            invertible).
+        local_h: (S, N, K, M) channels from each stacked BS to every user.
+        own_cells: (S,) index of the cell each stacked BS serves.
+        alpha: (S, N, K) nonnegative leakage weights.
+        mu: (S,) noise-control regularizers (>= 0; 0 only where the leakage
+            matrix is invertible).
 
     Returns:
-        (K, M) array of unit-norm beamforming directions.
+        (S, K, M) array of unit-norm beamforming directions.
     """
-    b0 = _leakage_matrix(local_h, alpha)
-    solutions = solve_leakage_system(b0, local_h[own_cell], mu)
-    norms = np.linalg.norm(solutions, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ArithmeticError("structured direction collapsed to zero")
+    stack, cells, users, antennas = local_h.shape
+    flat_h = local_h.reshape(stack, cells * users, antennas)
+    b0 = _leakage_matrices(flat_h, np.reshape(alpha, (stack, cells * users)))
+    targets = local_h[np.arange(stack), own_cells]
+    solutions = np.ascontiguousarray(solve_leakage_system(b0, targets, mu))
+    norms = np.linalg.norm(solutions, axis=-1, keepdims=True)
+    collapsed = np.flatnonzero(np.any(norms == 0, axis=(1, 2)))
+    if collapsed.size:
+        raise ArithmeticError(f"BS {collapsed[0]}: structured direction collapsed to zero")
     return solutions / norms
 
 
-def structured_beamformer(local_h, own_cell, params, p_max):
-    """Beamformers of one BS from its local CSI and structured parameters.
+def structured_beamformer(local_h, own_cells, params, p_max):
+    """Beamformers (S, K, M) of a stack of BSs from local CSI and parameters.
 
-    Powers follow p[k] = p_max * q_total * q[k], so the BS spends exactly
-    ``p_max * q_total`` watts in total.
+    ``local_h`` and ``own_cells`` are as in ``structured_directions``; stack
+    entry s takes entry s of the StructuredParams ``params``.  Powers follow
+    p[s, k] = p_max * q_total[s] * q[s, k], so BS s spends exactly
+    ``p_max * q_total[s]`` watts in total.
     """
-    directions = structured_directions(local_h, own_cell, params.alpha, params.mu)
-    powers = p_max * params.q_total * params.q
-    return np.sqrt(powers)[:, None] * directions
+    directions = structured_directions(local_h, own_cells, params.alpha, params.mu)
+    powers = p_max * params.q_total[:, None] * params.q
+    return np.sqrt(powers)[..., None] * directions
 
 
-def mslnr_params(num_cells, users_per_cell, noise_power, q=None, q_total=1.0):
-    """Structured parameters of the max-SLNR beamformer.
+def mslnr_params(num_cells, users_per_cell, noise_power, q=None, q_total=None):
+    """Structured parameters of the max-SLNR beamformer, one row of q per BS.
 
     Every leakage weight is one and mu is the noise power.  Including the
     served user's own term in the leakage matrix only rescales its solve
     (Sherman-Morrison), so the directions are the per-user max-SLNR ones.
-    The power split defaults to equal shares of the full budget.
+    The (S, K) power split ``q`` defaults to equal shares at all
+    ``num_cells`` BSs, and ``q_total`` (S,) to the full budget.
     """
     if q is None:
-        q = np.full(users_per_cell, 1.0 / users_per_cell)
+        q = np.full((num_cells, users_per_cell), 1.0 / users_per_cell)
+    stack = len(q)
     return StructuredParams(
-        alpha=np.ones((num_cells, users_per_cell)), mu=noise_power, q=q, q_total=q_total
+        alpha=np.ones((stack, num_cells, users_per_cell)),
+        mu=np.full(stack, noise_power),
+        q=q,
+        q_total=np.ones(stack) if q_total is None else q_total,
     )
 
 
 def mslnr_beams(channel, net_cfg):
     """Max-SLNR beamformers of every BS, each at full power split equally."""
+    cells = np.arange(net_cfg.num_cells)
     params = mslnr_params(net_cfg.num_cells, net_cfg.users_per_cell, net_cfg.noise_power)
-    w = [
-        structured_beamformer(channel.h[n], n, params, net_cfg.max_power)
-        for n in range(net_cfg.num_cells)
-    ]
-    return BeamformerSet(w=np.stack(w))
+    return BeamformerSet(w=structured_beamformer(channel.h, cells, params, net_cfg.max_power))
 
 
 def mrt_beamformer(h):
@@ -314,8 +338,7 @@ def _wmmse_beamformers(flat_h, own_h, alpha, scale, p_max):
     ``own_h`` (N, K, M), ``alpha`` and ``scale`` (N, K).  Returns the (N, K, M)
     beamformers and the (N,) multipliers.
     """
-    weighted = alpha.reshape(-1, 1) * flat_h.conj()
-    b0 = flat_h.swapaxes(1, 2) @ weighted  # (N, M, M) leakage matrices
+    b0 = _leakage_matrices(flat_h, alpha.reshape(-1))
     lam, q, proj = _eigen_projections(b0, own_h * scale[..., None])
     lam = np.clip(lam, 0.0, None)
     mu = _bisect_eigen(lam, proj, p_max)

@@ -30,6 +30,18 @@ def test_trace_gen_train_and_bench_exit_zero(tmp_path, capsys):
     assert results["ddcbf"]["slots"] == 4
 
 
+def test_train_on_a_short_trace_exits_two(tmp_path, capsys):
+    trace = tmp_path / "chan.trace"
+    config = str(write_config(tmp_path, trace_file=trace))  # num_slots = 14
+    assert main(["trace-gen", config, str(trace), "--slots", "14"]) == 0
+    capsys.readouterr()
+    assert main(["train", config]) == 2
+    assert "holds 14 slots, a run of num_slots = 14 reads 15" in capsys.readouterr().err
+    # By default trace-gen writes what the run reads.
+    assert main(["trace-gen", config, str(trace)]) == 0
+    assert main(["train", config]) == 0
+
+
 def test_unknown_key_exits_two(tmp_path, capsys):
     config = str(write_config(tmp_path, bogus_key=1))
     assert main(["train", config]) == 2

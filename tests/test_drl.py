@@ -647,7 +647,7 @@ def test_flat_training_matches_per_block_oracle(dims):
         assert_agents_bit_equal(agent, oracle)
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
     batch=st.integers(1, 6),

@@ -1,25 +1,41 @@
+import types
+from dataclasses import dataclass
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbflab.channel import ChannelModelConfig, TraceStream, generate_trace
 from cbflab.env import (
+    RATE_SCALE,
     BeamformingEnv,
     PrevSlotInfo,
+    _power_feature,
     build_codebook,
     build_state,
     compress_csi,
     compute_reward,
+    csi_features,
     decode_action,
     decode_power_action,
     orthogonal_measure,
-    reconstruct_csi,
     select_interfered,
     select_interferers,
     state_layout,
 )
-from cbflab.network import NetworkConfig, SlotMetrics, compute_metrics, sum_rate
+from cbflab.network import (
+    BeamformerSet,
+    ChannelState,
+    NetworkConfig,
+    SlotMetrics,
+    compute_metrics,
+    sum_rate,
+)
 from cbflab.solvers import mslnr_beams
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def make_net(n=3, k=2, m1=1, m2=4, **kw):
@@ -28,6 +44,141 @@ def make_net(n=3, k=2, m1=1, m2=4, **kw):
     return NetworkConfig(
         num_cells=n, users_per_cell=k, array_rows=m1, array_cols=m2, **kw
     )
+
+
+# -- per-BS oracles -------------------------------------------------------------
+#
+# The environment's former one-BS-at-a-time code.  The stacked functions must
+# reproduce its states, compressions and rewards bit for bit.
+
+
+@dataclass(frozen=True)
+class CompressedCsi:
+    index_norm: np.ndarray
+    values: np.ndarray
+    channel_norm: float
+
+
+def compress_csi_one(h, codebook, keep):
+    h = np.asarray(h)
+    norm = np.linalg.norm(h)
+    if norm == 0:
+        raise ValueError("cannot compress a zero channel")
+    d = codebook.matrix.conj().T @ h
+    order = np.lexsort((np.arange(d.size), -np.abs(d)))[:keep]
+    return CompressedCsi(
+        index_norm=order / codebook.size, values=d[order], channel_norm=float(norm)
+    )
+
+
+def select_interferers_one(interference, n, k, count):
+    num_cells = interference.shape[0]
+    if count > num_cells - 1:
+        raise ValueError("cannot select more interferers than other cells")
+    others = np.array([m for m in range(num_cells) if m != n])
+    beta = interference[others, n, k]
+    order = np.lexsort((others, -beta))
+    return others[order[:count]]
+
+
+def select_interfered_one(interference, n, count):
+    num_cells, _, users = interference.shape
+    if count > (num_cells - 1) * users:
+        raise ValueError("cannot select more interfered users than exist")
+    pairs = np.array(
+        [(m, j) for m in range(num_cells) if m != n for j in range(users)]
+    )
+    beta = interference[n, pairs[:, 0], pairs[:, 1]]
+    flat = pairs[:, 0] * users + pairs[:, 1]
+    order = np.lexsort((flat, -beta))
+    return pairs[order[:count]]
+
+
+def csi_features_one(comp):
+    out = np.empty(3 * comp.values.size)
+    out[0::3] = comp.index_norm
+    out[1::3] = comp.values.real / comp.channel_norm
+    out[2::3] = comp.values.imag / comp.channel_norm
+    return out
+
+
+def build_state_one(n, channel, prev, own_csi, csi_keep, num_interferers):
+    """BS n's state; ``prev`` has ``metrics``, ``powers`` and ``own_csi[i][k]``."""
+    num_cells = channel.num_cells
+    users = channel.users_per_cell
+    layout = state_layout(num_cells, users, csi_keep, num_interferers)
+    own = channel.h[n, n]
+
+    local = np.zeros(layout["local"])
+    pos = 0
+    local[pos : pos + users * users] = orthogonal_measure(own).reshape(-1)
+    pos += users * users
+    for k in range(users):
+        local[pos : pos + 3 * csi_keep] = csi_features_one(own_csi[n][k])
+        pos += 3 * csi_keep
+    if prev is not None:
+        m = prev.metrics
+        local[pos : pos + users] = _power_feature(prev.powers[n])
+        local[pos + users : pos + 2 * users] = m.rate[n] / RATE_SCALE
+        local[pos + 2 * users : pos + 3 * users] = _power_feature(
+            m.received_power[n]
+        )
+        local[pos + 3 * users : pos + 4 * users] = _power_feature(m.total_ipn[n])
+
+    in_block = np.zeros(layout["interferers"])
+    out_block = np.zeros(layout["interfered"])
+    if prev is not None and num_interferers > 0:
+        beta = prev.metrics.interference
+        width = 1 + 3 * csi_keep * users + users + 1
+        pos = 0
+        for k in range(users):
+            for i in select_interferers_one(beta, n, k, num_interferers):
+                rec = in_block[pos : pos + width]
+                rec[0] = i / num_cells
+                at = 1
+                for j in range(users):
+                    rec[at : at + 3 * csi_keep] = csi_features_one(prev.own_csi[i][j])
+                    at += 3 * csi_keep
+                rec[at : at + users] = _power_feature(prev.powers[i])
+                rec[at + users] = _power_feature(beta[i, n, k])
+                pos += width
+        pairs = select_interfered_one(beta, n, users * num_interferers)
+        pos = 0
+        for m_cell, j in pairs:
+            rec = out_block[pos : pos + 4]
+            rec[0] = (m_cell * users + j) / (num_cells * users)
+            rec[1] = prev.metrics.rate[m_cell, j] / RATE_SCALE
+            rec[2] = _power_feature(beta[n, m_cell, j])
+            rec[3] = beta[n, m_cell, j] / prev.metrics.total_ipn[m_cell, j]
+            pos += 4
+
+    return np.concatenate([local, in_block, out_block])
+
+
+def compute_reward_one(n, metrics, interfered):
+    """(reward, own_sum_rate, penalty) of BS n."""
+    own = float(metrics.rate[n].sum())
+    penalty = 0.0
+    for m, j in interfered:
+        remainder = metrics.total_ipn[m, j] - metrics.interference[n, m, j]
+        clean_rate = np.log2(1.0 + metrics.received_power[m, j] / remainder)
+        penalty += float(clean_rate - metrics.rate[m, j])
+    return own - penalty, own, penalty
+
+
+def own_csi_one(serving, codebook, keep):
+    return [[compress_csi_one(h, codebook, keep) for h in cell] for cell in serving]
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def flat_pairs(flat, users):
+    """Flat user indices m * K + j as (m, j) rows."""
+    return np.stack(np.divmod(flat, users), axis=-1)
 
 
 # -- codebook / compression ---------------------------------------------------
@@ -58,26 +209,26 @@ def test_codebook_paper_dimensions():
 def test_compress_picks_matching_column():
     cb = build_codebook(8, 8)
     h = cb.matrix[:, 5].copy()
-    comp = compress_csi(h, cb, 3)
-    assert comp.index_norm[0] == pytest.approx(5.0 / 8.0)
-    assert comp.values[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    assert comp.channel_norm == pytest.approx(1.0)
+    index, values, norm = compress_csi(h, cb, 3)
+    assert index[0] == 5
+    assert values[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    assert norm == pytest.approx(1.0)
 
 
 def test_compress_full_keep_reconstructs():
     rng = np.random.default_rng(0)
     cb = build_codebook(6, 6)
     h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    comp = compress_csi(h, cb, 6)
-    npt.assert_allclose(reconstruct_csi(comp, cb), h, atol=1e-10)
+    index, values, _ = compress_csi(h, cb, 6)
+    npt.assert_allclose(cb.matrix[:, index] @ values, h, atol=1e-10)
 
 
 def test_compress_magnitudes_non_increasing():
     rng = np.random.default_rng(1)
     cb = build_codebook(8, 16)
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    comp = compress_csi(h, cb, 5)
-    mags = np.abs(comp.values)
+    _, values, _ = compress_csi(h, cb, 5)
+    mags = np.abs(values)
     assert np.all(np.diff(mags) <= 1e-12)
 
 
@@ -85,14 +236,18 @@ def test_compress_tie_prefers_lower_index():
     cb = build_codebook(2, 2)
     # h = f0 + f1 has equal-magnitude projections on both columns
     h = cb.matrix[:, 0] + cb.matrix[:, 1]
-    comp = compress_csi(h, cb, 2)
-    assert comp.index_norm[0] < comp.index_norm[1]
+    index, _, _ = compress_csi(h, cb, 2)
+    assert index[0] < index[1]
 
 
 def test_compress_rejects_zero():
     cb = build_codebook(4, 4)
     with pytest.raises(ValueError):
         compress_csi(np.zeros(4, dtype=complex), cb, 2)
+    stack = np.ones((2, 3, 4), dtype=complex)
+    stack[1, 2] = 0.0
+    with pytest.raises(ValueError):
+        compress_csi(stack, cb, 2)
 
 
 # -- orthogonal measure --------------------------------------------------------
@@ -140,38 +295,41 @@ def hand_interference():
 
 
 def test_select_interferers_hand_case():
-    npt.assert_array_equal(select_interferers(hand_interference(), 0, 0, 2), [2, 4])
+    npt.assert_array_equal(select_interferers(hand_interference(), 2)[0, 0], [2, 4])
 
 
 def test_select_interferers_tie_by_index():
     beta = np.ones((4, 4, 1))
-    npt.assert_array_equal(select_interferers(beta, 1, 0, 3), [0, 2, 3])
+    npt.assert_array_equal(select_interferers(beta, 3)[1, 0], [0, 2, 3])
 
 
 def test_select_interferers_excludes_serving():
     beta = hand_interference()
     beta[0, 0, 0] = 100.0
-    assert 0 not in select_interferers(beta, 0, 0, 4)
+    top = select_interferers(beta, 4)
+    for n in range(5):
+        assert n not in top[n, 0]
 
 
 def test_select_interferers_cardinality_error():
     with pytest.raises(ValueError):
-        select_interferers(np.zeros((3, 3, 1)), 0, 0, 3)
+        select_interferers(np.zeros((3, 3, 1)), 3)
 
 
 def test_select_interfered_two_cell_cap():
     beta = np.zeros((2, 2, 2))
     beta[0, 1, 0] = 0.5
     beta[0, 1, 1] = 2.0
-    pairs = select_interfered(beta, 0, 2)
+    pairs = flat_pairs(select_interfered(beta, 2)[0], 2)
     npt.assert_array_equal(pairs, [[1, 1], [1, 0]])
 
 
 def test_select_interfered_never_own_cell():
     rng = np.random.default_rng(3)
     beta = rng.uniform(0, 1, (3, 3, 2))
-    pairs = select_interfered(beta, 1, 4)
-    assert np.all(pairs[:, 0] != 1)
+    pairs = flat_pairs(select_interfered(beta, 4), 2)
+    for n in range(3):
+        assert np.all(pairs[n, :, 0] != n)
 
 
 def test_select_interfered_hand_order():
@@ -180,7 +338,7 @@ def test_select_interfered_hand_order():
     beta[0, 1, 1] = 4.0
     beta[0, 2, 0] = 2.0
     beta[0, 2, 1] = 2.0  # tie with (2,0) broken by flat index
-    pairs = select_interfered(beta, 0, 4)
+    pairs = flat_pairs(select_interfered(beta, 4)[0], 2)
     npt.assert_array_equal(pairs, [[1, 1], [2, 0], [2, 1], [1, 0]])
 
 
@@ -248,24 +406,18 @@ def test_delay_semantics_cross_cell_blocks():
     for _ in range(3):
         states, _, _ = env.step(rng.uniform(0, 1, (3, env.action_dim)))
 
-    layout = state_layout(3, 2, 3, 2)
+    local = state_layout(3, 2, 3, 2)["local"]
     prev = env.prev
-    channel = env.channel
-    own_csi = env.own_csi
+    base = build_state(env.serving, env.csi, prev, 2)
+    npt.assert_array_equal(base, states)
 
-    base = build_state(0, channel, prev, own_csi, 3, 2)
-
-    # Perturbing current-slot cross-cell channels leaves s_in/s_out unchanged.
-    h_mut = channel.h.copy()
-    h_mut[1] *= 1.7  # everything BS 1 sees/causes at slot t
-    from cbflab.network import ChannelState
-
-    mutated = build_state(
-        0, ChannelState(channel.slot_index, h_mut), prev, own_csi, 3, 2
-    )
-    npt.assert_array_equal(
-        base[layout["local"] :], mutated[layout["local"] :]
-    )
+    # Perturbing everything BS 1 sees at slot t leaves every BS's s_in/s_out
+    # unchanged.
+    h_mut = env.channel.h.copy()
+    h_mut[1] *= 1.7
+    serving = h_mut[[0, 1, 2], [0, 1, 2]]
+    mutated = build_state(serving, csi_features(serving, env.codebook, 3), prev, 2)
+    npt.assert_array_equal(base[:, local:], mutated[:, local:])
 
     # Perturbing previous-slot metrics does change the delayed blocks.
     m = prev.metrics
@@ -277,76 +429,76 @@ def test_delay_semantics_cross_cell_blocks():
         total_ipn=m.total_ipn,
     )
     prev_mut = PrevSlotInfo(
-        metrics=bumped, powers=prev.powers, own_csi=prev.own_csi,
-        own_channels=prev.own_channels,
+        metrics=bumped, powers=prev.powers, csi=prev.csi,
+        own_channels=prev.own_channels, interfered=prev.interfered,
     )
-    changed = build_state(0, channel, prev_mut, own_csi, 3, 2)
-    assert np.any(changed[layout["local"] :] != base[layout["local"] :])
+    changed = build_state(env.serving, env.csi, prev_mut, 2)
+    for n in range(3):
+        assert np.any(changed[n, local:] != base[n, local:])
 
 
 # -- action decoding --------------------------------------------------------------
 
 
 def test_decode_equal_ratios():
-    a = np.full(2 + 1 + 6 + 1, 0.5)
+    a = np.full((1, 2 + 1 + 6 + 1), 0.5)
     params = decode_action(a, 3, 2, noise_power=0.1)
     npt.assert_allclose(params.q, 0.5)
-    assert params.q.sum() == pytest.approx(1.0)
+    assert params.q[0].sum() == pytest.approx(1.0)
 
 
 def test_decode_mu_midpoint_is_noise_power():
-    a = np.full(10, 0.5)
+    a = np.full((1, 10), 0.5)
     params = decode_action(a, 3, 2, noise_power=0.37)
-    assert params.mu == pytest.approx(0.37, rel=1e-12)
+    assert params.mu[0] == pytest.approx(0.37, rel=1e-12)
 
 
 def test_decode_mu_log_range():
-    low = np.full(10, 0.5)
-    low[-1] = 0.0
-    high = np.full(10, 0.5)
-    high[-1] = 1.0
+    a = np.full((2, 10), 0.5)
+    a[0, -1] = 0.0
+    a[1, -1] = 1.0
     noise = 2.0
-    p_lo = decode_action(low, 3, 2, noise)
-    p_hi = decode_action(high, 3, 2, noise)
-    assert p_lo.mu == pytest.approx(noise * 1e-3, rel=1e-9)
-    assert p_hi.mu == pytest.approx(noise * 1e3, rel=1e-9)
+    params = decode_action(a, 3, 2, noise)
+    assert params.mu[0] == pytest.approx(noise * 1e-3, rel=1e-9)
+    assert params.mu[1] == pytest.approx(noise * 1e3, rel=1e-9)
 
 
 def test_decode_equal_power_mapping():
     # Full-power equal split at K=4: p = P_max / 4 per user.
     k, n = 4, 2
-    a = np.zeros(k + 1 + n * k + 1)
-    a[:k] = 0.7  # any equal value
-    a[k] = 1.0
+    a = np.zeros((1, k + 1 + n * k + 1))
+    a[0, :k] = 0.7  # any equal value
+    a[0, k] = 1.0
     params = decode_action(a, n, k, noise_power=1e-3)
-    powers = 6.3095734448 * params.q_total * params.q
+    powers = 6.3095734448 * params.q_total[0] * params.q[0]
     npt.assert_allclose(powers, 6.3095734448 / 4.0, rtol=1e-12)
 
 
 def test_decode_box_soundness_random():
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        a = rng.uniform(0, 1, 10)
-        params = decode_action(a, 3, 2, 0.1)
-        assert params.mu > 0
-        assert np.all(params.alpha >= 0) and np.all(params.alpha <= 1)
-        assert params.q.sum() == pytest.approx(1.0)
-        assert np.all(params.q > 0)
-        assert 0 < params.q_total <= 1
+    params = decode_action(rng.uniform(0, 1, (200, 10)), 3, 2, 0.1)
+    assert params.alpha.shape == (200, 3, 2)
+    assert np.all(params.mu > 0)
+    assert np.all(params.alpha >= 0) and np.all(params.alpha <= 1)
+    npt.assert_allclose(params.q.sum(axis=1), 1.0)
+    assert np.all(params.q > 0)
+    assert np.all((0 < params.q_total) & (params.q_total <= 1))
 
 
 def test_decode_rejects_out_of_box():
-    a = np.full(10, 0.5)
-    a[0] = 1.2
-    with pytest.raises(ValueError):
+    a = np.full((3, 10), 0.5)
+    a[2, 0] = 1.2
+    with pytest.raises(ValueError, match="BS 2"):
         decode_action(a, 3, 2, 0.1)
-    with pytest.raises(ValueError):
-        decode_power_action(np.array([0.5, -0.1, 0.5]), 3, 2, 0.1)
+    with pytest.raises(ValueError, match="BS 1"):
+        decode_power_action(np.array([[0.5, 0.5, 0.5], [0.5, -0.1, 0.5]]), 3, 2, 0.1)
 
 
 def test_decode_wrong_length():
     with pytest.raises(ValueError):
-        decode_action(np.full(9, 0.5), 3, 2, 0.1)
+        decode_action(np.full((3, 9), 0.5), 3, 2, 0.1)
+    with pytest.raises(ValueError):
+        decode_action(np.full(10, 0.5), 3, 2, 0.1)  # one row per BS
 
 
 # -- rewards -----------------------------------------------------------------------
@@ -363,10 +515,11 @@ def test_reward_pocket_calculator_case():
         interference=np.array([[[0.0], [3.0]], [[0.0], [0.0]]]),
         total_ipn=np.array([[1.0], [4.0]]),
     )
-    rec = compute_reward(0, metrics, [(1, 0)])
-    assert rec.penalty == pytest.approx(2.0 - np.log2(1.75), rel=1e-12)
-    assert rec.penalty == pytest.approx(1.1926450779423959, rel=1e-12)
-    assert rec.reward == rec.own_sum_rate - rec.penalty
+    rec = compute_reward(metrics, np.array([[1], [0]]))  # BS 0 -> (1, 0)
+    assert rec.penalty[0] == pytest.approx(2.0 - np.log2(1.75), rel=1e-12)
+    assert rec.penalty[0] == pytest.approx(1.1926450779423959, rel=1e-12)
+    assert rec.penalty[1] == 0.0
+    npt.assert_array_equal(rec.reward, rec.own_sum_rate - rec.penalty)
 
 
 def test_reward_zero_interference_no_penalty():
@@ -381,8 +534,9 @@ def test_reward_zero_interference_no_penalty():
         interference=np.zeros_like(metrics.interference),
         total_ipn=metrics.received_power + net.noise_power,
     )
-    rec = compute_reward(0, quiet, [(1, 0), (2, 1)])
-    assert rec.penalty == pytest.approx(0.0, abs=1e-12)
+    # flat indices m * K + j: BS 0 -> (1, 0), (2, 1); the others likewise
+    rec = compute_reward(quiet, np.array([[2, 5], [0, 5], [1, 3]]))
+    assert rec.penalty == pytest.approx(np.zeros(3), abs=1e-12)
     assert rec.reward == pytest.approx(rec.own_sum_rate)
 
 
@@ -392,9 +546,9 @@ def test_reward_penalty_nonnegative_sweep():
     rng = np.random.default_rng(6)
     for _ in range(30):
         _, _, _ = env.step(rng.uniform(0, 1, (3, env.action_dim)))
-        for rec in env.last_records:
-            assert rec.penalty >= -1e-12
-            assert rec.reward == rec.own_sum_rate - rec.penalty
+        rec = env.last_reward
+        assert np.all(rec.penalty >= -1e-12)
+        npt.assert_array_equal(rec.reward, rec.own_sum_rate - rec.penalty)
 
 
 def test_reward_first_term_matches_metrics():
@@ -402,9 +556,9 @@ def test_reward_first_term_matches_metrics():
     env.reset()
     rng = np.random.default_rng(7)
     _, rewards, metrics = env.step(rng.uniform(0, 1, (3, env.action_dim)))
-    for n, rec in enumerate(env.last_records):
-        assert rec.own_sum_rate == pytest.approx(float(metrics.rate[n].sum()))
-        assert rewards[n] == rec.reward
+    rec = env.last_reward
+    npt.assert_allclose(rec.own_sum_rate, metrics.rate.sum(axis=1))
+    npt.assert_array_equal(rewards, rec.reward)
 
 
 # -- environment stepping -------------------------------------------------------------
@@ -493,3 +647,118 @@ def test_env_checkpoint_round_trip():
     got_states, got_rewards, _ = env2.step(action)
     npt.assert_array_equal(ref_states, got_states)
     npt.assert_array_equal(ref_rewards, got_rewards)
+
+
+# -- stacked slot against the per-BS oracles ---------------------------------------
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 5),
+    k=st.integers(1, 4),
+    m=st.integers(1, 8),
+    codebook_size=st.integers(2, 16),
+    levels=st.integers(1, 3),
+    tied_csi=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_stacked_slot_matches_per_bs_oracles(
+    n, k, m, codebook_size, levels, tied_csi, seed, data
+):
+    keep = data.draw(st.integers(1, codebook_size), label="csi_keep")
+    u = data.draw(st.integers(0, n - 1), label="num_interferers")
+    rng = np.random.default_rng(seed)
+    codebook = build_codebook(m, codebook_size)
+
+    def channels(shape):
+        if tied_csi:
+            # Sums of two codebook columns: equal projections on a square
+            # codebook, so the ranking meets ties.
+            cols = rng.integers(0, codebook_size, (*shape, 2))
+            return codebook.matrix.T[cols].sum(axis=-2) + 1e-3
+        return rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m))
+
+    h = channels((n, n, k)) * rng.uniform(1e-6, 1.0)
+    channel = ChannelState(slot_index=0, h=h)
+    serving = h[np.arange(n), np.arange(n)]
+    prev_serving = channels((n, k))
+    # Interference, signals and powers on a few levels: ties and zeros occur.
+    scale = 1e-9
+    interference = rng.integers(0, levels + 1, (n, n, k)) * scale
+    received = rng.integers(0, levels + 1, (n, k)) * scale
+    total_ipn = interference.sum(axis=0) + 0.1 * scale
+    sinr = received / total_ipn
+    metrics = SlotMetrics(
+        sinr=sinr,
+        rate=np.log2(1.0 + sinr),
+        received_power=received,
+        interference=interference,
+        total_ipn=total_ipn,
+    )
+    powers = rng.integers(0, levels + 1, (n, k)) * 0.25
+
+    index, values, norm = compress_csi(serving, codebook, keep)
+    for a in range(n):
+        for b in range(k):
+            comp = compress_csi_one(serving[a, b], codebook, keep)
+            assert_bits_equal(index[a, b] / codebook_size, comp.index_norm)
+            assert_bits_equal(values[a, b], comp.values)
+            assert_bits_equal(norm[a, b], comp.channel_norm)
+
+    top = select_interferers(interference, u)
+    interfered = select_interfered(interference, k * u)
+    for a in range(n):
+        for b in range(k):
+            npt.assert_array_equal(top[a, b], select_interferers_one(interference, a, b, u))
+        want = select_interfered_one(interference, a, k * u)
+        npt.assert_array_equal(flat_pairs(interfered[a], k).reshape(want.shape), want)
+
+    own_csi = own_csi_one(serving, codebook, keep)
+    csi = csi_features(serving, codebook, keep)
+    prev = PrevSlotInfo(
+        metrics=metrics,
+        powers=powers,
+        csi=csi_features(prev_serving, codebook, keep),
+        own_channels=prev_serving,
+        interfered=interfered,
+    )
+    prev_one = types.SimpleNamespace(
+        metrics=metrics, powers=powers, own_csi=own_csi_one(prev_serving, codebook, keep)
+    )
+    for stacked, one in ((None, None), (prev, prev_one)):
+        got = build_state(serving, csi, stacked, u)
+        want = np.stack([build_state_one(a, channel, one, own_csi, keep, u) for a in range(n)])
+        assert_bits_equal(got, want)
+
+    rec = compute_reward(metrics, interfered)
+    for a in range(n):
+        reward, own, penalty = compute_reward_one(
+            a, metrics, select_interfered_one(interference, a, k * u)
+        )
+        assert_bits_equal(rec.reward[a], reward)
+        assert_bits_equal(rec.own_sum_rate[a], own)
+        assert_bits_equal(rec.penalty[a], penalty)
+
+
+def test_env_slots_match_per_bs_oracles():
+    # The env's own wiring: the states it returns and the rewards it scores
+    # are the oracles' on the same channels, metrics and powers.
+    net, env = make_env(seed=11, slots=8)
+    states = env.reset()
+    own_csi = own_csi_one(env.serving, env.codebook, 3)
+    want = [build_state_one(a, env.channel, None, own_csi, 3, 2) for a in range(3)]
+    assert_bits_equal(states, np.stack(want))
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        prev_csi = own_csi
+        states, rewards, metrics = env.step(rng.uniform(0, 1, (3, env.action_dim)))
+        for a in range(3):
+            sel = select_interfered_one(metrics.interference, a, 4)
+            assert_bits_equal(rewards[a], compute_reward_one(a, metrics, sel)[0])
+        own_csi = own_csi_one(env.serving, env.codebook, 3)
+        prev = types.SimpleNamespace(
+            metrics=metrics, powers=env.prev.powers, own_csi=prev_csi
+        )
+        want = [build_state_one(a, env.channel, prev, own_csi, 3, 2) for a in range(3)]
+        assert_bits_equal(states, np.stack(want))

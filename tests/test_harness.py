@@ -607,6 +607,38 @@ def test_trace_dimension_mismatch_rejected(tmp_path):
         run_train(other)
 
 
+def test_default_trace_covers_a_training_run(tmp_path):
+    # reset takes one slot and each of the num_slots steps the next one.
+    trace_path = tmp_path / "chan.trace"
+    cfg = parse_config(write_config(tmp_path, num_slots=10, checkpoint_every=100))
+    generate_trace_file(cfg, trace_path)
+    assert harness.load_trace(str(trace_path)).num_slots == 11
+    summary = run_train(dataclasses.replace(cfg, trace_file=str(trace_path)))
+    assert summary["slots"] == 10
+    assert os.path.exists(summary["checkpoint"])
+
+
+def test_run_train_rejects_a_short_trace_before_its_first_slot(tmp_path):
+    trace_path = tmp_path / "chan.trace"
+    cfg = parse_config(write_config(tmp_path, num_slots=10))
+    generate_trace_file(cfg, trace_path, num_slots=10)
+    with pytest.raises(ConfigError, match="holds 10 slots, .* reads 11"):
+        run_train(dataclasses.replace(cfg, trace_file=str(trace_path)))
+    assert not os.path.exists(os.path.join(cfg.out_dir, "train.csv"))
+
+
+def test_default_trace_covers_the_default_bench_window(tmp_path):
+    # The default window is the last bench_slots steps plus their next state.
+    trace_path = tmp_path / "chan.trace"
+    cfg = parse_config(write_config(tmp_path, num_slots=10, bench_offset=-1))
+    generate_trace_file(cfg, trace_path)
+    out = run_benchmark(
+        dataclasses.replace(cfg, trace_file=str(trace_path)), schemes=("mslnr-ep",)
+    )
+    assert out["window_offset"] == 6
+    assert out["results"]["mslnr-ep"]["slots"] == 4
+
+
 # -- timing ---------------------------------------------------------------------------
 
 

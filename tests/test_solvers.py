@@ -3,6 +3,7 @@ import types
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,10 @@ from cbflab.network import (
 from cbflab.solvers import (
     StructuredParams,
     WmmseState,
+    _eigen_projections,
+    _eigen_solve,
     _full_power_init,
-    _leakage_matrix,
+    _leakage_matrices,
     _wmmse_beamformers,
     bisect_mu,
     mrt_beamformer,
@@ -108,6 +111,51 @@ def mslnr_beamformer(local_h, own_cell, noise_power, p_max, power_ratios):
     return beams
 
 
+# -- per-BS structured solve (oracle) ---------------------------------------------
+#
+# The former one-BS-at-a-time path: an einsum leakage matrix and a Cholesky
+# solve, falling back to the eigenvalue pseudo-inverse when the shifted
+# matrix is not positive definite.
+
+
+def leakage_matrix_one(local_h, alpha):
+    flat_h = local_h.reshape(-1, local_h.shape[-1])
+    flat_a = np.asarray(alpha, dtype=float).reshape(-1)
+    return np.einsum("x,xi,xl->il", flat_a, flat_h, flat_h.conj())
+
+
+def cholesky_solve_one(b0, targets, mu):
+    m = b0.shape[0]
+    shifted = b0 + mu * np.eye(m)
+    targets = np.atleast_2d(targets)
+    try:
+        factor = scipy.linalg.cho_factor(shifted, check_finite=False)
+        return scipy.linalg.cho_solve(factor, targets.T, check_finite=False).T
+    except scipy.linalg.LinAlgError:
+        return _eigen_solve(*_eigen_projections(shifted, targets), 0.0)
+
+
+def structured_beamformer_one(local_h, own_cell, alpha, mu, q, q_total, p_max):
+    solutions = cholesky_solve_one(leakage_matrix_one(local_h, alpha), local_h[own_cell], mu)
+    directions = solutions / np.linalg.norm(solutions, axis=1, keepdims=True)
+    return np.sqrt(p_max * q_total * q)[:, None] * directions
+
+
+# -- one BS through the stacked API -------------------------------------------------
+
+
+def one_bs_params(alpha, mu, q, q_total):
+    """StructuredParams of a one-BS stack."""
+    return StructuredParams(
+        alpha=np.asarray(alpha)[None], mu=[mu], q=np.asarray(q)[None], q_total=[q_total]
+    )
+
+
+def directions_one(local_h, own_cell, alpha, mu):
+    """Structured directions (K, M) of one BS, solved as a one-BS stack."""
+    return structured_directions(local_h[None], [own_cell], np.asarray(alpha)[None], [mu])[0]
+
+
 def bisect_mu_loop(b0, targets, p_max, power_tol=1e-8, max_iter=200):
     """Reference multiplier for one matrix: scalar bracket and bisection."""
     b0 = np.asarray(b0)
@@ -158,7 +206,7 @@ def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     power, and stops on the relative change of the sum rate, as ``wmmse``
     does.  Each BS builds its own leakage matrix, bisects its multiplier with
     the scalar ``bisect_mu_loop`` and solves by Cholesky
-    (``solve_leakage_system``), independently of the stacked update it checks.
+    (``cholesky_solve_one``), independently of the stacked update it checks.
     """
     h = channel.h
     num_cells, _, users, antennas = h.shape
@@ -198,10 +246,10 @@ def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
         alpha = v * np.abs(u) ** 2
         scale = u * v
         for bs in range(num_cells):
-            b0 = _leakage_matrix(h[bs], alpha)
+            b0 = leakage_matrix_one(h[bs], alpha)
             targets = h[bs, bs] * scale[bs][:, None]
             mu[bs] = bisect_mu_loop(b0, targets, p_max)
-            w[bs] = solve_leakage_system(b0, targets, mu[bs])
+            w[bs] = cholesky_solve_one(b0, targets, mu[bs])
         u_gen, v_gen = u, v
         iterations += 1
 
@@ -400,9 +448,9 @@ def test_bisect_rejects_non_hermitian():
 
 
 def test_solve_leakage_singular_raises_helpfully():
-    b0 = np.zeros((2, 2), dtype=complex)
+    b0 = np.zeros((1, 2, 2), dtype=complex)
     with pytest.raises(ArithmeticError, match="mu > 0"):
-        solve_leakage_system(b0, np.array([[1.0, 0.0]], dtype=complex), 0.0)
+        solve_leakage_system(b0, np.array([[[1.0, 0.0]]], dtype=complex), [0.0])
 
 
 # -- structured beamformer ----------------------------------------------------
@@ -416,10 +464,8 @@ def local_csi(seed, n=2, k=2, m=4):
 
 def test_structured_zero_alpha_recovers_mrt():
     h = local_csi(0)
-    params = StructuredParams(
-        alpha=np.zeros((2, 2)), mu=1.0, q=np.array([0.5, 0.5]), q_total=1.0
-    )
-    w = structured_beamformer(h, 0, params, p_max=2.0)
+    params = one_bs_params(np.zeros((2, 2)), 1.0, [0.5, 0.5], 1.0)
+    w = structured_beamformer(h[None], [0], params, p_max=2.0)[0]
     for k in range(2):
         mrt = mrt_beamformer(h[0, k])
         assert abs(np.vdot(w[k] / np.linalg.norm(w[k]), mrt)) == pytest.approx(
@@ -431,18 +477,16 @@ def test_structured_joint_scaling_invariance():
     h = local_csi(1)
     rng = np.random.default_rng(2)
     alpha = rng.uniform(0.0, 1.0, (2, 2))
-    a = structured_directions(h, 0, alpha, 0.37)
-    b = structured_directions(h, 0, 7.3 * alpha, 7.3 * 0.37)
+    a = directions_one(h, 0, alpha, 0.37)
+    b = directions_one(h, 0, 7.3 * alpha, 7.3 * 0.37)
     align = np.abs(np.einsum("km,km->k", a.conj(), b))
     npt.assert_allclose(align, 1.0, atol=1e-10)
 
 
 def test_structured_power_split_identity():
     h = local_csi(3)
-    params = StructuredParams(
-        alpha=np.full((2, 2), 0.5), mu=0.8, q=np.array([0.3, 0.7]), q_total=0.6
-    )
-    w = structured_beamformer(h, 1, params, p_max=5.0)
+    params = one_bs_params(np.full((2, 2), 0.5), 0.8, [0.3, 0.7], 0.6)
+    w = structured_beamformer(h[None], [1], params, p_max=5.0)[0]
     total = np.sum(np.abs(w) ** 2)
     assert total == pytest.approx(5.0 * 0.6, rel=1e-9)
     per_user = np.sum(np.abs(w) ** 2, axis=1)
@@ -456,7 +500,7 @@ def test_structured_all_ones_matches_direct_matrix_oracle():
     for seed in range(20):
         h = local_csi(seed)
         own = 0
-        dirs = structured_directions(h, own, np.ones((2, 2)), noise)
+        dirs = directions_one(h, own, np.ones((2, 2)), noise)
         flat = h.reshape(4, -1)
         for k in range(2):
             a = noise * np.eye(4, dtype=complex)
@@ -473,7 +517,7 @@ def test_mslnr_equals_structured_special_case():
     for seed in range(20):
         h = local_csi(seed + 100)
         w_mslnr = mslnr_beamformer(h, 0, noise, p_max=1.0, power_ratios=[0.5, 0.5])
-        dirs = structured_directions(h, 0, np.ones((2, 2)), noise)
+        dirs = directions_one(h, 0, np.ones((2, 2)), noise)
         for k in range(2):
             a = w_mslnr[k] / np.linalg.norm(w_mslnr[k])
             assert abs(np.vdot(a, dirs[k])) == pytest.approx(1.0, abs=1e-10)
@@ -482,10 +526,10 @@ def test_mslnr_equals_structured_special_case():
 def test_own_user_leakage_weight_is_irrelevant():
     h = local_csi(4)
     alpha = np.full((2, 2), 0.3)
-    base = structured_directions(h, 0, alpha, 0.2)
+    base = directions_one(h, 0, alpha, 0.2)
     bumped = alpha.copy()
     bumped[0, 1] = 17.0  # own user (0, 1) of BS 0
-    other = structured_directions(h, 0, bumped, 0.2)
+    other = directions_one(h, 0, bumped, 0.2)
     assert abs(np.vdot(base[1], other[1])) == pytest.approx(1.0, abs=1e-10)
     # the change is not a global no-op: user 0's direction does move
     assert abs(np.vdot(base[0], other[0])) < 1.0 - 1e-6
@@ -497,7 +541,7 @@ def test_structured_beats_random_probes():
         h = local_csi(seed + 50)
         alpha = np.random.default_rng(seed).uniform(0.0, 1.0, (2, 2))
         mu = 0.3
-        dirs = structured_directions(h, 0, alpha, mu)
+        dirs = directions_one(h, 0, alpha, mu)
         flat = h.reshape(4, -1)
         for k in range(2):
             best = rayleigh_quotient(dirs[k], h[0, k], alpha.reshape(-1), mu, flat)
@@ -513,7 +557,8 @@ def test_mslnr_beats_random_probes_on_slnr():
     rng = np.random.default_rng(12)
     noise = 0.6
     h = local_csi(77)
-    w = structured_beamformer(h, 0, mslnr_params(2, 2, noise), p_max=1.0)
+    params = mslnr_params(2, 2, noise, q=np.full((1, 2), 0.5))
+    w = structured_beamformer(h[None], [0], params, p_max=1.0)[0]
     flat = h.reshape(4, -1)
     for k in range(2):
         exclude = 0 * 2 + k
@@ -534,9 +579,10 @@ def test_structure_recovery_from_converged_state():
     for seed in range(5):
         ch = rayleigh_channel(3, 2, 4, seed=seed + 300)
         beams, state = wmmse(ch, net, w0=random_start(net, seed))
-        alpha = state.v * np.abs(state.u) ** 2
+        alpha = np.broadcast_to(state.v * np.abs(state.u) ** 2, (3, 3, 2))
+        stacked = structured_directions(ch.h, np.arange(3), alpha, state.mu)
         for bs in range(3):
-            dirs = structured_directions(ch.h[bs], bs, alpha, state.mu[bs])
+            dirs = stacked[bs]
             for k in range(2):
                 p = beams.powers[bs, k]
                 if p <= 1e-12 * net.max_power:
@@ -597,15 +643,25 @@ def test_quotient_zero_denominator():
 
 def test_structured_params_validation():
     with pytest.raises(ValueError):
-        StructuredParams(alpha=np.zeros((1, 1)), mu=0.0, q=np.array([1.0]), q_total=1.0)
+        one_bs_params(np.zeros((1, 1)), 0.0, [1.0], 1.0)
     with pytest.raises(ValueError):
-        StructuredParams(
-            alpha=np.zeros((1, 1)), mu=1.0, q=np.array([0.6, 0.6]), q_total=1.0
-        )
+        one_bs_params(np.zeros((1, 1)), 1.0, [0.6, 0.6], 1.0)
     with pytest.raises(ValueError):
-        StructuredParams(
-            alpha=-np.ones((1, 1)), mu=1.0, q=np.array([1.0]), q_total=1.0
-        )
+        one_bs_params(-np.ones((1, 1)), 1.0, [1.0], 1.0)
+    with pytest.raises(ValueError):
+        one_bs_params(np.zeros((1, 1)), 1.0, [1.0], 1.5)
+    # A stack names its first offending BS.
+    good = dict(
+        alpha=np.zeros((3, 1, 2)), mu=np.ones(3), q=np.full((3, 2), 0.5), q_total=np.ones(3)
+    )
+    StructuredParams(**good)
+    for key, bs, value in (("mu", 2, 0.0), ("q", 1, [0.9, 0.9]), ("q_total", 1, 0.0)):
+        bad = {name: np.array(v, dtype=float) for name, v in good.items()}
+        bad[key][bs] = value
+        with pytest.raises(ValueError, match=f"BS {bs}: "):
+            StructuredParams(**bad)
+    with pytest.raises(ValueError, match="S,"):
+        StructuredParams(**{**good, "mu": np.ones(2)})
 
 
 def test_wmmse_raises_on_non_positive_denominator():
@@ -644,12 +700,16 @@ def path_loss_csi(n, k, m, seed):
     scale=st.floats(1e-6, 1e6),
 )
 def test_joint_alpha_mu_scaling_keeps_directions(n, k, m, seed, mu, scale):
-    h = local_csi(seed, n, k, m)
-    alpha = np.random.default_rng(seed).uniform(0.0, 1.0, (n, k))
-    own = seed % n
-    base = structured_directions(h, own, alpha, mu)
-    scaled = structured_directions(h, own, scale * alpha, scale * mu)
-    npt.assert_allclose(np.einsum("km,km->k", base.conj(), scaled), 1.0, atol=1e-9)
+    # Every BS of the stack scales its own alpha and mu by its own factor.
+    h = rayleigh_channel(n, k, m, seed).h
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0.0, 1.0, (n, n, k))
+    mus = mu * rng.uniform(0.5, 2.0, n)
+    scales = scale * rng.uniform(0.5, 2.0, n)
+    cells = np.arange(n)
+    base = structured_directions(h, cells, alpha, mus)
+    scaled = structured_directions(h, cells, scales[:, None, None] * alpha, scales * mus)
+    npt.assert_allclose(np.einsum("skm,skm->sk", base.conj(), scaled), 1.0, atol=1e-9)
 
 
 @PROPERTY
@@ -661,19 +721,67 @@ def test_joint_alpha_mu_scaling_keeps_directions(n, k, m, seed, mu, scale):
 )
 @example(n=7, k=4, m=32, seed=1)
 def test_loop_mslnr_equals_structured_at_unit_alpha(n, k, m, seed):
-    h = path_loss_csi(n, k, m, seed)
-    own = seed % n
-    noise = dbm_to_watt(-101.0)
-    p_max = dbm_to_watt(38.0)
-    oracle = mslnr_beamformer(h, own, noise, p_max, np.full(k, 1.0 / k))
-    w = structured_beamformer(h, own, mslnr_params(n, k, noise), p_max)
-    npt.assert_allclose(
-        np.linalg.norm(w, axis=1), np.linalg.norm(oracle, axis=1), rtol=1e-12
+    # mslnr_beams (alpha = 1, mu = noise, all BSs as one stack) against the
+    # per-user max-SLNR oracle of each BS.
+    ch = path_loss_channel(n, k, m, seed)
+    net = make_net(n, k, m, p_max=dbm_to_watt(38.0), noise=dbm_to_watt(-101.0))
+    w = mslnr_beams(ch, net).w
+    for bs in range(n):
+        ratios = np.full(k, 1.0 / k)
+        oracle = mslnr_beamformer(ch.h[bs], bs, net.noise_power, net.max_power, ratios)
+        npt.assert_allclose(
+            np.linalg.norm(w[bs], axis=1), np.linalg.norm(oracle, axis=1), rtol=1e-12
+        )
+        unit = w[bs] / np.linalg.norm(w[bs], axis=1, keepdims=True)
+        unit_oracle = oracle / np.linalg.norm(oracle, axis=1, keepdims=True)
+        align = np.abs(np.einsum("km,km->k", unit.conj(), unit_oracle))
+        npt.assert_allclose(align, 1.0, atol=1e-9)
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 5),
+    k=st.integers(1, 4),
+    m=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    path_loss=st.booleans(),
+)
+@example(n=7, k=4, m=32, seed=1, path_loss=True)
+def test_stacked_structured_beamformer_matches_per_bs_oracle(n, k, m, seed, path_loss):
+    # Random parameters over the decode's range: alpha in [0, 1], mu from
+    # 1e-3 to 1e3 times the noise power, any power split.
+    if path_loss:
+        ch = path_loss_channel(n, k, m, seed)
+        net = make_net(n, k, m, p_max=dbm_to_watt(38.0), noise=dbm_to_watt(-101.0))
+    else:
+        ch = rayleigh_channel(n, k, m, seed)
+        net = make_net(n, k, m)
+    rng = np.random.default_rng(seed)
+    raw_q = rng.uniform(0.0, 1.0, (n, k)) + 1e-3
+    params = StructuredParams(
+        alpha=rng.uniform(0.0, 1.0, (n, n, k)),
+        mu=net.noise_power * 10.0 ** rng.uniform(-3.0, 3.0, n),
+        q=raw_q / raw_q.sum(axis=1, keepdims=True),
+        q_total=rng.uniform(1e-3, 1.0, n),
     )
-    unit = w / np.linalg.norm(w, axis=1, keepdims=True)
-    unit_oracle = oracle / np.linalg.norm(oracle, axis=1, keepdims=True)
-    align = np.abs(np.einsum("km,km->k", unit.conj(), unit_oracle))
-    npt.assert_allclose(align, 1.0, atol=1e-9)
+    beams = BeamformerSet(w=structured_beamformer(ch.h, np.arange(n), params, net.max_power))
+    oracle = BeamformerSet(
+        w=np.stack(
+            [
+                structured_beamformer_one(
+                    ch.h[bs], bs, params.alpha[bs], params.mu[bs], params.q[bs],
+                    params.q_total[bs], net.max_power,
+                )
+                for bs in range(n)
+            ]
+        )
+    )
+    rate = sum_rate(compute_metrics(ch, beams, net))
+    assert rate == pytest.approx(sum_rate(compute_metrics(ch, oracle, net)), rel=1e-9, abs=0.0)
+    npt.assert_allclose(
+        beams.powers.sum(axis=1), net.max_power * params.q_total, rtol=1e-12
+    )
+    beams.check_power(net.max_power)
 
 
 @PROPERTY
@@ -729,13 +837,14 @@ def test_wmmse_step_zero_mu_on_rank_deficient_leakage_matches_fallback():
     alpha = np.array([[1.0], [0.5]])
     scale = np.array([[1.0 + 0.5j], [0.3]])
     w, mu = _wmmse_beamformers(h.reshape(2, 2, 3), h[[0, 1], [0, 1]], alpha, scale, 100.0)
+    b0 = _leakage_matrices(h.reshape(2, 2, 3), alpha.reshape(-1))
+    targets = h[[0, 1], [0, 1]] * scale[..., None]
     for bs in range(2):
-        b0 = _leakage_matrix(h[bs], alpha)
-        targets = h[bs, bs] * scale[bs][:, None]
+        npt.assert_allclose(b0[bs], leakage_matrix_one(h[bs], alpha), rtol=1e-15)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(b0)
-        assert mu[bs] == bisect_mu(b0, targets, 100.0) == 0.0
-        npt.assert_array_equal(w[bs], solve_leakage_system(b0, targets, 0.0))
+            np.linalg.cholesky(b0[bs])
+        assert mu[bs] == bisect_mu(b0[bs], targets[bs], 100.0) == 0.0
+    npt.assert_array_equal(w, solve_leakage_system(b0, targets, np.zeros(2)))
 
 
 # -- stacked wmmse against the loop oracle ---------------------------------------
