@@ -386,6 +386,11 @@ class TraceStream:
         self.trace = trace
         self.cursor = 0
 
+    @property
+    def current(self):
+        """The slot ``next_slot`` returned last; None before the first slot."""
+        return self.trace.slot(self.cursor - 1) if self.cursor > 0 else None
+
     def next_slot(self):
         if self.cursor >= self.trace.num_slots:
             raise IndexError("channel trace exhausted")

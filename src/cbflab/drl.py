@@ -15,13 +15,13 @@ import os
 import numpy as np
 
 # Version of the run checkpoint layout, laid out in ``harness.save_checkpoint``.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def read_meta(entry):
     """Parse a checkpoint's JSON ``meta`` entry; ValueError for an unknown version."""
     meta = json.loads(str(entry))
-    if meta["version"] not in (1, CHECKPOINT_VERSION):
+    if meta["version"] not in (1, 2, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {meta['version']}")
     return meta
 
@@ -572,10 +572,10 @@ class DdpgAgent:
     def from_state_dict(cls, arrays):
         """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays.
 
-        Reads arrays of this version or version 1 and draws no initial
-        weights.  The agent takes ownership of what it reads: its nets and
-        Adam moments are the arrays that ``arrays`` returns (for version 1,
-        the concatenation of their blocks), not copies.
+        Reads arrays of any supported version and draws no initial weights.
+        The agent takes ownership of what it reads: its nets and Adam
+        moments are the arrays that ``arrays`` returns (for version 1, the
+        concatenation of their blocks), not copies.
         """
         meta = read_meta(arrays["meta"])
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
@@ -598,7 +598,7 @@ class DdpgAgent:
 
     @staticmethod
     def actor_from_state_dict(arrays):
-        """The policy net alone, from ``state_dict`` arrays of either version.
+        """The policy net alone, from ``state_dict`` arrays of any version.
 
         Reads only ``meta`` and the actor's entries, so with a lazily read
         archive (``np.load`` of an ``.npz``) nothing else is loaded.  Like
@@ -610,9 +610,9 @@ class DdpgAgent:
 
 
 def _flat_entry(arrays, meta, key):
-    """The flat vector stored under ``key`` in ``state_dict`` arrays of either version.
+    """The flat vector stored under ``key`` in ``state_dict`` arrays of any version.
 
-    Version 2 stores it under ``key``.  Version 1 stored one array per
+    Versions 2 and 3 store it under ``key``.  Version 1 stored one array per
     parameter block, ``{key}_p{i}`` for a net and ``{key}{i}`` for an Adam
     moment, which concatenate in index order to the same vector.
     """

@@ -31,11 +31,11 @@ maximum; compressed-CSI parts by the channel norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BeamformerSet, ChannelState, SlotMetrics, compute_metrics
+from .network import BeamformerSet, compute_metrics
 from .solvers import StructuredParams, mslnr_params, structured_beamformer
 
 # Additive floor on raw power ratios before normalization: keeps every
@@ -183,7 +183,6 @@ class PrevSlotInfo:
     metrics: object  # SlotMetrics
     powers: np.ndarray  # (N, K) allocated powers
     csi: np.ndarray  # (N, K, 3 * csi_keep) csi_features of the serving channels
-    own_channels: np.ndarray  # (N, K, M) serving channels (checkpointing)
     interfered: np.ndarray  # (N, K * num_interferers) select_interfered of metrics
 
 
@@ -341,6 +340,12 @@ class BeamformingEnv:
     config holds them).  ``serving`` holds the current slot's (N, K, M)
     serving channels, ``csi`` their ``csi_features`` and ``last_reward`` the
     last step's RewardRecord.
+
+    A checkpoint stores only the stream's position (``state_dict``).  A
+    restored env stands at the stream's current slot with no previous slot,
+    as after ``reset``: the next ``step`` records its own ``prev`` before
+    anything reads it, and the states the agents act on (which carry the
+    delayed reports) are the caller's to store.
     """
 
     def __init__(
@@ -436,7 +441,6 @@ class BeamformingEnv:
             metrics=metrics,
             powers=beams.powers,
             csi=self.csi,
-            own_channels=self.serving,
             interfered=interfered,
         )
         self._enter(self.stream.next_slot())
@@ -447,48 +451,26 @@ class BeamformingEnv:
     def state_dict(self):
         """This env's run-checkpoint entries as a pair (arrays, meta).
 
-        The stream's entries are included; ``harness.save_checkpoint`` lays
-        them out.  The arrays are copies.
+        The env's whole restorable state is its stream's position: the
+        current slot is the stream's last slot, and ``step`` replaces
+        ``prev`` before anything reads it.  So the arrays are the stream's
+        (copies) and the meta is ``{"stream": ...}``;
+        ``harness.save_checkpoint`` lays them out.
         """
         if self.channel is None:
             raise RuntimeError("call reset() before state_dict()")
-        stream_arrays, stream_meta = self.stream.state_dict()
-        arrays = {"env_channel_h": self.channel.h.copy(), **stream_arrays}
-        if self.prev is not None:
-            m = self.prev.metrics
-            prev = {f.name: getattr(m, f.name) for f in fields(SlotMetrics)}
-            prev.update(powers=self.prev.powers, own_channels=self.prev.own_channels)
-            for name, value in prev.items():
-                arrays[f"prev_{name}"] = value.copy()
-        meta = {
-            "env_slot": self.channel.slot_index,
-            "stream": stream_meta,
-            "has_prev": self.prev is not None,
-        }
-        return arrays, meta
+        arrays, stream_meta = self.stream.state_dict()
+        return arrays, {"stream": stream_meta}
 
     def load_state_dict(self, state):
         """Restore a ``state_dict`` pair; ``arrays`` may be a whole checkpoint.
 
-        Only this env's and its stream's keys are read, and the env takes
-        ownership of what it reads.
+        Only the stream's keys are read, and the stream takes ownership of
+        what it reads.  The stream's last slot becomes the current one;
+        ``prev`` and ``last_reward`` are None, as after ``reset``.
         """
         arrays, meta = state
         self.stream.load_state_dict((arrays, meta["stream"]))
-        self._enter(
-            ChannelState(slot_index=int(meta["env_slot"]), h=arrays["env_channel_h"])
-        )
+        self._enter(self.stream.current)
         self.prev = None
-        if meta["has_prev"]:
-            metrics = SlotMetrics(
-                **{f.name: arrays[f"prev_{f.name}"] for f in fields(SlotMetrics)}
-            )
-            own_channels = arrays["prev_own_channels"]
-            self.prev = PrevSlotInfo(
-                metrics=metrics,
-                powers=arrays["prev_powers"],
-                csi=csi_features(own_channels, self.codebook, self.csi_keep),
-                own_channels=own_channels,
-                interfered=self._select_interfered(metrics),
-            )
         self.last_reward = None

@@ -73,6 +73,8 @@ def _parse_corr(text):
     return None if str(text).strip() == "auto" else float(text)
 
 
+_COUNT = {"count": True}  # metadata of the count keys, which must be >= 1
+
 # Parsers of the plain annotations (strings under ``from __future__ import
 # annotations``).
 _PARSERS = {"int": int, "float": float, "str": str}
@@ -87,8 +89,9 @@ class RunConfig:
     field's ``parse`` metadata or else by its annotated type, so a config
     built from raw text and one built with ``dataclasses.replace`` come out
     alike.  ``network`` and ``channel`` are derived from the fields, and the
-    cross-key constraints checked, in ``__post_init__`` (``replace`` reruns
-    both).
+    count keys and cross-key constraints checked, in ``__post_init__``
+    (``replace`` reruns both); a ValueError of the derived configs becomes a
+    ConfigError.
     """
 
     # network
@@ -113,8 +116,8 @@ class RunConfig:
     trace_file: str = ""
     # agent
     hidden_sizes: tuple = field(default=(128, 64, 32), metadata={"parse": _parse_hidden})
-    memory_capacity: int = 2000
-    batch_size: int = 256
+    memory_capacity: int = field(default=2000, metadata=_COUNT)
+    batch_size: int = field(default=256, metadata=_COUNT)
     actor_lr: float = 1e-4
     critic_lr: float = 1e-3
     discount: float = 0.5
@@ -122,18 +125,18 @@ class RunConfig:
     noise_sigma_init: float = 0.6
     noise_decay: float = 1e-3
     noise_sigma_min: float = 0.01
-    codebook_size: int = 128
+    codebook_size: int = field(default=128, metadata=_COUNT)
     csi_keep: int = 3
     num_interferers: int = 2
     action_mode: str = "structured"
     # run control
-    num_slots: int = 20000
-    eval_window: int = 200
-    bench_slots: int = 200
+    num_slots: int = field(default=20000, metadata=_COUNT)
+    eval_window: int = field(default=200, metadata=_COUNT)
+    bench_slots: int = field(default=200, metadata=_COUNT)
     bench_offset: int = -1
     seed: int
     out_dir: str
-    checkpoint_every: int = 5000
+    checkpoint_every: int = field(default=5000, metadata=_COUNT)
     schemes: tuple = field(default="ddcbf,mslnr-ep,wmmse", metadata={"parse": _parse_list})
     checkpoint: str = ""
     mslnr_checkpoint: str = ""
@@ -141,7 +144,7 @@ class RunConfig:
     # wmmse_stop_eps relative to its current value
     wmmse_stop_eps: float = 1e-4
     wmmse_max_iter: int = 500
-    wmmse_num_inits: int = 10
+    wmmse_num_inits: int = field(default=10, metadata=_COUNT)
     # derived
     network: NetworkConfig = field(init=False)
     channel: ChannelModelConfig = field(init=False)
@@ -157,29 +160,37 @@ class RunConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"key '{f.name}': cannot parse {value!r}") from exc
 
-        self.network = NetworkConfig(
-            num_cells=self.num_cells,
-            users_per_cell=self.users_per_cell,
-            array_rows=self.array_rows,
-            array_cols=self.array_cols,
-            max_power=dbm_to_watt(self.p_max_dbm),
-            noise_power=dbm_to_watt(self.noise_dbm),
-            carrier_freq=self.carrier_freq_ghz * 1e9,
-            cell_radius=self.cell_radius_m,
-            slot_duration=self.slot_duration_ms / 1e3,
-            ue_speed=self.ue_speed_kmh / 3.6,
-        )
-        self.channel = ChannelModelConfig(
-            model_kind=self.channel_model,
-            temporal_corr=self.temporal_corr,
-            pathloss_exponent=self.pathloss_exponent,
-            pathloss_ref_db=self.pathloss_ref_db,
-            pathloss_ref_dist=self.pathloss_ref_dist_m,
-            num_rays=self.num_rays,
-            angular_spread_deg=self.angular_spread_deg,
-            rng_seed=self.seed,
-        )
+        try:  # the lower classes' own checks raise ValueError
+            self.network = NetworkConfig(
+                num_cells=self.num_cells,
+                users_per_cell=self.users_per_cell,
+                array_rows=self.array_rows,
+                array_cols=self.array_cols,
+                max_power=dbm_to_watt(self.p_max_dbm),
+                noise_power=dbm_to_watt(self.noise_dbm),
+                carrier_freq=self.carrier_freq_ghz * 1e9,
+                cell_radius=self.cell_radius_m,
+                slot_duration=self.slot_duration_ms / 1e3,
+                ue_speed=self.ue_speed_kmh / 3.6,
+            )
+            self.channel = ChannelModelConfig(
+                model_kind=self.channel_model,
+                temporal_corr=self.temporal_corr,
+                pathloss_exponent=self.pathloss_exponent,
+                pathloss_ref_db=self.pathloss_ref_db,
+                pathloss_ref_dist=self.pathloss_ref_dist_m,
+                num_rays=self.num_rays,
+                angular_spread_deg=self.angular_spread_deg,
+                rng_seed=self.seed,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
+        for f in _config_keys():
+            if f.metadata.get("count") and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
+        if self.csi_keep > self.codebook_size:
+            raise ConfigError("csi_keep must be <= codebook_size")
         if self.num_interferers > self.num_cells - 1:
             raise ConfigError(
                 "num_interferers must be <= num_cells - 1 "
@@ -297,7 +308,6 @@ class MetricSink:
                     f"the checkpoint covers {resume_rows}"
                 )
             lines = lines[: 2 + resume_rows]
-        self.rows_written = len(lines) - 2
         self._csv = open(self.csv_path, "w")
         self._csv.writelines(lines)
         self._csv.flush()
@@ -316,7 +326,6 @@ class MetricSink:
         parts += [repr(float(sigma_a))]
         self._csv.write(",".join(parts) + "\n")
         self._csv.flush()
-        self.rows_written += 1
 
     def event(self, kind, **payload):
         record = {"kind": kind, "time": time.time(), **payload}
@@ -409,17 +418,13 @@ def _check_resumed_agents(cfg: RunConfig, env, agents, path):
                 )
 
 
-def save_checkpoint(path, slot, states, env, agents, sink_rows):
+def save_checkpoint(path, slot, states, env, agents):
     """Write a run checkpoint: one ``.npz`` archive, written atomically.
 
     Top-level arrays, each written by the module named:
 
     * ``states`` (harness): the (N, state_dim) observations that the agents
       act on at ``slot``;
-    * ``env_channel_h`` and ``prev_{name}`` (``env.BeamformingEnv``): the
-      current slot's channel and, once a slot has been stepped, the previous
-      slot's ``sinr``, ``rate``, ``received_power``, ``interference``,
-      ``total_ipn``, ``powers`` and ``own_channels``;
     * ``proc_h``, ``proc_ue_positions`` and ``proc_ue_headings``
       (``channel.ChannelProcess``, live channels only): the process's last
       slot and its users' positions and headings;
@@ -427,26 +432,26 @@ def save_checkpoint(path, slot, states, env, agents, sink_rows):
       entries, its own JSON ``meta`` among them;
     * ``harness_meta``: one JSON string.
 
-    ``harness_meta`` holds ``version``, ``slot``, ``num_agents`` and
-    ``sink_rows`` (the metrics rows written so far), then the env's
-    ``env_slot``, ``stream`` and ``has_prev``.  ``stream`` is the stream's
-    own JSON: ``{"kind": "trace", "cursor"}`` or ``{"kind": "process",
-    "slot", "rng_state"}``.
+    ``harness_meta`` holds ``version``, ``slot`` (also the metrics CSV's row
+    count: one row per slot), ``num_agents`` and the env's ``stream``, the
+    stream's own JSON: ``{"kind": "trace", "cursor"}`` or ``{"kind":
+    "process", "slot", "rng_state"}``.
 
-    ``drl.CHECKPOINT_VERSION`` is the version of the whole archive, and each
-    agent ``meta`` repeats it.  Versions 1 and 2 differ only in the agent
-    entries: version 2 stores each net (``actor``, ``critic``,
-    ``target_actor``, ``target_critic``) and each Adam moment
-    (``adam_{net}_m``, ``adam_{net}_v``) as one flat vector, version 1 as
-    one array per parameter block (``{net}_p{i}``, ``adam_{net}_m{i}``).
-    Both load.
+    ``drl.CHECKPOINT_VERSION`` (3) is the version of the whole archive, and
+    each agent ``meta`` repeats it.  Versions 1 and 2 also held
+    ``env_channel_h``, the previous slot's ``prev_{sinr, rate,
+    received_power, interference, total_ipn, powers, own_channels}``, and
+    ``sink_rows``, ``env_slot`` and ``has_prev`` in ``harness_meta``: copies
+    of facts above, or what the next step rebuilds.  The reader ignores
+    them.  Version 1 stored each net and Adam moment as one array per
+    parameter block (``{net}_p{i}``, ``adam_{net}_m{i}``), the later
+    versions as one flat vector (``{net}``, ``adam_{net}_m``).  All load.
     """
     env_arrays, env_meta = env.state_dict()
     meta = {
         "version": CHECKPOINT_VERSION,
         "slot": slot,
         "num_agents": len(agents),
-        "sink_rows": sink_rows,
         **env_meta,
     }
     arrays = {"states": np.asarray(states), **env_arrays}
@@ -486,8 +491,8 @@ def _checkpoint_meta(data, path):
 def load_checkpoint(path, env):
     """Restore the env and its channel stream in place.
 
-    Returns (slot, states, sink_rows); ``load_agents_from_checkpoint`` restores
-    the agents.
+    Returns (slot, states); ``load_agents_from_checkpoint`` restores the
+    agents.
     """
     with np.load(path, allow_pickle=False) as data:
         meta = _checkpoint_meta(data, path)
@@ -502,10 +507,10 @@ def load_checkpoint(path, env):
             )
         env.load_state_dict((data, meta))
         states = data["states"]
-    return meta["slot"], states, meta["sink_rows"]
+    return meta["slot"], states
 
 
-def run_train(cfg: RunConfig, resume_from=None, basename=None):
+def run_train(cfg: RunConfig, resume_from=None):
     """Train one agent per BS over ``num_slots`` environment steps.
 
     Implements the decentralized loop: a warm-up phase of uniformly random
@@ -515,22 +520,23 @@ def run_train(cfg: RunConfig, resume_from=None, basename=None):
 
     Returns a summary dict with paths and the final moving-average sum rate.
     """
-    if basename is None:
-        basename = "train" if cfg.action_mode == "structured" else "train_mslnr"
+    basename = "train" if cfg.action_mode == "structured" else "train_mslnr"
     env = _build_env(cfg)
     ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
 
     if resume_from:
-        start_slot, states, sink_rows = load_checkpoint(resume_from, env)
+        start_slot, states = load_checkpoint(resume_from, env)
         agents = load_agents_from_checkpoint(resume_from, cfg.network.num_cells)
         _check_resumed_agents(cfg, env, agents, resume_from)
     else:
         agents = _build_agents(cfg, env)
         states = env.reset()
-        start_slot, sink_rows = 0, None
+        start_slot = 0
 
-    with MetricSink(cfg.out_dir, cfg.network.num_cells, basename, sink_rows) as sink:
+    # One metrics row per slot: a resumed run keeps the checkpoint's rows.
+    resume_rows = start_slot if resume_from else None
+    with MetricSink(cfg.out_dir, cfg.network.num_cells, basename, resume_rows) as sink:
         if resume_from:
             sink.event("resume", checkpoint=resume_from, slot=start_slot)
         else:
@@ -572,9 +578,7 @@ def run_train(cfg: RunConfig, resume_from=None, basename=None):
                 sink.write_slot(slot, "train", cell_rates, rewards, agents[0].noise_sigma)
                 if (slot + 1) % cfg.checkpoint_every == 0 or slot + 1 == cfg.num_slots:
                     path = os.path.join(ckpt_dir, f"{basename}_{slot + 1:08d}.npz")
-                    save_checkpoint(
-                        path, slot + 1, states, env, agents, sink.rows_written
-                    )
+                    save_checkpoint(path, slot + 1, states, env, agents)
                     now = time.perf_counter()
                     sink.event(
                         "checkpoint",

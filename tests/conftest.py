@@ -48,14 +48,17 @@ def _v1_blocks(flat, layer_sizes):
     return blocks
 
 
-def agent_arrays_v1(arrays):
-    """An agent's ``state_dict`` arrays rewritten in the version-1 layout.
+def agent_arrays_old(arrays, version):
+    """An agent's ``state_dict`` arrays rewritten in the layout of ``version``.
 
-    Version 1 stored one array per parameter block and per Adam moment block:
-    ``{net}_p{i}``, ``adam_{net}_m{i}`` and ``adam_{net}_v{i}``.
+    Version 2 stored the same entries.  Version 1 stored one array per
+    parameter block and per Adam moment block: ``{net}_p{i}``,
+    ``adam_{net}_m{i}`` and ``adam_{net}_v{i}``.
     """
     meta = json.loads(str(arrays["meta"]))
-    meta["version"] = 1
+    meta["version"] = version
+    if version == 2:
+        return {**arrays, "meta": np.array(json.dumps(meta))}
     s, a, hidden = meta["state_dim"], meta["action_dim"], meta["hidden_sizes"]
     sizes = {"actor": [s, *hidden, a], "critic": [s + a, *hidden, 1]}
     out = {}
@@ -73,22 +76,52 @@ def agent_arrays_v1(arrays):
     return out
 
 
-def run_checkpoint_v1(src, dst):
-    """Rewrite the run checkpoint ``src`` in the version-1 layout at ``dst``."""
+def run_checkpoint_old(src, dst, version, net):
+    """Rewrite the run checkpoint ``src`` in the layout of ``version`` at ``dst``.
+
+    Versions 1 and 2 also held the current channel ``env_channel_h``, once a
+    slot had been stepped the previous slot's ``prev_*`` arrays, and
+    ``sink_rows``, ``env_slot`` and ``has_prev`` in ``harness_meta``.  They
+    are written in their stored order, shapes and dtypes (``net`` gives the
+    dimensions), but filled with NaN: a reader that used one would turn the
+    resumed metrics to NaN.  Version 1 also splits the agent entries.
+    """
     with np.load(src, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
-    meta = json.loads(str(arrays["harness_meta"]))
-    meta["version"] = 1
-    out = {k: v for k, v in arrays.items() if not k.startswith("agent")}
-    for n in range(meta["num_agents"]):
-        prefix = f"agent{n}_"
-        agent = {k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)}
-        out.update({prefix + k: v for k, v in agent_arrays_v1(agent).items()})
-    out["harness_meta"] = np.array(json.dumps(meta))
-    np.savez(dst, **out)
+    meta = json.loads(str(arrays.pop("harness_meta")))
+    n, k, m = net.num_cells, net.users_per_cell, net.num_antennas
+    stream = meta["stream"]
+    env_slot = stream["cursor"] - 1 if stream["kind"] == "trace" else stream["slot"]
+    has_prev = meta["slot"] > 0
+    old = {"states": arrays.pop("states")}
+    old["env_channel_h"] = np.full((n, n, k, m), np.nan + 0j)
+    old.update({key: v for key, v in arrays.items() if key.startswith("proc_")})
+    if has_prev:
+        for name in ("sinr", "rate", "received_power", "interference", "total_ipn", "powers"):
+            shape = (n, n, k) if name == "interference" else (n, k)
+            old[f"prev_{name}"] = np.full(shape, np.nan)
+        old["prev_own_channels"] = np.full((n, k, m), np.nan + 0j)
+    for a in range(meta["num_agents"]):
+        prefix = f"agent{a}_"
+        agent = {key[len(prefix) :]: v for key, v in arrays.items() if key.startswith(prefix)}
+        old.update({prefix + key: v for key, v in agent_arrays_old(agent, version).items()})
+    old["harness_meta"] = np.array(
+        json.dumps(
+            {
+                "version": version,
+                "slot": meta["slot"],
+                "num_agents": meta["num_agents"],
+                "sink_rows": meta["slot"],
+                "env_slot": env_slot,
+                "stream": stream,
+                "has_prev": has_prev,
+            }
+        )
+    )
+    np.savez(dst, **old)
 
 
 @pytest.fixture
-def v1_layout():
-    """Writers of the version-1 checkpoint layout, for resume tests."""
-    return types.SimpleNamespace(agent=agent_arrays_v1, run=run_checkpoint_v1)
+def old_layout():
+    """Writers of the version-1 and version-2 checkpoint layouts, for resume tests."""
+    return types.SimpleNamespace(agent=agent_arrays_old, run=run_checkpoint_old)

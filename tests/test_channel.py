@@ -10,6 +10,7 @@ from cbflab.channel import (
     ChannelModelConfig,
     ChannelProcess,
     TraceFormatError,
+    TraceStream,
     generate_slot,
     generate_trace,
     hex_grid,
@@ -441,3 +442,20 @@ def test_process_checkpoint_round_trip():
     got = [b.next_slot().h.copy() for _ in range(3)]
     for x, y in zip(ref, got):
         npt.assert_array_equal(x, y)
+
+
+def test_trace_stream_current_is_the_last_slot_read():
+    net = make_net(n=2, k=2, m1=1, m2=2)
+    trace = generate_trace(net, ChannelModelConfig(rng_seed=5), 3)
+    stream = TraceStream(trace)
+    # Before the first slot there is none: never trace.slot(-1), the last one.
+    assert stream.current is None
+    for t in range(3):
+        slot = stream.next_slot()
+        assert stream.current.slot_index == slot.slot_index == t
+        npt.assert_array_equal(stream.current.h, slot.h)
+    restored = TraceStream(trace)
+    restored.load_state_dict(stream.state_dict())
+    assert restored.current.slot_index == 2
+    restored.load_state_dict(TraceStream(trace).state_dict())
+    assert restored.current is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cbflab.cli import build_parser, main
+from cbflab.drl import CHECKPOINT_VERSION
 from test_harness import write_config
 
 
@@ -93,9 +94,9 @@ def test_unknown_run_checkpoint_version_exits_two(tmp_path, capsys):
     with np.load(ckpt) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(str(arrays["harness_meta"]))
-    meta["version"] = 3
+    meta["version"] = CHECKPOINT_VERSION + 1
     arrays["harness_meta"] = np.array(json.dumps(meta))
-    future = tmp_path / "v3.npz"
+    future = tmp_path / "future.npz"
     np.savez(future, **arrays)
     capsys.readouterr()
     for argv in (
@@ -103,4 +104,38 @@ def test_unknown_run_checkpoint_version_exits_two(tmp_path, capsys):
         ["bench", config, "--schemes", "ddcbf", "--checkpoint", str(future)],
     ):
         assert main(argv) == 2
-        assert "unsupported checkpoint version 3 in" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unsupported checkpoint version {CHECKPOINT_VERSION + 1} in" in err
+
+
+BAD_VALUES = [
+    ("train", {"checkpoint_every": 0}, "checkpoint_every must be >= 1"),
+    ("train", {"num_slots": 0}, "num_slots must be >= 1"),
+    ("train", {"eval_window": 0}, "eval_window must be >= 1"),
+    ("train", {"batch_size": 0}, "batch_size must be >= 1"),
+    ("bench", {"bench_slots": 0}, "bench_slots must be >= 1"),
+    ("bench", {"wmmse_num_inits": 0}, "wmmse_num_inits must be >= 1"),
+    ("train", {"num_cells": 0}, "num_cells must be >= 1"),
+    ("train", {"channel_model": "foo"}, "model_kind must be one of"),
+    ("train", {"num_rays": 0}, "num_rays must be >= 1"),
+    ("train", {"temporal_corr": 2}, "temporal_corr must lie in"),
+    ("train", {"slot_duration_ms": 0}, "slot_duration must be > 0"),
+    ("train", {"codebook_size": 2, "csi_keep": 3}, "csi_keep must be <= codebook_size"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    BAD_VALUES,
+    ids=[",".join(f"{k}={v}" for k, v in case[1].items()) for case in BAD_VALUES],
+)
+def test_bad_config_value_exits_two_and_writes_nothing(
+    tmp_path, capsys, command, overrides, message
+):
+    argv = [command, str(write_config(tmp_path, **overrides))]
+    if command == "bench":
+        argv += ["--schemes", "mslnr-ep"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbflab.drl import Adam, DdpgAgent, Mlp, ReplayMemory, savez_atomic
+from cbflab.drl import (
+    CHECKPOINT_VERSION,
+    Adam,
+    DdpgAgent,
+    Mlp,
+    ReplayMemory,
+    savez_atomic,
+)
 
 
 def finite_difference(fn, arr, step=1e-5):
@@ -689,7 +696,7 @@ def test_state_dict_holds_one_flat_array_per_net_and_moment():
     assert arrays["critic"].size == agent.critic.flat.size == arrays["adam_critic_v"].size
 
 
-def test_version1_agent_checkpoint_continues_bit_exactly(tmp_path, v1_layout):
+def test_version1_agent_checkpoint_continues_bit_exactly(tmp_path, old_layout):
     a = small_agent(seed=21)
     fill_memory(a, 20, seed=2)
     for _ in range(3):
@@ -697,7 +704,7 @@ def test_version1_agent_checkpoint_continues_bit_exactly(tmp_path, v1_layout):
         a.soft_update()
         a.act(np.zeros(6), explore=True)
     path = tmp_path / "agent_v1.npz"
-    np.savez(path, **v1_layout.agent(a.state_dict()))
+    np.savez(path, **old_layout.agent(a.state_dict(), 1))
     b = load_agent(path)
     for _ in range(3):
         assert a.train_step() == b.train_step()
@@ -720,19 +727,19 @@ class RecordingArrays(dict):
         return super().__getitem__(key)
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_actor_from_state_dict_reads_only_meta_and_actor(version, v1_layout):
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_actor_from_state_dict_reads_only_meta_and_actor(version, old_layout):
     agent = small_agent(seed=4)
     fill_memory(agent, 8, seed=3)
     agent.train_step()
     arrays = agent.state_dict()
-    if version == 1:
-        arrays = v1_layout.agent(arrays)
+    if version < CHECKPOINT_VERSION:
+        arrays = old_layout.agent(arrays, version)
     arrays = RecordingArrays(arrays)
     actor = DdpgAgent.actor_from_state_dict(arrays)
     assert actor.flat.tobytes() == agent.actor.flat.tobytes()
     assert actor.output_activation == "sigmoid"
-    actor_keys = {"actor"} if version == 2 else {f"actor_p{i}" for i in range(6)}
+    actor_keys = {"actor"} if version > 1 else {f"actor_p{i}" for i in range(6)}
     assert arrays.read == {"meta"} | actor_keys
 
 
@@ -740,7 +747,9 @@ def test_unknown_checkpoint_version_rejected():
     agent = small_agent()
     arrays = agent.state_dict()
     meta = json.loads(str(arrays["meta"]))
-    meta["version"] = 3
+    meta["version"] = CHECKPOINT_VERSION + 1
     arrays["meta"] = np.array(json.dumps(meta))
-    with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+    with pytest.raises(
+        ValueError, match=f"unsupported checkpoint version {CHECKPOINT_VERSION + 1}"
+    ):
         DdpgAgent.from_state_dict(arrays)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbflab.channel import ChannelModelConfig, TraceStream, generate_trace
+from cbflab import env as env_module
+from cbflab.channel import (
+    ChannelModelConfig,
+    ChannelProcess,
+    TraceStream,
+    generate_trace,
+)
 from cbflab.env import (
     RATE_SCALE,
     BeamformingEnv,
@@ -429,8 +435,7 @@ def test_delay_semantics_cross_cell_blocks():
         total_ipn=m.total_ipn,
     )
     prev_mut = PrevSlotInfo(
-        metrics=bumped, powers=prev.powers, csi=prev.csi,
-        own_channels=prev.own_channels, interfered=prev.interfered,
+        metrics=bumped, powers=prev.powers, csi=prev.csi, interfered=prev.interfered
     )
     changed = build_state(env.serving, env.csi, prev_mut, 2)
     for n in range(3):
@@ -523,21 +528,31 @@ def test_reward_pocket_calculator_case():
 
 
 def test_reward_zero_interference_no_penalty():
-    net, env = make_env()
+    # A noise power at which the rates are O(1) bit/s/Hz, so a wrong penalty
+    # cannot hide below a rounding tolerance.
+    net = make_net(noise_power=1e-11)
+    trace = generate_trace(net, ChannelModelConfig(rng_seed=0, temporal_corr=0.8), 4)
+    env = BeamformingEnv(
+        net, TraceStream(trace), codebook_size=16, csi_keep=3, num_interferers=2
+    )
     env.reset()
     rng = np.random.default_rng(5)
     _, _, metrics = env.step(rng.uniform(0, 1, (3, env.action_dim)))
+    # The same received powers without any interference: only noise remains.
+    total_ipn = np.full_like(metrics.received_power, net.noise_power)
+    sinr = metrics.received_power / total_ipn
     quiet = SlotMetrics(
-        sinr=metrics.sinr,
-        rate=metrics.rate,
+        sinr=sinr,
+        rate=np.log2(1 + sinr),
         received_power=metrics.received_power,
         interference=np.zeros_like(metrics.interference),
-        total_ipn=metrics.received_power + net.noise_power,
+        total_ipn=total_ipn,
     )
+    assert 0.5 < np.median(quiet.rate) < 10
     # flat indices m * K + j: BS 0 -> (1, 0), (2, 1); the others likewise
     rec = compute_reward(quiet, np.array([[2, 5], [0, 5], [1, 3]]))
-    assert rec.penalty == pytest.approx(np.zeros(3), abs=1e-12)
-    assert rec.reward == pytest.approx(rec.own_sum_rate)
+    npt.assert_array_equal(rec.penalty, np.zeros(3))
+    npt.assert_array_equal(rec.reward, rec.own_sum_rate)
 
 
 def test_reward_penalty_nonnegative_sweep():
@@ -649,6 +664,47 @@ def test_env_checkpoint_round_trip():
     npt.assert_array_equal(ref_rewards, got_rewards)
 
 
+@pytest.mark.parametrize("source", ["process", "trace"])
+def test_env_restore_stores_and_rebuilds_only_the_current_slot(monkeypatch, source):
+    net = make_net()
+    model = ChannelModelConfig(rng_seed=10, temporal_corr=0.8)
+
+    def fresh():
+        stream = ChannelProcess(net, model)
+        if source == "trace":
+            stream = TraceStream(generate_trace(net, model, 8))
+        return BeamformingEnv(net, stream, codebook_size=16, csi_keep=3, num_interferers=2)
+
+    env = fresh()
+    env.reset()
+    env.step(np.full((3, env.action_dim), 0.3))
+    arrays, meta = env.state_dict()
+    assert meta == {"stream": env.stream.state_dict()[1]}
+    assert set(arrays) == set(env.stream.state_dict()[0])
+
+    calls = []
+
+    def counted_csi_features(h, *args):
+        calls.append(h)
+        return csi_features(h, *args)
+
+    def no_selection(*args):
+        raise AssertionError("restore selected the interfered users")
+
+    monkeypatch.setattr(env_module, "csi_features", counted_csi_features)
+    monkeypatch.setattr(env_module, "select_interfered", no_selection)
+    restored = fresh()
+    restored.load_state_dict((arrays, meta))
+    # One compression: the current slot's serving channels.  The previous
+    # slot is not rebuilt: the next step records its own.
+    assert len(calls) == 1
+    npt.assert_array_equal(calls[0], env.serving)
+    npt.assert_array_equal(restored.channel.h, env.channel.h)
+    assert restored.channel.slot_index == env.channel.slot_index == 1
+    npt.assert_array_equal(restored.csi, env.csi)
+    assert restored.prev is None and restored.last_reward is None
+
+
 # -- stacked slot against the per-BS oracles ---------------------------------------
 
 
@@ -720,7 +776,6 @@ def test_stacked_slot_matches_per_bs_oracles(
         metrics=metrics,
         powers=powers,
         csi=csi_features(prev_serving, codebook, keep),
-        own_channels=prev_serving,
         interfered=interfered,
     )
     prev_one = types.SimpleNamespace(

@@ -255,23 +255,63 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     assert resumed["final_moving_average"] == summary["final_moving_average"]
 
 
-def test_train_resume_from_version1_checkpoint(tmp_path, v1_layout):
+def _resume_from_old_layout(tmp_path, version, old_layout):
+    """Resume live and trace-backed runs from their slot-7 checkpoints rewritten
+    in the layout of ``version``; each must give the uninterrupted train.csv.
+    """
+    trace = tmp_path / "chan.trace"
+    generate_trace_file(parse_config(write_config(tmp_path)), trace, num_slots=20)
+    for source, overrides in (("process", {}), ("trace", {"trace_file": trace})):
+        full, part = tmp_path / source / "full", tmp_path / source / "part"
+        run_train(parse_config(write_config(tmp_path, out_dir=full, **overrides)))
+        part_cfg = parse_config(write_config(tmp_path, out_dir=part, **overrides))
+        run_train(part_cfg)
+        old = tmp_path / source / f"v{version}.npz"
+        ckpt = part / "checkpoints" / "train_00000007.npz"
+        old_layout.run(ckpt, old, version, part_cfg.network)
+        with np.load(old) as data:
+            assert {"env_channel_h", "prev_own_channels"} <= set(data.files)
+            assert ("agent0_actor_p0" in data.files) == (version == 1)
+            assert json.loads(str(data["harness_meta"]))["version"] == version
+        run_train(part_cfg, resume_from=str(old))
+        assert (part / "train.csv").read_bytes() == (full / "train.csv").read_bytes()
+
+
+def test_train_resume_from_version1_checkpoint(tmp_path, old_layout):
     # Checkpoints written before the flat layout (one array per parameter and
     # moment block) still resume bit-exactly.
-    full_cfg = parse_config(write_config(tmp_path, out_dir=tmp_path / "full"))
-    run_train(full_cfg)
-    full_csv = (tmp_path / "full" / "train.csv").read_bytes()
+    _resume_from_old_layout(tmp_path, 1, old_layout)
 
-    part_cfg = parse_config(write_config(tmp_path, out_dir=tmp_path / "part"))
-    run_train(part_cfg)
-    ckpt = tmp_path / "part" / "checkpoints" / "train_00000007.npz"
-    old = tmp_path / "v1.npz"
-    v1_layout.run(ckpt, old)
-    with np.load(old) as data:
-        assert "agent0_actor_p0" in data.files and "agent0_actor" not in data.files
-        assert json.loads(str(data["harness_meta"]))["version"] == 1
-    run_train(part_cfg, resume_from=str(old))
-    assert (tmp_path / "part" / "train.csv").read_bytes() == full_csv
+
+def test_train_resume_from_version2_checkpoint(tmp_path, old_layout):
+    # Version 2's copies of the channel, the previous slot and the row count
+    # are never read: they hold NaN here, and the metrics stay bit-exact.
+    _resume_from_old_layout(tmp_path, 2, old_layout)
+
+
+@pytest.mark.parametrize("source", ["process", "trace"])
+def test_checkpoint_holds_each_fact_once(tmp_path, source):
+    overrides = {}
+    if source == "trace":
+        overrides["trace_file"] = tmp_path / "chan.trace"
+        generate_trace_file(
+            parse_config(write_config(tmp_path)), overrides["trace_file"], num_slots=20
+        )
+    cfg = parse_config(write_config(tmp_path, **overrides))
+    run_train(cfg)
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
+    with np.load(ckpt) as data:
+        keys = set(data.files)
+        meta = json.loads(str(data["harness_meta"]))
+    stream = set()
+    if source == "process":
+        stream = {"proc_h", "proc_ue_positions", "proc_ue_headings"}
+    agent_keys = load_agents_from_checkpoint(ckpt, 3)[0].state_dict()
+    agents = {f"agent{n}_{key}" for n in range(3) for key in agent_keys}
+    assert keys == {"states", "harness_meta"} | stream | agents
+    assert list(meta) == ["version", "slot", "num_agents", "stream"]
+    assert (meta["version"], meta["slot"], meta["num_agents"]) == (3, 7, 3)
+    assert meta["stream"]["kind"] == source
 
 
 def _finished_run_and_checkpoint(tmp_path):
@@ -364,15 +404,15 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, break_savez):
     ckpt_dir = tmp_path / "ckpt"
     ckpt_dir.mkdir()
     path = ckpt_dir / "train.npz"
-    save_checkpoint(path, 0, states, env, agents, 0)
+    save_checkpoint(path, 0, states, env, agents)
     states, _, _ = env.step(np.stack([agent.random_action() for agent in agents]))
     break_savez()
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, 1, states, env, agents, 1)
+        save_checkpoint(path, 1, states, env, agents)
     assert os.listdir(ckpt_dir) == ["train.npz"]
     fresh_env = _build_env(cfg)
-    slot, _, sink_rows = load_checkpoint(path, fresh_env)
-    assert (slot, sink_rows) == (0, 0)
+    slot, _ = load_checkpoint(path, fresh_env)
+    assert slot == 0
     assert len(load_agents_from_checkpoint(path, cfg.network.num_cells)) == 3
 
 
@@ -394,14 +434,14 @@ def test_checkpoint_round_trip_is_a_fixed_point(tmp_path, source):
     env = _build_env(cfg)
     agents = _build_agents(cfg, env)
     first = tmp_path / "slot0.npz"
-    save_checkpoint(first, 0, env.reset(), env, agents, 0)
+    save_checkpoint(first, 0, env.reset(), env, agents)
     later = tmp_path / "out" / "checkpoints" / "train_00000014.npz"
     for path in (first, later):
         env = _build_env(cfg)
-        slot, states, sink_rows = load_checkpoint(path, env)
+        slot, states = load_checkpoint(path, env)
         agents = load_agents_from_checkpoint(path, cfg.network.num_cells)
         again = tmp_path / "again.npz"
-        save_checkpoint(again, slot, states, env, agents, sink_rows)
+        save_checkpoint(again, slot, states, env, agents)
         stored, rewritten = _checkpoint_arrays(path), _checkpoint_arrays(again)
         assert list(rewritten) == list(stored)
         for key, array in stored.items():
@@ -546,14 +586,14 @@ def test_benchmark_policy_rollout_from_checkpoint(tmp_path):
     assert len(cdf) == 2 + 2 * 3
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_policy_rollout_reads_only_the_actors(tmp_path, version, v1_layout):
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_policy_rollout_reads_only_the_actors(tmp_path, version, old_layout):
     cfg = parse_config(write_config(tmp_path, num_slots=12, bench_slots=3))
     ckpt = run_train(cfg)["checkpoint"]
     full = ckpt
-    if version == 1:
-        full = str(tmp_path / "v1.npz")
-        v1_layout.run(ckpt, full)
+    if version < 3:
+        full = str(tmp_path / f"v{version}.npz")
+        old_layout.run(ckpt, full, version, cfg.network)
     # A checkpoint stripped of everything but the actors rolls out the same.
     with np.load(full) as data:
         keep = {
