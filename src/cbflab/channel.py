@@ -26,6 +26,11 @@ Everything computed from the draws is vectorized over links and rays with
 the same floating-point operations, in the same order, as a per-link loop.
 So traces, checkpoints and ``config_fingerprint`` are unchanged from the
 first (``TRACE_MAGIC`` version 1) generator, bit for bit.
+
+Jakes' correlation needs the Bessel function J0.  ``j0`` is a port of the
+Cephes routine that ``scipy.special.j0`` evaluates, in plain Python floats
+with the same coefficients and operation order, so it returns scipy's value
+bit for bit and the package needs nothing beyond numpy at run time.
 """
 
 from __future__ import annotations
@@ -33,23 +38,19 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
-from .network import ChannelState, NetworkConfig
+from .network import BS_EXCLUSION_RADIUS, ChannelState, NetworkConfig
 
 logger = logging.getLogger(__name__)
 
 MODEL_KINDS = ("iid-rayleigh", "gauss-markov", "geometric-ura")
-
-# Users are dropped uniformly in the cell disc outside this radius around
-# their BS, so the first slot never starts on top of an antenna mast.
-BS_EXCLUSION_RADIUS = 10.0
 
 TRACE_MAGIC = b"CBFLAB-TRACE\x00\x00\x00\x01"
 _HEADER = struct.Struct("<5Q")
@@ -83,16 +84,108 @@ class ChannelModelConfig:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
         if self.temporal_corr is not None and not 0.0 <= self.temporal_corr <= 1.0:
             raise ValueError("temporal_corr must lie in [0, 1]")
-        if not self.pathloss_exponent > 0:
-            raise ValueError("pathloss_exponent must be > 0")
+        if not 0.0 < self.pathloss_exponent < math.inf:
+            raise ValueError("pathloss_exponent must be > 0 and finite")
+        if not math.isfinite(self.pathloss_ref_db):
+            raise ValueError("pathloss_ref_db must be finite")
+        if not 0.0 < self.pathloss_ref_dist < math.inf:
+            raise ValueError("pathloss_ref_dist must be > 0 and finite")
         if self.num_rays < 1:
             raise ValueError("num_rays must be >= 1")
-        if self.angular_spread_deg < 0:
-            raise ValueError("angular_spread_deg must be >= 0")
+        if not 0.0 <= self.angular_spread_deg < math.inf:
+            raise ValueError("angular_spread_deg must be >= 0 and finite")
+
+
+# Coefficients of Cephes j0.c (Stephen L. Moshier): a rational approximation
+# in x^2 on [0, 5], with the squares DR1, DR2 of J0's first two zeros
+# factored out, and rational amplitude and phase terms in 25/x^2 beyond.
+_J0_DR1 = 5.78318596294678452118e0
+_J0_DR2 = 3.04712623436620863991e1
+_J0_RP = (
+    -4.79443220978201773821e9, 1.95617491946556577543e12,
+    -2.49248344360967716204e14, 9.70862251047306323952e15,
+)
+_J0_RQ = (  # leading 1 implied (p1evl)
+    4.99563147152651017219e2, 1.73785401676374683123e5,
+    4.84409658339962045305e7, 1.11855537045356834862e10,
+    2.11277520115489217587e12, 3.10518229857422583814e14,
+    3.18121955943204943306e16, 1.71086294081043136091e18,
+)
+_J0_PP = (
+    7.96936729297347051624e-4, 8.28352392107440799803e-2,
+    1.23953371646414299388e0, 5.44725003058768775090e0,
+    8.74716500199817011941e0, 5.30324038235394892183e0,
+    9.99999999999999997821e-1,
+)
+_J0_PQ = (
+    9.24408810558863637013e-4, 8.56288474354474431428e-2,
+    1.25352743901058953537e0, 5.47097740330417105182e0,
+    8.76190883237069594232e0, 5.30605288235394617618e0,
+    1.00000000000000000218e0,
+)
+_J0_QP = (
+    -1.13663838898469149931e-2, -1.28252718670509318512e0,
+    -1.95539544257735972385e1, -9.32060152123768231369e1,
+    -1.77681167980488050595e2, -1.47077505154951170175e2,
+    -5.14105326766599330220e1, -6.05014350600728481186e0,
+)
+_J0_QQ = (  # leading 1 implied (p1evl)
+    6.43178256118178023184e1, 8.56430025976980587198e2,
+    3.88240183605401609683e3, 7.24046774195652478189e3,
+    5.93072701187316984827e3, 2.06209331660327847417e3,
+    2.42005740240291393179e2,
+)
+_SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
+
+
+def _polevl(x, coef):
+    """Horner's rule, highest power first (Cephes polevl)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """``_polevl`` with an implied leading coefficient of 1 (Cephes p1evl)."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def j0(x):
+    """Bessel function of the first kind of order zero, for real x.
+
+    Cephes ``j0`` operation for operation, so a finite result equals
+    ``scipy.special.j0(x)`` bit for bit; like scipy, it is NaN for x = NaN
+    or +-inf.
+    """
+    x = abs(x)
+    if x == math.inf:  # C's cos(inf) is NaN where math.cos raises
+        return math.nan
+    if x <= 5.0:
+        z = x * x
+        if x < 1.0e-5:
+            return 1.0 - z / 4.0
+        p = (z - _J0_DR1) * (z - _J0_DR2)
+        return p * _polevl(z, _J0_RP) / _p1evl(z, _J0_RQ)
+    w = 5.0 / x
+    q = 25.0 / (x * x)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _p1evl(q, _J0_QQ)
+    xn = x - math.pi / 4.0
+    p = p * math.cos(xn) - w * q * math.sin(xn)
+    return p * _SQ2OPI / math.sqrt(x)
 
 
 def jakes_temporal_corr(cfg: NetworkConfig):
-    """Slot-lag correlation J0(2*pi*f_D*T_s) implied by the mobility config."""
+    """Slot-lag correlation J0(2*pi*f_D*T_s) implied by the mobility config.
+
+    ``j0`` is the Cephes port above, bit-identical to ``scipy.special.j0``,
+    so the correlation (and every channel drawn with it) is the same as when
+    scipy evaluated it.
+    """
     doppler = cfg.ue_speed * cfg.carrier_freq / 299792458.0
     return float(j0(2.0 * np.pi * doppler * cfg.slot_duration))
 

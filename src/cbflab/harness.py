@@ -16,6 +16,7 @@ notices -- everything that may legitimately differ between runs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -75,6 +76,18 @@ def _parse_corr(text):
 
 _COUNT = {"count": True}  # metadata of the count keys, which must be >= 1
 
+# Fields of the derived configs that hold a config key's value under another
+# name (and in a unit of the same sign); their errors name the key instead.
+# max_power and noise_power are left out: a dBm key has no sign constraint.
+_KEY_OF_FIELD = {
+    "carrier_freq": "carrier_freq_ghz",
+    "cell_radius": "cell_radius_m",
+    "slot_duration": "slot_duration_ms",
+    "ue_speed": "ue_speed_kmh",
+    "model_kind": "channel_model",
+    "pathloss_ref_dist": "pathloss_ref_dist_m",
+}
+
 # Parsers of the plain annotations (strings under ``from __future__ import
 # annotations``).
 _PARSERS = {"int": int, "float": float, "str": str}
@@ -90,8 +103,9 @@ class RunConfig:
     built from raw text and one built with ``dataclasses.replace`` come out
     alike.  ``network`` and ``channel`` are derived from the fields, and the
     count keys and cross-key constraints checked, in ``__post_init__``
-    (``replace`` reruns both); a ValueError of the derived configs becomes a
-    ConfigError.
+    (``replace`` reruns both).  Every float key must be finite.  A
+    ValueError of the derived configs becomes a ConfigError that names the
+    config key, not the derived field.
     """
 
     # network
@@ -159,6 +173,9 @@ class RunConfig:
                 setattr(self, f.name, parse(value))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"key '{f.name}': cannot parse {value!r}") from exc
+        for f in _config_keys():
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
 
         try:  # the lower classes' own checks raise ValueError
             self.network = NetworkConfig(
@@ -184,7 +201,8 @@ class RunConfig:
                 rng_seed=self.seed,
             )
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            name, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)} {rest}") from exc
 
         for f in _config_keys():
             if f.metadata.get("count") and getattr(self, f.name) < 1:

@@ -15,9 +15,14 @@ large arrays).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Users are dropped uniformly in the cell disc outside this radius (meters)
+# around their BS, so the first slot never starts on top of an antenna mast.
+BS_EXCLUSION_RADIUS = 10.0
 
 # Relative slack on the per-BS transmit power constraint.  Exact equality is
 # numerically unattainable after a bisection search, so feasibility checks
@@ -51,7 +56,8 @@ class NetworkConfig:
         max_power: per-BS transmit power budget in watts.
         noise_power: receiver AWGN power in watts.
         carrier_freq: carrier frequency in Hz.
-        cell_radius: cell radius in meters (half the inter-site distance).
+        cell_radius: cell radius in meters (half the inter-site distance),
+            larger than ``BS_EXCLUSION_RADIUS``.
         slot_duration: time slot length in seconds.
         ue_speed: user speed in m/s (used for mobility and Doppler).
     """
@@ -72,14 +78,25 @@ class NetworkConfig:
             raise ValueError("num_cells must be >= 1")
         if self.users_per_cell < 1:
             raise ValueError("users_per_cell must be >= 1")
-        if self.array_rows < 1 or self.array_cols < 1:
-            raise ValueError("array dimensions must be >= 1")
-        if not self.max_power > 0:
-            raise ValueError("max_power must be > 0")
-        if not self.noise_power > 0:
-            raise ValueError("noise_power must be > 0")
-        if not self.slot_duration > 0:
-            raise ValueError("slot_duration must be > 0")
+        if self.array_rows < 1:
+            raise ValueError("array_rows must be >= 1")
+        if self.array_cols < 1:
+            raise ValueError("array_cols must be >= 1")
+        if not 0.0 < self.max_power < math.inf:
+            raise ValueError("max_power must be > 0 and finite")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ValueError("noise_power must be > 0 and finite")
+        if not 0.0 < self.carrier_freq < math.inf:
+            raise ValueError("carrier_freq must be > 0 and finite")
+        if not BS_EXCLUSION_RADIUS < self.cell_radius < math.inf:
+            raise ValueError(
+                f"cell_radius must be finite and > {BS_EXCLUSION_RADIUS:g} m, "
+                "the users' exclusion radius around their BS"
+            )
+        if not 0.0 < self.slot_duration < math.inf:
+            raise ValueError("slot_duration must be > 0 and finite")
+        if not 0.0 <= self.ue_speed < math.inf:
+            raise ValueError("ue_speed must be >= 0 and finite")
 
     @property
     def num_antennas(self):

@@ -331,10 +331,44 @@ def test_generate_slot_dimension_mismatch():
         generate_slot(topo, prev, cfg, other, rng)
 
 
+def _jakes_argument(net):
+    return 2.0 * np.pi * (net.ue_speed * net.carrier_freq / 299792458.0) * net.slot_duration
+
+
 def test_jakes_correlation_near_paper_mobility():
     net = make_net()  # 2.6 GHz, 3 km/h, 20 ms
     rho = jakes_temporal_corr(net)
     assert 0.79 < rho < 0.81
+    # The value scipy.special.j0 gave; every auto-correlated trace depends
+    # on it.
+    assert _jakes_argument(net) == 0.9081995095123954
+    assert rho == 0.8041832556022939
+
+
+def test_j0_matches_scipy_bitwise():
+    from scipy.special import j0 as scipy_j0
+
+    rng = np.random.default_rng(0)
+    near_five, below, above = [5.0], 5.0, 5.0
+    for _ in range(16):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        near_five += [below, above]
+    x = np.concatenate(
+        [
+            np.linspace(0.0, 1e-5, 1001),
+            rng.uniform(0.0, 1e-5, 2000),
+            [np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0)],
+            rng.uniform(1e-5, 5.0, 20000),
+            near_five,
+            rng.uniform(5.0, 200.0, 20000),
+            [200.0, _jakes_argument(make_net())],  # the ref7 argument
+        ]
+    )
+    x = np.concatenate([x, -x])
+    ours = np.array([channel.j0(float(v)) for v in x])
+    npt.assert_array_equal(ours.view(np.uint64), scipy_j0(x).view(np.uint64))
+    for v in (np.nan, np.inf, -np.inf):
+        assert np.isnan(channel.j0(v)) and np.isnan(scipy_j0(v))
 
 
 # -- trace files ------------------------------------------------------------

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cbflab
 from cbflab.cli import build_parser, main
 from cbflab.drl import CHECKPOINT_VERSION
-from test_harness import write_config
+from test_harness import SMALL, write_config
 
 
 @pytest.fixture(autouse=True)
@@ -116,10 +121,14 @@ BAD_VALUES = [
     ("bench", {"bench_slots": 0}, "bench_slots must be >= 1"),
     ("bench", {"wmmse_num_inits": 0}, "wmmse_num_inits must be >= 1"),
     ("train", {"num_cells": 0}, "num_cells must be >= 1"),
-    ("train", {"channel_model": "foo"}, "model_kind must be one of"),
+    ("train", {"channel_model": "foo"}, "channel_model must be one of"),
     ("train", {"num_rays": 0}, "num_rays must be >= 1"),
     ("train", {"temporal_corr": 2}, "temporal_corr must lie in"),
-    ("train", {"slot_duration_ms": 0}, "slot_duration must be > 0"),
+    ("train", {"slot_duration_ms": 0}, "slot_duration_ms must be > 0"),
+    ("train", {"ue_speed_kmh": "inf"}, "ue_speed_kmh must be finite"),
+    ("train", {"angular_spread_deg": "nan"}, "angular_spread_deg must be finite"),
+    ("train", {"pathloss_ref_dist_m": 0}, "pathloss_ref_dist_m must be > 0"),
+    ("train", {"cell_radius_m": 5}, "cell_radius_m must be finite and > 10 m"),
     ("train", {"codebook_size": 2, "csi_keep": 3}, "csi_keep must be <= codebook_size"),
 ]
 
@@ -139,3 +148,40 @@ def test_bad_config_value_exits_two_and_writes_nothing(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+NO_SCIPY_SCRIPT = """
+import json
+import sys
+
+import cbflab
+from cbflab.channel import generate_trace
+from cbflab.cli import main
+from cbflab.harness import build_config
+
+cfg = build_config({**SMALL, "out_dir": "unused"})
+generate_trace(cfg.network, cfg.channel, 2)
+try:
+    main(["--help"])
+except SystemExit:
+    pass
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only: the package, a channel draw and the
+    # CLI must run on numpy alone.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cbflab.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", f"SMALL = {SMALL!r}\n{NO_SCIPY_SCRIPT}"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
