@@ -10,7 +10,9 @@ at the boundary.  Agents are built from the fields named in
 Metric output is a versioned CSV (deterministic: two single-threaded runs
 with the same config and seeds produce bit-identical files) plus a JSON-lines
 event log that carries timestamps, wall-clock measurements and checkpoint
-notices -- everything that may legitimately differ between runs.
+notices -- everything that may legitimately differ between runs.  One
+parser reads both versioned CSVs back (``MetricSink.read``, ``read_bench``).
+Training and benchmarks load a configured trace through one dimension check.
 """
 
 from __future__ import annotations
@@ -19,29 +21,21 @@ import json
 import math
 import os
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .channel import (
     ChannelModelConfig,
     ChannelProcess,
-    ChannelTrace,
     TraceStream,
     config_fingerprint,
     generate_trace,
     load_trace,
     save_trace,
 )
-from .drl import (
-    CHECKPOINT_VERSION,
-    HYPERPARAMETERS,
-    DdpgAgent,
-    Mlp,
-    read_meta,
-    savez_atomic,
-)
-from .env import ACTION_MODES, BeamformingEnv, action_dim, decode_action, state_layout
+from .drl import CHECKPOINT_VERSION, HYPERPARAMETERS, DdpgAgent, read_meta, savez_atomic
+from .env import ACTION_MODES, BeamformingEnv, decode_action
 from .network import NetworkConfig, compute_metrics, dbm_to_watt
 from .solvers import (
     mrt_beamformer,
@@ -78,7 +72,8 @@ _COUNT = {"count": True}  # metadata of the count keys, which must be >= 1
 
 # Fields of the derived configs that hold a config key's value under another
 # name (and in a unit of the same sign); their errors name the key instead.
-# max_power and noise_power are left out: a dBm key has no sign constraint.
+# max_power and noise_power are left out: a dBm key has no sign constraint,
+# so _dbm_key_to_watt checks their converted values.
 _KEY_OF_FIELD = {
     "carrier_freq": "carrier_freq_ghz",
     "cell_radius": "cell_radius_m",
@@ -87,6 +82,18 @@ _KEY_OF_FIELD = {
     "model_kind": "channel_model",
     "pathloss_ref_dist": "pathloss_ref_dist_m",
 }
+
+
+def _dbm_key_to_watt(key, dbm):
+    """The watts of a dBm key; ConfigError unless finite and > 0."""
+    try:
+        watts = dbm_to_watt(dbm)
+    except OverflowError:
+        watts = math.inf
+    if not 0.0 < watts < math.inf:
+        raise ConfigError(f"{key} = {dbm:g} dBm is not a finite power > 0 W")
+    return watts
+
 
 # Parsers of the plain annotations (strings under ``from __future__ import
 # annotations``).
@@ -103,9 +110,10 @@ class RunConfig:
     built from raw text and one built with ``dataclasses.replace`` come out
     alike.  ``network`` and ``channel`` are derived from the fields, and the
     count keys and cross-key constraints checked, in ``__post_init__``
-    (``replace`` reruns both).  Every float key must be finite.  A
-    ValueError of the derived configs becomes a ConfigError that names the
-    config key, not the derived field.
+    (``replace`` reruns both).  Every float key must be finite, and the dBm
+    keys must convert to a finite power above 0 W.  A ValueError of the
+    derived configs becomes a ConfigError that names the config key, not the
+    derived field.
     """
 
     # network
@@ -177,14 +185,16 @@ class RunConfig:
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
 
+        max_power = _dbm_key_to_watt("p_max_dbm", self.p_max_dbm)
+        noise_power = _dbm_key_to_watt("noise_dbm", self.noise_dbm)
         try:  # the lower classes' own checks raise ValueError
             self.network = NetworkConfig(
                 num_cells=self.num_cells,
                 users_per_cell=self.users_per_cell,
                 array_rows=self.array_rows,
                 array_cols=self.array_cols,
-                max_power=dbm_to_watt(self.p_max_dbm),
-                noise_power=dbm_to_watt(self.noise_dbm),
+                max_power=max_power,
+                noise_power=noise_power,
                 carrier_freq=self.carrier_freq_ghz * 1e9,
                 cell_radius=self.cell_radius_m,
                 slot_duration=self.slot_duration_ms / 1e3,
@@ -219,6 +229,8 @@ class RunConfig:
         for scheme in self.schemes:
             if scheme not in SCHEMES:
                 raise ConfigError(f"unknown scheme '{scheme}' (choices: {SCHEMES})")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError("schemes must not list a scheme twice")
         if self.action_mode not in ACTION_MODES:
             raise ConfigError(f"action_mode must be one of {ACTION_MODES}")
 
@@ -357,37 +369,40 @@ class MetricSink:
     @staticmethod
     def read(path):
         """Parse a metrics CSV back into a list of row dicts."""
-        with open(path) as fh:
-            version = fh.readline().strip().lstrip("# ")
-            if version != METRICS_VERSION:
-                raise ConfigError(f"unsupported metrics version {version!r}")
-            header = fh.readline().strip().split(",")
-            rows = []
-            for line in fh:
-                parts = line.strip().split(",")
-                row = {}
-                for col, part in zip(header, parts):
-                    if col == "scheme":
-                        row[col] = part
-                    elif col == "slot":
-                        row[col] = int(part)
-                    else:
-                        row[col] = float(part)
-                rows.append(row)
-        return rows
+        return _read_rows(path, METRICS_VERSION)
+
+
+def _read_rows(path, version):
+    """Row dicts of a ``version`` CSV: ``slot`` an int, ``scheme`` a string, the rest floats."""
+    with open(path) as fh:
+        found = fh.readline().strip().lstrip("# ")
+        if found != version:
+            raise ConfigError(f"{path}: unsupported version {found!r}, expected {version!r}")
+        header = fh.readline().strip().split(",")
+        rows = []
+        for line in fh:
+            row = dict(zip(header, line.strip().split(",")))
+            for col, part in row.items():
+                if col != "scheme":
+                    row[col] = int(part) if col == "slot" else float(part)
+            rows.append(row)
+    return rows
+
+
+def _config_trace(cfg: RunConfig):
+    """The configured trace file, checked against the network's dimensions."""
+    trace = load_trace(cfg.trace_file)
+    net = cfg.network
+    dims = (net.num_cells, net.users_per_cell, net.num_antennas)
+    if (trace.num_cells, trace.users_per_cell, trace.num_antennas) != dims:
+        raise ConfigError("trace dimensions do not match the network config")
+    return trace
 
 
 def _channel_stream(cfg: RunConfig):
     """Trace-backed stream when configured, otherwise a live process."""
     if cfg.trace_file:
-        trace = load_trace(cfg.trace_file)
-        net = cfg.network
-        if (
-            trace.num_cells != net.num_cells
-            or trace.users_per_cell != net.users_per_cell
-            or trace.num_antennas != net.num_antennas
-        ):
-            raise ConfigError("trace dimensions do not match the network config")
+        trace = _config_trace(cfg)
         if trace.num_slots < cfg.num_slots + 1:  # reset reads one slot, each step one
             raise ConfigError(
                 f"trace {cfg.trace_file} holds {trace.num_slots} slots, a run of "
@@ -640,16 +655,10 @@ def run_train(cfg: RunConfig, resume_from=None):
 def _collect_window(cfg: RunConfig, offset, count):
     """Channel window [offset, offset+count) of the configured source."""
     if cfg.trace_file:
-        trace = load_trace(cfg.trace_file)
+        trace = _config_trace(cfg)
         if offset + count > trace.num_slots:
             raise ConfigError("benchmark window exceeds the stored trace")
-        return ChannelTrace(
-            num_cells=trace.num_cells,
-            users_per_cell=trace.users_per_cell,
-            num_antennas=trace.num_antennas,
-            cfg_hash=trace.cfg_hash,
-            h=trace.h[offset : offset + count],
-        )
+        return replace(trace, h=trace.h[offset : offset + count])
     return generate_trace(cfg.network, cfg.channel, count, offset=offset)
 
 
@@ -677,7 +686,7 @@ def load_agents_from_checkpoint(path, num_agents):
 
 
 def _rollout_policy(cfg, trace, checkpoint, action_mode):
-    """Greedy rollout of a trained policy over a channel window.
+    """Per-slot (N,) cell rates of a trained policy's greedy rollout over a window.
 
     Only the actors are read from the checkpoint: a greedy action is the
     actor's output, so replay memories, critics and Adam moments stay on disk.
@@ -689,21 +698,51 @@ def _rollout_policy(cfg, trace, checkpoint, action_mode):
         checkpoint, cfg.network.num_cells, DdpgAgent.actor_from_state_dict
     )
     states = env.reset()
-    rows = []
+    cell_rates = []
     for _ in range(trace.num_slots - 1):
         actions = np.stack([actor.forward(states[n]) for n, actor in enumerate(actors)])
-        states, rewards, metrics = env.step(actions)
-        rows.append((metrics.rate.sum(axis=1), rewards))
-    return rows
+        states, _, metrics = env.step(actions)
+        cell_rates.append(metrics.rate.sum(axis=1))
+    return cell_rates
+
+
+def _solve_slot(cfg: RunConfig, scheme, channel, slot):
+    """(beams, WMMSE state) of a classical scheme on one slot; no state for max-SLNR."""
+    net = cfg.network
+    if scheme == "mslnr-ep":
+        return mslnr_beams(channel, net), None
+    if scheme == "wmmse":
+        return wmmse(channel, net, cfg.wmmse_stop_eps, cfg.wmmse_max_iter)
+    return wmmse_multi_init(
+        channel,
+        net,
+        cfg.wmmse_stop_eps,
+        cfg.wmmse_max_iter,
+        num_inits=cfg.wmmse_num_inits,
+        seed=_slot_seed(cfg.seed, slot),
+    )
+
+
+# The trained-policy schemes: the RunConfig key of their checkpoint and the
+# action mode they were trained in.
+_POLICIES = {
+    "ddcbf": ("checkpoint", "structured"),
+    "mslnr-ddpg": ("mslnr_checkpoint", "mslnr-power"),
+}
 
 
 def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoint=None):
     """Evaluate the selected schemes on one shared channel window.
 
-    Every scheme sees the identical channel realizations.  Classical solvers
-    run genie-aided on each slot's current CSI; trained policies are rolled
-    out greedily through the environment.  Emits per-slot rows, an empirical
-    CDF and a summary table under the run's output directory.
+    ``schemes``, ``checkpoint`` and ``mslnr_checkpoint`` override the config
+    keys of the same names when given.  Every scheme sees the identical
+    channel realizations.  Classical solvers run genie-aided on each slot's
+    current CSI; trained policies are rolled out greedily through the
+    environment.  Every scheme yields one (N,) cell-rate array per slot, and
+    those rates give the per-slot rows (``bench.csv``), the empirical CDF of
+    the sum rate (``bench_cdf.csv``) and the summary table
+    (``bench_summary.json``) under the run's output directory.  Nothing is
+    written until every scheme has run.
 
     ``wmmse`` starts from the slot's max-SLNR beams (the ``mslnr-ep`` ones)
     and stops once the sum rate changes by less than ``wmmse_stop_eps``
@@ -714,16 +753,15 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     count (``iterations_mean``) and the fraction that hit the iteration cap
     (``truncated_frac``).
     """
-    schemes = tuple(schemes) if schemes else cfg.schemes
-    checkpoint = checkpoint or cfg.checkpoint
-    mslnr_checkpoint = mslnr_checkpoint or cfg.mslnr_checkpoint
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme '{scheme}'")
-    if "ddcbf" in schemes and not checkpoint:
-        raise ConfigError("scheme 'ddcbf' needs a trained checkpoint")
-    if "mslnr-ddpg" in schemes and not mslnr_checkpoint:
-        raise ConfigError("scheme 'mslnr-ddpg' needs a trained checkpoint")
+    cfg = replace(
+        cfg,
+        schemes=tuple(schemes) if schemes else cfg.schemes,
+        checkpoint=checkpoint or cfg.checkpoint,
+        mslnr_checkpoint=mslnr_checkpoint or cfg.mslnr_checkpoint,
+    )
+    for scheme in cfg.schemes:
+        if scheme in _POLICIES and not getattr(cfg, _POLICIES[scheme][0]):
+            raise ConfigError(f"scheme '{scheme}' needs a trained checkpoint")
 
     offset = cfg.bench_offset
     if offset < 0:
@@ -732,77 +770,49 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     window = _collect_window(cfg, offset, cfg.bench_slots + 1)
     net = cfg.network
 
+    rates = {}  # scheme -> per-slot (N,) cell rates
+    diagnostics = {}
+    for scheme in cfg.schemes:
+        if scheme in _POLICIES:
+            key, mode = _POLICIES[scheme]
+            rates[scheme] = _rollout_policy(cfg, window, getattr(cfg, key), mode)
+            continue
+        rates[scheme], states = [], []
+        for t in range(cfg.bench_slots):
+            channel = window.slot(t)
+            beams, state = _solve_slot(cfg, scheme, channel, offset + t)
+            rates[scheme].append(compute_metrics(channel, beams, net).rate.sum(axis=1))
+            states.append(state)
+        if scheme != "mslnr-ep":
+            # Solver diagnostics of the kept runs (one per slot).
+            diagnostics[scheme] = {
+                "iterations_mean": float(np.mean([st.iterations for st in states])),
+                "truncated_frac": float(np.mean([st.truncated for st in states])),
+            }
+
     os.makedirs(cfg.out_dir, exist_ok=True)
     bench_path = os.path.join(cfg.out_dir, "bench.csv")
-    results = {}
-    with open(bench_path, "w") as fh:
-        fh.write(f"# {BENCH_VERSION}\n")
-        cells = ",".join(f"cell_rate_{n}" for n in range(net.num_cells))
-        fh.write(f"slot,scheme,sum_rate,{cells}\n")
-        for scheme in schemes:
-            rates = []
-            if scheme in ("ddcbf", "mslnr-ddpg"):
-                ckpt = checkpoint if scheme == "ddcbf" else mslnr_checkpoint
-                mode = "structured" if scheme == "ddcbf" else "mslnr-power"
-                rows = _rollout_policy(cfg, window, ckpt, mode)
-                for t, (cell_rates, _) in enumerate(rows):
-                    rates.append(float(cell_rates.sum()))
-                    parts = [str(offset + t), scheme, repr(rates[-1])]
-                    parts += [repr(float(x)) for x in cell_rates]
-                    fh.write(",".join(parts) + "\n")
-            else:
-                states = []
-                for t in range(cfg.bench_slots):
-                    channel = window.slot(t)
-                    if scheme == "mslnr-ep":
-                        beams = mslnr_beams(channel, net)
-                    elif scheme == "wmmse":
-                        beams, state = wmmse(
-                            channel, net, cfg.wmmse_stop_eps, cfg.wmmse_max_iter
-                        )
-                        states.append(state)
-                    elif scheme == "wmmse-nri":
-                        beams, state = wmmse_multi_init(
-                            channel,
-                            net,
-                            cfg.wmmse_stop_eps,
-                            cfg.wmmse_max_iter,
-                            num_inits=cfg.wmmse_num_inits,
-                            seed=_slot_seed(cfg.seed, offset + t),
-                        )
-                        states.append(state)
-                    metrics = compute_metrics(channel, beams, net)
-                    cell_rates = metrics.rate.sum(axis=1)
-                    rates.append(float(cell_rates.sum()))
-                    parts = [str(offset + t), scheme, repr(rates[-1])]
-                    parts += [repr(float(x)) for x in cell_rates]
-                    fh.write(",".join(parts) + "\n")
-            rates = np.asarray(rates)
-            results[scheme] = {
-                "mean": float(rates.mean()),
-                "median": float(np.median(rates)),
-                "p05": float(np.percentile(rates, 5)),
-                "p95": float(np.percentile(rates, 95)),
-                "slots": int(rates.size),
-            }
-            if scheme in ("wmmse", "wmmse-nri"):
-                # Solver diagnostics of the kept runs (one per slot).
-                results[scheme]["iterations_mean"] = float(
-                    np.mean([st.iterations for st in states])
-                )
-                results[scheme]["truncated_frac"] = float(
-                    np.mean([st.truncated for st in states])
-                )
-
     cdf_path = os.path.join(cfg.out_dir, "bench_cdf.csv")
-    with open(cdf_path, "w") as fh:
-        fh.write(f"# {BENCH_VERSION}\n")
-        fh.write("scheme,sum_rate,cum_prob\n")
-        rows = read_bench(bench_path)
-        for scheme in schemes:
-            vals = sorted(r["sum_rate"] for r in rows if r["scheme"] == scheme)
-            for i, v in enumerate(vals):
-                fh.write(f"{scheme},{v!r},{(i + 1) / len(vals)!r}\n")
+    cells = ",".join(f"cell_rate_{n}" for n in range(net.num_cells))
+    results = {}
+    with open(bench_path, "w") as bench, open(cdf_path, "w") as cdf:
+        bench.write(f"# {BENCH_VERSION}\nslot,scheme,sum_rate,{cells}\n")
+        cdf.write(f"# {BENCH_VERSION}\nscheme,sum_rate,cum_prob\n")
+        for scheme, cell_rates in rates.items():
+            sums = [float(c.sum()) for c in cell_rates]
+            for t, (total, c) in enumerate(zip(sums, cell_rates)):
+                parts = [str(offset + t), scheme, repr(total)]
+                bench.write(",".join(parts + [repr(float(x)) for x in c]) + "\n")
+            for i, total in enumerate(sorted(sums)):
+                cdf.write(f"{scheme},{total!r},{(i + 1) / len(sums)!r}\n")
+            results[scheme] = {
+                "mean": float(np.mean(sums)),
+                "median": float(np.median(sums)),
+                "p05": float(np.percentile(sums, 5)),
+                "p95": float(np.percentile(sums, 95)),
+                "slots": len(sums),
+                **diagnostics.get(scheme, {}),
+            }
 
     summary_path = os.path.join(cfg.out_dir, "bench_summary.json")
     with open(summary_path, "w") as fh:
@@ -817,20 +827,8 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
 
 
 def read_bench(path):
-    """Parse a bench CSV into row dicts."""
-    rows = []
-    with open(path) as fh:
-        version = fh.readline().strip().lstrip("# ")
-        if version != BENCH_VERSION:
-            raise ConfigError(f"unsupported bench version {version!r}")
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.strip().split(",")
-            row = dict(zip(header, parts))
-            row["slot"] = int(row["slot"])
-            row["sum_rate"] = float(row["sum_rate"])
-            rows.append(row)
-    return rows
+    """Parse a bench CSV into row dicts (``read`` of ``MetricSink`` for ``bench.csv``)."""
+    return _read_rows(path, BENCH_VERSION)
 
 
 def run_timing(cfg: RunConfig, repeats=30):
@@ -842,38 +840,21 @@ def run_timing(cfg: RunConfig, repeats=30):
     ordering sanity).  Reports medians and interquartile ranges, and the
     WMMSE run's iteration count (``wmmse.iterations``), the base of
     ``speedup_wmmse_over_decision``.  The decision path runs at BS 0 on the
-    process's first slot with a randomly initialized actor, which the
-    report's ``decision_path`` entry records: its cost depends on the net's
-    shape, not on training.
+    live process's first slot and state, with the untrained actor of a fresh
+    ``_build_agents``, which the report's ``decision_path`` entry records:
+    its cost depends on the net's shape, not on training.
     """
     net = cfg.network
-    rng = np.random.default_rng(cfg.seed)
-    proc = ChannelProcess(net, cfg.channel)
-    channel = proc.next_slot()
-    layout = state_layout(
-        net.num_cells, net.users_per_cell, cfg.csi_keep, cfg.num_interferers
-    )
-    adim = action_dim(net.num_cells, net.users_per_cell, "structured")
-    actor = Mlp.create(
-        [layout["total"], *cfg.hidden_sizes, adim], "sigmoid", rng
-    )
-    state = rng.uniform(-1.0, 1.0, layout["total"])
+    env = _build_env(cfg, ChannelProcess(net, cfg.channel), action_mode="structured")
+    state = env.reset()[0]
+    actor = _build_agents(cfg, env)[0].actor
+    channel = env.channel
     local = channel.h[:1]  # BS 0 alone, as a one-BS stack
 
     def decision():
         action = actor.forward(state)[None]
         params = decode_action(action, net.num_cells, net.users_per_cell, net.noise_power)
         return structured_beamformer(local, [0], params, net.max_power)
-
-    def mslnr_run():
-        return mslnr_beams(channel, net)
-
-    def mrt_run():
-        k = net.users_per_cell
-        return [mrt_beamformer(channel.h[0, 0, j]) for j in range(k)]
-
-    def wmmse_run():
-        return wmmse(channel, net, cfg.wmmse_stop_eps, cfg.wmmse_max_iter)
 
     def time_many(fn, n):
         out = []
@@ -886,9 +867,11 @@ def run_timing(cfg: RunConfig, repeats=30):
     decision()  # warm the caches before timing
     timings = {
         "ddcbf-decision": time_many(decision, repeats),
-        "mslnr": time_many(mslnr_run, repeats),
-        "mrt": time_many(mrt_run, repeats),
-        "wmmse": time_many(wmmse_run, repeats),
+        "mslnr": time_many(lambda: mslnr_beams(channel, net), repeats),
+        "mrt": time_many(lambda: [mrt_beamformer(h) for h in channel.h[0, 0]], repeats),
+        "wmmse": time_many(
+            lambda: wmmse(channel, net, cfg.wmmse_stop_eps, cfg.wmmse_max_iter), repeats
+        ),
     }
     report = {}
     for name, (arr, _) in timings.items():

@@ -59,7 +59,9 @@ class NetworkConfig:
         cell_radius: cell radius in meters (half the inter-site distance),
             larger than ``BS_EXCLUSION_RADIUS``.
         slot_duration: time slot length in seconds.
-        ue_speed: user speed in m/s (used for mobility and Doppler).
+        ue_speed: user speed in m/s (used for mobility and Doppler); one
+            slot's step ``ue_speed * slot_duration`` is at most
+            ``2 * cell_radius``.
     """
 
     num_cells: int
@@ -97,6 +99,12 @@ class NetworkConfig:
             raise ValueError("slot_duration must be > 0 and finite")
         if not 0.0 <= self.ue_speed < math.inf:
             raise ValueError("ue_speed must be >= 0 and finite")
+        # A user is folded back into its cell once per slot, which holds it
+        # inside only while a step is at most the cell diameter.
+        if self.ue_speed * self.slot_duration > 2.0 * self.cell_radius:
+            raise ValueError(
+                "ue_speed must not move a user farther than the cell diameter in one slot"
+            )
 
     @property
     def num_antennas(self):

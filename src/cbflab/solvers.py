@@ -27,7 +27,7 @@ from .network import BeamformerSet, compute_metrics, sum_rate
 # matrix eigenmode counts as null space in the pseudo-inverse branch.
 _RANK_RCOND = 1e-12
 
-# Default bisection settings: relative power tolerance and step cap.
+# Bisection settings: relative power tolerance and step cap.
 _POWER_TOL = 1e-8
 _BISECT_ITER = 200
 
@@ -166,7 +166,7 @@ def _power(energy, lam, mu):
     return (energy / (lam + mu[:, None]) ** 2).sum(axis=1)
 
 
-def _bisect_eigen(lam, proj, p_max, power_tol=_POWER_TOL, max_iter=_BISECT_ITER):
+def _bisect_eigen(lam, proj, p_max):
     """Power multiplier per matrix from its eigenbasis, stacked over S rows.
 
     Takes (S, M) eigenvalues clipped at zero and (S, M, K) target
@@ -198,8 +198,8 @@ def _bisect_eigen(lam, proj, p_max, power_tol=_POWER_TOL, max_iter=_BISECT_ITER)
         if not np.all(p_hi <= p_max):
             raise ArithmeticError("bisection bracket did not close")
     lo = np.where(hi == 1.0, 0.0, hi / 2.0)
-    for _ in range(max_iter):
-        done = p_max - p_hi <= power_tol * p_max
+    for _ in range(_BISECT_ITER):
+        done = p_max - p_hi <= _POWER_TOL * p_max
         if done.any():
             mu[rows[done]] = hi[done]
             left = ~done
@@ -217,13 +217,13 @@ def _bisect_eigen(lam, proj, p_max, power_tol=_POWER_TOL, max_iter=_BISECT_ITER)
     return mu
 
 
-def bisect_mu(b0, targets, p_max, power_tol=_POWER_TOL, max_iter=_BISECT_ITER):
+def bisect_mu(b0, targets, p_max):
     """Power-constraint multiplier for the shifted leakage system.
 
     Finds mu >= 0 such that sum_k ||(b0 + mu*I)^{-1} c_k||^2 meets the power
     budget: returns 0 when the unconstrained (pseudo-inverse) solution is
     already feasible, otherwise bisects on the strictly decreasing power
-    profile until it lands within ``power_tol * p_max`` below the budget.
+    profile until it lands within ``_POWER_TOL * p_max`` below the budget.
 
     ``b0`` is one (M, M) Hermitian matrix with (K, M) ``targets``, giving a
     float, or a stack (S, M, M) with (S, K, M) targets, giving an (S,) array.
@@ -239,7 +239,7 @@ def bisect_mu(b0, targets, p_max, power_tol=_POWER_TOL, max_iter=_BISECT_ITER):
         raise ValueError("leakage matrix must be Hermitian")
     targets = np.atleast_2d(targets)[None] if single else np.asarray(targets)
     lam, _, proj = _eigen_projections(stack, targets)
-    mu = _bisect_eigen(np.clip(lam, 0.0, None), proj, p_max, power_tol, max_iter)
+    mu = _bisect_eigen(np.clip(lam, 0.0, None), proj, p_max)
     return float(mu[0]) if single else mu
 
 

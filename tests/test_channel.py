@@ -319,6 +319,19 @@ def test_boundary_reflection_keeps_user_inside():
         assert r <= 250.0 + 1e-9
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_largest_accepted_speed_keeps_every_user_in_its_cell(seed):
+    # A step of exactly the cell diameter (500 m in 1/32 s) is the largest
+    # the config accepts; one fold per slot must still hold every user inside.
+    net = make_net(n=3, k=4, cell_radius=250.0, slot_duration=0.03125, ue_speed=16000.0)
+    assert net.ue_speed * net.slot_duration == 2.0 * net.cell_radius
+    topology = init_topology(net, seed)
+    for _ in range(300):
+        channel._advance_positions(topology, net)
+        offsets = topology.ue_positions - topology.bs_positions[:, None, :]
+        assert np.linalg.norm(offsets, axis=-1).max() <= net.cell_radius
+
+
 def test_generate_slot_dimension_mismatch():
     net = make_net(n=2, k=1)
     cfg = _frozen_cfg()

@@ -130,6 +130,10 @@ BAD_VALUES = [
     ("train", {"pathloss_ref_dist_m": 0}, "pathloss_ref_dist_m must be > 0"),
     ("train", {"cell_radius_m": 5}, "cell_radius_m must be finite and > 10 m"),
     ("train", {"codebook_size": 2, "csi_keep": 3}, "csi_keep must be <= codebook_size"),
+    ("train", {"p_max_dbm": 4000}, "p_max_dbm = 4000 dBm is not a finite power > 0 W"),
+    ("train", {"noise_dbm": -4000}, "noise_dbm = -4000 dBm is not a finite power > 0 W"),
+    ("train", {"ue_speed_kmh": 1e6}, "ue_speed_kmh must not move a user farther than"),
+    ("train", {"schemes": "wmmse,wmmse"}, "schemes must not list a scheme twice"),
 ]
 
 
@@ -147,6 +151,18 @@ def test_bad_config_value_exits_two_and_writes_nothing(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_on_a_mismatched_trace_exits_two_and_writes_nothing(tmp_path, capsys):
+    trace = tmp_path / "chan.trace"
+    made = str(write_config(tmp_path, name="three.cfg", users_per_cell=3))
+    assert main(["trace-gen", made, str(trace)]) == 0
+    assert not (tmp_path / "out").exists()
+    config = str(write_config(tmp_path, trace_file=trace))  # users_per_cell = 2
+    capsys.readouterr()
+    assert main(["bench", config, "--schemes", "mslnr-ep"]) == 2
+    assert "trace dimensions do not match" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

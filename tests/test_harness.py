@@ -508,6 +508,28 @@ def test_metrics_round_trip_lossless(tmp_path):
     assert rebuilt == src
 
 
+@pytest.mark.parametrize("reader", [MetricSink.read, read_bench], ids=["metrics", "bench"])
+def test_csv_readers_reject_a_wrong_version_line(tmp_path, reader):
+    path = tmp_path / "rows.csv"
+    path.write_text("# cbflab-other-v9\nslot,scheme,sum_rate\n0,x,1.0\n")
+    with pytest.raises(ConfigError, match="unsupported version 'cbflab-other-v9'"):
+        reader(str(path))
+
+
+def test_read_bench_returns_float_cell_rates(tmp_path):
+    cfg = parse_config(write_config(tmp_path, bench_slots=2))
+    out = run_benchmark(cfg, schemes=("mslnr-ep",))
+    rows = read_bench(out["bench_csv"])
+    assert [r["slot"] for r in rows] == [0, 1]
+    with open(out["bench_csv"]) as fh:
+        lines = fh.read().splitlines()[2:]
+    for row, line in zip(rows, lines):
+        assert row["scheme"] == "mslnr-ep"
+        rates = [row[f"cell_rate_{n}"] for n in range(cfg.network.num_cells)]
+        assert all(type(x) is float for x in [row["sum_rate"], *rates])
+        assert line.split(",")[3:] == [repr(x) for x in rates]
+
+
 # -- benchmarks ---------------------------------------------------------------------
 
 

@@ -210,3 +210,12 @@ def test_channel_state_validation():
     bad[0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         ChannelState(slot_index=0, h=bad)
+
+
+def test_mobility_step_bounded_by_cell_diameter():
+    dims = dict(num_cells=1, users_per_cell=1, array_rows=1, array_cols=1)
+    largest = NetworkConfig(**dims, cell_radius=250.0, slot_duration=0.03125, ue_speed=16000.0)
+    assert largest.ue_speed * largest.slot_duration == 500.0
+    too_fast = np.nextafter(16000.0, np.inf)
+    with pytest.raises(ValueError, match="ue_speed must not move a user farther than"):
+        NetworkConfig(**dims, cell_radius=250.0, slot_duration=0.03125, ue_speed=too_fast)
