@@ -9,8 +9,9 @@ engine.  Fading follows a first-order Gauss-Markov recursion
 
 where e(t) is a fresh draw from the slot-marginal distribution: either a
 path-loss-scaled complex Gaussian or a sum of uniform-rectangular-array rays
-with random angles and gains.  Users advance along straight tracks with
-specular reflection at the cell edge.
+with random angles and gains.  All users advance together, one step a slot
+along straight tracks with specular reflection at the cell edge.
+``ChannelProcess.next_slot`` is the one slot step: move, draw, mix.
 
 Random stream.  A ``ChannelProcess`` draws from one ``numpy`` Generator
 seeded with ``rng_seed``.  Each slot visits the links in C order of
@@ -22,10 +23,11 @@ seeded with ``rng_seed``.  Each slot visits the links in C order of
 * gauss-markov and iid-rayleigh: M standard normals for the real and M for
   the imaginary parts of the coefficients.
 
-Everything computed from the draws is vectorized over links and rays with
-the same floating-point operations, in the same order, as a per-link loop.
-So traces, checkpoints and ``config_fingerprint`` are unchanged from the
-first (``TRACE_MAGIC`` version 1) generator, bit for bit.
+Everything computed from the draws is vectorized over links and rays, and
+the mobility over users, with the same floating-point operations, in the
+same order, as a per-link and per-user loop.  So traces, checkpoints and
+``config_fingerprint`` are unchanged from the first (``TRACE_MAGIC``
+version 1) generator, bit for bit.
 
 Jakes' correlation needs the Bessel function J0.  ``j0`` is a port of the
 Cephes routine that ``scipy.special.j0`` evaluates, in plain Python floats
@@ -190,12 +192,6 @@ def jakes_temporal_corr(cfg: NetworkConfig):
     return float(j0(2.0 * np.pi * doppler * cfg.slot_duration))
 
 
-def resolve_temporal_corr(model_cfg, net_cfg):
-    if model_cfg.temporal_corr is not None:
-        return model_cfg.temporal_corr
-    return jakes_temporal_corr(net_cfg)
-
-
 @dataclass
 class Topology:
     """BS and user placement.  Positions are 2-D coordinates in meters."""
@@ -333,55 +329,28 @@ def _marginal_draw(topology, model_cfg, net_cfg, rng):
 
 
 def _advance_positions(topology, net_cfg):
-    """Move every user by v*T_s along its heading, reflecting at cell edges."""
-    step = net_cfg.ue_speed * net_cfg.slot_duration
-    n, k = topology.ue_positions.shape[:2]
-    for cell in range(n):
-        center = topology.bs_positions[cell]
-        for user in range(k):
-            heading = topology.ue_headings[cell, user]
-            direction = np.array([np.cos(heading), np.sin(heading)])
-            pos = topology.ue_positions[cell, user] + step * direction
-            radial = pos - center
-            dist = np.linalg.norm(radial)
-            if dist > net_cfg.cell_radius:
-                # Fold the overshoot back inside and mirror the heading about
-                # the tangent at the crossing point.
-                normal = radial / dist
-                pos = center + normal * (2.0 * net_cfg.cell_radius - dist)
-                reflected = direction - 2.0 * np.dot(direction, normal) * normal
-                topology.ue_headings[cell, user] = np.arctan2(
-                    reflected[1], reflected[0]
-                )
-            topology.ue_positions[cell, user] = pos
+    """Move every user by v*T_s along its heading, reflecting at cell edges.
 
-
-def generate_slot(topology, prev, model_cfg, net_cfg, rng):
-    """Generate the next ChannelState, updating user positions in place.
-
-    The first slot (``prev is None``) draws the marginal at the initial
-    positions.  Later slots advance the users one step, then mix the previous
-    coefficients with a fresh marginal draw at correlation ``rho_c``.  The
-    iid-rayleigh model ignores the correlation knob and redraws every slot.
+    One array pass over all users, in place, with a per-user loop's
+    operations: ``vecdot`` reproduces its ``norm`` and ``dot`` bit for bit.
     """
-    if prev is not None:
-        expected = (
-            net_cfg.num_cells,
-            net_cfg.num_cells,
-            net_cfg.users_per_cell,
-            net_cfg.num_antennas,
-        )
-        if prev.h.shape != expected:
-            raise ValueError(
-                f"previous slot has shape {prev.h.shape}, expected {expected}"
-            )
-        _advance_positions(topology, net_cfg)
-    fresh = _marginal_draw(topology, model_cfg, net_cfg, rng)
-    if prev is None or model_cfg.model_kind == "iid-rayleigh":
-        return ChannelState(slot_index=0 if prev is None else prev.slot_index + 1, h=fresh)
-    rho = resolve_temporal_corr(model_cfg, net_cfg)
-    h = rho * prev.h + np.sqrt(max(0.0, 1.0 - rho * rho)) * fresh
-    return ChannelState(slot_index=prev.slot_index + 1, h=h)
+    step = net_cfg.ue_speed * net_cfg.slot_duration
+    radius = net_cfg.cell_radius
+    headings = topology.ue_headings
+    direction = np.stack([np.cos(headings), np.sin(headings)], axis=-1)
+    pos = topology.ue_positions
+    pos += step * direction
+    center = np.broadcast_to(topology.bs_positions[:, None], pos.shape)
+    radial = pos - center
+    dist = np.sqrt(np.vecdot(radial, radial))
+    out = dist > radius
+    # Fold the overshoot back inside and mirror the heading about the
+    # tangent at the crossing point.
+    normal = radial[out] / dist[out, None]
+    pos[out] = center[out] + normal * (2.0 * radius - dist[out])[:, None]
+    d = direction[out]
+    reflected = d - (2.0 * np.vecdot(d, normal))[:, None] * normal
+    headings[out] = np.arctan2(reflected[:, 1], reflected[:, 0])
 
 
 def config_fingerprint(model_cfg, net_cfg):
@@ -410,11 +379,13 @@ def config_fingerprint(model_cfg, net_cfg):
 
 @dataclass(frozen=True)
 class ChannelTrace:
-    """A stored sequence of channel realizations, shape (T, N, N, K, M)."""
+    """A stored sequence of channel realizations, shape (T, N, N, K, M).
 
-    num_cells: int
-    users_per_cell: int
-    num_antennas: int
+    ``h.shape`` is the one record of the dimensions: ``save_trace`` writes
+    the file header from it.  ``cfg_hash`` is the ``config_fingerprint`` of
+    the process that generated it.
+    """
+
     cfg_hash: int
     h: np.ndarray
 
@@ -427,7 +398,11 @@ class ChannelTrace:
 
 
 class ChannelProcess:
-    """Stateful slot-by-slot channel generator with checkpoint support."""
+    """Stateful slot-by-slot channel generator with checkpoint support.
+
+    The slot-lag correlation ``rho`` is resolved once: the configured
+    ``temporal_corr``, or else Jakes' value for the mobility.
+    """
 
     kind = "process"
 
@@ -436,12 +411,27 @@ class ChannelProcess:
         self.model_cfg = model_cfg
         self.topology = init_topology(net_cfg, model_cfg.rng_seed)
         self.rng = np.random.default_rng(model_cfg.rng_seed)
+        rho = model_cfg.temporal_corr
+        self.rho = jakes_temporal_corr(net_cfg) if rho is None else rho
         self.current = None
 
     def next_slot(self):
-        self.current = generate_slot(
-            self.topology, self.current, self.model_cfg, self.net_cfg, self.rng
-        )
+        """The next ChannelState; user positions and headings move in place.
+
+        The first slot draws the marginal at the initial positions.  Later
+        slots advance the users one step, then mix the previous coefficients
+        with a fresh marginal draw at correlation ``rho``.  The iid-rayleigh
+        model ignores the correlation and redraws every slot.
+        """
+        prev = self.current
+        if prev is not None:
+            _advance_positions(self.topology, self.net_cfg)
+        h = _marginal_draw(self.topology, self.model_cfg, self.net_cfg, self.rng)
+        if prev is not None and self.model_cfg.model_kind != "iid-rayleigh":
+            rho = self.rho
+            h = rho * prev.h + np.sqrt(max(0.0, 1.0 - rho * rho)) * h
+        slot = 0 if prev is None else prev.slot_index + 1
+        self.current = ChannelState(slot_index=slot, h=h)
         return self.current
 
     def state_dict(self):
@@ -462,11 +452,29 @@ class ChannelProcess:
         return arrays, meta
 
     def load_state_dict(self, state):
-        """Restore a ``state_dict`` pair, taking ownership of its arrays."""
+        """Restore a ``state_dict`` pair, taking ownership of its arrays.
+
+        Raises ValueError, before changing anything, unless every array has
+        its shape for this process's network.
+        """
         arrays, meta = state
-        self.current = ChannelState(slot_index=int(meta["slot"]), h=arrays["proc_h"])
-        self.topology.ue_positions = arrays["proc_ue_positions"]
-        self.topology.ue_headings = arrays["proc_ue_headings"]
+        net = self.net_cfg
+        n, k = net.num_cells, net.users_per_cell
+        shapes = {
+            "proc_h": (n, n, k, net.num_antennas),
+            "proc_ue_positions": (n, k, 2),
+            "proc_ue_headings": (n, k),
+        }
+        restored = {key: arrays[key] for key in shapes}  # an archive reads on access
+        for key, shape in shapes.items():
+            if restored[key].shape != shape:
+                raise ValueError(
+                    f"{key} has shape {restored[key].shape}, "
+                    f"this network needs {shape}"
+                )
+        self.current = ChannelState(slot_index=int(meta["slot"]), h=restored["proc_h"])
+        self.topology.ue_positions = restored["proc_ue_positions"]
+        self.topology.ue_headings = restored["proc_ue_headings"]
         self.rng.bit_generator.state = json.loads(meta["rng_state"])
 
 
@@ -496,8 +504,14 @@ class TraceStream:
         return {}, {"kind": self.kind, "cursor": self.cursor}
 
     def load_state_dict(self, state):
+        """Restore a ``state_dict`` pair; ValueError if the cursor is past the trace."""
         _, meta = state
-        self.cursor = int(meta["cursor"])
+        cursor = int(meta["cursor"])
+        if not 0 <= cursor <= self.trace.num_slots:
+            raise ValueError(
+                f"cursor {cursor} lies outside this {self.trace.num_slots}-slot trace"
+            )
+        self.cursor = cursor
 
 
 def generate_trace(net_cfg, model_cfg, num_slots, offset=0):
@@ -513,24 +527,13 @@ def generate_trace(net_cfg, model_cfg, num_slots, offset=0):
         proc.next_slot()
     for t in range(num_slots):
         h[t] = proc.next_slot().h
-    return ChannelTrace(
-        num_cells=n,
-        users_per_cell=k,
-        num_antennas=m,
-        cfg_hash=config_fingerprint(model_cfg, net_cfg),
-        h=h,
-    )
+    return ChannelTrace(cfg_hash=config_fingerprint(model_cfg, net_cfg), h=h)
 
 
 def save_trace(trace, path):
     """Write a trace as fixed-width little-endian binary with a CRC32 footer."""
-    header = _HEADER.pack(
-        trace.num_cells,
-        trace.users_per_cell,
-        trace.num_antennas,
-        trace.num_slots,
-        trace.cfg_hash,
-    )
+    num_slots, n, _, k, m = trace.h.shape
+    header = _HEADER.pack(n, k, m, num_slots, trace.cfg_hash)
     payload = np.ascontiguousarray(trace.h, dtype="<c16").tobytes()
     body = TRACE_MAGIC + header + payload
     crc = zlib.crc32(body) & 0xFFFFFFFF
@@ -571,10 +574,4 @@ def load_trace(path):
     actual_crc = zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise TraceFormatError("checksum mismatch: trace file corrupted")
-    return ChannelTrace(
-        num_cells=int(n),
-        users_per_cell=int(k),
-        num_antennas=int(m),
-        cfg_hash=int(cfg_hash),
-        h=h.astype(np.complex128, copy=False),
-    )
+    return ChannelTrace(cfg_hash=int(cfg_hash), h=h.astype(np.complex128, copy=False))

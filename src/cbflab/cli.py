@@ -10,6 +10,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -62,14 +63,10 @@ def run(args):
         summary = harness.run_train(cfg, resume_from=args.resume)
         print(json.dumps(summary, indent=2))
     elif args.command == "bench":
-        schemes = (
-            tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-            if args.schemes
-            else None
-        )
+        if args.schemes is not None:
+            cfg = dataclasses.replace(cfg, schemes=args.schemes)
         out = harness.run_benchmark(
             cfg,
-            schemes=schemes,
             checkpoint=args.checkpoint,
             mslnr_checkpoint=args.mslnr_checkpoint,
         )

@@ -226,6 +226,8 @@ class RunConfig:
             )
         if self.batch_size > self.memory_capacity:
             raise ConfigError("batch_size must be <= memory_capacity")
+        if not self.schemes:
+            raise ConfigError("schemes must list at least one scheme")
         for scheme in self.schemes:
             if scheme not in SCHEMES:
                 raise ConfigError(f"unknown scheme '{scheme}' (choices: {SCHEMES})")
@@ -393,8 +395,8 @@ def _config_trace(cfg: RunConfig):
     """The configured trace file, checked against the network's dimensions."""
     trace = load_trace(cfg.trace_file)
     net = cfg.network
-    dims = (net.num_cells, net.users_per_cell, net.num_antennas)
-    if (trace.num_cells, trace.users_per_cell, trace.num_antennas) != dims:
+    n, k = net.num_cells, net.users_per_cell
+    if trace.h.shape[1:] != (n, n, k, net.num_antennas):
         raise ConfigError("trace dimensions do not match the network config")
     return trace
 
@@ -525,7 +527,8 @@ def load_checkpoint(path, env):
     """Restore the env and its channel stream in place.
 
     Returns (slot, states); ``load_agents_from_checkpoint`` restores the
-    agents.
+    agents.  A checkpoint that does not fit the env (another agent count,
+    channel source or network shape) raises ConfigError.
     """
     with np.load(path, allow_pickle=False) as data:
         meta = _checkpoint_meta(data, path)
@@ -538,7 +541,10 @@ def load_checkpoint(path, env):
                 f"this config reads a {env.stream.kind!r} one "
                 "(a 'trace' source needs trace_file, a 'process' source none)"
             )
-        env.load_state_dict((data, meta))
+        try:
+            env.load_state_dict((data, meta))
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {path} does not fit this config: {exc}") from exc
         states = data["states"]
     return meta["slot"], states
 
@@ -755,7 +761,7 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     """
     cfg = replace(
         cfg,
-        schemes=tuple(schemes) if schemes else cfg.schemes,
+        schemes=cfg.schemes if schemes is None else tuple(schemes),
         checkpoint=checkpoint or cfg.checkpoint,
         mslnr_checkpoint=mslnr_checkpoint or cfg.mslnr_checkpoint,
     )

@@ -11,7 +11,6 @@ from cbflab.channel import (
     ChannelProcess,
     TraceFormatError,
     TraceStream,
-    generate_slot,
     generate_trace,
     hex_grid,
     init_topology,
@@ -31,8 +30,8 @@ def make_net(n=1, k=1, m1=1, m2=2, **kw):
 
 
 # -- reference generator ------------------------------------------------------
-# The original per-link, per-ray loops.  The vectorized generator must
-# reproduce them bit for bit, so that stored traces stay valid.
+# The original per-link, per-ray and per-user loops.  The vectorized
+# generator must reproduce them bit for bit, so that stored traces stay valid.
 
 
 def _reference_ura_steering(azimuth, elevation, array_rows, array_cols):
@@ -75,6 +74,27 @@ def _reference_marginal_draw(topology, model_cfg, net_cfg, rng):
     return h
 
 
+def _reference_advance_positions(topology, net_cfg):
+    step = net_cfg.ue_speed * net_cfg.slot_duration
+    n, k = topology.ue_positions.shape[:2]
+    for cell in range(n):
+        center = topology.bs_positions[cell]
+        for user in range(k):
+            heading = topology.ue_headings[cell, user]
+            direction = np.array([np.cos(heading), np.sin(heading)])
+            pos = topology.ue_positions[cell, user] + step * direction
+            radial = pos - center
+            dist = np.linalg.norm(radial)
+            if dist > net_cfg.cell_radius:
+                normal = radial / dist
+                pos = center + normal * (2.0 * net_cfg.cell_radius - dist)
+                reflected = direction - 2.0 * np.dot(direction, normal) * normal
+                topology.ue_headings[cell, user] = np.arctan2(
+                    reflected[1], reflected[0]
+                )
+            topology.ue_positions[cell, user] = pos
+
+
 # (cells, users, rows, cols, ue_speed m/s, slot_duration s): ref7 at walking
 # speed, a small layout whose 50 m steps reflect users at the cell edge, and
 # one antenna, where a summed ray axis would be reduced pairwise.
@@ -84,6 +104,8 @@ ORACLE_SHAPES = {
     "one-antenna": (2, 3, 1, 1, 3.0 / 3.6, 0.02),
 }
 ORACLE_SLOTS = 20
+# The largest speed the config accepts: one cell diameter (500 m) per slot.
+DIAMETER_STEP = (3, 4, 1, 2, 16000.0, 0.03125)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -95,9 +117,27 @@ def test_vectorized_draw_matches_reference_bitwise(kind, shape, monkeypatch):
     fast = generate_trace(net, cfg, ORACLE_SLOTS)
     with monkeypatch.context() as patch:
         patch.setattr(channel, "_marginal_draw", _reference_marginal_draw)
+        patch.setattr(channel, "_advance_positions", _reference_advance_positions)
         ref = generate_trace(net, cfg, ORACLE_SLOTS)
     assert fast.h.tobytes() == ref.h.tobytes()
     assert fast.cfg_hash == ref.cfg_hash
+
+
+@pytest.mark.parametrize("shape", [*sorted(ORACLE_SHAPES), "diameter-step"])
+def test_vectorized_mobility_matches_reference_bitwise(shape):
+    n, k, m1, m2, speed, dt = ORACLE_SHAPES.get(shape, DIAMETER_STEP)
+    net = make_net(n=n, k=k, m1=m1, m2=m2, ue_speed=speed, slot_duration=dt)
+    fast, ref = init_topology(net, 17), init_topology(net, 17)
+    reflected = 0
+    for _ in range(300):
+        before = fast.ue_headings.copy()
+        channel._advance_positions(fast, net)
+        _reference_advance_positions(ref, net)
+        assert fast.ue_positions.tobytes() == ref.ue_positions.tobytes()
+        assert fast.ue_headings.tobytes() == ref.ue_headings.tobytes()
+        reflected += np.count_nonzero(fast.ue_headings != before)
+    # Walking users stay clear of the edge; the fast shapes reflect often.
+    assert (reflected > 0) == (speed * dt > 1.0)
 
 
 def test_oracle_fast_shape_reflects_users():
@@ -332,16 +372,22 @@ def test_largest_accepted_speed_keeps_every_user_in_its_cell(seed):
         assert np.linalg.norm(offsets, axis=-1).max() <= net.cell_radius
 
 
-def test_generate_slot_dimension_mismatch():
-    net = make_net(n=2, k=1)
+def test_process_restore_dimension_mismatch():
     cfg = _frozen_cfg()
-    proc = ChannelProcess(net, cfg)
-    prev = proc.next_slot()
-    other = make_net(n=1, k=1)
-    topo = init_topology(other, 0)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        generate_slot(topo, prev, cfg, other, rng)
+    proc = ChannelProcess(make_net(n=2, k=1), cfg)
+    proc.next_slot()
+    before = proc.state_dict()
+    # Other cell, user and antenna counts.
+    for other in (make_net(n=1), make_net(n=2, k=2), make_net(n=2, m2=3)):
+        saved = ChannelProcess(other, cfg)
+        saved.next_slot()
+        with pytest.raises(ValueError, match="this network needs"):
+            proc.load_state_dict(saved.state_dict())
+    # A rejected restore changes nothing.
+    after = proc.state_dict()
+    assert after[1] == before[1]
+    for key, value in before[0].items():
+        assert after[0][key].tobytes() == value.tobytes()
 
 
 def _jakes_argument(net):

@@ -134,6 +134,7 @@ BAD_VALUES = [
     ("train", {"noise_dbm": -4000}, "noise_dbm = -4000 dBm is not a finite power > 0 W"),
     ("train", {"ue_speed_kmh": 1e6}, "ue_speed_kmh must not move a user farther than"),
     ("train", {"schemes": "wmmse,wmmse"}, "schemes must not list a scheme twice"),
+    ("train", {"schemes": ","}, "schemes must list at least one scheme"),
 ]
 
 
@@ -164,6 +165,45 @@ def test_bench_on_a_mismatched_trace_exits_two_and_writes_nothing(tmp_path, caps
     assert main(["bench", config, "--schemes", "mslnr-ep"]) == 2
     assert "trace dimensions do not match" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [",", ""])
+def test_bench_with_an_empty_scheme_list_exits_two_and_writes_nothing(
+    tmp_path, capsys, flag
+):
+    assert main(["bench", str(write_config(tmp_path)), "--schemes", flag]) == 2
+    assert "schemes must list at least one scheme" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cols", [2, 8])
+def test_resume_across_antenna_arrays_exits_two(tmp_path, capsys, cols):
+    assert main(["train", str(write_config(tmp_path))]) == 0  # array_cols = 4
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
+    csv = tmp_path / "out" / "train.csv"
+    written = csv.read_bytes()
+    other = str(write_config(tmp_path, name="other.cfg", array_cols=cols))
+    capsys.readouterr()
+    assert main(["train", other, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: checkpoint {ckpt} does not fit this config: proc_h" in err
+    assert csv.read_bytes() == written
+
+
+def test_resume_past_the_end_of_a_shorter_trace_exits_two(tmp_path, capsys):
+    long, short = tmp_path / "long.trace", tmp_path / "short.trace"
+    written = str(write_config(tmp_path, name="long.cfg", trace_file=long, num_slots=28))
+    assert main(["trace-gen", written, str(long)]) == 0
+    assert main(["train", written]) == 0
+    csv = tmp_path / "out" / "train.csv"
+    rows = csv.read_bytes()
+    config = str(write_config(tmp_path, trace_file=short))  # num_slots = 14
+    assert main(["trace-gen", config, str(short)]) == 0  # 15 slots
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000021.npz"
+    capsys.readouterr()
+    assert main(["train", config, "--resume", str(ckpt)]) == 2
+    assert "cursor 22 lies outside this 15-slot trace" in capsys.readouterr().err
+    assert csv.read_bytes() == rows
 
 
 NO_SCIPY_SCRIPT = """

@@ -255,6 +255,22 @@ def test_train_resume_matches_uninterrupted(tmp_path):
     assert resumed["final_moving_average"] == summary["final_moving_average"]
 
 
+def test_train_resume_after_the_replay_ring_wraps(tmp_path):
+    small = {"memory_capacity": 5, "batch_size": 4}
+    full = tmp_path / "full"
+    run_train(parse_config(write_config(tmp_path, out_dir=full, **small)))
+    part_cfg = parse_config(write_config(tmp_path, out_dir=tmp_path / "part", **small))
+    run_train(part_cfg)
+    ckpt = tmp_path / "part" / "checkpoints" / "train_00000007.npz"
+    with np.load(ckpt) as data:
+        for n in range(3):
+            meta = json.loads(str(data[f"agent{n}_meta"]))
+            # Seven pushes into five places: full, next write at place 2.
+            assert (meta["replay_len"], meta["replay_cursor"]) == (5, 2)
+    run_train(part_cfg, resume_from=str(ckpt))
+    assert (tmp_path / "part" / "train.csv").read_bytes() == (full / "train.csv").read_bytes()
+
+
 def _resume_from_old_layout(tmp_path, version, old_layout):
     """Resume live and trace-backed runs from their slot-7 checkpoints rewritten
     in the layout of ``version``; each must give the uninterrupted train.csv.
@@ -590,6 +606,13 @@ def test_benchmark_requires_checkpoint_for_policies(tmp_path):
     cfg = parse_config(write_config(tmp_path))
     with pytest.raises(ConfigError, match="checkpoint"):
         run_benchmark(cfg, schemes=("ddcbf",))
+
+
+def test_benchmark_rejects_an_empty_scheme_list(tmp_path):
+    cfg = parse_config(write_config(tmp_path))
+    with pytest.raises(ConfigError, match="at least one scheme"):
+        run_benchmark(cfg, schemes=())
+    assert not (tmp_path / "out").exists()
 
 
 def test_benchmark_policy_rollout_from_checkpoint(tmp_path):
