@@ -40,9 +40,9 @@ with tempfile.NamedTemporaryFile(suffix=".trace") as fh:
 geo = cb.ChannelModelConfig(model_kind="geometric-ura", rng_seed=2)
 proc = cb.ChannelProcess(net, geo)
 ch = proc.next_slot()
-codebook = cb.build_codebook(net.num_antennas, 32)
+codebook = cb.build_codebook(net.num_antennas, 32)  # (M, 32) matrix
 h = ch.h[0, 0, 0]
-d = np.abs(codebook.matrix.conj().T @ h)
+d = np.abs(codebook.conj().T @ h)
 top = np.sort(d)[::-1]
 print(f"energy captured by top-3 of 32 codebook entries: "
       f"{np.sum(top[:3]**2) / np.sum(top**2):.2%}")

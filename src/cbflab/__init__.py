@@ -32,7 +32,6 @@ from .channel import (
 from .drl import Adam, DdpgAgent, Mlp, ReplayMemory
 from .env import (
     BeamformingEnv,
-    DftCodebook,
     RewardRecord,
     build_codebook,
     build_state,
@@ -68,7 +67,6 @@ from .network import (
 from .solvers import (
     StructuredParams,
     WmmseState,
-    bisect_mu,
     mrt_beamformer,
     mslnr_beams,
     mslnr_params,

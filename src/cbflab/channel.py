@@ -413,6 +413,7 @@ class ChannelProcess:
         self.rng = np.random.default_rng(model_cfg.rng_seed)
         rho = model_cfg.temporal_corr
         self.rho = jakes_temporal_corr(net_cfg) if rho is None else rho
+        self.fingerprint = config_fingerprint(model_cfg, net_cfg)
         self.current = None
 
     def next_slot(self):
@@ -448,6 +449,7 @@ class ChannelProcess:
             "kind": self.kind,
             "slot": self.current.slot_index,
             "rng_state": json.dumps(self.rng.bit_generator.state),
+            "fingerprint": self.fingerprint,
         }
         return arrays, meta
 
@@ -455,7 +457,7 @@ class ChannelProcess:
         """Restore a ``state_dict`` pair, taking ownership of its arrays.
 
         Raises ValueError, before changing anything, unless every array has
-        its shape for this process's network.
+        its shape for this process's network and the meta's channel is its own.
         """
         arrays, meta = state
         net = self.net_cfg
@@ -472,10 +474,21 @@ class ChannelProcess:
                     f"{key} has shape {restored[key].shape}, "
                     f"this network needs {shape}"
                 )
+        _check_fingerprint(self, meta)
         self.current = ChannelState(slot_index=int(meta["slot"]), h=restored["proc_h"])
         self.topology.ue_positions = restored["proc_ue_positions"]
         self.topology.ue_headings = restored["proc_ue_headings"]
         self.rng.bit_generator.state = json.loads(meta["rng_state"])
+
+
+def _check_fingerprint(stream, meta):
+    """ValueError if a stream's checkpoint ``meta`` names another channel source."""
+    stored = meta.get("fingerprint", stream.fingerprint)
+    if stored != stream.fingerprint:
+        raise ValueError(
+            f"its channel has fingerprint {stored:#x}, this config's {stream.kind} "
+            f"source {stream.fingerprint:#x}"
+        )
 
 
 class TraceStream:
@@ -485,6 +498,7 @@ class TraceStream:
 
     def __init__(self, trace):
         self.trace = trace
+        self.fingerprint = trace.cfg_hash
         self.cursor = 0
 
     @property
@@ -501,16 +515,17 @@ class TraceStream:
 
     def state_dict(self):
         """Run-checkpoint entries as a pair (arrays, meta); there are no arrays."""
-        return {}, {"kind": self.kind, "cursor": self.cursor}
+        return {}, {"kind": self.kind, "cursor": self.cursor, "fingerprint": self.fingerprint}
 
     def load_state_dict(self, state):
-        """Restore a ``state_dict`` pair; ValueError if the cursor is past the trace."""
+        """Restore a ``state_dict`` pair; ValueError if it does not fit the trace."""
         _, meta = state
         cursor = int(meta["cursor"])
         if not 0 <= cursor <= self.trace.num_slots:
             raise ValueError(
                 f"cursor {cursor} lies outside this {self.trace.num_slots}-slot trace"
             )
+        _check_fingerprint(self, meta)
         self.cursor = cursor
 
 

@@ -118,10 +118,6 @@ class Mlp:
     def input_dim(self):
         return self.weights[0].shape[1]
 
-    @property
-    def output_dim(self):
-        return self.weights[-1].shape[0]
-
     def parameters(self):
         """Interleaved [W0, b0, W1, b1, ...]; mutating entries updates the net."""
         return list(self._params)
@@ -201,6 +197,10 @@ class Mlp:
         return self.backward(ctx, upstream)
 
 
+# Adam's moment decay rates and denominator floor (Kingma and Ba's values).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over one flat parameter vector.
 
@@ -208,11 +208,8 @@ class Adam:
     parameters (zeros for a fresh optimizer); Adam takes ownership of them.
     """
 
-    def __init__(self, m, v, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, m, v, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = m
         self.v = v
@@ -222,12 +219,12 @@ class Adam:
         if not np.all(np.isfinite(grad)):
             raise ArithmeticError("non-finite gradient; training halted")
         self.step_count += 1
-        b1c = 1.0 - self.beta1**self.step_count
-        b2c = 1.0 - self.beta2**self.step_count
+        b1c = 1.0 - ADAM_BETA1**self.step_count
+        b2c = 1.0 - ADAM_BETA2**self.step_count
         for p, g, m, v in _chunks(param, grad, self.m, self.v):
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
         return param
 
 
@@ -366,11 +363,12 @@ class DdpgAgent:
     adds clipped Gaussian noise whose scale starts at ``noise_sigma_init`` and
     shrinks by 1/(1 + noise_decay) after every exploring action, floored at
     ``noise_sigma_min``.  Every name in ``HYPERPARAMETERS`` is a required
-    keyword argument; there are no defaults here (the harness config holds
-    them).
+    keyword argument, checked by ``check_hyperparameters``; there are no
+    defaults here (the harness config holds them).
     """
 
     def __init__(self, state_dim, action_dim, *, seed, hidden_sizes, **hyperparameters):
+        self.check_hyperparameters({"hidden_sizes": hidden_sizes, **hyperparameters})
         rng = np.random.default_rng(seed)
         sizes = _layer_sizes(state_dim, action_dim, hidden_sizes)
         flats = {}
@@ -383,6 +381,28 @@ class DdpgAgent:
         self._build(
             state_dim, action_dim, rng, flats, hidden_sizes=hidden_sizes, **hyperparameters
         )
+
+    @staticmethod
+    def check_hyperparameters(values):
+        """Raise ValueError for settings no agent can learn with.
+
+        ``values`` maps every name in ``HYPERPARAMETERS`` to its setting; the
+        message starts with the name.
+        """
+        if any(width < 1 for width in values["hidden_sizes"]):
+            raise ValueError("hidden_sizes must list widths >= 1")
+        for name in ("noise_sigma_init", "noise_decay"):
+            if not values[name] >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0 <= values["discount"] < 1:
+            raise ValueError("discount must lie in [0, 1)")
+        if not 0 < values["soft_update_rate"] <= 1:
+            raise ValueError("soft_update_rate must lie in (0, 1]")
+        if values["batch_size"] > values["memory_capacity"]:
+            raise ValueError("batch_size must be <= memory_capacity")
+        for name in ("actor_lr", "critic_lr"):
+            if not values[name] > 0:
+                raise ValueError(f"{name} must be > 0")
 
     def _build(
         self,
@@ -406,12 +426,6 @@ class DdpgAgent:
 
         The nets and optimizers take ownership of those vectors.
         """
-        if not 0 <= discount < 1:
-            raise ValueError("discount must lie in [0, 1)")
-        if not 0 < soft_update_rate <= 1:
-            raise ValueError("soft_update_rate must lie in (0, 1]")
-        if batch_size > memory_capacity:
-            raise ValueError("batch_size cannot exceed memory_capacity")
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.hidden_sizes = tuple(hidden_sizes)
@@ -516,11 +530,12 @@ class DdpgAgent:
         self.adam_actor.step(self.actor.flat, actor_grad)
         return critic_loss, mean_q
 
-    def soft_update(self, rate=None):
-        """Blend online parameters into the targets: t <- rate*o + (1-rate)*t."""
-        rho = self.soft_update_rate if rate is None else rate
-        if not 0 <= rho <= 1:
-            raise ValueError("update rate must lie in [0, 1]")
+    def soft_update(self):
+        """Blend online parameters into the targets: t <- rho*o + (1-rho)*t.
+
+        ``rho`` is ``soft_update_rate``, checked at construction.
+        """
+        rho = self.soft_update_rate
         for target, online in (
             (self.target_actor, self.actor),
             (self.target_critic, self.critic),
@@ -579,6 +594,7 @@ class DdpgAgent:
         """
         meta = read_meta(arrays["meta"])
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
+        cls.check_hyperparameters(hyperparameters)
         flats = {key: _flat_entry(arrays, meta, key) for key in _FLAT_KEYS}
         agent = cls.__new__(cls)
         agent._build(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BeamformerSet, compute_metrics
+from .network import BeamformerSet, compute_metrics, watt_to_dbm
 from .solvers import StructuredParams, mslnr_params, structured_beamformer
 
 # Additive floor on raw power ratios before normalization: keeps every
@@ -51,33 +51,17 @@ RATE_SCALE = 10.0
 ACTION_MODES = ("structured", "mslnr-power")
 
 
-@dataclass(frozen=True)
-class DftCodebook:
-    """Uniform DFT codebook: C unit-norm columns over an M-antenna array."""
-
-    matrix: np.ndarray  # (M, C)
-
-    @property
-    def num_antennas(self):
-        return self.matrix.shape[0]
-
-    @property
-    def size(self):
-        return self.matrix.shape[1]
-
-
 def build_codebook(num_antennas, size):
-    """Column c has entries exp(j*2*pi*a*c/C)/sqrt(M) over antennas a."""
+    """(M, C) DFT codebook: column c has entries exp(j*2*pi*a*c/C)/sqrt(M)."""
     if num_antennas < 1 or size < 1:
         raise ValueError("codebook dimensions must be >= 1")
     a = np.arange(num_antennas)[:, None]
     c = np.arange(size)[None, :]
-    matrix = np.exp(2j * np.pi * a * c / size) / np.sqrt(num_antennas)
-    return DftCodebook(matrix=matrix)
+    return np.exp(2j * np.pi * a * c / size) / np.sqrt(num_antennas)
 
 
 def compress_csi(h, codebook, keep):
-    """Project (..., M) channels onto the codebook; keep the ``keep`` strongest entries.
+    """Project (..., M) channels onto the (M, C) codebook; keep the ``keep`` strongest.
 
     Returns (index, values, norm): the kept columns (..., keep), strongest
     first, ties toward the lower column; their complex projections; and the
@@ -89,7 +73,7 @@ def compress_csi(h, codebook, keep):
     norm = np.sqrt(np.vecdot(h.real, h.real) + np.vecdot(h.imag, h.imag))
     if np.any(norm == 0):
         raise ValueError("cannot compress a zero channel")
-    d = np.matmul(codebook.matrix.conj().T, h[..., None])[..., 0]
+    d = np.matmul(codebook.conj().T, h[..., None])[..., 0]
     index = np.argsort(-np.abs(d), axis=-1, kind="stable")[..., :keep]
     return index, np.take_along_axis(d, index, axis=-1), norm
 
@@ -102,7 +86,7 @@ def csi_features(h, codebook, keep):
     """
     index, values, norm = compress_csi(h, codebook, keep)
     out = np.empty((*values.shape[:-1], 3 * keep))
-    out[..., 0::3] = index / codebook.size
+    out[..., 0::3] = index / codebook.shape[1]
     out[..., 1::3] = values.real / norm[..., None]
     out[..., 2::3] = values.imag / norm[..., None]
     return out
@@ -171,7 +155,7 @@ def _power_feature(watts):
     """Map watts to [-1, 1] through dBm clipped to the feature window."""
     watts = np.asarray(watts, dtype=float)
     with np.errstate(divide="ignore"):
-        dbm = np.where(watts > 0, 10.0 * np.log10(watts) + 30.0, -np.inf)
+        dbm = np.where(watts > 0, watt_to_dbm(watts), -np.inf)
     dbm = np.clip(dbm, POWER_FLOOR_DBM, POWER_CEIL_DBM)
     return (dbm - POWER_FLOOR_DBM) / (POWER_CEIL_DBM - POWER_FLOOR_DBM) * 2.0 - 1.0
 
@@ -336,10 +320,10 @@ class BeamformingEnv:
     interfered users that the N rewards and the next states both read, and
     the (N, state_dim) next states with the one-slot-delayed cross-cell
     blocks.  ``codebook_size``, ``csi_keep`` and ``num_interferers`` are
-    required keyword arguments; there are no defaults here (the harness
-    config holds them).  ``serving`` holds the current slot's (N, K, M)
-    serving channels, ``csi`` their ``csi_features`` and ``last_reward`` the
-    last step's RewardRecord.
+    required keyword arguments, checked by ``check_settings``; there are no
+    defaults here (the harness config holds them).  ``serving`` holds the
+    current slot's (N, K, M) serving channels, ``csi`` their
+    ``csi_features`` and ``last_reward`` the last step's RewardRecord.
 
     A checkpoint stores only the stream's position (``state_dict``).  A
     restored env stands at the stream's current slot with no previous slot,
@@ -358,15 +342,9 @@ class BeamformingEnv:
         num_interferers,
         action_mode="structured",
     ):
-        if action_mode not in ACTION_MODES:
-            raise ValueError(f"action_mode must be one of {ACTION_MODES}")
-        if num_interferers > net_cfg.num_cells - 1:
-            raise ValueError(
-                f"num_interferers={num_interferers} needs at least "
-                f"{num_interferers + 1} cells, config has {net_cfg.num_cells}"
-            )
-        if csi_keep > codebook_size:
-            raise ValueError("csi_keep cannot exceed the codebook size")
+        self.check_settings(
+            net_cfg.num_cells, codebook_size, csi_keep, num_interferers, action_mode
+        )
         self.net_cfg = net_cfg
         self.stream = stream
         self.codebook = build_codebook(net_cfg.num_antennas, codebook_size)
@@ -378,6 +356,19 @@ class BeamformingEnv:
         self.csi = None
         self.prev = None
         self.last_reward = None
+
+    @staticmethod
+    def check_settings(num_cells, codebook_size, csi_keep, num_interferers, action_mode):
+        """Raise ValueError for settings no env over ``num_cells`` cells runs with.
+
+        The message starts with the setting's name.
+        """
+        if action_mode not in ACTION_MODES:
+            raise ValueError(f"action_mode must be one of {ACTION_MODES}")
+        if not 0 <= num_interferers <= num_cells - 1:
+            raise ValueError("num_interferers must be <= num_cells - 1 and >= 0")
+        if not 0 <= csi_keep <= codebook_size:
+            raise ValueError("csi_keep must be <= codebook_size and >= 0")
 
     @property
     def state_dim(self):

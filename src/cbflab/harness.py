@@ -35,7 +35,7 @@ from .channel import (
     save_trace,
 )
 from .drl import CHECKPOINT_VERSION, HYPERPARAMETERS, DdpgAgent, read_meta, savez_atomic
-from .env import ACTION_MODES, BeamformingEnv, decode_action
+from .env import BeamformingEnv, decode_action
 from .network import NetworkConfig, compute_metrics, dbm_to_watt
 from .solvers import (
     mrt_beamformer,
@@ -109,7 +109,8 @@ class RunConfig:
     field's ``parse`` metadata or else by its annotated type, so a config
     built from raw text and one built with ``dataclasses.replace`` come out
     alike.  ``network`` and ``channel`` are derived from the fields, and the
-    count keys and cross-key constraints checked, in ``__post_init__``
+    count keys, the agent and env settings (by the checks of ``DdpgAgent``
+    and ``BeamformingEnv``) and the schemes checked, in ``__post_init__``
     (``replace`` reruns both).  Every float key must be finite, and the dBm
     keys must convert to a finite power above 0 W.  A ValueError of the
     derived configs becomes a ConfigError that names the config key, not the
@@ -184,6 +185,8 @@ class RunConfig:
         for f in _config_keys():
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
+            if f.metadata.get("count") and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
 
         max_power = _dbm_key_to_watt("p_max_dbm", self.p_max_dbm)
         noise_power = _dbm_key_to_watt("noise_dbm", self.noise_dbm)
@@ -210,22 +213,18 @@ class RunConfig:
                 angular_spread_deg=self.angular_spread_deg,
                 rng_seed=self.seed,
             )
+            DdpgAgent.check_hyperparameters({k: getattr(self, k) for k in HYPERPARAMETERS})
+            BeamformingEnv.check_settings(
+                self.num_cells,
+                self.codebook_size,
+                self.csi_keep,
+                self.num_interferers,
+                self.action_mode,
+            )
         except ValueError as exc:
             name, _, rest = str(exc).partition(" ")
             raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)} {rest}") from exc
 
-        for f in _config_keys():
-            if f.metadata.get("count") and getattr(self, f.name) < 1:
-                raise ConfigError(f"{f.name} must be >= 1")
-        if self.csi_keep > self.codebook_size:
-            raise ConfigError("csi_keep must be <= codebook_size")
-        if self.num_interferers > self.num_cells - 1:
-            raise ConfigError(
-                "num_interferers must be <= num_cells - 1 "
-                f"({self.num_interferers} > {self.num_cells - 1})"
-            )
-        if self.batch_size > self.memory_capacity:
-            raise ConfigError("batch_size must be <= memory_capacity")
         if not self.schemes:
             raise ConfigError("schemes must list at least one scheme")
         for scheme in self.schemes:
@@ -233,8 +232,6 @@ class RunConfig:
                 raise ConfigError(f"unknown scheme '{scheme}' (choices: {SCHEMES})")
         if len(set(self.schemes)) < len(self.schemes):
             raise ConfigError("schemes must not list a scheme twice")
-        if self.action_mode not in ACTION_MODES:
-            raise ConfigError(f"action_mode must be one of {ACTION_MODES}")
 
 
 def _config_keys():
@@ -469,8 +466,9 @@ def save_checkpoint(path, slot, states, env, agents):
 
     ``harness_meta`` holds ``version``, ``slot`` (also the metrics CSV's row
     count: one row per slot), ``num_agents`` and the env's ``stream``, the
-    stream's own JSON: ``{"kind": "trace", "cursor"}`` or ``{"kind":
-    "process", "slot", "rng_state"}``.
+    stream's own JSON: ``{"kind": "trace", "cursor", "fingerprint"}`` or
+    ``{"kind": "process", "slot", "rng_state", "fingerprint"}``; the channel's
+    ``config_fingerprint`` (a trace's ``cfg_hash``) is absent from earlier files.
 
     ``drl.CHECKPOINT_VERSION`` (3) is the version of the whole archive, and
     each agent ``meta`` repeats it.  Versions 1 and 2 also held
@@ -528,7 +526,8 @@ def load_checkpoint(path, env):
 
     Returns (slot, states); ``load_agents_from_checkpoint`` restores the
     agents.  A checkpoint that does not fit the env (another agent count,
-    channel source or network shape) raises ConfigError.
+    channel source, network shape, channel config or trace file) raises
+    ConfigError.
     """
     with np.load(path, allow_pickle=False) as data:
         meta = _checkpoint_meta(data, path)
@@ -555,7 +554,8 @@ def run_train(cfg: RunConfig, resume_from=None):
     Implements the decentralized loop: a warm-up phase of uniformly random
     actions until each replay holds one mini-batch, then noisy policy actions
     with one train step and one soft target update per agent per slot.
-    Periodic checkpoints allow bit-exact resumption in single-threaded mode.
+    Periodic checkpoints allow bit-exact resumption in single-threaded mode;
+    resuming one past ``num_slots`` raises ConfigError.
 
     Returns a summary dict with paths and the final moving-average sum rate.
     """
@@ -566,6 +566,11 @@ def run_train(cfg: RunConfig, resume_from=None):
 
     if resume_from:
         start_slot, states = load_checkpoint(resume_from, env)
+        if start_slot > cfg.num_slots:
+            raise ConfigError(
+                f"checkpoint {resume_from} is at slot {start_slot}, "
+                f"past num_slots = {cfg.num_slots}"
+            )
         agents = load_agents_from_checkpoint(resume_from, cfg.network.num_cells)
         _check_resumed_agents(cfg, env, agents, resume_from)
     else:

@@ -16,7 +16,7 @@ large arrays).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +116,8 @@ class ChannelState:
     """Channel realization for one time slot.
 
     ``h`` has shape (N, N, K, M): ``h[m, n, k]`` is the downlink channel from
-    BS ``m`` to user ``k`` of cell ``n``.
+    BS ``m`` to user ``k`` of cell ``n``.  Its shape is the one record of the
+    dimensions.
     """
 
     slot_index: int
@@ -131,18 +132,6 @@ class ChannelState:
         serving = self.h[np.arange(n), np.arange(n)]  # (N, K, M)
         if not np.all(np.any(serving != 0, axis=-1)):
             raise ValueError("every serving link h[n, n, k] must be nonzero")
-
-    @property
-    def num_cells(self):
-        return self.h.shape[0]
-
-    @property
-    def users_per_cell(self):
-        return self.h.shape[2]
-
-    @property
-    def num_antennas(self):
-        return self.h.shape[3]
 
 
 @dataclass(frozen=True)

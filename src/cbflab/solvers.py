@@ -169,10 +169,16 @@ def _power(energy, lam, mu):
 def _bisect_eigen(lam, proj, p_max):
     """Power multiplier per matrix from its eigenbasis, stacked over S rows.
 
+    Finds mu >= 0 such that sum_k ||(b0 + mu*I)^{-1} c_k||^2 meets the power
+    budget: 0 when the unconstrained (pseudo-inverse) solution is already
+    feasible, otherwise the bisection on the strictly decreasing power
+    profile stops within ``_POWER_TOL * p_max`` below the budget.
+
     Takes (S, M) eigenvalues clipped at zero and (S, M, K) target
-    projections.  Every row runs the same bracket-and-bisect sequence it
-    would run alone: the rows still searching advance in lock step, and a row
-    leaves the stack once its own stop test passes.
+    projections, as ``_eigen_projections`` gives them.  Every row runs the
+    same bracket-and-bisect sequence it would run alone: the rows still
+    searching advance in lock step, and a row leaves the stack once its own
+    stop test passes.
     """
     energy = (np.abs(proj) ** 2).sum(axis=-1)  # per-mode
     mu = np.zeros(lam.shape[0])
@@ -215,32 +221,6 @@ def _bisect_eigen(lam, proj, p_max):
         p_hi = np.where(over, p_hi, p_mid)
     mu[rows] = hi
     return mu
-
-
-def bisect_mu(b0, targets, p_max):
-    """Power-constraint multiplier for the shifted leakage system.
-
-    Finds mu >= 0 such that sum_k ||(b0 + mu*I)^{-1} c_k||^2 meets the power
-    budget: returns 0 when the unconstrained (pseudo-inverse) solution is
-    already feasible, otherwise bisects on the strictly decreasing power
-    profile until it lands within ``_POWER_TOL * p_max`` below the budget.
-
-    ``b0`` is one (M, M) Hermitian matrix with (K, M) ``targets``, giving a
-    float, or a stack (S, M, M) with (S, K, M) targets, giving an (S,) array.
-    The stack runs every matrix's bracket and bisection in lock step, so each
-    entry equals the per-matrix result bit for bit.  Raises ``ValueError`` if
-    any matrix is not Hermitian.
-    """
-    b0 = np.asarray(b0)
-    single = b0.ndim == 2
-    stack = b0[None] if single else b0
-    atol = 1e-10 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-    if not np.isclose(stack, stack.conj().swapaxes(1, 2), atol=atol[:, None, None]).all():
-        raise ValueError("leakage matrix must be Hermitian")
-    targets = np.atleast_2d(targets)[None] if single else np.asarray(targets)
-    lam, _, proj = _eigen_projections(stack, targets)
-    mu = _bisect_eigen(np.clip(lam, 0.0, None), proj, p_max)
-    return float(mu[0]) if single else mu
 
 
 def structured_directions(local_h, own_cells, alpha, mu):
@@ -360,7 +340,7 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     The beamformer update treats all N BSs as one stack: the (N, M, M)
     leakage matrices come from one batched product of the (N, N*K, M)
     channels, one stacked eigendecomposition serves the N multiplier
-    bisections (run in lock step, see ``bisect_mu``) and the solve
+    bisections (run in lock step, see ``_bisect_eigen``) and the solve
     w[n] = Q diag(1 / (lam + mu[n])) Q^H c, with (N, K, M) targets c.  The
     weight refresh forms the (N, N, K, K) cross gains h^H w with one batched
     product too.

@@ -79,9 +79,11 @@ def agent_arrays_old(arrays, version):
 def run_checkpoint_old(src, dst, version, net):
     """Rewrite the run checkpoint ``src`` in the layout of ``version`` at ``dst``.
 
-    Versions 1 and 2 also held the current channel ``env_channel_h``, once a
-    slot had been stepped the previous slot's ``prev_*`` arrays, and
-    ``sink_rows``, ``env_slot`` and ``has_prev`` in ``harness_meta``.  They
+    No earlier writer stored the stream's ``fingerprint``; version 3 stands
+    for the version-3 files written before it.  Versions 1 and 2 also held
+    the current channel ``env_channel_h``, once a slot had been stepped the
+    previous slot's ``prev_*`` arrays, and ``sink_rows``, ``env_slot`` and
+    ``has_prev`` in ``harness_meta``.  They
     are written in their stored order, shapes and dtypes (``net`` gives the
     dimensions), but filled with NaN: a reader that used one would turn the
     resumed metrics to NaN.  Version 1 also splits the agent entries.
@@ -90,7 +92,11 @@ def run_checkpoint_old(src, dst, version, net):
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(str(arrays.pop("harness_meta")))
     n, k, m = net.num_cells, net.users_per_cell, net.num_antennas
-    stream = meta["stream"]
+    stream = {key: v for key, v in meta["stream"].items() if key != "fingerprint"}
+    if version == 3:
+        meta["stream"] = stream
+        np.savez(dst, **arrays, harness_meta=np.array(json.dumps(meta)))
+        return
     env_slot = stream["cursor"] - 1 if stream["kind"] == "trace" else stream["slot"]
     has_prev = meta["slot"] > 0
     old = {"states": arrays.pop("states")}
@@ -123,5 +129,5 @@ def run_checkpoint_old(src, dst, version, net):
 
 @pytest.fixture
 def old_layout():
-    """Writers of the version-1 and version-2 checkpoint layouts, for resume tests."""
+    """Writers of the earlier checkpoint layouts, for resume tests."""
     return types.SimpleNamespace(agent=agent_arrays_old, run=run_checkpoint_old)

@@ -135,6 +135,18 @@ BAD_VALUES = [
     ("train", {"ue_speed_kmh": 1e6}, "ue_speed_kmh must not move a user farther than"),
     ("train", {"schemes": "wmmse,wmmse"}, "schemes must not list a scheme twice"),
     ("train", {"schemes": ","}, "schemes must list at least one scheme"),
+    ("train", {"discount": 1.5}, "discount must lie in [0, 1)"),
+    ("train", {"soft_update_rate": 0}, "soft_update_rate must lie in (0, 1]"),
+    ("train", {"noise_sigma_init": -1}, "noise_sigma_init must be >= 0"),
+    ("train", {"noise_decay": -1}, "noise_decay must be >= 0"),
+    ("train", {"hidden_sizes": 0}, "hidden_sizes must list widths >= 1"),
+    ("train", {"num_interferers": -1}, "num_interferers must be <= num_cells - 1 and >= 0"),
+    ("train", {"num_interferers": 3}, "num_interferers must be <= num_cells - 1 and >= 0"),
+    ("train", {"csi_keep": -1}, "csi_keep must be <= codebook_size and >= 0"),
+    ("train", {"actor_lr": -1}, "actor_lr must be > 0"),
+    ("train", {"critic_lr": 0}, "critic_lr must be > 0"),
+    ("train", {"batch_size": 65}, "batch_size must be <= memory_capacity"),
+    ("train", {"action_mode": "foo"}, "action_mode must be one of"),
 ]
 
 
@@ -203,6 +215,40 @@ def test_resume_past_the_end_of_a_shorter_trace_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", config, "--resume", str(ckpt)]) == 2
     assert "cursor 22 lies outside this 15-slot trace" in capsys.readouterr().err
+    assert csv.read_bytes() == rows
+
+
+def test_resume_past_num_slots_exits_two(tmp_path, capsys):
+    assert main(["train", str(write_config(tmp_path, num_slots=28))]) == 0
+    csv = tmp_path / "out" / "train.csv"
+    rows = csv.read_bytes()
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000021.npz"
+    config = str(write_config(tmp_path, name="short.cfg"))  # num_slots = 14
+    capsys.readouterr()
+    assert main(["train", config, "--resume", str(ckpt)]) == 2
+    assert f"checkpoint {ckpt} is at slot 21, past num_slots = 14" in capsys.readouterr().err
+    assert csv.read_bytes() == rows
+
+
+@pytest.mark.parametrize("source", ["process", "trace"])
+def test_resume_against_another_channel_exits_two(tmp_path, capsys, source):
+    trace, other = tmp_path / "chan.trace", tmp_path / "other.trace"
+    assert main(["trace-gen", str(write_config(tmp_path, name="a.cfg")), str(trace)]) == 0
+    assert main(["trace-gen", str(write_config(tmp_path, name="b.cfg", seed=6)), str(other)]) == 0
+    if source == "process":  # another channel config
+        written, resumed = {}, {"pathloss_exponent": 3.5, "seed": 6}
+    else:  # another trace file of the same shape
+        written, resumed = {"trace_file": trace}, {"trace_file": other}
+    assert main(["train", str(write_config(tmp_path, **written))]) == 0
+    csv = tmp_path / "out" / "train.csv"
+    rows = csv.read_bytes()
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
+    config = str(write_config(tmp_path, name="other.cfg", **resumed))
+    capsys.readouterr()
+    assert main(["train", config, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt} does not fit this config: its channel has fingerprint" in err
+    assert f"this config's {source} source" in err
     assert csv.read_bytes() == rows
 
 

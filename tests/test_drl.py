@@ -289,22 +289,25 @@ def test_soft_update_extremes_and_midpoint():
     target = agent.target_actor.parameters()
     for t in target:
         t.fill(0.0)
-    agent.soft_update(rate=0.0)
+    agent.soft_update_rate = 0.0
+    agent.soft_update()
     for t in target:
         npt.assert_array_equal(t, 0.0)
-    agent.soft_update(rate=1.0)
+    agent.soft_update_rate = 1.0
+    agent.soft_update()
     for t, o in zip(target, online):
         npt.assert_array_equal(t, o)
     # scalar check: target 0, online 2, rate 0.5 -> 1
     online[0].fill(2.0)
     target[0].fill(0.0)
-    agent.soft_update(rate=0.5)
+    agent.soft_update_rate = 0.5
+    agent.soft_update()
     npt.assert_allclose(target[0], 1.0)
 
 
 def test_target_lag_matches_exponential_average():
-    agent = small_agent()
     rho = 0.25
+    agent = small_agent(soft_update_rate=rho)
     theta0 = 3.0
     agent.critic.parameters()[0].fill(0.0)
     agent.target_critic.parameters()[0].fill(theta0)
@@ -313,7 +316,7 @@ def test_target_lag_matches_exponential_average():
         val = float(t + 1)
         agent.critic.parameters()[0].fill(val)
         history.append(val)
-        agent.soft_update(rate=rho)
+        agent.soft_update()
     expected = theta0 * (1.0 - rho) ** len(history)
     for i, val in enumerate(history):
         expected += rho * (1.0 - rho) ** (len(history) - 1 - i) * val
@@ -365,7 +368,8 @@ def test_duplicate_batch_same_update():
 
 
 def test_actor_step_increases_mean_q_under_frozen_critic():
-    agent = small_agent(actor_lr=1e-6, critic_lr=0.0, seed=9)
+    agent = small_agent(actor_lr=1e-6, seed=9)
+    agent.adam_critic.lr = 0.0  # frozen: an agent is built with learning rates > 0
     rng = np.random.default_rng(7)
     s = rng.standard_normal((8, 6))
     a = rng.uniform(0, 1, (8, 3))

@@ -70,10 +70,10 @@ def compress_csi_one(h, codebook, keep):
     norm = np.linalg.norm(h)
     if norm == 0:
         raise ValueError("cannot compress a zero channel")
-    d = codebook.matrix.conj().T @ h
+    d = codebook.conj().T @ h
     order = np.lexsort((np.arange(d.size), -np.abs(d)))[:keep]
     return CompressedCsi(
-        index_norm=order / codebook.size, values=d[order], channel_norm=float(norm)
+        index_norm=order / codebook.shape[1], values=d[order], channel_norm=float(norm)
     )
 
 
@@ -110,8 +110,7 @@ def csi_features_one(comp):
 
 def build_state_one(n, channel, prev, own_csi, csi_keep, num_interferers):
     """BS n's state; ``prev`` has ``metrics``, ``powers`` and ``own_csi[i][k]``."""
-    num_cells = channel.num_cells
-    users = channel.users_per_cell
+    num_cells, _, users, _ = channel.h.shape
     layout = state_layout(num_cells, users, csi_keep, num_interferers)
     own = channel.h[n, n]
 
@@ -192,29 +191,29 @@ def flat_pairs(flat, users):
 
 def test_codebook_column_zero_flat():
     cb = build_codebook(4, 8)
-    npt.assert_allclose(cb.matrix[:, 0], np.full(4, 0.5))
+    npt.assert_allclose(cb[:, 0], np.full(4, 0.5))
 
 
 def test_codebook_columns_unit_norm():
     cb = build_codebook(8, 16)
-    npt.assert_allclose(np.linalg.norm(cb.matrix, axis=0), 1.0, atol=1e-12)
+    npt.assert_allclose(np.linalg.norm(cb, axis=0), 1.0, atol=1e-12)
 
 
 def test_codebook_square_is_orthogonal():
     cb = build_codebook(8, 8)
-    gram = cb.matrix.conj().T @ cb.matrix
+    gram = cb.conj().T @ cb
     npt.assert_allclose(gram, np.eye(8), atol=1e-12)
 
 
 def test_codebook_paper_dimensions():
     cb = build_codebook(64, 128)
-    assert cb.matrix.shape == (64, 128)
-    npt.assert_allclose(np.linalg.norm(cb.matrix, axis=0), 1.0, atol=1e-12)
+    assert cb.shape == (64, 128)
+    npt.assert_allclose(np.linalg.norm(cb, axis=0), 1.0, atol=1e-12)
 
 
 def test_compress_picks_matching_column():
     cb = build_codebook(8, 8)
-    h = cb.matrix[:, 5].copy()
+    h = cb[:, 5].copy()
     index, values, norm = compress_csi(h, cb, 3)
     assert index[0] == 5
     assert values[0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
@@ -226,7 +225,7 @@ def test_compress_full_keep_reconstructs():
     cb = build_codebook(6, 6)
     h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     index, values, _ = compress_csi(h, cb, 6)
-    npt.assert_allclose(cb.matrix[:, index] @ values, h, atol=1e-10)
+    npt.assert_allclose(cb[:, index] @ values, h, atol=1e-10)
 
 
 def test_compress_magnitudes_non_increasing():
@@ -241,7 +240,7 @@ def test_compress_magnitudes_non_increasing():
 def test_compress_tie_prefers_lower_index():
     cb = build_codebook(2, 2)
     # h = f0 + f1 has equal-magnitude projections on both columns
-    h = cb.matrix[:, 0] + cb.matrix[:, 1]
+    h = cb[:, 0] + cb[:, 1]
     index, _, _ = compress_csi(h, cb, 2)
     assert index[0] < index[1]
 
@@ -732,7 +731,7 @@ def test_stacked_slot_matches_per_bs_oracles(
             # Sums of two codebook columns: equal projections on a square
             # codebook, so the ranking meets ties.
             cols = rng.integers(0, codebook_size, (*shape, 2))
-            return codebook.matrix.T[cols].sum(axis=-2) + 1e-3
+            return codebook.T[cols].sum(axis=-2) + 1e-3
         return rng.standard_normal((*shape, m)) + 1j * rng.standard_normal((*shape, m))
 
     h = channels((n, n, k)) * rng.uniform(1e-6, 1.0)

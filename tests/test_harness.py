@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from cbflab import harness
-from cbflab.channel import ChannelProcess, generate_trace
+from cbflab.channel import ChannelProcess, config_fingerprint, generate_trace
 from cbflab.drl import Mlp
 from cbflab.env import BeamformingEnv
 from cbflab.harness import (
@@ -286,9 +286,12 @@ def _resume_from_old_layout(tmp_path, version, old_layout):
         ckpt = part / "checkpoints" / "train_00000007.npz"
         old_layout.run(ckpt, old, version, part_cfg.network)
         with np.load(old) as data:
-            assert {"env_channel_h", "prev_own_channels"} <= set(data.files)
+            old_copies = {"env_channel_h", "prev_own_channels"} <= set(data.files)
+            assert old_copies == (version < 3)
             assert ("agent0_actor_p0" in data.files) == (version == 1)
-            assert json.loads(str(data["harness_meta"]))["version"] == version
+            meta = json.loads(str(data["harness_meta"]))
+            assert meta["version"] == version
+            assert "fingerprint" not in meta["stream"]
         run_train(part_cfg, resume_from=str(old))
         assert (part / "train.csv").read_bytes() == (full / "train.csv").read_bytes()
 
@@ -305,6 +308,12 @@ def test_train_resume_from_version2_checkpoint(tmp_path, old_layout):
     _resume_from_old_layout(tmp_path, 2, old_layout)
 
 
+def test_train_resume_from_version3_checkpoint_without_fingerprint(tmp_path, old_layout):
+    # Version-3 checkpoints written before the streams stored their
+    # fingerprint resume unchecked and bit-exactly.
+    _resume_from_old_layout(tmp_path, 3, old_layout)
+
+
 @pytest.mark.parametrize("source", ["process", "trace"])
 def test_checkpoint_holds_each_fact_once(tmp_path, source):
     overrides = {}
@@ -319,15 +328,19 @@ def test_checkpoint_holds_each_fact_once(tmp_path, source):
     with np.load(ckpt) as data:
         keys = set(data.files)
         meta = json.loads(str(data["harness_meta"]))
-    stream = set()
+    stream, stream_meta = set(), {"kind", "cursor", "fingerprint"}
     if source == "process":
         stream = {"proc_h", "proc_ue_positions", "proc_ue_headings"}
+        stream_meta = {"kind", "slot", "rng_state", "fingerprint"}
     agent_keys = load_agents_from_checkpoint(ckpt, 3)[0].state_dict()
     agents = {f"agent{n}_{key}" for n in range(3) for key in agent_keys}
     assert keys == {"states", "harness_meta"} | stream | agents
     assert list(meta) == ["version", "slot", "num_agents", "stream"]
     assert (meta["version"], meta["slot"], meta["num_agents"]) == (3, 7, 3)
     assert meta["stream"]["kind"] == source
+    assert set(meta["stream"]) == stream_meta
+    # A trace's cfg_hash is the fingerprint of the process that wrote it.
+    assert meta["stream"]["fingerprint"] == config_fingerprint(cfg.channel, cfg.network)
 
 
 def _finished_run_and_checkpoint(tmp_path):
