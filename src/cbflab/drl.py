@@ -3,8 +3,10 @@
 Multilayer perceptrons with hand-written reverse-mode gradients, bias-
 corrected Adam, a FIFO experience replay, soft-updated target networks and
 the decaying Gaussian exploration schedule.  Everything is float64 and
-deterministic for a fixed seed on a single thread; agents never share
-parameters, matching decentralized per-BS training.
+deterministic for a fixed seed, with BLAS on one thread per call.  Agents
+never share parameters or state, matching decentralized per-BS training, so
+several agents may train at once on separate threads, and the results do not
+depend on how many threads there are.
 """
 
 from __future__ import annotations
@@ -496,10 +498,17 @@ class DdpgAgent:
         if batch is None:
             batch = self.memory.sample(self.batch_size, self.rng)
         states, actions, rewards, next_states = batch
-        b = states.shape[0]
-        if b == 0:
+        if states.shape[0] == 0:
             raise ValueError("empty training batch")
+        # Each half frees its gradient and activations when it returns, which
+        # keeps down the memory of several agents training at once.
+        losses = self._update_critic(states, actions, rewards, next_states)
+        self._update_actor(states)
+        return losses
 
+    def _update_critic(self, states, actions, rewards, next_states):
+        """One Adam step of the critic towards the TD targets; (loss, mean_q)."""
+        b = states.shape[0]
         next_actions = self.target_actor.forward(next_states)
         next_q = self.target_critic.forward(
             np.hstack([next_states, next_actions])
@@ -514,7 +523,11 @@ class DdpgAgent:
         upstream = (-2.0 / b) * err[:, None]
         critic_grad, _ = self.critic.backward(ctx, upstream, input_grad=False)
         self.adam_critic.step(self.critic.flat, critic_grad)
+        return critic_loss, mean_q
 
+    def _update_actor(self, states):
+        """One Adam step of the actor along the critic's action gradient."""
+        b = states.shape[0]
         policy_actions, actor_ctx = self.actor.forward_cached(states)
         _, critic_ctx = self.critic.forward_cached(
             np.hstack([states, policy_actions])
@@ -528,7 +541,6 @@ class DdpgAgent:
         action_grad = input_grad[:, self.state_dim :]
         actor_grad, _ = self.actor.backward(actor_ctx, action_grad, input_grad=False)
         self.adam_actor.step(self.actor.flat, actor_grad)
-        return critic_loss, mean_q
 
     def soft_update(self):
         """Blend online parameters into the targets: t <- rho*o + (1-rho)*t.

@@ -7,20 +7,23 @@ field's default, and dB/dBm values are converted to linear watts right here
 at the boundary.  Agents are built from the fields named in
 ``drl.HYPERPARAMETERS``.
 
-Metric output is a versioned CSV (deterministic: two single-threaded runs
-with the same config and seeds produce bit-identical files) plus a JSON-lines
-event log that carries timestamps, wall-clock measurements and checkpoint
-notices -- everything that may legitimately differ between runs.  One
-parser reads both versioned CSVs back (``MetricSink.read``, ``read_bench``).
+Metric output is a versioned CSV (deterministic: two runs with the same
+config and seeds produce bit-identical files, however many threads train the
+agents; BLAS runs on one thread per call) plus a JSON-lines event log that
+carries timestamps, wall-clock measurements and checkpoint notices --
+everything that may legitimately differ between runs.  One parser reads both
+versioned CSVs back (``MetricSink.read``, ``read_bench``).
 Training and benchmarks load a configured trace through one dimension check.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -109,12 +112,12 @@ class RunConfig:
     field's ``parse`` metadata or else by its annotated type, so a config
     built from raw text and one built with ``dataclasses.replace`` come out
     alike.  ``network`` and ``channel`` are derived from the fields, and the
-    count keys, the agent and env settings (by the checks of ``DdpgAgent``
-    and ``BeamformingEnv``) and the schemes checked, in ``__post_init__``
-    (``replace`` reruns both).  Every float key must be finite, and the dBm
-    keys must convert to a finite power above 0 W.  A ValueError of the
-    derived configs becomes a ConfigError that names the config key, not the
-    derived field.
+    count keys, ``wmmse_stop_eps`` (> 0), the agent and env settings (by the
+    checks of ``DdpgAgent`` and ``BeamformingEnv``) and the schemes checked,
+    in ``__post_init__`` (``replace`` reruns both).  Every float key must be
+    finite, and the dBm keys must convert to a finite power above 0 W.  A
+    ValueError of the derived configs becomes a ConfigError that names the
+    config key, not the derived field.
     """
 
     # network
@@ -166,7 +169,7 @@ class RunConfig:
     # wmmse baseline: stop once the sum rate changes by less than
     # wmmse_stop_eps relative to its current value
     wmmse_stop_eps: float = 1e-4
-    wmmse_max_iter: int = 500
+    wmmse_max_iter: int = field(default=500, metadata=_COUNT)
     wmmse_num_inits: int = field(default=10, metadata=_COUNT)
     # derived
     network: NetworkConfig = field(init=False)
@@ -187,6 +190,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite")
             if f.metadata.get("count") and getattr(self, f.name) < 1:
                 raise ConfigError(f"{f.name} must be >= 1")
+        if not self.wmmse_stop_eps > 0:
+            raise ConfigError("wmmse_stop_eps must be > 0")
 
         max_power = _dbm_key_to_watt("p_max_dbm", self.p_max_dbm)
         noise_power = _dbm_key_to_watt("noise_dbm", self.noise_dbm)
@@ -548,14 +553,60 @@ def load_checkpoint(path, env):
     return meta["slot"], states
 
 
+def _train_workers(num_agents):
+    """Threads that train the agents: one per agent, at most one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(num_agents, cpus)
+
+
+def _train_share(agents):
+    """Train step and soft update of each ready agent; their critic losses in order."""
+    losses = []
+    for agent in agents:
+        if agent.ready():
+            loss, _ = agent.train_step()
+            agent.soft_update()
+            losses.append(loss)
+    return losses
+
+
+def _train_agents(pool, shares):
+    """Run ``_train_share`` on every share at once; the losses in agent order.
+
+    The calling thread trains the first share and the pool the others, each
+    in a copy of the caller's context (so numpy's error state holds there
+    too).  The first error raised, in share order, propagates; a share still
+    running then finishes before the pool shuts down.
+    """
+    futures = [
+        pool.submit(contextvars.copy_context().run, _train_share, share)
+        for share in shares[1:]
+    ]
+    losses = _train_share(shares[0])
+    for future in futures:
+        losses += future.result()
+    return losses
+
+
 def run_train(cfg: RunConfig, resume_from=None):
     """Train one agent per BS over ``num_slots`` environment steps.
 
     Implements the decentralized loop: a warm-up phase of uniformly random
     actions until each replay holds one mini-batch, then noisy policy actions
     with one train step and one soft target update per agent per slot.
-    Periodic checkpoints allow bit-exact resumption in single-threaded mode;
-    resuming one past ``num_slots`` raises ConfigError.
+    Periodic checkpoints allow bit-exact resumption; resuming one past
+    ``num_slots`` raises ConfigError.
+
+    The agents share nothing, so each slot's train steps run concurrently:
+    one thread per agent, at most one per usable CPU, each training a fixed,
+    contiguous share of the agents (numpy releases the interpreter lock
+    inside its kernels, and BLAS runs on one thread per call).  Every agent
+    draws from its own generator and updates only its own arrays, so the
+    metrics and checkpoints do not depend on the worker count.  The
+    ``run-start`` and ``resume`` events record it as ``train_workers``.
 
     Returns a summary dict with paths and the final moving-average sum rate.
     """
@@ -578,11 +629,22 @@ def run_train(cfg: RunConfig, resume_from=None):
         states = env.reset()
         start_slot = 0
 
+    workers = _train_workers(len(agents))
+    shares = [
+        agents[len(agents) * i // workers : len(agents) * (i + 1) // workers]
+        for i in range(workers)
+    ]
     # One metrics row per slot: a resumed run keeps the checkpoint's rows.
     resume_rows = start_slot if resume_from else None
-    with MetricSink(cfg.out_dir, cfg.network.num_cells, basename, resume_rows) as sink:
+    with (
+        MetricSink(cfg.out_dir, cfg.network.num_cells, basename, resume_rows) as sink,
+        # The calling thread trains the first share: a one-worker run starts no thread.
+        ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool,
+    ):
         if resume_from:
-            sink.event("resume", checkpoint=resume_from, slot=start_slot)
+            sink.event(
+                "resume", checkpoint=resume_from, slot=start_slot, train_workers=workers
+            )
         else:
             sink.event(
                 "run-start",
@@ -590,6 +652,7 @@ def run_train(cfg: RunConfig, resume_from=None):
                 action_mode=cfg.action_mode,
                 seed=cfg.seed,
                 channel_fingerprint=config_fingerprint(cfg.channel, cfg.network),
+                train_workers=workers,
             )
         warmup = cfg.batch_size
         sum_rates = []
@@ -610,12 +673,7 @@ def run_train(cfg: RunConfig, resume_from=None):
                 next_states, rewards, metrics = env.step(actions)
                 for n, agent in enumerate(agents):
                     agent.remember(states[n], actions[n], rewards[n], next_states[n])
-                losses = []
-                for agent in agents:
-                    if agent.ready():
-                        loss, _ = agent.train_step()
-                        agent.soft_update()
-                        losses.append(loss)
+                losses = _train_agents(pool, shares)
                 states = next_states
                 cell_rates = metrics.rate.sum(axis=1)
                 sum_rates.append(float(cell_rates.sum()))

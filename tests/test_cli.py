@@ -120,6 +120,8 @@ BAD_VALUES = [
     ("train", {"batch_size": 0}, "batch_size must be >= 1"),
     ("bench", {"bench_slots": 0}, "bench_slots must be >= 1"),
     ("bench", {"wmmse_num_inits": 0}, "wmmse_num_inits must be >= 1"),
+    ("bench", {"wmmse_max_iter": -3}, "wmmse_max_iter must be >= 1"),
+    ("bench", {"wmmse_stop_eps": -1}, "wmmse_stop_eps must be > 0"),
     ("train", {"num_cells": 0}, "num_cells must be >= 1"),
     ("train", {"channel_model": "foo"}, "channel_model must be one of"),
     ("train", {"num_rays": 0}, "num_rays must be >= 1"),

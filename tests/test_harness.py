@@ -2,8 +2,10 @@ import dataclasses
 import json
 import os
 import re
+import threading
 import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +13,8 @@ import pytest
 
 from cbflab import harness
 from cbflab.channel import ChannelProcess, config_fingerprint, generate_trace
-from cbflab.drl import Mlp
+from cbflab.cli import main
+from cbflab.drl import DdpgAgent, Mlp
 from cbflab.env import BeamformingEnv
 from cbflab.harness import (
     ConfigError,
@@ -506,6 +509,133 @@ def test_checkpoint_failure_closes_metric_files(tmp_path, monkeypatch, break_sav
         run_train(cfg)
     closed = {os.path.basename(fh.name): fh.closed for fh in opened}
     assert closed == {"train.csv": True, "train_events.jsonl": True}
+
+
+# -- concurrent agent training ----------------------------------------------------
+
+
+def _pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_train_workers", lambda num_agents: workers)
+
+
+def _events(out):
+    with open(out / "train_events.jsonl") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _run_outputs(out):
+    """train.csv, every checkpoint's arrays and the checkpoint events' mean losses."""
+    checkpoints = {
+        path.name: {
+            key: (array.dtype, array.shape, array.tobytes())
+            for key, array in _checkpoint_arrays(path).items()
+        }
+        for path in sorted((out / "checkpoints").iterdir())
+    }
+    losses = [(e["slot"], e["mean_loss"]) for e in _events(out) if e["kind"] == "checkpoint"]
+    return (out / "train.csv").read_bytes(), checkpoints, losses
+
+
+@pytest.mark.parametrize("source", ["process", "trace"])
+def test_worker_count_does_not_change_the_outputs(tmp_path, monkeypatch, source):
+    overrides = {}
+    if source == "trace":
+        overrides["trace_file"] = tmp_path / "chan.trace"
+        generate_trace_file(
+            parse_config(write_config(tmp_path)), overrides["trace_file"], num_slots=20
+        )
+    outputs = {}
+    for workers in (1, 2, 3):  # 3 agents: shares of 3, of 1 and 2, and of one each
+        _pin_workers(monkeypatch, workers)
+        out = tmp_path / f"workers{workers}"
+        cfg = parse_config(write_config(tmp_path, out_dir=out, **overrides))
+        run_train(cfg)
+        fresh = _run_outputs(out)
+        run_train(cfg, resume_from=str(out / "checkpoints" / "train_00000007.npz"))
+        outputs[workers] = fresh, _run_outputs(out)
+        starts = [e for e in _events(out) if e["kind"] in ("run-start", "resume")]
+        assert [(e["kind"], e["train_workers"]) for e in starts] == [
+            ("run-start", workers),
+            ("resume", workers),
+        ]
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+
+
+def test_train_agents_returns_the_losses_in_agent_order():
+    class Agent:
+        def __init__(self, n):
+            self.n = n
+
+        def ready(self):
+            return self.n != 1
+
+        def train_step(self):
+            time.sleep(0.01 * (5 - self.n))  # the later shares finish first
+            return float(self.n), 0.0
+
+        def soft_update(self):
+            pass
+
+    agents = [Agent(n) for n in range(5)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        losses = harness._train_agents(pool, [agents[:2], agents[2:3], agents[3:]])
+    assert losses == [0.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("bad", [0, 2], ids=["calling-thread", "pool-thread"])
+def test_a_failed_train_step_aborts_and_stops_every_worker(tmp_path, monkeypatch, bad):
+    full = tmp_path / "full"
+    run_train(parse_config(write_config(tmp_path, out_dir=full)))
+    _pin_workers(monkeypatch, 2)  # agent 0 trains on the calling thread, 1 and 2 on the pool
+    build = harness._build_agents
+
+    def build_with_a_failing_agent(cfg, env):
+        agents = build(cfg, env)
+        train_step, calls = agents[bad].train_step, []
+
+        def failing_train_step():
+            calls.append(None)
+            if len(calls) == 4:  # training starts at slot 7 (batch_size 8): slot 10
+                raise ArithmeticError("non-finite gradient; training halted")
+            return train_step()
+
+        agents[bad].train_step = failing_train_step
+        return agents
+
+    monkeypatch.setattr(harness, "_build_agents", build_with_a_failing_agent)
+    threads = threading.enumerate()
+    config = write_config(tmp_path)
+    with pytest.raises(ArithmeticError, match="non-finite gradient"):
+        run_train(parse_config(config))
+    assert threading.enumerate() == threads
+
+    out = tmp_path / "out"
+    dump = out / "train_abort.json"
+    assert json.loads(dump.read_text())["slot"] == 10
+    last = _events(out)[-1]
+    assert (last["kind"], last["dump"]) == ("abort", str(dump))
+    rows = (out / "train.csv").read_text().splitlines(keepends=True)
+    assert rows == (full / "train.csv").read_text().splitlines(keepends=True)[: 2 + 10]
+
+    assert main(["train", str(config)]) == 4
+    assert threading.enumerate() == threads
+
+
+def test_pool_threads_train_under_the_callers_numpy_error_state(tmp_path, monkeypatch):
+    _pin_workers(monkeypatch, 3)
+    caller = threading.current_thread()
+    train_step = DdpgAgent.train_step
+
+    def overflow_off_the_caller(self, batch=None):
+        if threading.current_thread() is not caller:
+            np.float64(1e308) * 10.0
+        return train_step(self, batch)
+
+    monkeypatch.setattr(DdpgAgent, "train_step", overflow_off_the_caller)
+    cfg = parse_config(write_config(tmp_path))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        run_train(cfg)
 
 
 def test_resume_rejects_metrics_shorter_than_checkpoint(tmp_path):
