@@ -47,7 +47,6 @@ from .harness import (
     ConfigError,
     MetricSink,
     RunConfig,
-    moving_average,
     parse_config,
     run_benchmark,
     run_timing,

@@ -20,8 +20,8 @@ seeded with ``rng_seed``.  Each slot visits the links in C order of
 * geometric-ura: R uniforms in [-1, 1) for the azimuth offsets, R uniforms in
   [-0.5, 0.5) for the elevations, then R standard normals for the real and R
   for the imaginary parts of the ray gains;
-* gauss-markov and iid-rayleigh: M standard normals for the real and M for
-  the imaginary parts of the coefficients.
+* gauss-markov: M standard normals for the real and M for the imaginary
+  parts of the coefficients.
 
 Everything computed from the draws is vectorized over links and rays, and
 the mobility over users, with the same floating-point operations, in the
@@ -52,7 +52,7 @@ from .network import BS_EXCLUSION_RADIUS, ChannelState, NetworkConfig
 
 logger = logging.getLogger(__name__)
 
-MODEL_KINDS = ("iid-rayleigh", "gauss-markov", "geometric-ura")
+MODEL_KINDS = ("gauss-markov", "geometric-ura")
 
 TRACE_MAGIC = b"CBFLAB-TRACE\x00\x00\x00\x01"
 _HEADER = struct.Struct("<5Q")
@@ -69,7 +69,8 @@ class ChannelModelConfig:
     ``temporal_corr`` may be None, in which case the slot-to-slot correlation
     is derived from Jakes' model as J0(2*pi*f_D*T_s) with Doppler
     f_D = v*f_c/c; for a 2.6 GHz carrier, 3 km/h and 20 ms slots this
-    evaluates to about 0.80.
+    evaluates to about 0.80.  An i.i.d. block-fading channel, a fresh draw
+    every slot, is ``gauss-markov`` with ``temporal_corr = 0``.
     """
 
     model_kind: str = "geometric-ura"
@@ -292,8 +293,8 @@ def _marginal_draw(topology, model_cfg, net_cfg, rng):
     m1, m2 = net_cfg.array_rows, net_cfg.array_cols
     m = m1 * m2
     # offset[bs, cell, user] is the BS -> UE vector.  vecdot (numpy >= 2.0)
-    # reproduces the per-vector norm bit for bit; norm(axis=-1), einsum and
-    # hypot do not.
+    # reproduces the per-vector norm bit for bit; norm(axis=-1), an Einstein
+    # summation and hypot do not.
     offset = topology.ue_positions[None] - topology.bs_positions[:, None, None]
     d = np.sqrt(np.vecdot(offset, offset))
     # Scalar (libm) pow per link: numpy's SIMD power can differ in the last ulp.
@@ -421,14 +422,13 @@ class ChannelProcess:
 
         The first slot draws the marginal at the initial positions.  Later
         slots advance the users one step, then mix the previous coefficients
-        with a fresh marginal draw at correlation ``rho``.  The iid-rayleigh
-        model ignores the correlation and redraws every slot.
+        with a fresh marginal draw at correlation ``rho``.
         """
         prev = self.current
         if prev is not None:
             _advance_positions(self.topology, self.net_cfg)
         h = _marginal_draw(self.topology, self.model_cfg, self.net_cfg, self.rng)
-        if prev is not None and self.model_cfg.model_kind != "iid-rayleigh":
+        if prev is not None:
             rho = self.rho
             h = rho * prev.h + np.sqrt(max(0.0, 1.0 - rho * rho)) * h
         slot = 0 if prev is None else prev.slot_index + 1

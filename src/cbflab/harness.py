@@ -297,17 +297,6 @@ def config_defaults():
     return {f.name: f.default for f in _config_keys() if f.default is not MISSING}
 
 
-def moving_average(series, window):
-    """Trailing moving average; entry t averages series[max(0, t-w+1):t+1]."""
-    series = np.asarray(series, dtype=float)
-    cum = np.cumsum(series)
-    out = np.empty_like(series)
-    out[:window] = cum[:window] / np.arange(1, min(window, series.size) + 1)
-    if series.size > window:
-        out[window:] = (cum[window:] - cum[:-window]) / window
-    return out
-
-
 class MetricSink:
     """Per-slot CSV metrics plus a JSON-lines event log.
 
@@ -608,7 +597,8 @@ def run_train(cfg: RunConfig, resume_from=None):
     metrics and checkpoints do not depend on the worker count.  The
     ``run-start`` and ``resume`` events record it as ``train_workers``.
 
-    Returns a summary dict with paths and the final moving-average sum rate.
+    Returns a summary dict with paths and, as ``final_moving_average``, the
+    mean sum rate of the last ``eval_window`` train rows.
     """
     basename = "train" if cfg.action_mode == "structured" else "train_mslnr"
     env = _build_env(cfg)
@@ -691,30 +681,23 @@ def run_train(cfg: RunConfig, resume_from=None):
                     )
                     since = now
         except ArithmeticError as exc:
-            dump = os.path.join(cfg.out_dir, f"{basename}_abort.json")
-            with open(dump, "w") as fh:
-                json.dump(
-                    {
-                        "error": str(exc),
-                        "slot": slot,
-                        "noise_sigma": agents[0].noise_sigma,
-                        "recent_sum_rates": sum_rates[-20:],
-                    },
-                    fh,
-                    indent=2,
-                )
-            sink.event("abort", error=str(exc), dump=dump)
+            sink.event(
+                "abort",
+                error=str(exc),
+                slot=slot,
+                noise_sigma=agents[0].noise_sigma,
+                recent_sum_rates=sum_rates[-20:],
+            )
             raise
         final_ckpt = os.path.join(ckpt_dir, f"{basename}_{cfg.num_slots:08d}.npz")
 
         rows = MetricSink.read(sink.csv_path)
         series = [r["sum_rate"] for r in rows if r["scheme"] == "train"]
-        ma = moving_average(series, cfg.eval_window)
         summary = {
             "metrics_csv": sink.csv_path,
             "events": sink.events_path,
             "checkpoint": final_ckpt,
-            "final_moving_average": float(ma[-1]),
+            "final_moving_average": float(np.mean(series[-cfg.eval_window :])),
             "slots": len(series),
         }
         sink.event("run-end", **{k: v for k, v in summary.items() if k != "events"})
@@ -911,8 +894,11 @@ def run_timing(cfg: RunConfig, repeats=30):
     ``speedup_wmmse_over_decision``.  The decision path runs at BS 0 on the
     live process's first slot and state, with the untrained actor of a fresh
     ``_build_agents``, which the report's ``decision_path`` entry records:
-    its cost depends on the net's shape, not on training.
+    its cost depends on the net's shape, not on training.  ``repeats``
+    below 1 raises ConfigError.
     """
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     net = cfg.network
     env = _build_env(cfg, ChannelProcess(net, cfg.channel), action_mode="structured")
     state = env.reset()[0]
@@ -974,9 +960,12 @@ def generate_trace_file(cfg: RunConfig, out_path, num_slots=None):
 
     The default, ``cfg.num_slots + 1``, is what a run of ``cfg.num_slots`` steps
     and the default benchmark window read (``reset`` takes the first slot).
+    A count below 1 raises ConfigError before anything is written.
     """
-    trace = generate_trace(
-        cfg.network, cfg.channel, num_slots if num_slots else cfg.num_slots + 1
-    )
+    if num_slots is None:
+        num_slots = cfg.num_slots + 1
+    elif num_slots < 1:
+        raise ConfigError(f"slots must be >= 1, got {num_slots}")
+    trace = generate_trace(cfg.network, cfg.channel, num_slots)
     save_trace(trace, out_path)
     return out_path

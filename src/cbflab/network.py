@@ -194,16 +194,20 @@ class SlotMetrics:
 def compute_metrics(channel, beams, cfg):
     """Evaluate SINR, rate and interference bookkeeping for one slot.
 
-    Vectorized over all links.  The per-BS power constraint is checked first;
-    a violation raises PowerConstraintError naming the offending BS.
+    This is the program's one SINR and rate evaluation: the environment's
+    reward, the benchmark rows and every weighted-MMSE iterate are scored
+    here.  The per-BS power constraint is checked first; a violation raises
+    PowerConstraintError naming the offending BS.  The (N, N, K, K) cross
+    gains of every link come from one batched matrix product.
     """
     beams.check_power(cfg.max_power)
     h = channel.h
     w = beams.w
-    num_cells, _, users, _ = h.shape
+    num_cells, _, users, antennas = h.shape
 
     # cross[m, n, k, j] = h[m, n, k]^H w[m, j]
-    cross = np.einsum("mnka,mja->mnkj", h.conj(), w)
+    flat_hc = h.reshape(num_cells, num_cells * users, antennas).conj()
+    cross = (flat_hc @ w.swapaxes(1, 2)).reshape(num_cells, num_cells, users, users)
     cross_pow = np.abs(cross) ** 2
 
     idx = np.arange(num_cells)

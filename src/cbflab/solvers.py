@@ -81,19 +81,19 @@ class WmmseState:
 
     ``u``, ``v`` and ``mu`` are the values that produced the returned
     beamformers, so alpha = v * |u|^2 recovers every direction through the
-    structured form.  ``final_v`` re-evaluates the per-user weights at the
-    returned beamformers; its log2-sum equals the achieved sum rate.
+    structured form.
 
-    ``rate_history`` records sum(log2 v), the sum rate, after every weight
-    refresh; its first entry is the rate of the start.  The block-coordinate
-    updates provably never decrease it (up to the bisection tolerance), and
-    the stop rule watches its relative change.
+    ``rate_history`` records the sum rate after every weight refresh, as
+    ``sum_rate(compute_metrics(...))`` scores the beamformers of that
+    refresh; its first entry is the rate of the start and its last the rate
+    of the returned beamformers, bit for bit.  The block-coordinate updates
+    provably never decrease it (up to the bisection tolerance), and the stop
+    rule watches its relative change.
     """
 
     beams: BeamformerSet
     u: np.ndarray
     v: np.ndarray
-    final_v: np.ndarray
     mu: np.ndarray
     iterations: int
     rate_history: np.ndarray
@@ -342,8 +342,11 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     channels, one stacked eigendecomposition serves the N multiplier
     bisections (run in lock step, see ``_bisect_eigen``) and the solve
     w[n] = Q diag(1 / (lam + mu[n])) Q^H c, with (N, K, M) targets c.  The
-    weight refresh forms the (N, N, K, K) cross gains h^H w with one batched
-    product too.
+    weight refresh scores the current beamformers with ``compute_metrics``,
+    the program's one rate evaluation, which also checks each iterate
+    against the power budget: u = h[n,n,k]^H w[n,k] over the total received
+    power, v = 1 + SINR, and the recorded rate is exactly the sum rate of
+    those beamformers.
 
     Returns:
         (BeamformerSet, WmmseState).  If the iteration cap is hit first, the
@@ -352,7 +355,6 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     h = channel.h
     num_cells, _, users, antennas = h.shape
     p_max = net_cfg.max_power
-    noise = net_cfg.noise_power
 
     if w0 is None:
         w = mslnr_beams(channel, net_cfg).w
@@ -369,18 +371,16 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
 
     idx = np.arange(num_cells)
     flat_h = h.reshape(num_cells, num_cells * users, antennas)
-    flat_hc = flat_h.conj()
     own_h = h[idx, idx]
     while True:
-        # Weight refresh for the current beamformers.
-        cross = (flat_hc @ w.swapaxes(1, 2)).reshape(num_cells, num_cells, users, users)
-        denom = (np.abs(cross) ** 2).sum(axis=(0, 3)) + noise  # (N, K)
-        if not np.all(denom > 0):
+        # Weight refresh for the current beamformers, scored as every rate is.
+        beams = BeamformerSet(w=w)
+        metrics = compute_metrics(channel, beams, net_cfg)
+        if not np.all(metrics.total_ipn > 0):
             raise ArithmeticError("receive denominator must stay positive")
-        signal = cross[idx, idx][:, np.arange(users), np.arange(users)]
-        u = signal / denom
-        v = denom / (denom - np.abs(signal) ** 2)
-        rate_history.append(float(np.log2(v).sum()))
+        u = np.vecdot(own_h, w) / (metrics.total_ipn + metrics.received_power)
+        v = 1.0 + metrics.sinr
+        rate_history.append(sum_rate(metrics))
         if (
             len(rate_history) >= 2
             and abs(rate_history[-1] - rate_history[-2]) < stop_eps * abs(rate_history[-1])
@@ -397,12 +397,10 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
 
     if u_gen is None:  # stopped before any beamformer update
         u_gen, v_gen = u, v
-    beams = BeamformerSet(w=w)
     state = WmmseState(
         beams=beams,
         u=u_gen,
         v=v_gen,
-        final_v=v,
         mu=mu.copy(),
         iterations=iterations,
         rate_history=np.asarray(rate_history),
@@ -432,7 +430,7 @@ def wmmse_multi_init(channel, net_cfg, stop_eps=1e-4, max_iter=500, num_inits=1,
             rng = np.random.default_rng(seed + i)
             w0 = _full_power_init(num_cells, users, antennas, net_cfg.max_power, rng)
         beams, state = wmmse(channel, net_cfg, stop_eps, max_iter, w0=w0)
-        rate = sum_rate(compute_metrics(channel, beams, net_cfg))
+        rate = state.rate_history[-1]
         if rate > best_rate:
             best_rate = rate
             best = beams, state

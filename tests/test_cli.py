@@ -124,6 +124,7 @@ BAD_VALUES = [
     ("bench", {"wmmse_stop_eps": -1}, "wmmse_stop_eps must be > 0"),
     ("train", {"num_cells": 0}, "num_cells must be >= 1"),
     ("train", {"channel_model": "foo"}, "channel_model must be one of"),
+    ("train", {"channel_model": "iid-rayleigh"}, "channel_model must be one of"),
     ("train", {"num_rays": 0}, "num_rays must be >= 1"),
     ("train", {"temporal_corr": 2}, "temporal_corr must lie in"),
     ("train", {"slot_duration_ms": 0}, "slot_duration_ms must be > 0"),
@@ -167,6 +168,27 @@ def test_bad_config_value_exits_two_and_writes_nothing(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("trace-gen", ["--slots", "0"], "slots must be >= 1, got 0"),
+        ("trace-gen", ["--slots", "-2"], "slots must be >= 1, got -2"),
+        ("timing", ["--repeats", "0"], "repeats must be >= 1, got 0"),
+    ],
+    ids=["slots=0", "slots=-2", "repeats=0"],
+)
+def test_count_flag_below_one_exits_two_and_writes_nothing(
+    tmp_path, capsys, command, flags, message
+):
+    argv = [command, str(write_config(tmp_path))]
+    if command == "trace-gen":
+        argv.append(str(tmp_path / "chan.trace"))
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_bench_on_a_mismatched_trace_exits_two_and_writes_nothing(tmp_path, capsys):

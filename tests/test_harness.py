@@ -8,7 +8,6 @@ import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from cbflab import harness
@@ -27,7 +26,6 @@ from cbflab.harness import (
     generate_trace_file,
     load_agents_from_checkpoint,
     load_checkpoint,
-    moving_average,
     parse_config,
     read_bench,
     run_benchmark,
@@ -212,14 +210,6 @@ def test_replace_rebuilds_and_revalidates(tmp_path):
         dataclasses.replace(cfg, num_cells=2)
 
 
-def test_moving_average_window():
-    series = np.arange(1.0, 8.0)
-    ma = moving_average(series, 3)
-    assert ma[0] == 1.0
-    assert ma[1] == 1.5
-    npt.assert_allclose(ma[2:], [2.0, 3.0, 4.0, 5.0, 6.0])
-
-
 # -- training loop ----------------------------------------------------------------
 
 
@@ -231,6 +221,9 @@ def test_smoke_train_writes_metrics(tmp_path):
     assert {r["scheme"] for r in rows} == {"train"}
     assert os.path.exists(summary["checkpoint"])
     assert summary["slots"] == 10
+    # The summary's rate is the plain mean of the last eval_window (5) rows.
+    recent = [r["sum_rate"] for r in rows][-cfg.eval_window :]
+    assert summary["final_moving_average"] == float(np.mean(recent))
 
 
 def test_train_deterministic_metric_files(tmp_path):
@@ -611,10 +604,19 @@ def test_a_failed_train_step_aborts_and_stops_every_worker(tmp_path, monkeypatch
     assert threading.enumerate() == threads
 
     out = tmp_path / "out"
-    dump = out / "train_abort.json"
-    assert json.loads(dump.read_text())["slot"] == 10
+    # The abort event is the run's one record of the failure: no dump file.
+    written = sorted(p.name for p in out.iterdir())
+    assert written == ["checkpoints", "train.csv", "train_events.jsonl"]
     last = _events(out)[-1]
-    assert (last["kind"], last["dump"]) == ("abort", str(dump))
+    full_rows = MetricSink.read(full / "train.csv")
+    assert (last["kind"], last["error"], last["slot"]) == (
+        "abort",
+        "non-finite gradient; training halted",
+        10,
+    )
+    # Slot 10 acted (decaying the exploration noise) before its train step failed.
+    assert last["noise_sigma"] == full_rows[10]["sigma_a"]
+    assert last["recent_sum_rates"] == [r["sum_rate"] for r in full_rows[:10]]
     rows = (out / "train.csv").read_text().splitlines(keepends=True)
     assert rows == (full / "train.csv").read_text().splitlines(keepends=True)[: 2 + 10]
 

@@ -2,16 +2,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cbflab.channel import ChannelModelConfig, generate_trace
 from cbflab.network import (
     BeamformerSet,
     ChannelState,
     NetworkConfig,
     PowerConstraintError,
+    SlotMetrics,
     compute_metrics,
     dbm_to_watt,
     sum_rate,
     watt_to_dbm,
 )
+from cbflab.solvers import mslnr_beams
 
 
 def make_net(n=2, k=2, m1=1, m2=2, p_max=1.0, noise=1.0):
@@ -59,6 +62,43 @@ def compute_sinr(channel, beams, cfg, n, k):
         for j in range(users):
             inter += abs(np.vdot(h[l, n, k], w[l, j])) ** 2
     return signal / (intra + inter + cfg.noise_power)
+
+
+def einsum_metrics(channel, beams, cfg):
+    """compute_metrics with its cross gains from a three-index einsum.
+
+    An oracle for the batched matrix product that ``compute_metrics`` uses.
+    """
+    h, w = channel.h, beams.w
+    num_cells, _, users, _ = h.shape
+    cross_pow = np.abs(np.einsum("mnka,mja->mnkj", h.conj(), w)) ** 2
+    idx = np.arange(num_cells)
+    received = cross_pow[idx, idx][:, np.arange(users), np.arange(users)]
+    interference = cross_pow.sum(axis=3)
+    interference[idx, idx] -= received
+    total_ipn = interference.sum(axis=0) + cfg.noise_power
+    sinr = received / total_ipn
+    return SlotMetrics(sinr, np.log2(1.0 + sinr), received, interference, total_ipn)
+
+
+@pytest.mark.parametrize("seed", [1, 101])
+def test_metrics_match_einsum_oracle_at_ref7(seed):
+    net = NetworkConfig(num_cells=7, users_per_cell=4, array_rows=4, array_cols=8)
+    ch = generate_trace(net, ChannelModelConfig(rng_seed=seed), 1).slot(0)
+    _, random_beams = random_instance(7, 4, 32, seed, p_max=net.max_power)
+    w = random_beams.w.copy()
+    w[3, 1] = 0.0  # a user switched off: zero signal, SINR and rate
+    idx = np.arange(7)
+    for beams in (mslnr_beams(ch, net), BeamformerSet(w=w)):
+        got = compute_metrics(ch, beams, net)
+        ref = einsum_metrics(ch, beams, net)
+        for name in ("sinr", "rate", "received_power", "total_ipn"):
+            npt.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-12, atol=0)
+        # An intra-cell term is a difference of two received powers: bound its
+        # error by the power of all the serving BS's beams at that user.
+        reach = ref.interference.copy()
+        reach[idx, idx] += ref.received_power
+        assert np.all(np.abs(got.interference - ref.interference) <= 1e-12 * reach)
 
 
 def test_single_link_unit_quantities():
