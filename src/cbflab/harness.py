@@ -802,8 +802,9 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     ``wmmse-nri`` adds ``wmmse_num_inits - 1`` random full-power starts,
     seeded per slot from ``seed``, and keeps the best, so it never ends below
     ``wmmse``.  For both the summary also holds the kept runs' mean iteration
-    count (``iterations_mean``) and the fraction that hit the iteration cap
-    (``truncated_frac``).
+    count (``iterations_mean``), their mean count of multiplier-search Newton
+    steps (``search_steps_mean``, summed over BSs and updates per run) and
+    the fraction that hit the iteration cap (``truncated_frac``).
     """
     cfg = replace(
         cfg,
@@ -839,6 +840,7 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
             # Solver diagnostics of the kept runs (one per slot).
             diagnostics[scheme] = {
                 "iterations_mean": float(np.mean([st.iterations for st in states])),
+                "search_steps_mean": float(np.mean([st.search_steps for st in states])),
                 "truncated_frac": float(np.mean([st.truncated for st in states])),
             }
 

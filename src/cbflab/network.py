@@ -25,7 +25,7 @@ import numpy as np
 BS_EXCLUSION_RADIUS = 10.0
 
 # Relative slack on the per-BS transmit power constraint.  Exact equality is
-# numerically unattainable after a bisection search, so feasibility checks
+# numerically unattainable after a multiplier search, so feasibility checks
 # allow this much headroom.
 POWER_SLACK = 1e-9
 

@@ -12,7 +12,8 @@ this shape at every step with alpha[m, j] = v[m, j] * |u[m, j]|^2, and the
 classic max-SLNR and MRT beamformers are the special cases alpha == 1 with
 mu equal to the noise power, and alpha == 0, respectively.  Every solve here
 treats its BSs as one stack: one batched product forms their leakage
-matrices, and their shifted systems are solved together.
+matrices, and their shifted systems are solved together.  WMMSE finds each
+BS's power multiplier by Newton's method on its secular equation.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .network import BeamformerSet, compute_metrics, sum_rate
 # matrix eigenmode counts as null space in the pseudo-inverse branch.
 _RANK_RCOND = 1e-12
 
-# Bisection settings: relative power tolerance and step cap.
+# Multiplier search: relative power tolerance and Newton step cap.
 _POWER_TOL = 1e-8
-_BISECT_ITER = 200
+_NEWTON_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,9 @@ class WmmseState:
     ``sum_rate(compute_metrics(...))`` scores the beamformers of that
     refresh; its first entry is the rate of the start and its last the rate
     of the returned beamformers, bit for bit.  The block-coordinate updates
-    provably never decrease it (up to the bisection tolerance), and the stop
-    rule watches its relative change.
+    provably never decrease it (up to the power tolerance of the multiplier
+    search), and the stop rule watches its relative change.  ``search_steps``
+    sums the Newton steps of the run's multiplier searches over BSs and updates.
     """
 
     beams: BeamformerSet
@@ -96,6 +98,7 @@ class WmmseState:
     v: np.ndarray
     mu: np.ndarray
     iterations: int
+    search_steps: int
     rate_history: np.ndarray
     truncated: bool
 
@@ -161,66 +164,59 @@ def solve_leakage_system(b0, targets, mu):
     return _eigen_solve(*_eigen_projections(shifted, targets), 0.0)
 
 
-def _power(energy, lam, mu):
-    """Transmit power sum_i energy_i / (lam_i + mu)^2 of each row."""
-    return (energy / (lam + mu[:, None]) ** 2).sum(axis=1)
-
-
-def _bisect_eigen(lam, proj, p_max):
+def _power_multiplier(lam, proj, p_max, start):
     """Power multiplier per matrix from its eigenbasis, stacked over S rows.
 
-    Finds mu >= 0 such that sum_k ||(b0 + mu*I)^{-1} c_k||^2 meets the power
-    budget: 0 when the unconstrained (pseudo-inverse) solution is already
-    feasible, otherwise the bisection on the strictly decreasing power
-    profile stops within ``_POWER_TOL * p_max`` below the budget.
-
-    Takes (S, M) eigenvalues clipped at zero and (S, M, K) target
-    projections, as ``_eigen_projections`` gives them.  Every row runs the
-    same bracket-and-bisect sequence it would run alone: the rows still
-    searching advance in lock step, and a row leaves the stack once its own
-    stop test passes.
+    Finds mu >= 0 at which the power P(mu) = sum_i e_i / (lam_i + mu)^2, e_i
+    the target energy in mode i, meets the budget: 0 when the unconstrained
+    (pseudo-inverse) solution is already feasible, otherwise P(mu) <= p_max
+    within ``_POWER_TOL * p_max``.  Takes (S, M) eigenvalues clipped at zero,
+    (S, M, K) target projections (``_eigen_projections``) and (S,) starts.
+    Newton's method on the concave, increasing g = P^(-1/2) - p_max^(-1/2)
+    (More and Sorensen's secular equation) starts at max(start, low), where
+    low = max_i(sqrt(e_i / p_max) - lam_i), the largest root of one mode's
+    power alone, bounds the root from below.  From the left the steps rise onto
+    the root, each by at least one ulp so rounding cannot stall them; a
+    start right of it takes one step left, clamped at low.  A row leaves the
+    stack on its own stop test, so it takes the steps it would take alone,
+    and one still searching after ``_NEWTON_ITER`` steps raises
+    ArithmeticError.  Returns the (S,) multipliers and the rows' Newton steps.
     """
     energy = (np.abs(proj) ** 2).sum(axis=-1)  # per-mode
     mu = np.zeros(lam.shape[0])
     total = energy.sum(axis=1)
     null = lam <= _null_cutoff(lam)[:, None]
     range_only = np.where(null, energy, 0.0).sum(axis=1) <= 1e-20 * total
-    # Targets in the range space: the pseudo-inverse solution is the mu -> 0
-    # limit, so mu = 0 applies when it is feasible.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power0 = np.where(null, 0.0, energy / lam**2).sum(axis=1)
+    # Targets in the range space: the pseudo-inverse solution, without the
+    # null modes, is the mu -> 0 limit, so mu = 0 applies when it is feasible.
+    power0 = (energy / np.where(null, np.inf, lam) ** 2).sum(axis=1)
     rows = np.flatnonzero((total != 0.0) & ~(range_only & (power0 <= p_max)))
-    lam, energy = lam[rows], energy[rows]
+    energy = energy[rows]
+    # Modes without target energy add nothing; an infinite eigenvalue keeps
+    # them out of 0/0 at mu = 0.
+    lam = np.where(energy > 0.0, lam[rows], np.inf)
+    low = np.maximum((np.sqrt(energy / p_max) - lam).max(axis=1), 0.0)
+    x = np.maximum(start[rows], low)
 
-    hi = np.ones(rows.size)
-    p_hi = _power(energy, lam, hi)
-    for _ in range(199):
-        opening = ~(p_hi <= p_max)
-        if not opening.any():
-            break
-        hi[opening] *= 2.0
-        p_hi = _power(energy, lam, hi)
-    else:
-        if not np.all(p_hi <= p_max):
-            raise ArithmeticError("bisection bracket did not close")
-    lo = np.where(hi == 1.0, 0.0, hi / 2.0)
-    for _ in range(_BISECT_ITER):
-        done = p_max - p_hi <= _POWER_TOL * p_max
+    steps = 0
+    for _ in range(_NEWTON_ITER + 1):
+        d = lam + x[:, None]
+        share = energy / d**2
+        power = share.sum(axis=1)
+        gap = p_max - power
+        done = (gap >= 0.0) & (gap <= _POWER_TOL * p_max)
         if done.any():
-            mu[rows[done]] = hi[done]
+            mu[rows[done]] = x[done]
             left = ~done
-            rows, lam, energy = rows[left], lam[left], energy[left]
-            lo, hi, p_hi = lo[left], hi[left], p_hi[left]
+            rows, lam, energy, low, x = rows[left], lam[left], energy[left], low[left], x[left]
+            d, share, power, gap = d[left], share[left], power[left], gap[left]
         if not rows.size:
-            break
-        mid = 0.5 * (lo + hi)
-        p_mid = _power(energy, lam, mid)
-        over = p_mid > p_max
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
-        p_hi = np.where(over, p_hi, p_mid)
-    mu[rows] = hi
-    return mu
+            return mu, steps
+        # (sqrt(P / p_max) - 1) * P / sum_i(e_i / d_i^3), without cancellation.
+        step = -gap / (np.sqrt(power * p_max) + p_max) * power / (share / d).sum(axis=1)
+        x = np.maximum(x + step, np.where(gap < 0.0, np.nextafter(x, np.inf), low))
+        steps += rows.size
+    raise ArithmeticError("power multiplier search did not converge")
 
 
 def structured_directions(local_h, own_cells, alpha, mu):
@@ -309,20 +305,21 @@ def _full_power_init(num_cells, users, antennas, p_max, rng):
     return np.sqrt(p_max / users) * g
 
 
-def _wmmse_beamformers(flat_h, own_h, alpha, scale, p_max):
+def _wmmse_beamformers(flat_h, own_h, alpha, scale, p_max, start):
     """One WMMSE beamformer update for every BS at once.
 
     Each BS n solves the structured system at leakage weights ``alpha`` for
     targets ``own_h[n] * scale[n]``, with the multiplier that meets its power
-    budget.  ``flat_h`` is (N, N*K, M) (BS n's channels to every user),
-    ``own_h`` (N, K, M), ``alpha`` and ``scale`` (N, K).  Returns the (N, K, M)
-    beamformers and the (N,) multipliers.
+    budget, searched from ``start[n]`` (``_power_multiplier``).  ``flat_h`` is
+    (N, N*K, M) (BS n's channels to every user), ``own_h`` (N, K, M),
+    ``alpha`` and ``scale`` (N, K), ``start`` (N,).  Returns the (N, K, M)
+    beamformers, the (N,) multipliers and the search's Newton steps.
     """
     b0 = _leakage_matrices(flat_h, alpha.reshape(-1))
     lam, q, proj = _eigen_projections(b0, own_h * scale[..., None])
     lam = np.clip(lam, 0.0, None)
-    mu = _bisect_eigen(lam, proj, p_max)
-    return np.ascontiguousarray(_eigen_solve(lam, q, proj, mu)), mu
+    mu, steps = _power_multiplier(lam, proj, p_max, start)
+    return np.ascontiguousarray(_eigen_solve(lam, q, proj, mu)), mu, steps
 
 
 def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
@@ -330,7 +327,8 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
 
     Alternates closed-form updates of per-user receive scalars ``u``, MSE
     weights ``v`` and transmit beamformers (the structured solve, with its
-    own per-BS multiplier found by bisection).  It starts from the (N, K, M)
+    own per-BS multiplier found by Newton's method from the previous
+    update's).  It starts from the (N, K, M)
     beamformers ``w0``, by default the max-SLNR ones at full power split
     equally (``mslnr_beams``), and stops once the sum rate changes by less
     than ``stop_eps`` relative to its current value.  Since no update lowers
@@ -340,7 +338,7 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     The beamformer update treats all N BSs as one stack: the (N, M, M)
     leakage matrices come from one batched product of the (N, N*K, M)
     channels, one stacked eigendecomposition serves the N multiplier
-    bisections (run in lock step, see ``_bisect_eigen``) and the solve
+    searches (one stack, see ``_power_multiplier``) and the solve
     w[n] = Q diag(1 / (lam + mu[n])) Q^H c, with (N, K, M) targets c.  The
     weight refresh scores the current beamformers with ``compute_metrics``,
     the program's one rate evaluation, which also checks each iterate
@@ -362,11 +360,12 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
         w = np.array(w0, dtype=complex)
         if w.shape != (num_cells, users, antennas):
             raise ValueError(f"w0 has shape {w.shape}, expected {num_cells, users, antennas}")
-    mu = np.zeros(num_cells)
+    mu = np.zeros(num_cells)  # the first search starts at its lower bound
     u_gen = None
     v_gen = None
     rate_history = []
     iterations = 0
+    search_steps = 0
     truncated = False
 
     idx = np.arange(num_cells)
@@ -391,9 +390,10 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
             break
 
         # Beamformer update: structured solve at alpha = v|u|^2, all BSs at once.
-        w, mu = _wmmse_beamformers(flat_h, own_h, v * np.abs(u) ** 2, u * v, p_max)
+        w, mu, steps = _wmmse_beamformers(flat_h, own_h, v * np.abs(u) ** 2, u * v, p_max, mu)
         u_gen, v_gen = u, v
         iterations += 1
+        search_steps += steps
 
     if u_gen is None:  # stopped before any beamformer update
         u_gen, v_gen = u, v
@@ -403,6 +403,7 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
         v=v_gen,
         mu=mu.copy(),
         iterations=iterations,
+        search_steps=search_steps,
         rate_history=np.asarray(rate_history),
         truncated=truncated,
     )

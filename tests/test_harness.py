@@ -736,7 +736,9 @@ def test_benchmark_summary_records_wmmse_diagnostics(tmp_path):
     ]
     stats = out["results"]["wmmse"]
     assert stats["iterations_mean"] == np.mean([st.iterations for st in states])
+    assert stats["search_steps_mean"] == np.mean([st.search_steps for st in states])
     assert stats["truncated_frac"] == np.mean([st.truncated for st in states])
+    assert out["results"]["wmmse-nri"]["search_steps_mean"] > 0
 
     capped = parse_config(
         write_config(tmp_path, bench_slots=2, wmmse_max_iter=3, wmmse_stop_eps=1e-300)
@@ -744,6 +746,7 @@ def test_benchmark_summary_records_wmmse_diagnostics(tmp_path):
     out = run_benchmark(capped, schemes=("wmmse", "wmmse-nri"))
     for scheme in ("wmmse", "wmmse-nri"):
         assert out["results"][scheme]["iterations_mean"] == 3.0
+        assert out["results"][scheme]["search_steps_mean"] > 0
         assert out["results"][scheme]["truncated_frac"] == 1.0
 
 

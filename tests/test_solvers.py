@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cbflab import solvers
 from cbflab.channel import ChannelModelConfig, path_loss_db
 from cbflab.network import (
     POWER_SLACK,
@@ -18,13 +19,14 @@ from cbflab.network import (
     sum_rate,
 )
 from cbflab.solvers import (
+    _POWER_TOL,
     StructuredParams,
     WmmseState,
-    _bisect_eigen,
     _eigen_projections,
     _eigen_solve,
     _full_power_init,
     _leakage_matrices,
+    _power_multiplier,
     _wmmse_beamformers,
     mrt_beamformer,
     mslnr_beams,
@@ -156,23 +158,29 @@ def directions_one(local_h, own_cell, alpha, mu):
     return structured_directions(local_h[None], [own_cell], np.asarray(alpha)[None], [mu])[0]
 
 
-def bisect_mu(b0, targets, p_max):
-    """The multipliers the WMMSE update finds, by its eigenbasis and bisection.
+def power_multiplier(b0, targets, p_max, start=0.0):
+    """The multipliers the WMMSE update finds, by its eigenbasis and Newton search.
 
     One (M, M) matrix with (K, M) targets gives a float; a stack (S, M, M)
-    with (S, K, M) targets gives an (S,) array.
+    with (S, K, M) targets gives an (S,) array.  ``start`` is one start for
+    every matrix or one per matrix.  Also returns the search's Newton steps.
     """
     b0 = np.asarray(b0)
     single = b0.ndim == 2
     stack = b0[None] if single else b0
     targets = np.atleast_2d(targets)[None] if single else np.asarray(targets)
     lam, _, proj = _eigen_projections(stack, targets)
-    mu = _bisect_eigen(np.clip(lam, 0.0, None), proj, p_max)
-    return float(mu[0]) if single else mu
+    start = np.broadcast_to(np.asarray(start, dtype=float), lam.shape[:1])
+    mu, steps = _power_multiplier(np.clip(lam, 0.0, None), proj, p_max, start)
+    return (float(mu[0]) if single else mu), steps
 
 
-def bisect_mu_loop(b0, targets, p_max, power_tol=1e-8, max_iter=200):
-    """Reference multiplier for one matrix: scalar bracket and bisection."""
+def modes_loop(b0, targets, p_max):
+    """Clipped eigenvalues and per-mode target energy of one matrix (scalar oracles).
+
+    Returns None where the multiplier is 0: all-zero targets, or targets in
+    the range space whose pseudo-inverse power is within the budget.
+    """
     b0 = np.asarray(b0)
     if not np.allclose(b0, b0.conj().T, atol=1e-10 * max(1.0, np.abs(b0).max())):
         raise ValueError("leakage matrix must be Hermitian")
@@ -182,7 +190,7 @@ def bisect_mu_loop(b0, targets, p_max, power_tol=1e-8, max_iter=200):
     energy = (np.abs(q.conj().T @ targets.T) ** 2).sum(axis=1)  # per-mode
 
     if energy.sum() == 0.0:
-        return 0.0
+        return None
 
     cutoff = 1e-12 * lam.max() if lam.max() > 0 else 0.0
     null = lam <= cutoff
@@ -190,7 +198,41 @@ def bisect_mu_loop(b0, targets, p_max, power_tol=1e-8, max_iter=200):
     if null_energy <= 1e-20 * energy.sum():
         power0 = float((energy[~null] / lam[~null] ** 2).sum()) if np.any(~null) else 0.0
         if power0 <= p_max:
-            return 0.0
+            return None
+    return lam, energy
+
+
+def newton_mu_loop(b0, targets, p_max, start=0.0, power_tol=1e-8, max_steps=100):
+    """Reference multiplier for one matrix: the Newton search as scalar code.
+
+    The lower bound, step, clamp and stop test of ``_power_multiplier``,
+    written for one matrix.  Returns the multiplier and its Newton steps.
+    """
+    modes = modes_loop(b0, targets, p_max)
+    if modes is None:
+        return 0.0, 0
+    lam, energy = modes
+    lam = np.where(energy > 0.0, lam, np.inf)
+    low = max(float((np.sqrt(energy / p_max) - lam).max()), 0.0)
+    mu = max(float(start), low)
+    for steps in range(max_steps + 1):
+        d = lam + mu
+        share = energy / d**2
+        power = float(share.sum())
+        gap = p_max - power
+        if 0.0 <= gap <= power_tol * p_max:
+            return mu, steps
+        step = -gap / (np.sqrt(power * p_max) + p_max) * power / float((share / d).sum())
+        mu = float(max(mu + step, np.nextafter(mu, np.inf) if gap < 0.0 else low))
+    raise ArithmeticError("power multiplier search did not converge")
+
+
+def bisect_mu_loop(b0, targets, p_max, power_tol=1e-8, max_iter=200):
+    """Independent multiplier for one matrix: scalar bracket and bisection."""
+    modes = modes_loop(b0, targets, p_max)
+    if modes is None:
+        return 0.0
+    lam, energy = modes
 
     def power(mu):
         return float((energy / (lam + mu) ** 2).sum())
@@ -214,14 +256,21 @@ def bisect_mu_loop(b0, targets, p_max, power_tol=1e-8, max_iter=200):
     return hi
 
 
+def mode_power(b0, targets, p_max, mu):
+    """Power sum_i e_i / (lam_i + mu)^2 of the solutions, where mu is searched."""
+    lam, energy = modes_loop(b0, targets, p_max)
+    return float((energy / (lam + mu) ** 2).sum())
+
+
 def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     """Reference weighted MMSE with the beamformer update as a per-BS loop.
 
     Starts from ``w0``, by default each BS's ``mslnr_beamformer`` at equal
     power, and stops on the relative change of the sum rate, as ``wmmse``
-    does.  Each BS builds its own leakage matrix, bisects its multiplier with
-    the scalar ``bisect_mu_loop`` and solves by Cholesky
-    (``cholesky_solve_one``), independently of the stacked update it checks.
+    does.  Each BS builds its own leakage matrix, finds its multiplier with
+    the scalar ``newton_mu_loop`` from its previous one and solves by
+    Cholesky (``cholesky_solve_one``), independently of the stacked update it
+    checks.
     """
     h = channel.h
     num_cells, _, users, antennas = h.shape
@@ -237,6 +286,7 @@ def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     v_gen = None
     rate_history = []
     iterations = 0
+    search_steps = 0
     truncated = False
 
     idx = np.arange(num_cells)
@@ -263,8 +313,9 @@ def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
         for bs in range(num_cells):
             b0 = leakage_matrix_one(h[bs], alpha)
             targets = h[bs, bs] * scale[bs][:, None]
-            mu[bs] = bisect_mu_loop(b0, targets, p_max)
+            mu[bs], steps = newton_mu_loop(b0, targets, p_max, mu[bs])
             w[bs] = cholesky_solve_one(b0, targets, mu[bs])
+            search_steps += steps
         u_gen, v_gen = u, v
         iterations += 1
 
@@ -277,6 +328,7 @@ def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
         v=v_gen,
         mu=mu.copy(),
         iterations=iterations,
+        search_steps=search_steps,
         rate_history=np.asarray(rate_history),
         truncated=truncated,
     )
@@ -313,7 +365,7 @@ def test_wmmse_single_user_reaches_capacity():
 @pytest.mark.parametrize("seed", range(12))
 def test_wmmse_weighted_rate_ascends(seed):
     # Block-coordinate updates never decrease sum(log2 v); slack covers the
-    # 1e-8 relative bisection power tolerance.
+    # 1e-8 relative power tolerance of the multiplier search.
     net = make_net(3, 2, 4)
     ch = rayleigh_channel(3, 2, 4, seed)
     _, state = wmmse(ch, net, w0=random_start(net, seed + 1000))
@@ -399,38 +451,55 @@ def test_multi_init_never_worse():
     assert np.mean(gains) > 0.0
 
 
-# -- bisection --------------------------------------------------------------
+def test_wmmse_counts_multiplier_search_steps():
+    net = make_net(3, 2, 4)
+    ch = rayleigh_channel(3, 2, 4, seed=2)
+    _, state = wmmse(ch, net)
+    assert state.iterations > 0
+    assert state.search_steps > 0
+    _, idle = wmmse(ch, net, max_iter=0)
+    assert idle.iterations == 0
+    assert idle.search_steps == 0
 
 
-def test_bisect_closed_form_solution():
+# -- power multiplier search -----------------------------------------------------
+
+
+def test_multiplier_closed_form_solution():
     # power(mu) = 4 / (1 + mu)^2 = 1  =>  mu = 1
     b0 = np.eye(2, dtype=complex)
-    targets = np.array([[2.0, 0.0]], dtype=complex)
-    mu = bisect_mu(b0, targets, p_max=1.0)
+    mu, _ = power_multiplier(b0, np.array([[2.0, 0.0]], dtype=complex), p_max=1.0)
     assert mu == pytest.approx(1.0, rel=1e-6)
+    # power(mu) = 4 / (1 + mu)^2 + 1 / (4 + mu)^2 = 1  =>  mu = 1.04056...,
+    # from the lower bound (1), from below, from just above and from far above
+    b0 = np.diag([1.0, 4.0]).astype(complex)
+    targets = np.array([[2.0, 1.0]], dtype=complex)
+    for start in (0.0, 1.02, 1.1, 1e6):
+        mu, _ = power_multiplier(b0, targets, p_max=1.0, start=start)
+        assert 4.0 / (1.0 + mu) ** 2 + 1.0 / (4.0 + mu) ** 2 <= 1.0
+        assert mu == pytest.approx(1.0405601566435894, rel=1e-8)
 
 
-def test_bisect_zero_targets():
+def test_multiplier_zero_targets():
     b0 = np.eye(3, dtype=complex)
-    mu = bisect_mu(b0, np.zeros((2, 3), dtype=complex), p_max=1.0)
-    assert mu == 0.0
+    assert power_multiplier(b0, np.zeros((2, 3), dtype=complex), p_max=1.0) == (0.0, 0)
 
 
-def test_bisect_unconstrained_feasible():
+def test_multiplier_unconstrained_feasible():
     b0 = 4.0 * np.eye(2, dtype=complex)
     targets = np.array([[1.0, 0.0]], dtype=complex)
     # pinv power = 1/16 <= 1
-    assert bisect_mu(b0, targets, p_max=1.0) == 0.0
+    assert power_multiplier(b0, targets, p_max=1.0, start=3.0) == (0.0, 0)
 
 
-def test_bisect_power_profile_decreasing_and_met():
+def test_multiplier_power_profile_decreasing_and_met():
     rng = np.random.default_rng(3)
     for trial in range(5):
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         b0 = g @ g.conj().T
         targets = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         p_max = 0.5
-        mu = bisect_mu(b0, targets, p_max)
+        mu, _ = power_multiplier(b0, targets, p_max)
         # independent oracle: direct solves on a mu grid
         def power(m):
             x = np.linalg.solve(b0 + m * np.eye(4), targets.T)
@@ -444,15 +513,38 @@ def test_bisect_power_profile_decreasing_and_met():
             assert power(mu) <= p_max * (1.0 + 1e-9)
 
 
-def test_bisect_singular_needs_positive_mu():
+def test_multiplier_singular_needs_positive_mu():
     # Rank-deficient leakage with target energy outside the range space:
     # the unconstrained power blows up, so a positive multiplier is needed.
     b0 = np.diag([1.0, 0.0]).astype(complex)
     targets = np.array([[0.0, 1.0]], dtype=complex)
-    mu = bisect_mu(b0, targets, p_max=4.0)
+    mu, _ = power_multiplier(b0, targets, p_max=4.0)
     assert mu > 0.0
     x = np.linalg.solve(b0 + mu * np.eye(2), targets[0])
     assert np.sum(np.abs(x) ** 2) <= 4.0 * (1.0 + 1e-9)
+
+
+def test_multiplier_search_from_zero_skips_modes_without_energy():
+    # No mode alone exceeds the budget, so the search starts at mu = 0, where
+    # the empty null mode must add nothing rather than 0/0.
+    b0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    targets = np.array([[np.sqrt(0.6), np.sqrt(0.6), 0.0]], dtype=complex)
+    mu, _ = power_multiplier(b0, targets, p_max=1.0)
+    # power(mu) = 1.2 / (1 + mu)^2 = 1
+    assert mu == pytest.approx(np.sqrt(1.2) - 1.0, rel=1e-8)
+    assert 1.2 / (1.0 + mu) ** 2 <= 1.0
+
+
+def test_multiplier_search_raises_when_it_cannot_converge(monkeypatch):
+    b0 = np.diag([1.0, 4.0]).astype(complex)
+    targets = np.array([[2.0, 1.0]], dtype=complex)
+    # A NaN target energy never meets the stop test: the step cap ends it.
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        power_multiplier(b0, np.array([[np.nan, 1.0]], dtype=complex), p_max=1.0)
+    assert power_multiplier(b0, targets, p_max=1.0, start=1e6)[1] > 2
+    monkeypatch.setattr(solvers, "_NEWTON_ITER", 2)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        power_multiplier(b0, targets, p_max=1.0, start=1e6)
 
 
 def test_solve_leakage_singular_raises_helpfully():
@@ -792,18 +884,12 @@ def test_stacked_structured_beamformer_matches_per_bs_oracle(n, k, m, seed, path
     beams.check_power(net.max_power)
 
 
-@PROPERTY
-@given(
-    s=st.integers(1, 6),
-    m=st.integers(1, 8),
-    k=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-    gain=st.floats(1e-12, 1e3),
-    p_max=st.floats(1e-3, 1e3),
-)
-def test_stacked_bisect_equals_per_matrix_calls(s, m, k, seed, gain, p_max):
-    # Random ranks, and half the rows with targets in the range space, so
-    # the stack mixes mu == 0 rows, bisected rows and all-zero rows.
+def multiplier_stack(s, m, k, seed, gain):
+    """(S, M, M) leakage matrices of random ranks and (S, K, M) targets.
+
+    Half the rows have targets in the range space, so a stack mixes
+    mu == 0 rows, searched rows and all-zero rows.
+    """
     rng = np.random.default_rng(seed)
     b0 = np.empty((s, m, m), dtype=complex)
     targets = np.empty((s, k, m), dtype=complex)
@@ -818,13 +904,63 @@ def test_stacked_bisect_equals_per_matrix_calls(s, m, k, seed, gain, p_max):
             targets[i] = np.sqrt(gain) * (
                 rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
             )
-    stacked = bisect_mu(b0, targets, p_max)
-    assert stacked.shape == (s,)
+    return b0, targets
+
+
+MULTIPLIER_CASES = given(
+    s=st.integers(1, 6),
+    m=st.integers(1, 8),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    gain=st.floats(1e-12, 1e3),
+    p_max=st.floats(1e-3, 1e3),
+)
+
+
+@PROPERTY
+@MULTIPLIER_CASES
+def test_stacked_bisect_equals_per_matrix_calls(s, m, k, seed, gain, p_max):
+    # The stacked search, one matrix through it and the scalar search agree
+    # bit for bit, from the lower bound and from per-row warm starts; the
+    # bisection ends no nearer the budget than the Newton search.
+    b0, targets = multiplier_stack(s, m, k, seed, gain)
+    cold, cold_steps = power_multiplier(b0, targets, p_max)
+    warm = cold * np.random.default_rng(seed).uniform(0.5, 2.0, s)
+    runs = [(np.zeros(s), cold, cold_steps), (warm, *power_multiplier(b0, targets, p_max, warm))]
+    for start, stacked, steps in runs:
+        assert stacked.shape == (s,)
+        total = 0
+        for i in range(s):
+            single, single_steps = power_multiplier(b0[i], targets[i], p_max, start[i])
+            assert isinstance(single, float)
+            assert stacked[i] == single
+            assert (single, single_steps) == newton_mu_loop(b0[i], targets[i], p_max, start[i])
+            total += single_steps
+        assert steps == total
     for i in range(s):
-        single = bisect_mu(b0[i], targets[i], p_max)
-        assert isinstance(single, float)
-        assert stacked[i] == single
-        assert single == bisect_mu_loop(b0[i], targets[i], p_max)
+        bisected = bisect_mu_loop(b0[i], targets[i], p_max)
+        assert (bisected == 0.0) == (cold[i] == 0.0)
+        if cold[i] > 0.0:
+            power = mode_power(b0[i], targets[i], p_max, cold[i])
+            assert mode_power(b0[i], targets[i], p_max, bisected) <= power <= p_max
+
+
+@PROPERTY
+@MULTIPLIER_CASES
+def test_multiplier_search_meets_the_budget_from_any_start(s, m, k, seed, gain, p_max):
+    # Starts at zero, below the root and above it all end within the
+    # power tolerance below the budget, so they agree within that band.
+    b0, targets = multiplier_stack(s, m, k, seed, gain)
+    root, _ = power_multiplier(b0, targets, p_max)
+    searched = np.flatnonzero(root > 0.0)
+    ref = [mode_power(b0[i], targets[i], p_max, root[i]) for i in searched]
+    for start in (0.0, 0.5 * root, 2.0 * root, 1e6 * root + gain):
+        mu, _ = power_multiplier(b0, targets, p_max, start)
+        npt.assert_array_equal(mu == 0.0, root == 0.0)
+        power = np.array([mode_power(b0[i], targets[i], p_max, mu[i]) for i in searched])
+        assert np.all(power <= p_max)
+        assert np.all(p_max - power <= _POWER_TOL * p_max)
+        npt.assert_allclose(power, ref, rtol=0.0, atol=_POWER_TOL * p_max)
 
 
 def test_wmmse_step_zero_mu_on_rank_deficient_leakage_matches_fallback():
@@ -838,14 +974,17 @@ def test_wmmse_step_zero_mu_on_rank_deficient_leakage_matches_fallback():
     h[1, 1, 0] = [0.5, 0.25, 0.0]
     alpha = np.array([[1.0], [0.5]])
     scale = np.array([[1.0 + 0.5j], [0.3]])
-    w, mu = _wmmse_beamformers(h.reshape(2, 2, 3), h[[0, 1], [0, 1]], alpha, scale, 100.0)
+    w, mu, steps = _wmmse_beamformers(
+        h.reshape(2, 2, 3), h[[0, 1], [0, 1]], alpha, scale, 100.0, np.ones(2)
+    )
+    assert steps == 0
     b0 = _leakage_matrices(h.reshape(2, 2, 3), alpha.reshape(-1))
     targets = h[[0, 1], [0, 1]] * scale[..., None]
     for bs in range(2):
         npt.assert_allclose(b0[bs], leakage_matrix_one(h[bs], alpha), rtol=1e-15)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(b0[bs])
-        assert mu[bs] == bisect_mu(b0[bs], targets[bs], 100.0) == 0.0
+        assert mu[bs] == power_multiplier(b0[bs], targets[bs], 100.0)[0] == 0.0
     npt.assert_array_equal(w, solve_leakage_system(b0, targets, np.zeros(2)))
 
 
@@ -916,6 +1055,7 @@ def test_stacked_wmmse_power_feasible_each_cap(case):
     path_loss=st.booleans(),
 )
 @example(n=7, k=4, m=32, seed=1, path_loss=True)
+@example(n=3, k=2, m=1, seed=1, path_loss=True)
 def test_wmmse_never_below_mslnr(n, k, m, seed, path_loss):
     # The default start is the max-SLNR beams and no update lowers the sum
     # rate, so WMMSE ends at or above max-SLNR; slack as in the ascent test.
