@@ -25,9 +25,9 @@ seeded with ``rng_seed``.  Each slot visits the links in C order of
 
 Everything computed from the draws is vectorized over links and rays, and
 the mobility over users, with the same floating-point operations, in the
-same order, as a per-link and per-user loop.  So traces, checkpoints and
-``config_fingerprint`` are unchanged from the first (``TRACE_MAGIC``
-version 1) generator, bit for bit.
+same order, as a per-link and per-user loop.  The stream, the mobility,
+``config_fingerprint`` and gauss-markov channels are bit for bit the first
+(``TRACE_MAGIC`` version 1) generator's; geometric-URA channels differ at rounding level.
 
 Jakes' correlation needs the Bessel function J0.  ``j0`` is a port of the
 Cephes routine that ``scipy.special.j0`` evaluates, in plain Python floats
@@ -252,19 +252,19 @@ def init_topology(cfg: NetworkConfig, rng_seed):
 def ura_steering(azimuth, elevation, array_rows, array_cols):
     """Half-wavelength URA response, unit norm.
 
-    Element (m1, m2) of an array_rows x array_cols grid contributes phase
-    pi * (m1*sin(el) + m2*cos(el)*sin(az)); entries are scaled by 1/sqrt(M)
-    so the response has unit Euclidean norm.  ``azimuth`` and ``elevation``
-    broadcast against each other; the result has their shape plus a trailing
-    axis of M = array_rows * array_cols elements in row-major order.
+    Element (m1, m2) of an array_rows x array_cols grid has phase
+    pi * (m1*sin(el) + m2*cos(el)*sin(az)) and modulus 1/sqrt(M), computed as the
+    Kronecker product of a vertical and a horizontal ULA response (rows + cols
+    exponentials).  ``azimuth`` and ``elevation`` broadcast against each other; the
+    result has their shape plus a trailing axis of M = rows * cols in row-major order.
     """
-    az = np.asarray(azimuth, dtype=float)[..., None, None]
-    el = np.asarray(elevation, dtype=float)[..., None, None]
-    m1 = np.arange(array_rows)[:, None]
-    m2 = np.arange(array_cols)[None, :]
-    phase = np.pi * (m1 * np.sin(el) + m2 * np.cos(el) * np.sin(az))
+    az = np.asarray(azimuth, dtype=float)[..., None]
+    el = np.asarray(elevation, dtype=float)[..., None]
     m = array_rows * array_cols
-    return (np.exp(1j * phase) / np.sqrt(m)).reshape(phase.shape[:-2] + (m,))
+    vertical = np.exp(1j * (np.pi * (np.arange(array_rows) * np.sin(el)))) / np.sqrt(m)
+    horizontal = np.exp(1j * (np.pi * (np.arange(array_cols) * (np.cos(el) * np.sin(az)))))
+    response = vertical[..., :, None] * horizontal[..., None, :]
+    return response.reshape(response.shape[:-2] + (m,))
 
 
 def path_loss_db(distance, cfg: ChannelModelConfig):
@@ -546,14 +546,14 @@ def generate_trace(net_cfg, model_cfg, num_slots, offset=0):
 
 
 def save_trace(trace, path):
-    """Write a trace as fixed-width little-endian binary with a CRC32 footer."""
+    """Write a trace as fixed-width little-endian binary plus a CRC32 footer, without copies."""
     num_slots, n, _, k, m = trace.h.shape
-    header = _HEADER.pack(n, k, m, num_slots, trace.cfg_hash)
-    payload = np.ascontiguousarray(trace.h, dtype="<c16").tobytes()
-    body = TRACE_MAGIC + header + payload
-    crc = zlib.crc32(body) & 0xFFFFFFFF
+    prefix = TRACE_MAGIC + _HEADER.pack(n, k, m, num_slots, trace.cfg_hash)
+    payload = np.ascontiguousarray(trace.h, dtype="<c16").reshape(-1).view(np.uint8)
+    crc = zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF
     with open(path, "wb") as fh:
-        fh.write(body)
+        fh.write(prefix)
+        fh.write(payload)
         fh.write(struct.pack("<I", crc))
 
 

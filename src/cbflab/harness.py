@@ -321,19 +321,20 @@ class MetricSink:
         columns += ["sigma_a"]
         self.columns = columns
         if resume_rows is None:
-            lines = [f"# {METRICS_VERSION}\n", ",".join(columns) + "\n"]
+            self._csv = open(self.csv_path, "w")
+            self._csv.write(f"# {METRICS_VERSION}\n" + ",".join(columns) + "\n")
+            self._csv.flush()
         else:
-            with open(self.csv_path) as fh:
+            with open(self.csv_path, "rb") as fh:
                 lines = fh.readlines()
             if len(lines) < 2 + resume_rows:
                 raise ConfigError(
                     f"{self.csv_path} holds {len(lines) - 2} rows, "
                     f"the checkpoint covers {resume_rows}"
                 )
-            lines = lines[: 2 + resume_rows]
-        self._csv = open(self.csv_path, "w")
-        self._csv.writelines(lines)
-        self._csv.flush()
+            # Cut in place: rewriting the kept rows would lose them to a crash.
+            os.truncate(self.csv_path, sum(map(len, lines[: 2 + resume_rows])))
+            self._csv = open(self.csv_path, "a")
         self._events = open(self.events_path, "w" if resume_rows is None else "a")
 
     def __enter__(self):
@@ -958,11 +959,11 @@ def run_timing(cfg: RunConfig, repeats=30):
 
 
 def generate_trace_file(cfg: RunConfig, out_path, num_slots=None):
-    """Write ``num_slots`` slots of the configured channel source to a trace file.
+    """Write ``num_slots`` fresh slots of the ``cfg.channel`` process to a trace file.
 
-    The default, ``cfg.num_slots + 1``, is what a run of ``cfg.num_slots`` steps
-    and the default benchmark window read (``reset`` takes the first slot).
-    A count below 1 raises ConfigError before anything is written.
+    A configured ``trace_file`` is not read.  The default, ``cfg.num_slots + 1``, is
+    what a run of ``cfg.num_slots`` steps and the default benchmark window read
+    (``reset`` takes the first slot); a count below 1 raises ConfigError before writing.
     """
     if num_slots is None:
         num_slots = cfg.num_slots + 1

@@ -1,4 +1,6 @@
+import struct
 import types
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -30,16 +32,21 @@ def make_net(n=1, k=1, m1=1, m2=2, **kw):
 
 
 # -- reference generator ------------------------------------------------------
-# The original per-link, per-ray and per-user loops.  The vectorized
-# generator must reproduce them bit for bit, so that stored traces stay valid.
+# Per-link, per-ray and per-user loops that draw the random stream in the
+# order the channel module documents, with a scalar-angle steering vector.
+# The vectorized generator must reproduce them bit for bit: that pins the
+# draw order, the per-link arithmetic and the ray-by-ray sum, so a change to
+# any of them shows here as a change of trace values.
 
 
 def _reference_ura_steering(azimuth, elevation, array_rows, array_cols):
-    m1 = np.arange(array_rows)[:, None]
-    m2 = np.arange(array_cols)[None, :]
-    phase = np.pi * (m1 * np.sin(elevation) + m2 * np.cos(elevation) * np.sin(azimuth))
+    # Kronecker product of the vertical and the horizontal ULA responses.
     m = array_rows * array_cols
-    return (np.exp(1j * phase) / np.sqrt(m)).reshape(m)
+    vertical = np.exp(1j * (np.pi * (np.arange(array_rows) * np.sin(elevation))))
+    horizontal = np.exp(
+        1j * (np.pi * (np.arange(array_cols) * (np.cos(elevation) * np.sin(azimuth))))
+    )
+    return np.outer(vertical / np.sqrt(m), horizontal).reshape(m)
 
 
 def _reference_marginal_draw(topology, model_cfg, net_cfg, rng):
@@ -238,6 +245,28 @@ def test_steering_hand_expanded_phases():
     # az = pi/2, el = 0: phase = pi * m2, independent of m1.
     v = ura_steering(np.pi / 2.0, 0.0, 2, 2)
     npt.assert_allclose(v, np.array([1.0, -1.0, 1.0, -1.0]) / 2.0, atol=1e-12)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="needs an extended-precision longdouble"
+)
+@pytest.mark.parametrize("rows, cols", [(4, 8), (8, 16)])
+def test_steering_matches_extended_precision_phase(rows, cols):
+    # ref7-like angles: 7x7x4 links around their LOS azimuths, 8 rays each
+    # within a 10 degree spread.
+    rng = np.random.default_rng(11)
+    spread = np.deg2rad(10.0)
+    az = rng.uniform(-np.pi, np.pi, (7, 7, 4, 1)) + spread * rng.uniform(-1, 1, (7, 7, 4, 8))
+    el = spread * rng.uniform(-0.5, 0.5, (7, 7, 4, 8))
+    got = ura_steering(az, el, rows, cols) * np.sqrt(rows * cols)
+    ld = np.longdouble
+    az, el = az.astype(ld)[..., None, None], el.astype(ld)[..., None, None]
+    m1 = np.arange(rows, dtype=ld)[:, None]
+    m2 = np.arange(cols, dtype=ld)[None, :]
+    phase = (4 * np.arctan(ld(1))) * (m1 * np.sin(el) + m2 * np.cos(el) * np.sin(az))
+    phase = phase.reshape(got.shape)
+    err = np.hypot((got.real - np.cos(phase)).astype(float), (got.imag - np.sin(phase)).astype(float))
+    assert err.max() <= 2e-14
 
 
 # -- path loss --------------------------------------------------------------
@@ -446,6 +475,24 @@ def test_trace_round_trip(tmp_path):
     assert back.num_slots == 10
 
 
+def _former_save_trace_bytes(trace):
+    # The former writer, kept as the oracle of the file bytes.
+    num_slots, n, _, k, m = trace.h.shape
+    header = struct.pack("<5Q", n, k, m, num_slots, trace.cfg_hash)
+    payload = np.ascontiguousarray(trace.h, dtype="<c16").tobytes()
+    body = channel.TRACE_MAGIC + header + payload
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("n, k, m1, m2, num_slots", [(7, 4, 4, 8, 5), (2, 3, 1, 2, 1)])
+def test_save_trace_writes_former_bytes(tmp_path, n, k, m1, m2, num_slots):
+    net = make_net(n=n, k=k, m1=m1, m2=m2)
+    trace = generate_trace(net, ChannelModelConfig(rng_seed=5), num_slots)
+    path = tmp_path / "trace.bin"
+    save_trace(trace, path)
+    assert path.read_bytes() == _former_save_trace_bytes(trace)
+
+
 def test_trace_truncation_detected(tmp_path):
     net = make_net()
     trace = generate_trace(net, ChannelModelConfig(rng_seed=5), 4)
@@ -476,8 +523,6 @@ def test_trace_header_payload_mismatch(tmp_path):
     save_trace(trace, path)
     blob = bytearray(path.read_bytes())
     # Claim M = 64 in the header while keeping the payload.
-    import struct
-
     struct.pack_into("<Q", blob, 16 + 16, 64)
     path.write_bytes(bytes(blob))
     with pytest.raises(TraceFormatError, match="dimension"):

@@ -651,6 +651,41 @@ def test_resume_rejects_metrics_shorter_than_checkpoint(tmp_path):
         run_train(cfg, resume_from=str(ckpt))
 
 
+def test_resumed_sink_failing_to_write_keeps_the_covered_rows(tmp_path, monkeypatch):
+    with MetricSink(tmp_path, 2) as sink:
+        for slot in range(5):
+            sink.write_slot(slot, "ddcbf", [1.0, 2.0 + slot], [0.5, 0.25], 0.1)
+    csv = tmp_path / "train.csv"
+    kept = "".join(csv.read_text().splitlines(keepends=True)[: 2 + 3])
+
+    class FailingWrites:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, *args):
+            raise OSError("no space left on device")
+
+        writelines = write
+
+        def flush(self):
+            self._fh.flush()
+
+        def close(self):
+            self._fh.close()
+
+    def open_with_failing_writes(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return fh if mode.startswith("r") else FailingWrites(fh)
+
+    monkeypatch.setattr(harness, "open", open_with_failing_writes, raising=False)
+    # A crash at any write of the resumed sink leaves the rows the checkpoint
+    # covers in place, so the next resume can still use them.
+    with pytest.raises(OSError, match="no space"):
+        with MetricSink(tmp_path, 2, resume_rows=3) as sink:
+            sink.write_slot(3, "ddcbf", [1.0, 9.0], [0.5, 0.25], 0.1)
+    assert csv.read_text() == kept
+
+
 def test_metrics_round_trip_lossless(tmp_path):
     cfg = parse_config(write_config(tmp_path, num_slots=6))
     summary = run_train(cfg)
