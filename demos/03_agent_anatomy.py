@@ -30,8 +30,10 @@ states = env.reset()
 print("cold start: cross-cell blocks are zero ->",
       bool(np.all(states[0, layout['local']:] == 0.0)))
 
-# The max-SLNR-equivalent action: equal ratios, full power, all leakage
-# weights on, noise knob at its midpoint (decodes to the true noise power).
+# The max-SLNR action: equal ratios, full power, every leakage weight at 1.0
+# and the noise knob at 0.5, which decodes to exactly the noise power.  The
+# power-only ("mslnr-power") agents learn only its first K + 1 entries:
+# decode_beams pins the rest at these values.
 k = net.users_per_cell
 action = np.full(env.action_dim, 0.5)
 action[k] = 1.0
@@ -40,7 +42,10 @@ action[k + 1 : k + 1 + net.num_cells * k] = 1.0
 # decode_action takes one row per BS; this is a stack of one.
 params = cb.decode_action(action[None], net.num_cells, k, net.noise_power)
 print(f"decoded: q={params.q[0]}, q_total={params.q_total[0]}, mu/noise="
-      f"{params.mu[0] / net.noise_power:.3f}")
+      f"{params.mu[0] / net.noise_power}")
+full = cb.decode_beams(action[None], trace.slot(0).h, net, "structured")
+power_only = cb.decode_beams(action[None, : k + 1], trace.slot(0).h, net, "mslnr-power")
+print("power-only row gives the same beams:", np.array_equal(full, power_only))
 
 for slot in range(3):
     states, rewards, metrics = env.step(np.tile(action, (net.num_cells, 1)))

@@ -38,6 +38,7 @@ from .env import (
     compress_csi,
     compute_reward,
     decode_action,
+    decode_beams,
     orthogonal_measure,
     select_interfered,
     select_interferers,

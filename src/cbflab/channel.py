@@ -97,6 +97,8 @@ class ChannelModelConfig:
             raise ValueError("num_rays must be >= 1")
         if not 0.0 <= self.angular_spread_deg < math.inf:
             raise ValueError("angular_spread_deg must be >= 0 and finite")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 # Coefficients of Cephes j0.c (Stephen L. Moshier): a rational approximation

@@ -16,6 +16,9 @@ A slot runs each stage once for all N BSs, on stacked arrays: one pass
 compresses the (N, K, M) serving channels, one builds the (N, state_dim)
 states, one decodes the (N, A) actions into a stack of structured parameters
 that one stacked solve turns into beamformers, and one scores the N rewards.
+``decode_beams`` is the one path from raw actions to beamformers, for both
+action modes: a power-only (``mslnr-power``) row is the structured row with
+its leakage weights and mu pinned at the max-SLNR point.
 The interfered users are selected once per slot, from that slot's
 interference; the rewards and the next slot's interfered blocks both read
 that selection.
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import BeamformerSet, compute_metrics, watt_to_dbm
-from .solvers import StructuredParams, mslnr_params, structured_beamformer
+from .solvers import StructuredParams, structured_beamformer
 
 # Additive floor on raw power ratios before normalization: keeps every
 # decoded ratio strictly positive for any input in the unit box.
@@ -232,52 +235,57 @@ def action_dim(num_cells, users_per_cell, mode="structured"):
     raise ValueError(f"unknown action mode {mode!r}")
 
 
-def _decode_power_split(actions, num_cells, users_per_cell, mode):
-    """Validate raw actions, one row per BS, and decode their [q_1..q_K, q_total].
-
-    Ratios are floored and renormalized to sum to one; the spent fraction is
-    floored at the same epsilon.  Returns (actions, q, q_total) with q of
-    shape (S, K) and q_total (S,).
-    """
-    actions = np.asarray(actions, dtype=float)
-    expected = action_dim(num_cells, users_per_cell, mode)
-    if actions.ndim != 2 or actions.shape[1] != expected:
-        raise ValueError(f"actions must have shape (S, {expected}), one row per BS")
-    outside = np.flatnonzero(np.any((actions < 0) | (actions > 1), axis=1))
-    if outside.size:
-        raise ValueError(f"BS {outside[0]}: action entries must lie in [0, 1]")
-    k = users_per_cell
-    raw_q = actions[:, :k] + POWER_RATIO_EPS
-    q_total = np.maximum(actions[:, k], POWER_RATIO_EPS)
-    return actions, raw_q / raw_q.sum(axis=1, keepdims=True), q_total
+def _check_rows(actions, width):
+    if actions.ndim != 2 or actions.shape[1] != width:
+        raise ValueError(f"actions must have shape (S, {width}), one row per BS")
 
 
 def decode_action(actions, num_cells, users_per_cell, noise_power):
     """Map raw [0, 1]^A actions, one row per BS, onto structured parameters.
 
-    Row layout: [q_1..q_K, q_total, alpha_{1,1}..alpha_{N,K}, mu].  Leakage
-    weights pass through unchanged (the structure is invariant to jointly
-    scaling alpha and mu, so [0, 1] weights lose no generality); mu maps
-    log-uniformly onto [1e-3, 1e3] times the noise power.  Row s becomes
-    stack entry s of the returned StructuredParams.
+    Row layout: [q_1..q_K, q_total, alpha_{1,1}..alpha_{N,K}, mu].  Power
+    ratios are floored at ``POWER_RATIO_EPS`` and renormalized to sum to one;
+    the spent fraction is floored at the same epsilon.  Leakage weights pass
+    through unchanged (the structure is invariant to jointly scaling alpha
+    and mu, so [0, 1] weights lose no generality); mu maps log-uniformly onto
+    [1e-3, 1e3] times the noise power, and an entry of 0.5 decodes to the
+    noise power exactly.  Row s becomes stack entry s of the returned
+    StructuredParams.
     """
     k, n = users_per_cell, num_cells
-    actions, q, q_total = _decode_power_split(actions, n, k, "structured")
+    actions = np.asarray(actions, dtype=float)
+    _check_rows(actions, action_dim(n, k))
+    outside = np.flatnonzero(np.any((actions < 0) | (actions > 1), axis=1))
+    if outside.size:
+        raise ValueError(f"BS {outside[0]}: action entries must lie in [0, 1]")
+    raw_q = actions[:, :k] + POWER_RATIO_EPS
+    q = raw_q / raw_q.sum(axis=1, keepdims=True)
+    q_total = np.maximum(actions[:, k], POWER_RATIO_EPS)
     alpha = actions[:, k + 1 : k + 1 + n * k].reshape(-1, n, k)
     mu = noise_power * 10.0 ** (6.0 * (actions[:, -1] - 0.5))
     return StructuredParams(alpha=alpha, mu=mu, q=q, q_total=q_total)
 
 
-def decode_power_action(actions, num_cells, users_per_cell, noise_power):
-    """Power-only decode: max-SLNR directions with a learned power split.
+def decode_beams(actions, h, net_cfg, action_mode):
+    """Beamformers (S, K, M) of the first S BSs from S raw action rows.
 
-    Row layout [q_1..q_K, q_total]; leakage weights are pinned to one and mu
-    to the noise power, which reproduces the max-SLNR directions.
+    ``h`` is the slot's (N, N, K, M) channel tensor and row s of ``actions``
+    belongs to BS s.  A ``mslnr-power`` row [q_1..q_K, q_total] is the
+    structured row with every leakage entry at 1.0 and the mu entry at 0.5,
+    which ``decode_action`` maps to alpha = 1 and mu = noise power: the
+    max-SLNR directions with a learned power split.  Both calls below go
+    through this module's names, which perfbench's tracer wraps.
     """
-    _, q, q_total = _decode_power_split(
-        actions, num_cells, users_per_cell, "mslnr-power"
-    )
-    return mslnr_params(num_cells, users_per_cell, noise_power, q, q_total)
+    n, k = net_cfg.num_cells, net_cfg.users_per_cell
+    if action_mode == "mslnr-power":
+        actions = np.asarray(actions, dtype=float)
+        _check_rows(actions, action_dim(n, k, action_mode))
+        pinned = np.ones((len(actions), n * k + 1))
+        pinned[:, -1] = 0.5
+        actions = np.concatenate([actions, pinned], axis=1)
+    params = decode_action(actions, n, k, net_cfg.noise_power)
+    stack = len(actions)
+    return structured_beamformer(h[:stack], np.arange(stack), params, net_cfg.max_power)
 
 
 @dataclass(frozen=True)
@@ -406,25 +414,15 @@ class BeamformingEnv:
         self.last_reward = None
         return self._states()
 
-    def _beamformers(self, actions):
-        cfg = self.net_cfg
-        # Looked up per call rather than stored at construction, so a decoder
-        # patched on the module (as perfbench's tracer does) takes effect.
-        decode = (
-            decode_action if self.action_mode == "structured" else decode_power_action
-        )
-        params = decode(actions, cfg.num_cells, cfg.users_per_cell, cfg.noise_power)
-        cells = np.arange(cfg.num_cells)
-        w = structured_beamformer(self.channel.h, cells, params, cfg.max_power)
-        return BeamformerSet(w=w)
-
     def step(self, actions):
         """Apply one action per BS; returns (next_states, rewards, metrics)."""
         if self.channel is None:
             raise RuntimeError("call reset() before step()")
         if len(actions) != self.net_cfg.num_cells:
             raise ValueError("need exactly one action per BS")
-        beams = self._beamformers(actions)
+        beams = BeamformerSet(
+            w=decode_beams(actions, self.channel.h, self.net_cfg, self.action_mode)
+        )
         metrics = compute_metrics(self.channel, beams, self.net_cfg)
         interfered = self._select_interfered(metrics)
         self.last_reward = compute_reward(metrics, interfered)

@@ -18,11 +18,13 @@ Training and benchmarks load a configured trace through one dimension check.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import json
 import math
 import os
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -32,18 +34,16 @@ from .channel import (
     ChannelModelConfig,
     ChannelProcess,
     TraceStream,
-    config_fingerprint,
     generate_trace,
     load_trace,
     save_trace,
 )
 from .drl import CHECKPOINT_VERSION, HYPERPARAMETERS, DdpgAgent, read_meta, savez_atomic
-from .env import BeamformingEnv, decode_action
+from .env import BeamformingEnv, decode_beams
 from .network import NetworkConfig, compute_metrics, dbm_to_watt
 from .solvers import (
     mrt_beamformer,
     mslnr_beams,
-    structured_beamformer,
     wmmse,
     wmmse_multi_init,
 )
@@ -84,6 +84,7 @@ _KEY_OF_FIELD = {
     "ue_speed": "ue_speed_kmh",
     "model_kind": "channel_model",
     "pathloss_ref_dist": "pathloss_ref_dist_m",
+    "rng_seed": "seed",
 }
 
 
@@ -508,6 +509,21 @@ class _AgentArrays:
         return self._prefix + key in self._archive
 
 
+@contextlib.contextmanager
+def _open_checkpoint(path):
+    """``np.load`` of a run checkpoint; a damaged archive raises ConfigError.
+
+    A damaged archive is one that is not a zip file, fails an entry's CRC
+    check or lacks an entry that the reader asks for.
+    """
+    try:
+        # np.load of a path leaves the file open when the zip fails to open.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            yield data
+    except (zipfile.BadZipFile, KeyError) as exc:
+        raise ConfigError(f"checkpoint {path} is damaged: {exc}") from exc
+
+
 def _checkpoint_meta(data, path):
     """Parsed ``harness_meta`` of an open run checkpoint; ConfigError if unreadable."""
     try:
@@ -524,7 +540,7 @@ def load_checkpoint(path, env):
     channel source, network shape, channel config or trace file) raises
     ConfigError.
     """
-    with np.load(path, allow_pickle=False) as data:
+    with _open_checkpoint(path) as data:
         meta = _checkpoint_meta(data, path)
         if meta["num_agents"] != env.net_cfg.num_cells:
             raise ConfigError("checkpoint agent count does not match config")
@@ -642,7 +658,7 @@ def run_train(cfg: RunConfig, resume_from=None):
                 num_slots=cfg.num_slots,
                 action_mode=cfg.action_mode,
                 seed=cfg.seed,
-                channel_fingerprint=config_fingerprint(cfg.channel, cfg.network),
+                channel_fingerprint=env.stream.fingerprint,
                 train_workers=workers,
             )
         warmup = cfg.batch_size
@@ -722,7 +738,7 @@ def _slot_seed(seed, slot):
 
 def _checkpoint_agents(path, num_agents, build):
     """``build(arrays)`` for each per-BS agent stored inside a run checkpoint."""
-    with np.load(path, allow_pickle=False) as data:
+    with _open_checkpoint(path) as data:
         _checkpoint_meta(data, path)
         out = []
         for n in range(num_agents):
@@ -750,6 +766,14 @@ def _rollout_policy(cfg, trace, checkpoint, action_mode):
     actors = _checkpoint_agents(
         checkpoint, cfg.network.num_cells, DdpgAgent.actor_from_state_dict
     )
+    for n, actor in enumerate(actors):
+        widths = (actor.weights[0].shape[1], actor.weights[-1].shape[0])
+        if widths != (env.state_dim, env.action_dim):
+            raise ConfigError(
+                f"agent {n} in checkpoint {checkpoint} maps {widths[0]} state entries "
+                f"to {widths[1]} action entries, this config {env.state_dim} to "
+                f"{env.action_dim}"
+            )
     states = env.reset()
     cell_rates = []
     for _ in range(trace.num_slots - 1):
@@ -907,12 +931,9 @@ def run_timing(cfg: RunConfig, repeats=30):
     state = env.reset()[0]
     actor = _build_agents(cfg, env)[0].actor
     channel = env.channel
-    local = channel.h[:1]  # BS 0 alone, as a one-BS stack
 
-    def decision():
-        action = actor.forward(state)[None]
-        params = decode_action(action, net.num_cells, net.users_per_cell, net.noise_power)
-        return structured_beamformer(local, [0], params, net.max_power)
+    def decision():  # BS 0 alone, as a one-row stack
+        return decode_beams(actor.forward(state)[None], channel.h, net, "structured")
 
     def time_many(fn, n):
         out = []

@@ -260,23 +260,19 @@ def structured_beamformer(local_h, own_cells, params, p_max):
     return np.sqrt(powers)[..., None] * directions
 
 
-def mslnr_params(num_cells, users_per_cell, noise_power, q=None, q_total=None):
-    """Structured parameters of the max-SLNR beamformer, one row of q per BS.
+def mslnr_params(num_cells, users_per_cell, noise_power):
+    """Structured parameters of every BS's max-SLNR beamformer at full power.
 
-    Every leakage weight is one and mu is the noise power.  Including the
-    served user's own term in the leakage matrix only rescales its solve
-    (Sherman-Morrison), so the directions are the per-user max-SLNR ones.
-    The (S, K) power split ``q`` defaults to equal shares at all
-    ``num_cells`` BSs, and ``q_total`` (S,) to the full budget.
+    Every leakage weight is one, mu is the noise power and the power is split
+    equally.  Including the served user's own term in the leakage matrix only
+    rescales its solve (Sherman-Morrison), so the directions are the per-user
+    max-SLNR ones.
     """
-    if q is None:
-        q = np.full((num_cells, users_per_cell), 1.0 / users_per_cell)
-    stack = len(q)
     return StructuredParams(
-        alpha=np.ones((stack, num_cells, users_per_cell)),
-        mu=np.full(stack, noise_power),
-        q=q,
-        q_total=np.ones(stack) if q_total is None else q_total,
+        alpha=np.ones((num_cells, num_cells, users_per_cell)),
+        mu=np.full(num_cells, noise_power),
+        q=np.full((num_cells, users_per_cell), 1.0 / users_per_cell),
+        q_total=np.ones(num_cells),
     )
 
 

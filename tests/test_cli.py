@@ -1,7 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +152,7 @@ BAD_VALUES = [
     ("train", {"critic_lr": 0}, "critic_lr must be > 0"),
     ("train", {"batch_size": 65}, "batch_size must be <= memory_capacity"),
     ("train", {"action_mode": "foo"}, "action_mode must be one of"),
+    ("train", {"seed": -1}, "seed must be >= 0"),
 ]
 
 
@@ -201,6 +204,81 @@ def test_bench_on_a_mismatched_trace_exits_two_and_writes_nothing(tmp_path, caps
     assert main(["bench", config, "--schemes", "mslnr-ep"]) == 2
     assert "trace dimensions do not match" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, scheme, overrides, widths",
+    [
+        ("--checkpoint", "ddcbf", {"num_interferers": 1}, "134 state entries to 10"),
+        ("--mslnr-checkpoint", "mslnr-ddpg", {}, "134 state entries to 10"),
+    ],
+    ids=["state-width", "action-width"],
+)
+def test_bench_on_a_checkpoint_of_another_shape_exits_two_and_writes_nothing(
+    tmp_path, capsys, flag, scheme, overrides, widths
+):
+    assert main(["train", str(write_config(tmp_path))]) == 0  # structured actions
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000014.npz"
+    config = str(write_config(tmp_path, name="other.cfg", **overrides))
+    capsys.readouterr()
+    assert main(["bench", config, "--schemes", f"mslnr-ep,{scheme}", flag, str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: agent 0 in checkpoint {ckpt} maps {widths}" in err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "checkpoints",
+        "train.csv",
+        "train_events.jsonl",
+    ]
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _flip_a_data_byte(path, entry="agent1_adam_actor_m.npy"):
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(entry)
+    data = bytearray(path.read_bytes())
+    # A local file header is 30 bytes, then the name and the extra field.
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    data[start + info.compress_size - 1] ^= 0xFF  # the entry's last data byte
+    path.write_bytes(bytes(data))
+
+
+def _drop_entry(path, key="agent1_critic"):
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != key}
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_truncate, "File is not a zip file"),
+        (_flip_a_data_byte, "Bad CRC-32 for file 'agent1_adam_actor_m.npy'"),
+        (_drop_entry, "agent1_critic is not a file in the archive"),
+    ],
+    ids=["truncated", "flipped-byte", "missing-entry"],
+)
+def test_damaged_run_checkpoint_exits_two(tmp_path, capsys, damage, message):
+    config = str(write_config(tmp_path))
+    assert main(["train", config]) == 0
+    csv = tmp_path / "out" / "train.csv"
+    rows = csv.read_bytes()
+    ckpt = tmp_path / "damaged.npz"
+    ckpt.write_bytes((tmp_path / "out" / "checkpoints" / "train_00000007.npz").read_bytes())
+    damage(ckpt)
+    capsys.readouterr()
+    commands = [["train", config, "--resume", str(ckpt)]]
+    if damage is _truncate:  # the bench reads only the actors of the others
+        commands.append(["bench", config, "--schemes", "ddcbf", "--checkpoint", str(ckpt)])
+    for argv in commands:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: checkpoint {ckpt} is damaged: " in err and message in err
+        assert csv.read_bytes() == rows
+    assert not (tmp_path / "out" / "bench.csv").exists()
 
 
 @pytest.mark.parametrize("flag", [",", ""])

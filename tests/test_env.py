@@ -15,6 +15,7 @@ from cbflab.channel import (
     generate_trace,
 )
 from cbflab.env import (
+    POWER_RATIO_EPS,
     RATE_SCALE,
     BeamformingEnv,
     PrevSlotInfo,
@@ -25,7 +26,7 @@ from cbflab.env import (
     compute_reward,
     csi_features,
     decode_action,
-    decode_power_action,
+    decode_beams,
     orthogonal_measure,
     select_interfered,
     select_interferers,
@@ -39,7 +40,7 @@ from cbflab.network import (
     compute_metrics,
     sum_rate,
 )
-from cbflab.solvers import mslnr_beams
+from cbflab.solvers import StructuredParams, mslnr_beams, structured_beamformer
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -489,13 +490,48 @@ def test_decode_box_soundness_random():
     assert np.all((0 < params.q_total) & (params.q_total <= 1))
 
 
+def rayleigh_h(n, k, m, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n, k, m)) + 1j * rng.standard_normal((n, n, k, m))
+
+
 def test_decode_rejects_out_of_box():
     a = np.full((3, 10), 0.5)
     a[2, 0] = 1.2
     with pytest.raises(ValueError, match="BS 2"):
         decode_action(a, 3, 2, 0.1)
+    power = np.array([[0.5, 0.5, 0.5], [0.5, -0.1, 0.5]])
+    h = rayleigh_h(3, 2, 4, seed=0)
     with pytest.raises(ValueError, match="BS 1"):
-        decode_power_action(np.array([[0.5, 0.5, 0.5], [0.5, -0.1, 0.5]]), 3, 2, 0.1)
+        decode_beams(power, h, make_net(), "mslnr-power")
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    m=st.integers(1, 6),
+    noise=st.floats(1e-6, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_power_only_beams_are_max_slnr_with_the_decoded_split(n, k, m, noise, seed, data):
+    # A power-only row decodes to alpha = 1, mu = noise power, bit for bit,
+    # with the split [q, q_total] the power-only decode has always used.
+    stack = data.draw(st.integers(1, n), label="stack")
+    rows = np.random.default_rng(seed).uniform(0.0, 1.0, (stack, k + 1))
+    rows[rows < 0.05] = 0.0  # exercise the epsilon floors
+    net = make_net(n, k, 1, m, noise_power=noise)
+    h = rayleigh_h(n, k, m, seed)
+    raw_q = rows[:, :k] + POWER_RATIO_EPS
+    params = StructuredParams(
+        alpha=np.ones((stack, n, k)),
+        mu=np.full(stack, noise),
+        q=raw_q / raw_q.sum(axis=1, keepdims=True),
+        q_total=np.maximum(rows[:, k], POWER_RATIO_EPS),
+    )
+    want = structured_beamformer(h[:stack], np.arange(stack), params, net.max_power)
+    assert_bits_equal(decode_beams(rows, h, net, "mslnr-power"), want)
 
 
 def test_decode_wrong_length():
@@ -503,6 +539,11 @@ def test_decode_wrong_length():
         decode_action(np.full((3, 9), 0.5), 3, 2, 0.1)
     with pytest.raises(ValueError):
         decode_action(np.full(10, 0.5), 3, 2, 0.1)  # one row per BS
+    # A power-only row is checked at its own width, before it is padded.
+    h = rayleigh_h(3, 2, 4, seed=0)
+    for bad in (np.full((3, 10), 0.5), np.full(3, 0.5)):
+        with pytest.raises(ValueError, match=r"shape \(S, 3\), one row per BS"):
+            decode_beams(bad, h, make_net(), "mslnr-power")
 
 
 # -- rewards -----------------------------------------------------------------------

@@ -339,6 +339,24 @@ def test_checkpoint_holds_each_fact_once(tmp_path, source):
     assert meta["stream"]["fingerprint"] == config_fingerprint(cfg.channel, cfg.network)
 
 
+@pytest.mark.parametrize("source", ["process", "trace"])
+def test_run_start_event_records_the_fingerprint_of_the_channel_read(tmp_path, source):
+    overrides = {"seed": 3}  # a trace written under seed 5, a run seeded 3
+    if source == "trace":
+        overrides["trace_file"] = tmp_path / "chan.trace"
+        generate_trace_file(
+            parse_config(write_config(tmp_path)), overrides["trace_file"], num_slots=20
+        )
+    cfg = parse_config(write_config(tmp_path, **overrides))
+    run_train(cfg)
+    with np.load(tmp_path / "out" / "checkpoints" / "train_00000007.npz") as data:
+        stored = json.loads(str(data["harness_meta"]))["stream"]["fingerprint"]
+    (start,) = [e for e in _events(tmp_path / "out") if e["kind"] == "run-start"]
+    assert start["channel_fingerprint"] == stored
+    if source == "trace":
+        assert stored != config_fingerprint(cfg.channel, cfg.network)
+
+
 def _finished_run_and_checkpoint(tmp_path):
     """train.csv of an uninterrupted run, plus a second run's config and slot-7 checkpoint."""
     run_train(parse_config(write_config(tmp_path, out_dir=tmp_path / "full")))

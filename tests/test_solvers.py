@@ -30,7 +30,6 @@ from cbflab.solvers import (
     _wmmse_beamformers,
     mrt_beamformer,
     mslnr_beams,
-    mslnr_params,
     solve_leakage_system,
     structured_beamformer,
     structured_directions,
@@ -657,7 +656,9 @@ def test_mslnr_beats_random_probes_on_slnr():
     rng = np.random.default_rng(12)
     noise = 0.6
     h = local_csi(77)
-    params = mslnr_params(2, 2, noise, q=np.full((1, 2), 0.5))
+    params = StructuredParams(
+        alpha=np.ones((1, 2, 2)), mu=np.array([noise]), q=np.full((1, 2), 0.5), q_total=[1.0]
+    )
     w = structured_beamformer(h[None], [0], params, p_max=1.0)[0]
     flat = h.reshape(4, -1)
     for k in range(2):

@@ -88,3 +88,18 @@ def test_the_check_finds_an_unread_private_name():
 def test_package_reads_every_private_name_it_defines():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def assert_lines(source):
+    """Line numbers of the ``assert`` statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_check_finds_an_assert():
+    assert assert_lines("x = 1\nassert x\ndef f():\n    assert x, 'msg'\n") == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_raises_instead_of_asserting(path):
+    # ``python -O`` strips asserts: a failed check must raise an error instead.
+    assert assert_lines(path.read_text()) == []
