@@ -333,11 +333,12 @@ class BeamformingEnv:
     current slot's (N, K, M) serving channels, ``csi`` their
     ``csi_features`` and ``last_reward`` the last step's RewardRecord.
 
-    A checkpoint stores only the stream's position (``state_dict``).  A
-    restored env stands at the stream's current slot with no previous slot,
-    as after ``reset``: the next ``step`` records its own ``prev`` before
-    anything reads it, and the states the agents act on (which carry the
-    delayed reports) are the caller's to store.
+    A run checkpoint stores only the stream's position (the stream's
+    ``state_dict``; the env has none).  After the stream's
+    ``load_state_dict``, ``resume`` stands the env at the stream's current
+    slot with no previous slot, as ``reset`` does: the next ``step`` records
+    its own ``prev`` before anything reads it, and the states the agents act
+    on (which carry the delayed reports) are the caller's to store.
     """
 
     def __init__(
@@ -409,9 +410,8 @@ class BeamformingEnv:
 
     def reset(self):
         """Start (or restart) the episode at the stream's next slot."""
-        self._enter(self.stream.next_slot())
-        self.prev = None
-        self.last_reward = None
+        self.stream.next_slot()
+        self.resume()
         return self._states()
 
     def step(self, actions):
@@ -435,31 +435,12 @@ class BeamformingEnv:
         self._enter(self.stream.next_slot())
         return self._states(), self.last_reward.reward, metrics
 
-    # -- checkpointing ----------------------------------------------------
+    def resume(self):
+        """Stand at the stream's current slot with no previous slot.
 
-    def state_dict(self):
-        """This env's run-checkpoint entries as a pair (arrays, meta).
-
-        The env's whole restorable state is its stream's position: the
-        current slot is the stream's last slot, and ``step`` replaces
-        ``prev`` before anything reads it.  So the arrays are the stream's
-        (copies) and the meta is ``{"stream": ...}``;
-        ``harness.save_checkpoint`` lays them out.
+        ``reset`` calls it after advancing the stream, a resume after
+        restoring it; ``prev`` and ``last_reward`` become None.
         """
-        if self.channel is None:
-            raise RuntimeError("call reset() before state_dict()")
-        arrays, stream_meta = self.stream.state_dict()
-        return arrays, {"stream": stream_meta}
-
-    def load_state_dict(self, state):
-        """Restore a ``state_dict`` pair; ``arrays`` may be a whole checkpoint.
-
-        Only the stream's keys are read, and the stream takes ownership of
-        what it reads.  The stream's last slot becomes the current one;
-        ``prev`` and ``last_reward`` are None, as after ``reset``.
-        """
-        arrays, meta = state
-        self.stream.load_state_dict((arrays, meta["stream"]))
         self._enter(self.stream.current)
         self.prev = None
         self.last_reward = None

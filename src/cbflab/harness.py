@@ -13,7 +13,9 @@ agents; BLAS runs on one thread per call) plus a JSON-lines event log that
 carries timestamps, wall-clock measurements and checkpoint notices --
 everything that may legitimately differ between runs.  One parser reads both
 versioned CSVs back (``MetricSink.read``, ``read_bench``).
-Training and benchmarks load a configured trace through one dimension check.
+Training and benchmarks load a configured trace through one dimension check,
+and a run checkpoint through one opener that checks it before any agent is
+built (``_open_checkpoint``).
 """
 
 from __future__ import annotations
@@ -426,16 +428,16 @@ def _build_agents(cfg: RunConfig, env):
     ]
 
 
-def _check_resumed_agents(cfg: RunConfig, env, agents, path):
+def _check_resumed_agents(cfg: RunConfig, agents, path):
     """Raise ConfigError naming the first key where ``agents`` and the config differ.
 
     ``noise_sigma_init`` is not compared: the checkpoint keeps the running
-    sigma in its place, so the agents continue their noise schedule.
+    sigma in its place, so the agents continue their noise schedule.  The
+    state and action widths were checked as the agents were read.
     """
-    expected = {"state_dim": env.state_dim, "action_dim": env.action_dim}
-    for name in HYPERPARAMETERS:
-        if name != "noise_sigma_init":
-            expected[name] = getattr(cfg, name)
+    expected = {
+        name: getattr(cfg, name) for name in HYPERPARAMETERS if name != "noise_sigma_init"
+    }
     for n, agent in enumerate(agents):
         for key, value in expected.items():
             stored = getattr(agent, key)
@@ -454,17 +456,19 @@ def save_checkpoint(path, slot, states, env, agents):
     * ``states`` (harness): the (N, state_dim) observations that the agents
       act on at ``slot``;
     * ``proc_h``, ``proc_ue_positions`` and ``proc_ue_headings``
-      (``channel.ChannelProcess``, live channels only): the process's last
-      slot and its users' positions and headings;
+      (``channel.ChannelProcess.state_dict``, live channels only): the
+      process's last slot and its users' positions and headings;
     * ``agent{n}_{key}`` (``drl.DdpgAgent.state_dict``): agent ``n``'s
       entries, its own JSON ``meta`` among them;
     * ``harness_meta``: one JSON string.
 
     ``harness_meta`` holds ``version``, ``slot`` (also the metrics CSV's row
-    count: one row per slot), ``num_agents`` and the env's ``stream``, the
-    stream's own JSON: ``{"kind": "trace", "cursor", "fingerprint"}`` or
-    ``{"kind": "process", "slot", "rng_state", "fingerprint"}``; the channel's
-    ``config_fingerprint`` (a trace's ``cfg_hash``) is absent from earlier files.
+    count: one row per slot), ``num_agents`` and ``stream``, the meta of the
+    env's channel stream (its ``state_dict``): ``{"kind": "trace", "cursor",
+    "fingerprint"}`` or ``{"kind": "process", "slot", "rng_state",
+    "fingerprint"}``, written and read by the harness, not the env.  The
+    channel's ``config_fingerprint`` (a trace's ``cfg_hash``) under
+    ``fingerprint`` is absent from earlier files.
 
     ``drl.CHECKPOINT_VERSION`` (3) is the version of the whole archive, and
     each agent ``meta`` repeats it.  Versions 1 and 2 also held
@@ -476,14 +480,14 @@ def save_checkpoint(path, slot, states, env, agents):
     parameter block (``{net}_p{i}``, ``adam_{net}_m{i}``), the later
     versions as one flat vector (``{net}``, ``adam_{net}_m``).  All load.
     """
-    env_arrays, env_meta = env.state_dict()
+    stream_arrays, stream_meta = env.stream.state_dict()
     meta = {
         "version": CHECKPOINT_VERSION,
         "slot": slot,
         "num_agents": len(agents),
-        **env_meta,
+        "stream": stream_meta,
     }
-    arrays = {"states": np.asarray(states), **env_arrays}
+    arrays = {"states": np.asarray(states), **stream_arrays}
     for n, agent in enumerate(agents):
         for key, value in agent.state_dict().items():
             arrays[f"agent{n}_{key}"] = value
@@ -505,45 +509,70 @@ class _AgentArrays:
     def __getitem__(self, key):
         return self._archive[self._prefix + key]
 
-    def __contains__(self, key):
-        return self._prefix + key in self._archive
-
 
 @contextlib.contextmanager
-def _open_checkpoint(path):
-    """``np.load`` of a run checkpoint; a damaged archive raises ConfigError.
+def _open_checkpoint(path, num_agents):
+    """A run checkpoint's lazily read archive and parsed ``harness_meta``, as (data, meta).
 
-    A damaged archive is one that is not a zip file, fails an entry's CRC
-    check or lacks an entry that the reader asks for.
+    The one opener of run checkpoints.  ConfigError if the file is missing,
+    of an unknown version, holds another agent count than ``num_agents``, or
+    is damaged: not a zip file, failing an entry's CRC check, lacking an
+    entry that the reader asks for or holding one that does not parse.  A
+    ConfigError raised inside the block passes through unchanged.
     """
+    if not os.path.exists(path):
+        raise ConfigError(f"checkpoint not found: {path}")
     try:
         # np.load of a path leaves the file open when the zip fails to open.
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            yield data
-    except (zipfile.BadZipFile, KeyError) as exc:
+            try:
+                meta = read_meta(data["harness_meta"])
+            except ValueError as exc:
+                raise ConfigError(f"{exc} in {path}") from None
+            if meta["num_agents"] != num_agents:
+                raise ConfigError(
+                    f"checkpoint {path} holds {meta['num_agents']} agents, "
+                    f"this config has {num_agents} cells"
+                )
+            yield data, meta
+    except ConfigError:
+        raise
+    except (zipfile.BadZipFile, KeyError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path} is damaged: {exc}") from exc
 
 
-def _checkpoint_meta(data, path):
-    """Parsed ``harness_meta`` of an open run checkpoint; ConfigError if unreadable."""
-    try:
-        return read_meta(data["harness_meta"])
-    except ValueError as exc:
-        raise ConfigError(f"{exc} in {path}") from None
+def _read_agents(data, meta, path, build, env=None):
+    """``build(arrays)`` for each per-BS agent of an open run checkpoint.
+
+    With ``env`` given, agent ``n``'s stored state and action widths are
+    compared with the env's before it is built; the first that differ raise
+    ConfigError.
+    """
+    agents = []
+    for n in range(meta["num_agents"]):
+        arrays = _AgentArrays(data, n)
+        if env is not None:
+            stored = read_meta(arrays["meta"])
+            widths = (stored["state_dim"], stored["action_dim"])
+            if widths != (env.state_dim, env.action_dim):
+                raise ConfigError(
+                    f"agent {n} in checkpoint {path} maps {widths[0]} state entries "
+                    f"to {widths[1]} action entries, this config {env.state_dim} to "
+                    f"{env.action_dim}"
+                )
+        agents.append(build(arrays))
+    return agents
 
 
 def load_checkpoint(path, env):
-    """Restore the env and its channel stream in place.
+    """Restore the env's channel stream in place and rebuild the agents.
 
-    Returns (slot, states); ``load_agents_from_checkpoint`` restores the
-    agents.  A checkpoint that does not fit the env (another agent count,
-    channel source, network shape, channel config or trace file) raises
-    ConfigError.
+    Returns (slot, states, agents), read in one pass over the archive.  A
+    checkpoint that does not fit the env (another agent count, channel
+    source, network shape, channel config, trace file or agent widths)
+    raises ConfigError; the hyperparameters are the caller's to compare.
     """
-    with _open_checkpoint(path) as data:
-        meta = _checkpoint_meta(data, path)
-        if meta["num_agents"] != env.net_cfg.num_cells:
-            raise ConfigError("checkpoint agent count does not match config")
+    with _open_checkpoint(path, env.net_cfg.num_cells) as (data, meta):
         stored = meta["stream"]["kind"]
         if stored != env.stream.kind:
             raise ConfigError(
@@ -552,11 +581,12 @@ def load_checkpoint(path, env):
                 "(a 'trace' source needs trace_file, a 'process' source none)"
             )
         try:
-            env.load_state_dict((data, meta))
+            env.stream.load_state_dict((data, meta["stream"]))
         except ValueError as exc:
             raise ConfigError(f"checkpoint {path} does not fit this config: {exc}") from exc
-        states = data["states"]
-    return meta["slot"], states
+        env.resume()
+        agents = _read_agents(data, meta, path, DdpgAgent.from_state_dict, env)
+        return meta["slot"], data["states"], agents
 
 
 def _train_workers(num_agents):
@@ -619,22 +649,20 @@ def run_train(cfg: RunConfig, resume_from=None):
     """
     basename = "train" if cfg.action_mode == "structured" else "train_mslnr"
     env = _build_env(cfg)
-    ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
-
     if resume_from:
-        start_slot, states = load_checkpoint(resume_from, env)
+        start_slot, states, agents = load_checkpoint(resume_from, env)
         if start_slot > cfg.num_slots:
             raise ConfigError(
                 f"checkpoint {resume_from} is at slot {start_slot}, "
                 f"past num_slots = {cfg.num_slots}"
             )
-        agents = load_agents_from_checkpoint(resume_from, cfg.network.num_cells)
-        _check_resumed_agents(cfg, env, agents, resume_from)
+        _check_resumed_agents(cfg, agents, resume_from)
     else:
         agents = _build_agents(cfg, env)
         states = env.reset()
         start_slot = 0
+    ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
+    os.makedirs(ckpt_dir, exist_ok=True)
 
     workers = _train_workers(len(agents))
     shares = [
@@ -736,22 +764,10 @@ def _slot_seed(seed, slot):
     return int(np.random.SeedSequence([seed, slot]).generate_state(1)[0])
 
 
-def _checkpoint_agents(path, num_agents, build):
-    """``build(arrays)`` for each per-BS agent stored inside a run checkpoint."""
-    with _open_checkpoint(path) as data:
-        _checkpoint_meta(data, path)
-        out = []
-        for n in range(num_agents):
-            arrays = _AgentArrays(data, n)
-            if "meta" not in arrays:
-                raise ConfigError(f"checkpoint {path} holds no agent {n}")
-            out.append(build(arrays))
-    return out
-
-
 def load_agents_from_checkpoint(path, num_agents):
     """Rebuild every per-BS agent stored inside a run checkpoint."""
-    return _checkpoint_agents(path, num_agents, DdpgAgent.from_state_dict)
+    with _open_checkpoint(path, num_agents) as (data, meta):
+        return _read_agents(data, meta, path, DdpgAgent.from_state_dict)
 
 
 def _rollout_policy(cfg, trace, checkpoint, action_mode):
@@ -760,20 +776,9 @@ def _rollout_policy(cfg, trace, checkpoint, action_mode):
     Only the actors are read from the checkpoint: a greedy action is the
     actor's output, so replay memories, critics and Adam moments stay on disk.
     """
-    if not os.path.exists(checkpoint):
-        raise ConfigError(f"checkpoint not found: {checkpoint}")
     env = _build_env(cfg, stream=TraceStream(trace), action_mode=action_mode)
-    actors = _checkpoint_agents(
-        checkpoint, cfg.network.num_cells, DdpgAgent.actor_from_state_dict
-    )
-    for n, actor in enumerate(actors):
-        widths = (actor.weights[0].shape[1], actor.weights[-1].shape[0])
-        if widths != (env.state_dim, env.action_dim):
-            raise ConfigError(
-                f"agent {n} in checkpoint {checkpoint} maps {widths[0]} state entries "
-                f"to {widths[1]} action entries, this config {env.state_dim} to "
-                f"{env.action_dim}"
-            )
+    with _open_checkpoint(checkpoint, cfg.network.num_cells) as (data, meta):
+        actors = _read_agents(data, meta, checkpoint, DdpgAgent.actor_from_state_dict, env)
     states = env.reset()
     cell_rates = []
     for _ in range(trace.num_slots - 1):

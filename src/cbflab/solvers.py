@@ -93,7 +93,6 @@ class WmmseState:
     sums the Newton steps of the run's multiplier searches over BSs and updates.
     """
 
-    beams: BeamformerSet
     u: np.ndarray
     v: np.ndarray
     mu: np.ndarray
@@ -394,7 +393,6 @@ def wmmse(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
     if u_gen is None:  # stopped before any beamformer update
         u_gen, v_gen = u, v
     state = WmmseState(
-        beams=beams,
         u=u_gen,
         v=v_gen,
         mu=mu.copy(),

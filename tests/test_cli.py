@@ -231,19 +231,70 @@ def test_bench_on_a_checkpoint_of_another_shape_exits_two_and_writes_nothing(
     ]
 
 
+def test_bench_on_a_checkpoint_of_more_agents_exits_two_and_writes_nothing(tmp_path, capsys):
+    # Power-only state and action widths do not depend on the cell count,
+    # so only the agent count tells a 4-cell checkpoint from a 3-cell one.
+    four = str(write_config(tmp_path, name="four.cfg", num_cells=4, action_mode="mslnr-power"))
+    assert main(["train", four]) == 0
+    ckpt = tmp_path / "out" / "checkpoints" / "train_mslnr_00000014.npz"
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    config = str(write_config(tmp_path, action_mode="mslnr-power"))  # num_cells = 3
+    capsys.readouterr()
+    argv = ["bench", config, "--schemes", "mslnr-ddpg", "--mslnr-checkpoint", str(ckpt)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: checkpoint {ckpt} holds 4 agents, this config has 3 cells" in err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
+
+
+def test_resume_and_bench_reject_a_checkpoint_of_another_width_alike(tmp_path, capsys):
+    assert main(["train", str(write_config(tmp_path))]) == 0
+    ckpt = str(tmp_path / "out" / "checkpoints" / "train_00000007.npz")
+    config = str(write_config(tmp_path, name="other.cfg", num_interferers=1))
+    capsys.readouterr()
+    errors = []
+    for argv in (
+        ["train", config, "--resume", ckpt],
+        ["bench", config, "--schemes", "ddcbf", "--checkpoint", ckpt],
+    ):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"config error: agent 0 in checkpoint {ckpt} maps 134 state")
+
+
+def test_missing_run_checkpoint_exits_two_and_writes_nothing(tmp_path, capsys):
+    config = str(write_config(tmp_path))
+    missing = tmp_path / "nope.npz"
+    for argv in (
+        ["train", config, "--resume", str(missing)],
+        ["bench", config, "--schemes", "ddcbf", "--checkpoint", str(missing)],
+    ):
+        assert main(argv) == 2
+        assert f"config error: checkpoint not found: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
-def _flip_a_data_byte(path, entry="agent1_adam_actor_m.npy"):
+def _flip_a_data_byte(path, entry="agent1_adam_actor_m.npy", at=-1):
+    """Flip byte ``at`` (by default the last) of an archive entry's stored data."""
     with zipfile.ZipFile(path) as archive:
         info = archive.getinfo(entry)
     data = bytearray(path.read_bytes())
     # A local file header is 30 bytes, then the name and the extra field.
     name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
     start = info.header_offset + 30 + name_len + extra_len
-    data[start + info.compress_size - 1] ^= 0xFF  # the entry's last data byte
+    data[start + at % info.compress_size] ^= 0xFF
     path.write_bytes(bytes(data))
+
+
+def _flip_a_header_byte(path):
+    # Byte 20 of a .npy file lies inside its header's dict: the header no
+    # longer parses, which numpy reports before the zip's CRC check.
+    _flip_a_data_byte(path, "agent1_critic.npy", 20)
 
 
 def _drop_entry(path, key="agent1_critic"):
@@ -258,8 +309,9 @@ def _drop_entry(path, key="agent1_critic"):
         (_truncate, "File is not a zip file"),
         (_flip_a_data_byte, "Bad CRC-32 for file 'agent1_adam_actor_m.npy'"),
         (_drop_entry, "agent1_critic is not a file in the archive"),
+        (_flip_a_header_byte, "Cannot parse header"),
     ],
-    ids=["truncated", "flipped-byte", "missing-entry"],
+    ids=["truncated", "flipped-byte", "missing-entry", "flipped-header-byte"],
 )
 def test_damaged_run_checkpoint_exits_two(tmp_path, capsys, damage, message):
     config = str(write_config(tmp_path))

@@ -692,13 +692,14 @@ def test_env_checkpoint_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(3):
         states, _, _ = env.step(rng.uniform(0, 1, (3, env.action_dim)))
-    saved = env.state_dict()
+    saved = env.stream.state_dict()
     action = np.full((3, env.action_dim), 0.4)
     ref_states, ref_rewards, _ = env.step(action)
 
     net2, env2 = make_env(seed=10, slots=12)
     env2.reset()
-    env2.load_state_dict(saved)
+    env2.stream.load_state_dict(saved)
+    env2.resume()
     got_states, got_rewards, _ = env2.step(action)
     npt.assert_array_equal(ref_states, got_states)
     npt.assert_array_equal(ref_rewards, got_rewards)
@@ -718,9 +719,7 @@ def test_env_restore_stores_and_rebuilds_only_the_current_slot(monkeypatch, sour
     env = fresh()
     env.reset()
     env.step(np.full((3, env.action_dim), 0.3))
-    arrays, meta = env.state_dict()
-    assert meta == {"stream": env.stream.state_dict()[1]}
-    assert set(arrays) == set(env.stream.state_dict()[0])
+    saved = env.stream.state_dict()
 
     calls = []
 
@@ -734,7 +733,8 @@ def test_env_restore_stores_and_rebuilds_only_the_current_slot(monkeypatch, sour
     monkeypatch.setattr(env_module, "csi_features", counted_csi_features)
     monkeypatch.setattr(env_module, "select_interfered", no_selection)
     restored = fresh()
-    restored.load_state_dict((arrays, meta))
+    restored.stream.load_state_dict(saved)
+    restored.resume()
     # One compression: the current slot's serving channels.  The previous
     # slot is not rebuilt: the next step records its own.
     assert len(calls) == 1

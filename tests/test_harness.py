@@ -377,6 +377,21 @@ def test_resume_draws_no_initial_weights(tmp_path, monkeypatch):
     assert (tmp_path / "part" / "train.csv").read_bytes() == full_csv
 
 
+def test_resume_opens_the_checkpoint_once(tmp_path, monkeypatch):
+    full_csv, part_cfg, ckpt = _finished_run_and_checkpoint(tmp_path)
+    opened = []
+    load = np.load
+
+    def counted_load(file, *args, **kwargs):
+        opened.append(file)
+        return load(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", counted_load)
+    run_train(part_cfg, resume_from=ckpt)
+    assert len(opened) == 1
+    assert (tmp_path / "part" / "train.csv").read_bytes() == full_csv
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -396,8 +411,10 @@ def test_resume_rejects_config_that_differs_from_checkpoint(tmp_path, key, value
     cfg = parse_config(write_config(tmp_path))
     ckpt = run_train(cfg)["checkpoint"]
     other = parse_config(write_config(tmp_path, name="other.cfg", **{key: value}))
-    name = "state_dim" if key == "csi_keep" else key
-    with pytest.raises(ConfigError, match=rf"^{name} = .* does not match"):
+    message = rf"^{key} = .* does not match"
+    if key == "csi_keep":
+        message = r"^agent 0 in checkpoint .* maps 134 state entries to 10 action entries"
+    with pytest.raises(ConfigError, match=message):
         run_train(other, resume_from=ckpt)
 
 
@@ -454,9 +471,9 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, break_savez):
         save_checkpoint(path, 1, states, env, agents)
     assert os.listdir(ckpt_dir) == ["train.npz"]
     fresh_env = _build_env(cfg)
-    slot, _ = load_checkpoint(path, fresh_env)
+    slot, _, agents = load_checkpoint(path, fresh_env)
     assert slot == 0
-    assert len(load_agents_from_checkpoint(path, cfg.network.num_cells)) == 3
+    assert len(agents) == 3
 
 
 def _checkpoint_arrays(path):
@@ -481,8 +498,7 @@ def test_checkpoint_round_trip_is_a_fixed_point(tmp_path, source):
     later = tmp_path / "out" / "checkpoints" / "train_00000014.npz"
     for path in (first, later):
         env = _build_env(cfg)
-        slot, states = load_checkpoint(path, env)
-        agents = load_agents_from_checkpoint(path, cfg.network.num_cells)
+        slot, states, agents = load_checkpoint(path, env)
         again = tmp_path / "again.npz"
         save_checkpoint(again, slot, states, env, agents)
         stored, rewritten = _checkpoint_arrays(path), _checkpoint_arrays(again)

@@ -322,7 +322,6 @@ def wmmse_loop(channel, net_cfg, stop_eps=1e-4, max_iter=500, w0=None):
         u_gen, v_gen = u, v
     beams = BeamformerSet(w=w)
     state = WmmseState(
-        beams=beams,
         u=u_gen,
         v=v_gen,
         mu=mu.copy(),

@@ -103,3 +103,47 @@ def test_the_check_finds_an_assert():
 def test_module_raises_instead_of_asserting(path):
     # ``python -O`` strips asserts: a failed check must raise an error instead.
     assert assert_lines(path.read_text()) == []
+
+
+PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def harness_reads(source):
+    """Names that ``source`` reads from its ``harness`` module.
+
+    Those read as ``harness.<name>`` and those passed next to it as a string,
+    as in ``captured(harness, "<name>")`` or ``getattr(harness, "<name>")``.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "harness":
+                names.add(node.attr)
+        elif isinstance(node, ast.Call):
+            for first, second in zip(node.args, node.args[1:]):
+                if (
+                    isinstance(first, ast.Name)
+                    and first.id == "harness"
+                    and isinstance(second, ast.Constant)
+                    and isinstance(second.value, str)
+                ):
+                    names.add(second.value)
+    return sorted(names)
+
+
+def test_the_check_finds_the_harness_reads():
+    source = (
+        "from cbflab import harness\nharness.run_train(cfg)\nother.load_trace(p)\n"
+        "with captured(harness, 'generate_trace'):\n    harness.MetricSink.read(p)\n"
+    )
+    assert harness_reads(source) == ["MetricSink", "generate_trace", "run_train"]
+
+
+def test_perfbench_reads_only_names_the_harness_has():
+    # The benchmark script drives the package through ``cbflab.harness``: a
+    # refactor that renames one of the names it reads breaks the benchmark.
+    from cbflab import harness
+
+    names = harness_reads(PERFBENCH_RUN.read_text())
+    assert {"generate_trace", "load_agents_from_checkpoint", "run_train"} <= set(names)
+    assert [name for name in names if not hasattr(harness, name)] == []
