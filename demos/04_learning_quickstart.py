@@ -2,7 +2,10 @@
 
 One BS, one user: the only thing to learn is to spend the whole power
 budget (the structured direction is already optimal).  A few thousand slots
-take under a minute and approach the closed-form capacity.
+take under a minute and approach the closed-form capacity.  The agent
+keeps its settings in one dict, ``agent.hyperparameters``, and its weights
+and Adam moments in another, ``agent.flats``: the two records its checkpoint
+stores.
 
 Run:  python demos/04_learning_quickstart.py
 """
@@ -34,7 +37,7 @@ for slot in range(3000):
         1.0 + net.max_power * np.linalg.norm(env.channel.h[0, 0, 0]) ** 2
         / net.noise_power
     )
-    if slot < agent.batch_size:
+    if slot < agent.hyperparameters["batch_size"]:
         action = agent.random_action()
     else:
         action = agent.act(states[0], explore=True)

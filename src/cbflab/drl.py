@@ -7,6 +7,12 @@ deterministic for a fixed seed, with BLAS on one thread per call.  Agents
 never share parameters or state, matching decentralized per-BS training, so
 several agents may train at once on separate threads, and the results do not
 depend on how many threads there are.
+
+A ``DdpgAgent`` is two records, and its checkpoint is those records: the dict
+of its ``HYPERPARAMETERS`` (in the checkpoint's JSON ``meta``) and the dict of
+its flat vectors, the parameters of each net and the Adam moments (one
+checkpoint array each).  A fresh and a restored agent are set up alike from
+them.
 """
 
 from __future__ import annotations
@@ -309,10 +315,11 @@ class ReplayMemory:
         self._cursor = int(blob["cursor"])
 
 
-# Construction values of an agent besides its dimensions and seed, in the
-# order its checkpoint ``meta`` lists them.  The harness config has a field of
-# each name.  ``meta`` stores the running ``noise_sigma`` in place of
-# ``noise_sigma_init``, so a restored agent continues the noise schedule.
+# Construction values of an agent besides its dimensions and seed: the keys of
+# ``DdpgAgent.hyperparameters``, in the order it and its checkpoint ``meta``
+# list them.  The harness config has a field of each name.  ``meta`` stores the
+# running ``noise_sigma`` in place of ``noise_sigma_init``, so a restored agent
+# continues the noise schedule.
 HYPERPARAMETERS = (
     "hidden_sizes",
     "noise_sigma_init",
@@ -367,12 +374,19 @@ class DdpgAgent:
     ``noise_sigma_min``.  Every name in ``HYPERPARAMETERS`` is a required
     keyword argument, checked by ``check_hyperparameters``; there are no
     defaults here (the harness config holds them).
+
+    The agent is two records, both of which its checkpoint stores:
+    ``hyperparameters`` maps each name to its setting, in ``HYPERPARAMETERS``
+    order, and ``flats`` maps each ``_FLAT_KEYS`` key to its vector, in that
+    order.  The nets and Adam optimizers own those vectors.  ``noise_sigma``
+    is the running noise scale; a restored agent's ``noise_sigma_init`` is
+    the scale it was saved at.
     """
 
-    def __init__(self, state_dim, action_dim, *, seed, hidden_sizes, **hyperparameters):
-        self.check_hyperparameters({"hidden_sizes": hidden_sizes, **hyperparameters})
+    def __init__(self, state_dim, action_dim, *, seed, **hyperparameters):
+        self.check_hyperparameters(hyperparameters)
         rng = np.random.default_rng(seed)
-        sizes = _layer_sizes(state_dim, action_dim, hidden_sizes)
+        sizes = _layer_sizes(state_dim, action_dim, hyperparameters["hidden_sizes"])
         flats = {}
         for net, activation in (("actor", "sigmoid"), ("critic", "identity")):
             flat = Mlp.create(sizes[net], activation, rng).flat
@@ -380,17 +394,19 @@ class DdpgAgent:
             flats[f"target_{net}"] = flat.copy()
             flats[f"adam_{net}_m"] = np.zeros_like(flat)
             flats[f"adam_{net}_v"] = np.zeros_like(flat)
-        self._build(
-            state_dim, action_dim, rng, flats, hidden_sizes=hidden_sizes, **hyperparameters
-        )
+        self._setup(state_dim, action_dim, rng, hyperparameters, flats)
 
     @staticmethod
     def check_hyperparameters(values):
-        """Raise ValueError for settings no agent can learn with.
+        """Check settings that map every name in ``HYPERPARAMETERS`` to a value.
 
-        ``values`` maps every name in ``HYPERPARAMETERS`` to its setting; the
-        message starts with the name.
+        TypeError for a missing or unknown name, as a keyword signature
+        raises; ValueError, its message starting with the name, for settings
+        no agent can learn with.
         """
+        odd = set(values).symmetric_difference(HYPERPARAMETERS)
+        if odd:
+            raise TypeError(f"missing or unknown hyperparameters: {sorted(odd)}")
         if any(width < 1 for width in values["hidden_sizes"]):
             raise ValueError("hidden_sizes must list widths >= 1")
         for name in ("noise_sigma_init", "noise_decay"):
@@ -406,58 +422,30 @@ class DdpgAgent:
             if not values[name] > 0:
                 raise ValueError(f"{name} must be > 0")
 
-    def _build(
-        self,
-        state_dim,
-        action_dim,
-        rng,
-        flats,
-        *,
-        hidden_sizes,
-        noise_sigma_init,
-        noise_decay,
-        noise_sigma_min,
-        discount,
-        soft_update_rate,
-        batch_size,
-        memory_capacity,
-        actor_lr,
-        critic_lr,
-    ):
-        """Set up the agent around ``flats``, its vectors by ``_FLAT_KEYS`` key.
+    def _setup(self, state_dim, action_dim, rng, hyperparameters, flats):
+        """Set up the agent around its two records, checked by the caller.
 
-        The nets and optimizers take ownership of those vectors.
+        Both are put in their canonical order; the nets and optimizers take
+        ownership of the vectors in ``flats``.
         """
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self.hidden_sizes = tuple(hidden_sizes)
-        self.discount = discount
-        self.soft_update_rate = soft_update_rate
-        self.noise_sigma = noise_sigma_init
-        self.noise_decay = noise_decay
-        self.noise_sigma_min = noise_sigma_min
-        self.batch_size = batch_size
         self.rng = rng
-        sizes = _layer_sizes(state_dim, action_dim, hidden_sizes)
+        hp = {name: hyperparameters[name] for name in HYPERPARAMETERS}
+        hp["hidden_sizes"] = tuple(hp["hidden_sizes"])
+        self.hyperparameters = hp
+        self.noise_sigma = hp["noise_sigma_init"]
+        self.flats = {key: flats[key] for key in _FLAT_KEYS}
+        sizes = _layer_sizes(state_dim, action_dim, hp["hidden_sizes"])
         self.actor = Mlp(sizes["actor"], flats["actor"], "sigmoid")
         self.critic = Mlp(sizes["critic"], flats["critic"], "identity")
         self.target_actor = Mlp(sizes["actor"], flats["target_actor"], "sigmoid")
         self.target_critic = Mlp(sizes["critic"], flats["target_critic"], "identity")
-        self.adam_actor = Adam(flats["adam_actor_m"], flats["adam_actor_v"], actor_lr)
-        self.adam_critic = Adam(flats["adam_critic_m"], flats["adam_critic_v"], critic_lr)
-        self.memory = ReplayMemory(memory_capacity)
-
-    @property
-    def memory_capacity(self):
-        return self.memory.capacity
-
-    @property
-    def actor_lr(self):
-        return self.adam_actor.lr
-
-    @property
-    def critic_lr(self):
-        return self.adam_critic.lr
+        self.adam_actor = Adam(flats["adam_actor_m"], flats["adam_actor_v"], hp["actor_lr"])
+        self.adam_critic = Adam(
+            flats["adam_critic_m"], flats["adam_critic_v"], hp["critic_lr"]
+        )
+        self.memory = ReplayMemory(hp["memory_capacity"])
 
     def act(self, state, explore=True):
         """Policy action, optionally with clipped exploration noise.
@@ -467,10 +455,11 @@ class DdpgAgent:
         """
         action = self.actor.forward(state)
         if explore:
+            hp = self.hyperparameters
             noise = self.rng.normal(0.0, self.noise_sigma, self.action_dim)
             action = np.clip(action + noise, 0.0, 1.0)
             self.noise_sigma = max(
-                self.noise_sigma / (1.0 + self.noise_decay), self.noise_sigma_min
+                self.noise_sigma / (1.0 + hp["noise_decay"]), hp["noise_sigma_min"]
             )
         return action
 
@@ -482,7 +471,7 @@ class DdpgAgent:
         self.memory.push(state, action, reward, next_state)
 
     def ready(self):
-        return len(self.memory) >= self.batch_size
+        return len(self.memory) >= self.hyperparameters["batch_size"]
 
     def train_step(self, batch=None):
         """One critic + actor update from a replay mini-batch.
@@ -496,7 +485,7 @@ class DdpgAgent:
             the sampled state-action pairs.
         """
         if batch is None:
-            batch = self.memory.sample(self.batch_size, self.rng)
+            batch = self.memory.sample(self.hyperparameters["batch_size"], self.rng)
         states, actions, rewards, next_states = batch
         if states.shape[0] == 0:
             raise ValueError("empty training batch")
@@ -513,7 +502,7 @@ class DdpgAgent:
         next_q = self.target_critic.forward(
             np.hstack([next_states, next_actions])
         )[:, 0]
-        targets = rewards + self.discount * next_q
+        targets = rewards + self.hyperparameters["discount"] * next_q
 
         q, ctx = self.critic.forward_cached(np.hstack([states, actions]))
         q = q[:, 0]
@@ -547,7 +536,7 @@ class DdpgAgent:
 
         ``rho`` is ``soft_update_rate``, checked at construction.
         """
-        rho = self.soft_update_rate
+        rho = self.hyperparameters["soft_update_rate"]
         for target, online in (
             (self.target_actor, self.actor),
             (self.target_critic, self.critic),
@@ -559,21 +548,14 @@ class DdpgAgent:
     # -- checkpointing ----------------------------------------------------
 
     def state_dict(self):
-        """Checkpoint arrays: one flat vector per net and per Adam moment.
+        """Checkpoint arrays: the ``flats`` record, the replay and a JSON ``meta``.
 
-        The arrays alias the live agent (no copies), so write them out before
-        the agent trains or acts again.
+        ``meta`` holds the ``hyperparameters`` record, with the running
+        ``noise_sigma`` in place of ``noise_sigma_init``.  The arrays alias
+        the live agent (no copies), so write them out before the agent trains
+        or acts again.
         """
-        arrays = {
-            "actor": self.actor.flat,
-            "critic": self.critic.flat,
-            "target_actor": self.target_actor.flat,
-            "target_critic": self.target_critic.flat,
-            "adam_actor_m": self.adam_actor.m,
-            "adam_actor_v": self.adam_actor.v,
-            "adam_critic_m": self.adam_critic.m,
-            "adam_critic_v": self.adam_critic.v,
-        }
+        arrays = dict(self.flats)
         replay = self.memory.dump()
         if replay is not None:
             for key in _REPLAY_KEYS:
@@ -582,16 +564,14 @@ class DdpgAgent:
             "version": CHECKPOINT_VERSION,
             "state_dim": self.state_dim,
             "action_dim": self.action_dim,
+            **{_meta_key(name): value for name, value in self.hyperparameters.items()},
+            "noise_sigma": self.noise_sigma,  # the running sigma, in its place
+            "adam_actor_step": self.adam_actor.step_count,
+            "adam_critic_step": self.adam_critic.step_count,
+            "replay_cursor": 0 if replay is None else replay["cursor"],
+            "replay_len": len(self.memory),
+            "rng_state": self.rng.bit_generator.state,
         }
-        for name in HYPERPARAMETERS:
-            meta[_meta_key(name)] = getattr(self, _meta_key(name))
-        meta.update(
-            adam_actor_step=self.adam_actor.step_count,
-            adam_critic_step=self.adam_critic.step_count,
-            replay_cursor=0 if replay is None else replay["cursor"],
-            replay_len=len(self.memory),
-            rng_state=self.rng.bit_generator.state,
-        )
         arrays["meta"] = np.array(json.dumps(meta))
         return arrays
 
@@ -609,13 +589,8 @@ class DdpgAgent:
         cls.check_hyperparameters(hyperparameters)
         flats = {key: _flat_entry(arrays, meta, key) for key in _FLAT_KEYS}
         agent = cls.__new__(cls)
-        agent._build(
-            meta["state_dim"],
-            meta["action_dim"],
-            np.random.default_rng(),
-            flats,
-            **hyperparameters,
-        )
+        rng = np.random.default_rng()
+        agent._setup(meta["state_dim"], meta["action_dim"], rng, hyperparameters, flats)
         agent.rng.bit_generator.state = meta["rng_state"]
         agent.adam_actor.step_count = int(meta["adam_actor_step"])
         agent.adam_critic.step_count = int(meta["adam_critic_step"])

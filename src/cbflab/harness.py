@@ -4,8 +4,8 @@ Configs are flat ``key = value`` text files ('#' starts a comment).  The
 keys and their defaults are the fields of ``RunConfig``, the one table of run
 settings: unknown keys are rejected, every omitted key falls back to its
 field's default, and dB/dBm values are converted to linear watts right here
-at the boundary.  Agents are built from the fields named in
-``drl.HYPERPARAMETERS``.
+at the boundary.  Agents are built from, and resumed agents checked against,
+``RunConfig.hyperparameters``: the fields named in ``drl.HYPERPARAMETERS``.
 
 Metric output is a versioned CSV (deterministic: two runs with the same
 config and seeds produce bit-identical files, however many threads train the
@@ -115,12 +115,14 @@ class RunConfig:
     field's ``parse`` metadata or else by its annotated type, so a config
     built from raw text and one built with ``dataclasses.replace`` come out
     alike.  ``network`` and ``channel`` are derived from the fields, and the
-    count keys, ``wmmse_stop_eps`` (> 0), the agent and env settings (by the
-    checks of ``DdpgAgent`` and ``BeamformingEnv``) and the schemes checked,
-    in ``__post_init__`` (``replace`` reruns both).  Every float key must be
-    finite, and the dBm keys must convert to a finite power above 0 W.  A
-    ValueError of the derived configs becomes a ConfigError that names the
-    config key, not the derived field.
+    count keys, ``wmmse_stop_eps`` (> 0), ``bench_offset`` (-1 for auto, or
+    >= 0), the agent and env settings (by the checks of ``DdpgAgent`` and
+    ``BeamformingEnv``) and the schemes checked, in ``__post_init__``
+    (``replace`` reruns both).  ``hyperparameters`` gathers the agent
+    settings into one dict.  Every float key must be finite, and the dBm
+    keys must convert to a finite power above 0 W.  A ValueError of the
+    derived configs becomes a ConfigError that names the config key, not the
+    derived field.
     """
 
     # network
@@ -195,6 +197,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be >= 1")
         if not self.wmmse_stop_eps > 0:
             raise ConfigError("wmmse_stop_eps must be > 0")
+        if self.bench_offset < -1:
+            raise ConfigError("bench_offset must be -1 (auto) or >= 0")
 
         max_power = _dbm_key_to_watt("p_max_dbm", self.p_max_dbm)
         noise_power = _dbm_key_to_watt("noise_dbm", self.noise_dbm)
@@ -221,7 +225,7 @@ class RunConfig:
                 angular_spread_deg=self.angular_spread_deg,
                 rng_seed=self.seed,
             )
-            DdpgAgent.check_hyperparameters({k: getattr(self, k) for k in HYPERPARAMETERS})
+            DdpgAgent.check_hyperparameters(self.hyperparameters)
             BeamformingEnv.check_settings(
                 self.num_cells,
                 self.codebook_size,
@@ -240,6 +244,11 @@ class RunConfig:
                 raise ConfigError(f"unknown scheme '{scheme}' (choices: {SCHEMES})")
         if len(set(self.schemes)) < len(self.schemes):
             raise ConfigError("schemes must not list a scheme twice")
+
+    @property
+    def hyperparameters(self):
+        """The agent settings, by ``drl.HYPERPARAMETERS`` name."""
+        return {name: getattr(self, name) for name in HYPERPARAMETERS}
 
 
 def _config_keys():
@@ -269,26 +278,31 @@ def parse_config(path):
     """Parse a flat key = value config file.
 
     Raises ConfigError with the offending line number for unknown keys,
-    malformed lines or bad values.
+    malformed lines or bad values, and naming the file if it is not UTF-8
+    text.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     keys = {f.name for f in _config_keys()}
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            values[key] = raw.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
+        values[key] = raw.strip()
     try:
         return build_config(values)
     except ConfigError as exc:
@@ -421,9 +435,8 @@ def _build_env(cfg: RunConfig, stream=None, action_mode=None):
 
 
 def _build_agents(cfg: RunConfig, env):
-    hyperparameters = {name: getattr(cfg, name) for name in HYPERPARAMETERS}
     return [
-        DdpgAgent(env.state_dim, env.action_dim, seed=[cfg.seed, n], **hyperparameters)
+        DdpgAgent(env.state_dim, env.action_dim, seed=[cfg.seed, n], **cfg.hyperparameters)
         for n in range(cfg.network.num_cells)
     ]
 
@@ -435,13 +448,11 @@ def _check_resumed_agents(cfg: RunConfig, agents, path):
     sigma in its place, so the agents continue their noise schedule.  The
     state and action widths were checked as the agents were read.
     """
-    expected = {
-        name: getattr(cfg, name) for name in HYPERPARAMETERS if name != "noise_sigma_init"
-    }
+    expected = cfg.hyperparameters
     for n, agent in enumerate(agents):
-        for key, value in expected.items():
-            stored = getattr(agent, key)
-            if stored != value:
+        for key, stored in agent.hyperparameters.items():
+            value = expected[key]
+            if key != "noise_sigma_init" and stored != value:
                 raise ConfigError(
                     f"{key} = {value!r} does not match the value {stored!r} "
                     f"that agent {n} in checkpoint {path} was built with"
@@ -516,25 +527,30 @@ def _open_checkpoint(path, num_agents):
 
     The one opener of run checkpoints.  ConfigError if the file is missing,
     of an unknown version, holds another agent count than ``num_agents``, or
-    is damaged: not a zip file, failing an entry's CRC check, lacking an
-    entry that the reader asks for or holding one that does not parse.  A
-    ConfigError raised inside the block passes through unchanged.
+    is damaged: not a zip file (a plain ``.npy`` file among them), failing
+    an entry's CRC check, lacking an entry that the reader asks for or
+    holding one that does not parse.  A ConfigError raised inside the block
+    passes through unchanged.
     """
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
     try:
         # np.load of a path leaves the file open when the zip fails to open.
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            try:
-                meta = read_meta(data["harness_meta"])
-            except ValueError as exc:
-                raise ConfigError(f"{exc} in {path}") from None
-            if meta["num_agents"] != num_agents:
-                raise ConfigError(
-                    f"checkpoint {path} holds {meta['num_agents']} agents, "
-                    f"this config has {num_agents} cells"
-                )
-            yield data, meta
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a plain .npy array
+                raise ValueError("not an .npz archive")
+            with data:
+                try:
+                    meta = read_meta(data["harness_meta"])
+                except ValueError as exc:
+                    raise ConfigError(f"{exc} in {path}") from None
+                if meta["num_agents"] != num_agents:
+                    raise ConfigError(
+                        f"checkpoint {path} holds {meta['num_agents']} agents, "
+                        f"this config has {num_agents} cells"
+                    )
+                yield data, meta
     except ConfigError:
         raise
     except (zipfile.BadZipFile, KeyError, ValueError) as exc:
@@ -690,6 +706,7 @@ def run_train(cfg: RunConfig, resume_from=None):
                 train_workers=workers,
             )
         warmup = cfg.batch_size
+        final_ckpt = resume_from  # the checkpoint that holds the last slot run
         sum_rates = []
         # Each checkpoint event's wall_s covers the slots since the previous
         # checkpoint (or the run or resume start), including its own write.
@@ -716,6 +733,7 @@ def run_train(cfg: RunConfig, resume_from=None):
                 if (slot + 1) % cfg.checkpoint_every == 0 or slot + 1 == cfg.num_slots:
                     path = os.path.join(ckpt_dir, f"{basename}_{slot + 1:08d}.npz")
                     save_checkpoint(path, slot + 1, states, env, agents)
+                    final_ckpt = path
                     now = time.perf_counter()
                     sink.event(
                         "checkpoint",
@@ -734,7 +752,6 @@ def run_train(cfg: RunConfig, resume_from=None):
                 recent_sum_rates=sum_rates[-20:],
             )
             raise
-        final_ckpt = os.path.join(ckpt_dir, f"{basename}_{cfg.num_slots:08d}.npz")
 
         rows = MetricSink.read(sink.csv_path)
         series = [r["sum_rate"] for r in rows if r["scheme"] == "train"]

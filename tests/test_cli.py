@@ -153,6 +153,7 @@ BAD_VALUES = [
     ("train", {"batch_size": 65}, "batch_size must be <= memory_capacity"),
     ("train", {"action_mode": "foo"}, "action_mode must be one of"),
     ("train", {"seed": -1}, "seed must be >= 0"),
+    ("bench", {"bench_offset": -2}, "bench_offset must be -1 (auto) or >= 0"),
 ]
 
 
@@ -171,6 +172,15 @@ def test_bad_config_value_exits_two_and_writes_nothing(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_text_exits_two_and_writes_nothing(tmp_path, capsys):
+    config = write_config(tmp_path)
+    config.write_bytes(config.read_bytes() + b"# caf\xff\n")
+    assert main(["train", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}: not UTF-8 text")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -303,6 +313,12 @@ def _drop_entry(path, key="agent1_critic"):
     np.savez(path, **arrays)
 
 
+def _plain_npy(path):
+    # np.load of a .npy file returns the array itself, not an archive.
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -310,8 +326,9 @@ def _drop_entry(path, key="agent1_critic"):
         (_flip_a_data_byte, "Bad CRC-32 for file 'agent1_adam_actor_m.npy'"),
         (_drop_entry, "agent1_critic is not a file in the archive"),
         (_flip_a_header_byte, "Cannot parse header"),
+        (_plain_npy, "not an .npz archive"),
     ],
-    ids=["truncated", "flipped-byte", "missing-entry", "flipped-header-byte"],
+    ids=["truncated", "flipped-byte", "missing-entry", "flipped-header-byte", "npy"],
 )
 def test_damaged_run_checkpoint_exits_two(tmp_path, capsys, damage, message):
     config = str(write_config(tmp_path))
@@ -323,7 +340,7 @@ def test_damaged_run_checkpoint_exits_two(tmp_path, capsys, damage, message):
     damage(ckpt)
     capsys.readouterr()
     commands = [["train", config, "--resume", str(ckpt)]]
-    if damage is _truncate:  # the bench reads only the actors of the others
+    if damage in (_truncate, _plain_npy):  # the bench reads only the actors of the others
         commands.append(["bench", config, "--schemes", "ddcbf", "--checkpoint", str(ckpt)])
     for argv in commands:
         assert main(argv) == 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cbflab.drl import (
     CHECKPOINT_VERSION,
+    HYPERPARAMETERS,
     Adam,
     DdpgAgent,
     Mlp,
@@ -289,18 +290,18 @@ def test_soft_update_extremes_and_midpoint():
     target = agent.target_actor.parameters()
     for t in target:
         t.fill(0.0)
-    agent.soft_update_rate = 0.0
+    agent.hyperparameters["soft_update_rate"] = 0.0
     agent.soft_update()
     for t in target:
         npt.assert_array_equal(t, 0.0)
-    agent.soft_update_rate = 1.0
+    agent.hyperparameters["soft_update_rate"] = 1.0
     agent.soft_update()
     for t, o in zip(target, online):
         npt.assert_array_equal(t, o)
     # scalar check: target 0, online 2, rate 0.5 -> 1
     online[0].fill(2.0)
     target[0].fill(0.0)
-    agent.soft_update_rate = 0.5
+    agent.hyperparameters["soft_update_rate"] = 0.5
     agent.soft_update()
     npt.assert_allclose(target[0], 1.0)
 
@@ -757,3 +758,82 @@ def test_unknown_checkpoint_version_rejected():
         ValueError, match=f"unsupported checkpoint version {CHECKPOINT_VERSION + 1}"
     ):
         DdpgAgent.from_state_dict(arrays)
+
+
+# -- the agent's two records ------------------------------------------------------
+
+
+# Settings of the agents below, in another order than ``HYPERPARAMETERS``.
+SETTINGS = dict(
+    batch_size=4,
+    memory_capacity=64,
+    hidden_sizes=(8, 6),
+    actor_lr=1e-3,
+    critic_lr=2e-3,
+    discount=0.5,
+    soft_update_rate=0.01,
+    **NOISE,
+)
+
+
+@pytest.mark.parametrize(
+    "values, extra, message",
+    [
+        (
+            {k: v for k, v in SETTINGS.items() if k != "hidden_sizes"},
+            {},
+            r"missing or unknown hyperparameters: \['hidden_sizes'\]",
+        ),
+        (
+            {**SETTINGS, "discout": 0.5},
+            {},
+            r"missing or unknown hyperparameters: \['discout'\]",
+        ),
+        (SETTINGS, {"discount": 0.5}, "multiple values for keyword argument 'discount'"),
+    ],
+    ids=["missing", "unknown", "repeated"],
+)
+def test_agent_rejects_a_missing_unknown_or_repeated_name(values, extra, message):
+    with pytest.raises(TypeError, match=message):
+        DdpgAgent(6, 3, seed=0, **values, **extra)
+
+
+def test_agent_keeps_its_hyperparameters_in_one_ordered_record():
+    agent = DdpgAgent(6, 3, seed=0, **SETTINGS)
+    assert list(agent.hyperparameters) == list(HYPERPARAMETERS)
+    assert agent.hyperparameters == SETTINGS
+    assert list(agent.flats) == [
+        "actor",
+        "critic",
+        "target_actor",
+        "target_critic",
+        "adam_actor_m",
+        "adam_actor_v",
+        "adam_critic_m",
+        "adam_critic_v",
+    ]
+    assert agent.flats["critic"] is agent.critic.flat
+    assert agent.flats["adam_actor_v"] is agent.adam_actor.v
+
+
+def test_restored_agent_keeps_its_hyperparameters_with_the_running_sigma():
+    agent = DdpgAgent(6, 3, seed=0, **SETTINGS)
+    fill_memory(agent, 6, seed=2)
+    for _ in range(3):
+        agent.act(np.zeros(6), explore=True)
+    assert agent.noise_sigma < SETTINGS["noise_sigma_init"]
+    back = DdpgAgent.from_state_dict(agent.state_dict())
+    assert back.hyperparameters == {**SETTINGS, "noise_sigma_init": agent.noise_sigma}
+    assert list(back.hyperparameters) == list(HYPERPARAMETERS)
+    assert back.noise_sigma == agent.noise_sigma
+    assert list(back.flats) == list(agent.flats)
+
+
+def test_checkpoint_does_not_depend_on_the_keyword_order():
+    forward = DdpgAgent(6, 3, seed=5, **SETTINGS)
+    backward = DdpgAgent(6, 3, seed=5, **dict(reversed(SETTINGS.items())))
+    one, two = forward.state_dict(), backward.state_dict()
+    assert list(one) == list(two)
+    assert str(one["meta"]) == str(two["meta"])
+    for key in one:
+        assert one[key].tobytes() == two[key].tobytes()

@@ -426,6 +426,22 @@ def test_resume_keeps_the_checkpoints_noise_sigma(tmp_path):
     assert (tmp_path / "part" / "train.csv").read_bytes() == full_csv
 
 
+def test_resuming_a_finished_run_names_the_checkpoint_it_resumed(tmp_path):
+    # No slot runs, so the resumed file holds the final slot; the other
+    # out_dir, which holds a copy of the metrics, gets no checkpoint.
+    cfg = parse_config(write_config(tmp_path))  # num_slots = 14
+    ckpt = run_train(cfg)["checkpoint"]
+    rows = (tmp_path / "out" / "train.csv").read_bytes()
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "train.csv").write_bytes(rows)
+    other = dataclasses.replace(cfg, out_dir=str(tmp_path / "other"))
+    summary = run_train(other, resume_from=ckpt)
+    assert summary["checkpoint"] == ckpt
+    (end,) = [e for e in _events(tmp_path / "other") if e["kind"] == "run-end"]
+    assert end["checkpoint"] == ckpt
+    assert os.listdir(tmp_path / "other" / "checkpoints") == []
+
+
 def _checkpoint_walls(events_path):
     """(slot, wall_s) of each checkpoint event, in log order."""
     with open(events_path) as fh:

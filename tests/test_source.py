@@ -1,6 +1,7 @@
 """Checks on the package source itself, made with the standard library's ``ast``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -105,7 +106,9 @@ def test_module_raises_instead_of_asserting(path):
     assert assert_lines(path.read_text()) == []
 
 
-PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PERFBENCH_RUN = PERFBENCH / "run.py"
+PERFBENCH_TRACER = PERFBENCH / "tracer.py"
 
 
 def harness_reads(source):
@@ -139,11 +142,54 @@ def test_the_check_finds_the_harness_reads():
     assert harness_reads(source) == ["MetricSink", "generate_trace", "run_train"]
 
 
+def traced_names(source):
+    """The (owner, attribute) pairs of the ``SPANS`` and ``COUNTS`` tables in ``source``."""
+    pairs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTS") for t in node.targets
+        ):
+            pairs += [(entry[0], entry[1]) for entry in ast.literal_eval(node.value)]
+    return pairs
+
+
+def owner_defines(owner, attribute):
+    """Whether ``owner`` ("module" or "module:Class") defines ``attribute`` itself.
+
+    The tracer patches a name only there, and skips it silently otherwise.
+    """
+    module, _, cls = owner.partition(":")
+    target = importlib.import_module(module)
+    return attribute in vars(getattr(target, cls) if cls else target)
+
+
+def test_the_check_finds_the_traced_names():
+    source = (
+        "SPANS = (\n    ('a.b', 'f', 'b.f', None),\n    ('a.b:C', 'g', 'b.g', '_obs'),\n)\n"
+        "COUNTS = (('a.c', 'h', 'c.h'),)\nTIMINGS = (('x', 'y', 'ms', False),)\n"
+    )
+    assert traced_names(source) == [("a.b", "f"), ("a.b:C", "g"), ("a.c", "h")]
+    assert owner_defines("cbflab.drl:DdpgAgent", "act")
+    assert not owner_defines("cbflab.drl:DdpgAgent", "__repr__")  # inherited, not its own
+    assert not owner_defines("cbflab.harness", "ura_steering")  # only in cbflab.channel
+
+
+# Traced names the package no longer defines, so their metrics read ``.n == 0``.
+# A change to the benchmark that traces their successors removes them here.
+KNOWN_UNTRACED = [("cbflab.harness", "mslnr_beamformer"), ("cbflab.solvers", "bisect_mu")]
+
+
 def test_perfbench_reads_only_names_the_harness_has():
-    # The benchmark script drives the package through ``cbflab.harness``: a
-    # refactor that renames one of the names it reads breaks the benchmark.
+    # The benchmark script drives the package through ``cbflab.harness``, and
+    # its tracer wraps package functions by name: a refactor that renames one
+    # of them breaks the benchmark, or silently empties a per-layer metric.
     from cbflab import harness
 
     names = harness_reads(PERFBENCH_RUN.read_text())
     assert {"generate_trace", "load_agents_from_checkpoint", "run_train"} <= set(names)
     assert [name for name in names if not hasattr(harness, name)] == []
+
+    traced = traced_names(PERFBENCH_TRACER.read_text())
+    assert ("cbflab.drl:DdpgAgent", "train_step") in traced
+    assert ("cbflab.channel", "ura_steering") in traced
+    assert [pair for pair in traced if not owner_defines(*pair)] == KNOWN_UNTRACED
