@@ -6,7 +6,9 @@ the decaying Gaussian exploration schedule.  Everything is float64 and
 deterministic for a fixed seed, with BLAS on one thread per call.  Agents
 never share parameters or state, matching decentralized per-BS training, so
 several agents may train at once on separate threads, and the results do not
-depend on how many threads there are.
+depend on how many threads there are.  A train step is two public halves,
+``update_critic`` and then ``update_actor``, so that a scheduler can run one
+agent's actor half while another agent's critic half runs.
 
 A ``DdpgAgent`` is two records, and its checkpoint is those records: the dict
 of its ``HYPERPARAMETERS`` (in the checkpoint's JSON ``meta``) and the dict of
@@ -240,7 +242,13 @@ class ReplayMemory:
     """Fixed-capacity FIFO store of (state, action, reward, next_state).
 
     Backed by preallocated ring-buffer arrays so mini-batch sampling is a
-    single fancy-indexing pass.
+    single fancy-indexing pass.  The rings are allocated at the first push,
+    or, for a restored memory, at its first push or sample: until then a
+    restored memory keeps the ``dump`` arrays it was given.  So the rings,
+    an agent's largest allocation, are made by the thread that trains, not
+    by a pool thread that restored the agent; made there, they landed on
+    that thread's recycled heap pages and raised the peak RSS of resumed
+    ref7 runs by 10-50 MB.
     """
 
     def __init__(self, capacity):
@@ -253,21 +261,30 @@ class ReplayMemory:
         self._next_states = None
         self._size = 0
         self._cursor = 0
+        self._restored = None  # the ``dump`` arrays of a restored memory
 
     def __len__(self):
         return self._size
 
-    def _allocate(self, state, action):
-        self._states = np.empty((self.capacity, state.size))
-        self._actions = np.empty((self.capacity, action.size))
+    def _allocate(self, state_size, action_size):
+        """Allocate the rings, moving a restored memory's items into them."""
+        self._states = np.empty((self.capacity, state_size))
+        self._actions = np.empty((self.capacity, action_size))
         self._rewards = np.empty(self.capacity)
-        self._next_states = np.empty((self.capacity, state.size))
+        self._next_states = np.empty((self.capacity, state_size))
+        restored, self._restored = self._restored, None
+        if restored is not None:
+            n = self._size
+            self._states[:n] = restored["states"]
+            self._actions[:n] = restored["actions"]
+            self._rewards[:n] = restored["rewards"]
+            self._next_states[:n] = restored["next_states"]
 
     def push(self, state, action, reward, next_state):
         state = np.asarray(state, dtype=float)
         action = np.asarray(action, dtype=float)
         if self._states is None:
-            self._allocate(state, action)
+            self._allocate(state.size, action.size)
         i = self._cursor
         self._states[i] = state
         self._actions[i] = action
@@ -282,6 +299,8 @@ class ReplayMemory:
             raise ValueError(
                 f"cannot sample {batch_size} items from a memory of {self._size}"
             )
+        if self._restored is not None:
+            self._allocate(self._restored["states"].shape[1], self._restored["actions"].shape[1])
         picks = rng.choice(self._size, size=batch_size, replace=False)
         return (
             self._states[picks],
@@ -291,9 +310,15 @@ class ReplayMemory:
         )
 
     def dump(self):
-        """The stored items as views of the ring buffers (None when empty)."""
+        """The stored items as views of the ring buffers (None when empty).
+
+        A restored memory not yet pushed to or sampled returns the arrays it
+        was restored from.
+        """
         if self._size == 0:
             return None
+        if self._restored is not None:
+            return dict(self._restored)
         return {
             "states": self._states[: self._size],
             "actions": self._actions[: self._size],
@@ -303,15 +328,9 @@ class ReplayMemory:
         }
 
     def restore(self, blob):
-        """Fill this empty memory from ``dump`` output."""
-        states = blob["states"]
-        self._allocate(states[0], blob["actions"][0])
-        n = states.shape[0]
-        self._states[:n] = states
-        self._actions[:n] = blob["actions"]
-        self._rewards[:n] = blob["rewards"]
-        self._next_states[:n] = blob["next_states"]
-        self._size = n
+        """Fill this empty memory from ``dump`` output, which it keeps until its rings exist."""
+        self._restored = blob
+        self._size = blob["states"].shape[0]
         self._cursor = int(blob["cursor"])
 
 
@@ -476,28 +495,33 @@ class DdpgAgent:
     def train_step(self, batch=None):
         """One critic + actor update from a replay mini-batch.
 
-        The critic regresses onto r + discount * Q'(s', pi'(s')); the actor
-        follows the deterministic policy gradient through the critic's action
-        input.  Target networks are untouched here.
+        Exactly ``update_critic(batch)`` followed by ``update_actor`` on the
+        batch's states.  Target networks are untouched here.
 
         Returns:
             (critic_loss, mean_q) with mean_q the pre-update critic value of
             the sampled state-action pairs.
         """
+        losses, states = self.update_critic(batch)
+        self.update_actor(states)
+        return losses
+
+    def update_critic(self, batch=None):
+        """The first half of ``train_step``: one Adam step of the critic.
+
+        Samples a replay mini-batch unless ``batch`` is given, and regresses
+        the critic onto r + discount * Q'(s', pi'(s')).  Returns
+        ((critic_loss, mean_q), states), the batch's states being what
+        ``update_actor`` takes.  Each half frees its gradient and activations
+        when it returns, which keeps down the memory of several agents
+        training at once.
+        """
         if batch is None:
             batch = self.memory.sample(self.hyperparameters["batch_size"], self.rng)
         states, actions, rewards, next_states = batch
-        if states.shape[0] == 0:
-            raise ValueError("empty training batch")
-        # Each half frees its gradient and activations when it returns, which
-        # keeps down the memory of several agents training at once.
-        losses = self._update_critic(states, actions, rewards, next_states)
-        self._update_actor(states)
-        return losses
-
-    def _update_critic(self, states, actions, rewards, next_states):
-        """One Adam step of the critic towards the TD targets; (loss, mean_q)."""
         b = states.shape[0]
+        if b == 0:
+            raise ValueError("empty training batch")
         next_actions = self.target_actor.forward(next_states)
         next_q = self.target_critic.forward(
             np.hstack([next_states, next_actions])
@@ -512,10 +536,14 @@ class DdpgAgent:
         upstream = (-2.0 / b) * err[:, None]
         critic_grad, _ = self.critic.backward(ctx, upstream, input_grad=False)
         self.adam_critic.step(self.critic.flat, critic_grad)
-        return critic_loss, mean_q
+        return (critic_loss, mean_q), states
 
-    def _update_actor(self, states):
-        """One Adam step of the actor along the critic's action gradient."""
+    def update_actor(self, states):
+        """The second half of ``train_step``: one Adam step of the actor.
+
+        The actor follows the deterministic policy gradient through the
+        (just updated) critic's action input at ``states``.
+        """
         b = states.shape[0]
         policy_actions, actor_ctx = self.actor.forward_cached(states)
         _, critic_ctx = self.critic.forward_cached(

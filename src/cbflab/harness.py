@@ -20,11 +20,14 @@ built (``_open_checkpoint``).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
+import functools
 import json
 import math
 import os
+import threading
 import time
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -323,12 +326,12 @@ class MetricSink:
 
     With ``resume_rows`` set, the sink reopens an existing run instead: the
     CSV is cut back to its first ``resume_rows`` slot rows (those a
-    checkpoint covers) and both files are appended to.  Use the sink as a
+    checkpoint covers) and both files are appended to; a missing or shorter
+    CSV raises ConfigError, and nothing is created.  Use the sink as a
     context manager so both files close on every exit.
     """
 
     def __init__(self, out_dir, num_cells, basename="train", resume_rows=None):
-        os.makedirs(out_dir, exist_ok=True)
         self.num_cells = num_cells
         self.csv_path = os.path.join(out_dir, f"{basename}.csv")
         self.events_path = os.path.join(out_dir, f"{basename}_events.jsonl")
@@ -338,12 +341,19 @@ class MetricSink:
         columns += ["sigma_a"]
         self.columns = columns
         if resume_rows is None:
+            os.makedirs(out_dir, exist_ok=True)
             self._csv = open(self.csv_path, "w")
             self._csv.write(f"# {METRICS_VERSION}\n" + ",".join(columns) + "\n")
             self._csv.flush()
         else:
-            with open(self.csv_path, "rb") as fh:
-                lines = fh.readlines()
+            try:
+                with open(self.csv_path, "rb") as fh:
+                    lines = fh.readlines()
+            except FileNotFoundError:
+                raise ConfigError(
+                    f"{self.csv_path} not found: a resumed run appends to the metrics "
+                    "of the run it resumes"
+                ) from None
             if len(lines) < 2 + resume_rows:
                 raise ConfigError(
                     f"{self.csv_path} holds {len(lines) - 2} rows, "
@@ -558,14 +568,20 @@ def _open_checkpoint(path, num_agents):
 
 
 def _read_agents(data, meta, path, build, env=None):
-    """``build(arrays)`` for each per-BS agent of an open run checkpoint.
+    """``build(arrays)`` for each per-BS agent of an open run checkpoint, in agent order.
 
-    With ``env`` given, agent ``n``'s stored state and action widths are
-    compared with the env's before it is built; the first that differ raise
-    ConfigError.
+    Agent ``n`` is read and built by worker ``n mod W`` (``_run_tasks``; W is
+    ``_train_workers`` of the agent count), the calling thread being worker
+    0, on a pool that ends with the call.  The archive serializes the reads
+    themselves; the CRC checks and array copies of different agents can
+    overlap.  With ``env`` given, agent ``n``'s stored state
+    and action widths are compared with the env's before it is built.  The
+    first failure in agent order propagates, as from a reader that builds
+    one agent after the other.
     """
-    agents = []
-    for n in range(meta["num_agents"]):
+    num_agents = meta["num_agents"]
+
+    def read(n):
         arrays = _AgentArrays(data, n)
         if env is not None:
             stored = read_meta(arrays["meta"])
@@ -576,15 +592,21 @@ def _read_agents(data, meta, path, build, env=None):
                     f"to {widths[1]} action entries, this config {env.state_dim} to "
                     f"{env.action_dim}"
                 )
-        agents.append(build(arrays))
-    return agents
+        return build(arrays)
+
+    workers = _train_workers(num_agents)
+    tasks = [(functools.partial(read, n), None) for n in range(num_agents)]
+    queues = [collections.deque(range(w, num_agents, workers)) for w in range(workers)]
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        return _run_tasks(pool, tasks, queues)
 
 
 def load_checkpoint(path, env):
     """Restore the env's channel stream in place and rebuild the agents.
 
-    Returns (slot, states, agents), read in one pass over the archive.  A
-    checkpoint that does not fit the env (another agent count, channel
+    Returns (slot, states, agents), read in one pass over the archive; the
+    agents are built on the training workers, in order (``_read_agents``).
+    A checkpoint that does not fit the env (another agent count, channel
     source, network shape, channel config, trace file or agent widths)
     raises ConfigError; the hyperparameters are the caller's to compare.
     """
@@ -614,33 +636,90 @@ def _train_workers(num_agents):
     return min(num_agents, cpus)
 
 
-def _train_share(agents):
-    """Train step and soft update of each ready agent; their critic losses in order."""
-    losses = []
-    for agent in agents:
-        if agent.ready():
-            loss, _ = agent.train_step()
-            agent.soft_update()
-            losses.append(loss)
-    return losses
+def _run_tasks(pool, tasks, queues):
+    """Run ``tasks`` on the calling thread and the pool's threads; their results in order.
 
-
-def _train_agents(pool, shares):
-    """Run ``_train_share`` on every share at once; the losses in agent order.
-
-    The calling thread trains the first share and the pool the others, each
-    in a copy of the caller's context (so numpy's error state holds there
-    too).  The first error raised, in share order, propagates; a share still
-    running then finishes before the pool shuts down.
+    ``tasks`` is a list of ``(fn, after)``.  With ``after`` None the task
+    calls ``fn()``; otherwise ``after`` is the index of an earlier task, and
+    the task waits for that one to finish and calls ``fn`` with its result,
+    or is skipped (its result None) if that one failed or was skipped.
+    Worker ``w`` -- the calling thread for ``w = 0``, a pool thread for the
+    others, each in a copy of the caller's context (so numpy's error state
+    holds there too) -- pulls the next task index from ``queues[w]``, a
+    deque of increasing indices; workers given the same deque share one
+    list.  A task that comes after a failed one is skipped, so every task
+    before the first failure runs, and each worker still pulls its queue
+    empty, so no task waits for one that never finishes.  Once every worker
+    has stopped, the error of the first failed task in list order
+    propagates.
     """
+    done = [threading.Event() for _ in tasks]
+    results = [None] * len(tasks)
+    finished = [False] * len(tasks)  # ran to the end without an error
+    errors = {}  # task index -> its exception
+    lock = threading.Lock()
+
+    def work(queue):
+        while True:
+            try:
+                i = queue.popleft()
+            except IndexError:
+                return
+            try:
+                with lock:
+                    if any(j < i for j in errors):
+                        continue  # skipped: it comes after a failed task
+                fn, after = tasks[i]
+                if after is None:
+                    results[i] = fn()
+                else:
+                    done[after].wait()
+                    if not finished[after]:
+                        continue
+                    results[i] = fn(results[after])
+                finished[i] = True
+            except Exception as exc:
+                with lock:
+                    errors[i] = exc
+            finally:
+                done[i].set()
+
     futures = [
-        pool.submit(contextvars.copy_context().run, _train_share, share)
-        for share in shares[1:]
+        pool.submit(contextvars.copy_context().run, work, queue) for queue in queues[1:]
     ]
-    losses = _train_share(shares[0])
+    work(queues[0])
     for future in futures:
-        losses += future.result()
-    return losses
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _finish_train_step(agent, critic_half):
+    """A train step's actor half: the actor update on the critic half's batch, then the soft update."""
+    _, states = critic_half
+    agent.update_actor(states)
+    agent.soft_update()
+
+
+def _train_agents(pool, workers, agents):
+    """One train step and soft update of each ready agent; their critic losses in agent order.
+
+    The slot's work is one ordered task list (``_run_tasks``): first every
+    ready agent's critic half (replay sample, then critic update), then
+    every actor half (actor update, then soft update), which waits only for
+    its own agent's critic half.  The calling thread and ``workers - 1``
+    pool threads each pull the next task, so no worker idles while a task
+    is left to start.  The first failure in task order propagates.
+    """
+    ready = [agent for agent in agents if agent.ready()]
+    tasks = [(agent.update_critic, None) for agent in ready]
+    tasks += [
+        (functools.partial(_finish_train_step, agent), n) for n, agent in enumerate(ready)
+    ]
+    shared = collections.deque(range(len(tasks)))
+    results = _run_tasks(pool, tasks, [shared] * workers)
+    return [losses[0] for losses, _ in results[: len(ready)]]
 
 
 def run_train(cfg: RunConfig, resume_from=None):
@@ -652,13 +731,18 @@ def run_train(cfg: RunConfig, resume_from=None):
     Periodic checkpoints allow bit-exact resumption; resuming one past
     ``num_slots`` raises ConfigError.
 
-    The agents share nothing, so each slot's train steps run concurrently:
-    one thread per agent, at most one per usable CPU, each training a fixed,
-    contiguous share of the agents (numpy releases the interpreter lock
-    inside its kernels, and BLAS runs on one thread per call).  Every agent
-    draws from its own generator and updates only its own arrays, so the
-    metrics and checkpoints do not depend on the worker count.  The
-    ``run-start`` and ``resume`` events record it as ``train_workers``.
+    The agents share nothing, so each slot's train steps run concurrently
+    on one worker per agent, at most one per usable CPU (numpy releases the
+    interpreter lock inside its kernels, and BLAS runs on one thread per
+    call).  Each step is two halves, critic then actor, and the workers pull
+    the slot's halves from one ordered list (``_train_agents``); a resume
+    restores the agents on the same number of workers (``_read_agents``).
+    Every agent draws from its own generator and updates only its own
+    arrays, in the same order, so the metrics and checkpoints do not depend
+    on the worker count.  The ``run-start`` and ``resume`` events record it
+    as ``train_workers``.  A resume needs the metrics CSV of the run it
+    resumes in ``out_dir``; without it, ConfigError before anything is
+    written.
 
     Returns a summary dict with paths and, as ``final_moving_average``, the
     mean sum rate of the last ``eval_window`` train rows.
@@ -677,21 +761,17 @@ def run_train(cfg: RunConfig, resume_from=None):
         agents = _build_agents(cfg, env)
         states = env.reset()
         start_slot = 0
-    ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
 
     workers = _train_workers(len(agents))
-    shares = [
-        agents[len(agents) * i // workers : len(agents) * (i + 1) // workers]
-        for i in range(workers)
-    ]
     # One metrics row per slot: a resumed run keeps the checkpoint's rows.
     resume_rows = start_slot if resume_from else None
     with (
         MetricSink(cfg.out_dir, cfg.network.num_cells, basename, resume_rows) as sink,
-        # The calling thread trains the first share: a one-worker run starts no thread.
+        # The calling thread is one of the workers: a one-worker run starts no thread.
         ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool,
     ):
+        ckpt_dir = os.path.join(cfg.out_dir, "checkpoints")
+        os.makedirs(ckpt_dir, exist_ok=True)
         if resume_from:
             sink.event(
                 "resume", checkpoint=resume_from, slot=start_slot, train_workers=workers
@@ -725,7 +805,7 @@ def run_train(cfg: RunConfig, resume_from=None):
                 next_states, rewards, metrics = env.step(actions)
                 for n, agent in enumerate(agents):
                     agent.remember(states[n], actions[n], rewards[n], next_states[n])
-                losses = _train_agents(pool, shares)
+                losses = _train_agents(pool, workers, agents)
                 states = next_states
                 cell_rates = metrics.rate.sum(axis=1)
                 sum_rates.append(float(cell_rates.sum()))
@@ -782,7 +862,7 @@ def _slot_seed(seed, slot):
 
 
 def load_agents_from_checkpoint(path, num_agents):
-    """Rebuild every per-BS agent stored inside a run checkpoint."""
+    """Rebuild every per-BS agent stored inside a run checkpoint, on the training workers."""
     with _open_checkpoint(path, num_agents) as (data, meta):
         return _read_agents(data, meta, path, DdpgAgent.from_state_dict)
 

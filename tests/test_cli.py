@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import zipfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import cbflab
+from cbflab import harness
 from cbflab.cli import build_parser, main
 from cbflab.drl import CHECKPOINT_VERSION
 from test_harness import SMALL, write_config
@@ -348,6 +350,48 @@ def test_damaged_run_checkpoint_exits_two(tmp_path, capsys, damage, message):
         assert f"config error: checkpoint {ckpt} is damaged: " in err and message in err
         assert csv.read_bytes() == rows
     assert not (tmp_path / "out" / "bench.csv").exists()
+
+
+def test_damaged_entry_read_on_a_pool_thread_exits_two(tmp_path, capsys, monkeypatch):
+    config = str(write_config(tmp_path))
+    assert main(["train", config]) == 0
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
+    _flip_a_data_byte(ckpt, "agent2_actor.npy")
+    # Three workers: agent 2 is read by the second pool thread.
+    monkeypatch.setattr(harness, "_train_workers", lambda num_agents: 3)
+    readers = []
+    getitem = harness._AgentArrays.__getitem__
+
+    def recording_getitem(self, key):
+        if self._prefix == "agent2_":
+            readers.append(threading.current_thread())
+        return getitem(self, key)
+
+    monkeypatch.setattr(harness._AgentArrays, "__getitem__", recording_getitem)
+    capsys.readouterr()
+    for argv in (
+        ["train", config, "--resume", str(ckpt)],
+        ["bench", config, "--schemes", "ddcbf", "--checkpoint", str(ckpt)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: checkpoint {ckpt} is damaged: " in err
+        assert "Bad CRC-32 for file 'agent2_actor.npy'" in err
+    assert readers and threading.main_thread() not in readers
+
+
+def test_resume_into_an_out_dir_without_metrics_exits_two_and_writes_nothing(
+    tmp_path, capsys
+):
+    assert main(["train", str(write_config(tmp_path))]) == 0
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
+    other = tmp_path / "other"
+    config = str(write_config(tmp_path, name="other.cfg", out_dir=other))
+    capsys.readouterr()
+    assert main(["train", config, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {other / 'train.csv'} not found")
+    assert not other.exists()
 
 
 @pytest.mark.parametrize("flag", [",", ""])

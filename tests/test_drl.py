@@ -183,6 +183,32 @@ def test_replay_fifo_eviction():
     assert int(dump["states"][dump["cursor"], 0]) == 1
 
 
+@pytest.mark.parametrize("first_use", ["push", "sample"])
+def test_restored_replay_makes_its_rings_at_first_use(first_use):
+    # A restored memory allocates nothing until it is used, so that its
+    # rings come from the thread that trains; it continues like the original.
+    original = ReplayMemory(4)
+    for i in range(6):  # wrapped: items 4, 5, 2, 3, cursor at item 2
+        original.push([float(i), 0.0], [1.0], float(i), [0.0, float(i)])
+    blob = {key: value.copy() for key, value in original.dump().items() if key != "cursor"}
+    restored = ReplayMemory(4)
+    restored.restore({**blob, "cursor": original.dump()["cursor"]})
+    assert len(restored) == 4
+    assert all(ring is None for ring in (restored._states, restored._rewards))
+    dump = restored.dump()  # the arrays it was restored from
+    assert all(dump[key] is blob[key] for key in blob)
+    if first_use == "push":
+        for memory in (original, restored):
+            memory.push([6.0, 0.0], [1.0], 6.0, [0.0, 6.0])
+    batches = [memory.sample(4, np.random.default_rng(3)) for memory in (original, restored)]
+    assert restored._states is not None
+    for a, b in zip(*batches):
+        npt.assert_array_equal(a, b)
+    assert {k: np.asarray(v).tolist() for k, v in restored.dump().items()} == {
+        k: np.asarray(v).tolist() for k, v in original.dump().items()
+    }
+
+
 def test_replay_full_sample_is_permutation():
     mem = ReplayMemory(5)
     for i in range(5):

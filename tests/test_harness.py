@@ -1,7 +1,12 @@
+import collections
+import contextlib
 import dataclasses
+import functools
 import json
 import os
 import re
+import signal
+import sys
 import threading
 import time
 import types
@@ -13,7 +18,7 @@ import pytest
 from cbflab import harness
 from cbflab.channel import ChannelProcess, config_fingerprint, generate_trace
 from cbflab.cli import main
-from cbflab.drl import DdpgAgent, Mlp
+from cbflab.drl import DdpgAgent, Mlp, read_meta
 from cbflab.env import BeamformingEnv
 from cbflab.harness import (
     ConfigError,
@@ -606,6 +611,9 @@ def test_worker_count_does_not_change_the_outputs(tmp_path, monkeypatch, source)
 
 
 def test_train_agents_returns_the_losses_in_agent_order():
+    caller = threading.current_thread()
+    log = []  # (event, agent, thread), appended as it happens
+
     class Agent:
         def __init__(self, n):
             self.n = n
@@ -613,43 +621,134 @@ def test_train_agents_returns_the_losses_in_agent_order():
         def ready(self):
             return self.n != 1
 
-        def train_step(self):
-            time.sleep(0.01 * (5 - self.n))  # the later shares finish first
-            return float(self.n), 0.0
+        def update_critic(self):
+            time.sleep(0.01 * (5 - self.n))  # the later tasks finish first
+            log.append(("critic", self.n, threading.current_thread()))
+            return (float(self.n), 0.0), f"states {self.n}"
+
+        def update_actor(self, states):
+            assert states == f"states {self.n}"
+            time.sleep(0.01 * (5 - self.n))
+            log.append(("actor", self.n, threading.current_thread()))
 
         def soft_update(self):
-            pass
+            log.append(("soft", self.n, threading.current_thread()))
 
     agents = [Agent(n) for n in range(5)]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        losses = harness._train_agents(pool, [agents[:2], agents[2:3], agents[3:]])
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        losses = harness._train_agents(pool, 2, agents)
     assert losses == [0.0, 2.0, 3.0, 4.0]
+    events = [(event, n) for event, n, _ in log]
+    assert sorted(events) == sorted(
+        (event, n) for event in ("critic", "actor", "soft") for n in (0, 2, 3, 4)
+    )
+    for n in (0, 2, 3, 4):
+        assert events.index(("critic", n)) < events.index(("actor", n))
+        assert events.index(("actor", n)) < events.index(("soft", n))
+    assert events.index(("critic", 2)) < events.index(("critic", 0))  # out of order
+    threads = {thread for _, _, thread in log}
+    assert caller in threads and len(threads) == 2
 
 
-@pytest.mark.parametrize("bad", [0, 2], ids=["calling-thread", "pool-thread"])
-def test_a_failed_train_step_aborts_and_stops_every_worker(tmp_path, monkeypatch, bad):
+def test_run_tasks_skips_the_tasks_after_a_failed_one():
+    ran = []
+
+    def task(name, fail=False, sleep=0.0):
+        def run(*earlier):
+            time.sleep(sleep)
+            ran.append(name)
+            if fail:
+                raise ArithmeticError(name)
+            return name
+
+        return run
+
+    # "c" fails first, while "b", earlier in the list, still runs; then "b"
+    # fails too, and its error is the one raised.
+    tasks = [
+        (task("a", sleep=0.02), None),
+        (task("b", fail=True, sleep=0.1), None),
+        (task("c", fail=True), None),
+        (task("after a"), 0),
+        (task("after b"), 1),
+    ]
+
+    def queues():  # tasks 0, 2 and 4 on the calling thread, 1 and 3 on the pool
+        return [collections.deque([0, 2, 4]), collections.deque([1, 3])]
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(ArithmeticError, match="^b$"):
+            harness._run_tasks(pool, tasks, queues())
+        assert ran == ["a", "c", "b"]  # neither task after a failure runs
+        tasks[1] = (task("b"), None)
+        tasks[2] = (task("c"), None)
+        results = harness._run_tasks(pool, tasks, queues())
+    assert results == ["a", "b", "c", "after a", "after b"]
+
+
+def test_run_tasks_under_thread_switch_pressure_loses_no_task():
+    # More workers than cores pull 600 tasks from one queue; the second half
+    # each take the result of a task of the first half.  A lost or repeated
+    # pull, or a task run before the one it waits for, changes the results.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        half = 300
+        tasks = [(functools.partial(lambda i: [i], i), None) for i in range(half)]
+        tasks += [
+            (functools.partial(lambda i, earlier: earlier + [i], i), i - half)
+            for i in range(half, 2 * half)
+        ]
+        shared = collections.deque(range(len(tasks)))
+        with _deadline(60), ThreadPoolExecutor(max_workers=5) as pool:
+            results = harness._run_tasks(pool, tasks, [shared] * 6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[:half] == [[i] for i in range(half)]
+    assert results[half:] == [[i, i + half] for i in range(half)]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the calling (main) thread if the block runs longer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("half", ["update_critic", "update_actor"])
+@pytest.mark.parametrize("bad", [0, 2], ids=["first", "last"])
+def test_a_failed_train_step_aborts_and_stops_every_worker(tmp_path, monkeypatch, bad, half):
     full = tmp_path / "full"
     run_train(parse_config(write_config(tmp_path, out_dir=full)))
-    _pin_workers(monkeypatch, 2)  # agent 0 trains on the calling thread, 1 and 2 on the pool
+    _pin_workers(monkeypatch, 2)  # the calling thread and one pool thread
     build = harness._build_agents
 
     def build_with_a_failing_agent(cfg, env):
         agents = build(cfg, env)
-        train_step, calls = agents[bad].train_step, []
+        update, calls = getattr(agents[bad], half), []
 
-        def failing_train_step():
+        def failing_update(*args):
             calls.append(None)
             if len(calls) == 4:  # training starts at slot 7 (batch_size 8): slot 10
                 raise ArithmeticError("non-finite gradient; training halted")
-            return train_step()
+            return update(*args)
 
-        agents[bad].train_step = failing_train_step
+        setattr(agents[bad], half, failing_update)
         return agents
 
     monkeypatch.setattr(harness, "_build_agents", build_with_a_failing_agent)
     threads = threading.enumerate()
     config = write_config(tmp_path)
-    with pytest.raises(ArithmeticError, match="non-finite gradient"):
+    with _deadline(60), pytest.raises(ArithmeticError, match="non-finite gradient"):
         run_train(parse_config(config))
     assert threading.enumerate() == threads
 
@@ -670,24 +769,72 @@ def test_a_failed_train_step_aborts_and_stops_every_worker(tmp_path, monkeypatch
     rows = (out / "train.csv").read_text().splitlines(keepends=True)
     assert rows == (full / "train.csv").read_text().splitlines(keepends=True)[: 2 + 10]
 
-    assert main(["train", str(config)]) == 4
+    with _deadline(60):
+        assert main(["train", str(config)]) == 4
     assert threading.enumerate() == threads
 
 
 def test_pool_threads_train_under_the_callers_numpy_error_state(tmp_path, monkeypatch):
     _pin_workers(monkeypatch, 3)
     caller = threading.current_thread()
-    train_step = DdpgAgent.train_step
+    for half in ("update_critic", "update_actor"):
+        update = getattr(DdpgAgent, half)
 
-    def overflow_off_the_caller(self, batch=None):
-        if threading.current_thread() is not caller:
-            np.float64(1e308) * 10.0
-        return train_step(self, batch)
+        def overflow_off_the_caller(self, *args, update=update):
+            if threading.current_thread() is not caller:
+                np.float64(1e308) * 10.0
+            return update(self, *args)
 
-    monkeypatch.setattr(DdpgAgent, "train_step", overflow_off_the_caller)
+        monkeypatch.setattr(DdpgAgent, half, overflow_off_the_caller)
     cfg = parse_config(write_config(tmp_path))
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         run_train(cfg)
+
+
+# -- agents restored on the worker pool ------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_restore_on_any_worker_count_reads_every_agent_in_order(
+    tmp_path, monkeypatch, workers
+):
+    cfg = parse_config(write_config(tmp_path))
+    ckpt = run_train(cfg)["checkpoint"]
+    stored = _checkpoint_arrays(ckpt)
+    _pin_workers(monkeypatch, workers)
+    _, _, resumed = load_checkpoint(ckpt, _build_env(cfg))
+    loaded = load_agents_from_checkpoint(ckpt, cfg.network.num_cells)
+    for agents in (resumed, loaded):
+        assert len(agents) == 3
+        for n, agent in enumerate(agents):
+            for key, array in agent.state_dict().items():
+                if key != "meta":
+                    assert array.tobytes() == stored[f"agent{n}_{key}"].tobytes(), (n, key)
+            assert read_meta(agent.state_dict()["meta"]) == read_meta(stored[f"agent{n}_meta"])
+
+
+@pytest.mark.parametrize("damaged", [False, True], ids=["intact", "damaged"])
+def test_restores_leave_no_thread_running(tmp_path, monkeypatch, damaged):
+    cfg = parse_config(write_config(tmp_path))
+    ckpt = run_train(cfg)["checkpoint"]
+    _pin_workers(monkeypatch, 3)  # the last agent is read on a pool thread
+    if damaged:
+        with np.load(ckpt) as data:
+            arrays = {k: data[k] for k in data.files if k != "agent2_actor"}
+        np.savez(ckpt, **arrays)
+    threads = threading.enumerate()
+    calls = [
+        lambda: run_train(cfg, resume_from=ckpt),
+        lambda: run_benchmark(cfg, schemes=("ddcbf",), checkpoint=ckpt),
+        lambda: load_agents_from_checkpoint(ckpt, cfg.network.num_cells),
+    ]
+    for call in calls:
+        if damaged:
+            with pytest.raises(ConfigError, match="is damaged: .*agent2_actor"):
+                call()
+        else:
+            call()
+        assert threading.enumerate() == threads
 
 
 def test_resume_rejects_metrics_shorter_than_checkpoint(tmp_path):
