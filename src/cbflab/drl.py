@@ -610,21 +610,48 @@ class DdpgAgent:
         Reads arrays of any supported version and draws no initial weights.
         The agent takes ownership of what it reads: its nets and Adam
         moments are the arrays that ``arrays`` returns (for version 1, the
-        concatenation of their blocks), not copies.
+        concatenation of their blocks), not copies.  ValueError unless every
+        entry fits the agent that ``meta`` describes: each net its layers,
+        each Adam moment its net, and the replay arrays ``replay_len`` rows
+        (at most ``memory_capacity``) of the state and action widths, with
+        the ring's cursor in [0, capacity) and at the row count until the
+        ring is full.
         """
         meta = read_meta(arrays["meta"])
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
         cls.check_hyperparameters(hyperparameters)
         flats = {key: _flat_entry(arrays, meta, key) for key in _FLAT_KEYS}
+        for net in ("actor", "critic"):
+            for key in (f"adam_{net}_m", f"adam_{net}_v"):
+                if flats[key].shape != flats[net].shape:
+                    raise ValueError(
+                        f"{key} has shape {flats[key].shape}, its net {flats[net].shape}"
+                    )
+        rows, cursor = meta["replay_len"], meta["replay_cursor"]
+        capacity = hyperparameters["memory_capacity"]
+        if not (0 <= rows <= capacity and 0 <= cursor < capacity) or (
+            rows < capacity and cursor != rows
+        ):
+            raise ValueError(
+                f"a replay of {rows} items with its cursor at {cursor} "
+                f"does not fit a memory of {capacity}"
+            )
         agent = cls.__new__(cls)
         rng = np.random.default_rng()
         agent._setup(meta["state_dim"], meta["action_dim"], rng, hyperparameters, flats)
         agent.rng.bit_generator.state = meta["rng_state"]
         agent.adam_actor.step_count = int(meta["adam_actor_step"])
         agent.adam_critic.step_count = int(meta["adam_critic_step"])
-        if meta["replay_len"] > 0:
+        if rows > 0:
+            state, action = (rows, meta["state_dim"]), (rows, meta["action_dim"])
+            shapes = dict(zip(_REPLAY_KEYS, (state, action, (rows,), state)))
             replay = {key: arrays[f"replay_{key}"] for key in _REPLAY_KEYS}
-            agent.memory.restore({**replay, "cursor": meta["replay_cursor"]})
+            for key, array in replay.items():
+                if array.shape != shapes[key]:
+                    raise ValueError(
+                        f"replay_{key} has shape {array.shape}, not {shapes[key]}"
+                    )
+            agent.memory.restore({**replay, "cursor": cursor})
         return agent
 
     @staticmethod

@@ -439,8 +439,12 @@ class BeamformingEnv:
         """Stand at the stream's current slot with no previous slot.
 
         ``reset`` calls it after advancing the stream, a resume after
-        restoring it; ``prev`` and ``last_reward`` become None.
+        restoring it; ``prev`` and ``last_reward`` become None.  ValueError
+        if the stream has read no slot yet.
         """
-        self._enter(self.stream.current)
+        channel = self.stream.current
+        if channel is None:
+            raise ValueError("the channel stream has read no slot yet")
+        self._enter(channel)
         self.prev = None
         self.last_reward = None

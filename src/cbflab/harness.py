@@ -27,10 +27,9 @@ import functools
 import json
 import math
 import os
-import threading
 import time
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -574,10 +573,11 @@ def _read_agents(data, meta, path, build, env=None):
     ``_train_workers`` of the agent count), the calling thread being worker
     0, on a pool that ends with the call.  The archive serializes the reads
     themselves; the CRC checks and array copies of different agents can
-    overlap.  With ``env`` given, agent ``n``'s stored state
-    and action widths are compared with the env's before it is built.  The
-    first failure in agent order propagates, as from a reader that builds
-    one agent after the other.
+    overlap.  With ``env`` given, agent ``n``'s stored state and action
+    widths are compared with the env's before it is built.  A failed agent
+    stops no other read; once every agent is read or has failed, the first
+    failure in agent order propagates, as from a reader that builds one
+    agent after the other.
     """
     num_agents = meta["num_agents"]
 
@@ -641,23 +641,21 @@ def _run_tasks(pool, tasks, queues):
 
     ``tasks`` is a list of ``(fn, after)``.  With ``after`` None the task
     calls ``fn()``; otherwise ``after`` is the index of an earlier task, and
-    the task waits for that one to finish and calls ``fn`` with its result,
-    or is skipped (its result None) if that one failed or was skipped.
-    Worker ``w`` -- the calling thread for ``w = 0``, a pool thread for the
-    others, each in a copy of the caller's context (so numpy's error state
-    holds there too) -- pulls the next task index from ``queues[w]``, a
-    deque of increasing indices; workers given the same deque share one
-    list.  A task that comes after a failed one is skipped, so every task
-    before the first failure runs, and each worker still pulls its queue
-    empty, so no task waits for one that never finishes.  Once every worker
-    has stopped, the error of the first failed task in list order
-    propagates.
+    the task waits for that one's result and calls ``fn`` with it.  Worker
+    ``w`` -- the calling thread for ``w = 0``, a pool thread for the others,
+    each in a copy of the caller's context (so numpy's error state holds
+    there too) -- pulls the next task index from ``queues[w]``, a deque of
+    increasing indices; workers given the same deque share one list.
+
+    Each task settles one ``Future`` with its result or whatever it raised,
+    a ``KeyboardInterrupt`` included, and no worker stops before its queue
+    is empty, so no task waits for one that never finishes.  A failure
+    stops nothing else: a task whose input exists still runs, and a task
+    that waits for a failed one fails with that error without calling its
+    ``fn``.  Once every worker has stopped, the error of the first failed
+    task in list order propagates.
     """
-    done = [threading.Event() for _ in tasks]
-    results = [None] * len(tasks)
-    finished = [False] * len(tasks)  # ran to the end without an error
-    errors = {}  # task index -> its exception
-    lock = threading.Lock()
+    cells = [Future() for _ in tasks]
 
     def work(queue):
         while True:
@@ -665,34 +663,21 @@ def _run_tasks(pool, tasks, queues):
                 i = queue.popleft()
             except IndexError:
                 return
+            fn, after = tasks[i]
             try:
-                with lock:
-                    if any(j < i for j in errors):
-                        continue  # skipped: it comes after a failed task
-                fn, after = tasks[i]
-                if after is None:
-                    results[i] = fn()
-                else:
-                    done[after].wait()
-                    if not finished[after]:
-                        continue
-                    results[i] = fn(results[after])
-                finished[i] = True
-            except Exception as exc:
-                with lock:
-                    errors[i] = exc
-            finally:
-                done[i].set()
+                value = fn() if after is None else fn(cells[after].result())
+            except BaseException as exc:
+                cells[i].set_exception(exc)
+            else:
+                cells[i].set_result(value)
 
-    futures = [
+    workers = [
         pool.submit(contextvars.copy_context().run, work, queue) for queue in queues[1:]
     ]
     work(queues[0])
-    for future in futures:
-        future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    for worker in workers:
+        worker.result()
+    return [cell.result() for cell in cells]
 
 
 def _finish_train_step(agent, critic_half):
@@ -710,7 +695,9 @@ def _train_agents(pool, workers, agents):
     every actor half (actor update, then soft update), which waits only for
     its own agent's critic half.  The calling thread and ``workers - 1``
     pool threads each pull the next task, so no worker idles while a task
-    is left to start.  The first failure in task order propagates.
+    is left to start.  A failed half stops only its own agent's actor half:
+    the other agents' halves still run.  Once every worker has stopped, the
+    first failure in task order propagates.
     """
     ready = [agent for agent in agents if agent.ready()]
     tasks = [(agent.update_critic, None) for agent in ready]
@@ -737,9 +724,12 @@ def run_train(cfg: RunConfig, resume_from=None):
     call).  Each step is two halves, critic then actor, and the workers pull
     the slot's halves from one ordered list (``_train_agents``); a resume
     restores the agents on the same number of workers (``_read_agents``).
-    Every agent draws from its own generator and updates only its own
-    arrays, in the same order, so the metrics and checkpoints do not depend
-    on the worker count.  The ``run-start`` and ``resume`` events record it
+    A failed half (a non-finite gradient, say) ends the run once the slot's
+    other halves have run: an ``ArithmeticError`` is logged as an ``abort``
+    event, and the first failure in task order propagates.  Every agent
+    draws from its own generator and updates only its own arrays, in the
+    same order, so the metrics and checkpoints do not depend on the worker
+    count.  The ``run-start`` and ``resume`` events record it
     as ``train_workers``.  A resume needs the metrics CSV of the run it
     resumes in ``out_dir``; without it, ConfigError before anything is
     written.

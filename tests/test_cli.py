@@ -352,6 +352,80 @@ def test_damaged_run_checkpoint_exits_two(tmp_path, capsys, damage, message):
     assert not (tmp_path / "out" / "bench.csv").exists()
 
 
+def _replace_entry(key, edit):
+    def damage(arrays):
+        arrays[key] = edit(arrays[key])
+
+    return damage
+
+
+def _edit_meta(key, edit):
+    def damage(arrays):
+        meta = json.loads(str(arrays[key]))
+        edit(meta)
+        arrays[key] = np.array(json.dumps(meta))
+
+    return damage
+
+
+# Entries that load but do not fit the agent or stream that takes them over;
+# the slot-7 checkpoint holds 7 replay items, the memory room for 64.
+UNFIT_ENTRIES = {
+    "adam-moment-short": (
+        _replace_entry("agent2_adam_actor_m", lambda a: a[:-1]),
+        "adam_actor_m has shape (2493,), its net (2494,)",
+    ),
+    "adam-moment-long": (
+        _replace_entry("agent1_adam_critic_v", lambda a: np.append(a, 0.0)),
+        "adam_critic_v has shape",
+    ),
+    "replay-states-wide": (
+        _replace_entry("agent2_replay_states", lambda a: np.hstack([a, a[:, :1]])),
+        "replay_states has shape (7, 135), not (7, 134)",
+    ),
+    "replay-rewards-short": (
+        _replace_entry("agent2_replay_rewards", lambda a: a[:-1]),
+        "replay_rewards has shape (6,), not (7,)",
+    ),
+    "replay-actions-narrow": (
+        _replace_entry("agent0_replay_actions", lambda a: a[:, :-1]),
+        "replay_actions has shape",
+    ),
+    "replay-cursor-at-capacity": (
+        _edit_meta("agent2_meta", lambda meta: meta.update(replay_cursor=64)),
+        "a replay of 7 items with its cursor at 64 does not fit a memory of 64",
+    ),
+    "replay-cursor-off-the-rows": (
+        _edit_meta("agent2_meta", lambda meta: meta.update(replay_cursor=3)),
+        "a replay of 7 items with its cursor at 3 does not fit",
+    ),
+    "stream-cursor-zero": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(cursor=0)),
+        "the channel stream has read no slot yet",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage, message", UNFIT_ENTRIES.values(), ids=UNFIT_ENTRIES)
+def test_resume_from_entries_that_do_not_fit_exits_two(tmp_path, capsys, damage, message):
+    trace = tmp_path / "chan.trace"
+    config = str(write_config(tmp_path, trace_file=trace))
+    assert main(["trace-gen", config, str(trace)]) == 0
+    assert main(["train", config]) == 0
+    csv = tmp_path / "out" / "train.csv"
+    rows = csv.read_bytes()
+    with np.load(tmp_path / "out" / "checkpoints" / "train_00000007.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    damage(arrays)
+    ckpt = tmp_path / "unfit.npz"
+    np.savez(ckpt, **arrays)
+    capsys.readouterr()
+    assert main(["train", config, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: checkpoint {ckpt} is damaged: {message}" in err
+    assert csv.read_bytes() == rows
+
+
 def test_damaged_entry_read_on_a_pool_thread_exits_two(tmp_path, capsys, monkeypatch):
     config = str(write_config(tmp_path))
     assert main(["train", config]) == 0

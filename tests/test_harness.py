@@ -650,7 +650,7 @@ def test_train_agents_returns_the_losses_in_agent_order():
     assert caller in threads and len(threads) == 2
 
 
-def test_run_tasks_skips_the_tasks_after_a_failed_one():
+def test_run_tasks_runs_every_task_whose_input_exists():
     ran = []
 
     def task(name, fail=False, sleep=0.0):
@@ -664,7 +664,8 @@ def test_run_tasks_skips_the_tasks_after_a_failed_one():
         return run
 
     # "c" fails first, while "b", earlier in the list, still runs; then "b"
-    # fails too, and its error is the one raised.
+    # fails too, and its error is the one raised.  "after a" runs all the
+    # same; "after b" fails with b's error without calling its fn.
     tasks = [
         (task("a", sleep=0.02), None),
         (task("b", fail=True, sleep=0.1), None),
@@ -679,11 +680,33 @@ def test_run_tasks_skips_the_tasks_after_a_failed_one():
     with ThreadPoolExecutor(max_workers=1) as pool:
         with pytest.raises(ArithmeticError, match="^b$"):
             harness._run_tasks(pool, tasks, queues())
-        assert ran == ["a", "c", "b"]  # neither task after a failure runs
+        assert ran == ["a", "c", "b", "after a"]
         tasks[1] = (task("b"), None)
         tasks[2] = (task("c"), None)
         results = harness._run_tasks(pool, tasks, queues())
     assert results == ["a", "b", "c", "after a", "after b"]
+
+
+def test_run_tasks_keeps_every_worker_going_after_an_interrupted_task():
+    ran = []
+
+    def interrupted():
+        time.sleep(0.1)  # by now the pool thread waits for this task
+        raise KeyboardInterrupt
+
+    tasks = [
+        (interrupted, None),
+        (lambda earlier: ran.append("after the interrupted task"), 0),
+        (lambda: ran.append("independent"), None),
+    ]
+    queues = [collections.deque([0]), collections.deque([1, 2])]
+    threads = threading.enumerate()
+    with _deadline(60):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(KeyboardInterrupt):
+                harness._run_tasks(pool, tasks, queues)
+    assert ran == ["independent"]
+    assert threading.enumerate() == threads
 
 
 def test_run_tasks_under_thread_switch_pressure_loses_no_task():
