@@ -2,7 +2,8 @@
 
 Compares MRT, max-SLNR with equal power, and the weighted-MMSE solver, then
 shows that the converged WMMSE beams are reproduced exactly by the
-leakage-regularized structure evaluated at the solver's own weights.
+leakage-regularized structure evaluated at the solver's own weights.  Last,
+max-SLNR solves a 10-slot window in one call.
 
 Run:  python demos/02_classical_beamformers.py
 """
@@ -64,3 +65,18 @@ align = abs(np.vdot(
     w_mrt[0] / np.linalg.norm(w_mrt[0]), cb.mrt_beamformer(channel.h[0, 0, 0])
 ))
 print(f"alpha=0 special case aligns with MRT: {align:.12f}")
+
+# Max-SLNR over a 10-slot window in one call: the channels stack on a leading
+# slot axis, one structured solve covers every (slot, BS) pair, and one
+# compute_metrics call scores the stack.  Each slot's rates equal those of a
+# call on that slot alone, bit for bit.
+window = cb.generate_trace(net, model, 10)
+stack = cb.ChannelState(slot_index=0, h=window.h)
+rates = cb.compute_metrics(stack, cb.mslnr_beams(stack, net), net).rate  # (10, N, K)
+loop = []
+for t in range(window.num_slots):
+    ch = window.slot(t)
+    loop.append(cb.compute_metrics(ch, cb.mslnr_beams(ch, net), net).rate)
+assert np.array_equal(rates, np.stack(loop))
+print(f"max-SLNR over 10 slots in one call: mean sum rate "
+      f"{rates.sum(axis=(1, 2)).mean():.2f} bits/s/Hz, equal to the per-slot loop")

@@ -57,6 +57,11 @@ MODEL_KINDS = ("gauss-markov", "geometric-ura")
 TRACE_MAGIC = b"CBFLAB-TRACE\x00\x00\x00\x01"
 _HEADER = struct.Struct("<5Q")
 
+# A ranged ``load_trace`` streams the slots outside its range through one
+# buffer of this many bytes, so reading a window does not cost the trace's
+# memory.
+_READ_BUFFER = 1 << 16
+
 
 class TraceFormatError(ValueError):
     """Raised when a channel-trace file fails an integrity check."""
@@ -559,11 +564,32 @@ def save_trace(trace, path):
         fh.write(struct.pack("<I", crc))
 
 
-def load_trace(path):
+def _payload_views(kept, skip_before, skip_after):
+    """The views a trace payload is read into, in file order.
+
+    The ``skip_before`` bytes before the kept slots and the ``skip_after``
+    bytes after them stream through one reused buffer of at most
+    ``_READ_BUFFER`` bytes; the kept slots go straight into ``kept``.
+    """
+    spare = memoryview(bytearray(min(_READ_BUFFER, max(skip_before, skip_after, 1))))
+
+    def skipped(nbytes):
+        return (spare[: min(len(spare), nbytes - at)] for at in range(0, nbytes, len(spare)))
+
+    yield from skipped(skip_before)
+    yield kept
+    yield from skipped(skip_after)
+
+
+def load_trace(path, start=0, stop=None):
     """Read a trace file back, verifying magic, dimensions and checksum.
 
-    The payload is read once, straight into the returned array, and the
-    checksum runs over that same buffer.
+    ``start`` and ``stop`` keep the slots ``h[start:stop]`` of the full
+    trace, bit for bit.  Every byte is still read and checksummed, with the
+    same errors; the slots outside the range only pass through a buffer of
+    ``_READ_BUFFER`` bytes, so a window costs its own memory.  A full read is
+    read once, straight into the returned array, and the checksum runs over
+    that same buffer.
     """
     prefix_len = len(TRACE_MAGIC) + _HEADER.size
     with open(path, "rb") as fh:
@@ -574,21 +600,25 @@ def load_trace(path):
         if prefix[: len(TRACE_MAGIC)] != TRACE_MAGIC:
             raise TraceFormatError("bad magic: not a channel trace file")
         n, k, m, num_slots, cfg_hash = _HEADER.unpack_from(prefix, len(TRACE_MAGIC))
-        payload_len = num_slots * n * n * k * m * 16
-        expected = prefix_len + payload_len + 4
+        slot_len = n * n * k * m * 16
+        expected = prefix_len + num_slots * slot_len + 4
         if size != expected:
             raise TraceFormatError(
                 f"dimension mismatch: header implies {expected} bytes, file has {size}"
             )
-        h = np.empty((num_slots, n, n, k, m), dtype="<c16")
-        payload = h.reshape(-1).view(np.uint8)
-        got = fh.readinto(payload)
+        kept_slots = range(num_slots)[start:stop]
+        h = np.empty((len(kept_slots), n, n, k, m), dtype="<c16")
+        skip_before = kept_slots.start * slot_len if kept_slots else 0
+        skip_after = (num_slots - len(kept_slots)) * slot_len - skip_before
+        crc = zlib.crc32(prefix)
+        for view in _payload_views(h.reshape(-1).view(np.uint8), skip_before, skip_after):
+            if fh.readinto(view) != len(view):
+                # The file shrank after its size was checked.
+                raise TraceFormatError("trace file truncated while reading")
+            crc = zlib.crc32(view, crc)
         footer = fh.read(4)
-    if got != payload_len or len(footer) != 4:
-        # The file shrank after its size was checked.
+    if len(footer) != 4:
         raise TraceFormatError("trace file truncated while reading")
-    stored_crc = struct.unpack("<I", footer)[0]
-    actual_crc = zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
+    if struct.unpack("<I", footer)[0] != crc & 0xFFFFFFFF:
         raise TraceFormatError("checksum mismatch: trace file corrupted")
     return ChannelTrace(cfg_hash=int(cfg_hash), h=h.astype(np.complex128, copy=False))

@@ -7,6 +7,13 @@ Index conventions used throughout the package:
 * ``w[n, k]`` is the beamformer (length ``M``) that BS ``n`` applies for its
   own user ``k``.
 
+Leading slot axes.  ``ChannelState``, ``BeamformerSet`` and
+``compute_metrics`` also take a stack of slots: ``h`` of shape
+(..., N, N, K, M) and ``w`` of shape (..., N, K, M), where the leading axes
+index slots and a tensor without them is one slot.  A stacked call checks
+every slot, names the slot and BS of a failed check, and gives each slot's
+metrics bit for bit as its own call would.
+
 All powers are kept in linear watts; dB/dBm appear only at configuration and
 reporting boundaries.  Channels and beamformers are complex128 throughout
 (matrix inverses downstream are too ill-conditioned in single precision for
@@ -111,44 +118,68 @@ class NetworkConfig:
         return self.array_rows * self.array_cols
 
 
+def _first_bad(bad, first_slot):
+    """Where the first True entry of a (..., N) per-BS mask lies; None if none.
+
+    Names the BS, and in a stack of slots also the slot: leading entry i in
+    C order is slot ``first_slot + i``.
+    """
+    flat = np.flatnonzero(bad)
+    if not flat.size:
+        return None
+    i, n = divmod(int(flat[0]), bad.shape[-1])
+    return f"BS {n}" if bad.ndim == 1 else f"slot {first_slot + i}, BS {n}"
+
+
 @dataclass(frozen=True)
 class ChannelState:
-    """Channel realization for one time slot.
+    """Channel realization of one time slot, or of a stack of slots.
 
-    ``h`` has shape (N, N, K, M): ``h[m, n, k]`` is the downlink channel from
-    BS ``m`` to user ``k`` of cell ``n``.  Its shape is the one record of the
-    dimensions.
+    ``h`` has shape (..., N, N, K, M): ``h[..., m, n, k]`` is the downlink
+    channel from BS ``m`` to user ``k`` of cell ``n``.  Its shape is the one
+    record of the dimensions.  ``slot_index`` is the slot of ``h``; leading
+    axes stack slots, and leading entry i in C order is slot
+    ``slot_index + i``.  Every slot is checked, and a failed check names the
+    BS and, in a stack, the slot.
     """
 
     slot_index: int
     h: np.ndarray
 
     def __post_init__(self):
-        if self.h.ndim != 4 or self.h.shape[0] != self.h.shape[1]:
-            raise ValueError("channel tensor must have shape (N, N, K, M)")
-        if not np.all(np.isfinite(self.h.view(np.float64))):
-            raise ValueError("channel tensor contains non-finite entries")
-        n, _, k, _ = self.h.shape
-        serving = self.h[np.arange(n), np.arange(n)]  # (N, K, M)
-        if not np.all(np.any(serving != 0, axis=-1)):
-            raise ValueError("every serving link h[n, n, k] must be nonzero")
+        h = self.h
+        if h.ndim < 4 or h.shape[-4] != h.shape[-3]:
+            raise ValueError("channel tensor must have shape (..., N, N, K, M)")
+        if not np.all(np.isfinite(h.view(np.float64))):
+            bad = ~np.isfinite(h.view(np.float64)).all(axis=(-3, -2, -1))
+            where = _first_bad(bad, self.slot_index)
+            raise ValueError(f"{where}: channel tensor contains non-finite entries")
+        idx = np.arange(h.shape[-4])
+        serving = h[..., idx, idx, :, :]  # (..., N, K, M)
+        linked = np.any(serving != 0, axis=-1)  # (..., N, K)
+        if not np.all(linked):
+            where = _first_bad(~linked.all(axis=-1), self.slot_index)
+            raise ValueError(f"{where}: every serving link h[n, n, k] must be nonzero")
 
 
 @dataclass(frozen=True)
 class BeamformerSet:
-    """Per-(cell, user) downlink beamformers, shape (N, K, M)."""
+    """Per-(cell, user) downlink beamformers, shape (..., N, K, M).
+
+    Leading axes stack slots, as the ``h`` of a ``ChannelState`` does.
+    """
 
     w: np.ndarray
 
     def __post_init__(self):
-        if self.w.ndim != 3:
-            raise ValueError("beamformer tensor must have shape (N, K, M)")
+        if self.w.ndim < 3:
+            raise ValueError("beamformer tensor must have shape (..., N, K, M)")
         if not np.all(np.isfinite(self.w.view(np.float64))):
             raise ValueError("beamformers contain non-finite entries")
 
     @property
     def powers(self):
-        """Allocated powers p[n, k] = ||w[n, k]||^2 in watts."""
+        """Allocated powers p[..., n, k] = ||w[..., n, k]||^2 in watts."""
         return np.sum(np.abs(self.w) ** 2, axis=-1)
 
     @property
@@ -158,15 +189,19 @@ class BeamformerSet:
         safe = np.where(norms > 0, norms, 1.0)
         return np.where(norms > 0, self.w / safe, 0.0)
 
-    def check_power(self, max_power):
-        """Raise PowerConstraintError naming the first BS over budget."""
-        per_bs = self.powers.sum(axis=1)
-        limit = max_power * (1.0 + POWER_SLACK)
-        over = np.nonzero(per_bs > limit)[0]
-        if over.size:
-            n = int(over[0])
+    def check_power(self, max_power, first_slot=0):
+        """Raise PowerConstraintError naming the first BS over budget.
+
+        In a stack of slots the error also names the slot, leading entry i
+        being slot ``first_slot + i``.
+        """
+        per_bs = self.powers.sum(axis=-1)
+        over = per_bs > max_power * (1.0 + POWER_SLACK)
+        where = _first_bad(over, first_slot)
+        if where is not None:
+            power = per_bs.reshape(-1)[np.argmax(over)]
             raise PowerConstraintError(
-                f"BS {n} transmits {per_bs[n]:.6e} W, budget {max_power:.6e} W"
+                f"{where} transmits {power:.6e} W, budget {max_power:.6e} W"
             )
 
 
@@ -192,34 +227,38 @@ class SlotMetrics:
 
 
 def compute_metrics(channel, beams, cfg):
-    """Evaluate SINR, rate and interference bookkeeping for one slot.
+    """Evaluate SINR, rate and interference bookkeeping for one slot or a stack.
 
     This is the program's one SINR and rate evaluation: the environment's
     reward, the benchmark rows and every weighted-MMSE iterate are scored
     here.  The per-BS power constraint is checked first; a violation raises
-    PowerConstraintError naming the offending BS.  The (N, N, K, K) cross
-    gains of every link come from one batched matrix product.
+    PowerConstraintError naming the offending BS (and slot, in a stack).
+    The (..., N, N, K, K) cross gains of every link come from one batched
+    matrix product.  Channels (..., N, N, K, M) and beams (..., N, K, M) may
+    stack slots on leading axes; every ``SlotMetrics`` field then carries
+    them too, and each slot's entries equal its own call's bit for bit.
     """
-    beams.check_power(cfg.max_power)
+    beams.check_power(cfg.max_power, channel.slot_index)
     h = channel.h
     w = beams.w
-    num_cells, _, users, antennas = h.shape
+    lead = h.shape[:-4]
+    num_cells, _, users, antennas = h.shape[-4:]
 
-    # cross[m, n, k, j] = h[m, n, k]^H w[m, j]
-    flat_hc = h.reshape(num_cells, num_cells * users, antennas).conj()
-    cross = (flat_hc @ w.swapaxes(1, 2)).reshape(num_cells, num_cells, users, users)
+    # cross[..., m, n, k, j] = h[..., m, n, k]^H w[..., m, j]
+    flat_hc = h.reshape(*lead, num_cells, num_cells * users, antennas).conj()
+    cross = (flat_hc @ w.swapaxes(-1, -2)).reshape(*lead, num_cells, num_cells, users, users)
     cross_pow = np.abs(cross) ** 2
 
     idx = np.arange(num_cells)
-    serving = cross_pow[idx, idx]  # (N, K, K): [n, k, j]
-    received = serving[:, np.arange(users), np.arange(users)]  # (N, K)
+    serving = cross_pow[..., idx, idx, :, :]  # (..., N, K, K): [n, k, j]
+    received = serving[..., np.arange(users), np.arange(users)]  # (..., N, K)
 
-    # interference[m, n, k]: all beams of BS m received at (n, k), minus the
-    # own-beam term when m is the serving BS.
-    interference = cross_pow.sum(axis=3)
-    interference[idx, idx] -= received
+    # interference[..., m, n, k]: all beams of BS m received at (n, k), minus
+    # the own-beam term when m is the serving BS.
+    interference = cross_pow.sum(axis=-1)
+    interference[..., idx, idx, :] -= received
 
-    total_ipn = interference.sum(axis=0) + cfg.noise_power
+    total_ipn = interference.sum(axis=-3) + cfg.noise_power
     sinr = received / total_ipn
     rate = np.log2(1.0 + sinr)
     return SlotMetrics(

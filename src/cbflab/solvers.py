@@ -12,7 +12,8 @@ this shape at every step with alpha[m, j] = v[m, j] * |u[m, j]|^2, and the
 classic max-SLNR and MRT beamformers are the special cases alpha == 1 with
 mu equal to the noise power, and alpha == 0, respectively.  Every solve here
 treats its BSs as one stack: one batched product forms their leakage
-matrices, and their shifted systems are solved together.  WMMSE finds each
+matrices, and their shifted systems are solved together; max-SLNR stacks
+every (slot, BS) pair of a stack of slots the same way.  WMMSE finds each
 BS's power multiplier by Newton's method on its secular equation.
 """
 
@@ -259,27 +260,41 @@ def structured_beamformer(local_h, own_cells, params, p_max):
     return np.sqrt(powers)[..., None] * directions
 
 
-def mslnr_params(num_cells, users_per_cell, noise_power):
+def mslnr_params(num_cells, users_per_cell, noise_power, slots=1):
     """Structured parameters of every BS's max-SLNR beamformer at full power.
 
+    One row per BS, or per (slot, BS) pair of ``slots`` slots, slot-major.
     Every leakage weight is one, mu is the noise power and the power is split
     equally.  Including the served user's own term in the leakage matrix only
     rescales its solve (Sherman-Morrison), so the directions are the per-user
     max-SLNR ones.
     """
+    rows = slots * num_cells
     return StructuredParams(
-        alpha=np.ones((num_cells, num_cells, users_per_cell)),
-        mu=np.full(num_cells, noise_power),
-        q=np.full((num_cells, users_per_cell), 1.0 / users_per_cell),
-        q_total=np.ones(num_cells),
+        alpha=np.ones((rows, num_cells, users_per_cell)),
+        mu=np.full(rows, noise_power),
+        q=np.full((rows, users_per_cell), 1.0 / users_per_cell),
+        q_total=np.ones(rows),
     )
 
 
 def mslnr_beams(channel, net_cfg):
-    """Max-SLNR beamformers of every BS, each at full power split equally."""
-    cells = np.arange(net_cfg.num_cells)
-    params = mslnr_params(net_cfg.num_cells, net_cfg.users_per_cell, net_cfg.noise_power)
-    return BeamformerSet(w=structured_beamformer(channel.h, cells, params, net_cfg.max_power))
+    """Max-SLNR beamformers of every BS, each at full power split equally.
+
+    ``channel.h`` may stack slots on leading axes, (..., N, N, K, M): every
+    (slot, BS) pair is one entry of a single ``structured_beamformer``
+    stack, so a window costs one batched solve, and the beams come back as
+    (..., N, K, M), each slot's equal to its own call's bit for bit.
+    """
+    h = channel.h
+    local_h = h.reshape(-1, *h.shape[-3:])  # (slots * N, N, K, M), slot-major
+    slots = len(local_h) // net_cfg.num_cells
+    cells = np.tile(np.arange(net_cfg.num_cells), slots)
+    params = mslnr_params(
+        net_cfg.num_cells, net_cfg.users_per_cell, net_cfg.noise_power, slots
+    )
+    w = structured_beamformer(local_h, cells, params, net_cfg.max_power)
+    return BeamformerSet(w=w.reshape(*h.shape[:-3], *w.shape[-2:]))
 
 
 def mrt_beamformer(h):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import types
 import zlib
 
@@ -564,6 +565,63 @@ def test_trace_bad_magic_detected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(TraceFormatError, match="bad magic"):
         load_trace(path)
+
+
+def _saved_trace(tmp_path, num_slots, **net):
+    trace = generate_trace(make_net(**net), ChannelModelConfig(rng_seed=5), num_slots)
+    path = tmp_path / "trace.bin"
+    save_trace(trace, path)
+    return trace, path
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [(0, None), (0, 3), (4, 7), (7, None), (9, 10), (3, 3), (8, 20), (12, 15), (-4, -1)],
+)
+def test_trace_range_equals_the_slice_of_a_full_load(tmp_path, monkeypatch, start, stop):
+    _, path = _saved_trace(tmp_path, 10, n=2, k=2)
+    full = load_trace(path)
+    # A buffer of 1.2 slots makes the skipped slots take several reads.
+    monkeypatch.setattr(channel, "_READ_BUFFER", 300)
+    part = load_trace(path, start, stop)
+    assert part.h.shape == full.h[start:stop].shape
+    assert part.h.tobytes() == full.h[start:stop].tobytes()
+    assert part.h.dtype == np.complex128 and part.h.flags.owndata
+    assert part.cfg_hash == full.cfg_hash
+
+
+@pytest.mark.parametrize("at", [0, 3, 9])
+def test_trace_range_checksums_the_slots_it_skips(tmp_path, at):
+    trace, path = _saved_trace(tmp_path, 10, n=2, k=2)
+    blob = bytearray(path.read_bytes())
+    slot_len = trace.h[0].nbytes
+    blob[len(channel.TRACE_MAGIC) + channel._HEADER.size + at * slot_len + 5] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(TraceFormatError, match="checksum mismatch"):
+        load_trace(path, 4, 7)
+
+
+def test_trace_range_detects_a_file_shrinking_after_the_range(tmp_path, monkeypatch):
+    _, path = _saved_trace(tmp_path, 10, n=2, k=2)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-600])
+    monkeypatch.setattr(channel.os, "fstat", lambda fd: types.SimpleNamespace(st_size=full))
+    with pytest.raises(TraceFormatError, match="truncated while reading"):
+        load_trace(path, 0, 2)
+
+
+def test_trace_range_reads_in_the_memory_of_its_window(tmp_path):
+    trace, path = _saved_trace(tmp_path, 200, n=3, k=2, m1=2, m2=4)
+    payload = trace.h.nbytes
+    del trace
+    tracemalloc.start()
+    try:
+        window = load_trace(path, 100, 105)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert window.num_slots == 5
+    assert peak < payload
 
 
 def test_process_checkpoint_round_trip():

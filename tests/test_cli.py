@@ -12,6 +12,7 @@ import pytest
 
 import cbflab
 from cbflab import harness
+from cbflab.channel import generate_trace, save_trace
 from cbflab.cli import build_parser, main
 from cbflab.drl import CHECKPOINT_VERSION
 from test_harness import SMALL, write_config
@@ -215,6 +216,39 @@ def test_bench_on_a_mismatched_trace_exits_two_and_writes_nothing(tmp_path, caps
     capsys.readouterr()
     assert main(["bench", config, "--schemes", "mslnr-ep"]) == 2
     assert "trace dimensions do not match" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _nan_entry(h):
+    h[3, 0, 1, 0, 2] = np.nan
+
+
+def _dark_serving_link(h):
+    h[3, 1, 1, 0] = 0.0
+
+
+@pytest.mark.parametrize("command", ["bench", "train"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_nan_entry, "slot 3, BS 0: channel tensor contains non-finite entries"),
+        (_dark_serving_link, "slot 3, BS 1: every serving link h[n, n, k] must be nonzero"),
+    ],
+    ids=["non-finite", "zero-serving-link"],
+)
+def test_a_trace_slot_that_is_no_channel_exits_three_and_writes_nothing(
+    tmp_path, capsys, command, damage, message
+):
+    # The file's checksum is valid: the slot itself is the fault.
+    trace = tmp_path / "chan.trace"
+    config = write_config(tmp_path, trace_file=trace)
+    cfg = harness.parse_config(str(config))
+    stored = generate_trace(cfg.network, cfg.channel, cfg.num_slots + 1)
+    damage(stored.h)
+    save_trace(stored, trace)
+    argv = [command, str(config)] + (["--schemes", "mslnr-ep,wmmse"] if command == "bench" else [])
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"trace error: trace {trace}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

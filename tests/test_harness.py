@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cbflab import harness
+from cbflab import harness, solvers
 from cbflab.channel import ChannelProcess, config_fingerprint, generate_trace
 from cbflab.cli import main
 from cbflab.drl import DdpgAgent, Mlp, read_meta
@@ -38,7 +38,8 @@ from cbflab.harness import (
     run_train,
     save_checkpoint,
 )
-from cbflab.network import dbm_to_watt
+from cbflab.network import BeamformerSet, compute_metrics, dbm_to_watt
+from cbflab.solvers import mslnr_beams
 
 SMALL = {
     "num_cells": "3",
@@ -965,6 +966,44 @@ def test_live_bench_window_matches_generated_trace(tmp_path):
     full = generate_trace(cfg.network, cfg.channel, 9)
     assert window.h.tobytes() == full.h[5:].tobytes()
     assert window.cfg_hash == full.cfg_hash
+
+
+@pytest.mark.parametrize("source", ["trace", "live"])
+def test_mslnr_bench_blocks_equal_per_slot_calls(tmp_path, source):
+    # A window of two blocks and a part: each row against one slot's solve.
+    slots = 2 * harness._SLOT_BLOCK + 3
+    cfg = parse_config(write_config(tmp_path, bench_slots=slots, bench_offset=2))
+    if source == "trace":
+        trace_path = tmp_path / "chan.trace"
+        generate_trace_file(cfg, trace_path, num_slots=slots + 3)
+        cfg = dataclasses.replace(cfg, trace_file=str(trace_path))
+    rows = read_bench(run_benchmark(cfg, schemes=("mslnr-ep",))["bench_csv"])
+    window = generate_trace(cfg.network, cfg.channel, slots, offset=2)
+    assert [r["slot"] for r in rows] == list(range(2, 2 + slots))
+    for t, row in enumerate(rows):
+        channel = window.slot(t)
+        metrics = compute_metrics(channel, mslnr_beams(channel, cfg.network), cfg.network)
+        cell_rates = metrics.rate.sum(axis=1)
+        assert row["sum_rate"] == float(cell_rates.sum())
+        assert [row[f"cell_rate_{n}"] for n in range(3)] == [float(x) for x in cell_rates]
+
+
+def test_wmmse_bench_makes_one_call_per_slot_with_scalar_diagnostics(tmp_path, monkeypatch):
+    # perfbench's tracer reads iterations and truncated of each harness.wmmse result.
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(solvers.wmmse(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "wmmse", recorded)
+    cfg = parse_config(write_config(tmp_path, bench_slots=3))
+    run_benchmark(cfg, schemes=("wmmse",))
+    assert len(results) == 3
+    for result in results:
+        beams, state = result
+        assert type(beams) is BeamformerSet and type(state) is solvers.WmmseState
+        assert type(state.iterations) is int and type(state.truncated) is bool
 
 
 def test_benchmark_multi_init_dominates(tmp_path):

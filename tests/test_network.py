@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbflab.channel import ChannelModelConfig, generate_trace
 from cbflab.network import (
@@ -15,6 +17,10 @@ from cbflab.network import (
     watt_to_dbm,
 )
 from cbflab.solvers import mslnr_beams
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+METRIC_FIELDS = ("sinr", "rate", "received_power", "interference", "total_ipn")
 
 
 def make_net(n=2, k=2, m1=1, m2=2, p_max=1.0, noise=1.0):
@@ -259,3 +265,54 @@ def test_mobility_step_bounded_by_cell_diameter():
     too_fast = np.nextafter(16000.0, np.inf)
     with pytest.raises(ValueError, match="ue_speed must not move a user farther than"):
         NetworkConfig(**dims, cell_radius=250.0, slot_duration=0.03125, ue_speed=too_fast)
+
+
+def random_stack(slots, n, k, m, seed, p_max=1.0):
+    """T slots of random_instance: channels (T, N, N, K, M), beams (T, N, K, M)."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((slots, n, n, k, m)) + 1j * rng.standard_normal((slots, n, n, k, m))
+    w = rng.standard_normal((slots, n, k, m)) + 1j * rng.standard_normal((slots, n, k, m))
+    # Powers inside the budget: each BS spends a random share of it.
+    share = rng.uniform(0.0, 1.0, (slots, n, k, 1))
+    w *= np.sqrt(p_max * share / k) / np.linalg.norm(w, axis=-1, keepdims=True)
+    return h / np.sqrt(2.0), w
+
+
+@PROPERTY
+@given(
+    slots=st.integers(1, 5),
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_metrics_equal_per_slot_calls(slots, n, k, m, seed):
+    cfg = make_net(n=n, k=k, m1=1, m2=m)
+    h, w = random_stack(slots, n, k, m, seed)
+    got = compute_metrics(ChannelState(slot_index=7, h=h), BeamformerSet(w=w), cfg)
+    for t in range(slots):
+        ref = compute_metrics(ChannelState(slot_index=7 + t, h=h[t]), BeamformerSet(w=w[t]), cfg)
+        for name in METRIC_FIELDS:
+            assert getattr(got, name)[t].tobytes() == getattr(ref, name).tobytes(), name
+    for name in METRIC_FIELDS:
+        assert getattr(got, name).shape[0] == slots
+
+
+def test_stacked_checks_name_the_slot_and_the_bs():
+    cfg = make_net(n=3, k=2, m1=1, m2=2)
+    h, w = random_stack(4, 3, 2, 2, seed=5)
+    bad = h.copy()
+    bad[1, 2, 0, 1, 0] = np.inf  # from BS 2, in slot 11
+    with pytest.raises(ValueError, match="^slot 11, BS 2: channel tensor contains non-finite"):
+        ChannelState(slot_index=10, h=bad)
+    dark = h.copy()
+    dark[3, 1, 1, 0] = 0.0  # BS 1's link to its own user 0, in slot 13
+    with pytest.raises(ValueError, match="^slot 13, BS 1: every serving link"):
+        ChannelState(slot_index=10, h=dark)
+    loud = w.copy()
+    loud[2, 1] = 1.0  # BS 1 spends 4 W of its 1 W in slot 12
+    with pytest.raises(PowerConstraintError, match="^slot 12, BS 1 transmits"):
+        compute_metrics(ChannelState(slot_index=10, h=h), BeamformerSet(w=loud), cfg)
+    # One slot alone names the BS only.
+    with pytest.raises(PowerConstraintError, match="^BS 1 transmits"):
+        compute_metrics(ChannelState(slot_index=12, h=h[2]), BeamformerSet(w=loud[2]), cfg)

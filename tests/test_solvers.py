@@ -840,6 +840,30 @@ def test_loop_mslnr_equals_structured_at_unit_alpha(n, k, m, seed):
 
 @PROPERTY
 @given(
+    slots=st.integers(1, 5),
+    n=st.integers(1, 5),
+    k=st.integers(1, 4),
+    m=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    path_loss=st.booleans(),
+)
+@example(slots=3, n=7, k=4, m=32, seed=1, path_loss=True)
+def test_slot_stacked_mslnr_beams_equal_per_slot_calls(slots, n, k, m, seed, path_loss):
+    # One structured solve over every (slot, BS) pair against one call per slot.
+    if path_loss:
+        draw = path_loss_channel
+        net = make_net(n, k, m, p_max=dbm_to_watt(38.0), noise=dbm_to_watt(-101.0))
+    else:
+        draw, net = rayleigh_channel, make_net(n, k, m)
+    h = np.stack([draw(n, k, m, seed + t).h for t in range(slots)])
+    w = mslnr_beams(ChannelState(slot_index=0, h=h), net).w
+    assert w.shape == (slots, n, k, m)
+    for t in range(slots):
+        assert w[t].tobytes() == mslnr_beams(ChannelState(slot_index=t, h=h[t]), net).w.tobytes()
+
+
+@PROPERTY
+@given(
     n=st.integers(1, 5),
     k=st.integers(1, 4),
     m=st.integers(1, 16),
