@@ -94,24 +94,44 @@ class Mlp:
     form update the net.  The net takes ownership of the ``flat`` it is
     given: it is neither copied nor converted.  Forward maps (B, in) ->
     (B, out) and accepts single vectors as well.
+
+    A ``flat`` of shape (N, P) is a stack of N nets of the same widths, row
+    ``n`` being net ``n``'s vector, and the views then lead with the N axis.
+    A stack's ``forward`` maps row ``n`` of an (N, in) input through net
+    ``n``, bit for bit as net ``n``'s own forward of that row, with one
+    batched product per layer.  Only single nets train: ``forward_cached``
+    and ``backward`` take no stack.
     """
 
     def __init__(self, layer_sizes, flat, output_activation="identity"):
         if output_activation not in ("identity", "sigmoid"):
             raise ValueError("output_activation must be 'identity' or 'sigmoid'")
-        pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
-        if flat.shape != (sum(fan_out * (fan_in + 1) for fan_in, fan_out in pairs),):
+        if flat.ndim not in (1, 2) or flat.shape[-1] != self.num_parameters(layer_sizes):
             raise ValueError(
                 f"flat vector of shape {flat.shape} does not fit layers {layer_sizes}"
             )
+        self.layer_sizes = list(layer_sizes)
         self._shapes = [
-            shape for fan_in, fan_out in pairs for shape in ((fan_out, fan_in), (fan_out,))
+            shape
+            for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
+            for shape in ((fan_out, fan_in), (fan_out,))
         ]
         self.flat = flat
         self._params = self.blocks(flat)
         self.weights = self._params[0::2]
         self.biases = self._params[1::2]
+        # Each layer's (..., in, out) transposed weights and (..., 1, out) bias.
+        self._affine = [
+            (w.swapaxes(-1, -2), b[..., None, :]) for w, b in zip(self.weights, self.biases)
+        ]
         self.output_activation = output_activation
+
+    @staticmethod
+    def num_parameters(layer_sizes):
+        """The length of the ``flat`` vector of a net of these widths."""
+        return sum(
+            fan_out * (fan_in + 1) for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
+        )
 
     @classmethod
     def create(cls, layer_sizes, output_activation="identity", rng=None):
@@ -126,32 +146,41 @@ class Mlp:
 
     @property
     def input_dim(self):
-        return self.weights[0].shape[1]
+        return self.layer_sizes[0]
 
     def parameters(self):
         """Interleaved [W0, b0, W1, b1, ...]; mutating entries updates the net."""
         return list(self._params)
 
     def blocks(self, vector):
-        """Views of a vector laid out like ``flat``, shaped like ``parameters()``."""
+        """Views of a vector laid out like ``flat``, shaped like ``parameters()``.
+
+        The views of an (N, P) stack of vectors lead with its N axis.
+        """
         out, start = [], 0
         for shape in self._shapes:
             size = int(np.prod(shape))
-            out.append(vector[start : start + size].reshape(shape))
+            out.append(vector[..., start : start + size].reshape(*vector.shape[:-1], *shape))
             start += size
         return out
 
-    def _forward_impl(self, x, keep_cache):
-        squeeze = x.ndim == 1
+    def _batch(self, x):
+        """A single net's input as a (B, in) batch, and whether it was one vector."""
+        if self.flat.ndim != 1:
+            raise ValueError("a stack of nets runs only forward")
         a = np.atleast_2d(np.asarray(x, dtype=float))
         if a.shape[1] != self.input_dim:
             raise ValueError(
                 f"input width {a.shape[1]} does not match net input {self.input_dim}"
             )
+        return a, x.ndim == 1
+
+    def _layers(self, a, keep_cache):
+        """The output for (..., B, in) inputs ``a``, and with ``keep_cache`` each layer's."""
         cache = [a] if keep_cache else None
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
+        last = len(self._affine) - 1
+        for i, (w_t, b) in enumerate(self._affine):
+            z = a @ w_t + b
             if i < last:
                 a = _relu(z)
             elif self.output_activation == "sigmoid":
@@ -160,15 +189,26 @@ class Mlp:
                 a = z
             if keep_cache:
                 cache.append(a)
-        return (a, cache, squeeze)
+        return a, cache
 
     def forward(self, x):
-        y, _, squeeze = self._forward_impl(x, keep_cache=False)
+        if self.flat.ndim == 2:
+            x = np.asarray(x, dtype=float)
+            if x.shape != (len(self.flat), self.input_dim):
+                raise ValueError(
+                    f"input of shape {x.shape} does not fit a stack of {len(self.flat)} "
+                    f"nets of input width {self.input_dim}"
+                )
+            y, _ = self._layers(x[:, None, :], keep_cache=False)
+            return y[:, 0]
+        a, squeeze = self._batch(x)
+        y, _ = self._layers(a, keep_cache=False)
         return y[0] if squeeze else y
 
     def forward_cached(self, x):
         """Forward pass keeping activations for a later backward call."""
-        y, cache, squeeze = self._forward_impl(x, keep_cache=True)
+        a, squeeze = self._batch(x)
+        y, cache = self._layers(a, keep_cache=True)
         return (y[0] if squeeze else y), (cache, squeeze)
 
     def backward(self, ctx, upstream, param_grads=True, input_grad=True):
@@ -604,10 +644,11 @@ class DdpgAgent:
         return arrays
 
     @classmethod
-    def from_state_dict(cls, arrays):
+    def from_state_dict(cls, arrays, meta=None):
         """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays.
 
-        Reads arrays of any supported version and draws no initial weights.
+        Reads arrays of any supported version and draws no initial weights;
+        ``meta`` is the parsed ``arrays["meta"]``, read here if not given.
         The agent takes ownership of what it reads: its nets and Adam
         moments are the arrays that ``arrays`` returns (for version 1, the
         concatenation of their blocks), not copies.  ValueError unless every
@@ -617,7 +658,7 @@ class DdpgAgent:
         the ring's cursor in [0, capacity) and at the row count until the
         ring is full.
         """
-        meta = read_meta(arrays["meta"])
+        meta = read_meta(arrays["meta"]) if meta is None else meta
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
         cls.check_hyperparameters(hyperparameters)
         flats = {key: _flat_entry(arrays, meta, key) for key in _FLAT_KEYS}
@@ -655,27 +696,47 @@ class DdpgAgent:
         return agent
 
     @staticmethod
-    def actor_from_state_dict(arrays):
+    def actor_from_state_dict(arrays, meta=None, out=None):
         """The policy net alone, from ``state_dict`` arrays of any version.
 
-        Reads only ``meta`` and the actor's entries, so with a lazily read
-        archive (``np.load`` of an ``.npz``) nothing else is loaded.  Like
-        ``from_state_dict``, the net takes ownership of the vector it reads.
+        Reads only the actor's entries, and ``meta`` unless its parsed form
+        is given, so with a lazily read archive (``np.load`` of an ``.npz``)
+        nothing else is loaded.  Like ``from_state_dict``, the net takes
+        ownership of the vector it reads.  With ``out`` given, the net's
+        vector is ``out`` (a row of a stacked net's ``flat``, say), which
+        ``arrays.read_into(entry, view)`` fills entry by entry.
         """
-        meta = read_meta(arrays["meta"])
-        sizes = _layer_sizes(meta["state_dim"], meta["action_dim"], meta["hidden_sizes"])
-        return Mlp(sizes["actor"], _flat_entry(arrays, meta, "actor"), "sigmoid")
+        meta = read_meta(arrays["meta"]) if meta is None else meta
+        sizes = actor_layer_sizes(meta)
+        if out is None:
+            return Mlp(sizes, _flat_entry(arrays, meta, "actor"), "sigmoid")
+        actor = Mlp(sizes, out, "sigmoid")
+        views = [out] if meta["version"] > 1 else actor.blocks(out)
+        for entry, view in zip(_entry_names(meta, "actor"), views):
+            arrays.read_into(entry, view)
+        return actor
+
+
+def actor_layer_sizes(meta):
+    """The actor's layer widths, from an agent's parsed checkpoint ``meta``."""
+    return _layer_sizes(meta["state_dim"], meta["action_dim"], meta["hidden_sizes"])["actor"]
+
+
+def _entry_names(meta, key):
+    """The ``state_dict`` entries that store flat vector ``key``, in order.
+
+    Versions 2 and 3 store it as one entry, ``key``.  Version 1 stored one
+    array per parameter block, ``{key}_p{i}`` for a net and ``{key}{i}`` for
+    an Adam moment, which concatenate in index order to the same vector.
+    """
+    if meta["version"] > 1:
+        return [key]
+    prefix = key if key.startswith("adam_") else f"{key}_p"
+    return [f"{prefix}{i}" for i in range(2 * (len(meta["hidden_sizes"]) + 1))]
 
 
 def _flat_entry(arrays, meta, key):
-    """The flat vector stored under ``key`` in ``state_dict`` arrays of any version.
-
-    Versions 2 and 3 store it under ``key``.  Version 1 stored one array per
-    parameter block, ``{key}_p{i}`` for a net and ``{key}{i}`` for an Adam
-    moment, which concatenate in index order to the same vector.
-    """
-    if meta["version"] == 1:
-        prefix = key if key.startswith("adam_") else f"{key}_p"
-        blocks = 2 * (len(meta["hidden_sizes"]) + 1)
-        return np.concatenate([np.ravel(arrays[f"{prefix}{i}"]) for i in range(blocks)])
-    return arrays[key]
+    """The flat vector ``key`` of ``state_dict`` arrays of any version (``_entry_names``)."""
+    if meta["version"] > 1:
+        return arrays[key]
+    return np.concatenate([np.ravel(arrays[name]) for name in _entry_names(meta, key)])

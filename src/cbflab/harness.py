@@ -43,7 +43,15 @@ from .channel import (
     load_trace,
     save_trace,
 )
-from .drl import CHECKPOINT_VERSION, HYPERPARAMETERS, DdpgAgent, read_meta, savez_atomic
+from .drl import (
+    CHECKPOINT_VERSION,
+    HYPERPARAMETERS,
+    DdpgAgent,
+    Mlp,
+    actor_layer_sizes,
+    read_meta,
+    savez_atomic,
+)
 from .env import BeamformingEnv, decode_beams
 from .network import ChannelState, NetworkConfig, compute_metrics, dbm_to_watt
 from .solvers import (
@@ -543,9 +551,44 @@ class _AgentArrays:
     def __init__(self, archive, n):
         self._archive = archive
         self._prefix = f"agent{n}_"
+        self.n = n
 
     def __getitem__(self, key):
         return self._archive[self._prefix + key]
+
+    def read_into(self, key, out):
+        """Fill the float64 array ``out`` with entry ``key``, as ``self[key]`` reads it.
+
+        The zip reader copies the entry's data straight into ``out``, so no
+        array of its own is made, and checks the entry's CRC as the last
+        byte passes.  KeyError for a missing entry, as ``self[key]`` raises;
+        ValueError unless the entry holds a float64 array of ``out``'s shape
+        in C order.
+        """
+        name = self._prefix + key
+        if name not in self._archive.files:
+            raise KeyError(f"{name} is not a file in the archive")
+        with self._archive.zip.open(f"{name}.npy") as fh:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f"{name} is in .npy format version {version}")
+            shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+            if (shape, fortran_order, dtype) != (out.shape, False, out.dtype):
+                order = "Fortran" if fortran_order else "C"
+                raise ValueError(
+                    f"{name} holds {dtype} values of shape {shape} in {order} order, "
+                    f"not {out.dtype} of shape {out.shape} in C order"
+                )
+            if fh.readinto(memoryview(out).cast("B")) != out.nbytes:
+                raise ValueError(f"{name} ends before its last value")
+
+
+# The .npy header readers by format version; np.savez writes 1.0, or 2.0 for
+# a header too long for 1.0.
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
 @contextlib.contextmanager
@@ -584,25 +627,29 @@ def _open_checkpoint(path, num_agents):
         raise ConfigError(f"checkpoint {path} is damaged: {exc}") from exc
 
 
-def _read_agents(data, meta, path, build, env=None):
-    """``build(arrays)`` for each per-BS agent of an open run checkpoint, in agent order.
+def _read_agents(data, meta, path, build, env=None, after_first=False):
+    """``build(arrays, stored)`` for each per-BS agent of an open run checkpoint, in agent order.
 
-    Agent ``n`` is read and built by worker ``n mod W`` (``_run_tasks``; W is
-    ``_train_workers`` of the agent count), the calling thread being worker
-    0, on a pool that ends with the call.  The archive serializes the reads
-    themselves; the CRC checks and array copies of different agents can
-    overlap.  With ``env`` given, agent ``n``'s stored state and action
-    widths are compared with the env's before it is built.  A failed agent
-    stops no other read; once every agent is read or has failed, the first
-    failure in agent order propagates, as from a reader that builds one
-    agent after the other.
+    ``arrays`` are agent ``n``'s entries (``_AgentArrays``) and ``stored``
+    its parsed ``meta``, read once here.  Agent ``n`` is read and built by
+    worker ``n mod W`` (``_run_tasks``; W is ``_train_workers`` of the agent
+    count), the calling thread being worker 0, on a pool that ends with the
+    call.  The archive serializes the reads themselves; the CRC checks and
+    array copies of different agents can overlap.  With ``env`` given,
+    agent ``n``'s stored state and action widths are compared with the
+    env's before it is built.  With ``after_first``, every other agent waits
+    for agent 0 and is built by ``build(arrays, stored, first)``, ``first``
+    being what agent 0's build returned.  A failed agent stops no other
+    read, but one that waits for agent 0 fails with its error; once every
+    agent is read or has failed, the first failure in agent order
+    propagates, as from a reader that builds one agent after the other.
     """
     num_agents = meta["num_agents"]
 
-    def read(n):
+    def read(n, *first):
         arrays = _AgentArrays(data, n)
+        stored = read_meta(arrays["meta"])
         if env is not None:
-            stored = read_meta(arrays["meta"])
             widths = (stored["state_dim"], stored["action_dim"])
             if widths != (env.state_dim, env.action_dim):
                 raise ConfigError(
@@ -610,10 +657,11 @@ def _read_agents(data, meta, path, build, env=None):
                     f"to {widths[1]} action entries, this config {env.state_dim} to "
                     f"{env.action_dim}"
                 )
-        return build(arrays)
+        return build(arrays, stored, *first)
 
     workers = _train_workers(num_agents)
-    tasks = [(functools.partial(read, n), None) for n in range(num_agents)]
+    after = 0 if after_first else None
+    tasks = [(functools.partial(read, n), after if n else None) for n in range(num_agents)]
     queues = [collections.deque(range(w, num_agents, workers)) for w in range(workers)]
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
         return _run_tasks(pool, tasks, queues)
@@ -875,20 +923,44 @@ def load_agents_from_checkpoint(path, num_agents):
         return _read_agents(data, meta, path, DdpgAgent.from_state_dict)
 
 
+def _read_actor_stack(data, meta, path, env):
+    """The N actors of an open run checkpoint as one stacked ``Mlp`` (``_read_agents``).
+
+    Agent 0's widths size the (N, P) stack, and every actor must have them.
+    Each row is read straight from its actor's entry, or for version 1 from
+    the entries of its parameter blocks (``_AgentArrays.read_into``), so
+    every entry's CRC is checked and no actor gets an array of its own.
+    """
+
+    def fill(arrays, stored, stack=None):
+        sizes = actor_layer_sizes(stored)
+        if stack is None:
+            flat = np.empty((meta["num_agents"], Mlp.num_parameters(sizes)))
+            stack = Mlp(sizes, flat, "sigmoid")
+        elif sizes != stack.layer_sizes:
+            raise ValueError(
+                f"agent {arrays.n}'s actor has layers {sizes}, agent 0's {stack.layer_sizes}"
+            )
+        DdpgAgent.actor_from_state_dict(arrays, stored, out=stack.flat[arrays.n])
+        return stack
+
+    return _read_agents(data, meta, path, fill, env, after_first=True)[0]
+
+
 def _rollout_policy(cfg, trace, checkpoint, action_mode):
     """Per-slot (N,) cell rates of a trained policy's greedy rollout over a window.
 
-    Only the actors are read from the checkpoint: a greedy action is the
-    actor's output, so replay memories, critics and Adam moments stay on disk.
+    Only the actors are read from the checkpoint, as one stack: a greedy
+    action is the actor's output, so replay memories, critics and Adam
+    moments stay on disk, and each slot's N actions are one stacked forward.
     """
     env = _build_env(cfg, stream=TraceStream(trace), action_mode=action_mode)
     with _open_checkpoint(checkpoint, cfg.network.num_cells) as (data, meta):
-        actors = _read_agents(data, meta, checkpoint, DdpgAgent.actor_from_state_dict, env)
+        actors = _read_actor_stack(data, meta, checkpoint, env)
     states = env.reset()
     cell_rates = []
     for _ in range(trace.num_slots - 1):
-        actions = np.stack([actor.forward(states[n]) for n, actor in enumerate(actors)])
-        states, _, metrics = env.step(actions)
+        states, _, metrics = env.step(actors.forward(states))
         cell_rates.append(metrics.rate.sum(axis=1))
     return cell_rates
 

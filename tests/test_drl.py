@@ -74,6 +74,35 @@ def test_forward_shape_mismatch():
         net.forward(np.ones(4))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+    count=st.integers(1, 8),
+    activation=st.sampled_from(["identity", "sigmoid"]),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_forward_maps_each_row_through_its_own_net(sizes, count, activation, seed):
+    rng = np.random.default_rng(seed)
+    nets = [Mlp.create(sizes, activation, rng) for _ in range(count)]
+    stack = Mlp(sizes, np.stack([net.flat for net in nets]), activation)
+    x = rng.standard_normal((count, sizes[0])) * 3.0
+    y = stack.forward(x)
+    assert y.shape == (count, sizes[-1])
+    for n, net in enumerate(nets):
+        assert y[n].tobytes() == net.forward(x[n]).tobytes()
+    for bad in ((count + 1, sizes[0]), (count, sizes[0] + 1), (sizes[0],), (1, count, sizes[0])):
+        with pytest.raises(ValueError, match="does not fit a stack"):
+            stack.forward(np.zeros(bad))
+
+
+def test_a_stack_of_nets_runs_only_forward():
+    stack = Mlp([3, 4, 2], np.zeros((2, Mlp.num_parameters([3, 4, 2]))))
+    with pytest.raises(ValueError, match="runs only forward"):
+        stack.forward_cached(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="does not fit layers"):
+        Mlp([3, 4, 2], np.zeros((2, 3, Mlp.num_parameters([3, 4, 2]))))
+
+
 # -- gradients ----------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cbflab import harness, solvers
-from cbflab.channel import ChannelProcess, config_fingerprint, generate_trace
+from cbflab.channel import ChannelProcess, TraceStream, config_fingerprint, generate_trace
 from cbflab.cli import main
 from cbflab.drl import DdpgAgent, Mlp, read_meta
 from cbflab.env import BeamformingEnv
@@ -1097,6 +1097,80 @@ def test_policy_rollout_reads_only_the_actors(tmp_path, version, old_layout):
         with open(out["bench_csv"]) as fh:
             rows[name] = fh.read()
     assert rows["stripped"] == rows["full"]
+
+def reference_rollout(cfg, trace, checkpoint, action_mode):
+    """The greedy rollout with each actor its own net, run one row at a time."""
+    env = _build_env(cfg, stream=TraceStream(trace), action_mode=action_mode)
+    with np.load(checkpoint) as data:
+        actors = [
+            DdpgAgent.actor_from_state_dict(harness._AgentArrays(data, n))
+            for n in range(cfg.network.num_cells)
+        ]
+    states = env.reset()
+    cell_rates = []
+    for _ in range(trace.num_slots - 1):
+        actions = np.stack([actor.forward(states[n]) for n, actor in enumerate(actors)])
+        states, _, metrics = env.step(actions)
+        cell_rates.append(metrics.rate.sum(axis=1))
+    return cell_rates
+
+
+@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize("action_mode", ["structured", "mslnr-power"])
+def test_stacked_rollout_writes_the_bench_files_of_one_actor_at_a_time(
+    tmp_path, monkeypatch, action_mode, version, old_layout
+):
+    trace_path = tmp_path / "chan.trace"
+    cfg = parse_config(
+        write_config(tmp_path, action_mode=action_mode, num_slots=12, bench_slots=5)
+    )
+    generate_trace_file(cfg, trace_path)
+    cfg = dataclasses.replace(cfg, trace_file=str(trace_path))
+    ckpt = run_train(cfg)["checkpoint"]
+    if version < 3:
+        old = str(tmp_path / f"v{version}.npz")
+        old_layout.run(ckpt, old, version, cfg.network)
+        ckpt = old
+    scheme = "ddcbf" if action_mode == "structured" else "mslnr-ddpg"
+    files = {}
+    for name, rollout in (("stacked", harness._rollout_policy), ("rows", reference_rollout)):
+        monkeypatch.setattr(harness, "_rollout_policy", rollout)
+        out = run_benchmark(
+            dataclasses.replace(cfg, out_dir=str(tmp_path / name)),
+            schemes=(scheme,),
+            checkpoint=ckpt,
+            mslnr_checkpoint=ckpt,
+        )
+        files[name] = {}
+        for key in ("bench_csv", "cdf_csv", "summary"):
+            with open(out[key], "rb") as fh:
+                files[name][key] = fh.read()
+    assert files["stacked"] == files["rows"]
+    assert files["stacked"]["bench_csv"].count(scheme.encode()) == 5
+
+
+def test_stacked_rollout_rejects_actors_of_other_hidden_widths(tmp_path):
+    cfg = parse_config(write_config(tmp_path, num_slots=12, bench_slots=3))
+    ckpt = run_train(cfg)["checkpoint"]
+    other = parse_config(
+        write_config(tmp_path, name="other.cfg", hidden_sizes="16,10", out_dir=tmp_path / "o")
+    )
+    with np.load(run_train(other)["checkpoint"]) as data:
+        agent2 = {k: data[k] for k in data.files if k.startswith("agent2_")}
+    with np.load(ckpt) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays.update(agent2)
+    mixed = tmp_path / "mixed.npz"
+    np.savez(mixed, **arrays)
+    with pytest.raises(
+        ConfigError,
+        match=re.escape(
+            f"checkpoint {mixed} is damaged: agent 2's actor has layers "
+            "[134, 16, 10, 10], agent 0's [134, 16, 12, 10]"
+        ),
+    ):
+        run_benchmark(cfg, schemes=("ddcbf",), checkpoint=str(mixed))
+
 
 def test_mslnr_ddpg_train_then_bench(tmp_path):
     cfg = parse_config(
