@@ -675,9 +675,14 @@ def test_mslnr_beats_random_probes_on_slnr():
 
 
 def test_structure_recovery_from_converged_state():
-    net = make_net(3, 2, 4)
-    for seed in range(5):
-        ch = rayleigh_channel(3, 2, 4, seed=seed + 300)
+    # 3x2x4 (N*K >= M) and path-loss 3x2x8 (N*K < M, where the solver works
+    # in each BS's channel span): the full-space structured directions at
+    # the state's alpha and mu are the returned beams' directions.
+    rayleigh_net = make_net(3, 2, 4)
+    path_loss_net = make_net(3, 2, 8, p_max=dbm_to_watt(38.0), noise=dbm_to_watt(-101.0))
+    runs = [(rayleigh_channel(3, 2, 4, seed=seed + 300), rayleigh_net) for seed in range(5)]
+    runs += [(path_loss_channel(3, 2, 8, seed + 300), path_loss_net) for seed in range(5)]
+    for seed, (ch, net) in enumerate(runs):
         beams, state = wmmse(ch, net, w0=random_start(net, seed))
         alpha = np.broadcast_to(state.v * np.abs(state.u) ** 2, (3, 3, 2))
         stacked = structured_directions(ch.h, np.arange(3), alpha, state.mu)
@@ -1012,12 +1017,91 @@ def test_wmmse_step_zero_mu_on_rank_deficient_leakage_matches_fallback():
     npt.assert_array_equal(w, solve_leakage_system(b0, targets, np.zeros(2)))
 
 
+def span_stack(n, k, m, seed, span):
+    """(N, N*K, M) Rayleigh channels of N BSs, the span of each as ``span`` says.
+
+    "full" leaves them generic.  "unused-antenna" zeroes the last antenna of
+    every channel, and "parallel" makes each BS's channel to flat user 1 a
+    multiple of its channel to flat user 0, so the span has fewer than
+    min(M, N*K) dimensions.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (n, n * k, m)
+    flat_h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    if span == "unused-antenna":
+        flat_h[..., -1] = 0.0
+    elif span == "parallel":
+        flat_h[:, 1] = (0.5 - 1.5j) * flat_h[:, 0]
+    return flat_h
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 3),
+    m=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    span=st.sampled_from(["full", "unused-antenna", "parallel"]),
+    loose=st.booleans(),
+)
+@example(n=2, k=2, m=8, seed=1, span="full", loose=False)  # N*K < M
+@example(n=2, k=2, m=4, seed=1, span="full", loose=True)  # N*K = M
+@example(n=3, k=2, m=4, seed=1, span="full", loose=False)  # N*K > M
+@example(n=2, k=2, m=8, seed=2, span="unused-antenna", loose=True)
+@example(n=3, k=2, m=4, seed=2, span="parallel", loose=True)
+@example(n=7, k=4, m=32, seed=3, span="full", loose=False)
+def test_wmmse_update_in_span_coordinates_matches_full_space(n, k, m, seed, span, loose):
+    # flat_h^T = U R: the update on the rows of R^T, lifted by U^T, is the
+    # full-space update, with the same multipliers.  The budget is twice or
+    # half the pseudo-inverse solution's power, so every BS takes mu == 0
+    # (the pseudo-inverse branch, in both spaces) or searches for mu > 0.
+    if span == "parallel":
+        k = max(k, 2)
+    flat_h = span_stack(n, k, m, seed, span)
+    idx = np.arange(n)
+    own = flat_h.reshape(n, n, k, m)[idx, idx]
+    rng = np.random.default_rng(seed + 1)
+    alpha = rng.uniform(0.1, 2.0, (n, k))
+    scale = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    b0 = _leakage_matrices(flat_h, alpha.reshape(-1))
+    free = solve_leakage_system(b0, own * scale[..., None], np.zeros(n))
+    power = (np.abs(free) ** 2).sum(axis=(1, 2))
+    p_max = 2.0 * power.max() if loose else 0.5 * power.min()
+    start = np.zeros(n)
+    w, mu, _ = _wmmse_beamformers(flat_h, own, alpha, scale, p_max, start)
+
+    basis, coords = np.linalg.qr(flat_h.swapaxes(-1, -2))
+    sub_h = coords.swapaxes(-1, -2)
+    sub_own = sub_h.reshape(n, n, k, -1)[idx, idx]
+    w_sub, mu_sub, _ = _wmmse_beamformers(sub_h, sub_own, alpha, scale, p_max, start)
+    assert w_sub.shape == (n, k, min(m, n * k))
+    lifted = w_sub @ basis.swapaxes(-1, -2)
+
+    assert np.all(mu == 0.0) == loose and np.all(mu > 0.0) != loose
+    npt.assert_array_equal(mu_sub == 0.0, mu == 0.0)
+    npt.assert_allclose(mu_sub, mu, rtol=1e-8, atol=0.0)
+    error = np.linalg.norm(lifted - w, axis=(1, 2))
+    assert np.all(error <= 1e-10 * np.linalg.norm(w, axis=(1, 2)))
+
+
 # -- stacked wmmse against the loop oracle ---------------------------------------
 
 
 def path_loss_channel(n, k, m, seed):
     """Network CSI (N, N, K, M), each BS's slice drawn by ``path_loss_csi``."""
     h = np.stack([path_loss_csi(n, k, m, n * seed + bs) for bs in range(n)])
+    return ChannelState(slot_index=0, h=h)
+
+
+def degenerate_channel(n, k, m, seed):
+    """Rayleigh network CSI whose every BS spans fewer than min(M, N*K) dimensions.
+
+    No channel uses the last antenna, and user 1 of cell 0 sees every BS
+    along a multiple of user 0's channel.
+    """
+    h = rayleigh_channel(n, k, m, seed).h
+    h[..., -1] = 0.0
+    h[:, 0, 1] = (0.5 - 1.5j) * h[:, 0, 0]
     return ChannelState(slot_index=0, h=h)
 
 
@@ -1037,6 +1121,16 @@ ORACLE_CASES = {
     "pathloss-7x4x32": (
         lambda s: path_loss_channel(7, 4, 32, s),
         make_net(7, 4, 32, p_max=dbm_to_watt(38.0), noise=dbm_to_watt(-101.0)),
+    ),
+    # N*K = 6 < M = 8, and each BS's channels span only 5 dimensions.
+    "degenerate-3x2x8": (
+        lambda s: degenerate_channel(3, 2, 8, s),
+        make_net(3, 2, 8, noise=0.1),
+    ),
+    # N*K = 6 > M = 4: the span is the whole antenna space.
+    "pathloss-3x2x4": (
+        lambda s: path_loss_channel(3, 2, 4, s),
+        make_net(3, 2, 4, p_max=dbm_to_watt(38.0), noise=dbm_to_watt(-101.0)),
     ),
 }
 
@@ -1094,6 +1188,29 @@ def test_wmmse_never_below_mslnr(n, k, m, seed, path_loss):
     assert state.rate_history[0] == pytest.approx(start, rel=1e-12)
     assert np.diff(state.rate_history).min(initial=0.0) >= -2e-8
     assert sum_rate(compute_metrics(ch, beams, net)) >= start - 2e-8
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_wmmse_beams_lie_in_each_bs_channel_span(case):
+    # From the max-SLNR start and from a random one with components outside
+    # every span (the wmmse-nri path), the updates leave no energy outside
+    # the span of the BS's channels.  The span's basis comes from an SVD of
+    # the unit-norm channels, independently of the solver's QR.
+    make_channel, net = ORACLE_CASES[case]
+    ch = make_channel(0)
+    n, _, k, m = ch.h.shape
+    flat = ch.h.reshape(n, n * k, m)
+    unit = flat / np.linalg.norm(flat, axis=-1, keepdims=True)
+    for w0 in (None, random_start(net, 3)):
+        beams, state = wmmse(ch, net, w0=w0)
+        assert state.iterations > 0
+        for bs in range(n):
+            _, sv, vh = np.linalg.svd(unit[bs])
+            basis = vh[: np.count_nonzero(sv > 1e-10 * sv[0])].T  # (M, rank)
+            w = beams.w[bs].T
+            residual = w - basis @ (basis.conj().T @ w)
+            norms = np.linalg.norm(w, axis=0)
+            assert np.all(np.linalg.norm(residual, axis=0) <= 1e-12 * norms)
 
 
 def test_wmmse_default_stop_near_long_run():
