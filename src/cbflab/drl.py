@@ -84,6 +84,15 @@ def _sigmoid(x):
     return out
 
 
+def _block_shapes(layer_sizes):
+    """The shapes of a net's parameter blocks [W0, b0, W1, b1, ...], W being (fan_out, fan_in)."""
+    return [
+        shape
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
+        for shape in ((fan_out, fan_in), (fan_out,))
+    ]
+
+
 class Mlp:
     """Fully connected net: rectifier hidden layers, identity or logistic output.
 
@@ -111,11 +120,7 @@ class Mlp:
                 f"flat vector of shape {flat.shape} does not fit layers {layer_sizes}"
             )
         self.layer_sizes = list(layer_sizes)
-        self._shapes = [
-            shape
-            for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
-            for shape in ((fan_out, fan_in), (fan_out,))
-        ]
+        self._shapes = _block_shapes(layer_sizes)
         self.flat = flat
         self._params = self.blocks(flat)
         self.weights = self._params[0::2]
@@ -652,22 +657,16 @@ class DdpgAgent:
         The agent takes ownership of what it reads: its nets and Adam
         moments are the arrays that ``arrays`` returns (for version 1, the
         concatenation of their blocks), not copies.  ValueError unless every
-        entry fits the agent that ``meta`` describes: each net its layers,
-        each Adam moment its net, and the replay arrays ``replay_len`` rows
-        (at most ``memory_capacity``) of the state and action widths, with
-        the ring's cursor in [0, capacity) and at the row count until the
-        ring is full.
+        entry fits the agent that ``meta`` describes: each net and Adam
+        moment its net's layers (``_flat_entry``), and the replay arrays
+        ``replay_len`` rows (at most ``memory_capacity``) of the state and
+        action widths, with the ring's cursor in [0, capacity) and at the
+        row count until the ring is full.
         """
         meta = read_meta(arrays["meta"]) if meta is None else meta
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
         cls.check_hyperparameters(hyperparameters)
         flats = {key: _flat_entry(arrays, meta, key) for key in _FLAT_KEYS}
-        for net in ("actor", "critic"):
-            for key in (f"adam_{net}_m", f"adam_{net}_v"):
-                if flats[key].shape != flats[net].shape:
-                    raise ValueError(
-                        f"{key} has shape {flats[key].shape}, its net {flats[net].shape}"
-                    )
         rows, cursor = meta["replay_len"], meta["replay_cursor"]
         capacity = hyperparameters["memory_capacity"]
         if not (0 <= rows <= capacity and 0 <= cursor < capacity) or (
@@ -696,25 +695,17 @@ class DdpgAgent:
         return agent
 
     @staticmethod
-    def actor_from_state_dict(arrays, meta=None, out=None):
+    def actor_from_state_dict(arrays, meta=None):
         """The policy net alone, from ``state_dict`` arrays of any version.
 
         Reads only the actor's entries, and ``meta`` unless its parsed form
         is given, so with a lazily read archive (``np.load`` of an ``.npz``)
         nothing else is loaded.  Like ``from_state_dict``, the net takes
-        ownership of the vector it reads.  With ``out`` given, the net's
-        vector is ``out`` (a row of a stacked net's ``flat``, say), which
-        ``arrays.read_into(entry, view)`` fills entry by entry.
+        ownership of the vector it reads, and an entry that does not fit its
+        layers raises ValueError (``_flat_entry``).
         """
         meta = read_meta(arrays["meta"]) if meta is None else meta
-        sizes = actor_layer_sizes(meta)
-        if out is None:
-            return Mlp(sizes, _flat_entry(arrays, meta, "actor"), "sigmoid")
-        actor = Mlp(sizes, out, "sigmoid")
-        views = [out] if meta["version"] > 1 else actor.blocks(out)
-        for entry, view in zip(_entry_names(meta, "actor"), views):
-            arrays.read_into(entry, view)
-        return actor
+        return Mlp(actor_layer_sizes(meta), _flat_entry(arrays, meta, "actor"), "sigmoid")
 
 
 def actor_layer_sizes(meta):
@@ -736,7 +727,24 @@ def _entry_names(meta, key):
 
 
 def _flat_entry(arrays, meta, key):
-    """The flat vector ``key`` of ``state_dict`` arrays of any version (``_entry_names``)."""
-    if meta["version"] > 1:
-        return arrays[key]
-    return np.concatenate([np.ravel(arrays[name]) for name in _entry_names(meta, key)])
+    """The flat vector ``key`` of ``state_dict`` arrays of any version (``_entry_names``).
+
+    The one check of the vectors a checkpoint stores: ValueError naming the
+    entry unless each entry read holds float64 values of the shape its
+    layout gives, (P,) for versions 2 and 3 and the net's block shape for
+    each version-1 block.  P and the blocks are those of the net that
+    ``key`` parameterizes (an Adam moment's being its net's), from
+    ``meta``'s widths.
+    """
+    sizes = _layer_sizes(meta["state_dim"], meta["action_dim"], meta["hidden_sizes"])
+    layers = sizes["critic" if "critic" in key else "actor"]
+    shapes = [(Mlp.num_parameters(layers),)] if meta["version"] > 1 else _block_shapes(layers)
+    blocks = []
+    for name, shape in zip(_entry_names(meta, key), shapes):
+        block = arrays[name]
+        if block.dtype != np.float64:
+            raise ValueError(f"{name} holds {block.dtype} values, not float64")
+        if block.shape != shape:
+            raise ValueError(f"{name} has shape {block.shape}, its net {shape}")
+        blocks.append(block)
+    return blocks[0] if meta["version"] > 1 else np.concatenate([b.ravel() for b in blocks])

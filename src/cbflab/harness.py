@@ -544,8 +544,10 @@ def save_checkpoint(path, slot, states, env, agents):
 class _AgentArrays:
     """Agent ``n``'s ``state_dict`` arrays inside a run checkpoint.
 
-    Entries are looked up in the archive on access, so reading one agent's
-    actor from ``np.load`` of the checkpoint loads nothing else.
+    Hides the ``agent{n}_`` prefix of the run layout.  Entries are looked up
+    in the archive on access, so reading one agent's actor from ``np.load``
+    of the checkpoint loads nothing else; the builders in ``drl`` check
+    what they read.
     """
 
     def __init__(self, archive, n):
@@ -556,40 +558,6 @@ class _AgentArrays:
     def __getitem__(self, key):
         return self._archive[self._prefix + key]
 
-    def read_into(self, key, out):
-        """Fill the float64 array ``out`` with entry ``key``, as ``self[key]`` reads it.
-
-        The zip reader copies the entry's data straight into ``out``, so no
-        array of its own is made, and checks the entry's CRC as the last
-        byte passes.  KeyError for a missing entry, as ``self[key]`` raises;
-        ValueError unless the entry holds a float64 array of ``out``'s shape
-        in C order.
-        """
-        name = self._prefix + key
-        if name not in self._archive.files:
-            raise KeyError(f"{name} is not a file in the archive")
-        with self._archive.zip.open(f"{name}.npy") as fh:
-            version = np.lib.format.read_magic(fh)
-            if version not in _NPY_HEADERS:
-                raise ValueError(f"{name} is in .npy format version {version}")
-            shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
-            if (shape, fortran_order, dtype) != (out.shape, False, out.dtype):
-                order = "Fortran" if fortran_order else "C"
-                raise ValueError(
-                    f"{name} holds {dtype} values of shape {shape} in {order} order, "
-                    f"not {out.dtype} of shape {out.shape} in C order"
-                )
-            if fh.readinto(memoryview(out).cast("B")) != out.nbytes:
-                raise ValueError(f"{name} ends before its last value")
-
-
-# The .npy header readers by format version; np.savez writes 1.0, or 2.0 for
-# a header too long for 1.0.
-_NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
-
 
 @contextlib.contextmanager
 def _open_checkpoint(path, num_agents):
@@ -599,8 +567,8 @@ def _open_checkpoint(path, num_agents):
     of an unknown version, holds another agent count than ``num_agents``, or
     is damaged: not a zip file (a plain ``.npy`` file among them), failing
     an entry's CRC check, lacking an entry that the reader asks for or
-    holding one that does not parse.  A ConfigError raised inside the block
-    passes through unchanged.
+    holding one that does not parse or fit (a ValueError of the reader).  A
+    ConfigError raised inside the block passes through unchanged.
     """
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
@@ -627,7 +595,7 @@ def _open_checkpoint(path, num_agents):
         raise ConfigError(f"checkpoint {path} is damaged: {exc}") from exc
 
 
-def _read_agents(data, meta, path, build, env=None, after_first=False):
+def _read_agents(data, meta, path, build, env=None):
     """``build(arrays, stored)`` for each per-BS agent of an open run checkpoint, in agent order.
 
     ``arrays`` are agent ``n``'s entries (``_AgentArrays``) and ``stored``
@@ -637,16 +605,13 @@ def _read_agents(data, meta, path, build, env=None, after_first=False):
     call.  The archive serializes the reads themselves; the CRC checks and
     array copies of different agents can overlap.  With ``env`` given,
     agent ``n``'s stored state and action widths are compared with the
-    env's before it is built.  With ``after_first``, every other agent waits
-    for agent 0 and is built by ``build(arrays, stored, first)``, ``first``
-    being what agent 0's build returned.  A failed agent stops no other
-    read, but one that waits for agent 0 fails with its error; once every
-    agent is read or has failed, the first failure in agent order
+    env's before it is built.  A failed agent stops no other read; once
+    every agent is read or has failed, the first failure in agent order
     propagates, as from a reader that builds one agent after the other.
     """
     num_agents = meta["num_agents"]
 
-    def read(n, *first):
+    def read(n):
         arrays = _AgentArrays(data, n)
         stored = read_meta(arrays["meta"])
         if env is not None:
@@ -657,11 +622,10 @@ def _read_agents(data, meta, path, build, env=None, after_first=False):
                     f"to {widths[1]} action entries, this config {env.state_dim} to "
                     f"{env.action_dim}"
                 )
-        return build(arrays, stored, *first)
+        return build(arrays, stored)
 
     workers = _train_workers(num_agents)
-    after = 0 if after_first else None
-    tasks = [(functools.partial(read, n), after if n else None) for n in range(num_agents)]
+    tasks = [(functools.partial(read, n), None) for n in range(num_agents)]
     queues = [collections.deque(range(w, num_agents, workers)) for w in range(workers)]
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
         return _run_tasks(pool, tasks, queues)
@@ -926,25 +890,26 @@ def load_agents_from_checkpoint(path, num_agents):
 def _read_actor_stack(data, meta, path, env):
     """The N actors of an open run checkpoint as one stacked ``Mlp`` (``_read_agents``).
 
-    Agent 0's widths size the (N, P) stack, and every actor must have them.
-    Each row is read straight from its actor's entry, or for version 1 from
-    the entries of its parameter blocks (``_AgentArrays.read_into``), so
-    every entry's CRC is checked and no actor gets an array of its own.
+    Agent 0's parsed ``meta`` sizes the (N, P) stack before any actor is
+    read, and every actor must have its widths.  Each agent's actor is read
+    as a resume reads it (``DdpgAgent.actor_from_state_dict``), so every
+    entry's CRC, dtype and shape are checked, and is copied into its row.
     """
+    sizes = actor_layer_sizes(read_meta(_AgentArrays(data, 0)["meta"]))
+    flat = np.empty((meta["num_agents"], Mlp.num_parameters(sizes)))
+    stack = Mlp(sizes, flat, "sigmoid")
 
-    def fill(arrays, stored, stack=None):
-        sizes = actor_layer_sizes(stored)
-        if stack is None:
-            flat = np.empty((meta["num_agents"], Mlp.num_parameters(sizes)))
-            stack = Mlp(sizes, flat, "sigmoid")
-        elif sizes != stack.layer_sizes:
+    def fill(arrays, stored):
+        actor = DdpgAgent.actor_from_state_dict(arrays, stored)
+        if actor.layer_sizes != stack.layer_sizes:
             raise ValueError(
-                f"agent {arrays.n}'s actor has layers {sizes}, agent 0's {stack.layer_sizes}"
+                f"agent {arrays.n}'s actor has layers {actor.layer_sizes}, "
+                f"agent 0's {stack.layer_sizes}"
             )
-        DdpgAgent.actor_from_state_dict(arrays, stored, out=stack.flat[arrays.n])
-        return stack
+        stack.flat[arrays.n] = actor.flat
 
-    return _read_agents(data, meta, path, fill, env, after_first=True)[0]
+    _read_agents(data, meta, path, fill, env)
+    return stack
 
 
 def _rollout_policy(cfg, trace, checkpoint, action_mode):

@@ -15,6 +15,7 @@ from cbflab import harness
 from cbflab.channel import generate_trace, save_trace
 from cbflab.cli import build_parser, main
 from cbflab.drl import CHECKPOINT_VERSION
+from conftest import agent_arrays_old
 from test_harness import SMALL, write_config
 
 
@@ -402,9 +403,34 @@ def _edit_meta(key, edit):
     return damage
 
 
+def _v1_block_transposed(arrays):
+    """Agent 1 in the version-1 layout, its actor's first weight block transposed."""
+    prefix = "agent1_"
+    agent = {k[len(prefix) :]: arrays.pop(k) for k in list(arrays) if k.startswith(prefix)}
+    arrays.update({prefix + k: v for k, v in agent_arrays_old(agent, 1).items()})
+    arrays["agent1_actor_p0"] = arrays["agent1_actor_p0"].T
+
+
 # Entries that load but do not fit the agent or stream that takes them over;
-# the slot-7 checkpoint holds 7 replay items, the memory room for 64.
+# the slot-7 checkpoint holds 7 replay items, the memory room for 64, and
+# its actors have 2494 parameters.
 UNFIT_ENTRIES = {
+    "target-actor-a-stack-of-one": (
+        _replace_entry("agent1_target_actor", lambda a: a[None]),
+        "target_actor has shape (1, 2494), its net (2494,)",
+    ),
+    "critic-float32": (
+        _replace_entry("agent1_critic", lambda a: a.astype(np.float32)),
+        "critic holds float32 values, not float64",
+    ),
+    "target-critic-float32": (
+        _replace_entry("agent1_target_critic", lambda a: a.astype(np.float32)),
+        "target_critic holds float32 values, not float64",
+    ),
+    "version-1-block-transposed": (
+        _v1_block_transposed,
+        "actor_p0 has shape (134, 16), its net (16, 134)",
+    ),
     "adam-moment-short": (
         _replace_entry("agent2_adam_actor_m", lambda a: a[:-1]),
         "adam_actor_m has shape (2493,), its net (2494,)",
@@ -458,6 +484,33 @@ def test_resume_from_entries_that_do_not_fit_exits_two(tmp_path, capsys, damage,
     err = capsys.readouterr().err
     assert f"config error: checkpoint {ckpt} is damaged: {message}" in err
     assert csv.read_bytes() == rows
+
+
+# Actor entries that the bench's actor stack must not take in.
+UNFIT_ACTORS = {
+    "float32": (lambda a: a.astype(np.float32), "actor holds float32 values, not float64"),
+    "a-stack-of-one": (lambda a: a[None], "actor has shape (1, 2494), its net (2494,)"),
+    "one-value-short": (lambda a: a[:-1], "actor has shape (2493,), its net (2494,)"),
+    "complex": (lambda a: a.astype(complex), "actor holds complex128 values, not float64"),
+}
+
+
+@pytest.mark.parametrize("edit, message", UNFIT_ACTORS.values(), ids=UNFIT_ACTORS)
+def test_bench_from_an_unfit_actor_exits_two_and_writes_nothing(
+    tmp_path, capsys, edit, message
+):
+    config = str(write_config(tmp_path))
+    assert main(["train", config]) == 0
+    with np.load(tmp_path / "out" / "checkpoints" / "train_00000007.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    _replace_entry("agent1_actor", edit)(arrays)
+    ckpt = tmp_path / "unfit.npz"
+    np.savez(ckpt, **arrays)
+    capsys.readouterr()
+    assert main(["bench", config, "--schemes", "ddcbf", "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: checkpoint {ckpt} is damaged: {message}" in err
+    assert not (tmp_path / "out" / "bench.csv").exists()
 
 
 def test_damaged_entry_read_on_a_pool_thread_exits_two(tmp_path, capsys, monkeypatch):
