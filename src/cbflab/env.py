@@ -193,8 +193,9 @@ def build_state(serving, csi, prev, num_interferers):
     if prev is None:
         return states
     m = prev.metrics
+    powers = _power_feature(prev.powers)
     states[:, own.shape[1] : layout["local"]] = per_bs(
-        _power_feature(prev.powers),
+        powers,
         m.rate / RATE_SCALE,
         _power_feature(m.received_power),
         _power_feature(m.total_ipn),
@@ -208,7 +209,7 @@ def build_state(serving, csi, prev, num_interferers):
     top = select_interferers(beta, num_interferers)  # (N, K, U)
     n_idx, k_idx = np.ogrid[:num_cells, :users]
     inflicted = _power_feature(beta)[top, n_idx[..., None], k_idx[..., None]]
-    cells = per_bs(prev.csi, _power_feature(prev.powers))  # row i: BS i's CSI, powers
+    cells = per_bs(prev.csi, powers)  # row i: BS i's CSI, powers
     records = [(top / num_cells)[..., None], cells[top], inflicted[..., None]]
     start, stop = layout["local"], layout["local"] + layout["interferers"]
     states[:, start:stop] = np.concatenate(records, axis=-1).reshape(num_cells, -1)

@@ -560,6 +560,23 @@ class _AgentArrays:
 
 
 @contextlib.contextmanager
+def _naming_agent(n):
+    """Prefix ``agent {n}: `` to a reader's ValueError raised inside.
+
+    The readers in ``drl`` name an entry inside the agent (``target_actor``),
+    as ``_AgentArrays`` hides the ``agent{n}_`` prefix.  A ConfigError names
+    its agent itself, and the archive's own errors (a missing member, a bad
+    CRC) name the member (``agent1_actor``); both pass unchanged.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"agent {n}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def _open_checkpoint(path, num_agents):
     """A run checkpoint's lazily read archive and parsed ``harness_meta``, as (data, meta).
 
@@ -605,7 +622,8 @@ def _read_agents(data, meta, path, build, env=None):
     call.  The archive serializes the reads themselves; the CRC checks and
     array copies of different agents can overlap.  With ``env`` given,
     agent ``n``'s stored state and action widths are compared with the
-    env's before it is built.  A failed agent stops no other read; once
+    env's before it is built.  A ValueError of the reader names its agent
+    once (``_naming_agent``).  A failed agent stops no other read; once
     every agent is read or has failed, the first failure in agent order
     propagates, as from a reader that builds one agent after the other.
     """
@@ -613,16 +631,17 @@ def _read_agents(data, meta, path, build, env=None):
 
     def read(n):
         arrays = _AgentArrays(data, n)
-        stored = read_meta(arrays["meta"])
-        if env is not None:
-            widths = (stored["state_dim"], stored["action_dim"])
-            if widths != (env.state_dim, env.action_dim):
-                raise ConfigError(
-                    f"agent {n} in checkpoint {path} maps {widths[0]} state entries "
-                    f"to {widths[1]} action entries, this config {env.state_dim} to "
-                    f"{env.action_dim}"
-                )
-        return build(arrays, stored)
+        with _naming_agent(n):
+            stored = read_meta(arrays["meta"])
+            if env is not None:
+                widths = (stored["state_dim"], stored["action_dim"])
+                if widths != (env.state_dim, env.action_dim):
+                    raise ConfigError(
+                        f"agent {n} in checkpoint {path} maps {widths[0]} state entries "
+                        f"to {widths[1]} action entries, this config {env.state_dim} to "
+                        f"{env.action_dim}"
+                    )
+            return build(arrays, stored)
 
     workers = _train_workers(num_agents)
     tasks = [(functools.partial(read, n), None) for n in range(num_agents)]
@@ -891,20 +910,22 @@ def _read_actor_stack(data, meta, path, env):
     """The N actors of an open run checkpoint as one stacked ``Mlp`` (``_read_agents``).
 
     Agent 0's parsed ``meta`` sizes the (N, P) stack before any actor is
-    read, and every actor must have its widths.  Each agent's actor is read
-    as a resume reads it (``DdpgAgent.actor_from_state_dict``), so every
-    entry's CRC, dtype and shape are checked, and is copied into its row.
+    read, and every actor must have its widths (else ``is damaged``, naming
+    the agent).  Each agent's actor is read as a resume reads it
+    (``DdpgAgent.actor_from_state_dict``), so every entry's CRC, dtype and
+    shape are checked, and is copied into its row.
     """
-    sizes = actor_layer_sizes(read_meta(_AgentArrays(data, 0)["meta"]))
+    with _naming_agent(0):
+        sizes = actor_layer_sizes(read_meta(_AgentArrays(data, 0)["meta"]))
     flat = np.empty((meta["num_agents"], Mlp.num_parameters(sizes)))
     stack = Mlp(sizes, flat, "sigmoid")
 
     def fill(arrays, stored):
         actor = DdpgAgent.actor_from_state_dict(arrays, stored)
         if actor.layer_sizes != stack.layer_sizes:
-            raise ValueError(
-                f"agent {arrays.n}'s actor has layers {actor.layer_sizes}, "
-                f"agent 0's {stack.layer_sizes}"
+            raise ConfigError(
+                f"checkpoint {path} is damaged: agent {arrays.n}'s actor has layers "
+                f"{actor.layer_sizes}, agent 0's {stack.layer_sizes}"
             )
         stack.flat[arrays.n] = actor.flat
 

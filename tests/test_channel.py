@@ -34,20 +34,27 @@ def make_net(n=1, k=1, m1=1, m2=2, **kw):
 
 # -- reference generator ------------------------------------------------------
 # Per-link, per-ray and per-user loops that draw the random stream in the
-# order the channel module documents, with a scalar-angle steering vector.
+# order the channel module documents, with scalar-angle steering factors.
 # The vectorized generator must reproduce them bit for bit: that pins the
-# draw order, the per-link arithmetic and the ray-by-ray sum, so a change to
-# any of them shows here as a change of trace values.
+# draw order, the per-link arithmetic and the per-link ray sum, one
+# (rows x R) @ (R x cols) product, so a change to any of them shows here as
+# a change of trace values.
 
 
 def _reference_ura_steering(azimuth, elevation, array_rows, array_cols):
-    # Kronecker product of the vertical and the horizontal ULA responses.
+    # The vertical ULA response over sqrt(M) and the horizontal one.
     m = array_rows * array_cols
     vertical = np.exp(1j * (np.pi * (np.arange(array_rows) * np.sin(elevation))))
     horizontal = np.exp(
         1j * (np.pi * (np.arange(array_cols) * (np.cos(elevation) * np.sin(azimuth))))
     )
-    return np.outer(vertical / np.sqrt(m), horizontal).reshape(m)
+    return vertical / np.sqrt(m), horizontal
+
+
+def _response(vertical, horizontal):
+    # The row-major Kronecker product of the factors: the unit-norm response.
+    product = vertical[..., :, None] * horizontal[..., None, :]
+    return product.reshape(product.shape[:-2] + (-1,))
 
 
 def _reference_marginal_draw(topology, model_cfg, net_cfg, rng):
@@ -70,9 +77,13 @@ def _reference_marginal_draw(topology, model_cfg, net_cfg, rng):
                     gains = (
                         rng.standard_normal(rays) + 1j * rng.standard_normal(rays)
                     ) / np.sqrt(2.0)
-                    vec = np.zeros(m, dtype=np.complex128)
+                    vertical = np.empty((rays, m1), dtype=np.complex128)
+                    horizontal = np.empty((rays, m2), dtype=np.complex128)
                     for ray in range(rays):
-                        vec += gains[ray] * _reference_ura_steering(az[ray], el[ray], m1, m2)
+                        vertical[ray], horizontal[ray] = _reference_ura_steering(
+                            az[ray], el[ray], m1, m2
+                        )
+                    vec = ((gains[:, None] * vertical).T @ horizontal).reshape(m)
                     h[bs, cell, user] = np.sqrt(pl_lin * m / rays) * vec
                 else:
                     vec = (
@@ -105,7 +116,7 @@ def _reference_advance_positions(topology, net_cfg):
 
 # (cells, users, rows, cols, ue_speed m/s, slot_duration s): ref7 at walking
 # speed, a small layout whose 50 m steps reflect users at the cell edge, and
-# one antenna, where a summed ray axis would be reduced pairwise.
+# one antenna, where each link's product is a (1 x R) @ (R x 1) dot product.
 ORACLE_SHAPES = {
     "ref7": (7, 4, 4, 8, 3.0 / 3.6, 0.02),
     "fast-3x2": (3, 2, 2, 3, 100.0, 0.5),
@@ -129,6 +140,76 @@ def test_vectorized_draw_matches_reference_bitwise(kind, shape, monkeypatch):
         ref = generate_trace(net, cfg, ORACLE_SLOTS)
     assert fast.h.tobytes() == ref.h.tobytes()
     assert fast.cfg_hash == ref.cfg_hash
+
+
+def _extended_precision_draw(topology, model_cfg, net_cfg, rng):
+    # The reference's draws and float64 angles, gains and path loss, with
+    # every link's ray sum evaluated in long double from the phases up.
+    n, k = net_cfg.num_cells, net_cfg.users_per_cell
+    m1, m2 = net_cfg.array_rows, net_cfg.array_cols
+    rays = model_cfg.num_rays
+    spread = np.deg2rad(model_cfg.angular_spread_deg)
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    rows = np.arange(m1, dtype=ld)[None, :, None]
+    cols = np.arange(m2, dtype=ld)[None, None, :]
+    h = np.empty((n, n, k, 2, m1 * m2), dtype=ld)
+    for bs in range(n):
+        for cell in range(n):
+            for user in range(k):
+                offset = topology.ue_positions[cell, user] - topology.bs_positions[bs]
+                pl_lin = 10.0 ** (-path_loss_db(np.linalg.norm(offset), model_cfg) / 10.0)
+                az = np.arctan2(offset[1], offset[0]) + spread * rng.uniform(-1.0, 1.0, rays)
+                el = spread * rng.uniform(-0.5, 0.5, rays)
+                g_re, g_im = (rng.standard_normal(rays) / np.sqrt(2.0) for _ in range(2))
+                az, el = az.astype(ld)[:, None, None], el.astype(ld)[:, None, None]
+                phase = pi * (rows * np.sin(el) + cols * (np.cos(el) * np.sin(az)))
+                phase = phase.reshape(rays, -1)
+                g_re, g_im = g_re.astype(ld)[:, None], g_im.astype(ld)[:, None]
+                scale = np.sqrt(ld(pl_lin) / rays)  # sqrt(pl * M / R) / sqrt(M)
+                re = (g_re * np.cos(phase) - g_im * np.sin(phase)).sum(axis=0)
+                im = (g_re * np.sin(phase) + g_im * np.cos(phase)).sum(axis=0)
+                h[bs, cell, user] = scale * re, scale * im
+    return h
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="needs an extended-precision longdouble"
+)
+def test_marginal_draw_matches_extended_precision():
+    # ref7, four slots of moving users: every link's channel within 1e-14 of
+    # the same draws evaluated in long double, relative to its norm.
+    n, k, m1, m2, speed, dt = ORACLE_SHAPES["ref7"]
+    net = make_net(n=n, k=k, m1=m1, m2=m2, ue_speed=speed, slot_duration=dt)
+    cfg = ChannelModelConfig(rng_seed=5)
+    topology = init_topology(net, 5)
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(4):
+        h = channel._marginal_draw(topology, cfg, net, rng)
+        exact = _extended_precision_draw(topology, cfg, net, replay)
+        err = np.hypot(
+            (h.real - exact[..., 0, :]).astype(float), (h.imag - exact[..., 1, :]).astype(float)
+        )
+        norm = np.sqrt((exact**2).sum(axis=(-2, -1)).astype(float))
+        worst = max(worst, (np.sqrt((err**2).sum(axis=-1)) / norm).max())
+        channel._advance_positions(topology, net)
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_marginal_draw_calls_ura_steering_once_per_slot(kind, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ura_steering(*args)
+
+    monkeypatch.setattr(channel, "ura_steering", counting)
+    n, k, m1, m2, speed, dt = ORACLE_SHAPES["ref7"]
+    net = make_net(n=n, k=k, m1=m1, m2=m2, ue_speed=speed, slot_duration=dt)
+    generate_trace(net, ChannelModelConfig(model_kind=kind, rng_seed=17), 5)
+    assert len(calls) == (5 if kind == "geometric-ura" else 0)
 
 
 @pytest.mark.parametrize("shape", [*sorted(ORACLE_SHAPES), "diameter-step"])
@@ -210,7 +291,7 @@ def test_users_respect_exclusion_radius():
 
 
 def test_steering_boresight():
-    v = ura_steering(0.0, 0.0, 2, 2)
+    v = _response(*ura_steering(0.0, 0.0, 2, 2))
     npt.assert_allclose(v, np.full(4, 0.5))
 
 
@@ -218,7 +299,7 @@ def test_steering_unit_norm():
     rng = np.random.default_rng(0)
     for _ in range(10):
         az, el = rng.uniform(-np.pi, np.pi, 2)
-        assert np.linalg.norm(ura_steering(az, el, 2, 4)) == pytest.approx(
+        assert np.linalg.norm(_response(*ura_steering(az, el, 2, 4))) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -227,24 +308,27 @@ def test_steering_broadcast_matches_scalar_calls_bitwise():
     rng = np.random.default_rng(3)
     az = rng.uniform(-np.pi, np.pi, (3, 5))
     el = rng.uniform(-0.3, 0.3, (3, 5))
-    got = ura_steering(az, el, 3, 4)
-    assert got.shape == (3, 5, 12)
-    ref = np.stack(
-        [
-            np.stack([_reference_ura_steering(a, e, 3, 4) for a, e in zip(ra, re)])
-            for ra, re in zip(az, el)
-        ]
-    )
-    assert got.tobytes() == ref.tobytes()
-    # Elevation broadcasts against a row of azimuths.
-    row = ura_steering(az[0], 0.1, 3, 4)
-    ref_row = np.stack([_reference_ura_steering(a, 0.1, 3, 4) for a in az[0]])
-    assert row.tobytes() == ref_row.tobytes()
+    vertical, horizontal = ura_steering(az, el, 3, 4)
+    assert vertical.shape == (3, 5, 3) and horizontal.shape == (3, 5, 4)
+    for got, axis in ((vertical, 0), (horizontal, 1)):
+        ref = np.stack(
+            [
+                np.stack([_reference_ura_steering(a, e, 3, 4)[axis] for a, e in zip(ra, re)])
+                for ra, re in zip(az, el)
+            ]
+        )
+        assert got.tobytes() == ref.tobytes()
+    # One elevation against a row of azimuths: the vertical factor has the
+    # elevation's shape, the horizontal one the row's.
+    vertical, horizontal = ura_steering(az[0], 0.1, 3, 4)
+    assert vertical.tobytes() == _reference_ura_steering(0.0, 0.1, 3, 4)[0].tobytes()
+    ref_row = np.stack([_reference_ura_steering(a, 0.1, 3, 4)[1] for a in az[0]])
+    assert horizontal.tobytes() == ref_row.tobytes()
 
 
 def test_steering_hand_expanded_phases():
     # az = pi/2, el = 0: phase = pi * m2, independent of m1.
-    v = ura_steering(np.pi / 2.0, 0.0, 2, 2)
+    v = _response(*ura_steering(np.pi / 2.0, 0.0, 2, 2))
     npt.assert_allclose(v, np.array([1.0, -1.0, 1.0, -1.0]) / 2.0, atol=1e-12)
 
 
@@ -254,20 +338,28 @@ def test_steering_hand_expanded_phases():
 @pytest.mark.parametrize("rows, cols", [(4, 8), (8, 16)])
 def test_steering_matches_extended_precision_phase(rows, cols):
     # ref7-like angles: 7x7x4 links around their LOS azimuths, 8 rays each
-    # within a 10 degree spread.
+    # within a 10 degree spread.  Each factor and their Kronecker product,
+    # the unit-norm response, against phases evaluated in long double.
     rng = np.random.default_rng(11)
     spread = np.deg2rad(10.0)
     az = rng.uniform(-np.pi, np.pi, (7, 7, 4, 1)) + spread * rng.uniform(-1, 1, (7, 7, 4, 8))
     el = spread * rng.uniform(-0.5, 0.5, (7, 7, 4, 8))
-    got = ura_steering(az, el, rows, cols) * np.sqrt(rows * cols)
+    vertical, horizontal = ura_steering(az, el, rows, cols)
+    vertical = vertical * np.sqrt(rows * cols)
     ld = np.longdouble
-    az, el = az.astype(ld)[..., None, None], el.astype(ld)[..., None, None]
-    m1 = np.arange(rows, dtype=ld)[:, None]
-    m2 = np.arange(cols, dtype=ld)[None, :]
-    phase = (4 * np.arctan(ld(1))) * (m1 * np.sin(el) + m2 * np.cos(el) * np.sin(az))
-    phase = phase.reshape(got.shape)
-    err = np.hypot((got.real - np.cos(phase)).astype(float), (got.imag - np.sin(phase)).astype(float))
-    assert err.max() <= 2e-14
+    az, el = az.astype(ld)[..., None], el.astype(ld)[..., None]
+    pi = 4 * np.arctan(ld(1))
+    phase_v = pi * (np.arange(rows, dtype=ld) * np.sin(el))
+    phase_h = pi * (np.arange(cols, dtype=ld) * (np.cos(el) * np.sin(az)))
+    phase = (phase_v[..., :, None] + phase_h[..., None, :]).reshape(az.shape[:-1] + (-1,))
+
+    def err(got, phase):
+        re, im = (got.real - np.cos(phase)), (got.imag - np.sin(phase))
+        return np.hypot(re.astype(float), im.astype(float)).max()
+
+    assert err(vertical, phase_v) <= 2e-14
+    assert err(horizontal, phase_h) <= 2e-14
+    assert err(_response(vertical, horizontal), phase) <= 2e-14
 
 
 # -- path loss --------------------------------------------------------------

@@ -417,47 +417,51 @@ def _v1_block_transposed(arrays):
 UNFIT_ENTRIES = {
     "target-actor-a-stack-of-one": (
         _replace_entry("agent1_target_actor", lambda a: a[None]),
-        "target_actor has shape (1, 2494), its net (2494,)",
+        "agent 1: target_actor has shape (1, 2494), its net (2494,)",
     ),
     "critic-float32": (
         _replace_entry("agent1_critic", lambda a: a.astype(np.float32)),
-        "critic holds float32 values, not float64",
+        "agent 1: critic holds float32 values, not float64",
     ),
     "target-critic-float32": (
         _replace_entry("agent1_target_critic", lambda a: a.astype(np.float32)),
-        "target_critic holds float32 values, not float64",
+        "agent 1: target_critic holds float32 values, not float64",
     ),
     "version-1-block-transposed": (
         _v1_block_transposed,
-        "actor_p0 has shape (134, 16), its net (16, 134)",
+        "agent 1: actor_p0 has shape (134, 16), its net (16, 134)",
     ),
     "adam-moment-short": (
         _replace_entry("agent2_adam_actor_m", lambda a: a[:-1]),
-        "adam_actor_m has shape (2493,), its net (2494,)",
+        "agent 2: adam_actor_m has shape (2493,), its net (2494,)",
     ),
     "adam-moment-long": (
         _replace_entry("agent1_adam_critic_v", lambda a: np.append(a, 0.0)),
-        "adam_critic_v has shape",
+        "agent 1: adam_critic_v has shape",
     ),
     "replay-states-wide": (
         _replace_entry("agent2_replay_states", lambda a: np.hstack([a, a[:, :1]])),
-        "replay_states has shape (7, 135), not (7, 134)",
+        "agent 2: replay_states has shape (7, 135), not (7, 134)",
     ),
     "replay-rewards-short": (
         _replace_entry("agent2_replay_rewards", lambda a: a[:-1]),
-        "replay_rewards has shape (6,), not (7,)",
+        "agent 2: replay_rewards has shape (6,), not (7,)",
     ),
     "replay-actions-narrow": (
         _replace_entry("agent0_replay_actions", lambda a: a[:, :-1]),
-        "replay_actions has shape",
+        "agent 0: replay_actions has shape",
     ),
     "replay-cursor-at-capacity": (
         _edit_meta("agent2_meta", lambda meta: meta.update(replay_cursor=64)),
-        "a replay of 7 items with its cursor at 64 does not fit a memory of 64",
+        "agent 2: a replay of 7 items with its cursor at 64 does not fit a memory of 64",
     ),
     "replay-cursor-off-the-rows": (
         _edit_meta("agent2_meta", lambda meta: meta.update(replay_cursor=3)),
-        "a replay of 7 items with its cursor at 3 does not fit",
+        "agent 2: a replay of 7 items with its cursor at 3 does not fit",
+    ),
+    "meta-of-another-version": (
+        _edit_meta("agent0_meta", lambda meta: meta.update(version=9)),
+        "agent 0: unsupported checkpoint version 9",
     ),
     "stream-cursor-zero": (
         _edit_meta("harness_meta", lambda meta: meta["stream"].update(cursor=0)),
@@ -483,33 +487,52 @@ def test_resume_from_entries_that_do_not_fit_exits_two(tmp_path, capsys, damage,
     assert main(["train", config, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert f"config error: checkpoint {ckpt} is damaged: {message}" in err
+    assert err.split("is damaged: ")[1].count("agent") == message.count("agent")
     assert csv.read_bytes() == rows
 
 
-# Actor entries that the bench's actor stack must not take in.
+# Actor entries that the bench's actor stack must not take in, and agent 0's
+# meta, which sizes the stack before any actor is read.
 UNFIT_ACTORS = {
-    "float32": (lambda a: a.astype(np.float32), "actor holds float32 values, not float64"),
-    "a-stack-of-one": (lambda a: a[None], "actor has shape (1, 2494), its net (2494,)"),
-    "one-value-short": (lambda a: a[:-1], "actor has shape (2493,), its net (2494,)"),
-    "complex": (lambda a: a.astype(complex), "actor holds complex128 values, not float64"),
+    "float32": (
+        _replace_entry("agent1_actor", lambda a: a.astype(np.float32)),
+        "agent 1: actor holds float32 values, not float64",
+    ),
+    "a-stack-of-one": (
+        _replace_entry("agent1_actor", lambda a: a[None]),
+        "agent 1: actor has shape (1, 2494), its net (2494,)",
+    ),
+    "one-value-short": (
+        _replace_entry("agent1_actor", lambda a: a[:-1]),
+        "agent 1: actor has shape (2493,), its net (2494,)",
+    ),
+    "complex": (
+        _replace_entry("agent1_actor", lambda a: a.astype(complex)),
+        "agent 1: actor holds complex128 values, not float64",
+    ),
+    "agent-0-meta-of-another-version": (
+        _edit_meta("agent0_meta", lambda meta: meta.update(version=9)),
+        "agent 0: unsupported checkpoint version 9",
+    ),
 }
 
 
-@pytest.mark.parametrize("edit, message", UNFIT_ACTORS.values(), ids=UNFIT_ACTORS)
+@pytest.mark.parametrize("damage, message", UNFIT_ACTORS.values(), ids=UNFIT_ACTORS)
 def test_bench_from_an_unfit_actor_exits_two_and_writes_nothing(
-    tmp_path, capsys, edit, message
+    tmp_path, capsys, damage, message
 ):
     config = str(write_config(tmp_path))
     assert main(["train", config]) == 0
     with np.load(tmp_path / "out" / "checkpoints" / "train_00000007.npz") as data:
         arrays = {k: data[k] for k in data.files}
-    _replace_entry("agent1_actor", edit)(arrays)
+    damage(arrays)
     ckpt = tmp_path / "unfit.npz"
     np.savez(ckpt, **arrays)
     capsys.readouterr()
     assert main(["bench", config, "--schemes", "ddcbf", "--checkpoint", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert f"config error: checkpoint {ckpt} is damaged: {message}" in err
+    assert err.split("is damaged: ")[1].count("agent") == 1
     assert not (tmp_path / "out" / "bench.csv").exists()
 
 
