@@ -475,18 +475,23 @@ class ChannelProcess:
         """Restore a ``state_dict`` pair, taking ownership of its arrays.
 
         Raises ValueError, before changing anything, unless every array has
-        its shape for this process's network and the meta's channel is its own.
+        its dtype and its shape for this process's network and the meta's
+        channel is its own.
         """
         arrays, meta = state
         net = self.net_cfg
         n, k = net.num_cells, net.users_per_cell
-        shapes = {
-            "proc_h": (n, n, k, net.num_antennas),
-            "proc_ue_positions": (n, k, 2),
-            "proc_ue_headings": (n, k),
+        layout = {
+            "proc_h": (np.complex128, (n, n, k, net.num_antennas)),
+            "proc_ue_positions": (np.float64, (n, k, 2)),
+            "proc_ue_headings": (np.float64, (n, k)),
         }
-        restored = {key: arrays[key] for key in shapes}  # an archive reads on access
-        for key, shape in shapes.items():
+        restored = {key: arrays[key] for key in layout}  # an archive reads on access
+        for key, (dtype, shape) in layout.items():
+            if restored[key].dtype != dtype:
+                raise ValueError(
+                    f"{key} holds {restored[key].dtype} values, not {np.dtype(dtype)}"
+                )
             if restored[key].shape != shape:
                 raise ValueError(
                     f"{key} has shape {restored[key].shape}, "
@@ -500,8 +505,11 @@ class ChannelProcess:
 
 
 def _check_fingerprint(stream, meta):
-    """ValueError if a stream's checkpoint ``meta`` names another channel source."""
-    stored = meta.get("fingerprint", stream.fingerprint)
+    """ValueError if a stream's checkpoint ``meta`` names another channel source.
+
+    KeyError if ``meta`` has no ``fingerprint``.
+    """
+    stored = meta["fingerprint"]
     if stored != stream.fingerprint:
         raise ValueError(
             f"its channel has fingerprint {stored:#x}, this config's {stream.kind} "

@@ -5,6 +5,11 @@ Subcommands: trace-gen, train, bench, timing; ``bench --schemes ddcbf
 2 configuration error, 3 I/O error, 4 numeric failure, 1 anything else.
 The environment variable CBFLAB_OUT_DIR overrides the configured output
 directory.
+
+``train --resume`` and ``bench --checkpoint`` read only run checkpoints of
+the layout that ``train`` writes (``harness.save_checkpoint``, checkpoint
+version ``drl.CHECKPOINT_VERSION``); any other exits 2, naming its version
+or the key it lacks.
 """
 
 from __future__ import annotations
@@ -38,14 +43,26 @@ def build_parser():
 
     p = subs.add_parser("train", help="run the multi-agent training loop")
     _add_config_arg(p)
-    p.add_argument("--resume", default=None, help="checkpoint to resume from")
+    p.add_argument(
+        "--resume",
+        default=None,
+        help="run checkpoint to resume from, of the layout this version writes "
+        "(another exits 2, naming its version or the key it lacks)",
+    )
 
     p = subs.add_parser("bench", help="compare schemes on one channel window")
     _add_config_arg(p)
     p.add_argument("--schemes", default=None, help="comma-separated scheme list")
-    p.add_argument("--checkpoint", default=None, help="trained run checkpoint")
     p.add_argument(
-        "--mslnr-checkpoint", default=None, help="trained power-only checkpoint"
+        "--checkpoint",
+        default=None,
+        help="trained run checkpoint, of the layout this version writes "
+        "(another exits 2, naming its version or the key it lacks)",
+    )
+    p.add_argument(
+        "--mslnr-checkpoint",
+        default=None,
+        help="trained power-only run checkpoint, of the same layout as --checkpoint",
     )
 
     p = subs.add_parser("timing", help="time the decision path against solvers")

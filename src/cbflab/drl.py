@@ -28,12 +28,32 @@ import numpy as np
 CHECKPOINT_VERSION = 3
 
 
-def read_meta(entry):
-    """Parse a checkpoint's JSON ``meta`` entry; ValueError for an unknown version."""
+def read_meta(entry, keys=None):
+    """Parse a checkpoint's JSON ``meta`` entry, an agent's unless ``keys`` are given.
+
+    ValueError unless its ``version`` is ``CHECKPOINT_VERSION`` and it holds
+    every one of ``keys`` (by default ``AGENT_META_KEYS``), naming the first
+    key it lacks.
+    """
     meta = json.loads(str(entry))
-    if meta["version"] not in (1, 2, CHECKPOINT_VERSION):
-        raise ValueError(f"unsupported checkpoint version {meta['version']}")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
+    for key in AGENT_META_KEYS if keys is None else keys:
+        if key not in meta:
+            raise ValueError(f"meta lacks {key!r}")
     return meta
+
+
+def check_entry(name, array, shape, expected="not"):
+    """``array``, checkpoint entry ``name``; ValueError naming it unless float64 of ``shape``.
+
+    The shape's message reads ``{name} has shape ..., {expected} {shape}``.
+    """
+    if array.dtype != np.float64:
+        raise ValueError(f"{name} holds {array.dtype} values, not float64")
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, {expected} {shape}")
+    return array
 
 
 def savez_atomic(path, arrays):
@@ -420,6 +440,20 @@ def _meta_key(name):
     return "noise_sigma" if name == "noise_sigma_init" else name
 
 
+# The keys of an agent's checkpoint ``meta`` besides ``version``, in the order
+# ``DdpgAgent.state_dict`` writes them.
+AGENT_META_KEYS = (
+    "state_dim",
+    "action_dim",
+    *map(_meta_key, HYPERPARAMETERS),
+    "adam_actor_step",
+    "adam_critic_step",
+    "replay_cursor",
+    "replay_len",
+    "rng_state",
+)
+
+
 def _layer_sizes(state_dim, action_dim, hidden_sizes):
     """Layer widths of the actor and of the critic (which also takes the action)."""
     return {
@@ -652,13 +686,12 @@ class DdpgAgent:
     def from_state_dict(cls, arrays, meta=None):
         """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays.
 
-        Reads arrays of any supported version and draws no initial weights;
-        ``meta`` is the parsed ``arrays["meta"]``, read here if not given.
-        The agent takes ownership of what it reads: its nets and Adam
-        moments are the arrays that ``arrays`` returns (for version 1, the
-        concatenation of their blocks), not copies.  ValueError unless every
-        entry fits the agent that ``meta`` describes: each net and Adam
-        moment its net's layers (``_flat_entry``), and the replay arrays
+        Draws no initial weights; ``meta`` is the parsed ``arrays["meta"]``,
+        read here (``read_meta``) if not given.  The agent takes ownership of
+        what it reads: its nets and Adam moments are the arrays that
+        ``arrays`` returns, not copies.  ValueError unless every entry fits
+        the agent that ``meta`` describes: each net and Adam moment its net's
+        layers (``_flat_entry``), and the replay arrays float64 values in
         ``replay_len`` rows (at most ``memory_capacity``) of the state and
         action widths, with the ring's cursor in [0, capacity) and at the
         row count until the ring is full.
@@ -685,18 +718,16 @@ class DdpgAgent:
         if rows > 0:
             state, action = (rows, meta["state_dim"]), (rows, meta["action_dim"])
             shapes = dict(zip(_REPLAY_KEYS, (state, action, (rows,), state)))
-            replay = {key: arrays[f"replay_{key}"] for key in _REPLAY_KEYS}
-            for key, array in replay.items():
-                if array.shape != shapes[key]:
-                    raise ValueError(
-                        f"replay_{key} has shape {array.shape}, not {shapes[key]}"
-                    )
+            replay = {
+                key: check_entry(f"replay_{key}", arrays[f"replay_{key}"], shapes[key])
+                for key in _REPLAY_KEYS
+            }
             agent.memory.restore({**replay, "cursor": cursor})
         return agent
 
     @staticmethod
     def actor_from_state_dict(arrays, meta=None):
-        """The policy net alone, from ``state_dict`` arrays of any version.
+        """The policy net alone, from ``state_dict`` arrays.
 
         Reads only the actor's entries, and ``meta`` unless its parsed form
         is given, so with a lazily read archive (``np.load`` of an ``.npz``)
@@ -713,38 +744,14 @@ def actor_layer_sizes(meta):
     return _layer_sizes(meta["state_dim"], meta["action_dim"], meta["hidden_sizes"])["actor"]
 
 
-def _entry_names(meta, key):
-    """The ``state_dict`` entries that store flat vector ``key``, in order.
-
-    Versions 2 and 3 store it as one entry, ``key``.  Version 1 stored one
-    array per parameter block, ``{key}_p{i}`` for a net and ``{key}{i}`` for
-    an Adam moment, which concatenate in index order to the same vector.
-    """
-    if meta["version"] > 1:
-        return [key]
-    prefix = key if key.startswith("adam_") else f"{key}_p"
-    return [f"{prefix}{i}" for i in range(2 * (len(meta["hidden_sizes"]) + 1))]
-
-
 def _flat_entry(arrays, meta, key):
-    """The flat vector ``key`` of ``state_dict`` arrays of any version (``_entry_names``).
+    """The flat vector ``key`` of ``state_dict`` arrays, checked (``check_entry``).
 
     The one check of the vectors a checkpoint stores: ValueError naming the
-    entry unless each entry read holds float64 values of the shape its
-    layout gives, (P,) for versions 2 and 3 and the net's block shape for
-    each version-1 block.  P and the blocks are those of the net that
-    ``key`` parameterizes (an Adam moment's being its net's), from
-    ``meta``'s widths.
+    entry unless it holds float64 values of shape (P,), P being the length
+    of the ``flat`` vector of the net that ``key`` parameterizes (an Adam
+    moment's being its net's), from ``meta``'s widths.
     """
     sizes = _layer_sizes(meta["state_dim"], meta["action_dim"], meta["hidden_sizes"])
     layers = sizes["critic" if "critic" in key else "actor"]
-    shapes = [(Mlp.num_parameters(layers),)] if meta["version"] > 1 else _block_shapes(layers)
-    blocks = []
-    for name, shape in zip(_entry_names(meta, key), shapes):
-        block = arrays[name]
-        if block.dtype != np.float64:
-            raise ValueError(f"{name} holds {block.dtype} values, not float64")
-        if block.shape != shape:
-            raise ValueError(f"{name} has shape {block.shape}, its net {shape}")
-        blocks.append(block)
-    return blocks[0] if meta["version"] > 1 else np.concatenate([b.ravel() for b in blocks])
+    return check_entry(key, arrays[key], (Mlp.num_parameters(layers),), "its net")

@@ -49,6 +49,7 @@ from .drl import (
     DdpgAgent,
     Mlp,
     actor_layer_sizes,
+    check_entry,
     read_meta,
     savez_atomic,
 )
@@ -512,19 +513,13 @@ def save_checkpoint(path, slot, states, env, agents):
     count: one row per slot), ``num_agents`` and ``stream``, the meta of the
     env's channel stream (its ``state_dict``): ``{"kind": "trace", "cursor",
     "fingerprint"}`` or ``{"kind": "process", "slot", "rng_state",
-    "fingerprint"}``, written and read by the harness, not the env.  The
-    channel's ``config_fingerprint`` (a trace's ``cfg_hash``) under
-    ``fingerprint`` is absent from earlier files.
+    "fingerprint"}``, written and read by the harness, not the env.
+    ``fingerprint`` is the channel's ``config_fingerprint`` (a trace's
+    ``cfg_hash``).
 
     ``drl.CHECKPOINT_VERSION`` (3) is the version of the whole archive, and
-    each agent ``meta`` repeats it.  Versions 1 and 2 also held
-    ``env_channel_h``, the previous slot's ``prev_{sinr, rate,
-    received_power, interference, total_ipn, powers, own_channels}``, and
-    ``sink_rows``, ``env_slot`` and ``has_prev`` in ``harness_meta``: copies
-    of facts above, or what the next step rebuilds.  The reader ignores
-    them.  Version 1 stored each net and Adam moment as one array per
-    parameter block (``{net}_p{i}``, ``adam_{net}_m{i}``), the later
-    versions as one flat vector (``{net}``, ``adam_{net}_m``).  All load.
+    each agent ``meta`` repeats it.  This is the one layout the readers
+    take (``_open_checkpoint``).
     """
     stream_arrays, stream_meta = env.stream.state_dict()
     meta = {
@@ -580,12 +575,15 @@ def _naming_agent(n):
 def _open_checkpoint(path, num_agents):
     """A run checkpoint's lazily read archive and parsed ``harness_meta``, as (data, meta).
 
-    The one opener of run checkpoints.  ConfigError if the file is missing,
-    of an unknown version, holds another agent count than ``num_agents``, or
-    is damaged: not a zip file (a plain ``.npy`` file among them), failing
-    an entry's CRC check, lacking an entry that the reader asks for or
-    holding one that does not parse or fit (a ValueError of the reader).  A
-    ConfigError raised inside the block passes through unchanged.
+    The one opener of run checkpoints, which reads only the layout that
+    ``save_checkpoint`` writes.  ConfigError if the file is missing, holds
+    another agent count than ``num_agents``, or is damaged: not a zip file
+    (a plain ``.npy`` file among them), of another version than
+    ``CHECKPOINT_VERSION``, with a ``harness_meta`` that lacks a key or
+    whose ``slot`` or ``num_agents`` is not an int >= 0, failing an entry's
+    CRC check, lacking an entry that the reader asks for or holding one
+    that does not parse or fit (a ValueError of the reader).  A ConfigError
+    raised inside the block passes through unchanged.
     """
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
@@ -596,10 +594,10 @@ def _open_checkpoint(path, num_agents):
             if not isinstance(data, np.lib.npyio.NpzFile):  # a plain .npy array
                 raise ValueError("not an .npz archive")
             with data:
-                try:
-                    meta = read_meta(data["harness_meta"])
-                except ValueError as exc:
-                    raise ConfigError(f"{exc} in {path}") from None
+                meta = read_meta(data["harness_meta"], ("slot", "num_agents", "stream"))
+                for key in ("slot", "num_agents"):
+                    if type(meta[key]) is not int or meta[key] < 0:
+                        raise ValueError(f"{key} {meta[key]!r} is not an int >= 0")
                 if meta["num_agents"] != num_agents:
                     raise ConfigError(
                         f"checkpoint {path} holds {meta['num_agents']} agents, "
@@ -657,7 +655,8 @@ def load_checkpoint(path, env):
     agents are built on the training workers, in order (``_read_agents``).
     A checkpoint that does not fit the env (another agent count, channel
     source, network shape, channel config, trace file or agent widths)
-    raises ConfigError; the hyperparameters are the caller's to compare.
+    raises ConfigError, and so does one whose ``states`` are not float64
+    (N, state_dim); the hyperparameters are the caller's to compare.
     """
     with _open_checkpoint(path, env.net_cfg.num_cells) as (data, meta):
         stored = meta["stream"]["kind"]
@@ -673,7 +672,8 @@ def load_checkpoint(path, env):
             raise ConfigError(f"checkpoint {path} does not fit this config: {exc}") from exc
         env.resume()
         agents = _read_agents(data, meta, path, DdpgAgent.from_state_dict, env)
-        return meta["slot"], data["states"], agents
+        states = check_entry("states", data["states"], (meta["num_agents"], env.state_dim))
+        return meta["slot"], states, agents
 
 
 def _train_workers(num_agents):

@@ -15,7 +15,6 @@ from cbflab import harness
 from cbflab.channel import generate_trace, save_trace
 from cbflab.cli import build_parser, main
 from cbflab.drl import CHECKPOINT_VERSION
-from conftest import agent_arrays_old
 from test_harness import SMALL, write_config
 
 
@@ -116,7 +115,10 @@ def test_unknown_run_checkpoint_version_exits_two(tmp_path, capsys):
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"unsupported checkpoint version {CHECKPOINT_VERSION + 1} in" in err
+        assert (
+            f"config error: checkpoint {future} is damaged: "
+            f"unsupported checkpoint version {CHECKPOINT_VERSION + 1}\n"
+        ) in err
 
 
 BAD_VALUES = [
@@ -403,14 +405,6 @@ def _edit_meta(key, edit):
     return damage
 
 
-def _v1_block_transposed(arrays):
-    """Agent 1 in the version-1 layout, its actor's first weight block transposed."""
-    prefix = "agent1_"
-    agent = {k[len(prefix) :]: arrays.pop(k) for k in list(arrays) if k.startswith(prefix)}
-    arrays.update({prefix + k: v for k, v in agent_arrays_old(agent, 1).items()})
-    arrays["agent1_actor_p0"] = arrays["agent1_actor_p0"].T
-
-
 # Entries that load but do not fit the agent or stream that takes them over;
 # the slot-7 checkpoint holds 7 replay items, the memory room for 64, and
 # its actors have 2494 parameters.
@@ -426,10 +420,6 @@ UNFIT_ENTRIES = {
     "target-critic-float32": (
         _replace_entry("agent1_target_critic", lambda a: a.astype(np.float32)),
         "agent 1: target_critic holds float32 values, not float64",
-    ),
-    "version-1-block-transposed": (
-        _v1_block_transposed,
-        "agent 1: actor_p0 has shape (134, 16), its net (16, 134)",
     ),
     "adam-moment-short": (
         _replace_entry("agent2_adam_actor_m", lambda a: a[:-1]),
@@ -459,9 +449,45 @@ UNFIT_ENTRIES = {
         _edit_meta("agent2_meta", lambda meta: meta.update(replay_cursor=3)),
         "agent 2: a replay of 7 items with its cursor at 3 does not fit",
     ),
+    "replay-next-states-float32": (
+        _replace_entry("agent0_replay_next_states", lambda a: a.astype(np.float32)),
+        "agent 0: replay_next_states holds float32 values, not float64",
+    ),
     "meta-of-another-version": (
         _edit_meta("agent0_meta", lambda meta: meta.update(version=9)),
         "agent 0: unsupported checkpoint version 9",
+    ),
+    "meta-lacks-a-hyperparameter": (
+        _edit_meta("agent1_meta", lambda meta: meta.pop("actor_lr")),
+        "agent 1: meta lacks 'actor_lr'",
+    ),
+    "meta-lacks-the-rng-state": (
+        _edit_meta("agent2_meta", lambda meta: meta.pop("rng_state")),
+        "agent 2: meta lacks 'rng_state'",
+    ),
+    "harness-meta-lacks-the-slot": (
+        _edit_meta("harness_meta", lambda meta: meta.pop("slot")),
+        "meta lacks 'slot'",
+    ),
+    "slot-negative": (
+        _edit_meta("harness_meta", lambda meta: meta.update(slot=-1)),
+        "slot -1 is not an int >= 0",
+    ),
+    "slot-a-float": (
+        _edit_meta("harness_meta", lambda meta: meta.update(slot=7.0)),
+        "slot 7.0 is not an int >= 0",
+    ),
+    "states-float32": (
+        _replace_entry("states", lambda a: a.astype(np.float32)),
+        "states holds float32 values, not float64",
+    ),
+    "states-a-column-narrow": (
+        _replace_entry("states", lambda a: a[:, :-1]),
+        "states has shape (3, 133), not (3, 134)",
+    ),
+    "states-a-row-short": (
+        _replace_entry("states", lambda a: a[:-1]),
+        "states has shape (2, 134), not (3, 134)",
     ),
     "stream-cursor-zero": (
         _edit_meta("harness_meta", lambda meta: meta["stream"].update(cursor=0)),
@@ -514,6 +540,14 @@ UNFIT_ACTORS = {
         _edit_meta("agent0_meta", lambda meta: meta.update(version=9)),
         "agent 0: unsupported checkpoint version 9",
     ),
+    "agent-0-meta-lacks-the-state-width": (
+        _edit_meta("agent0_meta", lambda meta: meta.pop("state_dim")),
+        "agent 0: meta lacks 'state_dim'",
+    ),
+    "agent-2-meta-lacks-the-hidden-widths": (
+        _edit_meta("agent2_meta", lambda meta: meta.pop("hidden_sizes")),
+        "agent 2: meta lacks 'hidden_sizes'",
+    ),
 }
 
 
@@ -534,6 +568,46 @@ def test_bench_from_an_unfit_actor_exits_two_and_writes_nothing(
     assert f"config error: checkpoint {ckpt} is damaged: {message}" in err
     assert err.split("is damaged: ")[1].count("agent") == 1
     assert not (tmp_path / "out" / "bench.csv").exists()
+
+
+_without_fingerprint = _edit_meta("harness_meta", lambda meta: meta["stream"].pop("fingerprint"))
+
+
+def _as_version(version):
+    """Stamp ``version`` on every meta; no earlier writer stored a fingerprint."""
+
+    def damage(arrays):
+        _without_fingerprint(arrays)
+        for key in [k for k in arrays if k.endswith("_meta")]:  # harness_meta, agent{n}_meta
+            _edit_meta(key, lambda meta: meta.update(version=version))(arrays)
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_as_version(1), "unsupported checkpoint version 1\n"),
+        (_as_version(2), "unsupported checkpoint version 2\n"),
+        (_without_fingerprint, "'fingerprint'\n"),
+    ],
+    ids=["version-1", "version-2", "no-fingerprint"],
+)
+def test_resume_from_a_checkpoint_of_another_layout_exits_two(tmp_path, capsys, damage, message):
+    config = str(write_config(tmp_path))
+    assert main(["train", config]) == 0
+    csv = tmp_path / "out" / "train.csv"
+    rows = csv.read_bytes()
+    with np.load(tmp_path / "out" / "checkpoints" / "train_00000007.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    damage(arrays)
+    ckpt = tmp_path / "other.npz"
+    np.savez(ckpt, **arrays)
+    capsys.readouterr()
+    assert main(["train", config, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: checkpoint {ckpt} is damaged: {message}"
+    assert csv.read_bytes() == rows
 
 
 def test_damaged_entry_read_on_a_pool_thread_exits_two(tmp_path, capsys, monkeypatch):
@@ -599,6 +673,34 @@ def test_resume_across_antenna_arrays_exits_two(tmp_path, capsys, cols):
     err = capsys.readouterr().err
     assert f"config error: checkpoint {ckpt} does not fit this config: proc_h" in err
     assert csv.read_bytes() == written
+
+
+@pytest.mark.parametrize(
+    "key, dtype, message",
+    [
+        ("proc_h", np.complex64, "proc_h holds complex64 values, not complex128"),
+        ("proc_ue_positions", np.float32, "proc_ue_positions holds float32 values, not float64"),
+        ("proc_ue_headings", np.float32, "proc_ue_headings holds float32 values, not float64"),
+    ],
+    ids=["proc_h", "proc_ue_positions", "proc_ue_headings"],
+)
+def test_resume_from_channel_arrays_of_another_dtype_exits_two(
+    tmp_path, capsys, key, dtype, message
+):
+    config = str(write_config(tmp_path))
+    assert main(["train", config]) == 0
+    csv = tmp_path / "out" / "train.csv"
+    rows = csv.read_bytes()
+    with np.load(tmp_path / "out" / "checkpoints" / "train_00000007.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays[key] = arrays[key].astype(dtype)
+    ckpt = tmp_path / "unfit.npz"
+    np.savez(ckpt, **arrays)
+    capsys.readouterr()
+    assert main(["train", config, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: checkpoint {ckpt} does not fit this config: {message}" in err
+    assert csv.read_bytes() == rows
 
 
 def test_resume_past_the_end_of_a_shorter_trace_exits_two(tmp_path, capsys):

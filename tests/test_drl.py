@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbflab.drl import (
+    AGENT_META_KEYS,
     CHECKPOINT_VERSION,
     HYPERPARAMETERS,
     Adam,
@@ -756,25 +757,6 @@ def test_state_dict_holds_one_flat_array_per_net_and_moment():
     assert arrays["critic"].size == agent.critic.flat.size == arrays["adam_critic_v"].size
 
 
-def test_version1_agent_checkpoint_continues_bit_exactly(tmp_path, old_layout):
-    a = small_agent(seed=21)
-    fill_memory(a, 20, seed=2)
-    for _ in range(3):
-        a.train_step()
-        a.soft_update()
-        a.act(np.zeros(6), explore=True)
-    path = tmp_path / "agent_v1.npz"
-    np.savez(path, **old_layout.agent(a.state_dict(), 1))
-    b = load_agent(path)
-    for _ in range(3):
-        assert a.train_step() == b.train_step()
-        a.soft_update()
-        b.soft_update()
-    for name in ("actor", "critic", "target_actor", "target_critic"):
-        assert getattr(a, name).flat.tobytes() == getattr(b, name).flat.tobytes()
-    npt.assert_array_equal(a.act(np.ones(6), explore=True), b.act(np.ones(6), explore=True))
-
-
 class RecordingArrays(dict):
     """A dict that remembers which keys were read."""
 
@@ -787,20 +769,15 @@ class RecordingArrays(dict):
         return super().__getitem__(key)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
-def test_actor_from_state_dict_reads_only_meta_and_actor(version, old_layout):
+def test_actor_from_state_dict_reads_only_meta_and_actor():
     agent = small_agent(seed=4)
     fill_memory(agent, 8, seed=3)
     agent.train_step()
-    arrays = agent.state_dict()
-    if version < CHECKPOINT_VERSION:
-        arrays = old_layout.agent(arrays, version)
-    arrays = RecordingArrays(arrays)
+    arrays = RecordingArrays(agent.state_dict())
     actor = DdpgAgent.actor_from_state_dict(arrays)
     assert actor.flat.tobytes() == agent.actor.flat.tobytes()
     assert actor.output_activation == "sigmoid"
-    actor_keys = {"actor"} if version > 1 else {f"actor_p{i}" for i in range(6)}
-    assert arrays.read == {"meta"} | actor_keys
+    assert arrays.read == {"meta", "actor"}
 
 
 def test_unknown_checkpoint_version_rejected():
@@ -813,6 +790,29 @@ def test_unknown_checkpoint_version_rejected():
         ValueError, match=f"unsupported checkpoint version {CHECKPOINT_VERSION + 1}"
     ):
         DdpgAgent.from_state_dict(arrays)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_earlier_checkpoint_versions_rejected(version):
+    arrays = small_agent().state_dict()
+    meta = json.loads(str(arrays["meta"]))
+    meta["version"] = version
+    arrays["meta"] = np.array(json.dumps(meta))
+    for read in (DdpgAgent.from_state_dict, DdpgAgent.actor_from_state_dict):
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}$"):
+            read(arrays)
+
+
+def test_agent_meta_lacking_a_key_rejected_naming_it():
+    arrays = small_agent().state_dict()
+    written = json.loads(str(arrays["meta"]))
+    assert set(written) == {"version", *AGENT_META_KEYS}
+    for key in AGENT_META_KEYS:
+        meta = {k: v for k, v in written.items() if k != key}
+        arrays["meta"] = np.array(json.dumps(meta))
+        for read in (DdpgAgent.from_state_dict, DdpgAgent.actor_from_state_dict):
+            with pytest.raises(ValueError, match=f"^meta lacks '{key}'$"):
+                read(arrays)
 
 
 # -- the agent's two records ------------------------------------------------------

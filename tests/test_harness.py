@@ -273,49 +273,6 @@ def test_train_resume_after_the_replay_ring_wraps(tmp_path):
     assert (tmp_path / "part" / "train.csv").read_bytes() == (full / "train.csv").read_bytes()
 
 
-def _resume_from_old_layout(tmp_path, version, old_layout):
-    """Resume live and trace-backed runs from their slot-7 checkpoints rewritten
-    in the layout of ``version``; each must give the uninterrupted train.csv.
-    """
-    trace = tmp_path / "chan.trace"
-    generate_trace_file(parse_config(write_config(tmp_path)), trace, num_slots=20)
-    for source, overrides in (("process", {}), ("trace", {"trace_file": trace})):
-        full, part = tmp_path / source / "full", tmp_path / source / "part"
-        run_train(parse_config(write_config(tmp_path, out_dir=full, **overrides)))
-        part_cfg = parse_config(write_config(tmp_path, out_dir=part, **overrides))
-        run_train(part_cfg)
-        old = tmp_path / source / f"v{version}.npz"
-        ckpt = part / "checkpoints" / "train_00000007.npz"
-        old_layout.run(ckpt, old, version, part_cfg.network)
-        with np.load(old) as data:
-            old_copies = {"env_channel_h", "prev_own_channels"} <= set(data.files)
-            assert old_copies == (version < 3)
-            assert ("agent0_actor_p0" in data.files) == (version == 1)
-            meta = json.loads(str(data["harness_meta"]))
-            assert meta["version"] == version
-            assert "fingerprint" not in meta["stream"]
-        run_train(part_cfg, resume_from=str(old))
-        assert (part / "train.csv").read_bytes() == (full / "train.csv").read_bytes()
-
-
-def test_train_resume_from_version1_checkpoint(tmp_path, old_layout):
-    # Checkpoints written before the flat layout (one array per parameter and
-    # moment block) still resume bit-exactly.
-    _resume_from_old_layout(tmp_path, 1, old_layout)
-
-
-def test_train_resume_from_version2_checkpoint(tmp_path, old_layout):
-    # Version 2's copies of the channel, the previous slot and the row count
-    # are never read: they hold NaN here, and the metrics stay bit-exact.
-    _resume_from_old_layout(tmp_path, 2, old_layout)
-
-
-def test_train_resume_from_version3_checkpoint_without_fingerprint(tmp_path, old_layout):
-    # Version-3 checkpoints written before the streams stored their
-    # fingerprint resume unchecked and bit-exactly.
-    _resume_from_old_layout(tmp_path, 3, old_layout)
-
-
 @pytest.mark.parametrize("source", ["process", "trace"])
 def test_checkpoint_holds_each_fact_once(tmp_path, source):
     overrides = {}
@@ -1073,20 +1030,15 @@ def test_benchmark_policy_rollout_from_checkpoint(tmp_path):
     assert len(cdf) == 2 + 2 * 3
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
-def test_policy_rollout_reads_only_the_actors(tmp_path, version, old_layout):
+def test_policy_rollout_reads_only_the_actors(tmp_path):
     cfg = parse_config(write_config(tmp_path, num_slots=12, bench_slots=3))
-    ckpt = run_train(cfg)["checkpoint"]
-    full = ckpt
-    if version < 3:
-        full = str(tmp_path / f"v{version}.npz")
-        old_layout.run(ckpt, full, version, cfg.network)
+    full = run_train(cfg)["checkpoint"]
     # A checkpoint stripped of everything but the actors rolls out the same.
     with np.load(full) as data:
         keep = {
             k: data[k]
             for k in data.files
-            if k == "harness_meta" or re.fullmatch(r"agent\d+_(meta|actor|actor_p\d+)", k)
+            if k == "harness_meta" or re.fullmatch(r"agent\d+_(meta|actor)", k)
         }
         assert len(keep) < len(data.files)
     stripped = tmp_path / "actors_only.npz"
@@ -1115,10 +1067,9 @@ def reference_rollout(cfg, trace, checkpoint, action_mode):
     return cell_rates
 
 
-@pytest.mark.parametrize("version", [1, 3])
 @pytest.mark.parametrize("action_mode", ["structured", "mslnr-power"])
 def test_stacked_rollout_writes_the_bench_files_of_one_actor_at_a_time(
-    tmp_path, monkeypatch, action_mode, version, old_layout
+    tmp_path, monkeypatch, action_mode
 ):
     trace_path = tmp_path / "chan.trace"
     cfg = parse_config(
@@ -1127,10 +1078,6 @@ def test_stacked_rollout_writes_the_bench_files_of_one_actor_at_a_time(
     generate_trace_file(cfg, trace_path)
     cfg = dataclasses.replace(cfg, trace_file=str(trace_path))
     ckpt = run_train(cfg)["checkpoint"]
-    if version < 3:
-        old = str(tmp_path / f"v{version}.npz")
-        old_layout.run(ckpt, old, version, cfg.network)
-        ckpt = old
     scheme = "ddcbf" if action_mode == "structured" else "mslnr-ddpg"
     files = {}
     for name, rollout in (("stacked", harness._rollout_policy), ("rows", reference_rollout)):
