@@ -471,45 +471,53 @@ class ChannelProcess:
         }
         return arrays, meta
 
+    def checkpoint_layout(self):
+        """The (dtype, shape) of each ``state_dict`` array, for this process's network."""
+        net = self.net_cfg
+        n, k = net.num_cells, net.users_per_cell
+        return {
+            "proc_h": (np.dtype(np.complex128), (n, n, k, net.num_antennas)),
+            "proc_ue_positions": (np.dtype(np.float64), (n, k, 2)),
+            "proc_ue_headings": (np.dtype(np.float64), (n, k)),
+        }
+
     def load_state_dict(self, state):
         """Restore a ``state_dict`` pair, taking ownership of its arrays.
 
-        Raises ValueError, before changing anything, unless every array has
-        its dtype and its shape for this process's network and the meta's
-        channel is its own.
+        Raises, before changing anything, ValueError unless every array has
+        its ``checkpoint_layout`` and the meta's channel is its own, and
+        KeyError (``stream meta lacks ...``) for a meta without a key.
         """
         arrays, meta = state
-        net = self.net_cfg
-        n, k = net.num_cells, net.users_per_cell
-        layout = {
-            "proc_h": (np.complex128, (n, n, k, net.num_antennas)),
-            "proc_ue_positions": (np.float64, (n, k, 2)),
-            "proc_ue_headings": (np.float64, (n, k)),
-        }
-        restored = {key: arrays[key] for key in layout}  # an archive reads on access
-        for key, (dtype, shape) in layout.items():
-            if restored[key].dtype != dtype:
+        for key, (dtype, shape) in self.checkpoint_layout().items():
+            if arrays[key].dtype != dtype:
+                raise ValueError(f"{key} holds {arrays[key].dtype} values, not {dtype}")
+            if arrays[key].shape != shape:
                 raise ValueError(
-                    f"{key} holds {restored[key].dtype} values, not {np.dtype(dtype)}"
-                )
-            if restored[key].shape != shape:
-                raise ValueError(
-                    f"{key} has shape {restored[key].shape}, "
-                    f"this network needs {shape}"
+                    f"{key} has shape {arrays[key].shape}, this network needs {shape}"
                 )
         _check_fingerprint(self, meta)
-        self.current = ChannelState(slot_index=int(meta["slot"]), h=restored["proc_h"])
-        self.topology.ue_positions = restored["proc_ue_positions"]
-        self.topology.ue_headings = restored["proc_ue_headings"]
-        self.rng.bit_generator.state = json.loads(meta["rng_state"])
+        slot = int(_stream_meta(meta, "slot"))
+        rng_state = json.loads(_stream_meta(meta, "rng_state"))
+        self.current = ChannelState(slot_index=slot, h=arrays["proc_h"])
+        self.topology.ue_positions = arrays["proc_ue_positions"]
+        self.topology.ue_headings = arrays["proc_ue_headings"]
+        self.rng.bit_generator.state = rng_state
+
+
+def _stream_meta(meta, key):
+    """``meta[key]`` of a stream's checkpoint meta; KeyError naming the key if it lacks it."""
+    if key not in meta:
+        raise KeyError(f"stream meta lacks {key!r}")
+    return meta[key]
 
 
 def _check_fingerprint(stream, meta):
     """ValueError if a stream's checkpoint ``meta`` names another channel source.
 
-    KeyError if ``meta`` has no ``fingerprint``.
+    KeyError (``_stream_meta``) if ``meta`` has no ``fingerprint``.
     """
-    stored = meta["fingerprint"]
+    stored = _stream_meta(meta, "fingerprint")
     if stored != stream.fingerprint:
         raise ValueError(
             f"its channel has fingerprint {stored:#x}, this config's {stream.kind} "
@@ -543,10 +551,17 @@ class TraceStream:
         """Run-checkpoint entries as a pair (arrays, meta); there are no arrays."""
         return {}, {"kind": self.kind, "cursor": self.cursor, "fingerprint": self.fingerprint}
 
+    def checkpoint_layout(self):
+        """The (dtype, shape) of each ``state_dict`` array: there are none."""
+        return {}
+
     def load_state_dict(self, state):
-        """Restore a ``state_dict`` pair; ValueError if it does not fit the trace."""
+        """Restore a ``state_dict`` pair; ValueError if it does not fit the trace.
+
+        KeyError (``stream meta lacks ...``) for a meta without a key.
+        """
         _, meta = state
-        cursor = int(meta["cursor"])
+        cursor = int(_stream_meta(meta, "cursor"))
         if not 0 <= cursor <= self.trace.num_slots:
             raise ValueError(
                 f"cursor {cursor} lies outside this {self.trace.num_slots}-slot trace"

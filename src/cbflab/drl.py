@@ -13,16 +13,23 @@ agent's actor half while another agent's critic half runs.
 A ``DdpgAgent`` is two records, and its checkpoint is those records: the dict
 of its ``HYPERPARAMETERS`` (in the checkpoint's JSON ``meta``) and the dict of
 its flat vectors, the parameters of each net and the Adam moments (one
-checkpoint array each).  A fresh and a restored agent are set up alike from
-them.
+checkpoint array each, and views of one block in memory).  A fresh and a
+restored agent are set up alike from them.  ``read_entry`` reads a run
+checkpoint's arrays in place.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import os
+import struct
+import zipfile
+import zlib
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 # Version of the run checkpoint layout, laid out in ``harness.save_checkpoint``.
 CHECKPOINT_VERSION = 3
@@ -33,7 +40,9 @@ def read_meta(entry, keys=None):
 
     ValueError unless its ``version`` is ``CHECKPOINT_VERSION`` and it holds
     every one of ``keys`` (by default ``AGENT_META_KEYS``), naming the first
-    key it lacks.
+    key it lacks.  An agent's ``meta`` must also hold an int (not a bool) at
+    each of ``AGENT_INT_KEYS`` and a list of ints at ``hidden_sizes``, else
+    ValueError naming the key.
     """
     meta = json.loads(str(entry))
     if meta.get("version") != CHECKPOINT_VERSION:
@@ -41,6 +50,13 @@ def read_meta(entry, keys=None):
     for key in AGENT_META_KEYS if keys is None else keys:
         if key not in meta:
             raise ValueError(f"meta lacks {key!r}")
+    if keys is None:
+        for key in AGENT_INT_KEYS:
+            if type(meta[key]) is not int:
+                raise ValueError(f"{key} {meta[key]!r} is not an int")
+        widths = meta["hidden_sizes"]
+        if type(widths) is not list or any(type(width) is not int for width in widths):
+            raise ValueError(f"hidden_sizes {widths!r} is not a list of ints")
     return meta
 
 
@@ -54,6 +70,96 @@ def check_entry(name, array, shape, expected="not"):
     if array.shape != shape:
         raise ValueError(f"{name} has shape {array.shape}, {expected} {shape}")
     return array
+
+
+# The .npy header readers by format version.  ``np.save`` writes 1.0, or 2.0
+# for a header longer than 64 KiB.
+_NPY_HEADERS = {
+    (1, 0): npy_format.read_array_header_1_0,
+    (2, 0): npy_format.read_array_header_2_0,
+}
+
+# A zip local file header: its signature, then the lengths of the member's
+# name, which follows the 30-byte header, and of the extra field after it.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+
+# The bytes read to parse a member's .npy header: np.save pads a header to a
+# multiple of 64 bytes, and those of a checkpoint's arrays take 128.
+_NPY_HEADER_READ = 4096
+
+
+def read_entry(archive, name, out, label=None, expected="not"):
+    """Fill ``out`` in place with array entry ``name`` of an open ``np.load`` archive.
+
+    The one reader of a run checkpoint's arrays, as ``np.savez`` stores
+    them.  ``archive`` is the ``NpzFile`` of a file, which has parsed the
+    zip's central directory; the member ``{name}.npy`` is read by offset on
+    the file's descriptor, its data straight into ``out`` (C-contiguous),
+    which is returned.  Checked in order, each before ``out`` is written:
+
+    * the member exists (KeyError ``{name} is not a file in the archive``),
+      is stored uncompressed and its local header names it
+      (zipfile.BadZipFile);
+    * its ``.npy`` header parses (numpy's ValueError, ``Cannot parse
+      header`` among them);
+    * it holds values of ``out``'s dtype in C order and of ``out``'s shape,
+      else ValueError naming ``label`` (by default ``name``); the shape's
+      message reads ``{label} has shape ..., {expected} {shape}``, as
+      ``check_entry``'s;
+    * the member is as long as its header and ``out``'s bytes
+      (zipfile.BadZipFile).
+
+    Then one ``os.preadv`` fills ``out``, and the CRC-32 of the header bytes
+    and ``out`` must match the directory's: zipfile.BadZipFile for a short
+    read or ``Bad CRC-32 for file ...``, ``out`` then holding what was read.
+    The reads and the checksum release the GIL, so threads reading other
+    entries overlap.
+    """
+    if not out.flags.c_contiguous:
+        raise TypeError("read_entry fills C-contiguous arrays only")
+    label = name if label is None else label
+    member = f"{name}.npy"
+    try:
+        info = archive.zip.getinfo(member)
+    except KeyError:
+        raise KeyError(f"{name} is not a file in the archive") from None
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise zipfile.BadZipFile(f"{member!r} is compressed, not stored")
+    fd = archive.zip.fp.fileno()
+    stored_name = member.encode()
+    local = os.pread(fd, _LOCAL_HEADER.size + len(stored_name), info.header_offset)
+    if len(local) < _LOCAL_HEADER.size or local[:4] != zipfile.stringFileHeader:
+        raise zipfile.BadZipFile(f"Bad magic number for the local header of {member!r}")
+    _, name_len, extra_len = _LOCAL_HEADER.unpack_from(local)
+    if local[_LOCAL_HEADER.size :] != stored_name or name_len != len(stored_name):
+        named = os.pread(fd, name_len, info.header_offset + _LOCAL_HEADER.size)
+        raise zipfile.BadZipFile(
+            f"File name in directory {member!r} and header {named!r} differ."
+        )
+    start = info.header_offset + len(local) + extra_len
+    header = io.BytesIO(os.pread(fd, min(info.file_size, _NPY_HEADER_READ), start))
+    version = npy_format.read_magic(header)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f"{label} has .npy format version {version}, not 1.0 or 2.0")
+    shape, fortran_order, dtype = _NPY_HEADERS[version](header)
+    if dtype != out.dtype:
+        raise ValueError(f"{label} holds {dtype} values, not {out.dtype}")
+    if fortran_order:
+        raise ValueError(f"{label} is stored in Fortran order")
+    if shape != out.shape:
+        raise ValueError(f"{label} has shape {shape}, {expected} {out.shape}")
+    head = header.getbuffer()[: header.tell()]
+    data = out.reshape(-1).view(np.uint8)
+    size = len(head) + data.nbytes
+    if not info.file_size == info.compress_size == size:
+        raise zipfile.BadZipFile(
+            f"{member!r} holds {info.file_size} bytes, its header and data {size}"
+        )
+    if os.preadv(fd, [data], start + len(head)) != data.nbytes:
+        raise zipfile.BadZipFile(f"{member!r} is truncated")
+    if zlib.crc32(data, zlib.crc32(head)) != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {member!r}")
+    return out
 
 
 def savez_atomic(path, arrays):
@@ -453,6 +559,19 @@ AGENT_META_KEYS = (
     "rng_state",
 )
 
+# The keys of an agent's ``meta`` that hold ints; ``hidden_sizes`` holds a
+# list of them.
+AGENT_INT_KEYS = (
+    "state_dim",
+    "action_dim",
+    "batch_size",
+    "memory_capacity",
+    "adam_actor_step",
+    "adam_critic_step",
+    "replay_cursor",
+    "replay_len",
+)
+
 
 def _layer_sizes(state_dim, action_dim, hidden_sizes):
     """Layer widths of the actor and of the critic (which also takes the action)."""
@@ -460,6 +579,39 @@ def _layer_sizes(state_dim, action_dim, hidden_sizes):
         "actor": [state_dim, *hidden_sizes, action_dim],
         "critic": [state_dim + action_dim, *hidden_sizes, 1],
     }
+
+
+def _flat_vectors(state_dim, action_dim, hidden_sizes):
+    """An agent's ``flats`` record, unset: each vector a view of one contiguous block.
+
+    The ``_FLAT_KEYS`` vectors lie in that order, each as long as the
+    ``flat`` vector of the net it parameterizes (an Adam moment's being its
+    net's).  One block is one allocation per agent, at ref7 large enough
+    for numpy to ask the kernel for huge pages.
+    """
+    sizes = _layer_sizes(state_dim, action_dim, hidden_sizes)
+    lengths = [
+        Mlp.num_parameters(sizes["critic" if "critic" in key else "actor"]) for key in _FLAT_KEYS
+    ]
+    block = np.empty(sum(lengths))
+    ends = itertools.accumulate(lengths)
+    return {key: block[end - n : end] for key, n, end in zip(_FLAT_KEYS, lengths, ends)}
+
+
+def _read_into(arrays, key, out, expected="not"):
+    """Fill ``out`` with entry ``key`` of ``state_dict`` arrays and return it.
+
+    Arrays that read in place (a run checkpoint's agent entries, whose
+    ``read_into`` is ``read_entry``) fill ``out`` themselves; from any other
+    mapping the entry is checked (``check_entry``) and copied.  Either way
+    ValueError naming ``key`` unless it holds float64 values of ``out``'s
+    shape, the shape's message ending ``{expected} {shape}``.
+    """
+    read_into = getattr(arrays, "read_into", None)
+    if read_into is not None:
+        return read_into(key, out, expected)
+    out[...] = check_entry(key, arrays[key], out.shape, expected)
+    return out
 
 
 class DdpgAgent:
@@ -476,22 +628,22 @@ class DdpgAgent:
     The agent is two records, both of which its checkpoint stores:
     ``hyperparameters`` maps each name to its setting, in ``HYPERPARAMETERS``
     order, and ``flats`` maps each ``_FLAT_KEYS`` key to its vector, in that
-    order.  The nets and Adam optimizers own those vectors.  ``noise_sigma``
-    is the running noise scale; a restored agent's ``noise_sigma_init`` is
-    the scale it was saved at.
+    order.  The vectors are views of one block (``_flat_vectors``), in a
+    fresh and a restored agent alike; the nets and Adam optimizers own
+    them.  ``noise_sigma`` is the running noise scale; a restored agent's
+    ``noise_sigma_init`` is the scale it was saved at.
     """
 
     def __init__(self, state_dim, action_dim, *, seed, **hyperparameters):
         self.check_hyperparameters(hyperparameters)
         rng = np.random.default_rng(seed)
-        sizes = _layer_sizes(state_dim, action_dim, hyperparameters["hidden_sizes"])
-        flats = {}
+        hidden_sizes = hyperparameters["hidden_sizes"]
+        sizes = _layer_sizes(state_dim, action_dim, hidden_sizes)
+        flats = _flat_vectors(state_dim, action_dim, hidden_sizes)
         for net, activation in (("actor", "sigmoid"), ("critic", "identity")):
             flat = Mlp.create(sizes[net], activation, rng).flat
-            flats[net] = flat
-            flats[f"target_{net}"] = flat.copy()
-            flats[f"adam_{net}_m"] = np.zeros_like(flat)
-            flats[f"adam_{net}_v"] = np.zeros_like(flat)
+            flats[net][:] = flats[f"target_{net}"][:] = flat
+            flats[f"adam_{net}_m"][:] = flats[f"adam_{net}_v"][:] = 0.0
         self._setup(state_dim, action_dim, rng, hyperparameters, flats)
 
     @staticmethod
@@ -687,19 +839,24 @@ class DdpgAgent:
         """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays.
 
         Draws no initial weights; ``meta`` is the parsed ``arrays["meta"]``,
-        read here (``read_meta``) if not given.  The agent takes ownership of
-        what it reads: its nets and Adam moments are the arrays that
-        ``arrays`` returns, not copies.  ValueError unless every entry fits
-        the agent that ``meta`` describes: each net and Adam moment its net's
-        layers (``_flat_entry``), and the replay arrays float64 values in
-        ``replay_len`` rows (at most ``memory_capacity``) of the state and
-        action widths, with the ring's cursor in [0, capacity) and at the
-        row count until the ring is full.
+        read here (``read_meta``) if not given.  The nets and Adam moments
+        are read into one new block of the agent's ``flats`` layout, and the
+        replay into arrays of its rows; from a run checkpoint's agent
+        entries each is read in place (``read_entry``), other arrays are
+        copied.  ValueError unless every entry fits the agent that ``meta``
+        describes: each net and Adam moment float64 values of its net's
+        length, and the replay arrays float64 values in ``replay_len`` rows
+        (at most ``memory_capacity``) of the state and action widths, with
+        the ring's cursor in [0, capacity) and at the row count until the
+        ring is full.
         """
         meta = read_meta(arrays["meta"]) if meta is None else meta
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
         cls.check_hyperparameters(hyperparameters)
-        flats = {key: _flat_entry(arrays, meta, key) for key in _FLAT_KEYS}
+        state_dim, action_dim = meta["state_dim"], meta["action_dim"]
+        flats = _flat_vectors(state_dim, action_dim, hyperparameters["hidden_sizes"])
+        for key, flat in flats.items():
+            _read_into(arrays, key, flat, "its net")
         rows, cursor = meta["replay_len"], meta["replay_cursor"]
         capacity = hyperparameters["memory_capacity"]
         if not (0 <= rows <= capacity and 0 <= cursor < capacity) or (
@@ -711,15 +868,15 @@ class DdpgAgent:
             )
         agent = cls.__new__(cls)
         rng = np.random.default_rng()
-        agent._setup(meta["state_dim"], meta["action_dim"], rng, hyperparameters, flats)
+        agent._setup(state_dim, action_dim, rng, hyperparameters, flats)
         agent.rng.bit_generator.state = meta["rng_state"]
-        agent.adam_actor.step_count = int(meta["adam_actor_step"])
-        agent.adam_critic.step_count = int(meta["adam_critic_step"])
+        agent.adam_actor.step_count = meta["adam_actor_step"]
+        agent.adam_critic.step_count = meta["adam_critic_step"]
         if rows > 0:
-            state, action = (rows, meta["state_dim"]), (rows, meta["action_dim"])
+            state, action = (rows, state_dim), (rows, action_dim)
             shapes = dict(zip(_REPLAY_KEYS, (state, action, (rows,), state)))
             replay = {
-                key: check_entry(f"replay_{key}", arrays[f"replay_{key}"], shapes[key])
+                key: _read_into(arrays, f"replay_{key}", np.empty(shapes[key]))
                 for key in _REPLAY_KEYS
             }
             agent.memory.restore({**replay, "cursor": cursor})
@@ -729,29 +886,16 @@ class DdpgAgent:
     def actor_from_state_dict(arrays, meta=None):
         """The policy net alone, from ``state_dict`` arrays.
 
-        Reads only the actor's entries, and ``meta`` unless its parsed form
-        is given, so with a lazily read archive (``np.load`` of an ``.npz``)
-        nothing else is loaded.  Like ``from_state_dict``, the net takes
-        ownership of the vector it reads, and an entry that does not fit its
-        layers raises ValueError (``_flat_entry``).
+        Reads only the actor's entry, and ``meta`` unless its parsed form is
+        given, into a new vector, as ``from_state_dict`` reads it; an entry
+        that does not fit the actor's layers raises ValueError.
         """
         meta = read_meta(arrays["meta"]) if meta is None else meta
-        return Mlp(actor_layer_sizes(meta), _flat_entry(arrays, meta, "actor"), "sigmoid")
+        sizes = actor_layer_sizes(meta)
+        flat = _read_into(arrays, "actor", np.empty(Mlp.num_parameters(sizes)), "its net")
+        return Mlp(sizes, flat, "sigmoid")
 
 
 def actor_layer_sizes(meta):
     """The actor's layer widths, from an agent's parsed checkpoint ``meta``."""
     return _layer_sizes(meta["state_dim"], meta["action_dim"], meta["hidden_sizes"])["actor"]
-
-
-def _flat_entry(arrays, meta, key):
-    """The flat vector ``key`` of ``state_dict`` arrays, checked (``check_entry``).
-
-    The one check of the vectors a checkpoint stores: ValueError naming the
-    entry unless it holds float64 values of shape (P,), P being the length
-    of the ``flat`` vector of the net that ``key`` parameterizes (an Adam
-    moment's being its net's), from ``meta``'s widths.
-    """
-    sizes = _layer_sizes(meta["state_dim"], meta["action_dim"], meta["hidden_sizes"])
-    layers = sizes["critic" if "critic" in key else "actor"]
-    return check_entry(key, arrays[key], (Mlp.num_parameters(layers),), "its net")

@@ -49,7 +49,7 @@ from .drl import (
     DdpgAgent,
     Mlp,
     actor_layer_sizes,
-    check_entry,
+    read_entry,
     read_meta,
     savez_atomic,
 )
@@ -539,10 +539,10 @@ def save_checkpoint(path, slot, states, env, agents):
 class _AgentArrays:
     """Agent ``n``'s ``state_dict`` arrays inside a run checkpoint.
 
-    Hides the ``agent{n}_`` prefix of the run layout.  Entries are looked up
-    in the archive on access, so reading one agent's actor from ``np.load``
-    of the checkpoint loads nothing else; the builders in ``drl`` check
-    what they read.
+    Hides the ``agent{n}_`` prefix of the run layout.  ``arrays[key]`` reads
+    an entry from the archive on access (the agent's JSON ``meta``);
+    ``read_into`` reads an array entry in place (``drl.read_entry``), which
+    the builders in ``drl`` use and which checks what it reads.
     """
 
     def __init__(self, archive, n):
@@ -552,6 +552,10 @@ class _AgentArrays:
 
     def __getitem__(self, key):
         return self._archive[self._prefix + key]
+
+    def read_into(self, key, out, expected="not"):
+        """Fill ``out`` with entry ``key``; its check messages name ``key``."""
+        return read_entry(self._archive, self._prefix + key, out, key, expected)
 
 
 @contextlib.contextmanager
@@ -573,17 +577,22 @@ def _naming_agent(n):
 
 @contextlib.contextmanager
 def _open_checkpoint(path, num_agents):
-    """A run checkpoint's lazily read archive and parsed ``harness_meta``, as (data, meta).
+    """A run checkpoint's open archive and parsed ``harness_meta``, as (data, meta).
 
     The one opener of run checkpoints, which reads only the layout that
-    ``save_checkpoint`` writes.  ConfigError if the file is missing, holds
-    another agent count than ``num_agents``, or is damaged: not a zip file
-    (a plain ``.npy`` file among them), of another version than
-    ``CHECKPOINT_VERSION``, with a ``harness_meta`` that lacks a key or
-    whose ``slot`` or ``num_agents`` is not an int >= 0, failing an entry's
-    CRC check, lacking an entry that the reader asks for or holding one
-    that does not parse or fit (a ValueError of the reader).  A ConfigError
-    raised inside the block passes through unchanged.
+    ``save_checkpoint`` writes.  ``np.load`` parses the zip's central
+    directory and reads the JSON metas; the readers inside the block read
+    each array entry in place (``drl.read_entry``).  ConfigError if the file
+    is missing, holds another agent count than ``num_agents``, or is
+    damaged: not a zip file (a plain ``.npy`` file among them), of another
+    version than ``CHECKPOINT_VERSION``, with a ``harness_meta`` that lacks
+    a key (or whose ``stream`` lacks ``kind``) or whose ``slot`` or
+    ``num_agents`` is not an int >= 0, lacking an entry that a reader asks for, or holding
+    one that fails ``read_entry``'s checks (compressed, named otherwise in
+    its local header, a header that does not parse, another dtype, order,
+    shape or length, a bad CRC) or that does not fit (a ValueError of the
+    reader).  A ConfigError raised inside the block passes through
+    unchanged.
     """
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
@@ -598,6 +607,8 @@ def _open_checkpoint(path, num_agents):
                 for key in ("slot", "num_agents"):
                     if type(meta[key]) is not int or meta[key] < 0:
                         raise ValueError(f"{key} {meta[key]!r} is not an int >= 0")
+                if "kind" not in meta["stream"]:
+                    raise ValueError("stream meta lacks 'kind'")
                 if meta["num_agents"] != num_agents:
                     raise ConfigError(
                         f"checkpoint {path} holds {meta['num_agents']} agents, "
@@ -607,18 +618,21 @@ def _open_checkpoint(path, num_agents):
     except ConfigError:
         raise
     except (zipfile.BadZipFile, KeyError, ValueError) as exc:
-        raise ConfigError(f"checkpoint {path} is damaged: {exc}") from exc
+        # A KeyError's message is its argument; str() would quote it.
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise ConfigError(f"checkpoint {path} is damaged: {detail}") from exc
 
 
 def _read_agents(data, meta, path, build, env=None):
     """``build(arrays, stored)`` for each per-BS agent of an open run checkpoint, in agent order.
 
     ``arrays`` are agent ``n``'s entries (``_AgentArrays``) and ``stored``
-    its parsed ``meta``, read once here.  Agent ``n`` is read and built by
-    worker ``n mod W`` (``_run_tasks``; W is ``_train_workers`` of the agent
-    count), the calling thread being worker 0, on a pool that ends with the
-    call.  The archive serializes the reads themselves; the CRC checks and
-    array copies of different agents can overlap.  With ``env`` given,
+    its parsed ``meta``, read once here, on the worker.  Agent ``n`` is read
+    and built by worker ``n mod W`` (``_run_tasks``; W is ``_train_workers``
+    of the agent count), the calling thread being worker 0, on a pool that
+    ends with the call.  ``build`` reads the array entries in place, by
+    offset (``_AgentArrays.read_into``); those reads and their CRC checks
+    release the GIL, so the workers' reads overlap.  With ``env`` given,
     agent ``n``'s stored state and action widths are compared with the
     env's before it is built.  A ValueError of the reader names its agent
     once (``_naming_agent``).  A failed agent stops no other read; once
@@ -651,12 +665,16 @@ def _read_agents(data, meta, path, build, env=None):
 def load_checkpoint(path, env):
     """Restore the env's channel stream in place and rebuild the agents.
 
-    Returns (slot, states, agents), read in one pass over the archive; the
-    agents are built on the training workers, in order (``_read_agents``).
-    A checkpoint that does not fit the env (another agent count, channel
-    source, network shape, channel config, trace file or agent widths)
-    raises ConfigError, and so does one whose ``states`` are not float64
-    (N, state_dim); the hyperparameters are the caller's to compare.
+    Returns (slot, states, agents), read in one pass over the archive: the
+    stream's arrays (``checkpoint_layout``), the agents' entries
+    (``DdpgAgent.from_state_dict``, on the training workers, in order; see
+    ``_read_agents``) and ``states`` are each read in place into their final
+    arrays and checked by ``drl.read_entry``: member, header, dtype, C
+    order, shape and CRC.  A checkpoint that does not fit the env (another
+    agent count, channel source, network shape or dtype of a channel array,
+    channel config, trace file or agent widths) raises ConfigError, and so
+    does one whose ``states`` are not float64 (N, state_dim); the
+    hyperparameters are the caller's to compare.
     """
     with _open_checkpoint(path, env.net_cfg.num_cells) as (data, meta):
         stored = meta["stream"]["kind"]
@@ -667,12 +685,16 @@ def load_checkpoint(path, env):
                 "(a 'trace' source needs trace_file, a 'process' source none)"
             )
         try:
-            env.stream.load_state_dict((data, meta["stream"]))
+            arrays = {
+                key: read_entry(data, key, np.empty(shape, dtype), expected="this network needs")
+                for key, (dtype, shape) in env.stream.checkpoint_layout().items()
+            }
+            env.stream.load_state_dict((arrays, meta["stream"]))
         except ValueError as exc:
             raise ConfigError(f"checkpoint {path} does not fit this config: {exc}") from exc
         env.resume()
         agents = _read_agents(data, meta, path, DdpgAgent.from_state_dict, env)
-        states = check_entry("states", data["states"], (meta["num_agents"], env.state_dim))
+        states = read_entry(data, "states", np.empty((meta["num_agents"], env.state_dim)))
         return meta["slot"], states, agents
 
 
@@ -911,9 +933,9 @@ def _read_actor_stack(data, meta, path, env):
 
     Agent 0's parsed ``meta`` sizes the (N, P) stack before any actor is
     read, and every actor must have its widths (else ``is damaged``, naming
-    the agent).  Each agent's actor is read as a resume reads it
-    (``DdpgAgent.actor_from_state_dict``), so every entry's CRC, dtype and
-    shape are checked, and is copied into its row.
+    the agent).  Each agent's actor entry is read in place into its row of
+    the stack (``_AgentArrays.read_into``), checked as a resume checks it:
+    member, header, float64 values of shape (P,) and CRC.
     """
     with _naming_agent(0):
         sizes = actor_layer_sizes(read_meta(_AgentArrays(data, 0)["meta"]))
@@ -921,13 +943,13 @@ def _read_actor_stack(data, meta, path, env):
     stack = Mlp(sizes, flat, "sigmoid")
 
     def fill(arrays, stored):
-        actor = DdpgAgent.actor_from_state_dict(arrays, stored)
-        if actor.layer_sizes != stack.layer_sizes:
+        layers = actor_layer_sizes(stored)
+        if layers != stack.layer_sizes:
             raise ConfigError(
                 f"checkpoint {path} is damaged: agent {arrays.n}'s actor has layers "
-                f"{actor.layer_sizes}, agent 0's {stack.layer_sizes}"
+                f"{layers}, agent 0's {stack.layer_sizes}"
             )
-        stack.flat[arrays.n] = actor.flat
+        arrays.read_into("actor", flat[arrays.n], "its net")
 
     _read_agents(data, meta, path, fill, env)
     return stack

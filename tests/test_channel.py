@@ -512,6 +512,22 @@ def test_process_restore_dimension_mismatch():
         assert after[0][key].tobytes() == value.tobytes()
 
 
+@pytest.mark.parametrize("key", ["slot", "rng_state", "fingerprint"])
+def test_process_restore_names_a_missing_meta_key(key):
+    cfg = _frozen_cfg()
+    proc = ChannelProcess(make_net(n=2, k=1), cfg)
+    proc.next_slot()
+    before = proc.state_dict()
+    arrays, meta = before
+    with pytest.raises(KeyError, match=f"stream meta lacks '{key}'"):
+        proc.load_state_dict((arrays, {k: v for k, v in meta.items() if k != key}))
+    # A rejected restore changes nothing.
+    after = proc.state_dict()
+    assert after[1] == before[1]
+    for name, value in before[0].items():
+        assert after[0][name].tobytes() == value.tobytes()
+
+
 def _jakes_argument(net):
     return 2.0 * np.pi * (net.ue_speed * net.carrier_freq / 299792458.0) * net.slot_duration
 

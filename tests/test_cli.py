@@ -358,6 +358,41 @@ def _plain_npy(path):
         np.save(fh, np.zeros(3))
 
 
+def _rewrite_actor(path, edit=bytes, compress_type=zipfile.ZIP_STORED):
+    """Write the archive anew, agent 1's actor member edited and stored with ``compress_type``."""
+    with zipfile.ZipFile(path) as archive:
+        members = [(info.filename, archive.read(info)) for info in archive.infolist()]
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members:
+            if name == "agent1_actor.npy":
+                archive.writestr(name, edit(data), compress_type=compress_type)
+            else:
+                archive.writestr(name, data)
+
+
+def _deflated_actor(path):
+    # np.load inflates such a member; np.savez never writes one.
+    _rewrite_actor(path, compress_type=zipfile.ZIP_DEFLATED)
+
+
+def _actor_in_fortran_order(path):
+    # Same length, so the header still parses; np.load reads a 1-d array alike.
+    flag = b"'fortran_order': "
+    _rewrite_actor(path, lambda data: data.replace(flag + b"False", flag + b"True "))
+
+
+def _actor_named_otherwise(path):
+    """Name agent 2's actor in the local header of agent 1's."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("agent1_actor.npy")
+    data = bytearray(path.read_bytes())
+    # The name follows the 30-byte local file header.
+    start = info.header_offset + 30
+    assert data[start : start + 16] == b"agent1_actor.npy"
+    data[start : start + 16] = b"agent2_actor.npy"
+    path.write_bytes(bytes(data))
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -366,8 +401,23 @@ def _plain_npy(path):
         (_drop_entry, "agent1_critic is not a file in the archive"),
         (_flip_a_header_byte, "Cannot parse header"),
         (_plain_npy, "not an .npz archive"),
+        (_deflated_actor, "'agent1_actor.npy' is compressed, not stored"),
+        (
+            _actor_named_otherwise,
+            "File name in directory 'agent1_actor.npy' and header b'agent2_actor.npy' differ.",
+        ),
+        (_actor_in_fortran_order, "agent 1: actor is stored in Fortran order"),
     ],
-    ids=["truncated", "flipped-byte", "missing-entry", "flipped-header-byte", "npy"],
+    ids=[
+        "truncated",
+        "flipped-byte",
+        "missing-entry",
+        "flipped-header-byte",
+        "npy",
+        "deflated-member",
+        "local-header-names-another-member",
+        "fortran-order",
+    ],
 )
 def test_damaged_run_checkpoint_exits_two(tmp_path, capsys, damage, message):
     config = str(write_config(tmp_path))
@@ -379,7 +429,14 @@ def test_damaged_run_checkpoint_exits_two(tmp_path, capsys, damage, message):
     damage(ckpt)
     capsys.readouterr()
     commands = [["train", config, "--resume", str(ckpt)]]
-    if damage in (_truncate, _plain_npy):  # the bench reads only the actors of the others
+    # The bench reads only the actors of the others.
+    if damage in (
+        _truncate,
+        _plain_npy,
+        _deflated_actor,
+        _actor_named_otherwise,
+        _actor_in_fortran_order,
+    ):
         commands.append(["bench", config, "--schemes", "ddcbf", "--checkpoint", str(ckpt)])
     for argv in commands:
         assert main(argv) == 2
@@ -461,6 +518,10 @@ UNFIT_ENTRIES = {
         _edit_meta("agent1_meta", lambda meta: meta.pop("actor_lr")),
         "agent 1: meta lacks 'actor_lr'",
     ),
+    "meta-state-width-a-float": (
+        _edit_meta("agent1_meta", lambda meta: meta.update(state_dim=134.0)),
+        "agent 1: state_dim 134.0 is not an int",
+    ),
     "meta-lacks-the-rng-state": (
         _edit_meta("agent2_meta", lambda meta: meta.pop("rng_state")),
         "agent 2: meta lacks 'rng_state'",
@@ -488,6 +549,14 @@ UNFIT_ENTRIES = {
     "states-a-row-short": (
         _replace_entry("states", lambda a: a[:-1]),
         "states has shape (2, 134), not (3, 134)",
+    ),
+    "stream-lacks-the-cursor": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].pop("cursor")),
+        "stream meta lacks 'cursor'",
+    ),
+    "stream-lacks-the-kind": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].pop("kind")),
+        "stream meta lacks 'kind'",
     ),
     "stream-cursor-zero": (
         _edit_meta("harness_meta", lambda meta: meta["stream"].update(cursor=0)),
@@ -589,7 +658,7 @@ def _as_version(version):
     [
         (_as_version(1), "unsupported checkpoint version 1\n"),
         (_as_version(2), "unsupported checkpoint version 2\n"),
-        (_without_fingerprint, "'fingerprint'\n"),
+        (_without_fingerprint, "stream meta lacks 'fingerprint'\n"),
     ],
     ids=["version-1", "version-2", "no-fingerprint"],
 )

@@ -1,5 +1,6 @@
 import json
 import os
+import zipfile
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbflab.drl import (
+    AGENT_INT_KEYS,
     AGENT_META_KEYS,
     CHECKPOINT_VERSION,
     HYPERPARAMETERS,
@@ -15,6 +17,7 @@ from cbflab.drl import (
     DdpgAgent,
     Mlp,
     ReplayMemory,
+    read_entry,
     savez_atomic,
 )
 
@@ -815,6 +818,68 @@ def test_agent_meta_lacking_a_key_rejected_naming_it():
                 read(arrays)
 
 
+@pytest.mark.parametrize("value", [6.0, True, "6", None])
+def test_agent_meta_with_an_integer_key_of_another_type_rejected_naming_it(value):
+    arrays = small_agent().state_dict()
+    written = json.loads(str(arrays["meta"]))
+    for key in AGENT_INT_KEYS:
+        arrays["meta"] = np.array(json.dumps({**written, key: value}))
+        for read in (DdpgAgent.from_state_dict, DdpgAgent.actor_from_state_dict):
+            with pytest.raises(ValueError, match=f"^{key} {value!r} is not an int$"):
+                read(arrays)
+    for widths in ([8, value], value):
+        arrays["meta"] = np.array(json.dumps({**written, "hidden_sizes": widths}))
+        with pytest.raises(ValueError, match="^hidden_sizes .* is not a list of ints$"):
+            DdpgAgent.from_state_dict(arrays)
+
+
+# -- reading checkpoint entries in place -------------------------------------------
+
+
+def _saved(tmp_path, **arrays):
+    path = tmp_path / "entries.npz"
+    np.savez(path, **arrays)
+    return path
+
+
+def test_read_entry_fills_the_array_it_is_given(tmp_path):
+    stored = np.random.default_rng(3).standard_normal((2, 5))
+    path = _saved(tmp_path, a=stored[0], b=stored)
+    stack = np.zeros((3, 5))
+    with np.load(path) as data:
+        row = stack[1]
+        assert read_entry(data, "a", row) is row
+        read_entry(data, "b", stack[1:])
+    assert stack.tobytes() == np.vstack([np.zeros(5), stored]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, out, error, message",
+    [
+        ("c", np.empty(4), KeyError, "c is not a file in the archive"),
+        ("a", np.empty(4, np.float32), ValueError, "^a holds float64 values, not float32$"),
+        ("a", np.empty(5), ValueError, r"^a has shape \(4,\), not \(5,\)$"),
+        ("a", np.empty((2, 4))[:, 0], TypeError, "C-contiguous"),
+    ],
+    ids=["missing", "dtype", "shape", "strided"],
+)
+def test_read_entry_rejects_an_entry_that_does_not_fit(tmp_path, name, out, error, message):
+    path = _saved(tmp_path, a=np.arange(4.0))
+    with np.load(path) as data, pytest.raises(error, match=message):
+        read_entry(data, name, out)
+
+
+def test_read_entry_rejects_a_member_longer_than_its_array(tmp_path):
+    path = tmp_path / "long.npz"
+    with zipfile.ZipFile(path, "w") as archive, archive.open("a.npy", "w") as member:
+        np.save(member, np.arange(4.0))
+        member.write(bytes(8))
+    with np.load(path) as data:
+        assert data["a"].tobytes() == np.arange(4.0).tobytes()  # np.load ignores the rest
+        with pytest.raises(zipfile.BadZipFile, match="'a.npy' holds 168 bytes"):
+            read_entry(data, "a", np.empty(4))
+
+
 # -- the agent's two records ------------------------------------------------------
 
 
@@ -869,6 +934,23 @@ def test_agent_keeps_its_hyperparameters_in_one_ordered_record():
     ]
     assert agent.flats["critic"] is agent.critic.flat
     assert agent.flats["adam_actor_v"] is agent.adam_actor.v
+
+
+def test_fresh_and_restored_agents_keep_their_flats_in_one_block():
+    agent = DdpgAgent(6, 3, seed=0, **SETTINGS)
+    fill_memory(agent, 6, seed=2)
+    restored = DdpgAgent.from_state_dict(agent.state_dict())
+    for a in (agent, restored):
+        flats = list(a.flats.values())
+        block = flats[0].base
+        assert block.size == sum(flat.size for flat in flats)
+        offset = 0
+        for flat in flats:
+            assert flat.base is block
+            assert flat.ctypes.data == block.ctypes.data + offset
+            offset += flat.nbytes
+    for key, flat in agent.flats.items():
+        assert restored.flats[key].tobytes() == flat.tobytes()
 
 
 def test_restored_agent_keeps_its_hyperparameters_with_the_running_sigma():

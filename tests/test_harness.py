@@ -18,7 +18,7 @@ import pytest
 from cbflab import harness, solvers
 from cbflab.channel import ChannelProcess, TraceStream, config_fingerprint, generate_trace
 from cbflab.cli import main
-from cbflab.drl import DdpgAgent, Mlp, read_meta
+from cbflab.drl import DdpgAgent, Mlp, read_entry, read_meta
 from cbflab.env import BeamformingEnv
 from cbflab.harness import (
     ConfigError,
@@ -498,6 +498,34 @@ def test_checkpoint_round_trip_is_a_fixed_point(tmp_path, source):
         for i, buffer in enumerate(buffers):
             for other in buffers[i + 1 :]:
                 assert not np.shares_memory(buffer, other)
+
+
+@pytest.mark.parametrize("action_mode", ["structured", "mslnr-power"])
+@pytest.mark.parametrize("source", ["process", "trace"])
+def test_read_entry_reads_every_array_as_np_load_does(tmp_path, source, action_mode):
+    overrides = {"action_mode": action_mode}
+    if source == "trace":
+        overrides["trace_file"] = tmp_path / "chan.trace"
+        generate_trace_file(
+            parse_config(write_config(tmp_path)), overrides["trace_file"], num_slots=22
+        )
+    cfg = parse_config(write_config(tmp_path, **overrides))
+    run_train(cfg)  # checkpoints at slots 7 and 14
+    ckpts = tmp_path / "out" / "checkpoints"
+    base = "train" if action_mode == "structured" else "train_mslnr"
+    resumed = dataclasses.replace(cfg, num_slots=21)
+    run_train(resumed, resume_from=str(ckpts / f"{base}_00000007.npz"))
+    for slot in (7, 21):  # written by a fresh run and by a resumed one
+        with np.load(ckpts / f"{base}_{slot:08d}.npz", allow_pickle=False) as data:
+            keys = [key for key in data.files if not key.endswith("meta")]
+            assert {"states", "agent2_actor", "agent2_replay_states"} <= set(keys)
+            if source == "process":
+                assert "proc_h" in keys
+            for key in keys:
+                stored = data[key]
+                out = np.empty(stored.shape, stored.dtype)
+                assert read_entry(data, key, out) is out
+                assert out.tobytes() == stored.tobytes(), key
 
 
 def test_checkpoint_failure_closes_metric_files(tmp_path, monkeypatch, break_savez):
