@@ -484,18 +484,12 @@ class ChannelProcess:
     def load_state_dict(self, state):
         """Restore a ``state_dict`` pair, taking ownership of its arrays.
 
-        Raises, before changing anything, ValueError unless every array has
-        its ``checkpoint_layout`` and the meta's channel is its own, and
-        KeyError (``stream meta lacks ...``) for a meta without a key.
+        The arrays are read and checked against ``checkpoint_layout`` by
+        ``drl.read_entry`` (``harness.load_checkpoint``).  Raises, before
+        changing anything, ValueError unless the meta's channel is its own,
+        and KeyError (``stream meta lacks ...``) for a meta without a key.
         """
         arrays, meta = state
-        for key, (dtype, shape) in self.checkpoint_layout().items():
-            if arrays[key].dtype != dtype:
-                raise ValueError(f"{key} holds {arrays[key].dtype} values, not {dtype}")
-            if arrays[key].shape != shape:
-                raise ValueError(
-                    f"{key} has shape {arrays[key].shape}, this network needs {shape}"
-                )
         _check_fingerprint(self, meta)
         slot = int(_stream_meta(meta, "slot"))
         rng_state = json.loads(_stream_meta(meta, "rng_state"))

@@ -14,8 +14,8 @@ A ``DdpgAgent`` is two records, and its checkpoint is those records: the dict
 of its ``HYPERPARAMETERS`` (in the checkpoint's JSON ``meta``) and the dict of
 its flat vectors, the parameters of each net and the Adam moments (one
 checkpoint array each, and views of one block in memory).  A fresh and a
-restored agent are set up alike from them.  ``read_entry`` reads a run
-checkpoint's arrays in place.
+restored agent are set up alike from them.  ``read_entry`` is the one reader
+and checker of a run checkpoint's arrays, and a restore reads each in place.
 """
 
 from __future__ import annotations
@@ -60,18 +60,6 @@ def read_meta(entry, keys=None):
     return meta
 
 
-def check_entry(name, array, shape, expected="not"):
-    """``array``, checkpoint entry ``name``; ValueError naming it unless float64 of ``shape``.
-
-    The shape's message reads ``{name} has shape ..., {expected} {shape}``.
-    """
-    if array.dtype != np.float64:
-        raise ValueError(f"{name} holds {array.dtype} values, not float64")
-    if array.shape != shape:
-        raise ValueError(f"{name} has shape {array.shape}, {expected} {shape}")
-    return array
-
-
 # The .npy header readers by format version.  ``np.save`` writes 1.0, or 2.0
 # for a header longer than 64 KiB.
 _NPY_HEADERS = {
@@ -100,12 +88,11 @@ def read_entry(archive, name, out, label=None, expected="not"):
     * the member exists (KeyError ``{name} is not a file in the archive``),
       is stored uncompressed and its local header names it
       (zipfile.BadZipFile);
-    * its ``.npy`` header parses (numpy's ValueError, ``Cannot parse
-      header`` among them);
+    * its ``.npy`` magic and header parse (zipfile.BadZipFile, with
+      numpy's message, ``Cannot parse header`` among them);
     * it holds values of ``out``'s dtype in C order and of ``out``'s shape,
       else ValueError naming ``label`` (by default ``name``); the shape's
-      message reads ``{label} has shape ..., {expected} {shape}``, as
-      ``check_entry``'s;
+      message reads ``{label} has shape ..., {expected} {shape}``;
     * the member is as long as its header and ``out``'s bytes
       (zipfile.BadZipFile).
 
@@ -138,10 +125,15 @@ def read_entry(archive, name, out, label=None, expected="not"):
         )
     start = info.header_offset + len(local) + extra_len
     header = io.BytesIO(os.pread(fd, min(info.file_size, _NPY_HEADER_READ), start))
-    version = npy_format.read_magic(header)
-    if version not in _NPY_HEADERS:
-        raise ValueError(f"{label} has .npy format version {version}, not 1.0 or 2.0")
-    shape, fortran_order, dtype = _NPY_HEADERS[version](header)
+    try:
+        version = npy_format.read_magic(header)
+        if version not in _NPY_HEADERS:
+            raise zipfile.BadZipFile(
+                f"{member!r} has .npy format version {version}, not 1.0 or 2.0"
+            )
+        shape, fortran_order, dtype = _NPY_HEADERS[version](header)
+    except ValueError as exc:
+        raise zipfile.BadZipFile(str(exc)) from exc
     if dtype != out.dtype:
         raise ValueError(f"{label} holds {dtype} values, not {out.dtype}")
     if fortran_order:
@@ -598,22 +590,6 @@ def _flat_vectors(state_dim, action_dim, hidden_sizes):
     return {key: block[end - n : end] for key, n, end in zip(_FLAT_KEYS, lengths, ends)}
 
 
-def _read_into(arrays, key, out, expected="not"):
-    """Fill ``out`` with entry ``key`` of ``state_dict`` arrays and return it.
-
-    Arrays that read in place (a run checkpoint's agent entries, whose
-    ``read_into`` is ``read_entry``) fill ``out`` themselves; from any other
-    mapping the entry is checked (``check_entry``) and copied.  Either way
-    ValueError naming ``key`` unless it holds float64 values of ``out``'s
-    shape, the shape's message ending ``{expected} {shape}``.
-    """
-    read_into = getattr(arrays, "read_into", None)
-    if read_into is not None:
-        return read_into(key, out, expected)
-    out[...] = check_entry(key, arrays[key], out.shape, expected)
-    return out
-
-
 class DdpgAgent:
     """One BS's actor-critic learner with target networks and replay.
 
@@ -835,28 +811,27 @@ class DdpgAgent:
         return arrays
 
     @classmethod
-    def from_state_dict(cls, arrays, meta=None):
-        """Rebuild an agent, hyper-parameters included, from ``state_dict`` arrays.
+    def from_state_dict(cls, arrays, meta):
+        """Rebuild an agent, hyper-parameters included, from its stored ``state_dict``.
 
-        Draws no initial weights; ``meta`` is the parsed ``arrays["meta"]``,
-        read here (``read_meta``) if not given.  The nets and Adam moments
-        are read into one new block of the agent's ``flats`` layout, and the
-        replay into arrays of its rows; from a run checkpoint's agent
-        entries each is read in place (``read_entry``), other arrays are
-        copied.  ValueError unless every entry fits the agent that ``meta``
-        describes: each net and Adam moment float64 values of its net's
-        length, and the replay arrays float64 values in ``replay_len`` rows
-        (at most ``memory_capacity``) of the state and action widths, with
-        the ring's cursor in [0, capacity) and at the row count until the
-        ring is full.
+        Draws no initial weights.  ``arrays`` are the agent's entries in an
+        open run checkpoint (``harness._AgentArrays``) and ``meta`` their
+        parsed ``meta`` (``read_meta``).  Each net and Adam moment is read in
+        place into one new block of the agent's ``flats`` layout, and the
+        replay into arrays of its rows (``arrays.read_into``, which checks
+        what it reads).  ValueError unless every entry fits the agent that
+        ``meta`` describes: each net and Adam moment float64 values of its
+        net's length, and the replay arrays float64 values in ``replay_len``
+        rows (at most ``memory_capacity``) of the state and action widths,
+        with the ring's cursor in [0, capacity) and at the row count until
+        the ring is full.
         """
-        meta = read_meta(arrays["meta"]) if meta is None else meta
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
         cls.check_hyperparameters(hyperparameters)
         state_dim, action_dim = meta["state_dim"], meta["action_dim"]
         flats = _flat_vectors(state_dim, action_dim, hyperparameters["hidden_sizes"])
         for key, flat in flats.items():
-            _read_into(arrays, key, flat, "its net")
+            arrays.read_into(key, flat, "its net")
         rows, cursor = meta["replay_len"], meta["replay_cursor"]
         capacity = hyperparameters["memory_capacity"]
         if not (0 <= rows <= capacity and 0 <= cursor < capacity) or (
@@ -876,24 +851,11 @@ class DdpgAgent:
             state, action = (rows, state_dim), (rows, action_dim)
             shapes = dict(zip(_REPLAY_KEYS, (state, action, (rows,), state)))
             replay = {
-                key: _read_into(arrays, f"replay_{key}", np.empty(shapes[key]))
+                key: arrays.read_into(f"replay_{key}", np.empty(shapes[key]))
                 for key in _REPLAY_KEYS
             }
             agent.memory.restore({**replay, "cursor": cursor})
         return agent
-
-    @staticmethod
-    def actor_from_state_dict(arrays, meta=None):
-        """The policy net alone, from ``state_dict`` arrays.
-
-        Reads only the actor's entry, and ``meta`` unless its parsed form is
-        given, into a new vector, as ``from_state_dict`` reads it; an entry
-        that does not fit the actor's layers raises ValueError.
-        """
-        meta = read_meta(arrays["meta"]) if meta is None else meta
-        sizes = actor_layer_sizes(meta)
-        flat = _read_into(arrays, "actor", np.empty(Mlp.num_parameters(sizes)), "its net")
-        return Mlp(sizes, flat, "sigmoid")
 
 
 def actor_layer_sizes(meta):

@@ -540,9 +540,9 @@ class _AgentArrays:
     """Agent ``n``'s ``state_dict`` arrays inside a run checkpoint.
 
     Hides the ``agent{n}_`` prefix of the run layout.  ``arrays[key]`` reads
-    an entry from the archive on access (the agent's JSON ``meta``);
-    ``read_into`` reads an array entry in place (``drl.read_entry``), which
-    the builders in ``drl`` use and which checks what it reads.
+    the agent's JSON ``meta`` from the archive; ``read_into`` reads and
+    checks an array entry in place (``drl.read_entry``), for
+    ``DdpgAgent.from_state_dict`` and the bench's actor stack.
     """
 
     def __init__(self, archive, n):
@@ -669,12 +669,12 @@ def load_checkpoint(path, env):
     stream's arrays (``checkpoint_layout``), the agents' entries
     (``DdpgAgent.from_state_dict``, on the training workers, in order; see
     ``_read_agents``) and ``states`` are each read in place into their final
-    arrays and checked by ``drl.read_entry``: member, header, dtype, C
-    order, shape and CRC.  A checkpoint that does not fit the env (another
-    agent count, channel source, network shape or dtype of a channel array,
-    channel config, trace file or agent widths) raises ConfigError, and so
-    does one whose ``states`` are not float64 (N, state_dim); the
-    hyperparameters are the caller's to compare.
+    arrays and checked by ``drl.read_entry``, the one check of a stored
+    array.  A checkpoint that does not fit the env (another agent count,
+    channel source, network shape or dtype of a channel array, channel
+    config, trace file or agent widths) raises ConfigError, and so does one
+    whose ``states`` are not float64 (N, state_dim); the hyperparameters
+    are the caller's to compare.
     """
     with _open_checkpoint(path, env.net_cfg.num_cells) as (data, meta):
         stored = meta["stream"]["kind"]

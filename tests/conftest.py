@@ -8,6 +8,28 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from cbflab.drl import DdpgAgent, read_meta, savez_atomic  # noqa: E402
+from cbflab.harness import _AgentArrays  # noqa: E402
+
+
+def save_agent(path, agent):
+    """Write ``agent``'s ``state_dict`` as agent 0 of the run checkpoint layout (``agent0_*``)."""
+    savez_atomic(path, {f"agent0_{key}": value for key, value in agent.state_dict().items()})
+
+
+def load_agent(path):
+    """Agent 0 of a file in the run checkpoint layout, restored as a resume restores it."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = _AgentArrays(data, 0)
+        return DdpgAgent.from_state_dict(arrays, read_meta(arrays["meta"]))
+
+
+def round_trip(agent, directory):
+    """``agent`` saved in ``directory`` (``save_agent``) and restored (``load_agent``)."""
+    path = os.path.join(directory, "agent.npz")
+    save_agent(path, agent)
+    return load_agent(path)
+
 
 @pytest.fixture
 def break_savez(monkeypatch):

@@ -499,11 +499,15 @@ def test_process_restore_dimension_mismatch():
     proc = ChannelProcess(make_net(n=2, k=1), cfg)
     proc.next_slot()
     before = proc.state_dict()
-    # Other cell, user and antenna counts.
+    # Other cell, user and antenna counts: another channel's fingerprint.
     for other in (make_net(n=1), make_net(n=2, k=2), make_net(n=2, m2=3)):
         saved = ChannelProcess(other, cfg)
         saved.next_slot()
-        with pytest.raises(ValueError, match="this network needs"):
+        message = (
+            f"its channel has fingerprint {saved.fingerprint:#x}, "
+            f"this config's process source {proc.fingerprint:#x}"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
             proc.load_state_dict(saved.state_dict())
     # A rejected restore changes nothing.
     after = proc.state_dict()

@@ -346,6 +346,11 @@ def _flip_a_header_byte(path):
     _flip_a_data_byte(path, "agent1_critic.npy", 20)
 
 
+def _flip_a_channel_header_byte(path):
+    # The live channel's arrays are damage too, not a misfit of the config.
+    _flip_a_data_byte(path, "proc_h.npy", 20)
+
+
 def _drop_entry(path, key="agent1_critic"):
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files if k != key}
@@ -400,6 +405,7 @@ def _actor_named_otherwise(path):
         (_flip_a_data_byte, "Bad CRC-32 for file 'agent1_adam_actor_m.npy'"),
         (_drop_entry, "agent1_critic is not a file in the archive"),
         (_flip_a_header_byte, "Cannot parse header"),
+        (_flip_a_channel_header_byte, "Cannot parse header"),
         (_plain_npy, "not an .npz archive"),
         (_deflated_actor, "'agent1_actor.npy' is compressed, not stored"),
         (
@@ -413,6 +419,7 @@ def _actor_named_otherwise(path):
         "flipped-byte",
         "missing-entry",
         "flipped-header-byte",
+        "flipped-channel-header-byte",
         "npy",
         "deflated-member",
         "local-header-names-another-member",

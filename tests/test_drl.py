@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import zipfile
@@ -5,7 +6,7 @@ import zipfile
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbflab.drl import (
@@ -18,8 +19,10 @@ from cbflab.drl import (
     Mlp,
     ReplayMemory,
     read_entry,
+    read_meta,
     savez_atomic,
 )
+from conftest import load_agent, round_trip, save_agent
 
 
 def finite_difference(fn, arr, step=1e-5):
@@ -299,12 +302,6 @@ def small_agent(**kw):
     return DdpgAgent(**defaults)
 
 
-def load_agent(path):
-    """The agent stored in an ``.npz`` of its ``state_dict`` arrays."""
-    with np.load(path, allow_pickle=False) as data:
-        return DdpgAgent.from_state_dict(data)
-
-
 def test_act_deterministic_in_box():
     agent = small_agent()
     s = np.random.default_rng(1).standard_normal(6)
@@ -465,9 +462,7 @@ def test_checkpoint_bit_exact_continuation(tmp_path):
         a.train_step()
         a.soft_update()
         a.act(np.zeros(6), explore=True)
-    path = tmp_path / "agent.npz"
-    savez_atomic(path, a.state_dict())
-    b = load_agent(path)
+    b = round_trip(a, tmp_path)
 
     # identical continuation: same samples, same updates, same noise draws
     for _ in range(3):
@@ -493,16 +488,52 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, break_savez):
     agent = small_agent(seed=21)
     fill_memory(agent, 20, seed=2)
     path = tmp_path / "agent.npz"
-    savez_atomic(path, agent.state_dict())
+    save_agent(path, agent)
     before = [p.copy() for p in agent.actor.parameters()]
     agent.train_step()
     break_savez()
     with pytest.raises(OSError, match="disk full"):
-        savez_atomic(path, agent.state_dict())
+        save_agent(path, agent)
     assert os.listdir(tmp_path) == ["agent.npz"]
     back = load_agent(path)
     for p1, p2 in zip(before, back.actor.parameters()):
         npt.assert_array_equal(p1, p2)
+
+
+# A memory of this many items holds two mini-batches of ``small_agent``'s 4.
+CAPACITY = 8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    pushes=st.integers(0, 3 * CAPACITY + 3),
+    steps=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+@example(pushes=0, steps=0, seed=0)  # empty
+@example(pushes=CAPACITY // 2 + 1, steps=1, seed=1)  # partial
+@example(pushes=CAPACITY, steps=2, seed=2)  # exactly full, cursor back at 0
+@example(pushes=2 * CAPACITY + 3, steps=3, seed=3)  # wrapped, cursor at 3
+def test_run_layout_round_trip_is_bit_exact(tmp_path_factory, pushes, steps, seed):
+    agent = small_agent(memory_capacity=CAPACITY, seed=seed)
+    fill_memory(agent, pushes, seed=seed)
+    for _ in range(steps if agent.ready() else 0):
+        agent.train_step()
+        agent.soft_update()
+        agent.act(np.zeros(6), explore=True)
+    back = round_trip(agent, tmp_path_factory.mktemp("agent"))
+    saved, restored = agent.state_dict(), back.state_dict()
+    assert list(restored) == list(saved)
+    assert str(restored["meta"]) == str(saved["meta"])
+    for key, value in saved.items():
+        assert restored[key].dtype == value.dtype
+        assert restored[key].tobytes() == value.tobytes()
+    # Both go on alike: push to a mini-batch where needed, then one train step.
+    for a in (agent, back):
+        fill_memory(a, max(a.hyperparameters["batch_size"] - len(a.memory), 0), seed=seed + 1)
+    assert back.train_step() == agent.train_step()
+    for key, flat in agent.flats.items():
+        assert back.flats[key].tobytes() == flat.tobytes()
 
 
 # -- flat parameters against the per-block oracle ---------------------------------
@@ -760,77 +791,44 @@ def test_state_dict_holds_one_flat_array_per_net_and_moment():
     assert arrays["critic"].size == agent.critic.flat.size == arrays["adam_critic_v"].size
 
 
-class RecordingArrays(dict):
-    """A dict that remembers which keys were read."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-
-def test_actor_from_state_dict_reads_only_meta_and_actor():
-    agent = small_agent(seed=4)
-    fill_memory(agent, 8, seed=3)
-    agent.train_step()
-    arrays = RecordingArrays(agent.state_dict())
-    actor = DdpgAgent.actor_from_state_dict(arrays)
-    assert actor.flat.tobytes() == agent.actor.flat.tobytes()
-    assert actor.output_activation == "sigmoid"
-    assert arrays.read == {"meta", "actor"}
+def written_meta():
+    """A fresh agent's ``meta`` as ``state_dict`` writes it, parsed."""
+    return json.loads(str(small_agent().state_dict()["meta"]))
 
 
 def test_unknown_checkpoint_version_rejected():
-    agent = small_agent()
-    arrays = agent.state_dict()
-    meta = json.loads(str(arrays["meta"]))
-    meta["version"] = CHECKPOINT_VERSION + 1
-    arrays["meta"] = np.array(json.dumps(meta))
+    meta = {**written_meta(), "version": CHECKPOINT_VERSION + 1}
     with pytest.raises(
         ValueError, match=f"unsupported checkpoint version {CHECKPOINT_VERSION + 1}"
     ):
-        DdpgAgent.from_state_dict(arrays)
+        read_meta(json.dumps(meta))
 
 
 @pytest.mark.parametrize("version", [1, 2])
 def test_earlier_checkpoint_versions_rejected(version):
-    arrays = small_agent().state_dict()
-    meta = json.loads(str(arrays["meta"]))
-    meta["version"] = version
-    arrays["meta"] = np.array(json.dumps(meta))
-    for read in (DdpgAgent.from_state_dict, DdpgAgent.actor_from_state_dict):
-        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}$"):
-            read(arrays)
+    meta = {**written_meta(), "version": version}
+    with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}$"):
+        read_meta(json.dumps(meta))
 
 
 def test_agent_meta_lacking_a_key_rejected_naming_it():
-    arrays = small_agent().state_dict()
-    written = json.loads(str(arrays["meta"]))
+    written = written_meta()
     assert set(written) == {"version", *AGENT_META_KEYS}
     for key in AGENT_META_KEYS:
         meta = {k: v for k, v in written.items() if k != key}
-        arrays["meta"] = np.array(json.dumps(meta))
-        for read in (DdpgAgent.from_state_dict, DdpgAgent.actor_from_state_dict):
-            with pytest.raises(ValueError, match=f"^meta lacks '{key}'$"):
-                read(arrays)
+        with pytest.raises(ValueError, match=f"^meta lacks '{key}'$"):
+            read_meta(json.dumps(meta))
 
 
 @pytest.mark.parametrize("value", [6.0, True, "6", None])
 def test_agent_meta_with_an_integer_key_of_another_type_rejected_naming_it(value):
-    arrays = small_agent().state_dict()
-    written = json.loads(str(arrays["meta"]))
+    written = written_meta()
     for key in AGENT_INT_KEYS:
-        arrays["meta"] = np.array(json.dumps({**written, key: value}))
-        for read in (DdpgAgent.from_state_dict, DdpgAgent.actor_from_state_dict):
-            with pytest.raises(ValueError, match=f"^{key} {value!r} is not an int$"):
-                read(arrays)
+        with pytest.raises(ValueError, match=f"^{key} {value!r} is not an int$"):
+            read_meta(json.dumps({**written, key: value}))
     for widths in ([8, value], value):
-        arrays["meta"] = np.array(json.dumps({**written, "hidden_sizes": widths}))
         with pytest.raises(ValueError, match="^hidden_sizes .* is not a list of ints$"):
-            DdpgAgent.from_state_dict(arrays)
+            read_meta(json.dumps({**written, "hidden_sizes": widths}))
 
 
 # -- reading checkpoint entries in place -------------------------------------------
@@ -878,6 +876,32 @@ def test_read_entry_rejects_a_member_longer_than_its_array(tmp_path):
         assert data["a"].tobytes() == np.arange(4.0).tobytes()  # np.load ignores the rest
         with pytest.raises(zipfile.BadZipFile, match="'a.npy' holds 168 bytes"):
             read_entry(data, "a", np.empty(4))
+
+
+def _flip_byte(at):
+    def edit(npy):
+        return npy[:at] + bytes([npy[at] ^ 0xFF]) + npy[at + 1 :]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_flip_byte(0), "^the magic string is not correct"),
+        (_flip_byte(6), r"^'a.npy' has .npy format version \(254, 0\), not 1.0 or 2.0$"),
+        (_flip_byte(20), "^Cannot parse header"),
+    ],
+    ids=["magic", "version", "header"],
+)
+def test_read_entry_reports_a_header_that_does_not_parse_as_damage(tmp_path, edit, message):
+    npy = io.BytesIO()
+    np.save(npy, np.arange(4.0))
+    path = tmp_path / "damaged.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("a.npy", edit(npy.getvalue()))
+    with np.load(path) as data, pytest.raises(zipfile.BadZipFile, match=message):
+        read_entry(data, "a", np.empty(4))
 
 
 # -- the agent's two records ------------------------------------------------------
@@ -936,10 +960,10 @@ def test_agent_keeps_its_hyperparameters_in_one_ordered_record():
     assert agent.flats["adam_actor_v"] is agent.adam_actor.v
 
 
-def test_fresh_and_restored_agents_keep_their_flats_in_one_block():
+def test_fresh_and_restored_agents_keep_their_flats_in_one_block(tmp_path):
     agent = DdpgAgent(6, 3, seed=0, **SETTINGS)
     fill_memory(agent, 6, seed=2)
-    restored = DdpgAgent.from_state_dict(agent.state_dict())
+    restored = round_trip(agent, tmp_path)
     for a in (agent, restored):
         flats = list(a.flats.values())
         block = flats[0].base
@@ -953,13 +977,13 @@ def test_fresh_and_restored_agents_keep_their_flats_in_one_block():
         assert restored.flats[key].tobytes() == flat.tobytes()
 
 
-def test_restored_agent_keeps_its_hyperparameters_with_the_running_sigma():
+def test_restored_agent_keeps_its_hyperparameters_with_the_running_sigma(tmp_path):
     agent = DdpgAgent(6, 3, seed=0, **SETTINGS)
     fill_memory(agent, 6, seed=2)
     for _ in range(3):
         agent.act(np.zeros(6), explore=True)
     assert agent.noise_sigma < SETTINGS["noise_sigma_init"]
-    back = DdpgAgent.from_state_dict(agent.state_dict())
+    back = round_trip(agent, tmp_path)
     assert back.hyperparameters == {**SETTINGS, "noise_sigma_init": agent.noise_sigma}
     assert list(back.hyperparameters) == list(HYPERPARAMETERS)
     assert back.noise_sigma == agent.noise_sigma

@@ -18,7 +18,7 @@ import pytest
 from cbflab import harness, solvers
 from cbflab.channel import ChannelProcess, TraceStream, config_fingerprint, generate_trace
 from cbflab.cli import main
-from cbflab.drl import DdpgAgent, Mlp, read_entry, read_meta
+from cbflab.drl import DdpgAgent, Mlp, actor_layer_sizes, read_entry, read_meta
 from cbflab.env import BeamformingEnv
 from cbflab.harness import (
     ConfigError,
@@ -1081,11 +1081,12 @@ def test_policy_rollout_reads_only_the_actors(tmp_path):
 def reference_rollout(cfg, trace, checkpoint, action_mode):
     """The greedy rollout with each actor its own net, run one row at a time."""
     env = _build_env(cfg, stream=TraceStream(trace), action_mode=action_mode)
+    actors = []
     with np.load(checkpoint) as data:
-        actors = [
-            DdpgAgent.actor_from_state_dict(harness._AgentArrays(data, n))
-            for n in range(cfg.network.num_cells)
-        ]
+        for n in range(cfg.network.num_cells):
+            sizes = actor_layer_sizes(read_meta(data[f"agent{n}_meta"]))
+            flat = read_entry(data, f"agent{n}_actor", np.empty(Mlp.num_parameters(sizes)))
+            actors.append(Mlp(sizes, flat, "sigmoid"))
     states = env.reset()
     cell_rates = []
     for _ in range(trace.num_slots - 1):

@@ -106,6 +106,52 @@ def test_module_raises_instead_of_asserting(path):
     assert assert_lines(path.read_text()) == []
 
 
+def np_load_uses(source):
+    """(line, function) of each ``np.load`` (or ``numpy.load``) that ``source`` reads.
+
+    ``function`` is the name of the innermost function around it, None at
+    module level.
+    """
+    uses = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "load"
+                and isinstance(child.value, ast.Name)
+                and child.value.id in ("np", "numpy")
+            ):
+                uses.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(uses)
+
+
+def test_the_check_finds_the_np_load_uses():
+    source = (
+        "import numpy as np\ndef a(p):\n    return np.load(p)\ndef b():\n"
+        "    def c(q):\n        json.load(q)\n        return np.load(q)\n"
+        "    return numpy.load\nnp.load('r')\n"
+    )
+    assert np_load_uses(source) == [(3, "a"), (7, "c"), (8, "b"), (9, None)]
+
+
+def test_only_the_checkpoint_opener_calls_np_load():
+    # Every stored array is read and checked by ``drl.read_entry`` inside the
+    # one opener; a second opener or reader would bypass those checks.
+    uses = [
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, function in np_load_uses(path.read_text())
+    ]
+    assert uses == [("harness.py", "_open_checkpoint")]
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PERFBENCH_RUN = PERFBENCH / "run.py"
 PERFBENCH_TRACER = PERFBENCH / "tracer.py"
