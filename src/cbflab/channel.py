@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drl import restore_rng
 from .network import BS_EXCLUSION_RADIUS, ChannelState, NetworkConfig
 
 logger = logging.getLogger(__name__)
@@ -71,6 +72,10 @@ _READ_BUFFER = 1 << 16
 
 class TraceFormatError(ValueError):
     """Raised when a channel-trace file fails an integrity check."""
+
+
+class ChannelMismatchError(ValueError):
+    """A stream's checkpoint is of another channel source, or past the end of its trace."""
 
 
 @dataclass(frozen=True)
@@ -471,6 +476,8 @@ class ChannelProcess:
         }
         return arrays, meta
 
+    META = {"kind": str, "slot": int, "rng_state": str, "fingerprint": int}
+
     def checkpoint_layout(self):
         """The (dtype, shape) of each ``state_dict`` array, for this process's network."""
         net = self.net_cfg
@@ -484,36 +491,24 @@ class ChannelProcess:
     def load_state_dict(self, state):
         """Restore a ``state_dict`` pair, taking ownership of its arrays.
 
-        The arrays are read and checked against ``checkpoint_layout`` by
-        ``drl.read_entry`` (``harness.load_checkpoint``).  Raises, before
-        changing anything, ValueError unless the meta's channel is its own,
-        and KeyError (``stream meta lacks ...``) for a meta without a key.
+        The arrays fit ``checkpoint_layout`` and the meta ``META``
+        (``harness.load_checkpoint`` checks both).  Raises, before changing
+        anything, ChannelMismatchError unless the meta's channel is its own
+        and ValueError if numpy refuses its ``rng_state``.
         """
         arrays, meta = state
         _check_fingerprint(self, meta)
-        slot = int(_stream_meta(meta, "slot"))
-        rng_state = json.loads(_stream_meta(meta, "rng_state"))
-        self.current = ChannelState(slot_index=slot, h=arrays["proc_h"])
+        restore_rng(self.rng, meta["rng_state"])
+        self.current = ChannelState(slot_index=meta["slot"], h=arrays["proc_h"])
         self.topology.ue_positions = arrays["proc_ue_positions"]
         self.topology.ue_headings = arrays["proc_ue_headings"]
-        self.rng.bit_generator.state = rng_state
-
-
-def _stream_meta(meta, key):
-    """``meta[key]`` of a stream's checkpoint meta; KeyError naming the key if it lacks it."""
-    if key not in meta:
-        raise KeyError(f"stream meta lacks {key!r}")
-    return meta[key]
 
 
 def _check_fingerprint(stream, meta):
-    """ValueError if a stream's checkpoint ``meta`` names another channel source.
-
-    KeyError (``_stream_meta``) if ``meta`` has no ``fingerprint``.
-    """
-    stored = _stream_meta(meta, "fingerprint")
+    """ChannelMismatchError if a stream's checkpoint ``meta`` names another channel source."""
+    stored = meta["fingerprint"]
     if stored != stream.fingerprint:
-        raise ValueError(
+        raise ChannelMismatchError(
             f"its channel has fingerprint {stored:#x}, this config's {stream.kind} "
             f"source {stream.fingerprint:#x}"
         )
@@ -545,19 +540,22 @@ class TraceStream:
         """Run-checkpoint entries as a pair (arrays, meta); there are no arrays."""
         return {}, {"kind": self.kind, "cursor": self.cursor, "fingerprint": self.fingerprint}
 
+    META = {"kind": str, "cursor": int, "fingerprint": int}
+
     def checkpoint_layout(self):
         """The (dtype, shape) of each ``state_dict`` array: there are none."""
         return {}
 
     def load_state_dict(self, state):
-        """Restore a ``state_dict`` pair; ValueError if it does not fit the trace.
+        """Restore a ``state_dict`` pair whose meta fits ``META``.
 
-        KeyError (``stream meta lacks ...``) for a meta without a key.
+        ChannelMismatchError, before changing anything, if the cursor lies
+        past the trace's end or the meta's channel is another.
         """
         _, meta = state
-        cursor = int(_stream_meta(meta, "cursor"))
-        if not 0 <= cursor <= self.trace.num_slots:
-            raise ValueError(
+        cursor = meta["cursor"]
+        if cursor > self.trace.num_slots:
+            raise ChannelMismatchError(
                 f"cursor {cursor} lies outside this {self.trace.num_slots}-slot trace"
             )
         _check_fingerprint(self, meta)

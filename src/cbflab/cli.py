@@ -9,7 +9,7 @@ directory.
 ``train --resume`` and ``bench --checkpoint`` read only run checkpoints of
 the layout that ``train`` writes (``harness.save_checkpoint``, checkpoint
 version ``drl.CHECKPOINT_VERSION``); any other exits 2, naming its version
-or the key it lacks.
+or the key it lacks; so does a meta value of the wrong type, naming its key.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ of its ``HYPERPARAMETERS`` (in the checkpoint's JSON ``meta``) and the dict of
 its flat vectors, the parameters of each net and the Adam moments (one
 checkpoint array each, and views of one block in memory).  A fresh and a
 restored agent are set up alike from them.  ``read_entry`` is the one reader
-and checker of a run checkpoint's arrays, and a restore reads each in place.
+and checker of a run checkpoint's arrays, and a restore reads each in place;
+``read_meta`` is the one checker of its JSON metas.
 """
 
 from __future__ import annotations
@@ -35,37 +36,57 @@ from numpy.lib import format as npy_format
 CHECKPOINT_VERSION = 3
 
 
-def read_meta(entry, keys=None):
-    """Parse a checkpoint's JSON ``meta`` entry, an agent's unless ``keys`` are given.
+def _is_count(v):
+    return type(v) is int and v >= 0
 
-    ValueError unless its ``version`` is ``CHECKPOINT_VERSION`` and it holds
-    every one of ``keys`` (by default ``AGENT_META_KEYS``), naming the first
-    key it lacks.  An agent's ``meta`` must also hold an int (not a bool) at
-    each of ``AGENT_INT_KEYS`` and a list of ints at ``hidden_sizes``, else
-    ValueError naming the key.
+
+# The types of a checkpoint meta's table: what each describes, and its test.
+# Every int in a meta is a count, an index or a hash; no bool passes for one.
+_META_TYPES = {
+    int: ("an int >= 0", _is_count),
+    float: ("a finite number", lambda v: type(v) is int or type(v) is float and np.isfinite(v)),
+    str: ("a string", lambda v: type(v) is str),
+    dict: ("a JSON object", lambda v: type(v) is dict),
+    list: ("a list of ints >= 0", lambda v: type(v) is list and all(map(_is_count, v))),
+}
+
+
+def read_meta(entry, table, where=""):
+    """Parse a checkpoint meta and check it against ``table``: the one check of a meta.
+
+    ``entry`` is a stored JSON object whose ``version`` must be
+    ``CHECKPOINT_VERSION``, or a dict nested in one (the stream's meta).
+    ``table``, declared beside the meta's writer, maps each key to a type of
+    ``_META_TYPES``.  ValueError, its message led by ``where``, naming the
+    first key missing or mistyped.
     """
-    meta = json.loads(str(entry))
-    if meta.get("version") != CHECKPOINT_VERSION:
+    nested = type(entry) is dict
+    meta = entry if nested else json.loads(str(entry))
+    if type(meta) is not dict:
+        raise ValueError("meta is not a JSON object")
+    if not nested and meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
-    for key in AGENT_META_KEYS if keys is None else keys:
+    for key, kind in table.items():
         if key not in meta:
-            raise ValueError(f"meta lacks {key!r}")
-    if keys is None:
-        for key in AGENT_INT_KEYS:
-            if type(meta[key]) is not int:
-                raise ValueError(f"{key} {meta[key]!r} is not an int")
-        widths = meta["hidden_sizes"]
-        if type(widths) is not list or any(type(width) is not int for width in widths):
-            raise ValueError(f"hidden_sizes {widths!r} is not a list of ints")
+            raise ValueError(f"{where}meta lacks {key!r}")
+        description, fits = _META_TYPES[kind]
+        if not fits(meta[key]):
+            raise ValueError(f"{where}{key} {meta[key]!r} is not {description}")
     return meta
 
 
-# The .npy header readers by format version.  ``np.save`` writes 1.0, or 2.0
-# for a header longer than 64 KiB.
-_NPY_HEADERS = {
-    (1, 0): npy_format.read_array_header_1_0,
-    (2, 0): npy_format.read_array_header_2_0,
-}
+def restore_rng(rng, state):
+    """Set ``rng`` to a stored ``bit_generator.state``, a dict or its JSON text.
+
+    ValueError naming ``rng_state``, ``rng`` unchanged, if numpy refuses it.
+    """
+    try:
+        rng.bit_generator.state = json.loads(state) if type(state) is str else state
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"rng_state is not a {type(rng.bit_generator).__name__} state: {exc!r}"
+        ) from exc
+
 
 # A zip local file header: its signature, then the lengths of the member's
 # name, which follows the 30-byte header, and of the extra field after it.
@@ -126,12 +147,11 @@ def read_entry(archive, name, out, label=None, expected="not"):
     start = info.header_offset + len(local) + extra_len
     header = io.BytesIO(os.pread(fd, min(info.file_size, _NPY_HEADER_READ), start))
     try:
+        # np.savez writes format 2.0 only for a header longer than 64 KiB.
         version = npy_format.read_magic(header)
-        if version not in _NPY_HEADERS:
-            raise zipfile.BadZipFile(
-                f"{member!r} has .npy format version {version}, not 1.0 or 2.0"
-            )
-        shape, fortran_order, dtype = _NPY_HEADERS[version](header)
+        if version != (1, 0):
+            raise zipfile.BadZipFile(f"{member!r} has .npy format version {version}, not 1.0")
+        shape, fortran_order, dtype = npy_format.read_array_header_1_0(header)
     except ValueError as exc:
         raise zipfile.BadZipFile(str(exc)) from exc
     if dtype != out.dtype:
@@ -494,26 +514,26 @@ class ReplayMemory:
         """Fill this empty memory from ``dump`` output, which it keeps until its rings exist."""
         self._restored = blob
         self._size = blob["states"].shape[0]
-        self._cursor = int(blob["cursor"])
+        self._cursor = blob["cursor"]
 
 
 # Construction values of an agent besides its dimensions and seed: the keys of
 # ``DdpgAgent.hyperparameters``, in the order it and its checkpoint ``meta``
-# list them.  The harness config has a field of each name.  ``meta`` stores the
-# running ``noise_sigma`` in place of ``noise_sigma_init``, so a restored agent
-# continues the noise schedule.
-HYPERPARAMETERS = (
-    "hidden_sizes",
-    "noise_sigma_init",
-    "noise_decay",
-    "noise_sigma_min",
-    "discount",
-    "soft_update_rate",
-    "batch_size",
-    "memory_capacity",
-    "actor_lr",
-    "critic_lr",
-)
+# list them, each mapped to its type in ``meta``.  The harness config has a
+# field of each name.  ``meta`` stores the running ``noise_sigma`` in place of
+# ``noise_sigma_init``, so a restored agent continues the noise schedule.
+HYPERPARAMETERS = {
+    "hidden_sizes": list,
+    "noise_sigma_init": float,
+    "noise_decay": float,
+    "noise_sigma_min": float,
+    "discount": float,
+    "soft_update_rate": float,
+    "batch_size": int,
+    "memory_capacity": int,
+    "actor_lr": float,
+    "critic_lr": float,
+}
 
 
 # The replay arrays of a checkpoint, stored as ``replay_{key}``.
@@ -538,31 +558,17 @@ def _meta_key(name):
     return "noise_sigma" if name == "noise_sigma_init" else name
 
 
-# The keys of an agent's checkpoint ``meta`` besides ``version``, in the order
-# ``DdpgAgent.state_dict`` writes them.
-AGENT_META_KEYS = (
-    "state_dim",
-    "action_dim",
-    *map(_meta_key, HYPERPARAMETERS),
-    "adam_actor_step",
-    "adam_critic_step",
-    "replay_cursor",
-    "replay_len",
-    "rng_state",
-)
-
-# The keys of an agent's ``meta`` that hold ints; ``hidden_sizes`` holds a
-# list of them.
-AGENT_INT_KEYS = (
-    "state_dim",
-    "action_dim",
-    "batch_size",
-    "memory_capacity",
-    "adam_actor_step",
-    "adam_critic_step",
-    "replay_cursor",
-    "replay_len",
-)
+# The table of an agent's ``meta`` besides ``version``, in ``state_dict``'s order.
+AGENT_META = {
+    "state_dim": int,
+    "action_dim": int,
+    **{_meta_key(name): kind for name, kind in HYPERPARAMETERS.items()},
+    "adam_actor_step": int,
+    "adam_critic_step": int,
+    "replay_cursor": int,
+    "replay_len": int,
+    "rng_state": dict,
+}
 
 
 def _layer_sizes(state_dim, action_dim, hidden_sizes):
@@ -816,15 +822,15 @@ class DdpgAgent:
 
         Draws no initial weights.  ``arrays`` are the agent's entries in an
         open run checkpoint (``harness._AgentArrays``) and ``meta`` their
-        parsed ``meta`` (``read_meta``).  Each net and Adam moment is read in
-        place into one new block of the agent's ``flats`` layout, and the
-        replay into arrays of its rows (``arrays.read_into``, which checks
-        what it reads).  ValueError unless every entry fits the agent that
-        ``meta`` describes: each net and Adam moment float64 values of its
-        net's length, and the replay arrays float64 values in ``replay_len``
-        rows (at most ``memory_capacity``) of the state and action widths,
-        with the ring's cursor in [0, capacity) and at the row count until
-        the ring is full.
+        ``meta``, parsed and checked against ``AGENT_META`` (``read_meta``).
+        Each net and Adam moment is read in place into one new block of the
+        agent's ``flats`` layout, and the replay into arrays of its rows
+        (``arrays.read_into``, which checks what it reads).  ValueError
+        unless numpy takes the ``rng_state`` and every entry fits: each net
+        and Adam moment float64 values of its net's length, and the replay
+        float64 values in ``replay_len`` rows (at most ``memory_capacity``)
+        of the state and action widths, with the ring's cursor below the
+        capacity and at the row count until the ring is full.
         """
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
         cls.check_hyperparameters(hyperparameters)
@@ -834,17 +840,14 @@ class DdpgAgent:
             arrays.read_into(key, flat, "its net")
         rows, cursor = meta["replay_len"], meta["replay_cursor"]
         capacity = hyperparameters["memory_capacity"]
-        if not (0 <= rows <= capacity and 0 <= cursor < capacity) or (
-            rows < capacity and cursor != rows
-        ):
+        if rows > capacity or cursor >= capacity or rows < capacity and cursor != rows:
             raise ValueError(
                 f"a replay of {rows} items with its cursor at {cursor} "
                 f"does not fit a memory of {capacity}"
             )
         agent = cls.__new__(cls)
-        rng = np.random.default_rng()
-        agent._setup(state_dim, action_dim, rng, hyperparameters, flats)
-        agent.rng.bit_generator.state = meta["rng_state"]
+        agent._setup(state_dim, action_dim, np.random.default_rng(), hyperparameters, flats)
+        restore_rng(agent.rng, meta["rng_state"])
         agent.adam_actor.step_count = meta["adam_actor_step"]
         agent.adam_critic.step_count = meta["adam_critic_step"]
         if rows > 0:

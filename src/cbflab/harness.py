@@ -35,6 +35,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .channel import (
+    ChannelMismatchError,
     ChannelModelConfig,
     ChannelProcess,
     TraceFormatError,
@@ -44,6 +45,7 @@ from .channel import (
     save_trace,
 )
 from .drl import (
+    AGENT_META,
     CHECKPOINT_VERSION,
     HYPERPARAMETERS,
     DdpgAgent,
@@ -188,8 +190,6 @@ class RunConfig:
     out_dir: str
     checkpoint_every: int = field(default=5000, metadata=_COUNT)
     schemes: tuple = field(default="ddcbf,mslnr-ep,wmmse", metadata={"parse": _parse_list})
-    checkpoint: str = ""
-    mslnr_checkpoint: str = ""
     # wmmse baseline: stop once the sum rate changes by less than
     # wmmse_stop_eps relative to its current value
     wmmse_stop_eps: float = 1e-4
@@ -495,6 +495,10 @@ def _check_resumed_agents(cfg: RunConfig, agents, path):
                 )
 
 
+# The table of a run checkpoint's ``harness_meta`` besides ``version``.
+HARNESS_META = {"slot": int, "num_agents": int, "stream": dict}
+
+
 def save_checkpoint(path, slot, states, env, agents):
     """Write a run checkpoint: one ``.npz`` archive, written atomically.
 
@@ -515,11 +519,13 @@ def save_checkpoint(path, slot, states, env, agents):
     "fingerprint"}`` or ``{"kind": "process", "slot", "rng_state",
     "fingerprint"}``, written and read by the harness, not the env.
     ``fingerprint`` is the channel's ``config_fingerprint`` (a trace's
-    ``cfg_hash``).
-
-    ``drl.CHECKPOINT_VERSION`` (3) is the version of the whole archive, and
-    each agent ``meta`` repeats it.  This is the one layout the readers
-    take (``_open_checkpoint``).
+    ``cfg_hash``); the stream stands at ``slot`` (a trace's ``cursor`` one
+    past it).  ``drl.CHECKPOINT_VERSION`` (3) is the version of the whole
+    archive, and each agent ``meta`` repeats it.  Each meta's table for
+    ``drl.read_meta`` is declared by its writer's module: ``HARNESS_META``
+    here, ``drl.AGENT_META`` and ``channel``'s ``TraceStream.META`` and
+    ``ChannelProcess.META``.  This is the one layout the readers take
+    (``_open_checkpoint``).
     """
     stream_arrays, stream_meta = env.stream.state_dict()
     meta = {
@@ -585,14 +591,12 @@ def _open_checkpoint(path, num_agents):
     each array entry in place (``drl.read_entry``).  ConfigError if the file
     is missing, holds another agent count than ``num_agents``, or is
     damaged: not a zip file (a plain ``.npy`` file among them), of another
-    version than ``CHECKPOINT_VERSION``, with a ``harness_meta`` that lacks
-    a key (or whose ``stream`` lacks ``kind``) or whose ``slot`` or
-    ``num_agents`` is not an int >= 0, lacking an entry that a reader asks for, or holding
-    one that fails ``read_entry``'s checks (compressed, named otherwise in
-    its local header, a header that does not parse, another dtype, order,
-    shape or length, a bad CRC) or that does not fit (a ValueError of the
-    reader).  A ConfigError raised inside the block passes through
-    unchanged.
+    version than ``CHECKPOINT_VERSION``, with a meta that fails its table
+    (``read_meta``), lacking an entry that a reader asks for, or holding one
+    that fails ``read_entry``'s checks (compressed, named otherwise in its
+    local header, a header that does not parse, another dtype, order, shape
+    or length, a bad CRC) or that does not fit (a ValueError of the reader).
+    A ConfigError raised inside the block passes through unchanged.
     """
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
@@ -603,12 +607,7 @@ def _open_checkpoint(path, num_agents):
             if not isinstance(data, np.lib.npyio.NpzFile):  # a plain .npy array
                 raise ValueError("not an .npz archive")
             with data:
-                meta = read_meta(data["harness_meta"], ("slot", "num_agents", "stream"))
-                for key in ("slot", "num_agents"):
-                    if type(meta[key]) is not int or meta[key] < 0:
-                        raise ValueError(f"{key} {meta[key]!r} is not an int >= 0")
-                if "kind" not in meta["stream"]:
-                    raise ValueError("stream meta lacks 'kind'")
+                meta = read_meta(data["harness_meta"], HARNESS_META)
                 if meta["num_agents"] != num_agents:
                     raise ConfigError(
                         f"checkpoint {path} holds {meta['num_agents']} agents, "
@@ -644,7 +643,7 @@ def _read_agents(data, meta, path, build, env=None):
     def read(n):
         arrays = _AgentArrays(data, n)
         with _naming_agent(n):
-            stored = read_meta(arrays["meta"])
+            stored = read_meta(arrays["meta"], AGENT_META)
             if env is not None:
                 widths = (stored["state_dim"], stored["action_dim"])
                 if widths != (env.state_dim, env.action_dim):
@@ -670,29 +669,37 @@ def load_checkpoint(path, env):
     (``DdpgAgent.from_state_dict``, on the training workers, in order; see
     ``_read_agents``) and ``states`` are each read in place into their final
     arrays and checked by ``drl.read_entry``, the one check of a stored
-    array.  A checkpoint that does not fit the env (another agent count,
-    channel source, network shape or dtype of a channel array, channel
-    config, trace file or agent widths) raises ConfigError, and so does one
-    whose ``states`` are not float64 (N, state_dim); the hyperparameters
-    are the caller's to compare.
+    array; the stream's meta must fit its ``META`` and stand at ``slot``.
+    A checkpoint that does not fit the env (another agent count, channel
+    source, network shape or dtype of a channel array, channel config, trace
+    file or agent widths) raises ConfigError, and so does one whose
+    ``states`` are not float64 (N, state_dim); the hyperparameters are the
+    caller's to compare.
     """
     with _open_checkpoint(path, env.net_cfg.num_cells) as (data, meta):
-        stored = meta["stream"]["kind"]
-        if stored != env.stream.kind:
+        stream = meta["stream"]
+        if type(stream.get("kind")) is str and stream["kind"] != env.stream.kind:
             raise ConfigError(
-                f"checkpoint {path} was written from a {stored!r} channel source, "
+                f"checkpoint {path} was written from a {stream['kind']!r} channel source, "
                 f"this config reads a {env.stream.kind!r} one "
                 "(a 'trace' source needs trace_file, a 'process' source none)"
             )
+        read_meta(stream, env.stream.META, "stream ")
         try:
             arrays = {
                 key: read_entry(data, key, np.empty(shape, dtype), expected="this network needs")
                 for key, (dtype, shape) in env.stream.checkpoint_layout().items()
             }
-            env.stream.load_state_dict((arrays, meta["stream"]))
         except ValueError as exc:
             raise ConfigError(f"checkpoint {path} does not fit this config: {exc}") from exc
+        try:
+            env.stream.load_state_dict((arrays, stream))
+        except ChannelMismatchError as exc:
+            raise ConfigError(f"checkpoint {path} does not fit this config: {exc}") from exc
         env.resume()
+        at = env.stream.current.slot_index
+        if at != meta["slot"]:
+            raise ValueError(f"its channel stream stands at slot {at}, not at slot {meta['slot']}")
         agents = _read_agents(data, meta, path, DdpgAgent.from_state_dict, env)
         states = read_entry(data, "states", np.empty((meta["num_agents"], env.state_dim)))
         return meta["slot"], states, agents
@@ -938,7 +945,7 @@ def _read_actor_stack(data, meta, path, env):
     member, header, float64 values of shape (P,) and CRC.
     """
     with _naming_agent(0):
-        sizes = actor_layer_sizes(read_meta(_AgentArrays(data, 0)["meta"]))
+        sizes = actor_layer_sizes(read_meta(_AgentArrays(data, 0)["meta"], AGENT_META))
     flat = np.empty((meta["num_agents"], Mlp.num_parameters(sizes)))
     stack = Mlp(sizes, flat, "sigmoid")
 
@@ -1003,20 +1010,13 @@ def _solve_slot(cfg: RunConfig, scheme, channel, slot):
     )
 
 
-# The trained-policy schemes: the RunConfig key of their checkpoint and the
-# action mode they were trained in.
-_POLICIES = {
-    "ddcbf": ("checkpoint", "structured"),
-    "mslnr-ddpg": ("mslnr_checkpoint", "mslnr-power"),
-}
-
-
 def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoint=None):
     """Evaluate the selected schemes on one shared channel window.
 
-    ``schemes``, ``checkpoint`` and ``mslnr_checkpoint`` override the config
-    keys of the same names when given.  Every scheme sees the identical
-    channel realizations; a trace-backed window is read alone, and each of
+    ``schemes`` overrides the config key when given; ``ddcbf`` and
+    ``mslnr-ddpg`` need their trained ``checkpoint`` and
+    ``mslnr_checkpoint``.  Every scheme sees the identical channel
+    realizations; a trace-backed window is read alone, and each of
     its slots is checked (``_config_trace``).  Classical solvers run
     genie-aided on each slot's current CSI; trained policies are rolled out
     greedily through the environment.  Every scheme yields one (N,)
@@ -1043,14 +1043,14 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     steps (``search_steps_mean``, summed over BSs and updates per run) and
     the fraction that hit the iteration cap (``truncated_frac``).
     """
-    cfg = replace(
-        cfg,
-        schemes=cfg.schemes if schemes is None else tuple(schemes),
-        checkpoint=checkpoint or cfg.checkpoint,
-        mslnr_checkpoint=mslnr_checkpoint or cfg.mslnr_checkpoint,
-    )
+    if schemes is not None:
+        cfg = replace(cfg, schemes=tuple(schemes))
+    policies = {
+        "ddcbf": (checkpoint, "structured"),
+        "mslnr-ddpg": (mslnr_checkpoint, "mslnr-power"),
+    }
     for scheme in cfg.schemes:
-        if scheme in _POLICIES and not getattr(cfg, _POLICIES[scheme][0]):
+        if scheme in policies and not policies[scheme][0]:
             raise ConfigError(f"scheme '{scheme}' needs a trained checkpoint")
 
     offset = cfg.bench_offset
@@ -1063,9 +1063,8 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     rates = {}  # scheme -> per-slot (N,) cell rates
     diagnostics = {}
     for scheme in cfg.schemes:
-        if scheme in _POLICIES:
-            key, mode = _POLICIES[scheme]
-            rates[scheme] = _rollout_policy(cfg, window, getattr(cfg, key), mode)
+        if scheme in policies:
+            rates[scheme] = _rollout_policy(cfg, window, *policies[scheme])
             continue
         if scheme == "mslnr-ep":
             rates[scheme] = _mslnr_rates(window, offset, cfg.bench_slots, net)

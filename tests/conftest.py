@@ -8,7 +8,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from cbflab.drl import DdpgAgent, read_meta, savez_atomic  # noqa: E402
+from cbflab.drl import AGENT_META, DdpgAgent, read_meta, savez_atomic  # noqa: E402
 from cbflab.harness import _AgentArrays  # noqa: E402
 
 
@@ -21,7 +21,7 @@ def load_agent(path):
     """Agent 0 of a file in the run checkpoint layout, restored as a resume restores it."""
     with np.load(path, allow_pickle=False) as data:
         arrays = _AgentArrays(data, 0)
-        return DdpgAgent.from_state_dict(arrays, read_meta(arrays["meta"]))
+        return DdpgAgent.from_state_dict(arrays, read_meta(arrays["meta"], AGENT_META))
 
 
 def round_trip(agent, directory):

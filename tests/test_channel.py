@@ -23,6 +23,7 @@ from cbflab.channel import (
     save_trace,
     ura_steering,
 )
+from cbflab.drl import read_meta
 from cbflab.network import NetworkConfig
 
 
@@ -523,9 +524,11 @@ def test_process_restore_names_a_missing_meta_key(key):
     proc.next_slot()
     before = proc.state_dict()
     arrays, meta = before
-    with pytest.raises(KeyError, match=f"stream meta lacks '{key}'"):
-        proc.load_state_dict((arrays, {k: v for k, v in meta.items() if k != key}))
-    # A rejected restore changes nothing.
+    with pytest.raises(ValueError, match=f"^stream meta lacks '{key}'$"):
+        read_meta({k: v for k, v in meta.items() if k != key}, ChannelProcess.META, "stream ")
+    # numpy refuses the rng_state, and the rejected restore changes nothing.
+    with pytest.raises(ValueError, match="^rng_state is not a PCG64 state"):
+        proc.load_state_dict((arrays, {**meta, "rng_state": '{"bit_generator": "MT19937"}'}))
     after = proc.state_dict()
     assert after[1] == before[1]
     for name, value in before[0].items():

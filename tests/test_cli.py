@@ -59,6 +59,15 @@ def test_unknown_key_exits_two(tmp_path, capsys):
     assert "unknown key 'bogus_key'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["checkpoint", "mslnr_checkpoint"])
+def test_checkpoint_is_not_a_config_key(tmp_path, capsys, key):
+    # A bench takes its trained checkpoints as arguments, as a resume does.
+    config = str(write_config(tmp_path, **{key: tmp_path / "trained.npz"}))
+    assert main(["bench", config, "--schemes", "mslnr-ep"]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_resume_mismatch_exits_two(tmp_path, capsys):
     assert main(["train", str(write_config(tmp_path))]) == 0
     ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
@@ -569,14 +578,116 @@ UNFIT_ENTRIES = {
         _edit_meta("harness_meta", lambda meta: meta["stream"].update(cursor=0)),
         "the channel stream has read no slot yet",
     ),
+    "meta-actor-rate-a-string": (
+        _edit_meta("agent1_meta", lambda meta: meta.update(actor_lr="fast")),
+        "agent 1: actor_lr 'fast' is not a finite number",
+    ),
+    "meta-discount-null": (
+        _edit_meta("agent2_meta", lambda meta: meta.update(discount=None)),
+        "agent 2: discount None is not a finite number",
+    ),
+    "meta-noise-sigma-a-string": (
+        _edit_meta("agent0_meta", lambda meta: meta.update(noise_sigma="x")),
+        "agent 0: noise_sigma 'x' is not a finite number",
+    ),
+    "meta-rng-state-an-int": (
+        _edit_meta("agent1_meta", lambda meta: meta.update(rng_state=5)),
+        "agent 1: rng_state 5 is not a JSON object",
+    ),
+    "meta-rng-state-refused": (
+        _edit_meta("agent2_meta", lambda meta: meta["rng_state"].update(state=5)),
+        "agent 2: rng_state is not a PCG64 state: TypeError(",
+    ),
+    "meta-a-list": (
+        _replace_entry("agent1_meta", lambda a: np.array(json.dumps([json.loads(str(a))]))),
+        "agent 1: meta is not a JSON object",
+    ),
+    "harness-meta-a-list": (
+        _replace_entry("harness_meta", lambda a: np.array(json.dumps([json.loads(str(a))]))),
+        "meta is not a JSON object",
+    ),
+    "meta-adam-actor-step-negative": (
+        _edit_meta("agent1_meta", lambda meta: meta.update(adam_actor_step=-1)),
+        "agent 1: adam_actor_step -1 is not an int >= 0",
+    ),
+    "meta-adam-critic-step-negative": (
+        _edit_meta("agent2_meta", lambda meta: meta.update(adam_critic_step=-3)),
+        "agent 2: adam_critic_step -3 is not an int >= 0",
+    ),
+    "stream-an-int": (
+        _edit_meta("harness_meta", lambda meta: meta.update(stream=5)),
+        "stream 5 is not a JSON object",
+    ),
+    "stream-kind-an-int": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(kind=5)),
+        "stream kind 5 is not a string",
+    ),
+    "stream-cursor-null": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(cursor=None)),
+        "stream cursor None is not an int >= 0",
+    ),
+    "stream-cursor-a-string": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(cursor="abc")),
+        "stream cursor 'abc' is not an int >= 0",
+    ),
+    "stream-cursor-a-float": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(cursor=1.5)),
+        "stream cursor 1.5 is not an int >= 0",
+    ),
+    "stream-cursor-behind-the-slot": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(cursor=1)),
+        "its channel stream stands at slot 0, not at slot 7",
+    ),
+    "stream-fingerprint-null": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(fingerprint=None)),
+        "stream fingerprint None is not an int >= 0",
+    ),
+    "stream-fingerprint-a-string": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(fingerprint="abc")),
+        "stream fingerprint 'abc' is not an int >= 0",
+    ),
+    "stream-fingerprint-a-float": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(fingerprint=1.5)),
+        "stream fingerprint 1.5 is not an int >= 0",
+    ),
+    "process-slot-null": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(slot=None)),
+        "stream slot None is not an int >= 0",
+    ),
+    "process-slot-a-string": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(slot="abc")),
+        "stream slot 'abc' is not an int >= 0",
+    ),
+    "process-slot-a-float": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(slot=1.5)),
+        "stream slot 1.5 is not an int >= 0",
+    ),
+    "process-slot-behind-the-slot": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(slot=3)),
+        "its channel stream stands at slot 3, not at slot 7",
+    ),
+    "process-rng-state-null": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(rng_state=None)),
+        "stream rng_state None is not a string",
+    ),
+    "process-rng-state-not-json": (
+        _edit_meta("harness_meta", lambda meta: meta["stream"].update(rng_state="abc")),
+        "rng_state is not a PCG64 state: JSONDecodeError(",
+    ),
 }
 
 
-@pytest.mark.parametrize("damage, message", UNFIT_ENTRIES.values(), ids=UNFIT_ENTRIES)
-def test_resume_from_entries_that_do_not_fit_exits_two(tmp_path, capsys, damage, message):
-    trace = tmp_path / "chan.trace"
-    config = str(write_config(tmp_path, trace_file=trace))
-    assert main(["trace-gen", config, str(trace)]) == 0
+# Rows named process-* damage a checkpoint of a live channel, the others one
+# of a trace-backed run.
+@pytest.mark.parametrize("name", UNFIT_ENTRIES)
+def test_resume_from_entries_that_do_not_fit_exits_two(tmp_path, capsys, name):
+    damage, message = UNFIT_ENTRIES[name]
+    if name.startswith("process-"):
+        config = str(write_config(tmp_path))
+    else:
+        trace = tmp_path / "chan.trace"
+        config = str(write_config(tmp_path, trace_file=trace))
+        assert main(["trace-gen", config, str(trace)]) == 0
     assert main(["train", config]) == 0
     csv = tmp_path / "out" / "train.csv"
     rows = csv.read_bytes()

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import zipfile
 
 import numpy as np
@@ -10,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbflab.drl import (
-    AGENT_INT_KEYS,
-    AGENT_META_KEYS,
+    AGENT_META,
     CHECKPOINT_VERSION,
     HYPERPARAMETERS,
     Adam,
@@ -801,34 +801,59 @@ def test_unknown_checkpoint_version_rejected():
     with pytest.raises(
         ValueError, match=f"unsupported checkpoint version {CHECKPOINT_VERSION + 1}"
     ):
-        read_meta(json.dumps(meta))
+        read_meta(json.dumps(meta), AGENT_META)
 
 
 @pytest.mark.parametrize("version", [1, 2])
 def test_earlier_checkpoint_versions_rejected(version):
     meta = {**written_meta(), "version": version}
     with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}$"):
-        read_meta(json.dumps(meta))
+        read_meta(json.dumps(meta), AGENT_META)
 
 
 def test_agent_meta_lacking_a_key_rejected_naming_it():
     written = written_meta()
-    assert set(written) == {"version", *AGENT_META_KEYS}
-    for key in AGENT_META_KEYS:
+    assert list(written) == ["version", *AGENT_META]
+    for key in AGENT_META:
         meta = {k: v for k, v in written.items() if k != key}
         with pytest.raises(ValueError, match=f"^meta lacks '{key}'$"):
-            read_meta(json.dumps(meta))
+            read_meta(json.dumps(meta), AGENT_META)
 
 
-@pytest.mark.parametrize("value", [6.0, True, "6", None])
+@pytest.mark.parametrize("value", [6.0, True, "6", None, -1])
 def test_agent_meta_with_an_integer_key_of_another_type_rejected_naming_it(value):
     written = written_meta()
-    for key in AGENT_INT_KEYS:
-        with pytest.raises(ValueError, match=f"^{key} {value!r} is not an int$"):
-            read_meta(json.dumps({**written, key: value}))
+    for key in [key for key, kind in AGENT_META.items() if kind is int]:
+        with pytest.raises(ValueError, match=f"^{key} {value!r} is not an int >= 0$"):
+            read_meta(json.dumps({**written, key: value}), AGENT_META)
     for widths in ([8, value], value):
-        with pytest.raises(ValueError, match="^hidden_sizes .* is not a list of ints$"):
-            read_meta(json.dumps({**written, "hidden_sizes": widths}))
+        with pytest.raises(ValueError, match="^hidden_sizes .* is not a list of ints >= 0$"):
+            read_meta(json.dumps({**written, "hidden_sizes": widths}), AGENT_META)
+
+
+# Values that a meta's number and JSON object keys refuse.
+OTHER_TYPES = {
+    float: ("a finite number", ["fast", None, True, float("nan"), float("inf"), [0.5]]),
+    dict: ("a JSON object", [5, None, "x", [1, 2], True]),
+}
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, kind in AGENT_META.items() if kind in OTHER_TYPES]
+)
+def test_agent_meta_with_a_number_or_object_of_another_type_rejected_naming_it(key):
+    written = written_meta()
+    description, values = OTHER_TYPES[AGENT_META[key]]
+    for value in values:
+        message = re.escape(f"{key} {value!r} is not {description}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_meta(json.dumps({**written, key: value}), AGENT_META)
+
+
+@pytest.mark.parametrize("entry", ["[1, 2]", "null", "5", '"meta"'])
+def test_meta_that_is_not_a_json_object_rejected(entry):
+    with pytest.raises(ValueError, match="^meta is not a JSON object$"):
+        read_meta(entry, AGENT_META)
 
 
 # -- reading checkpoint entries in place -------------------------------------------
@@ -885,14 +910,22 @@ def _flip_byte(at):
     return edit
 
 
+def _set_byte(at, value):
+    def edit(npy):
+        return npy[:at] + bytes([value]) + npy[at + 1 :]
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (_flip_byte(0), "^the magic string is not correct"),
-        (_flip_byte(6), r"^'a.npy' has .npy format version \(254, 0\), not 1.0 or 2.0$"),
+        (_flip_byte(6), r"^'a.npy' has .npy format version \(254, 0\), not 1.0$"),
+        (_set_byte(6, 2), r"^'a.npy' has .npy format version \(2, 0\), not 1.0$"),
         (_flip_byte(20), "^Cannot parse header"),
     ],
-    ids=["magic", "version", "header"],
+    ids=["magic", "version", "version-2", "header"],
 )
 def test_read_entry_reports_a_header_that_does_not_parse_as_damage(tmp_path, edit, message):
     npy = io.BytesIO()

@@ -18,7 +18,7 @@ import pytest
 from cbflab import harness, solvers
 from cbflab.channel import ChannelProcess, TraceStream, config_fingerprint, generate_trace
 from cbflab.cli import main
-from cbflab.drl import DdpgAgent, Mlp, actor_layer_sizes, read_entry, read_meta
+from cbflab.drl import AGENT_META, DdpgAgent, Mlp, actor_layer_sizes, read_entry, read_meta
 from cbflab.env import BeamformingEnv
 from cbflab.harness import (
     ConfigError,
@@ -176,8 +176,6 @@ def test_defaults_documented():
         "bench_offset": -1,
         "checkpoint_every": 5000,
         "schemes": "ddcbf,mslnr-ep,wmmse",
-        "checkpoint": "",
-        "mslnr_checkpoint": "",
         "wmmse_stop_eps": 1e-4,
         "wmmse_max_iter": 500,
         "wmmse_num_inits": 10,
@@ -819,7 +817,9 @@ def test_restore_on_any_worker_count_reads_every_agent_in_order(
             for key, array in agent.state_dict().items():
                 if key != "meta":
                     assert array.tobytes() == stored[f"agent{n}_{key}"].tobytes(), (n, key)
-            assert read_meta(agent.state_dict()["meta"]) == read_meta(stored[f"agent{n}_meta"])
+            assert read_meta(agent.state_dict()["meta"], AGENT_META) == read_meta(
+                stored[f"agent{n}_meta"], AGENT_META
+            )
 
 
 @pytest.mark.parametrize("damaged", [False, True], ids=["intact", "damaged"])
@@ -1084,7 +1084,7 @@ def reference_rollout(cfg, trace, checkpoint, action_mode):
     actors = []
     with np.load(checkpoint) as data:
         for n in range(cfg.network.num_cells):
-            sizes = actor_layer_sizes(read_meta(data[f"agent{n}_meta"]))
+            sizes = actor_layer_sizes(read_meta(data[f"agent{n}_meta"], AGENT_META))
             flat = read_entry(data, f"agent{n}_actor", np.empty(Mlp.num_parameters(sizes)))
             actors.append(Mlp(sizes, flat, "sigmoid"))
     states = env.reset()
