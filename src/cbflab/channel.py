@@ -497,15 +497,19 @@ class ChannelProcess:
         and ValueError if numpy refuses its ``rng_state``.
         """
         arrays, meta = state
-        _check_fingerprint(self, meta)
+        check_fingerprint(self, meta)
         restore_rng(self.rng, meta["rng_state"])
         self.current = ChannelState(slot_index=meta["slot"], h=arrays["proc_h"])
         self.topology.ue_positions = arrays["proc_ue_positions"]
         self.topology.ue_headings = arrays["proc_ue_headings"]
 
 
-def _check_fingerprint(stream, meta):
-    """ChannelMismatchError if a stream's checkpoint ``meta`` names another channel source."""
+def check_fingerprint(stream, meta):
+    """ChannelMismatchError if a stream's checkpoint ``meta`` names another channel source.
+
+    The fingerprint hashes the network's cell, user and antenna counts, so a
+    meta that passes fixes the shape of every channel array it came with.
+    """
     stored = meta["fingerprint"]
     if stored != stream.fingerprint:
         raise ChannelMismatchError(
@@ -558,7 +562,7 @@ class TraceStream:
             raise ChannelMismatchError(
                 f"cursor {cursor} lies outside this {self.trace.num_slots}-slot trace"
             )
-        _check_fingerprint(self, meta)
+        check_fingerprint(self, meta)
         self.cursor = cursor
 
 

@@ -15,7 +15,6 @@ or the key it lacks; so does a meta value of the wrong type, naming its key.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -80,10 +79,9 @@ def run(args):
         summary = harness.run_train(cfg, resume_from=args.resume)
         print(json.dumps(summary, indent=2))
     elif args.command == "bench":
-        if args.schemes is not None:
-            cfg = dataclasses.replace(cfg, schemes=args.schemes)
         out = harness.run_benchmark(
             cfg,
+            schemes=args.schemes,
             checkpoint=args.checkpoint,
             mslnr_checkpoint=args.mslnr_checkpoint,
         )

@@ -97,14 +97,16 @@ _LOCAL_HEADER = struct.Struct("<4s22xHH")
 _NPY_HEADER_READ = 4096
 
 
-def read_entry(archive, name, out, label=None, expected="not"):
+def read_entry(archive, name, out, label=None):
     """Fill ``out`` in place with array entry ``name`` of an open ``np.load`` archive.
 
     The one reader of a run checkpoint's arrays, as ``np.savez`` stores
-    them.  ``archive`` is the ``NpzFile`` of a file, which has parsed the
-    zip's central directory; the member ``{name}.npy`` is read by offset on
-    the file's descriptor, its data straight into ``out`` (C-contiguous),
-    which is returned.  Checked in order, each before ``out`` is written:
+    them.  Its callers size ``out`` from metas already checked against the
+    config, so whatever it finds wrong is damage, not a misfit.  ``archive``
+    is the ``NpzFile`` of a file, which has parsed the zip's central
+    directory; the member ``{name}.npy`` is read by offset on the file's
+    descriptor, its data straight into ``out`` (C-contiguous), which is
+    returned.  Checked in order, each before ``out`` is written:
 
     * the member exists (KeyError ``{name} is not a file in the archive``),
       is stored uncompressed and its local header names it
@@ -112,8 +114,8 @@ def read_entry(archive, name, out, label=None, expected="not"):
     * its ``.npy`` magic and header parse (zipfile.BadZipFile, with
       numpy's message, ``Cannot parse header`` among them);
     * it holds values of ``out``'s dtype in C order and of ``out``'s shape,
-      else ValueError naming ``label`` (by default ``name``); the shape's
-      message reads ``{label} has shape ..., {expected} {shape}``;
+      else ValueError naming ``label`` (by default ``name``):
+      ``{label} has shape X, not Y``;
     * the member is as long as its header and ``out``'s bytes
       (zipfile.BadZipFile).
 
@@ -159,7 +161,7 @@ def read_entry(archive, name, out, label=None, expected="not"):
     if fortran_order:
         raise ValueError(f"{label} is stored in Fortran order")
     if shape != out.shape:
-        raise ValueError(f"{label} has shape {shape}, {expected} {out.shape}")
+        raise ValueError(f"{label} has shape {shape}, not {out.shape}")
     head = header.getbuffer()[: header.tell()]
     data = out.reshape(-1).view(np.uint8)
     size = len(head) + data.nbytes
@@ -817,27 +819,27 @@ class DdpgAgent:
         return arrays
 
     @classmethod
-    def from_state_dict(cls, arrays, meta):
+    def from_state_dict(cls, archive, prefix, meta):
         """Rebuild an agent, hyper-parameters included, from its stored ``state_dict``.
 
-        Draws no initial weights.  ``arrays`` are the agent's entries in an
-        open run checkpoint (``harness._AgentArrays``) and ``meta`` their
-        ``meta``, parsed and checked against ``AGENT_META`` (``read_meta``).
+        Draws no initial weights.  ``archive`` is an open run checkpoint,
+        ``prefix`` (``agent{n}_``) leads the agent's entry names and ``meta``
+        is its ``meta``, checked against ``AGENT_META`` (``read_meta``).
         Each net and Adam moment is read in place into one new block of the
-        agent's ``flats`` layout, and the replay into arrays of its rows
-        (``arrays.read_into``, which checks what it reads).  ValueError
-        unless numpy takes the ``rng_state`` and every entry fits: each net
-        and Adam moment float64 values of its net's length, and the replay
-        float64 values in ``replay_len`` rows (at most ``memory_capacity``)
-        of the state and action widths, with the ring's cursor below the
-        capacity and at the row count until the ring is full.
+        agent's ``flats`` layout, and the replay into arrays of its rows, by
+        ``read_entry`` against the layout the meta gives them; its messages
+        name the key without ``prefix``.  ValueError unless that layout holds
+        (float64 values of each net's length, ``replay_len`` rows of the
+        state and action widths), the replay ring's cursor lies below the
+        capacity and at the row count until the ring is full, and numpy
+        takes the ``rng_state``.
         """
         hyperparameters = {name: meta[_meta_key(name)] for name in HYPERPARAMETERS}
         cls.check_hyperparameters(hyperparameters)
         state_dim, action_dim = meta["state_dim"], meta["action_dim"]
         flats = _flat_vectors(state_dim, action_dim, hyperparameters["hidden_sizes"])
         for key, flat in flats.items():
-            arrays.read_into(key, flat, "its net")
+            read_entry(archive, prefix + key, flat, key)
         rows, cursor = meta["replay_len"], meta["replay_cursor"]
         capacity = hyperparameters["memory_capacity"]
         if rows > capacity or cursor >= capacity or rows < capacity and cursor != rows:
@@ -854,7 +856,9 @@ class DdpgAgent:
             state, action = (rows, state_dim), (rows, action_dim)
             shapes = dict(zip(_REPLAY_KEYS, (state, action, (rows,), state)))
             replay = {
-                key: arrays.read_into(f"replay_{key}", np.empty(shapes[key]))
+                key: read_entry(
+                    archive, f"{prefix}replay_{key}", np.empty(shapes[key]), f"replay_{key}"
+                )
                 for key in _REPLAY_KEYS
             }
             agent.memory.restore({**replay, "cursor": cursor})

@@ -40,6 +40,7 @@ from .channel import (
     ChannelProcess,
     TraceFormatError,
     TraceStream,
+    check_fingerprint,
     generate_trace,
     load_trace,
     save_trace,
@@ -436,8 +437,12 @@ def _config_trace(cfg: RunConfig, start=0, stop=None):
     trace = load_trace(cfg.trace_file, start, stop)
     net = cfg.network
     n, k = net.num_cells, net.users_per_cell
-    if trace.h.shape[1:] != (n, n, k, net.num_antennas):
-        raise ConfigError("trace dimensions do not match the network config")
+    shape = (n, n, k, net.num_antennas)
+    if trace.h.shape[1:] != shape:
+        raise ConfigError(
+            f"trace dimensions do not match the network config: {cfg.trace_file} holds "
+            f"slots of shape {trace.h.shape[1:]}, the network needs {shape}"
+        )
     for a in range(0, trace.num_slots, _SLOT_BLOCK):
         try:
             ChannelState(slot_index=start + a, h=trace.h[a : a + _SLOT_BLOCK])
@@ -482,7 +487,7 @@ def _check_resumed_agents(cfg: RunConfig, agents, path):
 
     ``noise_sigma_init`` is not compared: the checkpoint keeps the running
     sigma in its place, so the agents continue their noise schedule.  The
-    state and action widths were checked as the agents were read.
+    state and action widths were checked before the agents were read.
     """
     expected = cfg.hyperparameters
     for n, agent in enumerate(agents):
@@ -542,41 +547,16 @@ def save_checkpoint(path, slot, states, env, agents):
     savez_atomic(path, arrays)
 
 
-class _AgentArrays:
-    """Agent ``n``'s ``state_dict`` arrays inside a run checkpoint.
-
-    Hides the ``agent{n}_`` prefix of the run layout.  ``arrays[key]`` reads
-    the agent's JSON ``meta`` from the archive; ``read_into`` reads and
-    checks an array entry in place (``drl.read_entry``), for
-    ``DdpgAgent.from_state_dict`` and the bench's actor stack.
-    """
-
-    def __init__(self, archive, n):
-        self._archive = archive
-        self._prefix = f"agent{n}_"
-        self.n = n
-
-    def __getitem__(self, key):
-        return self._archive[self._prefix + key]
-
-    def read_into(self, key, out, expected="not"):
-        """Fill ``out`` with entry ``key``; its check messages name ``key``."""
-        return read_entry(self._archive, self._prefix + key, out, key, expected)
-
-
 @contextlib.contextmanager
 def _naming_agent(n):
-    """Prefix ``agent {n}: `` to a reader's ValueError raised inside.
+    """Prefix ``agent {n}: `` to a ValueError raised inside.
 
-    The readers in ``drl`` name an entry inside the agent (``target_actor``),
-    as ``_AgentArrays`` hides the ``agent{n}_`` prefix.  A ConfigError names
-    its agent itself, and the archive's own errors (a missing member, a bad
-    CRC) name the member (``agent1_actor``); both pass unchanged.
+    The checks in ``drl`` name a meta key or an entry inside the agent
+    (``target_actor``), not the agent.  The archive's own errors (a missing
+    member, a bad CRC) name the member (``agent1_actor``) and pass unchanged.
     """
     try:
         yield
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ValueError(f"agent {n}: {exc}") from exc
 
@@ -587,16 +567,15 @@ def _open_checkpoint(path, num_agents):
 
     The one opener of run checkpoints, which reads only the layout that
     ``save_checkpoint`` writes.  ``np.load`` parses the zip's central
-    directory and reads the JSON metas; the readers inside the block read
-    each array entry in place (``drl.read_entry``).  ConfigError if the file
-    is missing, holds another agent count than ``num_agents``, or is
-    damaged: not a zip file (a plain ``.npy`` file among them), of another
-    version than ``CHECKPOINT_VERSION``, with a meta that fails its table
-    (``read_meta``), lacking an entry that a reader asks for, or holding one
-    that fails ``read_entry``'s checks (compressed, named otherwise in its
-    local header, a header that does not parse, another dtype, order, shape
-    or length, a bad CRC) or that does not fit (a ValueError of the reader).
-    A ConfigError raised inside the block passes through unchanged.
+    directory and reads the JSON metas; the readers inside the block decide
+    fit from the metas, then read each array entry in place
+    (``drl.read_entry``).  ConfigError if the file is missing or holds
+    another agent count than ``num_agents``, ``does not fit this config``
+    for a ``channel.ChannelMismatchError`` raised inside (another channel, a
+    trace cursor past the end), and ``is damaged`` for any other error of
+    the archive, a reader or a check: a file that is not an ``.npz``, a
+    meta or entry that is missing or fails its check.  A ConfigError raised
+    inside the block passes through unchanged.
     """
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
@@ -616,43 +595,57 @@ def _open_checkpoint(path, num_agents):
                 yield data, meta
     except ConfigError:
         raise
+    except ChannelMismatchError as exc:
+        raise ConfigError(f"checkpoint {path} does not fit this config: {exc}") from exc
     except (zipfile.BadZipFile, KeyError, ValueError) as exc:
         # A KeyError's message is its argument; str() would quote it.
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         raise ConfigError(f"checkpoint {path} is damaged: {detail}") from exc
 
 
-def _read_agents(data, meta, path, build, env=None):
-    """``build(arrays, stored)`` for each per-BS agent of an open run checkpoint, in agent order.
+def _agent_metas(data, meta, path, env=None):
+    """Every agent's parsed ``meta`` in an open run checkpoint, in agent order.
 
-    ``arrays`` are agent ``n``'s entries (``_AgentArrays``) and ``stored``
-    its parsed ``meta``, read once here, on the worker.  Agent ``n`` is read
-    and built by worker ``n mod W`` (``_run_tasks``; W is ``_train_workers``
-    of the agent count), the calling thread being worker 0, on a pool that
-    ends with the call.  ``build`` reads the array entries in place, by
-    offset (``_AgentArrays.read_into``); those reads and their CRC checks
-    release the GIL, so the workers' reads overlap.  With ``env`` given,
-    agent ``n``'s stored state and action widths are compared with the
-    env's before it is built.  A ValueError of the reader names its agent
-    once (``_naming_agent``).  A failed agent stops no other read; once
-    every agent is read or has failed, the first failure in agent order
+    One pass on the calling thread, before any agent array is read, so that
+    a misfit is found from the metas alone: with ``env`` given, ConfigError
+    unless each agent's stored state and action widths are the env's.  A
+    meta that fails ``AGENT_META`` raises a ValueError naming its agent
+    (``_naming_agent``).
+    """
+    metas = []
+    for n in range(meta["num_agents"]):
+        with _naming_agent(n):
+            stored = read_meta(data[f"agent{n}_meta"], AGENT_META)
+        widths = (stored["state_dim"], stored["action_dim"])
+        if env is not None and widths != (env.state_dim, env.action_dim):
+            raise ConfigError(
+                f"agent {n} in checkpoint {path} maps {widths[0]} state entries "
+                f"to {widths[1]} action entries, this config {env.state_dim} to "
+                f"{env.action_dim}"
+            )
+        metas.append(stored)
+    return metas
+
+
+def _read_agents(data, metas, build):
+    """``build(data, f"agent{n}_", metas[n])`` for each agent ``n``; the results in agent order.
+
+    ``data`` is an open run checkpoint and ``metas`` its agents' checked
+    metas (``_agent_metas``), so whatever ``build`` finds wrong is damage.
+    Agent ``n`` is built by worker ``n mod W`` (``_run_tasks``; W is
+    ``_train_workers`` of the agent count), the calling thread being worker
+    0, on a pool that ends with the call.  ``build`` reads the array entries
+    in place (``drl.read_entry``); those reads and their CRC checks release
+    the GIL, so the workers' reads overlap.  A ValueError of ``build`` names
+    its agent once (``_naming_agent``).  A failed agent stops no other read;
+    once every agent is read or has failed, the first failure in agent order
     propagates, as from a reader that builds one agent after the other.
     """
-    num_agents = meta["num_agents"]
+    num_agents = len(metas)
 
     def read(n):
-        arrays = _AgentArrays(data, n)
         with _naming_agent(n):
-            stored = read_meta(arrays["meta"], AGENT_META)
-            if env is not None:
-                widths = (stored["state_dim"], stored["action_dim"])
-                if widths != (env.state_dim, env.action_dim):
-                    raise ConfigError(
-                        f"agent {n} in checkpoint {path} maps {widths[0]} state entries "
-                        f"to {widths[1]} action entries, this config {env.state_dim} to "
-                        f"{env.action_dim}"
-                    )
-            return build(arrays, stored)
+            return build(data, f"agent{n}_", metas[n])
 
     workers = _train_workers(num_agents)
     tasks = [(functools.partial(read, n), None) for n in range(num_agents)]
@@ -664,17 +657,14 @@ def _read_agents(data, meta, path, build, env=None):
 def load_checkpoint(path, env):
     """Restore the env's channel stream in place and rebuild the agents.
 
-    Returns (slot, states, agents), read in one pass over the archive: the
-    stream's arrays (``checkpoint_layout``), the agents' entries
-    (``DdpgAgent.from_state_dict``, on the training workers, in order; see
-    ``_read_agents``) and ``states`` are each read in place into their final
-    arrays and checked by ``drl.read_entry``, the one check of a stored
-    array; the stream's meta must fit its ``META`` and stand at ``slot``.
-    A checkpoint that does not fit the env (another agent count, channel
-    source, network shape or dtype of a channel array, channel config, trace
-    file or agent widths) raises ConfigError, and so does one whose
-    ``states`` are not float64 (N, state_dim); the hyperparameters are the
-    caller's to compare.
+    Returns (slot, states, agents).  Fit is decided from the metas before
+    any array is read: the agent count, the stream's kind and fingerprint
+    (``channel.check_fingerprint``, which fixes every channel array's shape)
+    and each agent's widths (``_agent_metas``); a misfit raises ConfigError,
+    and the hyperparameters are the caller's to compare.  Then the stream's
+    arrays (``checkpoint_layout``), the agents' entries (``_read_agents``)
+    and ``states`` are read in place by ``drl.read_entry``, where any fault
+    is damage; the stream must then stand at ``slot``.
     """
     with _open_checkpoint(path, env.net_cfg.num_cells) as (data, meta):
         stream = meta["stream"]
@@ -685,22 +675,18 @@ def load_checkpoint(path, env):
                 "(a 'trace' source needs trace_file, a 'process' source none)"
             )
         read_meta(stream, env.stream.META, "stream ")
-        try:
-            arrays = {
-                key: read_entry(data, key, np.empty(shape, dtype), expected="this network needs")
-                for key, (dtype, shape) in env.stream.checkpoint_layout().items()
-            }
-        except ValueError as exc:
-            raise ConfigError(f"checkpoint {path} does not fit this config: {exc}") from exc
-        try:
-            env.stream.load_state_dict((arrays, stream))
-        except ChannelMismatchError as exc:
-            raise ConfigError(f"checkpoint {path} does not fit this config: {exc}") from exc
+        check_fingerprint(env.stream, stream)
+        metas = _agent_metas(data, meta, path, env)
+        arrays = {
+            key: read_entry(data, key, np.empty(shape, dtype))
+            for key, (dtype, shape) in env.stream.checkpoint_layout().items()
+        }
+        env.stream.load_state_dict((arrays, stream))
         env.resume()
         at = env.stream.current.slot_index
         if at != meta["slot"]:
             raise ValueError(f"its channel stream stands at slot {at}, not at slot {meta['slot']}")
-        agents = _read_agents(data, meta, path, DdpgAgent.from_state_dict, env)
+        agents = _read_agents(data, metas, DdpgAgent.from_state_dict)
         states = read_entry(data, "states", np.empty((meta["num_agents"], env.state_dim)))
         return meta["slot"], states, agents
 
@@ -919,7 +905,10 @@ def _collect_window(cfg: RunConfig, offset, count):
     if cfg.trace_file:
         window = _config_trace(cfg, offset, offset + count)
         if window.num_slots < count:
-            raise ConfigError("benchmark window exceeds the stored trace")
+            raise ConfigError(
+                f"trace {cfg.trace_file} holds {window.num_slots} of the {count} slots from "
+                f"slot {offset} that a bench of bench_slots = {cfg.bench_slots} reads"
+            )
         return window
     return generate_trace(cfg.network, cfg.channel, count, offset=offset)
 
@@ -932,34 +921,34 @@ def _slot_seed(seed, slot):
 def load_agents_from_checkpoint(path, num_agents):
     """Rebuild every per-BS agent stored inside a run checkpoint, on the training workers."""
     with _open_checkpoint(path, num_agents) as (data, meta):
-        return _read_agents(data, meta, path, DdpgAgent.from_state_dict)
+        return _read_agents(data, _agent_metas(data, meta, path), DdpgAgent.from_state_dict)
 
 
 def _read_actor_stack(data, meta, path, env):
-    """The N actors of an open run checkpoint as one stacked ``Mlp`` (``_read_agents``).
+    """The N actors of an open run checkpoint as one stacked ``Mlp``.
 
-    Agent 0's parsed ``meta`` sizes the (N, P) stack before any actor is
-    read, and every actor must have its widths (else ``is damaged``, naming
-    the agent).  Each agent's actor entry is read in place into its row of
-    the stack (``_AgentArrays.read_into``), checked as a resume checks it:
-    member, header, float64 values of shape (P,) and CRC.
+    The agents' metas are checked first (``_agent_metas``, against the env's
+    widths), and every actor must have agent 0's layers (else a ValueError
+    naming the agent), which size the (N, P) stack before any actor is read.
+    Each agent's actor entry is then read in place into its row of the stack
+    (``_read_agents``), checked as a resume checks it: member, header,
+    float64 values of shape (P,) and CRC.
     """
-    with _naming_agent(0):
-        sizes = actor_layer_sizes(read_meta(_AgentArrays(data, 0)["meta"], AGENT_META))
-    flat = np.empty((meta["num_agents"], Mlp.num_parameters(sizes)))
-    stack = Mlp(sizes, flat, "sigmoid")
-
-    def fill(arrays, stored):
-        layers = actor_layer_sizes(stored)
-        if layers != stack.layer_sizes:
-            raise ConfigError(
-                f"checkpoint {path} is damaged: agent {arrays.n}'s actor has layers "
-                f"{layers}, agent 0's {stack.layer_sizes}"
+    metas = _agent_metas(data, meta, path, env)
+    sizes = actor_layer_sizes(metas[0])
+    for n, stored in enumerate(metas):
+        if actor_layer_sizes(stored) != sizes:
+            raise ValueError(
+                f"agent {n}: actor has layers {actor_layer_sizes(stored)}, agent 0's {sizes}"
             )
-        arrays.read_into("actor", flat[arrays.n], "its net")
+    flat = np.empty((len(metas), Mlp.num_parameters(sizes)))
+    rows = {f"agent{n}_": row for n, row in enumerate(flat)}
 
-    _read_agents(data, meta, path, fill, env)
-    return stack
+    def fill(archive, prefix, _):
+        read_entry(archive, prefix + "actor", rows[prefix], "actor")
+
+    _read_agents(data, metas, fill)
+    return Mlp(sizes, flat, "sigmoid")
 
 
 def _rollout_policy(cfg, trace, checkpoint, action_mode):
@@ -1013,7 +1002,8 @@ def _solve_slot(cfg: RunConfig, scheme, channel, slot):
 def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoint=None):
     """Evaluate the selected schemes on one shared channel window.
 
-    ``schemes`` overrides the config key when given; ``ddcbf`` and
+    ``schemes`` overrides the config key when given, a comma string parsed
+    as the key's value is or a tuple of names; ``ddcbf`` and
     ``mslnr-ddpg`` need their trained ``checkpoint`` and
     ``mslnr_checkpoint``.  Every scheme sees the identical channel
     realizations; a trace-backed window is read alone, and each of
@@ -1044,7 +1034,7 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     the fraction that hit the iteration cap (``truncated_frac``).
     """
     if schemes is not None:
-        cfg = replace(cfg, schemes=tuple(schemes))
+        cfg = replace(cfg, schemes=schemes)
     policies = {
         "ddcbf": (checkpoint, "structured"),
         "mslnr-ddpg": (mslnr_checkpoint, "mslnr-power"),

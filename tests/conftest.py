@@ -1,4 +1,5 @@
 import os
+import threading
 
 # Must run before numpy loads its BLAS backend: single-threaded kernels are
 # both faster for this package's small matrices and reduction-order stable.
@@ -8,8 +9,8 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from cbflab import drl, harness  # noqa: E402
 from cbflab.drl import AGENT_META, DdpgAgent, read_meta, savez_atomic  # noqa: E402
-from cbflab.harness import _AgentArrays  # noqa: E402
 
 
 def save_agent(path, agent):
@@ -20,8 +21,8 @@ def save_agent(path, agent):
 def load_agent(path):
     """Agent 0 of a file in the run checkpoint layout, restored as a resume restores it."""
     with np.load(path, allow_pickle=False) as data:
-        arrays = _AgentArrays(data, 0)
-        return DdpgAgent.from_state_dict(arrays, read_meta(arrays["meta"], AGENT_META))
+        meta = read_meta(data["agent0_meta"], AGENT_META)
+        return DdpgAgent.from_state_dict(data, "agent0_", meta)
 
 
 def round_trip(agent, directory):
@@ -29,6 +30,25 @@ def round_trip(agent, directory):
     path = os.path.join(directory, "agent.npz")
     save_agent(path, agent)
     return load_agent(path)
+
+
+@pytest.fixture
+def read_entry_calls(monkeypatch):
+    """Record (entry name, reading thread) of every ``drl.read_entry`` call.
+
+    The reader is wrapped where both of its callers look it up, ``drl`` and
+    ``harness``.
+    """
+    calls = []
+    read_entry = drl.read_entry
+
+    def recording_read_entry(archive, name, *args, **kwargs):
+        calls.append((name, threading.current_thread()))
+        return read_entry(archive, name, *args, **kwargs)
+
+    for module in (drl, harness):
+        monkeypatch.setattr(module, "read_entry", recording_read_entry)
+    return calls
 
 
 @pytest.fixture

@@ -227,7 +227,10 @@ def test_bench_on_a_mismatched_trace_exits_two_and_writes_nothing(tmp_path, caps
     config = str(write_config(tmp_path, trace_file=trace))  # users_per_cell = 2
     capsys.readouterr()
     assert main(["bench", config, "--schemes", "mslnr-ep"]) == 2
-    assert "trace dimensions do not match" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"config error: trace dimensions do not match the network config: {trace} holds "
+        "slots of shape (3, 3, 3, 4), the network needs (3, 3, 2, 4)\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -484,7 +487,7 @@ def _edit_meta(key, edit):
 UNFIT_ENTRIES = {
     "target-actor-a-stack-of-one": (
         _replace_entry("agent1_target_actor", lambda a: a[None]),
-        "agent 1: target_actor has shape (1, 2494), its net (2494,)",
+        "agent 1: target_actor has shape (1, 2494), not (2494,)",
     ),
     "critic-float32": (
         _replace_entry("agent1_critic", lambda a: a.astype(np.float32)),
@@ -496,7 +499,7 @@ UNFIT_ENTRIES = {
     ),
     "adam-moment-short": (
         _replace_entry("agent2_adam_actor_m", lambda a: a[:-1]),
-        "agent 2: adam_actor_m has shape (2493,), its net (2494,)",
+        "agent 2: adam_actor_m has shape (2493,), not (2494,)",
     ),
     "adam-moment-long": (
         _replace_entry("agent1_adam_critic_v", lambda a: np.append(a, 0.0)),
@@ -713,11 +716,11 @@ UNFIT_ACTORS = {
     ),
     "a-stack-of-one": (
         _replace_entry("agent1_actor", lambda a: a[None]),
-        "agent 1: actor has shape (1, 2494), its net (2494,)",
+        "agent 1: actor has shape (1, 2494), not (2494,)",
     ),
     "one-value-short": (
         _replace_entry("agent1_actor", lambda a: a[:-1]),
-        "agent 1: actor has shape (2493,), its net (2494,)",
+        "agent 1: actor has shape (2493,), not (2494,)",
     ),
     "complex": (
         _replace_entry("agent1_actor", lambda a: a.astype(complex)),
@@ -797,22 +800,42 @@ def test_resume_from_a_checkpoint_of_another_layout_exits_two(tmp_path, capsys, 
     assert csv.read_bytes() == rows
 
 
-def test_damaged_entry_read_on_a_pool_thread_exits_two(tmp_path, capsys, monkeypatch):
+def test_resume_and_bench_refuse_agents_of_other_widths_before_reading_an_array(
+    tmp_path, capsys, read_entry_calls
+):
+    config = str(write_config(tmp_path))
+    assert main(["train", config]) == 0
+    csv = tmp_path / "out" / "train.csv"
+    rows = csv.read_bytes()
+    with np.load(tmp_path / "out" / "checkpoints" / "train_00000007.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    _edit_meta("agent2_meta", lambda meta: meta.update(state_dim=meta["state_dim"] + 1))(arrays)
+    ckpt = tmp_path / "wide.npz"
+    np.savez(ckpt, **arrays)
+    capsys.readouterr()
+    for argv in (
+        ["train", config, "--resume", str(ckpt)],
+        ["bench", config, "--schemes", "ddcbf", "--checkpoint", str(ckpt)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: agent 2 in checkpoint {ckpt} maps 135 state entries to 10 "
+            "action entries, this config 134 to 10\n"
+        )
+        assert read_entry_calls == []
+        assert csv.read_bytes() == rows
+    assert not (tmp_path / "out" / "bench.csv").exists()
+
+
+def test_damaged_entry_read_on_a_pool_thread_exits_two(
+    tmp_path, capsys, monkeypatch, read_entry_calls
+):
     config = str(write_config(tmp_path))
     assert main(["train", config]) == 0
     ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
     _flip_a_data_byte(ckpt, "agent2_actor.npy")
     # Three workers: agent 2 is read by the second pool thread.
     monkeypatch.setattr(harness, "_train_workers", lambda num_agents: 3)
-    readers = []
-    getitem = harness._AgentArrays.__getitem__
-
-    def recording_getitem(self, key):
-        if self._prefix == "agent2_":
-            readers.append(threading.current_thread())
-        return getitem(self, key)
-
-    monkeypatch.setattr(harness._AgentArrays, "__getitem__", recording_getitem)
     capsys.readouterr()
     for argv in (
         ["train", config, "--resume", str(ckpt)],
@@ -822,6 +845,7 @@ def test_damaged_entry_read_on_a_pool_thread_exits_two(tmp_path, capsys, monkeyp
         err = capsys.readouterr().err
         assert f"config error: checkpoint {ckpt} is damaged: " in err
         assert "Bad CRC-32 for file 'agent2_actor.npy'" in err
+    readers = [thread for name, thread in read_entry_calls if name.startswith("agent2_")]
     assert readers and threading.main_thread() not in readers
 
 
@@ -848,6 +872,19 @@ def test_bench_with_an_empty_scheme_list_exits_two_and_writes_nothing(
     assert not (tmp_path / "out").exists()
 
 
+def test_bench_window_past_the_end_of_the_trace_exits_two_and_writes_nothing(tmp_path, capsys):
+    trace = tmp_path / "chan.trace"
+    config = str(write_config(tmp_path, trace_file=trace, bench_offset=8))  # bench_slots = 4
+    assert main(["trace-gen", config, str(trace), "--slots", "10"]) == 0
+    capsys.readouterr()
+    assert main(["bench", config, "--schemes", "mslnr-ep"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: trace {trace} holds 2 of the 5 slots from slot 8 that a bench of "
+        "bench_slots = 4 reads\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cols", [2, 8])
 def test_resume_across_antenna_arrays_exits_two(tmp_path, capsys, cols):
     assert main(["train", str(write_config(tmp_path))]) == 0  # array_cols = 4
@@ -857,8 +894,9 @@ def test_resume_across_antenna_arrays_exits_two(tmp_path, capsys, cols):
     other = str(write_config(tmp_path, name="other.cfg", array_cols=cols))
     capsys.readouterr()
     assert main(["train", other, "--resume", str(ckpt)]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: checkpoint {ckpt} does not fit this config: proc_h" in err
+    assert capsys.readouterr().err.startswith(
+        f"config error: checkpoint {ckpt} does not fit this config: its channel has fingerprint"
+    )
     assert csv.read_bytes() == written
 
 
@@ -886,7 +924,7 @@ def test_resume_from_channel_arrays_of_another_dtype_exits_two(
     capsys.readouterr()
     assert main(["train", config, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert f"config error: checkpoint {ckpt} does not fit this config: {message}" in err
+    assert f"config error: checkpoint {ckpt} is damaged: {message}" in err
     assert csv.read_bytes() == rows
 
 

@@ -1125,7 +1125,7 @@ def test_stacked_rollout_writes_the_bench_files_of_one_actor_at_a_time(
     assert files["stacked"]["bench_csv"].count(scheme.encode()) == 5
 
 
-def test_stacked_rollout_rejects_actors_of_other_hidden_widths(tmp_path):
+def test_stacked_rollout_rejects_actors_of_other_hidden_widths(tmp_path, read_entry_calls):
     cfg = parse_config(write_config(tmp_path, num_slots=12, bench_slots=3))
     ckpt = run_train(cfg)["checkpoint"]
     other = parse_config(
@@ -1141,11 +1141,13 @@ def test_stacked_rollout_rejects_actors_of_other_hidden_widths(tmp_path):
     with pytest.raises(
         ConfigError,
         match=re.escape(
-            f"checkpoint {mixed} is damaged: agent 2's actor has layers "
+            f"checkpoint {mixed} is damaged: agent 2: actor has layers "
             "[134, 16, 10, 10], agent 0's [134, 16, 12, 10]"
         ),
     ):
         run_benchmark(cfg, schemes=("ddcbf",), checkpoint=str(mixed))
+    # The layers are checked from the metas alone, before any actor is read.
+    assert read_entry_calls == []
 
 
 def test_mslnr_ddpg_train_then_bench(tmp_path):

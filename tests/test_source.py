@@ -152,6 +152,45 @@ def test_only_the_checkpoint_opener_calls_np_load():
     assert uses == [("harness.py", "_open_checkpoint")]
 
 
+def text_uses(source, text):
+    """(line, function) of each line of ``source`` that holds ``text``.
+
+    ``function`` is the name of the innermost function whose lines hold it,
+    None at module level.
+    """
+    functions = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    uses = []
+    for line, content in enumerate(source.splitlines(), start=1):
+        if text in content:
+            around = [f for f in functions if f.lineno <= line <= f.end_lineno]
+            inner = max(around, key=lambda f: f.lineno, default=None)
+            uses.append((line, inner and inner.name))
+    return uses
+
+
+def test_the_check_finds_the_text_uses():
+    source = (
+        "X = 'is damaged'\ndef a():\n    def b():\n        raise E('is damaged')\n"
+        "    return 'fine'\ndef c():\n    '''Says is damaged.'''\n"
+    )
+    assert text_uses(source, "is damaged") == [(1, None), (4, "b"), (7, "c")]
+
+
+def test_only_the_checkpoint_opener_writes_is_damaged():
+    # Readers raise what they find wrong, and the opener alone decides that
+    # it is damage; a second ``is damaged`` would be a second rule.
+    uses = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, function in text_uses(path.read_text(), "is damaged")
+    }
+    assert uses == {("harness.py", "_open_checkpoint")}
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PERFBENCH_RUN = PERFBENCH / "run.py"
 PERFBENCH_TRACER = PERFBENCH / "tracer.py"
