@@ -64,11 +64,6 @@ MODEL_KINDS = ("gauss-markov", "geometric-ura")
 TRACE_MAGIC = b"CBFLAB-TRACE\x00\x00\x00\x01"
 _HEADER = struct.Struct("<5Q")
 
-# A ranged ``load_trace`` streams the slots outside its range through one
-# buffer of this many bytes, so reading a window does not cost the trace's
-# memory.
-_READ_BUFFER = 1 << 16
-
 
 class TraceFormatError(ValueError):
     """Raised when a channel-trace file fails an integrity check."""
@@ -594,32 +589,18 @@ def save_trace(trace, path):
         fh.write(struct.pack("<I", crc))
 
 
-def _payload_views(kept, skip_before, skip_after):
-    """The views a trace payload is read into, in file order.
-
-    The ``skip_before`` bytes before the kept slots and the ``skip_after``
-    bytes after them stream through one reused buffer of at most
-    ``_READ_BUFFER`` bytes; the kept slots go straight into ``kept``.
-    """
-    spare = memoryview(bytearray(min(_READ_BUFFER, max(skip_before, skip_after, 1))))
-
-    def skipped(nbytes):
-        return (spare[: min(len(spare), nbytes - at)] for at in range(0, nbytes, len(spare)))
-
-    yield from skipped(skip_before)
-    yield kept
-    yield from skipped(skip_after)
-
-
 def load_trace(path, start=0, stop=None):
     """Read a trace file back, verifying magic, dimensions and checksum.
 
     ``start`` and ``stop`` keep the slots ``h[start:stop]`` of the full
     trace, bit for bit.  Every byte is still read and checksummed, with the
-    same errors; the slots outside the range only pass through a buffer of
-    ``_READ_BUFFER`` bytes, so a window costs its own memory.  A full read is
-    read once, straight into the returned array, and the checksum runs over
-    that same buffer.
+    same errors.  The payload is read view by view, in file order: the kept
+    slots straight into the returned array, each other slot into one
+    slot-sized spare buffer.  So a window costs its own memory plus one slot
+    (and one list entry per skipped slot), and each skipped slot is one
+    read: a far window of a trace with small slots takes many small reads.
+    A full read is one read into the returned array, and the checksum runs
+    over that same buffer.
     """
     prefix_len = len(TRACE_MAGIC) + _HEADER.size
     with open(path, "rb") as fh:
@@ -636,12 +617,14 @@ def load_trace(path, start=0, stop=None):
             raise TraceFormatError(
                 f"dimension mismatch: header implies {expected} bytes, file has {size}"
             )
-        kept_slots = range(num_slots)[start:stop]
-        h = np.empty((len(kept_slots), n, n, k, m), dtype="<c16")
-        skip_before = kept_slots.start * slot_len if kept_slots else 0
-        skip_after = (num_slots - len(kept_slots)) * slot_len - skip_before
+        kept = range(num_slots)[start:stop]
+        h = np.empty((len(kept), n, n, k, m), dtype="<c16")
+        # A header of empty slots has no bytes to skip, however many it counts.
+        spare = [memoryview(bytearray(slot_len))] if slot_len else []
+        after = num_slots - kept.start - len(kept)
+        views = spare * kept.start + [h.reshape(-1).view(np.uint8)] + spare * after
         crc = zlib.crc32(prefix)
-        for view in _payload_views(h.reshape(-1).view(np.uint8), skip_before, skip_after):
+        for view in views:
             if fh.readinto(view) != len(view):
                 # The file shrank after its size was checked.
                 raise TraceFormatError("trace file truncated while reading")

@@ -349,14 +349,12 @@ class MetricSink:
     """
 
     def __init__(self, out_dir, num_cells, basename="train", resume_rows=None):
-        self.num_cells = num_cells
         self.csv_path = os.path.join(out_dir, f"{basename}.csv")
         self.events_path = os.path.join(out_dir, f"{basename}_events.jsonl")
         columns = ["slot", "scheme", "sum_rate"]
         columns += [f"cell_rate_{n}" for n in range(num_cells)]
         columns += [f"reward_{n}" for n in range(num_cells)]
         columns += ["sigma_a"]
-        self.columns = columns
         if resume_rows is None:
             os.makedirs(out_dir, exist_ok=True)
             self._csv = open(self.csv_path, "w")
@@ -482,24 +480,6 @@ def _build_agents(cfg: RunConfig, env):
     ]
 
 
-def _check_resumed_agents(cfg: RunConfig, agents, path):
-    """Raise ConfigError naming the first key where ``agents`` and the config differ.
-
-    ``noise_sigma_init`` is not compared: the checkpoint keeps the running
-    sigma in its place, so the agents continue their noise schedule.  The
-    state and action widths were checked before the agents were read.
-    """
-    expected = cfg.hyperparameters
-    for n, agent in enumerate(agents):
-        for key, stored in agent.hyperparameters.items():
-            value = expected[key]
-            if key != "noise_sigma_init" and stored != value:
-                raise ConfigError(
-                    f"{key} = {value!r} does not match the value {stored!r} "
-                    f"that agent {n} in checkpoint {path} was built with"
-                )
-
-
 # The table of a run checkpoint's ``harness_meta`` besides ``version``.
 HARNESS_META = {"slot": int, "num_agents": int, "stream": dict}
 
@@ -603,14 +583,17 @@ def _open_checkpoint(path, num_agents):
         raise ConfigError(f"checkpoint {path} is damaged: {detail}") from exc
 
 
-def _agent_metas(data, meta, path, env=None):
+def _agent_metas(data, meta, path, env=None, hyperparameters=None):
     """Every agent's parsed ``meta`` in an open run checkpoint, in agent order.
 
     One pass on the calling thread, before any agent array is read, so that
     a misfit is found from the metas alone: with ``env`` given, ConfigError
-    unless each agent's stored state and action widths are the env's.  A
-    meta that fails ``AGENT_META`` raises a ValueError naming its agent
-    (``_naming_agent``).
+    unless each agent's stored state and action widths are the env's; with
+    ``hyperparameters`` (``RunConfig.hyperparameters``) given, ConfigError
+    naming the first that differs from the agent's.  ``noise_sigma_init`` is
+    not compared: the meta keeps the running sigma in its place, so the
+    agents continue their noise schedule.  A meta that fails ``AGENT_META``
+    raises a ValueError naming its agent (``_naming_agent``).
     """
     metas = []
     for n in range(meta["num_agents"]):
@@ -623,6 +606,15 @@ def _agent_metas(data, meta, path, env=None):
                 f"to {widths[1]} action entries, this config {env.state_dim} to "
                 f"{env.action_dim}"
             )
+        for key, value in (hyperparameters or {}).items():
+            if key == "noise_sigma_init":
+                continue
+            built = tuple(stored[key]) if key == "hidden_sizes" else stored[key]
+            if built != value:
+                raise ConfigError(
+                    f"{key} = {value!r} does not match the value {built!r} "
+                    f"that agent {n} in checkpoint {path} was built with"
+                )
         metas.append(stored)
     return metas
 
@@ -654,17 +646,17 @@ def _read_agents(data, metas, build):
         return _run_tasks(pool, tasks, queues)
 
 
-def load_checkpoint(path, env):
+def load_checkpoint(path, env, hyperparameters):
     """Restore the env's channel stream in place and rebuild the agents.
 
     Returns (slot, states, agents).  Fit is decided from the metas before
     any array is read: the agent count, the stream's kind and fingerprint
     (``channel.check_fingerprint``, which fixes every channel array's shape)
-    and each agent's widths (``_agent_metas``); a misfit raises ConfigError,
-    and the hyperparameters are the caller's to compare.  Then the stream's
-    arrays (``checkpoint_layout``), the agents' entries (``_read_agents``)
-    and ``states`` are read in place by ``drl.read_entry``, where any fault
-    is damage; the stream must then stand at ``slot``.
+    and each agent's widths and ``hyperparameters`` (``_agent_metas``); a
+    misfit raises ConfigError.  Then the stream's arrays
+    (``checkpoint_layout``), the agents' entries (``_read_agents``) and
+    ``states`` are read in place by ``drl.read_entry``, where any fault is
+    damage; the stream must then stand at ``slot``.
     """
     with _open_checkpoint(path, env.net_cfg.num_cells) as (data, meta):
         stream = meta["stream"]
@@ -676,7 +668,7 @@ def load_checkpoint(path, env):
             )
         read_meta(stream, env.stream.META, "stream ")
         check_fingerprint(env.stream, stream)
-        metas = _agent_metas(data, meta, path, env)
+        metas = _agent_metas(data, meta, path, env, hyperparameters)
         arrays = {
             key: read_entry(data, key, np.empty(shape, dtype))
             for key, (dtype, shape) in env.stream.checkpoint_layout().items()
@@ -804,13 +796,12 @@ def run_train(cfg: RunConfig, resume_from=None):
     basename = "train" if cfg.action_mode == "structured" else "train_mslnr"
     env = _build_env(cfg)
     if resume_from:
-        start_slot, states, agents = load_checkpoint(resume_from, env)
+        start_slot, states, agents = load_checkpoint(resume_from, env, cfg.hyperparameters)
         if start_slot > cfg.num_slots:
             raise ConfigError(
                 f"checkpoint {resume_from} is at slot {start_slot}, "
                 f"past num_slots = {cfg.num_slots}"
             )
-        _check_resumed_agents(cfg, agents, resume_from)
     else:
         agents = _build_agents(cfg, env)
         states = env.reset()
@@ -841,7 +832,7 @@ def run_train(cfg: RunConfig, resume_from=None):
             )
         warmup = cfg.batch_size
         final_ckpt = resume_from  # the checkpoint that holds the last slot run
-        sum_rates = []
+        sum_rates = collections.deque(maxlen=20)  # the abort event's recent sum rates
         # Each checkpoint event's wall_s covers the slots since the previous
         # checkpoint (or the run or resume start), including its own write.
         since = time.perf_counter()
@@ -883,7 +874,7 @@ def run_train(cfg: RunConfig, resume_from=None):
                 error=str(exc),
                 slot=slot,
                 noise_sigma=agents[0].noise_sigma,
-                recent_sum_rates=sum_rates[-20:],
+                recent_sum_rates=list(sum_rates),
             )
             raise
 

@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from cbflab import harness, solvers
-from cbflab.channel import ChannelProcess, TraceStream, config_fingerprint, generate_trace
+from cbflab.channel import (
+    ChannelModelConfig,
+    ChannelProcess,
+    TraceStream,
+    config_fingerprint,
+    generate_trace,
+)
 from cbflab.cli import main
 from cbflab.drl import AGENT_META, DdpgAgent, Mlp, actor_layer_sizes, read_entry, read_meta
 from cbflab.env import BeamformingEnv
@@ -38,7 +44,7 @@ from cbflab.harness import (
     run_train,
     save_checkpoint,
 )
-from cbflab.network import BeamformerSet, compute_metrics, dbm_to_watt
+from cbflab.network import BeamformerSet, NetworkConfig, compute_metrics, dbm_to_watt
 from cbflab.solvers import mslnr_beams
 
 SMALL = {
@@ -193,6 +199,23 @@ def test_defaults_fill_omitted_keys(tmp_path):
     assert cfg.schemes == ("ddcbf", "mslnr-ep", "wmmse")
     assert cfg.channel.temporal_corr is None
     assert cfg.network.max_power == dbm_to_watt(38.0)
+
+
+def test_lower_layers_defaults_are_the_config_tables(tmp_path):
+    # The three tables of defaults agree: the config's own, NetworkConfig's
+    # and ChannelModelConfig's.
+    cfg = build_config(
+        {
+            "num_cells": 3,
+            "users_per_cell": 2,
+            "array_rows": 1,
+            "array_cols": 4,
+            "seed": 9,
+            "out_dir": str(tmp_path),
+        }
+    )
+    assert cfg.network == NetworkConfig(3, 2, 1, 4)
+    assert cfg.channel == ChannelModelConfig(rng_seed=9)
 
 
 def test_removed_episode_length_key_rejected(tmp_path):
@@ -368,7 +391,9 @@ def test_resume_opens_the_checkpoint_once(tmp_path, monkeypatch):
         ("csi_keep", 2),  # changes the state width
     ],
 )
-def test_resume_rejects_config_that_differs_from_checkpoint(tmp_path, key, value):
+def test_resume_rejects_config_that_differs_from_checkpoint(
+    tmp_path, read_entry_calls, key, value
+):
     cfg = parse_config(write_config(tmp_path))
     ckpt = run_train(cfg)["checkpoint"]
     other = parse_config(write_config(tmp_path, name="other.cfg", **{key: value}))
@@ -377,6 +402,8 @@ def test_resume_rejects_config_that_differs_from_checkpoint(tmp_path, key, value
         message = r"^agent 0 in checkpoint .* maps 134 state entries to 10 action entries"
     with pytest.raises(ConfigError, match=message):
         run_train(other, resume_from=ckpt)
+    # The misfit is found from the metas, before any entry is read.
+    assert read_entry_calls == []
 
 
 def test_resume_keeps_the_checkpoints_noise_sigma(tmp_path):
@@ -448,7 +475,7 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, break_savez):
         save_checkpoint(path, 1, states, env, agents)
     assert os.listdir(ckpt_dir) == ["train.npz"]
     fresh_env = _build_env(cfg)
-    slot, _, agents = load_checkpoint(path, fresh_env)
+    slot, _, agents = load_checkpoint(path, fresh_env, cfg.hyperparameters)
     assert slot == 0
     assert len(agents) == 3
 
@@ -475,7 +502,7 @@ def test_checkpoint_round_trip_is_a_fixed_point(tmp_path, source):
     later = tmp_path / "out" / "checkpoints" / "train_00000014.npz"
     for path in (first, later):
         env = _build_env(cfg)
-        slot, states, agents = load_checkpoint(path, env)
+        slot, states, agents = load_checkpoint(path, env, cfg.hyperparameters)
         again = tmp_path / "again.npz"
         save_checkpoint(again, slot, states, env, agents)
         stored, rewritten = _checkpoint_arrays(path), _checkpoint_arrays(again)
@@ -809,7 +836,7 @@ def test_restore_on_any_worker_count_reads_every_agent_in_order(
     ckpt = run_train(cfg)["checkpoint"]
     stored = _checkpoint_arrays(ckpt)
     _pin_workers(monkeypatch, workers)
-    _, _, resumed = load_checkpoint(ckpt, _build_env(cfg))
+    _, _, resumed = load_checkpoint(ckpt, _build_env(cfg), cfg.hyperparameters)
     loaded = load_agents_from_checkpoint(ckpt, cfg.network.num_cells)
     for agents in (resumed, loaded):
         assert len(agents) == 3
