@@ -35,6 +35,14 @@ link sums its rays as one (rows x R) @ (R x cols) product of those factors
 slots of seeds 1 and 101).  That product runs in BLAS, so the last bits of
 geometric-URA channels may depend on the BLAS kernel.
 
+``init_topology`` draws from a second Generator seeded with the same
+``rng_seed``, so the two streams start alike: in a geometric-URA process,
+the first slot's first link takes its 2R ray-offset uniforms from the same
+values that set the first users' radii (one uniform per user, in C order of
+(cell, user)); for seed 1 at 7 cells of 4 users, all 16 are equal.
+Separating the streams would change every channel, trace and digest, so it
+waits for a change that may move them.
+
 Jakes' correlation needs the Bessel function J0.  ``j0`` is a port of the
 Cephes routine that ``scipy.special.j0`` evaluates, in plain Python floats
 with the same coefficients and operation order, so it returns scipy's value
@@ -611,6 +619,10 @@ def load_trace(path, start=0, stop=None):
         if prefix[: len(TRACE_MAGIC)] != TRACE_MAGIC:
             raise TraceFormatError("bad magic: not a channel trace file")
         n, k, m, num_slots, cfg_hash = _HEADER.unpack_from(prefix, len(TRACE_MAGIC))
+        if 0 in (n, k, m):
+            raise TraceFormatError(
+                f"bad header: {n} cells, {k} users and {m} antennas; each count must be >= 1"
+            )
         slot_len = n * n * k * m * 16
         expected = prefix_len + num_slots * slot_len + 4
         if size != expected:
@@ -619,8 +631,7 @@ def load_trace(path, start=0, stop=None):
             )
         kept = range(num_slots)[start:stop]
         h = np.empty((len(kept), n, n, k, m), dtype="<c16")
-        # A header of empty slots has no bytes to skip, however many it counts.
-        spare = [memoryview(bytearray(slot_len))] if slot_len else []
+        spare = [memoryview(bytearray(slot_len))]
         after = num_slots - kept.start - len(kept)
         views = spare * kept.start + [h.reshape(-1).view(np.uint8)] + spare * after
         crc = zlib.crc32(prefix)

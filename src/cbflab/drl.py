@@ -238,18 +238,19 @@ class Mlp:
 
     ``layer_sizes`` are the widths [in, hidden..., out].  All parameters live
     in the one float64 vector ``flat``, laid out as [W0, b0, W1, b1, ...]
-    with weights W of shape (fan_out, fan_in); ``weights``, ``biases`` and
-    ``parameters()`` are reshaped views into it, so in-place edits of either
-    form update the net.  The net takes ownership of the ``flat`` it is
-    given: it is neither copied nor converted.  Forward maps (B, in) ->
-    (B, out) and accepts single vectors as well.
+    with weights W of shape (fan_out, fan_in); ``weights`` and ``biases`` are
+    reshaped views into it (``blocks`` splits any vector so laid out), so
+    in-place edits of either form update the net.  The net takes ownership
+    of the ``flat`` it is given: it is neither copied nor converted.
+    Forward maps a (B, in) batch to (B, out); a single input is a one-row
+    batch.
 
     A ``flat`` of shape (N, P) is a stack of N nets of the same widths, row
     ``n`` being net ``n``'s vector, and the views then lead with the N axis.
-    A stack's ``forward`` maps row ``n`` of an (N, in) input through net
-    ``n``, bit for bit as net ``n``'s own forward of that row, with one
-    batched product per layer.  Only single nets train: ``forward_cached``
-    and ``backward`` take no stack.
+    A stack's ``forward`` maps (N, B, in) to (N, B, out), batch ``n``
+    through net ``n``, bit for bit as net ``n``'s own forward of that batch,
+    with one batched product per layer.  Only single nets train:
+    ``forward_cached`` and ``backward`` take no stack.
     """
 
     def __init__(self, layer_sizes, flat, output_activation="identity"):
@@ -262,9 +263,9 @@ class Mlp:
         self.layer_sizes = list(layer_sizes)
         self._shapes = _block_shapes(layer_sizes)
         self.flat = flat
-        self._params = self.blocks(flat)
-        self.weights = self._params[0::2]
-        self.biases = self._params[1::2]
+        params = self.blocks(flat)
+        self.weights = params[0::2]
+        self.biases = params[1::2]
         # Each layer's (..., in, out) transposed weights and (..., 1, out) bias.
         self._affine = [
             (w.swapaxes(-1, -2), b[..., None, :]) for w, b in zip(self.weights, self.biases)
@@ -293,12 +294,8 @@ class Mlp:
     def input_dim(self):
         return self.layer_sizes[0]
 
-    def parameters(self):
-        """Interleaved [W0, b0, W1, b1, ...]; mutating entries updates the net."""
-        return list(self._params)
-
     def blocks(self, vector):
-        """Views of a vector laid out like ``flat``, shaped like ``parameters()``.
+        """Views [W0, b0, W1, b1, ...] of a vector laid out like ``flat``.
 
         The views of an (N, P) stack of vectors lead with its N axis.
         """
@@ -310,15 +307,13 @@ class Mlp:
         return out
 
     def _batch(self, x):
-        """A single net's input as a (B, in) batch, and whether it was one vector."""
-        if self.flat.ndim != 1:
-            raise ValueError("a stack of nets runs only forward")
-        a = np.atleast_2d(np.asarray(x, dtype=float))
-        if a.shape[1] != self.input_dim:
-            raise ValueError(
-                f"input width {a.shape[1]} does not match net input {self.input_dim}"
-            )
-        return a, x.ndim == 1
+        """``x`` as an input batch: (B, in) for a single net, (N, B, in) for a stack."""
+        a = np.asarray(x, dtype=float)
+        stack = self.flat.shape[:-1]
+        if a.ndim != len(stack) + 2 or a.shape[:-2] != stack or a.shape[-1] != self.input_dim:
+            expected = ", ".join([*map(str, stack), "B", str(self.input_dim)])
+            raise ValueError(f"input of shape {a.shape} is not ({expected})")
+        return a
 
     def _layers(self, a, keep_cache):
         """The output for (..., B, in) inputs ``a``, and with ``keep_cache`` each layer's."""
@@ -337,36 +332,25 @@ class Mlp:
         return a, cache
 
     def forward(self, x):
-        if self.flat.ndim == 2:
-            x = np.asarray(x, dtype=float)
-            if x.shape != (len(self.flat), self.input_dim):
-                raise ValueError(
-                    f"input of shape {x.shape} does not fit a stack of {len(self.flat)} "
-                    f"nets of input width {self.input_dim}"
-                )
-            y, _ = self._layers(x[:, None, :], keep_cache=False)
-            return y[:, 0]
-        a, squeeze = self._batch(x)
-        y, _ = self._layers(a, keep_cache=False)
-        return y[0] if squeeze else y
+        return self._layers(self._batch(x), keep_cache=False)[0]
 
     def forward_cached(self, x):
-        """Forward pass keeping activations for a later backward call."""
-        a, squeeze = self._batch(x)
-        y, cache = self._layers(a, keep_cache=True)
-        return (y[0] if squeeze else y), (cache, squeeze)
+        """The output and the activations that a later ``backward`` call takes."""
+        if self.flat.ndim != 1:
+            raise ValueError("a stack of nets runs only forward")
+        return self._layers(self._batch(x), keep_cache=True)
 
-    def backward(self, ctx, upstream, param_grads=True, input_grad=True):
+    def backward(self, cache, upstream, param_grads=True, input_grad=True):
         """Reverse-mode gradients of sum(upstream * output) w.r.t. params and input.
 
-        ``upstream`` must match the forward output shape; gradients are summed
-        over the batch.  Returns (grad, grad_input): grad is one vector laid
-        out like ``flat`` (``blocks`` splits it like ``parameters()``).  A
-        term not asked for is not computed and comes back as None; the terms
-        that are computed are bit-identical either way.
+        ``cache`` is what ``forward_cached`` returned with the output, and
+        ``upstream`` must have the output's (B, out) shape; gradients are
+        summed over the batch.  Returns (grad, grad_input): grad is one
+        vector laid out like ``flat`` (``blocks`` splits it).  A term not
+        asked for is not computed and comes back as None; the terms that are
+        computed are bit-identical either way.
         """
-        cache, squeeze = ctx
-        delta = np.atleast_2d(np.asarray(upstream, dtype=float))
+        delta = np.asarray(upstream, dtype=float)
         y = cache[-1]
         if delta.shape != y.shape:
             raise ValueError("upstream gradient shape does not match output")
@@ -382,14 +366,7 @@ class Mlp:
                 delta = delta @ self.weights[i]
             if i > 0:
                 delta = delta * (cache[i] > 0)
-        if not input_grad:
-            return grad, None
-        return grad, (delta[0] if squeeze else delta)
-
-    def gradients(self, x, upstream):
-        """Convenience wrapper: forward then backward in one call."""
-        _, ctx = self.forward_cached(x)
-        return self.backward(ctx, upstream)
+        return grad, (delta if input_grad else None)
 
 
 # Adam's moment decay rates and denominator floor (Kingma and Ba's values).
@@ -687,7 +664,7 @@ class DdpgAgent:
         Each exploring call also advances the noise schedule
         sigma <- max(sigma / (1 + noise_decay), noise_sigma_min).
         """
-        action = self.actor.forward(state)
+        action = self.actor.forward(state[None])[0]
         if explore:
             hp = self.hyperparameters
             noise = self.rng.normal(0.0, self.noise_sigma, self.action_dim)

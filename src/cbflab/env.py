@@ -251,12 +251,13 @@ def decode_action(actions, num_cells, users_per_cell, noise_power):
     and mu, so [0, 1] weights lose no generality); mu maps log-uniformly onto
     [1e-3, 1e3] times the noise power, and an entry of 0.5 decodes to the
     noise power exactly.  Row s becomes stack entry s of the returned
-    StructuredParams.
+    StructuredParams.  An entry outside [0, 1], a NaN included, raises
+    ValueError naming the first such row's BS.
     """
     k, n = users_per_cell, num_cells
     actions = np.asarray(actions, dtype=float)
     _check_rows(actions, action_dim(n, k))
-    outside = np.flatnonzero(np.any((actions < 0) | (actions > 1), axis=1))
+    outside = np.flatnonzero(~np.all((actions >= 0) & (actions <= 1), axis=1))
     if outside.size:
         raise ValueError(f"BS {outside[0]}: action entries must lie in [0, 1]")
     raw_q = actions[:, :k] + POWER_RATIO_EPS

@@ -955,7 +955,7 @@ def _rollout_policy(cfg, trace, checkpoint, action_mode):
     states = env.reset()
     cell_rates = []
     for _ in range(trace.num_slots - 1):
-        states, _, metrics = env.step(actors.forward(states))
+        states, _, metrics = env.step(actors.forward(states[:, None])[:, 0])
         cell_rates.append(metrics.rate.sum(axis=1))
     return cell_rates
 
@@ -1127,7 +1127,7 @@ def run_timing(cfg: RunConfig, repeats=30):
     channel = env.channel
 
     def decision():  # BS 0 alone, as a one-row stack
-        return decode_beams(actor.forward(state)[None], channel.h, net, "structured")
+        return decode_beams(actor.forward(state[None]), channel.h, net, "structured")
 
     def time_many(fn, n):
         out = []

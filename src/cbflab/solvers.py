@@ -52,6 +52,7 @@ class StructuredParams:
         q_total: (S,) fractions of the power budget actually spent, in (0, 1].
 
     A violated check raises ``ValueError`` naming the first offending BS.
+    Each check asks that a value lie inside its range, so a NaN fails it.
     """
 
     alpha: np.ndarray
@@ -68,10 +69,10 @@ class StructuredParams:
             raise ValueError("need alpha (S, N, K), mu (S,), q (S, K) and q_total (S,)")
         sums = q.sum(axis=1)
         checks = (
-            (np.any(alpha < 0, axis=(1, 2)), "leakage weights must be nonnegative"),
+            (~np.all(alpha >= 0, axis=(1, 2)), "leakage weights must be nonnegative"),
             (~(mu > 0), "mu must be positive"),
-            (np.any((q <= 0) | (q > 1), axis=1), "power ratios must lie in (0, 1]"),
-            (np.abs(sums - 1.0) > 1e-9, "power ratios sum to {sum!r}, expected 1"),
+            (~np.all((q > 0) & (q <= 1), axis=1), "power ratios must lie in (0, 1]"),
+            (~(np.abs(sums - 1.0) <= 1e-9), "power ratios sum to {sum!r}, expected 1"),
             (~((0 < q_total) & (q_total <= 1)), "q_total must lie in (0, 1]"),
         )
         for bad, message in checks:

@@ -682,6 +682,29 @@ def test_trace_bad_magic_detected(tmp_path):
         load_trace(path)
 
 
+def write_trace_header(path, *header):
+    """A trace file of ``header`` alone, with a valid checksum and no payload."""
+    body = channel.TRACE_MAGIC + channel._HEADER.pack(*header)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+# Headers whose slots hold no bytes: their size check passes for any slot count.
+EMPTY_SLOT_HEADERS = [
+    pytest.param((0, 2, 2, 2**40, 7), "0 cells, 2 users and 2 antennas", id="2^40-slots"),
+    pytest.param((0, 2, 2, 2**64 - 1, 7), "0 cells, 2 users and 2 antennas", id="2^64-1-slots"),
+    pytest.param((2, 0, 2, 3, 7), "2 cells, 0 users and 2 antennas", id="no-users"),
+    pytest.param((2, 2, 0, 3, 7), "2 cells, 2 users and 0 antennas", id="no-antennas"),
+]
+
+
+@pytest.mark.parametrize("header, counts", EMPTY_SLOT_HEADERS)
+def test_trace_header_of_empty_slots_detected(tmp_path, header, counts):
+    path = tmp_path / "trace.bin"
+    write_trace_header(path, *header)
+    with pytest.raises(TraceFormatError, match=f"bad header: {counts}; each count must be >= 1"):
+        load_trace(path)
+
+
 def _saved_trace(tmp_path, num_slots, **net):
     trace = generate_trace(make_net(**net), ChannelModelConfig(rng_seed=5), num_slots)
     path = tmp_path / "trace.bin"

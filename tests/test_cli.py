@@ -15,6 +15,7 @@ from cbflab import harness
 from cbflab.channel import generate_trace, save_trace
 from cbflab.cli import build_parser, main
 from cbflab.drl import CHECKPOINT_VERSION
+from test_channel import write_trace_header
 from test_harness import SMALL, write_config
 
 
@@ -265,6 +266,16 @@ def test_a_trace_slot_that_is_no_channel_exits_three_and_writes_nothing(
     assert main(argv) == 3
     assert capsys.readouterr().err == f"trace error: trace {trace}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("slots", [2**40, 2**64 - 1], ids=["2^40-slots", "2^64-1-slots"])
+def test_train_on_a_trace_of_empty_slots_exits_three(tmp_path, capsys, slots):
+    trace = tmp_path / "chan.trace"
+    write_trace_header(trace, 0, 2, 2, slots, 7)
+    assert main(["train", str(write_config(tmp_path, trace_file=trace))]) == 3
+    assert capsys.readouterr().err == (
+        "trace error: bad header: 0 cells, 2 users and 2 antennas; each count must be >= 1\n"
+    )
 
 
 @pytest.mark.parametrize(

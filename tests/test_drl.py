@@ -52,33 +52,35 @@ def rel_err(a, b):
 
 def test_forward_zero_net():
     net = Mlp([2, 3, 2], np.zeros(3 * 2 + 3 + 2 * 3 + 2))
-    npt.assert_array_equal(net.forward(np.ones(2)), np.zeros(2))
+    npt.assert_array_equal(net.forward(np.ones((1, 2))), np.zeros((1, 2)))
 
 
 def test_forward_identity_layer():
     net = Mlp([3, 3], np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
-    x = np.array([0.3, -1.2, 4.0])
+    x = np.array([[0.3, -1.2, 4.0]])
     npt.assert_array_equal(net.forward(x), x)
 
 
 def test_forward_sigmoid_at_zero():
     net = Mlp([3, 4], np.zeros(4 * 3 + 4), output_activation="sigmoid")
-    npt.assert_allclose(net.forward(np.ones(3)), 0.5)
+    npt.assert_allclose(net.forward(np.ones((1, 3))), 0.5)
 
 
-def test_forward_batch_and_vector_agree():
-    rng = np.random.default_rng(0)
-    net = Mlp.create([3, 5, 2], "sigmoid", rng)
-    x = rng.standard_normal((4, 3))
-    batched = net.forward(x)
-    rowwise = np.stack([net.forward(row) for row in x])
-    npt.assert_allclose(batched, rowwise, rtol=1e-15)
+def test_a_net_takes_only_batches():
+    net = Mlp.create([3, 5, 2], "sigmoid", np.random.default_rng(0))
+    for fn in (net.forward, net.forward_cached):
+        for bad in ((3,), (1, 1, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"{bad} is not (B, 3)")):
+                fn(np.zeros(bad))
+    _, cache = net.forward_cached(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="upstream gradient shape"):
+        net.backward(cache, np.zeros(2))
 
 
 def test_forward_shape_mismatch():
     net = Mlp.create([3, 2], rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        net.forward(np.ones(4))
+    with pytest.raises(ValueError, match=re.escape("(1, 4) is not (B, 3)")):
+        net.forward(np.ones((1, 4)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -92,20 +94,21 @@ def test_stacked_forward_maps_each_row_through_its_own_net(sizes, count, activat
     rng = np.random.default_rng(seed)
     nets = [Mlp.create(sizes, activation, rng) for _ in range(count)]
     stack = Mlp(sizes, np.stack([net.flat for net in nets]), activation)
-    x = rng.standard_normal((count, sizes[0])) * 3.0
+    x = rng.standard_normal((count, 1, sizes[0])) * 3.0
     y = stack.forward(x)
-    assert y.shape == (count, sizes[-1])
+    assert y.shape == (count, 1, sizes[-1])
     for n, net in enumerate(nets):
         assert y[n].tobytes() == net.forward(x[n]).tobytes()
-    for bad in ((count + 1, sizes[0]), (count, sizes[0] + 1), (sizes[0],), (1, count, sizes[0])):
-        with pytest.raises(ValueError, match="does not fit a stack"):
+    width = sizes[0]
+    for bad in ((count + 1, 1, width), (count, 1, width + 1), (count, width), (width,)):
+        with pytest.raises(ValueError, match=re.escape(f"is not ({count}, B, {width})")):
             stack.forward(np.zeros(bad))
 
 
 def test_a_stack_of_nets_runs_only_forward():
     stack = Mlp([3, 4, 2], np.zeros((2, Mlp.num_parameters([3, 4, 2]))))
     with pytest.raises(ValueError, match="runs only forward"):
-        stack.forward_cached(np.zeros((2, 3)))
+        stack.forward_cached(np.zeros((2, 1, 3)))
     with pytest.raises(ValueError, match="does not fit layers"):
         Mlp([3, 4, 2], np.zeros((2, 3, Mlp.num_parameters([3, 4, 2]))))
 
@@ -116,18 +119,20 @@ def test_a_stack_of_nets_runs_only_forward():
 def test_linear_layer_gradient_is_outer_product():
     rng = np.random.default_rng(1)
     net = Mlp.create([3, 2], rng=rng)
-    x = rng.standard_normal(3)
-    up = rng.standard_normal(2)
-    grad, gin = net.gradients(x, up)
+    x = rng.standard_normal((1, 3))
+    up = rng.standard_normal((1, 2))
+    _, cache = net.forward_cached(x)
+    grad, gin = net.backward(cache, up)
     grads = net.blocks(grad)
     npt.assert_allclose(grads[0], np.outer(up, x), rtol=1e-12)
-    npt.assert_allclose(grads[1], up, rtol=1e-12)
-    npt.assert_allclose(gin, net.weights[0].T @ up, rtol=1e-12)
+    npt.assert_allclose(grads[1], up[0], rtol=1e-12)
+    npt.assert_allclose(gin[0], net.weights[0].T @ up[0], rtol=1e-12)
 
 
 def test_zero_upstream_zero_gradients():
     net = Mlp.create([3, 4, 2], rng=np.random.default_rng(2))
-    grads, gin = net.gradients(np.ones(3), np.zeros(2))
+    _, cache = net.forward_cached(np.ones((1, 3)))
+    grads, gin = net.backward(cache, np.zeros((1, 2)))
     for g in grads:
         npt.assert_array_equal(g, 0.0)
     npt.assert_array_equal(gin, 0.0)
@@ -143,9 +148,10 @@ def test_gradients_match_finite_differences(activation):
     def loss():
         return float(np.sum(net.forward(x) * up))
 
-    grad, gin = net.gradients(x, up)
+    _, cache = net.forward_cached(x)
+    grad, gin = net.backward(cache, up)
     for i, g in enumerate(net.blocks(grad)):
-        fd = finite_difference(loss, net.parameters()[i])
+        fd = finite_difference(loss, net.blocks(net.flat)[i])
         assert rel_err(g, fd) < 1e-4, f"param block {i}"
     fd_in = finite_difference(loss, x)
     assert rel_err(gin, fd_in) < 1e-4
@@ -160,7 +166,8 @@ def test_input_gradient_through_critic_chain():
     def mean_q():
         return float(np.mean(critic.forward(sa)))
 
-    _, gin = critic.gradients(sa, np.full((5, 1), 1.0 / 5.0))
+    _, cache = critic.forward_cached(sa)
+    _, gin = critic.backward(cache, np.full((5, 1), 1.0 / 5.0))
     fd = finite_difference(mean_q, sa)
     assert rel_err(gin, fd) < 1e-4
 
@@ -342,8 +349,8 @@ def test_greedy_act_does_not_decay():
 
 def test_soft_update_extremes_and_midpoint():
     agent = small_agent()
-    online = agent.actor.parameters()
-    target = agent.target_actor.parameters()
+    online = agent.actor.blocks(agent.actor.flat)
+    target = agent.target_actor.blocks(agent.target_actor.flat)
     for t in target:
         t.fill(0.0)
     agent.hyperparameters["soft_update_rate"] = 0.0
@@ -366,18 +373,18 @@ def test_target_lag_matches_exponential_average():
     rho = 0.25
     agent = small_agent(soft_update_rate=rho)
     theta0 = 3.0
-    agent.critic.parameters()[0].fill(0.0)
-    agent.target_critic.parameters()[0].fill(theta0)
+    agent.critic.weights[0].fill(0.0)
+    agent.target_critic.weights[0].fill(theta0)
     history = []
     for t in range(6):
         val = float(t + 1)
-        agent.critic.parameters()[0].fill(val)
+        agent.critic.weights[0].fill(val)
         history.append(val)
         agent.soft_update()
     expected = theta0 * (1.0 - rho) ** len(history)
     for i, val in enumerate(history):
         expected += rho * (1.0 - rho) ** (len(history) - 1 - i) * val
-    npt.assert_allclose(agent.target_critic.parameters()[0], expected, rtol=1e-12)
+    npt.assert_allclose(agent.target_critic.weights[0], expected, rtol=1e-12)
 
 
 def fill_memory(agent, n, seed=0):
@@ -418,9 +425,9 @@ def test_duplicate_batch_same_update():
         np.vstack([s2, s2]),
     )
     two.train_step(batch=dup)
-    for p1, p2 in zip(one.actor.parameters(), two.actor.parameters()):
+    for p1, p2 in zip(one.actor.blocks(one.actor.flat), two.actor.blocks(two.actor.flat)):
         npt.assert_allclose(p1, p2, rtol=1e-12)
-    for p1, p2 in zip(one.critic.parameters(), two.critic.parameters()):
+    for p1, p2 in zip(one.critic.blocks(one.critic.flat), two.critic.blocks(two.critic.flat)):
         npt.assert_allclose(p1, p2, rtol=1e-12)
 
 
@@ -450,7 +457,7 @@ def test_training_deterministic_for_fixed_seed():
         for _ in range(5):
             agent.train_step()
             agent.soft_update()
-        runs.append([p.copy() for p in agent.actor.parameters()])
+        runs.append([p.copy() for p in agent.actor.blocks(agent.actor.flat)])
     for p1, p2 in zip(*runs):
         npt.assert_array_equal(p1, p2)
 
@@ -474,7 +481,7 @@ def test_checkpoint_bit_exact_continuation(tmp_path):
     act_a = a.act(np.ones(6), explore=True)
     act_b = b.act(np.ones(6), explore=True)
     npt.assert_array_equal(act_a, act_b)
-    for p1, p2 in zip(a.actor.parameters(), b.actor.parameters()):
+    for p1, p2 in zip(a.actor.blocks(a.actor.flat), b.actor.blocks(b.actor.flat)):
         npt.assert_array_equal(p1, p2)
 
 
@@ -489,14 +496,14 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, break_savez):
     fill_memory(agent, 20, seed=2)
     path = tmp_path / "agent.npz"
     save_agent(path, agent)
-    before = [p.copy() for p in agent.actor.parameters()]
+    before = [p.copy() for p in agent.actor.blocks(agent.actor.flat)]
     agent.train_step()
     break_savez()
     with pytest.raises(OSError, match="disk full"):
         save_agent(path, agent)
     assert os.listdir(tmp_path) == ["agent.npz"]
     back = load_agent(path)
-    for p1, p2 in zip(before, back.actor.parameters()):
+    for p1, p2 in zip(before, back.actor.blocks(back.actor.flat)):
         npt.assert_array_equal(p1, p2)
 
 

@@ -500,6 +500,12 @@ def test_decode_rejects_out_of_box():
     a[2, 0] = 1.2
     with pytest.raises(ValueError, match="BS 2"):
         decode_action(a, 3, 2, 0.1)
+    # A NaN lies outside the box too, in the q, q_total, alpha or mu entry.
+    for entry in (0, 2, 3, 9):
+        a = np.full((3, 10), 0.5)
+        a[1, entry] = np.nan
+        with pytest.raises(ValueError, match=r"BS 1: action entries must lie in \[0, 1\]"):
+            decode_action(a, 3, 2, 0.1)
     power = np.array([[0.5, 0.5, 0.5], [0.5, -0.1, 0.5]])
     h = rayleigh_h(3, 2, 4, seed=0)
     with pytest.raises(ValueError, match="BS 1"):

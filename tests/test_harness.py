@@ -1117,7 +1117,7 @@ def reference_rollout(cfg, trace, checkpoint, action_mode):
     states = env.reset()
     cell_rates = []
     for _ in range(trace.num_slots - 1):
-        actions = np.stack([actor.forward(states[n]) for n, actor in enumerate(actors)])
+        actions = np.stack([actor.forward(states[n][None])[0] for n, actor in enumerate(actors)])
         states, _, metrics = env.step(actions)
         cell_rates.append(metrics.rate.sum(axis=1))
     return cell_rates

@@ -760,7 +760,17 @@ def test_structured_params_validation():
         alpha=np.zeros((3, 1, 2)), mu=np.ones(3), q=np.full((3, 2), 0.5), q_total=np.ones(3)
     )
     StructuredParams(**good)
-    for key, bs, value in (("mu", 2, 0.0), ("q", 1, [0.9, 0.9]), ("q_total", 1, 0.0)):
+    nan = np.nan
+    for key, bs, value in (
+        ("mu", 2, 0.0),
+        ("q", 1, [0.9, 0.9]),
+        ("q_total", 1, 0.0),
+        # A NaN fails every check: none lies inside its range.
+        ("alpha", 1, [[0.0, nan]]),
+        ("mu", 2, nan),
+        ("q", 1, [nan, 0.5]),
+        ("q_total", 2, nan),
+    ):
         bad = {name: np.array(v, dtype=float) for name, v in good.items()}
         bad[key][bs] = value
         with pytest.raises(ValueError, match=f"BS {bs}: "):
