@@ -688,7 +688,7 @@ def write_trace_header(path, *header):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-# Headers whose slots hold no bytes: their size check passes for any slot count.
+# Headers whose slots would hold no bytes, so that any slot count fits the file size.
 EMPTY_SLOT_HEADERS = [
     pytest.param((0, 2, 2, 2**40, 7), "0 cells, 2 users and 2 antennas", id="2^40-slots"),
     pytest.param((0, 2, 2, 2**64 - 1, 7), "0 cells, 2 users and 2 antennas", id="2^64-1-slots"),
