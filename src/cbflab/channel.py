@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drl import restore_rng
+from .drl import replacing, restore_rng
 from .network import BS_EXCLUSION_RADIUS, ChannelState, NetworkConfig
 
 logger = logging.getLogger(__name__)
@@ -586,12 +586,12 @@ def generate_trace(net_cfg, model_cfg, num_slots, offset=0):
 
 
 def save_trace(trace, path):
-    """Write a trace as fixed-width little-endian binary plus a CRC32 footer, without copies."""
+    """Replace ``path`` whole by the trace: little-endian binary, a CRC32 footer, no copies."""
     num_slots, n, _, k, m = trace.h.shape
     prefix = TRACE_MAGIC + _HEADER.pack(n, k, m, num_slots, trace.cfg_hash)
     payload = np.ascontiguousarray(trace.h, dtype="<c16").reshape(-1).view(np.uint8)
     crc = zlib.crc32(payload, zlib.crc32(prefix)) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(prefix)
         fh.write(payload)
         fh.write(struct.pack("<I", crc))

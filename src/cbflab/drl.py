@@ -16,11 +16,13 @@ its flat vectors, the parameters of each net and the Adam moments (one
 checkpoint array each, and views of one block in memory).  A fresh and a
 restored agent are set up alike from them.  ``read_entry`` is the one reader
 and checker of a run checkpoint's arrays, and a restore reads each in place;
-``read_meta`` is the one checker of its JSON metas.
+``read_meta`` is the one checker of its JSON metas.  ``replacing`` writes
+every file the program replaces whole: checkpoints, traces and reports.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
@@ -176,26 +178,21 @@ def read_entry(archive, name, out, label=None):
     return out
 
 
-def savez_atomic(path, arrays):
-    """``np.savez(path, **arrays)`` that never leaves ``path`` half written.
+@contextlib.contextmanager
+def replacing(path, mode="wb"):
+    """Open ``{path}.{pid}.tmp`` in ``mode`` for the whole new content of ``path``.
 
-    The archive goes to a temporary file in the same directory, which then
-    replaces ``path`` in one rename; if writing fails, the temporary file is
-    removed and an earlier file at ``path`` is left as it was.  As with
-    ``np.savez``, ``.npz`` is appended to a path without it.
+    A clean exit renames the temporary file over ``path``; if the block or the rename
+    raises, the temporary file is removed and an earlier ``path`` is left as it was.
     """
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise
 
 
 # Element-wise updates of a whole net run over slices of this many values

@@ -54,7 +54,7 @@ from .drl import (
     actor_layer_sizes,
     read_entry,
     read_meta,
-    savez_atomic,
+    replacing,
 )
 from .env import BeamformingEnv, decode_beams
 from .network import ChannelState, NetworkConfig, compute_metrics, dbm_to_watt
@@ -524,7 +524,8 @@ def save_checkpoint(path, slot, states, env, agents):
         for key, value in agent.state_dict().items():
             arrays[f"agent{n}_{key}"] = value
     arrays["harness_meta"] = np.array(json.dumps(meta))
-    savez_atomic(path, arrays)
+    with replacing(path) as fh:
+        np.savez(fh, **arrays)
 
 
 @contextlib.contextmanager
@@ -1004,7 +1005,7 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     cell-rate array per slot, and those rates give the per-slot rows
     (``bench.csv``), the empirical CDF of the sum rate (``bench_cdf.csv``)
     and the summary table (``bench_summary.json``) under the run's output
-    directory.  Nothing is written until every scheme has run.
+    directory, each replaced whole (``drl.replacing``) once all schemes have run.
 
     ``mslnr-ep`` runs in blocks of ``_SLOT_BLOCK`` slots: one
     ``mslnr_beams`` stack and one ``compute_metrics`` call per block, each
@@ -1066,9 +1067,14 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     os.makedirs(cfg.out_dir, exist_ok=True)
     bench_path = os.path.join(cfg.out_dir, "bench.csv")
     cdf_path = os.path.join(cfg.out_dir, "bench_cdf.csv")
+    summary_path = os.path.join(cfg.out_dir, "bench_summary.json")
     cells = ",".join(f"cell_rate_{n}" for n in range(net.num_cells))
     results = {}
-    with open(bench_path, "w") as bench, open(cdf_path, "w") as cdf:
+    with (
+        replacing(bench_path, "w") as bench,
+        replacing(cdf_path, "w") as cdf,
+        replacing(summary_path, "w") as summary,
+    ):
         bench.write(f"# {BENCH_VERSION}\nslot,scheme,sum_rate,{cells}\n")
         cdf.write(f"# {BENCH_VERSION}\nscheme,sum_rate,cum_prob\n")
         for scheme, cell_rates in rates.items():
@@ -1086,10 +1092,7 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
                 "slots": len(sums),
                 **diagnostics.get(scheme, {}),
             }
-
-    summary_path = os.path.join(cfg.out_dir, "bench_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump({"window_offset": offset, "results": results}, fh, indent=2)
+        json.dump({"window_offset": offset, "results": results}, summary, indent=2)
     return {
         "bench_csv": bench_path,
         "cdf_csv": cdf_path,
@@ -1167,7 +1170,7 @@ def run_timing(cfg: RunConfig, repeats=30):
     )
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "timing.json")
-    with open(path, "w") as fh:
+    with replacing(path, "w") as fh:
         json.dump(report, fh, indent=2)
     report["path"] = path
     return report

@@ -9,13 +9,14 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from cbflab import drl, harness  # noqa: E402
-from cbflab.drl import AGENT_META, DdpgAgent, read_meta, savez_atomic  # noqa: E402
+from cbflab import channel, drl, harness  # noqa: E402
+from cbflab.drl import AGENT_META, DdpgAgent, read_meta, replacing  # noqa: E402
 
 
 def save_agent(path, agent):
     """Write ``agent``'s ``state_dict`` as agent 0 of the run checkpoint layout (``agent0_*``)."""
-    savez_atomic(path, {f"agent0_{key}": value for key, value in agent.state_dict().items()})
+    with replacing(path) as fh:
+        np.savez(fh, **{f"agent0_{key}": value for key, value in agent.state_dict().items()})
 
 
 def load_agent(path):
@@ -70,5 +71,48 @@ def break_savez(monkeypatch):
             return write_array(*args, **kwargs)
 
         monkeypatch.setattr(np.lib.format, "write_array", write_one_then_fail)
+
+    return switch
+
+
+class _SecondWriteFails:
+    """A file whose second ``write``, and every one after it, raises ``OSError``."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("disk full")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+@pytest.fixture
+def break_writes(monkeypatch):
+    """Return a switch that makes the package's file writes fail part-way, like a full disk.
+
+    After the switch, every file that ``channel``, ``drl`` or ``harness``
+    opens for writing raises ``OSError`` on its second ``write``; files
+    opened for reading are untouched.
+    """
+
+    def switch():
+        def open_failing_writes(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return fh if "r" in mode else _SecondWriteFails(fh)
+
+        for module in (channel, drl, harness):
+            monkeypatch.setattr(module, "open", open_failing_writes, raising=False)
 
     return switch

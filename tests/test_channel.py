@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 import types
@@ -589,6 +590,20 @@ def test_trace_round_trip(tmp_path):
     assert back.h.flags.writeable and back.h.flags.owndata
     assert back.cfg_hash == trace.cfg_hash
     assert back.num_slots == 10
+
+
+def test_failed_trace_rewrite_keeps_the_earlier_file(tmp_path, break_writes):
+    net = make_net(n=2, k=2, m1=1, m2=2)
+    trace = generate_trace(net, ChannelModelConfig(rng_seed=5), 10)
+    path = tmp_path / "trace.bin"
+    save_trace(trace, path)
+    before = path.read_bytes()
+    break_writes()
+    with pytest.raises(OSError, match="disk full"):
+        save_trace(generate_trace(net, ChannelModelConfig(rng_seed=6), 12), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["trace.bin"]
+    npt.assert_array_equal(load_trace(path).h, trace.h)
 
 
 def _former_save_trace_bytes(trace):

@@ -20,7 +20,7 @@ from cbflab.drl import (
     ReplayMemory,
     read_entry,
     read_meta,
-    savez_atomic,
+    replacing,
 )
 from conftest import load_agent, round_trip, save_agent
 
@@ -485,10 +485,26 @@ def test_checkpoint_bit_exact_continuation(tmp_path):
         npt.assert_array_equal(p1, p2)
 
 
-def test_save_appends_npz_suffix(tmp_path):
-    agent = small_agent()
-    savez_atomic(tmp_path / "agent", agent.state_dict())
-    assert os.listdir(tmp_path) == ["agent.npz"]
+@pytest.mark.parametrize("mode, old, new", [("wb", b"old\n", b"new\n"), ("w", "old\n", "new\n")])
+def test_replacing_swaps_the_whole_file_or_keeps_the_old_one(tmp_path, mode, old, new):
+    path = tmp_path / "out.bin"
+    with replacing(path, mode) as fh:
+        fh.write(old)
+    assert path.read_bytes() == b"old\n"
+    with pytest.raises(OSError, match="disk full"):
+        with replacing(path, mode) as fh:
+            fh.write(new)
+            fh.flush()
+            raise OSError("disk full")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.bin"]
+    with replacing(path, mode) as fh:
+        fh.write(new)
+        # Until the block ends, ``path`` still holds the old file.
+        assert path.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.bin", f"out.bin.{os.getpid()}.tmp"]
+    assert path.read_bytes() == b"new\n"
+    assert os.listdir(tmp_path) == ["out.bin"]
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, break_savez):

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import os
+import pathlib
 import re
 import signal
 import sys
@@ -970,6 +971,26 @@ def test_benchmark_same_trace_and_determinism(tmp_path):
     out2 = run_benchmark(cfg, schemes=("mslnr-ep",))
     with open(out2["bench_csv"]) as fh:
         assert fh.read() == first
+
+
+@pytest.mark.parametrize("failure", ["summary dump", "second write"])
+def test_failed_bench_keeps_the_earlier_reports(tmp_path, monkeypatch, break_writes, failure):
+    cfg = parse_config(write_config(tmp_path))
+    out = run_benchmark(cfg, schemes=("mslnr-ep",))
+    paths = [pathlib.Path(out[key]) for key in ("bench_csv", "cdf_csv", "summary")]
+    before = [path.read_bytes() for path in paths]
+    if failure == "summary dump":
+
+        def full_disk(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.json, "dump", full_disk)
+    else:
+        break_writes()
+    with pytest.raises(OSError, match="disk full"):
+        run_benchmark(dataclasses.replace(cfg, bench_offset=3), schemes=("mslnr-ep",))
+    assert [path.read_bytes() for path in paths] == before
+    assert sorted(os.listdir(cfg.out_dir)) == ["bench.csv", "bench_cdf.csv", "bench_summary.json"]
 
 
 def test_live_bench_window_matches_generated_trace(tmp_path):
