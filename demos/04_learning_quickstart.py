@@ -45,8 +45,7 @@ for slot in range(3000):
     agent.remember(states[0], action, rewards[0], next_states[0])
     states = next_states
     if agent.ready():
-        agent.train_step()
-        agent.soft_update()
+        agent.train_step()  # critic, actor, then the soft update of the targets
     window.append(cb.sum_rate(metrics) / capacity)
     if (slot + 1) % 500 == 0:
         print(f"slot {slot + 1:5d}: rate/capacity over last 200 slots "

@@ -522,7 +522,10 @@ def check_fingerprint(stream, meta):
 
 
 class TraceStream:
-    """Reads a stored trace slot by slot from its first slot."""
+    """Reads a stored trace slot by slot from its first slot.
+
+    ``current`` is the slot ``next_slot`` returned last, None before the first.
+    """
 
     kind = "trace"
 
@@ -530,18 +533,14 @@ class TraceStream:
         self.trace = trace
         self.fingerprint = trace.cfg_hash
         self.cursor = 0
-
-    @property
-    def current(self):
-        """The slot ``next_slot`` returned last; None before the first slot."""
-        return self.trace.slot(self.cursor - 1) if self.cursor > 0 else None
+        self.current = None
 
     def next_slot(self):
         if self.cursor >= self.trace.num_slots:
             raise IndexError("channel trace exhausted")
-        state = self.trace.slot(self.cursor)
+        self.current = self.trace.slot(self.cursor)
         self.cursor += 1
-        return state
+        return self.current
 
     def state_dict(self):
         """Run-checkpoint entries as a pair (arrays, meta); there are no arrays."""
@@ -567,6 +566,7 @@ class TraceStream:
             )
         check_fingerprint(self, meta)
         self.cursor = cursor
+        self.current = self.trace.slot(cursor - 1) if cursor > 0 else None
 
 
 def generate_trace(net_cfg, model_cfg, num_slots, offset=0):

@@ -682,10 +682,10 @@ class DdpgAgent:
         return len(self.memory) >= self.hyperparameters["batch_size"]
 
     def train_step(self, batch=None):
-        """One critic + actor update from a replay mini-batch.
+        """One DDPG step from a replay mini-batch: critic, actor, then targets.
 
         Exactly ``update_critic(batch)`` followed by ``update_actor`` on the
-        batch's states.  Target networks are untouched here.
+        batch's states, which ends with the soft update of the targets.
 
         Returns:
             (critic_loss, mean_q) with mean_q the pre-update critic value of
@@ -728,7 +728,7 @@ class DdpgAgent:
         return (critic_loss, mean_q), states
 
     def update_actor(self, states):
-        """The second half of ``train_step``: one Adam step of the actor.
+        """The second half of ``train_step``: one Adam step of the actor, then ``soft_update``.
 
         The actor follows the deterministic policy gradient through the
         (just updated) critic's action input at ``states``.
@@ -747,6 +747,7 @@ class DdpgAgent:
         action_grad = input_grad[:, self.state_dim :]
         actor_grad, _ = self.actor.backward(actor_ctx, action_grad, input_grad=False)
         self.adam_actor.step(self.actor.flat, actor_grad)
+        self.soft_update()
 
     def soft_update(self):
         """Blend online parameters into the targets: t <- rho*o + (1-rho)*t.

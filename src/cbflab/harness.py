@@ -425,40 +425,47 @@ def _read_rows(path, version):
     return rows
 
 
-def _config_trace(cfg: RunConfig, start=0, stop=None):
-    """Slots [start, stop) of the configured trace file, every one checked.
+def _config_trace(cfg: RunConfig, start, count, reader):
+    """Slots [start, start + count) of the configured trace file, every one checked.
 
-    ConfigError unless the trace's dimensions are the network's, then
-    TraceFormatError naming the file, slot and BS of the first slot that is
-    not a valid channel (the checks of ``ChannelState``).
+    The one reader of ``cfg.trace_file``; each of its errors names the file.
+    TraceFormatError if ``load_trace`` refuses the file; ConfigError unless
+    the trace's dimensions are the network's and it holds all ``count``
+    slots, which ``reader`` (as in "a run of num_slots = 20") reads; then
+    TraceFormatError naming the slot and BS of the first slot that is not a
+    valid channel (the checks of ``ChannelState``).
     """
-    trace = load_trace(cfg.trace_file, start, stop)
+    path = cfg.trace_file
+    try:
+        trace = load_trace(path, start, start + count)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"trace {path}: {exc}") from None
     net = cfg.network
     n, k = net.num_cells, net.users_per_cell
     shape = (n, n, k, net.num_antennas)
     if trace.h.shape[1:] != shape:
         raise ConfigError(
-            f"trace dimensions do not match the network config: {cfg.trace_file} holds "
+            f"trace dimensions do not match the network config: {path} holds "
             f"slots of shape {trace.h.shape[1:]}, the network needs {shape}"
         )
-    for a in range(0, trace.num_slots, _SLOT_BLOCK):
+    if trace.num_slots < count:
+        raise ConfigError(
+            f"trace {path} holds {trace.num_slots} of the {count} slots from "
+            f"slot {start} that {reader} reads"
+        )
+    for a in range(0, count, _SLOT_BLOCK):
         try:
             ChannelState(slot_index=start + a, h=trace.h[a : a + _SLOT_BLOCK])
         except ValueError as exc:
-            raise TraceFormatError(f"trace {cfg.trace_file}: {exc}") from None
+            raise TraceFormatError(f"trace {path}: {exc}") from None
     return trace
 
 
 def _channel_stream(cfg: RunConfig):
     """Trace-backed stream when configured, otherwise a live process."""
-    if cfg.trace_file:
-        trace = _config_trace(cfg)
-        if trace.num_slots < cfg.num_slots + 1:  # reset reads one slot, each step one
-            raise ConfigError(
-                f"trace {cfg.trace_file} holds {trace.num_slots} slots, a run of "
-                f"num_slots = {cfg.num_slots} reads {cfg.num_slots + 1}"
-            )
-        return TraceStream(trace)
+    if cfg.trace_file:  # reset reads one slot, each step one
+        run = f"a run of num_slots = {cfg.num_slots}"
+        return TraceStream(_config_trace(cfg, 0, cfg.num_slots + 1, run))
     return ChannelProcess(cfg.network, cfg.channel)
 
 
@@ -737,29 +744,24 @@ def _run_tasks(pool, tasks, queues):
     return [cell.result() for cell in cells]
 
 
-def _finish_train_step(agent, critic_half):
-    """A train step's actor half: the actor update on the critic half's batch, then the soft update."""
-    _, states = critic_half
-    agent.update_actor(states)
-    agent.soft_update()
-
-
 def _train_agents(pool, workers, agents):
-    """One train step and soft update of each ready agent; their critic losses in agent order.
+    """One train step of each ready agent; their critic losses in agent order.
 
     The slot's work is one ordered task list (``_run_tasks``): first every
     ready agent's critic half (replay sample, then critic update), then
-    every actor half (actor update, then soft update), which waits only for
-    its own agent's critic half.  The calling thread and ``workers - 1``
-    pool threads each pull the next task, so no worker idles while a task
-    is left to start.  A failed half stops only its own agent's actor half:
-    the other agents' halves still run.  Once every worker has stopped, the
-    first failure in task order propagates.
+    every actor half (``update_actor`` on the critic half's states: actor
+    update, then soft update), which waits only for its own agent's critic
+    half.  The calling thread and ``workers - 1`` pool threads each pull the
+    next task, so no worker idles while a task is left to start.  A failed
+    half stops only its own agent's actor half: the other agents' halves
+    still run.  Once every worker has stopped, the first failure in task
+    order propagates.
     """
     ready = [agent for agent in agents if agent.ready()]
     tasks = [(agent.update_critic, None) for agent in ready]
     tasks += [
-        (functools.partial(_finish_train_step, agent), n) for n, agent in enumerate(ready)
+        (lambda half, agent=agent: agent.update_actor(half[1]), n)
+        for n, agent in enumerate(ready)
     ]
     shared = collections.deque(range(len(tasks)))
     results = _run_tasks(pool, tasks, [shared] * workers)
@@ -772,8 +774,9 @@ def run_train(cfg: RunConfig, resume_from=None):
     Implements the decentralized loop: a warm-up phase of uniformly random
     actions until each replay holds one mini-batch, then noisy policy actions
     with one train step and one soft target update per agent per slot.
-    Periodic checkpoints allow bit-exact resumption; resuming one past
-    ``num_slots`` raises ConfigError.
+    Periodic checkpoints allow bit-exact resumption; resuming past
+    ``num_slots`` raises ConfigError (on a trace, whose run reads only slots
+    [0, num_slots], as the stream's cursor misfit).
 
     The agents share nothing, so each slot's train steps run concurrently
     on one worker per agent, at most one per usable CPU (numpy releases the
@@ -895,13 +898,7 @@ def run_train(cfg: RunConfig, resume_from=None):
 def _collect_window(cfg: RunConfig, offset, count):
     """Channel window [offset, offset+count) of the configured source."""
     if cfg.trace_file:
-        window = _config_trace(cfg, offset, offset + count)
-        if window.num_slots < count:
-            raise ConfigError(
-                f"trace {cfg.trace_file} holds {window.num_slots} of the {count} slots from "
-                f"slot {offset} that a bench of bench_slots = {cfg.bench_slots} reads"
-            )
-        return window
+        return _config_trace(cfg, offset, count, f"a bench of bench_slots = {cfg.bench_slots}")
     return generate_trace(cfg.network, cfg.channel, count, offset=offset)
 
 
@@ -1107,7 +1104,7 @@ def read_bench(path):
     return _read_rows(path, BENCH_VERSION)
 
 
-def run_timing(cfg: RunConfig, repeats=30):
+def run_timing(cfg: RunConfig, repeats):
     """Wall-clock comparison of the per-BS decision path against solvers.
 
     The decision path is one actor forward pass, an action decode and the

@@ -804,6 +804,7 @@ def test_trace_stream_current_is_the_last_slot_read():
     assert stream.current is None
     for t in range(3):
         slot = stream.next_slot()
+        assert stream.current is slot
         assert stream.current.slot_index == slot.slot_index == t
         npt.assert_array_equal(stream.current.h, slot.h)
     restored = TraceStream(trace)

@@ -48,7 +48,10 @@ def test_train_on_a_short_trace_exits_two(tmp_path, capsys):
     assert main(["trace-gen", config, str(trace), "--slots", "14"]) == 0
     capsys.readouterr()
     assert main(["train", config]) == 2
-    assert "holds 14 slots, a run of num_slots = 14 reads 15" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"config error: trace {trace} holds 14 of the 15 slots from slot 0 that a run of "
+        "num_slots = 14 reads\n"
+    )
     # By default trace-gen writes what the run reads.
     assert main(["trace-gen", config, str(trace)]) == 0
     assert main(["train", config]) == 0
@@ -274,8 +277,26 @@ def test_train_on_a_trace_of_empty_slots_exits_three(tmp_path, capsys, slots):
     write_trace_header(trace, 0, 2, 2, slots, 7)
     assert main(["train", str(write_config(tmp_path, trace_file=trace))]) == 3
     assert capsys.readouterr().err == (
-        "trace error: bad header: 0 cells, 2 users and 2 antennas; each count must be >= 1\n"
+        f"trace error: trace {trace}: bad header: 0 cells, 2 users and 2 antennas; "
+        "each count must be >= 1\n"
     )
+
+
+@pytest.mark.parametrize("command", ["bench", "train"])
+def test_a_trace_with_a_flipped_payload_byte_exits_three_naming_it(tmp_path, capsys, command):
+    trace = tmp_path / "chan.trace"
+    config = str(write_config(tmp_path, trace_file=trace))
+    assert main(["trace-gen", config, str(trace)]) == 0
+    data = bytearray(trace.read_bytes())
+    data[len(data) // 2] ^= 0x01  # a payload byte: the header and footer stay valid
+    trace.write_bytes(data)
+    capsys.readouterr()
+    argv = [command, config] + (["--schemes", "mslnr-ep"] if command == "bench" else [])
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"trace error: trace {trace}: checksum mismatch: trace file corrupted\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -387,6 +387,21 @@ def test_target_lag_matches_exponential_average():
     npt.assert_allclose(agent.target_critic.weights[0], expected, rtol=1e-12)
 
 
+def test_update_actor_ends_with_the_soft_update():
+    rho = 0.25
+    agent = small_agent(soft_update_rate=rho)
+    fill_memory(agent, 16, seed=4)
+    _, states = agent.update_critic()
+    nets = {"target_actor": agent.actor, "target_critic": agent.critic}
+    before = {name: getattr(agent, name).flat.copy() for name in nets}
+    agent.update_actor(states)
+    for name, online in nets.items():
+        expected = before[name]
+        expected *= 1.0 - rho
+        expected += rho * online.flat
+        assert getattr(agent, name).flat.tobytes() == expected.tobytes(), name
+
+
 def fill_memory(agent, n, seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -456,7 +471,6 @@ def test_training_deterministic_for_fixed_seed():
         fill_memory(agent, 16, seed=1)
         for _ in range(5):
             agent.train_step()
-            agent.soft_update()
         runs.append([p.copy() for p in agent.actor.blocks(agent.actor.flat)])
     for p1, p2 in zip(*runs):
         npt.assert_array_equal(p1, p2)
@@ -467,7 +481,6 @@ def test_checkpoint_bit_exact_continuation(tmp_path):
     fill_memory(a, 20, seed=2)
     for _ in range(3):
         a.train_step()
-        a.soft_update()
         a.act(np.zeros(6), explore=True)
     b = round_trip(a, tmp_path)
 
@@ -476,8 +489,6 @@ def test_checkpoint_bit_exact_continuation(tmp_path):
         la, _ = a.train_step()
         lb, _ = b.train_step()
         assert la == lb
-        a.soft_update()
-        b.soft_update()
     act_a = a.act(np.ones(6), explore=True)
     act_b = b.act(np.ones(6), explore=True)
     npt.assert_array_equal(act_a, act_b)
@@ -542,7 +553,6 @@ def test_run_layout_round_trip_is_bit_exact(tmp_path_factory, pushes, steps, see
     fill_memory(agent, pushes, seed=seed)
     for _ in range(steps if agent.ready() else 0):
         agent.train_step()
-        agent.soft_update()
         agent.act(np.zeros(6), explore=True)
     back = round_trip(agent, tmp_path_factory.mktemp("agent"))
     saved, restored = agent.state_dict(), back.state_dict()
@@ -701,6 +711,7 @@ class OracleAgent:
         _, input_grad = self.critic.backward(critic_ctx, np.full((b, 1), -1.0 / b))
         actor_grads, _ = self.actor.backward(actor_ctx, input_grad[:, self.state_dim :])
         self.adam_actor.step(self.actor.parameters(), actor_grads)
+        self.soft_update()
         return critic_loss, mean_q
 
     def soft_update(self):
@@ -767,8 +778,6 @@ def test_flat_training_matches_per_block_oracle(dims):
         oracle.memory.push(*item)
     for _ in range(12):
         assert agent.train_step() == oracle.train_step()
-        agent.soft_update()
-        oracle.soft_update()
         assert_agents_bit_equal(agent, oracle)
 
 

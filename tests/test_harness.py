@@ -643,20 +643,16 @@ def test_train_agents_returns_the_losses_in_agent_order():
             time.sleep(0.01 * (5 - self.n))
             log.append(("actor", self.n, threading.current_thread()))
 
-        def soft_update(self):
-            log.append(("soft", self.n, threading.current_thread()))
-
     agents = [Agent(n) for n in range(5)]
     with ThreadPoolExecutor(max_workers=1) as pool:
         losses = harness._train_agents(pool, 2, agents)
     assert losses == [0.0, 2.0, 3.0, 4.0]
     events = [(event, n) for event, n, _ in log]
     assert sorted(events) == sorted(
-        (event, n) for event in ("critic", "actor", "soft") for n in (0, 2, 3, 4)
+        (event, n) for event in ("critic", "actor") for n in (0, 2, 3, 4)
     )
     for n in (0, 2, 3, 4):
         assert events.index(("critic", n)) < events.index(("actor", n))
-        assert events.index(("actor", n)) < events.index(("soft", n))
     assert events.index(("critic", 2)) < events.index(("critic", 0))  # out of order
     threads = {thread for _, _, thread in log}
     assert caller in threads and len(threads) == 2
@@ -1249,9 +1245,53 @@ def test_run_train_rejects_a_short_trace_before_its_first_slot(tmp_path):
     trace_path = tmp_path / "chan.trace"
     cfg = parse_config(write_config(tmp_path, num_slots=10))
     generate_trace_file(cfg, trace_path, num_slots=10)
-    with pytest.raises(ConfigError, match="holds 10 slots, .* reads 11"):
+    message = (
+        f"trace {trace_path} holds 10 of the 11 slots from slot 0 that a run of "
+        "num_slots = 10 reads"
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run_train(dataclasses.replace(cfg, trace_file=str(trace_path)))
     assert not os.path.exists(os.path.join(cfg.out_dir, "train.csv"))
+
+
+def test_a_run_loads_only_the_slots_it_reads_of_a_longer_trace(tmp_path, monkeypatch):
+    made = parse_config(write_config(tmp_path))  # num_slots = 14
+    exact, longer = tmp_path / "exact.trace", tmp_path / "longer.trace"
+    generate_trace_file(made, exact)
+    generate_trace_file(made, longer, num_slots=40)
+    calls = []
+
+    def recorded_load(*args):
+        calls.append(args)
+        return load(*args)
+
+    load = harness.load_trace
+    monkeypatch.setattr(harness, "load_trace", recorded_load)
+    outputs = {}
+    for trace in (exact, longer):
+        out = tmp_path / trace.stem
+        run_train(parse_config(write_config(tmp_path, out_dir=out, trace_file=trace)))
+        outputs[trace.stem] = _run_outputs(out)
+    assert calls == [(str(exact), 0, 15), (str(longer), 0, 15)]
+    assert outputs["longer"] == outputs["exact"]
+
+
+def test_resume_past_num_slots_on_a_longer_trace_exits_two(tmp_path, capsys):
+    trace = tmp_path / "chan.trace"
+    written = str(write_config(tmp_path, trace_file=trace, num_slots=28))
+    assert main(["trace-gen", written, str(trace), "--slots", "40"]) == 0
+    assert main(["train", written]) == 0
+    csv = tmp_path / "out" / "train.csv"
+    rows = csv.read_bytes()
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000021.npz"
+    config = str(write_config(tmp_path, name="short.cfg", trace_file=trace))  # num_slots = 14
+    capsys.readouterr()
+    assert main(["train", config, "--resume", str(ckpt)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: checkpoint {ckpt} does not fit this config: "
+        "cursor 22 lies outside this 15-slot trace\n"
+    )
+    assert csv.read_bytes() == rows
 
 
 def test_default_trace_covers_the_default_bench_window(tmp_path):

@@ -152,6 +152,58 @@ def test_only_the_checkpoint_opener_calls_np_load():
     assert uses == [("harness.py", "_open_checkpoint")]
 
 
+def calls_of(source, name):
+    """(line, scope) of each call ``name(...)`` or ``obj.name(...)`` in ``source``.
+
+    ``scope`` is the dotted name of the innermost class and function around
+    the call (``"DdpgAgent.update_actor"``), None at module level.
+    """
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    calls.append((child.lineno, scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return sorted(calls)
+
+
+def test_the_check_finds_the_calls():
+    source = (
+        "load(p)\nclass A:\n    def f(self):\n        return self.load(1)\n"
+        "    def g(self):\n        def h():\n            x.y.load()\n        return load\n"
+        "def k():\n    return [load(q) for q in r]\n"
+    )
+    assert calls_of(source, "load") == [(1, None), (4, "A.f"), (7, "A.g.h"), (10, "k")]
+
+
+@pytest.mark.parametrize(
+    "name, scope",
+    [
+        # The trace file of a run or a bench is read and checked in one place.
+        ("load_trace", ("harness.py", "_config_trace")),
+        # A DDPG step blends the targets once, at the end of its actor half.
+        ("soft_update", ("drl.py", "DdpgAgent.update_actor")),
+    ],
+    ids=["load_trace", "soft_update"],
+)
+def test_each_call_has_one_caller(name, scope):
+    calls = [
+        (path.name, caller)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, caller in calls_of(path.read_text(), name)
+    ]
+    assert calls == [scope]
+
+
 def text_uses(source, text):
     """(line, function) of each line of ``source`` that holds ``text``.
 
