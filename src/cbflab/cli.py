@@ -51,7 +51,12 @@ def build_parser():
 
     p = subs.add_parser("bench", help="compare schemes on one channel window")
     _add_config_arg(p)
-    p.add_argument("--schemes", default=None, help="comma-separated scheme list")
+    p.add_argument(
+        "--schemes",
+        type=harness._parse_list,
+        default="ddcbf,mslnr-ep,wmmse",
+        help="comma-separated scheme list (default: %(default)s)",
+    )
     p.add_argument(
         "--checkpoint",
         default=None,

@@ -14,7 +14,10 @@ A ``DdpgAgent`` is two records, and its checkpoint is those records: the dict
 of its ``HYPERPARAMETERS`` (in the checkpoint's JSON ``meta``) and the dict of
 its flat vectors, the parameters of each net and the Adam moments (one
 checkpoint array each, and views of one block in memory).  A fresh and a
-restored agent are set up alike from them.  ``read_entry`` is the one reader
+restored agent are set up alike from them, and so is the replay memory: its
+rings exist from construction, each on an anonymous map of its own so that
+only written rows take memory, whichever thread builds the agent, and a
+restore reads the stored items into them.  ``read_entry`` is the one reader
 and checker of a run checkpoint's arrays, and a restore reads each in place;
 ``read_meta`` is the one checker of its JSON metas.  ``replacing`` writes
 every file the program replaces whole: checkpoints, traces and reports.
@@ -26,6 +29,8 @@ import contextlib
 import io
 import itertools
 import json
+import math
+import mmap
 import os
 import struct
 import zipfile
@@ -397,58 +402,65 @@ class Adam:
         return param
 
 
+# The replay arrays of a checkpoint, stored as ``replay_{key}``, in the order
+# that ``ReplayMemory.sample`` returns them.
+_REPLAY_KEYS = ("states", "actions", "rewards", "next_states")
+
+
+def _mapped_array(shape):
+    """A zeroed float64 array on an anonymous memory map of its own.
+
+    The kernel makes a page of it resident when the page is first written,
+    and unmaps it all when the array is freed.
+    """
+    count = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * count), count=count).reshape(shape)
+
+
 class ReplayMemory:
     """Fixed-capacity FIFO store of (state, action, reward, next_state).
 
-    Backed by preallocated ring-buffer arrays so mini-batch sampling is a
-    single fancy-indexing pass.  The rings are allocated at the first push,
-    or, for a restored memory, at its first push or sample: until then a
-    restored memory keeps the ``dump`` arrays it was given.  So the rings,
-    an agent's largest allocation, are made by the thread that trains, not
-    by a pool thread that restored the agent; made there, they landed on
-    that thread's recycled heap pages and raised the peak RSS of resumed
-    ref7 runs by 10-50 MB.
+    Four ring buffers, ``rings`` by ``_REPLAY_KEYS`` key, made in the
+    constructor, so mini-batch sampling is one fancy-indexing pass per ring.
+    A fresh and a restored memory are the same structure: a restore reads
+    its items into the rings' first rows and then calls ``restore``.  Each
+    ring lies on an anonymous map of its own (``_mapped_array``), so it
+    holds memory only for the rows written so far, whichever thread made
+    it.  Rings from numpy's allocator could land on heap pages that an
+    earlier allocation had left resident: made at restore on the pool
+    threads, they raised the peak RSS of resumed ref7 runs by up to 10%.
     """
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, state_size, action_size):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._states = None
-        self._actions = None
-        self._rewards = None
-        self._next_states = None
+        state, action = (capacity, state_size), (capacity, action_size)
+        shapes = (state, action, (capacity,), state)
+        self.rings = {key: _mapped_array(shape) for key, shape in zip(_REPLAY_KEYS, shapes)}
         self._size = 0
         self._cursor = 0
-        self._restored = None  # the ``dump`` arrays of a restored memory
 
     def __len__(self):
         return self._size
 
-    def _allocate(self, state_size, action_size):
-        """Allocate the rings, moving a restored memory's items into them."""
-        self._states = np.empty((self.capacity, state_size))
-        self._actions = np.empty((self.capacity, action_size))
-        self._rewards = np.empty(self.capacity)
-        self._next_states = np.empty((self.capacity, state_size))
-        restored, self._restored = self._restored, None
-        if restored is not None:
-            n = self._size
-            self._states[:n] = restored["states"]
-            self._actions[:n] = restored["actions"]
-            self._rewards[:n] = restored["rewards"]
-            self._next_states[:n] = restored["next_states"]
-
     def push(self, state, action, reward, next_state):
-        state = np.asarray(state, dtype=float)
-        action = np.asarray(action, dtype=float)
-        if self._states is None:
-            self._allocate(state.size, action.size)
+        """Store one item over the oldest once full.
+
+        ValueError, before anything is written, for a state, action or next
+        state of another shape than the memory's rows.
+        """
+        rings = self.rings
+        items = {"states": state, "actions": action, "next_states": next_state}
+        for key, value in items.items():
+            if np.shape(value) != rings[key].shape[1:]:
+                raise ValueError(
+                    f"{key[:-1]} has shape {np.shape(value)}, not {rings[key].shape[1:]}"
+                )
         i = self._cursor
-        self._states[i] = state
-        self._actions[i] = action
-        self._rewards[i] = float(reward)
-        self._next_states[i] = next_state
+        for key, value in items.items():
+            rings[key][i] = value
+        rings["rewards"][i] = float(reward)
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -458,39 +470,22 @@ class ReplayMemory:
             raise ValueError(
                 f"cannot sample {batch_size} items from a memory of {self._size}"
             )
-        if self._restored is not None:
-            self._allocate(self._restored["states"].shape[1], self._restored["actions"].shape[1])
         picks = rng.choice(self._size, size=batch_size, replace=False)
-        return (
-            self._states[picks],
-            self._actions[picks],
-            self._rewards[picks],
-            self._next_states[picks],
-        )
+        return tuple(ring[picks] for ring in self.rings.values())
 
     def dump(self):
-        """The stored items as views of the ring buffers (None when empty).
-
-        A restored memory not yet pushed to or sampled returns the arrays it
-        was restored from.
-        """
+        """The stored items as views of the rings, by key, and the ``cursor`` (None when empty)."""
         if self._size == 0:
             return None
-        if self._restored is not None:
-            return dict(self._restored)
         return {
-            "states": self._states[: self._size],
-            "actions": self._actions[: self._size],
-            "rewards": self._rewards[: self._size],
-            "next_states": self._next_states[: self._size],
+            **{key: ring[: self._size] for key, ring in self.rings.items()},
             "cursor": self._cursor,
         }
 
-    def restore(self, blob):
-        """Fill this empty memory from ``dump`` output, which it keeps until its rings exist."""
-        self._restored = blob
-        self._size = blob["states"].shape[0]
-        self._cursor = blob["cursor"]
+    def restore(self, size, cursor):
+        """Hold the ``size`` items read into the rings' first rows; push next at ``cursor``."""
+        self._size = size
+        self._cursor = cursor
 
 
 # Construction values of an agent besides its dimensions and seed: the keys of
@@ -511,9 +506,6 @@ HYPERPARAMETERS = {
     "critic_lr": float,
 }
 
-
-# The replay arrays of a checkpoint, stored as ``replay_{key}``.
-_REPLAY_KEYS = ("states", "actions", "rewards", "next_states")
 
 # The flat vectors of an agent's checkpoint: the parameters of each net and
 # the Adam moments of the two online nets.
@@ -653,7 +645,7 @@ class DdpgAgent:
         self.adam_critic = Adam(
             flats["adam_critic_m"], flats["adam_critic_v"], hp["critic_lr"]
         )
-        self.memory = ReplayMemory(hp["memory_capacity"])
+        self.memory = ReplayMemory(hp["memory_capacity"], state_dim, action_dim)
 
     def act(self, state, explore=True):
         """Policy action, optionally with clipped exploration noise.
@@ -801,9 +793,10 @@ class DdpgAgent:
         ``prefix`` (``agent{n}_``) leads the agent's entry names and ``meta``
         is its ``meta``, checked against ``AGENT_META`` (``read_meta``).
         Each net and Adam moment is read in place into one new block of the
-        agent's ``flats`` layout, and the replay into arrays of its rows, by
-        ``read_entry`` against the layout the meta gives them; its messages
-        name the key without ``prefix``.  ValueError unless that layout holds
+        agent's ``flats`` layout, and the replay into the first rows of its
+        memory's rings, by ``read_entry`` against the layout the meta gives
+        them; its messages name the key without ``prefix``.  No other array
+        holds the replay.  ValueError unless that layout holds
         (float64 values of each net's length, ``replay_len`` rows of the
         state and action widths), the replay ring's cursor lies below the
         capacity and at the row count until the ring is full, and numpy
@@ -828,15 +821,9 @@ class DdpgAgent:
         agent.adam_actor.step_count = meta["adam_actor_step"]
         agent.adam_critic.step_count = meta["adam_critic_step"]
         if rows > 0:
-            state, action = (rows, state_dim), (rows, action_dim)
-            shapes = dict(zip(_REPLAY_KEYS, (state, action, (rows,), state)))
-            replay = {
-                key: read_entry(
-                    archive, f"{prefix}replay_{key}", np.empty(shapes[key]), f"replay_{key}"
-                )
-                for key in _REPLAY_KEYS
-            }
-            agent.memory.restore({**replay, "cursor": cursor})
+            for key, ring in agent.memory.rings.items():
+                read_entry(archive, f"{prefix}replay_{key}", ring[:rows], f"replay_{key}")
+        agent.memory.restore(rows, cursor)
         return agent
 
 

@@ -30,7 +30,7 @@ import os
 import time
 import zipfile
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .drl import (
     read_meta,
     replacing,
 )
-from .env import BeamformingEnv, decode_beams
+from .env import BeamformingEnv, action_dim, decode_beams, state_layout
 from .network import ChannelState, NetworkConfig, compute_metrics, dbm_to_watt
 from .solvers import (
     mrt_beamformer,
@@ -138,13 +138,12 @@ class RunConfig:
     built from raw text and one built with ``dataclasses.replace`` come out
     alike.  ``network`` and ``channel`` are derived from the fields, and the
     count keys, ``wmmse_stop_eps`` (> 0), ``bench_offset`` (-1 for auto, or
-    >= 0), the agent and env settings (by the checks of ``DdpgAgent`` and
-    ``BeamformingEnv``) and the schemes checked, in ``__post_init__``
-    (``replace`` reruns both).  ``hyperparameters`` gathers the agent
-    settings into one dict.  Every float key must be finite, and the dBm
-    keys must convert to a finite power above 0 W.  A ValueError of the
-    derived configs becomes a ConfigError that names the config key, not the
-    derived field.
+    >= 0) and the agent and env settings (by the checks of ``DdpgAgent``
+    and ``BeamformingEnv``) checked, in ``__post_init__`` (``replace``
+    reruns both).  ``hyperparameters`` gathers the agent settings into one
+    dict.  Every float key must be finite, and the dBm keys must convert to
+    a finite power above 0 W.  A ValueError of the derived configs becomes a
+    ConfigError that names the config key, not the derived field.
     """
 
     # network
@@ -190,7 +189,6 @@ class RunConfig:
     seed: int
     out_dir: str
     checkpoint_every: int = field(default=5000, metadata=_COUNT)
-    schemes: tuple = field(default="ddcbf,mslnr-ep,wmmse", metadata={"parse": _parse_list})
     # wmmse baseline: stop once the sum rate changes by less than
     # wmmse_stop_eps relative to its current value
     wmmse_stop_eps: float = 1e-4
@@ -256,14 +254,6 @@ class RunConfig:
         except ValueError as exc:
             name, _, rest = str(exc).partition(" ")
             raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)} {rest}") from exc
-
-        if not self.schemes:
-            raise ConfigError("schemes must list at least one scheme")
-        for scheme in self.schemes:
-            if scheme not in SCHEMES:
-                raise ConfigError(f"unknown scheme '{scheme}' (choices: {SCHEMES})")
-        if len(set(self.schemes)) < len(self.schemes):
-            raise ConfigError("schemes must not list a scheme twice")
 
     @property
     def hyperparameters(self):
@@ -591,28 +581,27 @@ def _open_checkpoint(path, num_agents):
         raise ConfigError(f"checkpoint {path} is damaged: {detail}") from exc
 
 
-def _agent_metas(data, meta, path, env=None, hyperparameters=None):
+def _agent_metas(data, meta, path, widths=None, hyperparameters=None):
     """Every agent's parsed ``meta`` in an open run checkpoint, in agent order.
 
     One pass on the calling thread, before any agent array is read, so that
-    a misfit is found from the metas alone: with ``env`` given, ConfigError
-    unless each agent's stored state and action widths are the env's; with
-    ``hyperparameters`` (``RunConfig.hyperparameters``) given, ConfigError
-    naming the first that differs from the agent's.  ``noise_sigma_init`` is
-    not compared: the meta keeps the running sigma in its place, so the
-    agents continue their noise schedule.  A meta that fails ``AGENT_META``
-    raises a ValueError naming its agent (``_naming_agent``).
+    a misfit is found from the metas alone: with ``widths``, the env's
+    (state_dim, action_dim), given, ConfigError unless each agent's stored
+    widths are those; with ``hyperparameters`` (``RunConfig.hyperparameters``)
+    given, ConfigError naming the first that differs from the agent's.
+    ``noise_sigma_init`` is not compared: the meta keeps the running sigma in
+    its place, so the agents continue their noise schedule.  A meta that
+    fails ``AGENT_META`` raises a ValueError naming its agent
+    (``_naming_agent``).
     """
     metas = []
     for n in range(meta["num_agents"]):
         with _naming_agent(n):
             stored = read_meta(data[f"agent{n}_meta"], AGENT_META)
-        widths = (stored["state_dim"], stored["action_dim"])
-        if env is not None and widths != (env.state_dim, env.action_dim):
+        if widths is not None and (stored["state_dim"], stored["action_dim"]) != widths:
             raise ConfigError(
-                f"agent {n} in checkpoint {path} maps {widths[0]} state entries "
-                f"to {widths[1]} action entries, this config {env.state_dim} to "
-                f"{env.action_dim}"
+                f"agent {n} in checkpoint {path} maps {stored['state_dim']} state entries to "
+                f"{stored['action_dim']} action entries, this config {widths[0]} to {widths[1]}"
             )
         for key, value in (hyperparameters or {}).items():
             if key == "noise_sigma_init":
@@ -676,7 +665,8 @@ def load_checkpoint(path, env, hyperparameters):
             )
         read_meta(stream, env.stream.META, "stream ")
         check_fingerprint(env.stream, stream)
-        metas = _agent_metas(data, meta, path, env, hyperparameters)
+        widths = (env.state_dim, env.action_dim)
+        metas = _agent_metas(data, meta, path, widths, hyperparameters)
         arrays = {
             key: read_entry(data, key, np.empty(shape, dtype))
             for key, (dtype, shape) in env.stream.checkpoint_layout().items()
@@ -771,9 +761,10 @@ def _train_agents(pool, workers, agents):
 def run_train(cfg: RunConfig, resume_from=None):
     """Train one agent per BS over ``num_slots`` environment steps.
 
-    Implements the decentralized loop: a warm-up phase of uniformly random
-    actions until each replay holds one mini-batch, then noisy policy actions
-    with one train step and one soft target update per agent per slot.
+    Implements the decentralized loop: each agent takes uniformly random
+    actions until its replay holds one mini-batch (``ready``, the predicate
+    that also gates its train step), then noisy policy actions, with one
+    train step and one soft target update per ready agent per slot.
     Periodic checkpoints allow bit-exact resumption; resuming past
     ``num_slots`` raises ConfigError (on a trace, whose run reads only slots
     [0, num_slots], as the stream's cursor misfit).
@@ -834,7 +825,6 @@ def run_train(cfg: RunConfig, resume_from=None):
                 channel_fingerprint=env.stream.fingerprint,
                 train_workers=workers,
             )
-        warmup = cfg.batch_size
         final_ckpt = resume_from  # the checkpoint that holds the last slot run
         sum_rates = collections.deque(maxlen=20)  # the abort event's recent sum rates
         # Each checkpoint event's wall_s covers the slots since the previous
@@ -842,15 +832,12 @@ def run_train(cfg: RunConfig, resume_from=None):
         since = time.perf_counter()
         try:
             for slot in range(start_slot, cfg.num_slots):
-                if slot < warmup:
-                    actions = np.stack([agent.random_action() for agent in agents])
-                else:
-                    actions = np.stack(
-                        [
-                            agent.act(states[n], explore=True)
-                            for n, agent in enumerate(agents)
-                        ]
-                    )
+                actions = np.stack(
+                    [
+                        agent.act(state, explore=True) if agent.ready() else agent.random_action()
+                        for agent, state in zip(agents, states)
+                    ]
+                )
                 next_states, rewards, metrics = env.step(actions)
                 for n, agent in enumerate(agents):
                     agent.remember(states[n], actions[n], rewards[n], next_states[n])
@@ -913,43 +900,47 @@ def load_agents_from_checkpoint(path, num_agents):
         return _read_agents(data, _agent_metas(data, meta, path), DdpgAgent.from_state_dict)
 
 
-def _read_actor_stack(data, meta, path, env):
-    """The N actors of an open run checkpoint as one stacked ``Mlp``.
+def _read_actor_stack(cfg: RunConfig, path, action_mode):
+    """The N actors of run checkpoint ``path`` as one stacked ``Mlp``.
 
-    The agents' metas are checked first (``_agent_metas``, against the env's
-    widths), and every actor must have agent 0's layers (else a ValueError
-    naming the agent), which size the (N, P) stack before any actor is read.
-    Each agent's actor entry is then read in place into its row of the stack
-    (``_read_agents``), checked as a resume checks it: member, header,
-    float64 values of shape (P,) and CRC.
+    Only the actors are read: a greedy action is the actor's output, so
+    replay memories, critics and Adam moments stay on disk.  The agents'
+    metas are checked first (``_agent_metas``) against the widths of the
+    config's env in ``action_mode``, worked out without building its
+    channel source, and every actor must have agent 0's layers (else a
+    ValueError naming the agent), which size the (N, P) stack before any
+    actor is read.  Each agent's actor entry is then read in place into its
+    row of the stack (``_read_agents``), checked as a resume checks it:
+    member, header, float64 values of shape (P,) and CRC.
     """
-    metas = _agent_metas(data, meta, path, env)
-    sizes = actor_layer_sizes(metas[0])
-    for n, stored in enumerate(metas):
-        if actor_layer_sizes(stored) != sizes:
-            raise ValueError(
-                f"agent {n}: actor has layers {actor_layer_sizes(stored)}, agent 0's {sizes}"
-            )
-    flat = np.empty((len(metas), Mlp.num_parameters(sizes)))
-    rows = {f"agent{n}_": row for n, row in enumerate(flat)}
+    n, k = cfg.network.num_cells, cfg.network.users_per_cell
+    state_dim = state_layout(n, k, cfg.csi_keep, cfg.num_interferers)["total"]
+    with _open_checkpoint(path, n) as (data, meta):
+        metas = _agent_metas(data, meta, path, (state_dim, action_dim(n, k, action_mode)))
+        sizes = actor_layer_sizes(metas[0])
+        for agent, stored in enumerate(metas):
+            if actor_layer_sizes(stored) != sizes:
+                raise ValueError(
+                    f"agent {agent}: actor has layers {actor_layer_sizes(stored)}, "
+                    f"agent 0's {sizes}"
+                )
+        flat = np.empty((n, Mlp.num_parameters(sizes)))
+        rows = {f"agent{agent}_": row for agent, row in enumerate(flat)}
 
-    def fill(archive, prefix, _):
-        read_entry(archive, prefix + "actor", rows[prefix], "actor")
+        def fill(archive, prefix, _):
+            read_entry(archive, prefix + "actor", rows[prefix], "actor")
 
-    _read_agents(data, metas, fill)
+        _read_agents(data, metas, fill)
     return Mlp(sizes, flat, "sigmoid")
 
 
-def _rollout_policy(cfg, trace, checkpoint, action_mode):
-    """Per-slot (N,) cell rates of a trained policy's greedy rollout over a window.
+def _rollout_policy(cfg, trace, actors, action_mode):
+    """Per-slot (N,) cell rates of the greedy rollout of ``actors`` over a window.
 
-    Only the actors are read from the checkpoint, as one stack: a greedy
-    action is the actor's output, so replay memories, critics and Adam
-    moments stay on disk, and each slot's N actions are one stacked forward.
+    ``actors`` is the stack of ``_read_actor_stack``, so each slot's N
+    actions are one stacked forward.
     """
     env = _build_env(cfg, stream=TraceStream(trace), action_mode=action_mode)
-    with _open_checkpoint(checkpoint, cfg.network.num_cells) as (data, meta):
-        actors = _read_actor_stack(data, meta, checkpoint, env)
     states = env.reset()
     cell_rates = []
     for _ in range(trace.num_slots - 1):
@@ -988,15 +979,17 @@ def _solve_slot(cfg: RunConfig, scheme, channel, slot):
     )
 
 
-def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoint=None):
-    """Evaluate the selected schemes on one shared channel window.
+def run_benchmark(cfg: RunConfig, schemes, checkpoint=None, mslnr_checkpoint=None):
+    """Evaluate ``schemes``, a sequence of ``SCHEMES`` names, on one shared channel window.
 
-    ``schemes`` overrides the config key when given, a comma string parsed
-    as the key's value is or a tuple of names; ``ddcbf`` and
-    ``mslnr-ddpg`` need their trained ``checkpoint`` and
-    ``mslnr_checkpoint``.  Every scheme sees the identical channel
-    realizations; a trace-backed window is read alone, and each of
-    its slots is checked (``_config_trace``).  Classical solvers run
+    ConfigError, before anything else, for an empty list, an unknown or a
+    repeated scheme, or a policy scheme without its checkpoint: ``ddcbf``
+    and ``mslnr-ddpg`` need their trained ``checkpoint`` and
+    ``mslnr_checkpoint``.  Each policy's actors are then read, with their
+    fit and damage checks (``_read_actor_stack``), before the window is
+    generated or read and before any scheme runs.  Every scheme sees the
+    identical channel realizations; a trace-backed window is read alone, and
+    each of its slots is checked (``_config_trace``).  Classical solvers run
     genie-aided on each slot's current CSI; trained policies are rolled out
     greedily through the environment.  Every scheme yields one (N,)
     cell-rate array per slot, and those rates give the per-slot rows
@@ -1022,15 +1015,25 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
     steps (``search_steps_mean``, summed over BSs and updates per run) and
     the fraction that hit the iteration cap (``truncated_frac``).
     """
-    if schemes is not None:
-        cfg = replace(cfg, schemes=schemes)
+    if not schemes:
+        raise ConfigError("schemes must list at least one scheme")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme '{scheme}' (choices: {SCHEMES})")
+    if len(set(schemes)) < len(schemes):
+        raise ConfigError("schemes must not list a scheme twice")
     policies = {
         "ddcbf": (checkpoint, "structured"),
         "mslnr-ddpg": (mslnr_checkpoint, "mslnr-power"),
     }
-    for scheme in cfg.schemes:
+    for scheme in schemes:
         if scheme in policies and not policies[scheme][0]:
             raise ConfigError(f"scheme '{scheme}' needs a trained checkpoint")
+    actors = {
+        scheme: _read_actor_stack(cfg, *policies[scheme])
+        for scheme in schemes
+        if scheme in policies
+    }
 
     offset = cfg.bench_offset
     if offset < 0:
@@ -1041,9 +1044,9 @@ def run_benchmark(cfg: RunConfig, schemes=None, checkpoint=None, mslnr_checkpoin
 
     rates = {}  # scheme -> per-slot (N,) cell rates
     diagnostics = {}
-    for scheme in cfg.schemes:
-        if scheme in policies:
-            rates[scheme] = _rollout_policy(cfg, window, *policies[scheme])
+    for scheme in schemes:
+        if scheme in actors:
+            rates[scheme] = _rollout_policy(cfg, window, actors[scheme], policies[scheme][1])
             continue
         if scheme == "mslnr-ep":
             rates[scheme] = _mslnr_rates(window, offset, cfg.bench_slots, net)

@@ -35,7 +35,7 @@ def round_trip(agent, directory):
 
 @pytest.fixture
 def read_entry_calls(monkeypatch):
-    """Record (entry name, reading thread) of every ``drl.read_entry`` call.
+    """Record (entry name, reading thread, ``out``) of every ``drl.read_entry`` call.
 
     The reader is wrapped where both of its callers look it up, ``drl`` and
     ``harness``.
@@ -43,9 +43,9 @@ def read_entry_calls(monkeypatch):
     calls = []
     read_entry = drl.read_entry
 
-    def recording_read_entry(archive, name, *args, **kwargs):
-        calls.append((name, threading.current_thread()))
-        return read_entry(archive, name, *args, **kwargs)
+    def recording_read_entry(archive, name, out, *args, **kwargs):
+        calls.append((name, threading.current_thread(), out))
+        return read_entry(archive, name, out, *args, **kwargs)
 
     for module in (drl, harness):
         monkeypatch.setattr(module, "read_entry", recording_read_entry)

@@ -72,6 +72,15 @@ def test_checkpoint_is_not_a_config_key(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_schemes_is_not_a_config_key(tmp_path, capsys, command):
+    # A bench takes its scheme list as the --schemes argument.
+    config = str(write_config(tmp_path, schemes="mslnr-ep"))
+    assert main([command, config]) == 2
+    assert "unknown key 'schemes'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_resume_mismatch_exits_two(tmp_path, capsys):
     assert main(["train", str(write_config(tmp_path))]) == 0
     ckpt = tmp_path / "out" / "checkpoints" / "train_00000007.npz"
@@ -157,8 +166,6 @@ BAD_VALUES = [
     ("train", {"p_max_dbm": 4000}, "p_max_dbm = 4000 dBm is not a finite power > 0 W"),
     ("train", {"noise_dbm": -4000}, "noise_dbm = -4000 dBm is not a finite power > 0 W"),
     ("train", {"ue_speed_kmh": 1e6}, "ue_speed_kmh must not move a user farther than"),
-    ("train", {"schemes": "wmmse,wmmse"}, "schemes must not list a scheme twice"),
-    ("train", {"schemes": ","}, "schemes must list at least one scheme"),
     ("train", {"discount": 1.5}, "discount must lie in [0, 1)"),
     ("train", {"soft_update_rate": 0}, "soft_update_rate must lie in (0, 1]"),
     ("train", {"noise_sigma_init": -1}, "noise_sigma_init must be >= 0"),
@@ -877,7 +884,7 @@ def test_damaged_entry_read_on_a_pool_thread_exits_two(
         err = capsys.readouterr().err
         assert f"config error: checkpoint {ckpt} is damaged: " in err
         assert "Bad CRC-32 for file 'agent2_actor.npy'" in err
-    readers = [thread for name, thread in read_entry_calls if name.startswith("agent2_")]
+    readers = [thread for name, thread, _ in read_entry_calls if name.startswith("agent2_")]
     assert readers and threading.main_thread() not in readers
 
 
@@ -902,6 +909,72 @@ def test_bench_with_an_empty_scheme_list_exits_two_and_writes_nothing(
     assert main(["bench", str(write_config(tmp_path)), "--schemes", flag]) == 2
     assert "schemes must list at least one scheme" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("wmmse,wmmse", "schemes must not list a scheme twice"),
+        ("ddcbf,nonsense", "unknown scheme 'nonsense'"),
+    ],
+    ids=["wmmse,wmmse", "ddcbf,nonsense"],
+)
+def test_bench_with_a_bad_scheme_list_exits_two_and_writes_nothing(
+    tmp_path, capsys, flag, message
+):
+    assert main(["bench", str(write_config(tmp_path)), "--schemes", flag]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_schemes_default_to_ddcbf_mslnr_ep_and_wmmse(tmp_path, capsys):
+    config = str(write_config(tmp_path))
+    assert main(["train", config]) == 0
+    ckpt = str(tmp_path / "out" / "checkpoints" / "train_00000014.npz")
+    capsys.readouterr()
+    assert main(["bench", config, "--checkpoint", ckpt]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["ddcbf", "mslnr-ep", "wmmse"]
+    # The flag is split on commas, each name stripped and empty ones dropped.
+    assert main(["bench", config, "--schemes", " mslnr-ep , ddcbf,", "--checkpoint", ckpt]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["mslnr-ep", "ddcbf"]
+
+
+def _recording(calls, name, fn):
+    def record(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return record
+
+
+@pytest.mark.parametrize("source", ["process", "trace"])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"num_cells": 2, "num_interferers": 1}, "holds 3 agents, this config has 2 cells"),
+        ({"users_per_cell": 3}, "maps 134 state entries to 10 action entries"),
+    ],
+    ids=["agents", "widths"],
+)
+def test_bench_refuses_a_misfit_checkpoint_before_it_makes_a_window(
+    tmp_path, capsys, monkeypatch, source, overrides, message
+):
+    assert main(["train", str(write_config(tmp_path))]) == 0  # 3 cells of 2 users
+    ckpt = tmp_path / "out" / "checkpoints" / "train_00000014.npz"
+    trace = tmp_path / "other.trace"
+    config = str(write_config(tmp_path, name="other.cfg", **overrides))
+    if source == "trace":
+        assert main(["trace-gen", config, str(trace)]) == 0
+        config = str(write_config(tmp_path, name="other.cfg", trace_file=trace, **overrides))
+    calls = []
+    for name in ("generate_trace", "load_trace", "wmmse"):
+        monkeypatch.setattr(harness, name, _recording(calls, name, getattr(harness, name)))
+    capsys.readouterr()
+    argv = ["bench", config, "--schemes", "wmmse,ddcbf", "--checkpoint", str(ckpt)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out" / "bench.csv").exists()
 
 
 def test_bench_window_past_the_end_of_the_trace_exits_two_and_writes_nothing(tmp_path, capsys):

@@ -214,7 +214,7 @@ def test_adam_rejects_non_finite():
 
 
 def test_replay_fifo_eviction():
-    mem = ReplayMemory(3)
+    mem = ReplayMemory(3, 1, 1)
     for i in range(4):
         mem.push([float(i)], [0.0], float(i), [0.0])
     assert len(mem) == 3
@@ -226,34 +226,53 @@ def test_replay_fifo_eviction():
     assert int(dump["states"][dump["cursor"], 0]) == 1
 
 
-@pytest.mark.parametrize("first_use", ["push", "sample"])
-def test_restored_replay_makes_its_rings_at_first_use(first_use):
-    # A restored memory allocates nothing until it is used, so that its
-    # rings come from the thread that trains; it continues like the original.
-    original = ReplayMemory(4)
-    for i in range(6):  # wrapped: items 4, 5, 2, 3, cursor at item 2
-        original.push([float(i), 0.0], [1.0], float(i), [0.0, float(i)])
-    blob = {key: value.copy() for key, value in original.dump().items() if key != "cursor"}
-    restored = ReplayMemory(4)
-    restored.restore({**blob, "cursor": original.dump()["cursor"]})
-    assert len(restored) == 4
-    assert all(ring is None for ring in (restored._states, restored._rewards))
-    dump = restored.dump()  # the arrays it was restored from
-    assert all(dump[key] is blob[key] for key in blob)
-    if first_use == "push":
-        for memory in (original, restored):
-            memory.push([6.0, 0.0], [1.0], 6.0, [0.0, 6.0])
-    batches = [memory.sample(4, np.random.default_rng(3)) for memory in (original, restored)]
-    assert restored._states is not None
-    for a, b in zip(*batches):
-        npt.assert_array_equal(a, b)
-    assert {k: np.asarray(v).tolist() for k, v in restored.dump().items()} == {
-        k: np.asarray(v).tolist() for k, v in original.dump().items()
-    }
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        (([0.0, 0.0, 0.0], [1.0], [0.0, 0.0]), r"state has shape \(3,\), not \(2,\)"),
+        (([0.0], [1.0], [0.0, 0.0]), r"state has shape \(1,\), not \(2,\)"),
+        (([0.0, 0.0], [1.0, 1.0], [0.0, 0.0]), r"action has shape \(2,\), not \(1,\)"),
+        (([0.0, 0.0], [1.0], 0.0), r"next_state has shape \(\), not \(2,\)"),
+    ],
+    ids=["wider-state", "narrower-state", "wider-action", "scalar-next-state"],
+)
+def test_push_of_another_width_is_refused_from_the_first_push(item, message):
+    # The rings have the memory's widths from construction: the first push
+    # does not size them, and a width-1 state does not broadcast into a row.
+    mem = ReplayMemory(4, 2, 1)
+    state, action, next_state = item
+    with pytest.raises(ValueError, match=message):
+        mem.push(state, action, 1.0, next_state)
+    assert len(mem) == 0 and mem.dump() is None
+    assert not any(ring.any() for ring in mem.rings.values())
+
+
+@pytest.mark.parametrize("items, size, cursor", [(5, 5, 5), (11, 8, 3)], ids=["part", "wrapped"])
+def test_restore_reads_the_replay_into_the_memorys_own_rings(
+    tmp_path, read_entry_calls, items, size, cursor
+):
+    agent = DdpgAgent(6, 3, seed=0, **{**SETTINGS, "memory_capacity": 8})
+    fill_memory(agent, items, seed=2)
+    restored = round_trip(agent, tmp_path)
+    memory = restored.memory
+    assert (len(memory), memory.dump()["cursor"]) == (size, cursor)
+    reads = {name: out for name, _, out in read_entry_calls if "replay" in name}
+    assert sorted(reads) == sorted(f"agent0_replay_{key}" for key in memory.rings)
+    for key, ring in memory.rings.items():
+        out = reads[f"agent0_replay_{key}"]  # the ring's first rows
+        assert np.shares_memory(out, ring) and out.ctypes.data == ring.ctypes.data
+        assert out.shape == ring[:size].shape
+    # It continues like the original.
+    item = (np.full(6, 0.5), np.full(3, 0.25), 1.5, np.full(6, -0.5))
+    for a in (agent, restored):
+        a.remember(*item)
+    batches = [a.memory.sample(len(memory), np.random.default_rng(3)) for a in (agent, restored)]
+    for one, two in zip(*batches):
+        npt.assert_array_equal(one, two)
 
 
 def test_replay_full_sample_is_permutation():
-    mem = ReplayMemory(5)
+    mem = ReplayMemory(5, 1, 1)
     for i in range(5):
         mem.push([float(i)], [0.0], float(i), [0.0])
     s, _, r, _ = mem.sample(5, np.random.default_rng(0))
@@ -261,14 +280,14 @@ def test_replay_full_sample_is_permutation():
 
 
 def test_replay_underfilled_sample_rejected():
-    mem = ReplayMemory(5)
+    mem = ReplayMemory(5, 1, 1)
     mem.push([0.0], [0.0], 0.0, [0.0])
     with pytest.raises(ValueError):
         mem.sample(2, np.random.default_rng(0))
 
 
 def test_replay_sampling_uniformity():
-    mem = ReplayMemory(10)
+    mem = ReplayMemory(10, 1, 1)
     for i in range(10):
         mem.push([float(i)], [0.0], float(i), [0.0])
     rng = np.random.default_rng(123)
@@ -689,7 +708,7 @@ class OracleAgent:
         self.target_critic = self.critic.copy()
         self.adam_actor = OracleAdam(self.actor.parameters(), actor_lr)
         self.adam_critic = OracleAdam(self.critic.parameters(), critic_lr)
-        self.memory = ReplayMemory(memory_capacity)
+        self.memory = ReplayMemory(memory_capacity, state_dim, action_dim)
 
     def train_step(self):
         states, actions, rewards, next_states = self.memory.sample(

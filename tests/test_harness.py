@@ -134,9 +134,6 @@ def test_config_constraint_checks():
     bad = dict(values, batch_size="128", memory_capacity="64")
     with pytest.raises(ConfigError, match="batch_size"):
         build_config(bad)
-    bad = dict(values, schemes="ddcbf,nonsense")
-    with pytest.raises(ConfigError, match="nonsense"):
-        build_config(bad)
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -182,7 +179,6 @@ def test_defaults_documented():
         "bench_slots": 200,
         "bench_offset": -1,
         "checkpoint_every": 5000,
-        "schemes": "ddcbf,mslnr-ep,wmmse",
         "wmmse_stop_eps": 1e-4,
         "wmmse_max_iter": 500,
         "wmmse_num_inits": 10,
@@ -197,7 +193,6 @@ def test_defaults_fill_omitted_keys(tmp_path):
     )
     cfg = parse_config(path)
     assert cfg.hidden_sizes == (128, 64, 32)
-    assert cfg.schemes == ("ddcbf", "mslnr-ep", "wmmse")
     assert cfg.channel.temporal_corr is None
     assert cfg.network.max_power == dbm_to_watt(38.0)
 
@@ -1153,7 +1148,11 @@ def test_stacked_rollout_writes_the_bench_files_of_one_actor_at_a_time(
     ckpt = run_train(cfg)["checkpoint"]
     scheme = "ddcbf" if action_mode == "structured" else "mslnr-ddpg"
     files = {}
-    for name, rollout in (("stacked", harness._rollout_policy), ("rows", reference_rollout)):
+
+    def rows(cfg, trace, _stack, action_mode):  # each actor read from ckpt on its own
+        return reference_rollout(cfg, trace, ckpt, action_mode)
+
+    for name, rollout in (("stacked", harness._rollout_policy), ("rows", rows)):
         monkeypatch.setattr(harness, "_rollout_policy", rollout)
         out = run_benchmark(
             dataclasses.replace(cfg, out_dir=str(tmp_path / name)),
