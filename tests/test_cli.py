@@ -166,6 +166,8 @@ BAD_VALUES = [
     ("train", {"p_max_dbm": 4000}, "p_max_dbm = 4000 dBm is not a finite power > 0 W"),
     ("train", {"noise_dbm": -4000}, "noise_dbm = -4000 dBm is not a finite power > 0 W"),
     ("train", {"ue_speed_kmh": 1e6}, "ue_speed_kmh must not move a user farther than"),
+    # schemes is no config key: a bench takes its list as the --schemes argument.
+    ("train", {"schemes": ","}, "unknown key 'schemes'"),
     ("train", {"discount": 1.5}, "discount must lie in [0, 1)"),
     ("train", {"soft_update_rate": 0}, "soft_update_rate must lie in (0, 1]"),
     ("train", {"noise_sigma_init": -1}, "noise_sigma_init must be >= 0"),
