@@ -410,18 +410,21 @@ class ChannelTrace:
 
     ``h.shape`` is the one record of the dimensions: ``save_trace`` writes
     the file header from it.  ``cfg_hash`` is the ``config_fingerprint`` of
-    the process that generated it.
+    the process that generated it.  ``checked`` says that every slot has
+    passed the checks of ``ChannelState``, as each slot of ``generate_trace``
+    has; ``slot`` then does not run them again.
     """
 
     cfg_hash: int
     h: np.ndarray
+    checked: bool = False
 
     @property
     def num_slots(self):
         return self.h.shape[0]
 
     def slot(self, t):
-        return ChannelState(slot_index=t, h=self.h[t])
+        return ChannelState(slot_index=t, h=self.h[t], checked=self.checked)
 
 
 class ChannelProcess:
@@ -574,6 +577,8 @@ def generate_trace(net_cfg, model_cfg, num_slots, offset=0):
 
     The ``offset`` slots before the window are generated and dropped, so the
     window is bit-identical to the same slots of a trace that starts at 0.
+    Each slot is checked as ``next_slot`` makes it, so the trace is
+    ``checked``.
     """
     proc = ChannelProcess(net_cfg, model_cfg)
     n, k, m = net_cfg.num_cells, net_cfg.users_per_cell, net_cfg.num_antennas
@@ -582,7 +587,7 @@ def generate_trace(net_cfg, model_cfg, num_slots, offset=0):
         proc.next_slot()
     for t in range(num_slots):
         h[t] = proc.next_slot().h
-    return ChannelTrace(cfg_hash=config_fingerprint(model_cfg, net_cfg), h=h)
+    return ChannelTrace(cfg_hash=config_fingerprint(model_cfg, net_cfg), h=h, checked=True)
 
 
 def save_trace(trace, path):

@@ -16,6 +16,9 @@ versioned CSVs back (``MetricSink.read``, ``read_bench``).
 Training and benchmarks load a configured trace through one dimension check,
 and a run checkpoint through one opener that checks it before any agent is
 built (``_open_checkpoint``).
+
+Training, restores and the max-SLNR bench (``mslnr-ep``) run as tasks on
+every usable CPU (``_run_tasks``); their outputs do not depend on how many.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import os
 import time
 import zipfile
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,11 +74,14 @@ OUT_DIR_ENV_VAR = "CBFLAB_OUT_DIR"
 
 SCHEMES = ("ddcbf", "mslnr-ddpg", "mslnr-ep", "wmmse", "wmmse-nri")
 
-# The max-SLNR bench solves and scores this many window slots as one stack,
-# and a trace's channels are checked this many slots at a time.  At ref7 a
-# block's leakage matrices take about 2 MB, inside a 4 MB L2 cache.  On a
-# 200-slot ref7 window, blocks of 8 ran 7% slower per slot than 16, longer
-# blocks no faster, and each slot of a block added 0.3 MB to the peak memory.
+# The max-SLNR bench solves and scores at most this many window slots as one
+# stack.  Its blocks are balanced, at least one per worker (``_slot_blocks``),
+# so it uses every usable CPU; each row is a one-slot call's bit for bit, so
+# the output does not depend on how many.  A trace's channels are checked this
+# many slots at a time.  At ref7 a block's leakage matrices take about 2 MB,
+# inside a 4 MB L2 cache.  On a 200-slot ref7 window, blocks of 8 ran 7% slower
+# per slot than 16, longer blocks no faster, and each slot of a block added
+# 0.3 MB to the peak memory.
 _SLOT_BLOCK = 16
 
 
@@ -423,7 +429,8 @@ def _config_trace(cfg: RunConfig, start, count, reader):
     the trace's dimensions are the network's and it holds all ``count``
     slots, which ``reader`` (as in "a run of num_slots = 20") reads; then
     TraceFormatError naming the slot and BS of the first slot that is not a
-    valid channel (the checks of ``ChannelState``).
+    valid channel (the checks of ``ChannelState``).  The trace returned is
+    ``checked``, so no later reader of its slots runs those checks again.
     """
     path = cfg.trace_file
     try:
@@ -448,7 +455,7 @@ def _config_trace(cfg: RunConfig, start, count, reader):
             ChannelState(slot_index=start + a, h=trace.h[a : a + _SLOT_BLOCK])
         except ValueError as exc:
             raise TraceFormatError(f"trace {path}: {exc}") from None
-    return trace
+    return replace(trace, checked=True)
 
 
 def _channel_stream(cfg: RunConfig):
@@ -681,13 +688,17 @@ def load_checkpoint(path, env, hyperparameters):
         return meta["slot"], states, agents
 
 
-def _train_workers(num_agents):
-    """Threads that train the agents: one per agent, at most one per usable CPU."""
+def _train_workers(num_tasks):
+    """Workers for ``num_tasks`` independent tasks: at most one per task and one per usable CPU.
+
+    They train or restore the agents, one task per agent, and run the
+    max-SLNR bench, one task per block of window slots.
+    """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(num_agents, cpus)
+    return min(num_tasks, cpus)
 
 
 def _run_tasks(pool, tasks, queues):
@@ -734,6 +745,15 @@ def _run_tasks(pool, tasks, queues):
     return [cell.result() for cell in cells]
 
 
+def _run_shared(pool, workers, tasks):
+    """``_run_tasks`` on ``workers`` workers that all pull from one ordered list.
+
+    So no worker idles while a task is left to start.
+    """
+    shared = collections.deque(range(len(tasks)))
+    return _run_tasks(pool, tasks, [shared] * workers)
+
+
 def _train_agents(pool, workers, agents):
     """One train step of each ready agent; their critic losses in agent order.
 
@@ -753,8 +773,7 @@ def _train_agents(pool, workers, agents):
         (lambda half, agent=agent: agent.update_actor(half[1]), n)
         for n, agent in enumerate(ready)
     ]
-    shared = collections.deque(range(len(tasks)))
-    results = _run_tasks(pool, tasks, [shared] * workers)
+    results = _run_shared(pool, workers, tasks)
     return [losses[0] for losses, _ in results[: len(ready)]]
 
 
@@ -883,7 +902,7 @@ def run_train(cfg: RunConfig, resume_from=None):
 
 
 def _collect_window(cfg: RunConfig, offset, count):
-    """Channel window [offset, offset+count) of the configured source."""
+    """Channel window [offset, offset+count) of the configured source, every slot checked once."""
     if cfg.trace_file:
         return _config_trace(cfg, offset, count, f"a bench of bench_slots = {cfg.bench_slots}")
     return generate_trace(cfg.network, cfg.channel, count, offset=offset)
@@ -949,19 +968,46 @@ def _rollout_policy(cfg, trace, actors, action_mode):
     return cell_rates
 
 
-def _mslnr_rates(window, offset, count, net):
-    """Per-slot (N,) max-SLNR cell rates of window slots [0, count).
+def _slot_blocks(count, workers):
+    """Bounds (a, b) of window slots [0, count) cut into balanced blocks.
 
-    Each block of ``_SLOT_BLOCK`` slots is one ``mslnr_beams`` stack, scored
-    by one ``compute_metrics`` call; its checks name the slot as
-    ``offset`` + its window index.
+    A block holds at most ``_SLOT_BLOCK`` slots, and there are at least as
+    many blocks as ``workers`` (but no empty one), so that every worker gets
+    a block: 20 slots on two workers are 10 + 10, not 16 + 4.
     """
-    rates = []
-    for a in range(0, count, _SLOT_BLOCK):
-        block = window.h[a : min(a + _SLOT_BLOCK, count)]
-        channel = ChannelState(slot_index=offset + a, h=block)
-        rates.extend(compute_metrics(channel, mslnr_beams(channel, net), net).rate.sum(axis=-1))
-    return rates
+    blocks = min(max(-(-count // _SLOT_BLOCK), workers), count)
+    return [(count * i // blocks, count * (i + 1) // blocks) for i in range(blocks)]
+
+
+def _mslnr_block(window, offset, a, b, net):
+    """(b - a, N) max-SLNR cell rates of window slots [a, b), as one stack.
+
+    One ``mslnr_beams`` stack, scored by one ``compute_metrics`` call; each
+    slot's rates equal a one-slot call's bit for bit.  Its checks name the
+    slot as ``offset`` + its window index.
+    """
+    channel = ChannelState(slot_index=offset + a, h=window.h[a:b], checked=window.checked)
+    return compute_metrics(channel, mslnr_beams(channel, net), net).rate.sum(axis=-1)
+
+
+def _mslnr_rates(window, offset, count, net):
+    """Per-slot (N,) max-SLNR cell rates of window slots [0, count), on every usable CPU.
+
+    The balanced blocks of ``_slot_blocks`` run as ``_run_tasks`` tasks on
+    the calling thread and ``_train_workers(count) - 1`` pool threads, so a
+    one-slot window starts no thread.  Each slot's rates equal a one-slot
+    call's bit for bit, so they do not depend on the worker count.  A failed
+    block stops no other; once all have run, the first failure in slot
+    order propagates, as from a loop over the blocks.
+    """
+    workers = _train_workers(count)
+    tasks = [
+        (functools.partial(_mslnr_block, window, offset, a, b, net), None)
+        for a, b in _slot_blocks(count, workers)
+    ]
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        blocks = _run_shared(pool, workers, tasks)
+    return [slot for block in blocks for slot in block]
 
 
 def _solve_slot(cfg: RunConfig, scheme, channel, slot):
@@ -988,22 +1034,28 @@ def run_benchmark(cfg: RunConfig, schemes, checkpoint=None, mslnr_checkpoint=Non
     ``mslnr_checkpoint``.  Each policy's actors are then read, with their
     fit and damage checks (``_read_actor_stack``), before the window is
     generated or read and before any scheme runs.  Every scheme sees the
-    identical channel realizations; a trace-backed window is read alone, and
-    each of its slots is checked (``_config_trace``).  Classical solvers run
-    genie-aided on each slot's current CSI; trained policies are rolled out
-    greedily through the environment.  Every scheme yields one (N,)
-    cell-rate array per slot, and those rates give the per-slot rows
-    (``bench.csv``), the empirical CDF of the sum rate (``bench_cdf.csv``)
-    and the summary table (``bench_summary.json``) under the run's output
-    directory, each replaced whole (``drl.replacing``) once all schemes have run.
+    identical channel realizations; a trace-backed window is read alone.
+    Each window slot is checked once, as it is read (``_config_trace``) or
+    generated (``channel.generate_trace``), and no scheme checks it again.
+    Classical solvers run genie-aided on each slot's current CSI; trained
+    policies are rolled out greedily through the environment.  Every scheme
+    yields one (N,) cell-rate array per slot, and those rates give the
+    per-slot rows (``bench.csv``), the empirical CDF of the sum rate
+    (``bench_cdf.csv``) and the summary table (``bench_summary.json``) under
+    the run's output directory, each replaced whole (``drl.replacing``) once
+    all schemes have run.
 
-    ``mslnr-ep`` runs in blocks of ``_SLOT_BLOCK`` slots: one
-    ``mslnr_beams`` stack and one ``compute_metrics`` call per block, each
-    slot's rates equal to a per-slot call's bit for bit.  The WMMSE schemes
-    stay one ``wmmse`` call per slot: the layer tracer of ``perfbench`` reads
-    one slot's scalar ``iterations`` and ``truncated`` from each result, and
-    stacking the random starts of ``wmmse-nri`` gained nothing, as their
-    iteration counts differ widely.
+    ``mslnr-ep`` uses every usable CPU (``_mslnr_rates``): it cuts the
+    window into balanced blocks (``_slot_blocks``), each one
+    ``mslnr_beams`` stack and one ``compute_metrics`` call, and its rows do
+    not depend on how many CPUs run them.  The WMMSE schemes stay one
+    ``wmmse`` call per slot, one slot after the other on the calling
+    thread: the layer tracer of ``perfbench`` reads one slot's scalar
+    ``iterations`` and ``truncated`` from each result, stacking the random
+    starts of ``wmmse-nri`` gained nothing, as their iteration counts differ
+    widely, and a 20-slot ref7 window on two threads took as long as on one
+    (its ``eigh`` and GEMM work does not split over two vCPUs).  The first
+    failure in slot order propagates, and no bench file is written.
 
     ``wmmse`` starts from the slot's max-SLNR beams (the ``mslnr-ep`` ones)
     and stops once the sum rate changes by less than ``wmmse_stop_eps``

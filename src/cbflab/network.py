@@ -23,7 +23,7 @@ large arrays).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -140,13 +140,18 @@ class ChannelState:
     record of the dimensions.  ``slot_index`` is the slot of ``h``; leading
     axes stack slots, and leading entry i in C order is slot
     ``slot_index + i``.  Every slot is checked, and a failed check names the
-    BS and, in a stack, the slot.
+    BS and, in a stack, the slot.  ``checked=True`` skips the checks: the
+    slots of ``h`` have passed them once already, in a checked
+    ``channel.ChannelTrace``.
     """
 
     slot_index: int
     h: np.ndarray
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
+        if checked:
+            return
         h = self.h
         if h.ndim < 4 or h.shape[-4] != h.shape[-3]:
             raise ValueError("channel tensor must have shape (..., N, N, K, M)")

@@ -116,7 +116,9 @@ def _leakage_matrices(flat_h, alpha):
     ``alpha`` is (S, X), or (X,) for weights shared by every BS.  Returns
     (S, M, M).
     """
-    return flat_h.swapaxes(-1, -2) @ (alpha[..., None] * flat_h.conj())
+    weighted = flat_h.conj()
+    weighted *= alpha[..., None]
+    return flat_h.swapaxes(-1, -2) @ weighted
 
 
 def _null_cutoff(lam):
@@ -164,7 +166,9 @@ def solve_leakage_system(b0, targets, mu):
     raises ArithmeticError for a matrix without range.
     """
     mu = np.asarray(mu, dtype=float)
-    shifted = b0 + mu[:, None, None] * np.eye(b0.shape[-1])
+    shifted = b0 + 0.0  # a copy, with the zeros' signs of b0 + mu I
+    diagonal = np.arange(b0.shape[-1])
+    shifted[:, diagonal, diagonal] += mu[:, None]
     if np.all(mu > 0):
         return np.linalg.solve(shifted, targets.swapaxes(-1, -2)).swapaxes(-1, -2)
     return _eigen_solve(*_eigen_projections(shifted, targets), 0.0)

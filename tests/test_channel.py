@@ -812,3 +812,19 @@ def test_trace_stream_current_is_the_last_slot_read():
     assert restored.current.slot_index == 2
     restored.load_state_dict(TraceStream(trace).state_dict())
     assert restored.current is None
+
+
+def test_a_stream_checks_the_slots_of_a_trace_not_yet_checked(tmp_path):
+    net = make_net(n=2, k=2, m1=1, m2=2)
+    made = generate_trace(net, ChannelModelConfig(rng_seed=5), 3)
+    assert made.checked  # each slot was checked as the process made it
+    h = made.h.copy()
+    h[1, 0, 0, 0, 0] = np.nan
+    path = tmp_path / "nan.trace"
+    save_trace(channel.ChannelTrace(cfg_hash=made.cfg_hash, h=h), path)
+    loaded = load_trace(path)
+    assert not loaded.checked
+    stream = TraceStream(loaded)
+    stream.next_slot()
+    with pytest.raises(ValueError, match="BS 0: channel tensor contains non-finite"):
+        stream.next_slot()

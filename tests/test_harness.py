@@ -45,7 +45,13 @@ from cbflab.harness import (
     run_train,
     save_checkpoint,
 )
-from cbflab.network import BeamformerSet, NetworkConfig, compute_metrics, dbm_to_watt
+from cbflab.network import (
+    BeamformerSet,
+    ChannelState,
+    NetworkConfig,
+    compute_metrics,
+    dbm_to_watt,
+)
 from cbflab.solvers import mslnr_beams
 
 SMALL = {
@@ -1028,6 +1034,112 @@ def test_wmmse_bench_makes_one_call_per_slot_with_scalar_diagnostics(tmp_path, m
         beams, state = result
         assert type(beams) is BeamformerSet and type(state) is solvers.WmmseState
         assert type(state.iterations) is int and type(state.truncated) is bool
+
+
+def _window_bench_config(tmp_path, source, slots, **overrides):
+    """SMALL bench config of ``slots`` slots from slot 2, trace-backed or live."""
+    values = {"bench_offset": 2, "wmmse_num_inits": 2, "wmmse_max_iter": 8, **overrides}
+    cfg = parse_config(write_config(tmp_path, bench_slots=slots, **values))
+    if source == "trace":
+        trace_path = tmp_path / "chan.trace"
+        generate_trace_file(cfg, trace_path, num_slots=slots + 3)
+        cfg = dataclasses.replace(cfg, trace_file=str(trace_path))
+    return cfg
+
+
+PER_SLOT_SCHEMES = ("mslnr-ep", "wmmse", "wmmse-nri")
+BENCH_FILES = ("bench.csv", "bench_cdf.csv", "bench_summary.json")
+
+
+@pytest.mark.parametrize("source", ["trace", "live"])
+@pytest.mark.parametrize(
+    "slots",
+    [
+        5,  # max-SLNR blocks of 5, of 2 + 3 and of 1 + 2 + 2
+        2 * harness._SLOT_BLOCK + 3,  # blocks of 11 + 12 + 12 on every worker count
+    ],
+)
+def test_bench_files_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, source, slots):
+    cfg = _window_bench_config(tmp_path, source, slots)
+    files = {}
+    for workers in (1, 2, 3):
+        _pin_workers(monkeypatch, workers)
+        out = tmp_path / f"workers{workers}"
+        run_benchmark(dataclasses.replace(cfg, out_dir=str(out)), PER_SLOT_SCHEMES)
+        files[workers] = [(out / name).read_bytes() for name in BENCH_FILES]
+    assert files[2] == files[1]
+    assert files[3] == files[1]
+
+
+@pytest.mark.parametrize(
+    "failing, scheme",
+    [
+        *(("compute_metrics", scheme) for scheme in PER_SLOT_SCHEMES),
+        ("wmmse", "wmmse"),
+        ("wmmse_multi_init", "wmmse-nri"),
+    ],
+)
+def test_a_failed_bench_block_or_slot_raises_the_one_worker_error(
+    tmp_path, monkeypatch, failing, scheme
+):
+    # Every slot from window slot 3 on fails, naming its slot: the error of
+    # the first in slot order propagates, whichever worker ran its block.
+    cfg = _window_bench_config(tmp_path, "trace", 7, bench_offset=0)
+    original = getattr(harness, failing)
+
+    def fail_from_slot_3(channel, *args, **kwargs):
+        first = channel.slot_index
+        last = first + (len(channel.h) if channel.h.ndim == 5 else 1)
+        if last > 3:
+            raise ArithmeticError(f"slot {max(first, 3)} failed")
+        return original(channel, *args, **kwargs)
+
+    monkeypatch.setattr(harness, failing, fail_from_slot_3)
+    threads = threading.enumerate()
+    errors = []
+    for workers in (1, 2, 3):
+        _pin_workers(monkeypatch, workers)
+        with pytest.raises(ArithmeticError) as info:
+            run_benchmark(cfg, (scheme,))
+        errors.append(str(info.value))
+        assert threading.enumerate() == threads
+    assert errors == ["slot 3 failed"] * 3
+    assert not os.path.exists(cfg.out_dir)
+
+
+@pytest.mark.parametrize("scheme", PER_SLOT_SCHEMES)
+def test_a_one_slot_bench_starts_no_thread(tmp_path, monkeypatch, scheme):
+    started = []
+    start = threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    run_benchmark(_window_bench_config(tmp_path, "trace", 1), (scheme,))
+    assert started == []
+
+
+@pytest.mark.parametrize("source", ["trace", "live"])
+def test_a_bench_checks_each_window_slot_once(tmp_path, monkeypatch, source):
+    cfg = _window_bench_config(tmp_path, source, 4, num_slots=12)
+    checkpoint = run_train(dataclasses.replace(cfg, trace_file=""))["checkpoint"]
+    checks = collections.Counter()
+    check = ChannelState.__post_init__
+
+    def counted_check(channel, checked):
+        if not checked:
+            stacked = int(np.prod(channel.h.shape[:-4]))
+            checks.update(range(channel.slot_index, channel.slot_index + stacked))
+        check(channel, checked)
+
+    monkeypatch.setattr(ChannelState, "__post_init__", counted_check)
+    run_benchmark(cfg, ("ddcbf", *PER_SLOT_SCHEMES), checkpoint=checkpoint)
+    # The window is slots 2-6, a policy's rollout reading one slot more than
+    # the 4 rows; a live window also generates the slots before it.
+    first = 2 if source == "trace" else 0
+    assert checks == collections.Counter(range(first, 7))
 
 
 def test_benchmark_multi_init_dominates(tmp_path):
